@@ -17,7 +17,7 @@ import math
 from repro.analysis.reporting import banner, series_table
 from repro.core import CONCAT, OrdinaryIRSystem, run_ordinary
 from repro.core.baselines import work_efficient_chain_solve
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 
 NS = [256, 1024, 4096, 16384]
 
@@ -36,7 +36,11 @@ def run_ablation():
             "scan_depth": []}
     for n in NS:
         system = chain(n)
-        res = solve(system, backend="numpy", collect_stats=True)
+        res = solve(
+            system,
+            collect_stats=True,
+            options=EngineOptions(backend="numpy"),
+        )
         out_pj, s_pj = res.values, res.stats
         out_we, s_we = work_efficient_chain_solve(system)
         assert out_pj == out_we == run_ordinary(system)
@@ -74,7 +78,10 @@ def test_ablation_work_efficiency(benchmark):
     with pytest.raises(ValueError, match="branching"):
         work_efficient_chain_solve(branching)
     # ... while pointer jumping handles them (the paper's point)
-    assert solve(branching, backend="numpy").values == run_ordinary(branching)
+    assert (
+        solve(branching, options=EngineOptions(backend="numpy")).values
+        == run_ordinary(branching)
+    )
 
 
 def main():

@@ -12,7 +12,7 @@ figure discusses.
 
 from repro.analysis.reporting import ascii_table, banner
 from repro.core import CONCAT, OrdinaryIRSystem, run_ordinary
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 from repro.core.traces import all_ordinary_traces, render_factors
 
 M = 12
@@ -37,7 +37,11 @@ def run_fig1():
     out = {}
     for name, system in (("literal", literal_loop()), ("chained", chained_loop())):
         traces = all_ordinary_traces(system)
-        res = solve(system, backend="python", collect_stats=True)
+        res = solve(
+            system,
+            collect_stats=True,
+            options=EngineOptions(backend="python"),
+        )
         parallel, stats = res.values, res.stats
         assert parallel == run_ordinary(system)
         out[name] = (system, traces, stats)

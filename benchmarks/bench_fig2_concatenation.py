@@ -10,7 +10,8 @@ invariant: after round r, every unfinished sub-trace covers exactly
 
 from repro.analysis.reporting import ascii_table, banner
 from repro.core import CONCAT, OrdinaryIRSystem, run_ordinary
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
+from repro.resilience import SolvePolicy
 
 N = 16
 
@@ -27,11 +28,20 @@ def build():
 def run_rounds():
     """Partial solves after r = 0, 1, 2, ... rounds."""
     system = build()
-    full = solve(system, backend="python", collect_stats=True).stats
+    full = solve(
+        system,
+        collect_stats=True,
+        options=EngineOptions(backend="python"),
+    ).stats
     frames = []
     for r in range(full.rounds + 1):
         res = solve(
-            system, backend="python", collect_stats=True, max_rounds=r
+            system,
+            collect_stats=True,
+            options=EngineOptions(
+                backend="python",
+                policy=SolvePolicy(max_rounds=r, on_exhaustion="partial"),
+            ),
         )
         out, stats = res.values, res.stats
         frames.append((r, out, stats))

@@ -26,7 +26,7 @@ import time
 
 from repro.core import GIRSystem, run_gir
 from repro.core.operators import modular_add, modular_mul
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 
 N = 100_000
 MIN_SPEEDUP = 10.0
@@ -57,23 +57,37 @@ def run(n=N):
     oracle_s, expect = _time(lambda: run_gir(system))
 
     # Plan once (CAP doubling + table reduction), replay twice.
-    plan = solve(system, backend="numpy").plan
+    plan = solve(system, options=EngineOptions(backend="numpy")).plan
     assert plan.dispatch is None, "Fibonacci powers must take the CAP path"
     rows_s, rows_result = _time(
         lambda: solve(
-            system, backend="numpy", plan=plan, options={"gir_eval": "rows"}
+            system,
+            plan=plan,
+            options=EngineOptions(
+                backend="numpy",
+                backend_options={"gir_eval": "rows"},
+            ),
         )
     )
     batched_s, batched_result = _time(
         lambda: solve(
-            system, backend="numpy", plan=plan, options={"gir_eval": "batched"}
+            system,
+            plan=plan,
+            options=EngineOptions(
+                backend="numpy",
+                backend_options={"gir_eval": "batched"},
+            ),
         )
     )
 
     mul_system = fibonacci_powers(MUL_N, modular_mul(MUL_M))
     mul_expect = run_gir(mul_system)
     mul_result = solve(
-        mul_system, backend="numpy", options={"gir_eval": "batched"}
+        mul_system,
+        options=EngineOptions(
+            backend="numpy",
+            backend_options={"gir_eval": "batched"},
+        ),
     )
 
     return {

@@ -22,7 +22,13 @@ import time
 import numpy as np
 
 from repro.core import FLOAT_ADD, OrdinaryIRSystem
-from repro.engine import clear_plan_cache, execute, solve, solve_batch
+from repro.engine import (
+    EngineOptions,
+    clear_plan_cache,
+    execute,
+    solve,
+    solve_batch,
+)
 
 N = 100_000
 SOLVES = 10
@@ -52,17 +58,21 @@ def run(n=N, solves=SOLVES):
     def fresh(backend):
         for _ in range(solves):
             clear_plan_cache()  # every call replans
-            solve(system, backend=backend)
+            solve(system, options=EngineOptions(backend=backend))
 
     fresh_python = _time(lambda: fresh("python"))
     fresh_numpy = _time(lambda: fresh("numpy"))
 
     clear_plan_cache()
-    plan = solve(system, backend="numpy", reuse_plan=False).plan
+    plan = solve(
+        system,
+        reuse_plan=False,
+        options=EngineOptions(backend="numpy"),
+    ).plan
 
     def planned():
         for _ in range(solves):
-            execute(plan, system, backend="numpy")
+            execute(plan, system, options=EngineOptions(backend="numpy"))
 
     planned_numpy = _time(planned)
     batched_numpy = _time(lambda: solve_batch(system, rows, plan=plan))

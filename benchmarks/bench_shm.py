@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from repro.core import ADD, OrdinaryIRSystem, run_ordinary
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 from repro.engine.shm_pool import shutdown_pools
 
 N = 1_000_000
@@ -53,15 +53,22 @@ def run(n=N, workers=WORKERS, check=True):
     system = build(n)
 
     # Warm the pool (worker spawn + tiny schedule upload off the clock).
-    solve(build(64), backend="shm", options={"workers": workers})
+    solve(build(64), options=EngineOptions(backend="shm", workers=workers))
 
-    plan = solve(system, backend="numpy").plan  # shared planning cost
+    # shared planning cost
+    plan = solve(system, options=EngineOptions(backend="numpy")).plan
     shm_res, shm_s = _time(
         lambda: solve(
-            system, backend="shm", plan=plan, options={"workers": workers}
+            system,
+            plan=plan,
+            options=EngineOptions(backend="shm", workers=workers),
         )
     )
-    py_res, py_s = _time(lambda: solve(system, backend="python", plan=plan))
+    py_res, py_s = _time(lambda: solve(
+        system,
+        plan=plan,
+        options=EngineOptions(backend="python"),
+    ))
 
     speedup = py_s / shm_s if shm_s > 0 else float("inf")
     print(f"n={n:,}  rounds={plan.rounds}  workers={workers}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import FLOAT_MUL, OrdinaryIRSystem, run_ordinary
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 
 N = 100_000
 
@@ -32,13 +32,19 @@ def system():
 
 
 def test_wallclock_numpy_engine(benchmark, system):
-    result = benchmark(lambda: solve(system, backend="numpy").values)
+    result = benchmark(lambda: solve(
+        system,
+        options=EngineOptions(backend="numpy"),
+    ).values)
     assert len(result) == N + 1
 
 
 def test_wallclock_python_engine(benchmark, system):
     small = build(10_000)  # the pure-Python engine is the slow reference
-    result = benchmark(lambda: solve(small, backend="python").values)
+    result = benchmark(lambda: solve(
+        small,
+        options=EngineOptions(backend="python"),
+    ).values)
     assert len(result) == 10_001
 
 
@@ -84,14 +90,17 @@ def main():
     system = build()
     for name, fn in (
         ("sequential loop", lambda: run_ordinary(system)),
-        ("numpy parallel engine", lambda: solve(system, backend="numpy")),
+        ("numpy parallel engine", lambda: solve(
+            system,
+            options=EngineOptions(backend="numpy"),
+        )),
     ):
         t0 = time.perf_counter()
         fn()
         print(f"{name:<24} {time.perf_counter() - t0:.4f}s  (n = {N:,})")
     small = build(10_000)
     t0 = time.perf_counter()
-    solve(small, backend="python")
+    solve(small, options=EngineOptions(backend="python"))
     print(f"{'python parallel engine':<24} {time.perf_counter() - t0:.4f}s  (n = 10,000)")
 
 

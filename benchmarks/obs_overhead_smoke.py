@@ -32,6 +32,7 @@ import random
 import statistics
 import sys
 import time
+from repro.engine import EngineOptions
 
 N = int(os.environ.get("REPRO_SMOKE_N", "100000"))
 TRIALS = int(os.environ.get("REPRO_SMOKE_TRIALS", "9"))
@@ -98,14 +99,14 @@ def main() -> int:
 
     system = build()
     for _ in range(3):  # warm plan cache, numpy, and the allocator
-        solve(system, backend="numpy")
+        solve(system, options=EngineOptions(backend="numpy"))
 
     failures = []
 
     def run_solves(repeats):
         started = time.perf_counter()
         for _ in range(repeats):
-            solve(system, backend="numpy")
+            solve(system, options=EngineOptions(backend="numpy"))
         return (time.perf_counter() - started) / repeats
 
     def silenced_sample(repeats):
@@ -182,7 +183,8 @@ def main() -> int:
     shm_system = build(20_000)
     with obs.observed() as (_tracer, registry):
         solve(
-            shm_system, backend="shm", options={"workers": SHM_WORKERS}
+            shm_system,
+            options=EngineOptions(backend="shm", workers=SHM_WORKERS),
         )
     per_worker = 0
     for rank in range(SHM_WORKERS):

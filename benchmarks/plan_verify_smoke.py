@@ -34,6 +34,7 @@ Exit 0 on success, 1 on any violated gate.
 import os
 import sys
 import time
+from repro.engine import EngineOptions
 
 ORDINARY_N = int(os.environ.get("REPRO_SMOKE_N", "20000"))
 GIR_N = int(os.environ.get("REPRO_SMOKE_GIR_N", "40"))
@@ -88,7 +89,11 @@ def warm_up():
     from repro.engine import solve
     from repro.engine.planner import PlanCache
 
-    result = solve(chain_system(64), backend="numpy", cache=PlanCache())
+    result = solve(
+        chain_system(64),
+        cache=PlanCache(),
+        options=EngineOptions(backend="numpy"),
+    )
     verify_plan(result.plan, workers=WORKER_COUNTS)
 
 
@@ -104,7 +109,11 @@ def acquire_plans(matrix):
     for label, system in matrix:
         problem = Problem.from_system(system)
         t0 = time.perf_counter()
-        result = solve(system, backend="numpy", cache=PlanCache())
+        result = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        )
         plan_s = time.perf_counter() - t0
         if result.plan is None:
             raise SystemExit(f"FAIL: {label}: engine returned no plan")

@@ -32,10 +32,8 @@ and serves value vectors with no per-request planning.
 
 The deprecated per-family wrappers (``solve_ordinary``,
 ``solve_gir``, ``solve_moebius``, ``solve_ordinary_numpy``, ...) are
-gone: the root re-exports were dropped in 1.1.0 and the
-:mod:`repro.core` shims in 1.2.0.  Importing one raises
-``AttributeError`` naming the :func:`repro.engine.solve` replacement;
-see docs/API.md for the migration table.
+gone (root re-exports dropped in 1.1.0, the :mod:`repro.core` shims
+in 1.2.0); docs/API.md has the migration table.
 
 Subpackages: :mod:`repro.core` (algorithms), :mod:`repro.engine`
 (Problem -> Plan -> Executor pipeline + backend registry; see
@@ -192,24 +190,3 @@ __all__ = [
     # meta
     "__version__",
 ]
-
-# Deprecation end-of-life (PR 3 shims -> warned for two releases):
-# the per-family wrappers are gone from the root namespace.  The
-# module __getattr__ keeps the failure actionable -- an AttributeError
-# (so feature probes behave) that names the replacement.
-_REMOVED_SOLVERS = {
-    "solve_ordinary": "repro.solve(system)",
-    "solve_ordinary_numpy": 'repro.solve(system, backend="numpy")',
-    "solve_gir": "repro.solve(system)",
-    "solve_moebius": "repro.solve(rec)",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED_SOLVERS:
-        raise AttributeError(
-            f"repro.{name} was removed in 1.1.0 (and the repro.core "
-            f"shim in 1.2.0); use {_REMOVED_SOLVERS[name]} (see "
-            "docs/API.md)"
-        )
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -466,6 +466,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Unreadable(Exception):
+    """An input file a command could not read (CLI exit code 2)."""
+
+
+def _read(path: str, loader=None):
+    """``loader(path)`` (default: parse ``path`` as JSON), mapping an
+    unreadable or malformed file to ``error: cannot read PATH``."""
+    try:
+        if loader is not None:
+            return loader(path)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _Unreadable(f"error: cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _cmd_version() -> int:
     import numpy
 
@@ -594,7 +615,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             timeout_s=args.policy_timeout,
             on_exhaustion=args.on_exhaustion,
         )
-    system = load_system(path)
+    system = _read(path, load_system)
     if args.workers is not None and args.backend != "shm":
         print("error: --workers applies to --backend shm", file=sys.stderr)
         return 2
@@ -652,6 +673,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .engine import EngineOptions
     from .serve import RecurrenceServer, ServeConfig
 
+    # Read every problem before the server (and its metrics) exists.
+    systems = [(path, _read(path, load_system)) for path in args.problem]
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -664,8 +687,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = RecurrenceServer(config)
     options = EngineOptions(backend=args.backend)
-    for path in args.problem:
-        system = load_system(path)
+    for path, system in systems:
         problem = server.register(system, options=options)
         session = problem.lane.session
         print(
@@ -694,12 +716,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .check.findings import CheckReport
 
     path = args.path
-    if not os.path.isfile(path):
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 2
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-
+    data = _read(path)
     workers = args.workers or None
     if isinstance(data, dict) and "schema_version" in data and "family" in data:
         # A serialized plan (plan_to_dict): verify the schedule alone.
@@ -713,7 +730,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         from .core.serialize import load_system
         from .engine.problem import Problem
 
-        system = load_system(path)
+        system = _read(path, load_system)
         report = CheckReport(subject=path)
         report.extend(check_system(system))
         if report.ok:
@@ -763,9 +780,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .loops.pyfrontend import FrontendError
 
     path = args.path
-    if not os.path.isfile(path):
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return 2
     consts = {}
     for item in args.const:
         name, sep, value = item.partition("=")
@@ -778,8 +792,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"error: --const {name} must be an int, got {value!r}",
                   file=sys.stderr)
             return 2
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    source = _read(path, _read_text)
     try:
         report = lint_source(source, consts=consts or None)
     except FrontendError as exc:
@@ -820,7 +833,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     from .resilience import FaultPlan
 
     if args.plan:
-        plan = FaultPlan.from_json(args.plan)
+        plan = _read(args.plan, FaultPlan.from_json)
     else:
         plan = FaultPlan.random(args.seed, steps=6, count=4)
     n = args.n
@@ -897,7 +910,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     from .chaos import ChaosPlan, run_chaos
 
     if args.plan:
-        plan = ChaosPlan.from_json(args.plan)
+        plan = _read(args.plan, ChaosPlan.from_json)
     else:
         plan = ChaosPlan.random(args.seed, rounds=4, count=4)
     report = run_chaos(
@@ -1110,6 +1123,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
+    except _Unreadable as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout went away mid-print (e.g. `repro obs top ... | head`);
         # exit quietly like other line-oriented tools do

@@ -207,26 +207,3 @@ __all__ = [
     "render_tree",
     "tree_sizes",
 ]
-
-#: Deprecated per-family solver wrappers, removed in 1.2.0 after the
-#: 1.1.0 deprecation cycle.  The engine front door replaces all of
-#: them; the messages name the exact call.
-_REMOVED_SOLVERS = {
-    "solve_ordinary": 'repro.engine.solve(system, backend="python")',
-    "solve_ordinary_numpy": 'repro.engine.solve(system, backend="numpy")',
-    "solve_gir": "repro.engine.solve(system)",
-    "solve_moebius": "repro.engine.solve(rec)",
-    "solve_affine_numpy": 'repro.engine.solve(rec, options={"path": "affine"})',
-    "solve_rational_numpy": (
-        'repro.engine.solve(rec, options={"path": "rational"})'
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED_SOLVERS:
-        raise AttributeError(
-            f"repro.core.{name} was removed in repro 1.2.0; use "
-            f"{_REMOVED_SOLVERS[name]} instead (see docs/ARCHITECTURE.md)"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -150,17 +150,3 @@ def trace_powers(system: GIRSystem) -> List[Dict[int, int]]:
     graph = build_dependence_graph(system)
     cap = count_all_paths(graph)
     return cap.powers_by_cell_all(graph)
-
-
-_REMOVED = {
-    "solve_gir": "repro.engine.solve(system)",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(
-            f"repro.core.gir.{name} was removed in repro 1.2.0; use "
-            f"{_REMOVED[name]} instead (see docs/ARCHITECTURE.md)"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

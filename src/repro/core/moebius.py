@@ -439,19 +439,3 @@ def _exact_to_float(value: Number) -> Number:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     return value
-
-
-_REMOVED = {
-    "solve_moebius": "repro.engine.solve(rec)",
-    "solve_affine_numpy": 'repro.engine.solve(rec, options={"path": "affine"})',
-    "solve_rational_numpy": 'repro.engine.solve(rec, options={"path": "rational"})',
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(
-            f"repro.core.moebius.{name} was removed in repro 1.2.0; use "
-            f"{_REMOVED[name]} instead (see docs/ARCHITECTURE.md)"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

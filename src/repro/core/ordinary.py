@@ -37,7 +37,7 @@ where ``L`` is the longest trace-chain length (``L <= n``).
 The reads are concurrent -- several chains may share a predecessor --
 so the algorithm is CREW; writes are exclusive (``g`` distinct).
 
-Two value engines implement this algorithm; both now live behind the
+Two value kernels implement this algorithm; both now live behind the
 :mod:`repro.engine` plan/execute pipeline
 (:mod:`repro.engine.exec_ordinary`), which separates the
 value-independent planning (predecessor array + the full pointer
@@ -54,7 +54,8 @@ per-round value work:
 
 The historical entry points ``solve_ordinary`` /
 ``solve_ordinary_numpy`` were removed in 1.2.0 -- use
-:func:`repro.engine.solve` with ``backend="python"`` / ``"numpy"``.
+:func:`repro.engine.solve` with
+``options=EngineOptions(backend="python")`` / ``"numpy"``.
 This module keeps the :class:`SolveStats` record (rounds, per-round
 active counts) that the cost model consumes to charge SimParC-style
 instruction counts, plus the sequential baseline the policy-fallback
@@ -99,18 +100,6 @@ def _sequential_baseline(
     return out
 
 
-def _maybe_check(
-    system: OrdinaryIRSystem, out, f_initial, checked, check_sample
-) -> None:
-    if checked:
-        from ..resilience.verify import check_against_oracle
-
-        oracle = _sequential_baseline(system, f_initial)
-        check_against_oracle(
-            out, oracle, label="ordinary.checked", sample=check_sample
-        )
-
-
 @dataclass
 class SolveStats:
     """Execution profile of one parallel solve.
@@ -145,20 +134,3 @@ class SolveStats:
     def depth(self) -> int:
         """Parallel depth in supersteps (init + rounds)."""
         return 1 + self.rounds
-
-
-_REMOVED = {
-    "solve_ordinary": 'repro.engine.solve(system, backend="python")',
-    "solve_ordinary_numpy": 'repro.engine.solve(system, backend="numpy")',
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        raise AttributeError(
-            f"repro.core.ordinary.{name} was removed in repro 1.2.0; use "
-            f"{_REMOVED[name]} instead (see docs/ARCHITECTURE.md)"
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -12,9 +12,11 @@ is that split made explicit:
   :class:`~repro.engine.plan.MoebiusPlan` capture the planned
   artifacts, serialize to dicts, and live in a process-wide LRU
   keyed by :meth:`Problem.fingerprint`;
-* backends (``python``, ``numpy``, ``pram``; :func:`register_backend`
-  for custom ones) replay plans over values, selected by name or
-  ``"auto"``.
+* backends (``python``, ``numpy``, ``pram``, ``shm``;
+  :func:`register_backend` for custom ones) replay plans over values,
+  selected by name or ``"auto"``.  The built-in ones are kernel tables
+  run by one driver (:mod:`repro.engine.driver`), which owns policy,
+  verification, stats, spans and the scatter back to cells.
 
 Entry points::
 
@@ -29,18 +31,13 @@ Entry points::
     out = session.solve(values).values         # ...serve repeatedly
 
 Configuration travels as one frozen :class:`EngineOptions` record
-(``options=`` everywhere; the loose ``backend=`` / ``policy=`` /
-``checked=`` keywords still work for one release and warn once).
+(``options=`` everywhere).
 
 For repeated solves over one problem, prefer :class:`Session`: it pins
 the plan and backend at construction and serves value vectors with no
 per-request planning or cache lookups.  The ``shm`` backend fans each
 round across worker processes over shared memory (see
 :mod:`repro.engine.exec_shm`).
-
-The historical per-module solvers (``repro.core.solve_ordinary`` and
-friends) remain importable from :mod:`repro.core` for one more release
-(their ``repro`` root re-exports are gone as of 1.1.0).
 """
 
 from .api import EngineResult, execute, solve, solve_batch
@@ -75,7 +72,6 @@ from .planner import (
     set_plan_cache,
 )
 from .problem import Problem
-from ._deprecation import reset_deprecation_warnings, warn_once
 
 __all__ = [
     "EngineResult",
@@ -113,6 +109,4 @@ __all__ = [
     "get_backend",
     "available_backends",
     "resolve_backend",
-    "warn_once",
-    "reset_deprecation_warnings",
 ]

@@ -1,17 +1,15 @@
 """The engine's public entry points: ``solve``, ``execute``,
 ``solve_batch``.
 
-``solve`` is the unified front door the per-family wrappers
-(:func:`repro.core.ordinary.solve_ordinary`,
-:func:`repro.core.gir.solve_gir`,
-:func:`repro.core.moebius.solve_moebius`, ...) now delegate to:
+``solve`` is the unified front door:
 
 1. derive the :class:`~repro.engine.problem.Problem` of the source
    object (family + index maps + flags);
 2. look its fingerprint up in the plan cache -- a hit skips
    validation, predecessor construction and schedule/CAP planning;
 3. dispatch to the selected backend (``python`` / ``numpy`` /
-   ``pram`` / ``auto``), which replays the plan over the values;
+   ``pram`` / ``shm`` / ``auto``), whose kernels replay the plan over
+   the values under the engine driver (:mod:`repro.engine.driver`);
 4. store a freshly built plan back into the cache.
 
 Every solve increments ``engine.solves`` (labeled by backend and
@@ -32,11 +30,10 @@ they differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from ..obs import get_registry
 from ..obs.recorder import record_event
-from ._deprecation import warn_once
 from .backends import ExecutionRequest, resolve_backend
 from .failover import failover_ladder, run_ladder
 from .options import EngineOptions
@@ -45,16 +42,6 @@ from .planner import PlanCache, get_plan_cache
 from .problem import Problem
 
 __all__ = ["EngineResult", "EngineOptions", "solve", "execute", "solve_batch"]
-
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from ``None``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 @dataclass
@@ -89,29 +76,6 @@ class EngineResult:
     queue_wait_s: Optional[float] = None
 
 
-def _resolve_engine_options(
-    where: str, options: Any, loose: Dict[str, Any]
-) -> EngineOptions:
-    """Normalize ``options=`` plus the deprecated loose keywords.
-
-    The loose configuration keywords (``backend=`` / ``policy=`` /
-    ``checked=`` / ``check_sample=`` / ``verify_plan=`` /
-    ``failover=``) still work for one release; the first use emits one
-    :class:`DeprecationWarning` naming :class:`EngineOptions` as the
-    replacement, then they silently override the corresponding fields.
-    """
-    base = EngineOptions.from_value(options, where=where)
-    explicit = {k: v for k, v in loose.items() if not isinstance(v, _Unset)}
-    if explicit:
-        warn_once(
-            "engine front-door keyword configuration (backend= / policy= / "
-            "checked= / check_sample= / verify_plan= / failover=)",
-            "options=EngineOptions(...) (repro.engine.EngineOptions)",
-        )
-        base = base.merged(**explicit)
-    return base
-
-
 def _cacheable(problem: Problem, policy) -> bool:
     # A GIR policy bounds the CAP loop at *planning* time, so the
     # resulting table may be truncated -- never cache those.  The
@@ -119,39 +83,19 @@ def _cacheable(problem: Problem, policy) -> bool:
     return problem.family != "gir" or policy is None
 
 
-#: The normalized front-door keyword set shared by :func:`solve`,
-#: :func:`execute`, :func:`solve_batch` and
-#: :class:`~repro.engine.session.Session` -- each accepts the subset
-#: that applies and rejects anything else by name.
+#: The keyword sets of :func:`solve` / :func:`execute` and
+#: :func:`solve_batch`; configuration travels only as ``options=``.
 _SOLVE_KWARGS = (
-    "backend",
     "plan",
     "reuse_plan",
     "cache",
     "collect_stats",
-    "policy",
-    "checked",
-    "check_sample",
     "f_initial",
-    "max_rounds",
     "allow_rename",
     "allow_ordinary_dispatch",
-    "verify_plan",
-    "failover",
     "options",
 )
-_BATCH_KWARGS = (
-    "backend",
-    "plan",
-    "reuse_plan",
-    "cache",
-    "policy",
-    "checked",
-    "check_sample",
-    "f_initial_batch",
-    "failover",
-    "options",
-)
+_BATCH_KWARGS = ("plan", "reuse_plan", "cache", "f_initial_batch", "options")
 
 
 def _verified(plan, problem, source, *, stage: str):
@@ -234,76 +178,79 @@ def _reject_unknown(where: str, unknown, valid) -> None:
         )
 
 
-def solve(
+def request_for(opts: EngineOptions, problem: Problem, source, plan, **extra):
+    """The :class:`ExecutionRequest` of one solve under ``opts``."""
+    return ExecutionRequest(
+        problem=problem,
+        source=source,
+        plan=plan,
+        policy=opts.policy,
+        checked=opts.checked,
+        check_sample=opts.check_sample,
+        options=opts.request_options(),
+        **extra,
+    )
+
+
+def dispatch(rungs, request: ExecutionRequest, rows=None, f_rows=None) -> EngineResult:
+    """Run ``request`` -- one solve, or a batch of value ``rows`` --
+    down the failover ladder ``rungs`` into an :class:`EngineResult`
+    (a batch's ``values`` are its rows).  Shared by every front door
+    and :class:`~repro.engine.session.Session`."""
+    problem = request.problem
+
+    def attempt(backend):
+        if rows is None:
+            return backend.execute(request)
+        values, plan = backend.execute_batch(request, rows, f_rows)
+        return values, None, plan, None
+
+    if len(rungs) > 1:
+        outcome, served, failover_from = run_ladder(
+            rungs, problem.fingerprint(), problem.family, attempt
+        )
+    else:
+        outcome, served, failover_from = attempt(rungs[0]), rungs[0], None
+    values, stats, plan, metrics = outcome
+    return EngineResult(
+        values=values,
+        stats=stats,
+        backend=served.name,
+        family=problem.family,
+        plan=plan,
+        metrics=metrics,
+        failover_from=failover_from,
+    )
+
+
+def _front_door(
+    where: str,
     source: Any,
+    options: Any,
     *,
-    backend: Any = _UNSET,
-    plan: Optional[Plan] = None,
-    reuse_plan: bool = True,
-    cache: Optional[PlanCache] = None,
-    collect_stats: bool = False,
-    policy: Any = _UNSET,
-    checked: Any = _UNSET,
-    check_sample: Any = _UNSET,
-    f_initial: Optional[List[Any]] = None,
-    max_rounds: Optional[int] = None,
+    plan: Optional[Plan],
+    reuse_plan: bool,
+    cache: Optional[PlanCache],
+    rows=None,
+    f_rows=None,
     allow_rename: bool = True,
     allow_ordinary_dispatch: bool = True,
-    verify_plan: Any = _UNSET,
-    failover: Any = _UNSET,
-    options: Any = None,
-    **unknown: Any,
+    **extra: Any,
 ) -> EngineResult:
-    """Solve any supported source object through the engine.
-
-    ``source`` is an :class:`~repro.core.equations.OrdinaryIRSystem`,
-    :class:`~repro.core.equations.GIRSystem` or
-    :class:`~repro.core.moebius.RationalRecurrence`.  ``options``
-    is the unified configuration record -- an
-    :class:`~repro.engine.options.EngineOptions` (or, historically, a
-    plain dict of backend extras: Moebius ``path`` / ``guard``, PRAM
-    ``processors`` / ``fault_plan`` / ...).  ``plan`` runs a
-    caller-held plan directly; otherwise ``reuse_plan=True`` (default)
-    consults the plan cache.
-
-    The loose configuration keywords (``backend=`` / ``policy=`` /
-    ``checked=`` / ``check_sample=`` / ``verify_plan=`` /
-    ``failover=``) are deprecated in favour of
-    ``options=EngineOptions(...)``; they still override the
-    corresponding fields for one release and the first use warns once.
-
-    ``EngineOptions.verify_plan`` opts into the :mod:`repro.check`
-    static analyzer: the source system's preconditions are proved
-    first, and the solve plan (caller-held, cached, or freshly built)
-    is verified race-free and trace-equivalent -- before execution when
-    the plan is already at hand, after planning otherwise.  Error
-    findings raise :class:`~repro.errors.PlanVerificationError` (exit
-    code 8).
-
-    ``EngineOptions.failover=False`` disables the backend failover
-    ladder: backend faults raise instead of re-executing on the next
-    capable backend (the mode for tests and callers that must see the
-    raw failure).
-    """
-    _reject_unknown("solve()", unknown, _SOLVE_KWARGS)
-    opts = _resolve_engine_options(
-        "solve()",
-        options,
-        {
-            "backend": backend,
-            "policy": policy,
-            "checked": checked,
-            "check_sample": check_sample,
-            "verify_plan": verify_plan,
-            "failover": failover,
-        },
-    )
+    """Problem -> backend -> plan cache -> failover ladder, shared by
+    :func:`solve` and :func:`solve_batch` (``rows``)."""
+    opts = EngineOptions.from_value(options, where=where)
     problem = Problem.from_system(
         source,
         allow_rename=allow_rename,
         allow_ordinary_dispatch=allow_ordinary_dispatch,
     )
     chosen = resolve_backend(opts.backend, problem)
+    batch = rows is not None
+    if batch and not chosen.capabilities.batch:
+        raise ValueError(
+            f"backend {chosen.name!r} does not support batched execution"
+        )
     if opts.verify_plan:
         _check_preconditions(source, problem)
         if plan is not None:
@@ -324,18 +271,6 @@ def solve(
         if opts.verify_plan and cache_hit:
             _verified(plan, problem, source, stage="cache")
 
-    request = ExecutionRequest(
-        problem=problem,
-        source=source,
-        plan=plan,
-        collect_stats=collect_stats,
-        policy=opts.policy,
-        checked=opts.checked,
-        check_sample=opts.check_sample,
-        f_initial=f_initial,
-        max_rounds=max_rounds,
-        options=opts.request_options(),
-    )
     record_event(
         "solve.start",
         family=problem.family,
@@ -343,51 +278,88 @@ def solve(
         n=problem.m,
         cache_hit=cache_hit,
     )
-    failover_from: Optional[str] = None
-    served = chosen
     rungs = (
-        failover_ladder(chosen, problem) if opts.failover else [chosen]
+        failover_ladder(chosen, problem, batch=batch)
+        if opts.failover
+        else [chosen]
     )
-    if len(rungs) > 1:
-        outcome, served, failover_from = run_ladder(
-            rungs,
-            problem.fingerprint(),
-            problem.family,
-            lambda b: b.execute(request),
-        )
-        values, stats, built_plan, metrics = outcome
-    else:
-        values, stats, built_plan, metrics = chosen.execute(request)
-    record_event("solve.end", family=problem.family, backend=served.name)
-    if opts.verify_plan and built_plan is not None and built_plan is not plan:
+    result = dispatch(
+        rungs, request_for(opts, problem, source, plan, **extra), rows, f_rows
+    )
+    record_event("solve.end", family=problem.family, backend=result.backend)
+    built = result.plan
+    if opts.verify_plan and built is not None and built is not plan:
         # Freshly built this solve (GIR plans only materialize inside
         # execute): verify post-hoc so a bad plan cannot be cached or
         # reused even though this execution already consumed it.
-        _verified(built_plan, problem, source, stage="post")
-
-    if (
-        consulted
-        and not cache_hit
-        and built_plan is not None
-        and _cacheable(problem, opts.policy)
-    ):
-        store.put(problem.fingerprint(), built_plan)
+        _verified(built, problem, source, stage="post")
+    if consulted and not cache_hit and built is not None:
+        store.put(problem.fingerprint(), built)
 
     registry = get_registry()
     if registry is not None:
         registry.counter(
-            "engine.solves", backend=served.name, family=problem.family
-        ).inc()
+            "engine.solves", backend=result.backend, family=problem.family
+        ).inc(len(rows) if batch else 1)
+        if batch:
+            registry.counter("engine.batch.solves", backend=result.backend).inc()
+    result.cache_hit = cache_hit
+    return result
 
-    return EngineResult(
-        values=values,
-        stats=stats,
-        backend=served.name,
-        family=problem.family,
-        plan=built_plan,
-        cache_hit=cache_hit,
-        metrics=metrics,
-        failover_from=failover_from,
+
+def solve(
+    source: Any,
+    *,
+    plan: Optional[Plan] = None,
+    reuse_plan: bool = True,
+    cache: Optional[PlanCache] = None,
+    collect_stats: bool = False,
+    f_initial: Optional[List[Any]] = None,
+    allow_rename: bool = True,
+    allow_ordinary_dispatch: bool = True,
+    options: Any = None,
+    **unknown: Any,
+) -> EngineResult:
+    """Solve any supported source object through the engine.
+
+    ``source`` is an :class:`~repro.core.equations.OrdinaryIRSystem`,
+    :class:`~repro.core.equations.GIRSystem` or
+    :class:`~repro.core.moebius.RationalRecurrence`.  ``options``
+    is the unified configuration record -- an
+    :class:`~repro.engine.options.EngineOptions` (or a plain dict of
+    backend extras: Moebius ``path`` / ``guard``, PRAM ``processors`` /
+    ``fault_plan``, ...).  ``plan`` runs a caller-held plan directly;
+    otherwise ``reuse_plan=True`` (default) consults the plan cache.
+    A round budget is a policy:
+    ``EngineOptions(policy=SolvePolicy(max_rounds=r,
+    on_exhaustion="partial"))`` returns the state after ``r`` rounds on
+    every backend.
+
+    ``EngineOptions.verify_plan`` opts into the :mod:`repro.check`
+    static analyzer: the source system's preconditions are proved
+    first, and the solve plan (caller-held, cached, or freshly built)
+    is verified race-free and trace-equivalent -- before execution when
+    the plan is already at hand, after planning otherwise.  Error
+    findings raise :class:`~repro.errors.PlanVerificationError` (exit
+    code 8).
+
+    ``EngineOptions.failover=False`` disables the backend failover
+    ladder: backend faults raise instead of re-executing on the next
+    capable backend (the mode for tests and callers that must see the
+    raw failure).
+    """
+    _reject_unknown("solve()", unknown, _SOLVE_KWARGS)
+    return _front_door(
+        "solve()",
+        source,
+        options,
+        plan=plan,
+        reuse_plan=reuse_plan,
+        cache=cache,
+        allow_rename=allow_rename,
+        allow_ordinary_dispatch=allow_ordinary_dispatch,
+        collect_stats=collect_stats,
+        f_initial=f_initial,
     )
 
 
@@ -398,8 +370,8 @@ def execute(plan: Plan, source: Any, **kwargs) -> EngineResult:
     have been built for the same index maps (same fingerprint) --
     :func:`solve` with ``reuse_plan=True`` manages this automatically,
     ``execute`` trusts the caller for the hot serving path.  Accepts
-    the same ``backend= / policy= / checked=`` keyword set as
-    :func:`solve` (except ``plan``, which is positional here).
+    the same keywords as :func:`solve` (except ``plan``, which is
+    positional here).
     """
     valid = tuple(k for k in _SOLVE_KWARGS if k != "plan")
     _reject_unknown(
@@ -412,105 +384,34 @@ def solve_batch(
     source: Any,
     batch_initial: Sequence[Sequence[Any]],
     *,
-    backend: Any = _UNSET,
     plan: Optional[Plan] = None,
     reuse_plan: bool = True,
     cache: Optional[PlanCache] = None,
-    policy: Any = _UNSET,
-    checked: Any = _UNSET,
-    check_sample: Any = _UNSET,
     f_initial_batch: Optional[Sequence[Sequence[Any]]] = None,
-    failover: Any = _UNSET,
     options: Any = None,
     **unknown: Any,
 ) -> List[List[Any]]:
     """Solve ``k`` instances sharing ``source``'s index maps and
     operator, one per row of ``batch_initial``.
 
-    The NumPy backend runs typed ordinary operators as ``(k, m)``
-    matrices and stackable Moebius affine recurrences as one ``(k, n)``
-    coefficient sweep through one planned replay; other operand kinds
+    The NumPy backend runs ordinary operators as one stacked ``(k, n)``
+    sweep and stackable Moebius affine recurrences as one ``(k, n)``
+    coefficient sweep through one planned replay; other recurrences
     replay the shared plan per row.  ``options`` is the unified
-    :class:`~repro.engine.options.EngineOptions` record (the loose
-    ``backend= / policy= / checked= / failover=`` keywords are
-    deprecated but still override it for one release); ``policy`` /
-    ``checked`` carry the standard budget and
-    differential-verification semantics into the batch, and
-    ``failover`` mirrors :func:`solve` (batch-capable rungs only).
-    Returns the ``k`` final arrays.
+    :class:`~repro.engine.options.EngineOptions` record; its ``policy``
+    / ``checked`` carry the standard budget and differential-
+    verification semantics into the batch, and ``failover`` mirrors
+    :func:`solve` (batch-capable rungs only).  Returns the ``k`` final
+    arrays.
     """
     _reject_unknown("solve_batch()", unknown, _BATCH_KWARGS)
-    opts = _resolve_engine_options(
+    return _front_door(
         "solve_batch()",
+        source,
         options,
-        {
-            "backend": backend,
-            "policy": policy,
-            "checked": checked,
-            "check_sample": check_sample,
-            "failover": failover,
-        },
-    )
-    problem = Problem.from_system(source)
-    chosen = resolve_backend(opts.backend, problem)
-    if not chosen.capabilities.batch:
-        raise ValueError(
-            f"backend {chosen.name!r} does not support batched execution"
-        )
-    if opts.verify_plan:
-        _check_preconditions(source, problem)
-        if plan is not None:
-            _verified(plan, problem, source, stage="pre")
-
-    store = cache if cache is not None else get_plan_cache()
-    consulted = False
-    if plan is None and reuse_plan and _cacheable(problem, opts.policy):
-        consulted = True
-        plan = store.get(problem.fingerprint(), family=problem.family)
-        if opts.verify_plan and plan is not None:
-            _verified(plan, problem, source, stage="cache")
-
-    request = ExecutionRequest(
-        problem=problem,
-        source=source,
         plan=plan,
-        policy=opts.policy,
-        checked=opts.checked,
-        check_sample=opts.check_sample,
-        options=opts.request_options(),
-    )
-    served = chosen
-    rungs = (
-        failover_ladder(chosen, problem, batch=True)
-        if opts.failover
-        else [chosen]
-    )
-    if len(rungs) > 1:
-        outcome, served, _failover_from = run_ladder(
-            rungs,
-            problem.fingerprint(),
-            problem.family,
-            lambda b: b.execute_batch(request, batch_initial, f_initial_batch),
-        )
-        values, built_plan = outcome
-    else:
-        values, built_plan = chosen.execute_batch(
-            request, batch_initial, f_initial_batch
-        )
-    if (
-        opts.verify_plan
-        and built_plan is not None
-        and built_plan is not plan
-    ):
-        _verified(built_plan, problem, source, stage="post")
-
-    if consulted and plan is None and built_plan is not None:
-        store.put(problem.fingerprint(), built_plan)
-
-    registry = get_registry()
-    if registry is not None:
-        registry.counter(
-            "engine.solves", backend=served.name, family=problem.family
-        ).inc(len(batch_initial))
-        registry.counter("engine.batch.solves", backend=served.name).inc()
-    return values
+        reuse_plan=reuse_plan,
+        cache=cache,
+        rows=batch_initial,
+        f_rows=f_initial_batch,
+    ).values

@@ -2,11 +2,16 @@
 
 A :class:`Backend` turns an :class:`ExecutionRequest` (problem + source
 object + optional plan + solve options) into values.  Backends register
-under a name (``python``, ``numpy``, ``pram`` ship built in; register
-your own with :func:`register_backend`) and declare capabilities --
-which solver families they run, whether their arithmetic is exact for
-object operands, whether they support the batch axis -- which
-:func:`resolve_backend` checks before dispatch.
+under a name (``python``, ``numpy``, ``pram``, ``shm`` ship built in;
+register your own with :func:`register_backend`) and declare
+capabilities -- which solver families they run, whether their
+arithmetic is exact for object operands, whether they support the
+batch axis -- which :func:`resolve_backend` checks before dispatch.
+
+The built-in ``python`` / ``numpy`` / ``shm`` backends are one type,
+:class:`KernelBackend`: a name, capabilities and a table of value
+kernels, all run by the one engine driver.  ``pram`` simulates the
+paper's machine instead.
 
 ``auto`` resolves to the vectorized NumPy backend for every family,
 matching the historical defaults of the per-module solvers.
@@ -16,8 +21,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from . import driver
+from .exec_gir import RowTraceEvaluator, TraceEvaluator
+from .exec_moebius import AffineRounds, RationalRounds
+from .exec_ordinary import NumpyRounds, PythonRounds
+from .exec_shm import ShmAffine, ShmRounds, ShmTraces
 from .plan import Plan
 from .problem import Problem
 
@@ -25,6 +35,7 @@ __all__ = [
     "BackendCapabilities",
     "Backend",
     "ExecutionRequest",
+    "KernelBackend",
     "register_backend",
     "get_backend",
     "available_backends",
@@ -54,7 +65,6 @@ class ExecutionRequest:
     checked: bool = False
     check_sample: Optional[int] = 64
     f_initial: Optional[List[Any]] = None
-    max_rounds: Optional[int] = None
     options: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -86,175 +96,34 @@ class Backend(ABC):
         )
 
 
-class PythonBackend(Backend):
-    """Pure-Python reference executors (exact, synchronous-step)."""
+class KernelBackend(Backend):
+    """A backend that is only a kernel table: the engine driver
+    (:mod:`repro.engine.driver`) owns planning, policy, verification,
+    stats, spans and the scatter, and calls ``kernels[kind]`` for the
+    values -- ``kind`` is ``ordinary``, a Moebius path (``object`` /
+    ``affine`` / ``rational``) or ``gir``.  ``defaults`` are backend
+    options applied under the request's own."""
 
-    name = "python"
-    capabilities = BackendCapabilities(
-        families=frozenset({"ordinary", "gir", "moebius"}),
-        exact=True,
-        batch=False,
-    )
-
-    def execute(self, request: ExecutionRequest):
-        from . import exec_gir, exec_moebius, exec_ordinary
-
-        family = request.problem.family
-        if family == "ordinary":
-            plan = request.plan
-            if plan is None:
-                plan = exec_ordinary.build_plan(
-                    request.source, request.problem.fingerprint()
-                )
-            values, stats = exec_ordinary.execute_python(
-                request.source,
-                plan,
-                collect_stats=request.collect_stats,
-                max_rounds=request.max_rounds,
-                f_initial=request.f_initial,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-            )
-            return values, stats, plan, None
-        if family == "gir":
-            values, stats, plan = exec_gir.execute(
-                request.source,
-                request.problem,
-                request.plan,
-                ordinary_engine="python",
-                collect_stats=request.collect_stats,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-                eval_mode=request.options.get("gir_eval", "auto"),
-            )
-            return values, stats, plan, None
-        values, stats, plan = exec_moebius.execute(
-            request.source,
-            request.problem,
-            request.plan,
-            backend_name="python",
-            path=request.options.get("path", "object"),
-            guard=request.options.get("guard", "auto"),
-            collect_stats=request.collect_stats,
-            policy=request.policy,
-            checked=request.checked,
-            check_sample=request.check_sample,
-        )
-        return values, stats, plan, None
-
-
-class NumpyBackend(Backend):
-    """Vectorized executors (typed fast paths, object-dtype fallback)."""
-
-    name = "numpy"
-    capabilities = BackendCapabilities(
-        families=frozenset({"ordinary", "gir", "moebius"}),
-        exact=True,  # object-dtype arrays keep exact operands exact
-        batch=True,
-    )
+    def __init__(
+        self,
+        name: str,
+        capabilities: BackendCapabilities,
+        kernels: Mapping[str, Any],
+        defaults: Optional[Mapping[str, Any]] = None,
+    ):
+        self.name = name
+        self.capabilities = capabilities
+        self.kernels = dict(kernels)
+        self.defaults = dict(defaults or {})
 
     def execute(self, request: ExecutionRequest):
-        from . import exec_gir, exec_moebius, exec_ordinary
-
-        family = request.problem.family
-        if family == "ordinary":
-            plan = request.plan
-            if plan is None:
-                plan = exec_ordinary.build_plan(
-                    request.source, request.problem.fingerprint()
-                )
-            values, stats = exec_ordinary.execute_numpy(
-                request.source,
-                plan,
-                collect_stats=request.collect_stats,
-                f_initial=request.f_initial,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-            )
-            return values, stats, plan, None
-        if family == "gir":
-            values, stats, plan = exec_gir.execute(
-                request.source,
-                request.problem,
-                request.plan,
-                ordinary_engine="numpy",
-                collect_stats=request.collect_stats,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-                eval_mode=request.options.get("gir_eval", "auto"),
-            )
-            return values, stats, plan, None
-        values, stats, plan = exec_moebius.execute(
-            request.source,
-            request.problem,
-            request.plan,
-            backend_name="numpy",
-            path=request.options.get("path", "auto"),
-            guard=request.options.get("guard", "auto"),
-            collect_stats=request.collect_stats,
-            policy=request.policy,
-            checked=request.checked,
-            check_sample=request.check_sample,
-        )
+        (values,), stats, plan = driver.solve(self, request)
         return values, stats, plan, None
 
     def execute_batch(self, request, batch_initial, f_initial_batch=None):
-        from . import exec_gir, exec_moebius, exec_ordinary
-
-        family = request.problem.family
-        if family == "gir":
-            if f_initial_batch is not None:
-                raise ValueError(
-                    "f_initial_batch does not apply to the gir family"
-                )
-            return exec_gir.execute_batch(
-                request.source,
-                request.problem,
-                request.plan,
-                batch_initial,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-                eval_mode=request.options.get("gir_eval", "auto"),
-            )
-        if family == "moebius":
-            if f_initial_batch is not None:
-                raise ValueError(
-                    "f_initial_batch does not apply to the moebius family"
-                )
-            return exec_moebius.execute_batch(
-                request.source,
-                request.problem,
-                request.plan,
-                batch_initial,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-            )
-        if family != "ordinary":
-            raise NotImplementedError(
-                "batched execution covers the ordinary, gir and moebius "
-                "families"
-            )
-        plan = request.plan
-        if plan is None:
-            plan = exec_ordinary.build_plan(
-                request.source, request.problem.fingerprint()
-            )
-        values = exec_ordinary.execute_numpy_batch(
-            request.source,
-            plan,
-            batch_initial,
-            f_initial_batch=f_initial_batch,
-            policy=request.policy,
-            checked=request.checked,
-            check_sample=request.check_sample,
-        )
-        return values, plan
+        if not self.capabilities.batch:
+            return super().execute_batch(request, batch_initial, f_initial_batch)
+        return driver.solve_batch(self, request, batch_initial, f_initial_batch)
 
 
 class PRAMBackend(Backend):
@@ -286,126 +155,21 @@ class PRAMBackend(Backend):
             )
         opts = request.options
         kwargs = {"processors": opts.get("processors", 4)}
-        if "cost_model" in opts:
-            kwargs["cost_model"] = opts["cost_model"]
-        if "access_policy" in opts:
-            kwargs["policy"] = opts["access_policy"]
-        if "fault_plan" in opts:
-            kwargs["fault_plan"] = opts["fault_plan"]
-        if "max_retries" in opts:
-            kwargs["max_retries"] = opts["max_retries"]
+        for key in ("cost_model", "access_policy", "fault_plan", "max_retries"):
+            if key in opts:
+                kwargs["policy" if key == "access_policy" else key] = opts[key]
         values, metrics = run_ordinary_on_pram(
             request.source, f_initial=request.f_initial, **kwargs
         )
         if request.checked:
-            from ..core.ordinary import _maybe_check
-
-            _maybe_check(
+            driver.check(
+                "ordinary",
                 request.source,
                 values,
                 request.f_initial,
-                request.checked,
                 request.check_sample,
             )
         return values, None, None, metrics
-
-
-class ShmBackend(Backend):
-    """Shared-memory multiprocess executor (the first real-parallelism
-    backend; see :mod:`repro.engine.exec_shm`).
-
-    Splits each pointer-jumping round's active set into contiguous
-    Brent-style ``n/P`` shards across a persistent pool of worker
-    processes over ``multiprocessing.shared_memory``.  Covers the
-    ordinary family with NumPy-typed operators, the Moebius affine
-    fast path, and GIR trace evaluation (power-table rows sharded
-    Brent-style, the plan arrays shipped once through the
-    fingerprint-keyed shm upload path).  Options: ``workers``
-    (default 4), Moebius ``path`` /
-    ``guard``, ``watchdog_s`` (heartbeat watchdog override; ``<= 0``
-    disables), ``max_retries`` (crash/hang respawn-and-retry budget),
-    ``chaos`` (a :class:`~repro.chaos.ChaosPlan` or resolved event
-    dict, injected into the real workers), and the test-only
-    ``_test_crash`` fault-injection hook.  ``exact=False``: object
-    operands cannot cross the process boundary without serialization,
-    so exact/object solves stay on ``python`` / ``numpy``.
-    """
-
-    name = "shm"
-    capabilities = BackendCapabilities(
-        families=frozenset({"ordinary", "gir", "moebius"}),
-        exact=False,
-        batch=False,
-    )
-
-    def execute(self, request: ExecutionRequest):
-        from . import exec_ordinary, exec_shm
-
-        opts = request.options
-        workers = int(opts.get("workers", exec_shm.DEFAULT_WORKERS))
-        crash = opts.get("_test_crash")
-        chaos = opts.get("chaos")
-        if chaos is not None and hasattr(chaos, "resolve"):
-            chaos = chaos.resolve(workers)
-        watchdog_s = opts.get("watchdog_s")
-        if watchdog_s is not None:
-            watchdog_s = float(watchdog_s)
-        retries = int(opts.get("max_retries", exec_shm.DEFAULT_RETRIES))
-        family = request.problem.family
-        if family == "ordinary":
-            plan = request.plan
-            if plan is None:
-                plan = exec_ordinary.build_plan(
-                    request.source, request.problem.fingerprint()
-                )
-            values, stats = exec_shm.execute_ordinary(
-                request.source,
-                plan,
-                workers=workers,
-                collect_stats=request.collect_stats,
-                f_initial=request.f_initial,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-                crash=crash,
-                chaos=chaos,
-                watchdog_s=watchdog_s,
-                retries=retries,
-            )
-            return values, stats, plan, None
-        if family == "gir":
-            values, stats, plan = exec_shm.execute_gir(
-                request.source,
-                request.problem,
-                request.plan,
-                workers=workers,
-                collect_stats=request.collect_stats,
-                policy=request.policy,
-                checked=request.checked,
-                check_sample=request.check_sample,
-                crash=crash,
-                chaos=chaos,
-                watchdog_s=watchdog_s,
-                retries=retries,
-            )
-            return values, stats, plan, None
-        values, stats, plan = exec_shm.execute_moebius(
-            request.source,
-            request.problem,
-            request.plan,
-            workers=workers,
-            path=opts.get("path", "auto"),
-            guard=opts.get("guard", "auto"),
-            collect_stats=request.collect_stats,
-            policy=request.policy,
-            checked=request.checked,
-            check_sample=request.check_sample,
-            crash=crash,
-            chaos=chaos,
-            watchdog_s=watchdog_s,
-            retries=retries,
-        )
-        return values, stats, plan, None
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -444,7 +208,52 @@ def resolve_backend(name: str, problem: Problem) -> Backend:
     return backend
 
 
-register_backend(PythonBackend())
-register_backend(NumpyBackend())
+_FAMILIES = frozenset({"ordinary", "gir", "moebius"})
+_MOEBIUS = {"affine": AffineRounds, "rational": RationalRounds}
+
+#: Pure-Python reference kernels (exact, synchronous-step); Moebius
+#: solves default to the exact object path.
+register_backend(
+    KernelBackend(
+        "python",
+        BackendCapabilities(families=_FAMILIES, exact=True, batch=False),
+        {
+            "ordinary": PythonRounds,
+            "object": PythonRounds,
+            "gir": RowTraceEvaluator,
+            **_MOEBIUS,
+        },
+        defaults={"path": "object"},
+    )
+)
+#: Vectorized kernels (typed fast paths, object-dtype fallback, which
+#: keeps exact operands exact); the only batch-capable backend.
+register_backend(
+    KernelBackend(
+        "numpy",
+        BackendCapabilities(families=_FAMILIES, exact=True, batch=True),
+        {
+            "ordinary": NumpyRounds,
+            "object": NumpyRounds,
+            "gir": TraceEvaluator,
+            **_MOEBIUS,
+        },
+    )
+)
 register_backend(PRAMBackend())
-register_backend(ShmBackend())
+#: Shared-memory multiprocess kernels (see :mod:`repro.engine.exec_shm`):
+#: each round's active set is split into contiguous Brent-style ``n/P``
+#: shards across a persistent worker pool.  Options: ``workers``
+#: (default 4), Moebius ``path`` / ``guard``, ``watchdog_s`` (``<= 0``
+#: disables the heartbeat watchdog), ``max_retries``, ``chaos`` (a
+#: :class:`~repro.chaos.ChaosPlan` or resolved event dict) and the
+#: test-only ``_test_crash`` hook.  ``exact=False``: object operands
+#: cannot cross the process boundary, so exact/object solves stay on
+#: ``python`` / ``numpy``.
+register_backend(
+    KernelBackend(
+        "shm",
+        BackendCapabilities(families=_FAMILIES, exact=False, batch=False),
+        {"ordinary": ShmRounds, "affine": ShmAffine, "gir": ShmTraces},
+    )
+)

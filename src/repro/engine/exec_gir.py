@@ -1,5 +1,5 @@
-"""GIR executor: plan the dependence-DAG/CAP pipeline once, evaluate
-trace power tables per solve.
+"""GIR plans and trace-evaluation kernels: plan the dependence-DAG/CAP
+pipeline once, evaluate trace power tables per solve.
 
 The value-independent artifacts -- renaming, the dependence graph, the
 CAP path counts flattened into the CSR-style
@@ -7,8 +7,8 @@ CAP path counts flattened into the CSR-style
 :class:`~repro.engine.plan.GIRPlan`; re-solving a system with the same
 maps (different initial values, different commutative operator) skips
 straight to trace evaluation.  Ordinary-shaped systems carry a nested
-:class:`OrdinaryPlan` and run through the pointer-jumping executors
-instead, exactly as the historical ``solve_gir`` dispatched.
+:class:`OrdinaryPlan` that the driver replays through the backend's
+ordinary round kernel instead.
 
 Trace evaluation has two modes:
 
@@ -24,15 +24,10 @@ Trace evaluation has two modes:
   path for ``Fraction``/object operators and the comparator the
   Fig-5 bench gates against.
 
-``execute_batch`` sweeps k initial-value vectors through one plan;
-the per-plan int64 exponent reductions are cached on the
-:class:`PowerTable`, so each extra vector costs only its powers and
-combines.
-
-Span structure on a planning solve matches the historical solver
-(``solver.gir`` containing ``gir.normalize``/``gir.build_graph``/
-``gir.cap``/``gir.evaluate``); a plan-cache hit emits only the
-``gir.evaluate`` phase, since that is all that runs.
+The per-plan int64 exponent reductions are cached on the
+:class:`PowerTable`, so each extra initial-value vector costs only its
+powers and combines.  Spans, stats, policy and the projection back
+onto the original cells belong to :mod:`repro.engine.driver`.
 """
 
 from __future__ import annotations
@@ -41,20 +36,30 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import get_registry, get_tracer, maybe_span
+from ..obs import get_tracer, maybe_span
 from ..core.cap import CAPResult, count_all_paths
 from ..core.depgraph import build_dependence_graph
 from ..core.equations import OrdinaryIRSystem, normalize_non_distinct
-from ..core.gir import GIRSolveStats, evaluate_trace_powers_items
 from . import exec_ordinary
 from .plan import GIRPlan, PowerTable
 
-__all__ = ["execute", "execute_batch", "build_plan", "eval_rows_vectorized"]
+__all__ = [
+    "build_plan",
+    "dispatches",
+    "eval_rows_vectorized",
+    "TraceEvaluator",
+    "RowTraceEvaluator",
+]
 
 _EVAL_MODES = ("auto", "batched", "rows")
 
 
-def _should_dispatch(system, problem) -> bool:
+def dispatches(system, problem, plan: Optional[GIRPlan]) -> bool:
+    """Whether the solve takes the ordinary pointer-jumping path (an
+    ordinary-shaped system with distinct ``g``) instead of CAP."""
+    if plan is not None:
+        return plan.dispatch is not None
+    system.validate()
     return (
         problem.allow_ordinary_dispatch
         and system.is_ordinary_shaped()
@@ -69,13 +74,9 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
     ``gir.build_graph`` / ``gir.cap`` phase spans (nested under
     whatever span the caller holds open).
     """
-    system.validate()
-    if _should_dispatch(system, problem):
+    if dispatches(system, problem, None):
         ordinary = OrdinaryIRSystem(
-            initial=list(system.initial),
-            g=system.g,
-            f=system.f,
-            op=system.op,
+            initial=list(system.initial), g=system.g, f=system.f, op=system.op
         )
         return GIRPlan(
             fingerprint=problem.fingerprint(),
@@ -264,214 +265,36 @@ def _evaluate_rows(
     return values
 
 
-def _scatter(
-    plan: GIRPlan, system, values, typed_arr: Optional[np.ndarray]
-) -> List[Any]:
-    """Place per-row trace values into the (possibly renamed) working
-    array and project back onto the original cells."""
-    n = plan.table.rows
-    out_cells = plan.out_cells
-    if typed_arr is not None:
-        if plan.renamed:
-            work = np.concatenate(
-                [typed_arr, typed_arr[np.asarray(system.g, dtype=np.int64)]]
+class TraceEvaluator:
+    """In-process GIR kernel: evaluates one initial-value vector's
+    traces, ``gir_eval="auto"`` resolving to ``prefer``."""
+
+    label = "numpy"
+    prefer = "batched"
+    pooled = False
+
+    def __init__(self, job):
+        self.plan, self.system = job.sched, job.source
+        self.mode = job.options.get("gir_eval", "auto")
+        if self.mode not in _EVAL_MODES:
+            raise ValueError(
+                f"unknown gir_eval mode {self.mode!r}; expected one of "
+                f"{_EVAL_MODES}"
             )
-        else:
-            work = typed_arr.copy()
-        work[out_cells] = values
-        if plan.renamed:
-            work = work[plan.final_cell_of]
-        return work.tolist()
-    out_list = list(system.initial)
-    if plan.renamed:
-        g_list = system.g.tolist()
-        out_list = out_list + [system.initial[g_list[i]] for i in range(n)]
-    cells = out_cells.tolist()
-    for i, value in enumerate(values):
-        out_list[cells[i]] = value
-    if plan.renamed:
-        out_list = [out_list[int(c)] for c in plan.final_cell_of]
-    return out_list
+
+    def evaluate(self) -> Tuple[Any, Optional[np.ndarray], str]:
+        """``(row values, typed initial array or None, mode used)``."""
+        plan, initial, op = self.plan, self.system.initial, self.system.op
+        mode = self.prefer if self.mode == "auto" else self.mode
+        if mode == "batched":
+            setup = _typed_eval_setup(plan, initial, op)
+            if setup is not None:
+                return _evaluate_batched(plan, setup, op), setup[0], mode
+        return _evaluate_rows(plan, initial, op), None, "rows"
 
 
-def _evaluate(
-    plan: GIRPlan, system, eval_mode: str
-) -> Tuple[List[Any], str]:
-    """Dispatch one initial-value vector through the requested
-    evaluation mode; returns ``(values, mode_used)``."""
-    initial = system.initial
-    op = system.op
-    setup = None
-    if eval_mode in ("auto", "batched"):
-        setup = _typed_eval_setup(plan, initial, op)
-    if setup is not None:
-        values = _evaluate_batched(plan, setup, op)
-        return _scatter(plan, system, values, setup[0]), "batched"
-    values = _evaluate_rows(plan, initial, op)
-    return _scatter(plan, system, values, None), "rows"
+class RowTraceEvaluator(TraceEvaluator):
+    """The pure-Python backend's evaluator: ``auto`` means rows."""
 
-
-# ---------------------------------------------------------------------------
-# Execution entry points
-# ---------------------------------------------------------------------------
-
-
-def execute(
-    system,
-    problem,
-    plan: Optional[GIRPlan],
-    *,
-    ordinary_engine: str = "numpy",
-    collect_stats: bool = False,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-    eval_mode: str = "auto",
-) -> Tuple[List[Any], Optional[GIRSolveStats], GIRPlan]:
-    """Solve a GIR system, building ``plan`` when ``None``.
-
-    ``eval_mode`` selects trace evaluation: ``"batched"`` (vectorized
-    power-dedup path when the operator supports it), ``"rows"`` (the
-    per-row executor) or ``"auto"`` (batched for the numpy engine,
-    rows for the pure-Python engine).  Returns ``(values, stats,
-    plan)`` so the caller can cache the plan.
-    """
-    if eval_mode not in _EVAL_MODES:
-        raise ValueError(
-            f"unknown gir_eval mode {eval_mode!r}; expected one of "
-            f"{_EVAL_MODES}"
-        )
-    if plan is None:
-        system.validate()
-        dispatch = _should_dispatch(system, problem)
-    else:
-        dispatch = plan.dispatch is not None
-
-    if dispatch:
-        ordinary = OrdinaryIRSystem(
-            initial=list(system.initial),
-            g=system.g,
-            f=system.f,
-            op=system.op,
-        )
-        if plan is None:
-            ordinary_plan = exec_ordinary.build_plan(
-                ordinary, problem.fingerprint()
-            )
-            plan = GIRPlan(
-                fingerprint=problem.fingerprint(),
-                n=system.n,
-                m=system.m,
-                dispatch=ordinary_plan,
-            )
-        runner = (
-            exec_ordinary.execute_python
-            if ordinary_engine == "python"
-            else exec_ordinary.execute_numpy
-        )
-        out, ord_stats = runner(
-            ordinary, plan.dispatch, collect_stats=collect_stats, policy=policy
-        )
-        stats = None
-        if collect_stats:
-            assert ord_stats is not None
-            stats = GIRSolveStats(
-                n=system.n,
-                cap_iterations=0,
-                cap_edge_work=0,
-                power_ops=0,
-                combine_ops=ord_stats.total_ops,
-                reduction_depth=ord_stats.depth,
-                renamed=False,
-                ordinary_dispatch=True,
-            )
-        if checked:
-            from ..resilience.verify import differential_check
-
-            differential_check("gir", system, out, sample=check_sample)
-        return out, stats, plan
-
-    system.op.require_commutative()
-
-    tracer = get_tracer()
-    registry = get_registry()
-    n = system.n
-    with maybe_span(tracer, "solver.gir", n=n) as root:
-        if plan is None:
-            plan = build_plan(system, problem, policy=policy)
-
-        if eval_mode == "auto" and ordinary_engine == "python":
-            eval_mode = "rows"
-
-        with maybe_span(tracer, "gir.evaluate") as esp:
-            out, mode_used = _evaluate(plan, system, eval_mode)
-            power_ops = plan.table.power_entry_count
-            combine_ops = plan.table.nnz - plan.table.rows
-            depth = plan.table.reduction_depth
-            if esp is not None:
-                esp.set_attribute("power_ops", power_ops)
-                esp.set_attribute("combine_ops", combine_ops)
-                esp.set_attribute("mode", mode_used)
-
-        if root is not None:
-            root.set_attribute("cap_iterations", plan.cap_iterations)
-            root.set_attribute("renamed", plan.renamed)
-        if registry is not None:
-            registry.counter("solver.solves", engine="gir").inc()
-            registry.counter("gir.power_ops").inc(power_ops)
-            registry.counter("gir.combine_ops").inc(combine_ops)
-
-    stats = None
-    if collect_stats:
-        stats = GIRSolveStats(
-            n=plan.table.rows,
-            cap_iterations=plan.cap_iterations,
-            cap_edge_work=plan.cap_edge_work,
-            power_ops=power_ops,
-            combine_ops=combine_ops,
-            reduction_depth=depth,
-            renamed=plan.renamed,
-        )
-    if checked:
-        from ..resilience.verify import differential_check
-
-        differential_check("gir", system, out, sample=check_sample)
-    return out, stats, plan
-
-
-def execute_batch(
-    system,
-    problem,
-    plan: Optional[GIRPlan],
-    batch_initial: Sequence[Sequence[Any]],
-    *,
-    ordinary_engine: str = "numpy",
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-    eval_mode: str = "auto",
-) -> Tuple[List[List[Any]], GIRPlan]:
-    """Sweep ``k`` initial-value vectors through one GIR plan.
-
-    The plan (and its cached int64 exponent reductions / factor
-    dedup) is built at most once; each vector then pays only its
-    power + combine phase.  Returns ``(rows, plan)``.
-    """
-    import dataclasses
-
-    rows: List[List[Any]] = []
-    for values in batch_initial:
-        source = dataclasses.replace(system, initial=list(values))
-        out, _stats, plan = execute(
-            source,
-            problem,
-            plan,
-            ordinary_engine=ordinary_engine,
-            policy=policy,
-            checked=checked,
-            check_sample=check_sample,
-            eval_mode=eval_mode,
-        )
-        rows.append(out)
-    assert plan is not None
-    return rows, plan
+    label = "python"
+    prefer = "rows"

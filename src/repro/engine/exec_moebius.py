@@ -1,45 +1,49 @@
-"""Moebius executors: the reduction's numeric paths over a shared plan.
+"""Moebius plans and value kernels: one schedule, three representations.
 
-All three execution paths -- the exact ``Mat2`` object path and the
-vectorized affine / rational float fast paths -- replay the same
-:class:`~repro.engine.plan.MoebiusPlan` (an OrdinaryIR round schedule
-over ``(g, f)``): the pointer-jumping structure is independent of how
-the matrices are represented.  Path selection (``auto``), the numeric
-guard and its degradation ladder (float -> exact ``Fraction`` -> the
-sequential baseline) are orchestrated here, moved verbatim from the
-historical :func:`repro.core.moebius.solve_moebius`.
+Every numeric path replays the same :class:`~repro.engine.plan.
+MoebiusPlan` (an OrdinaryIR round schedule over ``(g, f)``) -- the
+pointer-jumping structure is independent of how the matrices are
+represented:
+
+* ``object`` -- exact ``Mat2`` coefficient matrices composed by an
+  ordinary round kernel under the ``odot`` operator
+  (:func:`object_inputs` / :func:`evaluate_object` bracket it);
+* ``affine`` -- :class:`AffineRounds`, the ``(a, b)`` sweep for
+  ``c = 0`` recurrences (single vectors and stacked ``(k, n)``
+  batches share its round);
+* ``rational`` -- :class:`RationalRounds`, float ``(A, B, C, D)``.
+
+Path selection (``auto``) and the guard mode are resolved by
+:func:`resolve_mode`; the degradation ladder, policy, spans and
+verification belong to :mod:`repro.engine.driver`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..obs import get_registry, get_tracer, maybe_span
-from ..core.equations import IRValidationError, OrdinaryIRSystem
+from ..core.equations import IRValidationError
 from ..core.moebius import (
     Mat2,
     RationalRecurrence,
     _affine_fast_path_applicable,
-    _as_exact,
-    _exact_to_float,
     _floatable_scalars,
-    moebius_ir_operator,
-    run_moebius_sequential,
 )
-from ..core.ordinary import SolveStats
 from ..resilience.guard import NumericGuard, default_guard
 from . import exec_ordinary
 from .plan import MoebiusPlan, OrdinaryPlan
 
 __all__ = [
-    "execute",
-    "execute_batch",
-    "execute_affine_batch",
-    "resolve_path",
-    "affine_coefficients",
     "PATHS",
+    "resolve_path",
+    "resolve_mode",
+    "build_plan",
+    "affine_coefficients",
+    "stackable_affine",
+    "AffineRounds",
+    "RationalRounds",
 ]
 
 PATHS = ("auto", "object", "affine", "rational")
@@ -57,6 +61,28 @@ def resolve_path(rec: RationalRecurrence, path: str) -> str:
     return "object"
 
 
+def resolve_mode(
+    rec: RationalRecurrence, options: Mapping[str, Any]
+) -> Tuple[str, Optional[NumericGuard]]:
+    """Validate ``rec`` and resolve its ``(path, guard)``.
+
+    ``guard="auto"`` arms the default numeric guard only for ``auto``
+    solves: explicitly selected paths keep their bit-level behaviour
+    unguarded.
+    """
+    rec.validate()
+    path = options.get("path", "auto")
+    guard = options.get("guard", "auto")
+    if isinstance(guard, str):
+        if guard != "auto":
+            raise ValueError(f"unknown guard mode {guard!r}")
+        guard = default_guard() if path == "auto" else None
+    resolved = resolve_path(rec, path)
+    if resolved not in PATHS[1:]:
+        raise ValueError(f"unknown engine {resolved!r}")
+    return resolved, guard
+
+
 def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
     """Plan the shared pointer-jumping structure over ``(g, f)``."""
     ordinary = exec_ordinary.build_plan_from_maps(
@@ -67,225 +93,39 @@ def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
     )
 
 
-def execute(
-    rec: RationalRecurrence,
-    problem,
-    plan: Optional[MoebiusPlan],
-    *,
-    backend_name: str = "numpy",
-    path: str = "auto",
-    guard: Any = "auto",
-    collect_stats: bool = False,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-) -> Tuple[List[Any], Optional[SolveStats], MoebiusPlan]:
-    """Solve the recurrence, building ``plan`` when ``None``.
-
-    ``path`` picks the numeric representation (``auto`` resolves per
-    the fast-path applicability rules); ``guard="auto"`` arms the
-    default numeric guard only for ``auto`` solves, matching the
-    historical contract that explicitly selected engines keep their
-    bit-level behavior unguarded.
-    """
-    rec.validate()
-    auto = path == "auto"
-    guard_obj: Optional[NumericGuard]
-    if isinstance(guard, str):
-        if guard != "auto":
-            raise ValueError(f"unknown guard mode {guard!r}")
-        guard_obj = default_guard() if auto else None
-    else:
-        guard_obj = guard
-    resolved = resolve_path(rec, path)
-    if resolved not in ("object", "affine", "rational"):
-        raise ValueError(f"unknown engine {resolved!r}")
-
-    if plan is None:
-        plan = build_plan(rec, problem.fingerprint())
-
-    X, stats = _run_path(
-        rec,
-        plan,
-        resolved,
-        backend_name=backend_name,
-        collect_stats=collect_stats,
-        guard=guard_obj,
-        policy=policy,
-    )
-
-    if guard_obj is not None:
-        X, stats = _escalate_if_unhealthy(
-            rec,
-            plan,
-            X,
-            stats,
-            engine=_engine_label(resolved, backend_name),
-            guard=guard_obj,
-            collect_stats=collect_stats,
-            policy=policy,
-        )
-
-    if checked:
-        from ..resilience.verify import differential_check
-
-        differential_check("moebius", rec, X, sample=check_sample)
-    return X, stats, plan
+# ---------------------------------------------------------------------------
+# object path: the ordinary kernel under the odot operator
+# ---------------------------------------------------------------------------
 
 
-def _engine_label(resolved: str, backend_name: str) -> str:
-    """The engine name reported in spans/metrics (the object path
-    reports the backend that ran it, as the historical solver did)."""
-    return backend_name if resolved == "object" else resolved
+def object_inputs(rec: RationalRecurrence) -> Tuple[List[Mat2], List[Mat2]]:
+    """``(coefficients, constants)``: the OrdinaryIR initial array of
+    the reduction (each assigned cell holds its coefficient matrix) and
+    the ``f_initial`` its terminals read (every cell's constant map)."""
+    const = [Mat2.constant(x) for x in rec.initial]
+    coeff = list(const)
+    for i in range(rec.n):
+        coeff[int(rec.g[i])] = rec.coefficient_matrix(i)
+    return coeff, const
 
 
-def _run_path(
-    rec: RationalRecurrence,
-    plan: MoebiusPlan,
-    resolved: str,
-    *,
-    backend_name: str,
-    collect_stats: bool,
-    guard: Optional[NumericGuard],
-    policy,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Dispatch one concrete path (no ladder, no auto resolution)."""
-    if resolved == "affine":
-        return execute_affine(
-            rec, plan, collect_stats=collect_stats, guard=guard, policy=policy
-        )
-    if resolved == "rational":
-        return execute_rational(
-            rec, plan, collect_stats=collect_stats, guard=guard, policy=policy
-        )
-    return execute_object(
-        rec,
-        plan,
-        engine=backend_name,
-        collect_stats=collect_stats,
-        guard=guard,
-        policy=policy,
-    )
+def evaluate_object(rec: RationalRecurrence, g: np.ndarray, solved) -> List[Any]:
+    """Evaluate the composed per-iteration matrices.  A complete
+    composition ends in a constant map; following the paper, a rank-1
+    matrix not in ``b/d`` form is fed ``S[g(i)]`` as its (irrelevant)
+    argument."""
+    out = []
+    for cell, mat in zip(g.tolist(), solved):
+        if mat.a == 0 and mat.c == 0:
+            out.append(mat.b / mat.d)
+        else:
+            out.append(mat.apply(rec.initial[cell]))
+    return out
 
 
-def execute_object(
-    rec: RationalRecurrence,
-    plan: MoebiusPlan,
-    *,
-    engine: str = "numpy",
-    collect_stats: bool = False,
-    guard: Optional[NumericGuard] = None,
-    policy=None,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """The exact object path: ``Mat2`` coefficient matrices solved as
-    an OrdinaryIR system over the planned round schedule."""
-    if engine not in ("numpy", "python"):
-        raise ValueError(f"unknown engine {engine!r}")
-    n, m = rec.n, rec.m
-
-    tracer = get_tracer()
-    registry = get_registry()
-    with maybe_span(tracer, "solver.moebius", engine=engine, n=n):
-        with maybe_span(tracer, "moebius.coefficients"):
-            coeff = [Mat2.constant(rec.initial[x]) for x in range(m)]
-            for i in range(n):
-                coeff[int(rec.g[i])] = rec.coefficient_matrix(i)
-            const = [Mat2.constant(rec.initial[x]) for x in range(m)]
-
-        system = OrdinaryIRSystem(
-            initial=coeff,
-            g=rec.g,
-            f=rec.f,
-            op=moebius_ir_operator(guard),
-        )
-        with maybe_span(tracer, "moebius.ir_solve"):
-            runner = (
-                exec_ordinary.execute_numpy
-                if engine == "numpy"
-                else exec_ordinary.execute_python
-            )
-            solved, stats = runner(
-                system,
-                plan.ordinary,
-                collect_stats=collect_stats,
-                f_initial=const,
-                policy=policy,
-            )
-
-        with maybe_span(tracer, "moebius.evaluate"):
-            X = list(rec.initial)
-            for i in range(n):
-                cell = int(rec.g[i])
-                mat = solved[cell]
-                # The composed matrix always ends in a constant map;
-                # evaluate it.  Following the paper we feed S[g(i)] as
-                # the (irrelevant) argument when the matrix is rank-1
-                # but not in b/d form.
-                if mat.a == 0 and mat.c == 0:
-                    X[cell] = mat.b / mat.d
-                else:
-                    X[cell] = mat.apply(rec.initial[cell])
-        if registry is not None:
-            registry.counter("solver.solves", engine="moebius").inc()
-    return X, stats
-
-
-def _escalate_if_unhealthy(
-    rec: RationalRecurrence,
-    plan: MoebiusPlan,
-    X: List[Any],
-    stats: Optional[SolveStats],
-    *,
-    engine: str,
-    guard: NumericGuard,
-    collect_stats: bool,
-    policy,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """The degradation ladder's upper rungs.
-
-    Rung 1 (the path that just ran) produced ``X``; if the guard finds
-    it unhealthy, rung 2 re-solves with exact ``Fraction`` arithmetic
-    on the object path (possible iff every input scalar is finite) --
-    reusing the same plan, since the maps are unchanged -- and rung 3
-    falls back to the sequential baseline, which *defines* the
-    recurrence's semantics.
-    """
-    assigned = (X[int(c)] for c in rec.g)
-    report = guard.check_values(assigned, where=f"moebius.{engine}")
-    if report.healthy:
-        return X, stats
-
-    tracer = get_tracer()
-    guard.record_trip(
-        kind="nan" if report.nan_count else "inf", engine=engine
-    )
-
-    exact = _as_exact(rec)
-    if exact is not None:
-        guard.record_escalation(source=engine, target="exact")
-        try:
-            with maybe_span(
-                tracer, "resilience.escalate", source=engine, target="exact"
-            ):
-                Xe, stats_e = execute_object(
-                    exact,
-                    plan,
-                    engine="numpy",
-                    collect_stats=collect_stats,
-                    guard=None,  # exact arithmetic: det == 0 is exact
-                    policy=policy,
-                )
-            return [_exact_to_float(v) for v in Xe], stats_e
-        except ZeroDivisionError:
-            # a genuine pole (0/0 or x/0): only float semantics can
-            # express the result; fall through to the baseline
-            pass
-
-    guard.record_escalation(source=engine, target="sequential")
-    with maybe_span(
-        tracer, "resilience.escalate", source=engine, target="sequential"
-    ):
-        return run_moebius_sequential(rec), stats
+# ---------------------------------------------------------------------------
+# affine path
+# ---------------------------------------------------------------------------
 
 
 def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
@@ -296,8 +136,8 @@ def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
     n = rec.n
     if any(c != 0 for c in rec.c):
         raise IRValidationError(
-            "solve_affine_numpy requires c = 0 everywhere; use "
-            "solve_moebius for rational recurrences"
+            "the affine path requires c = 0 everywhere; use the "
+            "rational or object path for rational recurrences"
         )
     if any(d == 0 for d in rec.d):
         raise ZeroDivisionError("affine normalization needs d != 0")
@@ -313,215 +153,62 @@ def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def affine_coefficients(
-    rec: RationalRecurrence,
-    sched: OrdinaryPlan,
+    rec: RationalRecurrence, sched: OrdinaryPlan, values=None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized per-iteration ``(a, b)`` coefficient arrays for the
-    affine fast path, with the terminal fold already applied --
-    float64 arrays ready for round replay (used by both this module's
-    :func:`execute_affine` and the shm backend's worker sweep)."""
+    """The affine sweep's starting ``(a, b)``, terminal fold applied.
+
+    ``values`` defaults to ``rec.initial``; a ``(k, m)`` stack of value
+    rows yields ``b`` as ``(k, n)`` while ``a`` stays ``(n,)`` -- it is
+    row-independent (composition multiplies coefficients without
+    touching values).
+    """
     a, b = _affine_base(rec)
-    initial = np.asarray(rec.initial, dtype=np.float64)
-    terminal = sched.terminal_idx
+    V = np.asarray(rec.initial if values is None else values, dtype=np.float64)
+    if V.ndim == 2:
+        b = np.repeat(b[None, :], V.shape[0], axis=0)
+    ix = exec_ordinary.cells(V.ndim)
+    t = sched.terminal_idx
     # terminals absorb Const(S[f(i)]): (a,b) o (0,S) = (0, a*S + b);
     # constant pairs (a == 0) keep their b untouched -- their
     # structural zero must absorb even an infinite S
-    at = a[terminal]
-    with np.errstate(invalid="ignore"):
-        b[terminal] = np.where(
-            at == 0.0,
-            b[terminal],
-            at * initial[sched.f[terminal]] + b[terminal],
-        )
-    a[terminal] = 0.0
+    at = a[t]
+    b[ix(t)] = np.where(at == 0.0, b[ix(t)], at * V[ix(sched.f[t])] + b[ix(t)])
+    a[t] = 0.0
     return a, b
 
 
-def execute_affine(
-    rec: RationalRecurrence,
-    plan: MoebiusPlan,
-    *,
-    collect_stats: bool = False,
-    guard: Optional[NumericGuard] = None,
-    policy=None,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Vectorized fast path for *affine* recurrences (``c = 0``) over
-    the planned schedule; see the historical
-    :func:`repro.core.moebius.solve_affine_numpy` for the algebra."""
-    n = rec.n
-    sched = plan.ordinary
-    a, b = affine_coefficients(rec, sched)
+class AffineRounds:
+    """Vectorized kernel for *affine* recurrences (``c = 0``): each
+    round composes the newer ``(a, b)`` segment over the older one."""
 
-    stats = (
-        SolveStats(n=n, init_ops=sched.init_ops) if collect_stats else None
-    )
+    label = "affine"
+    pooled = False
 
-    enforcer = policy.enforcer("moebius.affine") if policy is not None else None
-    tracer = get_tracer()
-    registry = get_registry()
-    rounds = 0
-    with maybe_span(tracer, "solver.moebius", engine="affine", n=n) as root:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for active, p in sched.steps:
-                if enforcer is not None and not enforcer.admit():
-                    break
-                count = int(active.size)
-                with maybe_span(
-                    tracer,
-                    "solver.round",
-                    engine="affine",
-                    round=rounds,
-                    active=count,
-                ):
-                    # newer segment (active) composes over the older
-                    # one (p).  Constant pairs (a == 0) absorb: the
-                    # odot rule, kept out of IEEE's 0 * inf = NaN.
-                    const_pair = a[active] == 0.0
-                    new_b = np.where(
-                        const_pair, b[active], a[active] * b[p] + b[active]
-                    )
-                    new_a = np.where(const_pair, 0.0, a[active] * a[p])
-                    a[active] = new_a
-                    b[active] = new_b
-                    rounds += 1
-                    if stats is not None:
-                        stats.rounds += 1
-                        stats.active_per_round.append(count)
-                if registry is not None:
-                    registry.counter("solver.rounds", engine="affine").inc()
-                    registry.histogram(
-                        "solver.active_cells", engine="affine"
-                    ).observe(count)
-        if root is not None:
-            root.set_attribute("rounds", rounds)
-        if registry is not None:
-            registry.counter("solver.solves", engine="affine").inc()
+    def __init__(self, job):
+        self.a, self.b = affine_coefficients(
+            job.source, job.sched, job.init if job.stacked else None
+        )
+        self.ix = exec_ordinary.cells(self.b.ndim)
+        self.steps = job.sched.steps
 
-    if enforcer is not None and enforcer.should_fallback:
-        return run_moebius_sequential(rec), stats
+    def round(self, active, src) -> None:
+        a, b, ix = self.a, self.b, self.ix
+        # newer segment (active) composes over the older one (src).
+        # Constant pairs (a == 0) absorb: the odot rule, kept out of
+        # IEEE's 0 * inf = NaN.
+        const_pair = a[active] == 0.0
+        new_b = np.where(
+            const_pair, b[ix(active)], a[active] * b[ix(src)] + b[ix(active)]
+        )
+        new_a = np.where(const_pair, 0.0, a[active] * a[src])
+        a[active] = new_a
+        b[ix(active)] = new_b
 
-    out = list(rec.initial)
-    g_list = sched.g.tolist()
-    values = b.tolist()  # all (completed) maps end constant: value = b
-    for i in range(n):
-        out[g_list[i]] = values[i]
-    return out, stats
+    def solved(self):
+        return self.b  # every completed map ends constant: value = b
 
 
-def execute_rational(
-    rec: RationalRecurrence,
-    plan: MoebiusPlan,
-    *,
-    collect_stats: bool = False,
-    guard: Optional[NumericGuard] = None,
-    policy=None,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Vectorized engine for *rational* recurrences over floats on the
-    planned schedule; see the historical
-    :func:`repro.core.moebius.solve_rational_numpy` for the algebra."""
-    rec.validate()
-    n = rec.n
-
-    initial = np.asarray(rec.initial, dtype=np.float64)
-    A = np.empty(n)
-    B = np.empty(n)
-    C = np.empty(n)
-    D = np.empty(n)
-    for i in range(n):
-        mat = rec.coefficient_matrix(i)
-        A[i], B[i], C[i], D[i] = mat.a, mat.b, mat.c, mat.d
-
-    sched = plan.ordinary
-    terminal = sched.terminal_idx
-
-    def singular(ma, mb, mc, md):
-        if guard is not None:
-            return guard.singular_mask(ma, mb, mc, md)
-        return ma * md - mb * mc == 0
-
-    def amul(x, y):
-        # product with an exact absorbing zero (vectorized _zmul): a
-        # structural 0 entry wipes out a non-finite partner instead of
-        # manufacturing NaN; finite data is untouched
-        out = x * y
-        zero = (x == 0.0) | (y == 0.0)
-        if zero.any():
-            out = np.where(zero, 0.0, out)
-        return out
-
-    # terminals compose their map over Const(S[f(i)]) = [[0,S],[0,1]]
-    s_f = initial[sched.f[terminal]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        keep = singular(A[terminal], B[terminal], C[terminal], D[terminal])
-        new_b = np.where(keep, B[terminal], amul(A[terminal], s_f) + B[terminal])
-        new_d = np.where(keep, D[terminal], amul(C[terminal], s_f) + D[terminal])
-        new_a = np.where(keep, A[terminal], 0.0)
-        new_c = np.where(keep, C[terminal], 0.0)
-    A[terminal], B[terminal], C[terminal], D[terminal] = new_a, new_b, new_c, new_d
-
-    stats = (
-        SolveStats(n=n, init_ops=sched.init_ops) if collect_stats else None
-    )
-
-    enforcer = policy.enforcer("moebius.rational") if policy is not None else None
-    tracer = get_tracer()
-    registry = get_registry()
-    rounds = 0
-    with maybe_span(tracer, "solver.moebius", engine="rational", n=n) as root:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for active, p in sched.steps:
-                if enforcer is not None and not enforcer.admit():
-                    break
-                count = int(active.size)
-                with maybe_span(
-                    tracer,
-                    "solver.round",
-                    engine="rational",
-                    round=rounds,
-                    active=count,
-                ):
-                    ao, bo, co, do = A[active], B[active], C[active], D[active]
-                    ai, bi, ci, di = A[p], B[p], C[p], D[p]
-                    keep = singular(ao, bo, co, do)  # odot: singular outer absorbs
-                    A[active] = np.where(keep, ao, amul(ao, ai) + amul(bo, ci))
-                    B[active] = np.where(keep, bo, amul(ao, bi) + amul(bo, di))
-                    C[active] = np.where(keep, co, amul(co, ai) + amul(do, ci))
-                    D[active] = np.where(keep, do, amul(co, bi) + amul(do, di))
-                    rounds += 1
-                    if stats is not None:
-                        stats.rounds += 1
-                        stats.active_per_round.append(count)
-                if registry is not None:
-                    registry.counter("solver.rounds", engine="rational").inc()
-                    registry.histogram(
-                        "solver.active_cells", engine="rational"
-                    ).observe(count)
-        if root is not None:
-            root.set_attribute("rounds", rounds)
-        if registry is not None:
-            registry.counter("solver.solves", engine="rational").inc()
-
-    if enforcer is not None and enforcer.should_fallback:
-        return run_moebius_sequential(rec), stats
-
-    out = list(rec.initial)
-    g_list = sched.g.tolist()
-    for i in range(n):
-        a, b, c, d = A[i], B[i], C[i], D[i]
-        if a == 0 and c == 0:
-            out[g_list[i]] = b / d
-        else:  # rank-1 map: evaluate at the paper's S[g(i)] argument
-            s = rec.initial[g_list[i]]
-            out[g_list[i]] = (a * s + b) / (c * s + d)
-    return out, stats
-
-
-# ---------------------------------------------------------------------------
-# Batched execution
-# ---------------------------------------------------------------------------
-
-
-def _stackable_affine(rec: RationalRecurrence, batch) -> bool:
+def stackable_affine(rec: RationalRecurrence, batch) -> bool:
     """True when the whole batch can run as one stacked affine sweep:
     no self term (the self-term rewrite folds each row's initial values
     into the *coefficients*, so they stop being row-independent), affine
@@ -576,122 +263,76 @@ def _stackable_affine(rec: RationalRecurrence, batch) -> bool:
     return saw_float
 
 
-def execute_affine_batch(
-    rec: RationalRecurrence,
-    plan: MoebiusPlan,
-    batch_initial,
-) -> List[List[Any]]:
-    """``k`` affine recurrences sharing maps + coefficients in one sweep.
+# ---------------------------------------------------------------------------
+# rational path
+# ---------------------------------------------------------------------------
 
-    The ``a`` coefficients are row-independent (composition multiplies
-    them without touching values), so they stay ``(n,)``; only ``b``
-    -- where each row's initial values enter through the terminal fold
-    -- is stacked to ``(k, n)``.  Round semantics are identical to
-    :func:`execute_affine`, so each row matches its single solve
-    bit-for-bit.
-    """
-    sched = plan.ordinary
-    n = rec.n
-    k = len(batch_initial)
-    V = np.asarray(batch_initial, dtype=np.float64)  # (k, m)
-    a, b0 = _affine_base(rec)
-    b = np.repeat(b0[None, :], k, axis=0)  # (k, n)
-    terminal = sched.terminal_idx
-    at = a[terminal]
-    with np.errstate(invalid="ignore"):
-        b[:, terminal] = np.where(
-            at == 0.0,
-            b[:, terminal],
-            at * V[:, sched.f[terminal]] + b[:, terminal],
+
+def _amul(x, y):
+    # product with an exact absorbing zero (vectorized _zmul): a
+    # structural 0 entry wipes out a non-finite partner instead of
+    # manufacturing NaN; finite data is untouched
+    out = x * y
+    zero = (x == 0.0) | (y == 0.0)
+    if zero.any():
+        out = np.where(zero, 0.0, out)
+    return out
+
+
+class RationalRounds:
+    """Vectorized kernel for *rational* recurrences over floats: each
+    round multiplies ``(A, B, C, D)`` matrices, a singular outer map
+    absorbing (the ``odot`` rule, via the guard's tolerance when one
+    is armed)."""
+
+    label = "rational"
+    pooled = False
+
+    def __init__(self, job):
+        rec, sched, guard = job.source, job.sched, job.guard
+        rec.validate()
+        n = rec.n
+        self.rec, self.g = rec, sched.g
+        self.singular = (
+            guard.singular_mask
+            if guard is not None
+            else (lambda a, b, c, d: a * d - b * c == 0)
         )
-    a[terminal] = 0.0
-
-    tracer = get_tracer()
-    registry = get_registry()
-    with maybe_span(
-        tracer, "solver.moebius", engine="affine.batch", n=n, batch=k
-    ) as root:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for active, p in sched.steps:
-                const_pair = a[active] == 0.0
-                new_b = np.where(
-                    const_pair,
-                    b[:, active],
-                    a[active] * b[:, p] + b[:, active],
-                )
-                new_a = np.where(const_pair, 0.0, a[active] * a[p])
-                a[active] = new_a
-                b[:, active] = new_b
-        if root is not None:
-            root.set_attribute("rounds", sched.rounds)
-        if registry is not None:
-            registry.counter("solver.solves", engine="affine.batch").inc()
-
-    g_list = sched.g.tolist()
-    values = b.tolist()
-    rows: List[List[Any]] = []
-    for r in range(k):
-        out = list(batch_initial[r])
-        vals = values[r]
+        A, B, C, D = (np.empty(n) for _ in range(4))
         for i in range(n):
-            out[g_list[i]] = vals[i]
-        rows.append(out)
-    return rows
+            mat = rec.coefficient_matrix(i)
+            A[i], B[i], C[i], D[i] = mat.a, mat.b, mat.c, mat.d
+        # terminals compose their map over Const(S[f(i)]) = [[0,S],[0,1]]
+        t = sched.terminal_idx
+        s_f = np.asarray(rec.initial, dtype=np.float64)[sched.f[t]]
+        keep = self.singular(A[t], B[t], C[t], D[t])
+        new_b = np.where(keep, B[t], _amul(A[t], s_f) + B[t])
+        new_d = np.where(keep, D[t], _amul(C[t], s_f) + D[t])
+        new_a = np.where(keep, A[t], 0.0)
+        new_c = np.where(keep, C[t], 0.0)
+        A[t], B[t], C[t], D[t] = new_a, new_b, new_c, new_d
+        self.abcd = A, B, C, D
+        self.steps = sched.steps
 
+    def round(self, active, src) -> None:
+        A, B, C, D = self.abcd
+        ao, bo, co, do = A[active], B[active], C[active], D[active]
+        ai, bi, ci, di = A[src], B[src], C[src], D[src]
+        keep = self.singular(ao, bo, co, do)  # odot: singular outer absorbs
+        A[active] = np.where(keep, ao, _amul(ao, ai) + _amul(bo, ci))
+        B[active] = np.where(keep, bo, _amul(ao, bi) + _amul(bo, di))
+        C[active] = np.where(keep, co, _amul(co, ai) + _amul(do, ci))
+        D[active] = np.where(keep, do, _amul(co, bi) + _amul(do, di))
 
-def execute_batch(
-    rec: RationalRecurrence,
-    problem,
-    plan: Optional[MoebiusPlan],
-    batch_initial,
-    *,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-) -> Tuple[List[List[Any]], MoebiusPlan]:
-    """Batch front door for the Moebius family.
-
-    Stacks the coefficient arrays into one :func:`execute_affine_batch`
-    sweep when :func:`_stackable_affine` allows; otherwise replays the
-    shared plan per row (object / Fraction operands, rational
-    recurrences, self-term rewrites) -- which still skips all
-    replanning.  A ``policy`` routes through the per-row path so every
-    row gets the full budget/fallback semantics of a single solve.
-    """
-    import dataclasses
-
-    if plan is None:
-        plan = build_plan(rec, problem.fingerprint())
-    if len(batch_initial) == 0:
-        return [], plan
-
-    if policy is None and _stackable_affine(rec, batch_initial):
-        rows = execute_affine_batch(rec, plan, batch_initial)
-        if checked:
-            from ..resilience.verify import differential_check
-
-            for row, X in zip(batch_initial, rows):
-                inst = dataclasses.replace(rec, initial=list(row))
-                differential_check("moebius", inst, X, sample=check_sample)
-        return rows, plan
-
-    # Per-row replay shares ONE cumulative policy budget: each row is
-    # handed the remaining slice of the original timeout, so a batch
-    # cannot stretch a t-second budget into k*t seconds.
-    from ..resilience import policy as policy_mod
-
-    t0 = policy_mod.budget_clock() if policy is not None else 0.0
-    out: List[List[Any]] = []
-    for row in batch_initial:
-        row_policy = policy.with_remaining(t0) if policy is not None else None
-        inst = dataclasses.replace(rec, initial=list(row))
-        X, _stats, _plan = execute(
-            inst,
-            problem,
-            plan,
-            policy=row_policy,
-            checked=checked,
-            check_sample=check_sample,
-        )
-        out.append(X)
-    return out, plan
+    def solved(self) -> List[Any]:
+        A, B, C, D = self.abcd
+        initial = self.rec.initial
+        out = []
+        for i, cell in enumerate(self.g.tolist()):
+            a, b, c, d = A[i], B[i], C[i], D[i]
+            if a == 0 and c == 0:
+                out.append(b / d)
+            else:  # rank-1 map: evaluate at the paper's S[g(i)] argument
+                s = initial[cell]
+                out.append((a * s + b) / (c * s + d))
+        return out

@@ -1,33 +1,33 @@
-"""OrdinaryIR executors: plan building plus the python/numpy/batched
-value engines.
+"""OrdinaryIR plans and round kernels.
 
-These are the pointer-jumping loops formerly inlined in
-:mod:`repro.core.ordinary`, split along the plan/execute seam: the
-plan (:func:`build_plan`) replays pointer jumping on indices alone and
-records the per-round active sets; the executors replay the recorded
-schedule over values -- one gather + ``op`` + scatter per round, with
-no pointer bookkeeping, no validation and no ``np.unique`` on the hot
-path.  Span structure, metrics, stats, policy semantics and the
-differential ``checked=`` hook are identical to the historical
-solvers (the obs and resilience test suites pin them).
+:func:`build_plan` replays pointer jumping on indices alone and records
+the per-round active sets; the kernels replay that schedule over values
+-- one gather + ``op`` + scatter per round, with no pointer
+bookkeeping, no validation and no ``np.unique`` on the hot path.
+Everything around the rounds (policy, spans, stats, verification, the
+scatter back to cells) belongs to :mod:`repro.engine.driver`.
+
+A kernel is built from a :class:`~repro.engine.driver.Job` (applying
+the terminals' first products), exposes ``steps`` (the schedule in the
+representation its :meth:`round` indexes with) and returns its
+per-iteration values from ``solved()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Sequence
 
 import numpy as np
 
-from ..obs import get_registry, get_tracer, maybe_span
-from ..core.ordinary import SolveStats, _maybe_check, _sequential_baseline
-from ..core.traces import predecessor_array
+from ..core.traces import predecessor_array, writer_map
 from .plan import OrdinaryPlan, build_round_schedule
 
 __all__ = [
     "build_plan",
-    "execute_python",
-    "execute_numpy",
-    "execute_numpy_batch",
+    "build_plan_from_maps",
+    "cells",
+    "PythonRounds",
+    "NumpyRounds",
 ]
 
 
@@ -51,13 +51,9 @@ def build_plan_from_maps(
 ) -> OrdinaryPlan:
     """Plan directly from index maps (caller guarantees distinct ``g``
     in range -- e.g. a validated Moebius recurrence)."""
-    from ..core.traces import writer_map
-
     n = int(g.shape[0])
-    writer = writer_map(g, m)
-    cand = writer[f]
-    idx = np.arange(n, dtype=np.int64)
-    pred = np.where(cand < idx, cand, -1)
+    cand = writer_map(g, m)[f]
+    pred = np.where(cand < np.arange(n, dtype=np.int64), cand, -1)
     return OrdinaryPlan(
         fingerprint=fingerprint,
         n=n,
@@ -69,297 +65,90 @@ def build_plan_from_maps(
     )
 
 
-def execute_python(
-    system,
-    plan: OrdinaryPlan,
-    *,
-    collect_stats: bool = False,
-    max_rounds: Optional[int] = None,
-    f_initial: Optional[List[Any]] = None,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Pure-Python value engine replaying ``plan``.
+class PythonRounds:
+    """Pure-Python reference kernel: double-buffers every round (reads
+    only the previous round's values), the synchronous PRAM semantics
+    of the paper's algorithm."""
 
-    Double-buffers every round (reads only the previous round's
-    values), exactly like the synchronous PRAM semantics of the
-    historical :func:`repro.core.ordinary.solve_ordinary`.
-    """
-    n = plan.n
-    op = system.op.fn
-    S = system.initial
-    F = f_initial if f_initial is not None else S
-    g = plan.g.tolist()
-    f = plan.f.tolist()
+    label = "python"
+    pooled = False
 
-    tracer = get_tracer()
-    registry = get_registry()
-    with maybe_span(tracer, "solver.ordinary", engine="python", n=n) as root:
-        val: List[Any] = [S[g[i]] for i in range(n)]
-        terminals = plan.terminal_idx.tolist()
-        for i in terminals:
-            val[i] = op(F[f[i]], val[i])  # first product at the terminal
+    def __init__(self, job):
+        sched = job.sched
+        self.fn = fn = job.op.fn
+        g, f = sched.g.tolist(), sched.f.tolist()
+        init, finit = job.init, job.finit
+        val = [init[g[i]] for i in range(sched.n)]
+        for i in sched.terminal_idx.tolist():
+            val[i] = fn(finit[f[i]], val[i])  # first product at the terminal
+        self.val = val
+        self.steps = sched.steps_py()
 
-        init_ops = len(terminals)
-        stats = SolveStats(n=n, init_ops=init_ops) if collect_stats else None
+    def round(self, active, src) -> None:
+        fn, val = self.fn, self.val
+        new_val = list(val)
+        for i, p in zip(active, src):
+            new_val[i] = fn(val[p], val[i])
+        self.val = new_val
 
-        enforcer = (
-            policy.enforcer("ordinary.python") if policy is not None else None
-        )
-        rounds = 0
-        for active_list, src_list in plan.steps_py():
-            if max_rounds is not None and rounds >= max_rounds:
-                break
-            if enforcer is not None and not enforcer.admit():
-                break
-            with maybe_span(
-                tracer, "solver.round", engine="python", round=rounds
-            ) as rsp:
-                new_val = list(val)
-                for i, p in zip(active_list, src_list):
-                    new_val[i] = op(val[p], val[i])
-                val = new_val
-                active = len(active_list)
-                rounds += 1
-                if rsp is not None:
-                    rsp.set_attribute("active", active)
-            if registry is not None:
-                registry.counter("solver.rounds", engine="python").inc()
-                registry.histogram(
-                    "solver.active_cells", engine="python"
-                ).observe(active)
-            if stats is not None:
-                stats.active_per_round.append(active)
-
-        if stats is not None:
-            stats.rounds = rounds
-        if root is not None:
-            root.set_attribute("rounds", rounds)
-        if registry is not None:
-            registry.counter("solver.solves", engine="python").inc()
-            registry.counter("solver.init_ops", engine="python").inc(init_ops)
-
-        if enforcer is not None and enforcer.should_fallback:
-            out = _sequential_baseline(system, f_initial)
-            _maybe_check(system, out, f_initial, checked, check_sample)
-            return out, stats
-
-        out = list(S)
-        for i in range(n):
-            out[g[i]] = val[i]
-        if enforcer is None or not enforcer.is_partial:
-            _maybe_check(system, out, f_initial, checked, check_sample)
-        return out, stats
+    def solved(self):
+        return self.val
 
 
-def _to_array(values: Sequence[Any], op, use_typed: bool) -> np.ndarray:
-    if use_typed:
+def cells(ndim: int):
+    """Index the cell axis -- plain 1-D indexing for one value vector,
+    ``[:, idx]`` for a stacked ``(k, n)`` batch.  Chosen once per solve
+    from the values' ``ndim``, never per round."""
+    if ndim == 1:
+        return lambda idx: idx
+    return lambda idx: (slice(None), idx)
+
+
+def _to_array(values: Sequence[Any], op, typed: bool, stacked: bool) -> np.ndarray:
+    if typed:
         return np.asarray(values, dtype=op.dtype)
+    if stacked:
+        return np.stack([_to_array(row, op, False, False) for row in values])
     arr = np.empty(len(values), dtype=object)
     for idx, v in enumerate(values):  # element-wise: may hold sequences
         arr[idx] = v
     return arr
 
 
-def execute_numpy(
-    system,
-    plan: OrdinaryPlan,
-    *,
-    collect_stats: bool = False,
-    f_initial: Optional[List[Any]] = None,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Vectorized value engine replaying ``plan`` with fancy indexing."""
-    n = plan.n
-    S = system.initial
-    F = f_initial if f_initial is not None else S
-    g = plan.g
+class NumpyRounds:
+    """Vectorized kernel: typed ``vector_fn`` fast path, object-dtype
+    ``frompyfunc`` otherwise.  A stacked batch (``job.stacked``) runs
+    as one ``(k, n)`` array through the same rounds."""
 
-    op = system.op
-    use_typed = op.vector_fn is not None and op.dtype is not None
-    init = _to_array(S, op, use_typed)
-    finit = init if f_initial is None else _to_array(F, op, use_typed)
-    vec = op.vector_fn if use_typed else np.frompyfunc(op.fn, 2, 1)
+    label = "numpy"
+    pooled = False
 
-    tracer = get_tracer()
-    registry = get_registry()
-    with maybe_span(tracer, "solver.ordinary", engine="numpy", n=n) as root:
-        val = init[g].copy()
-        # First products at the terminals (paper's initialization step).
-        t = plan.terminal_idx
-        if t.size:
-            val[t] = vec(finit[plan.f[t]], val[t])
-
-        init_ops = plan.init_ops
-        stats = SolveStats(n=n, init_ops=init_ops) if collect_stats else None
-
-        enforcer = (
-            policy.enforcer("ordinary.numpy") if policy is not None else None
+    def __init__(self, job):
+        op, sched = job.op, job.sched
+        typed = op.vector_fn is not None and op.dtype is not None
+        self.vec = vec = op.vector_fn if typed else np.frompyfunc(op.fn, 2, 1)
+        init = _to_array(job.init, op, typed, job.stacked)
+        finit = (
+            init
+            if job.finit is job.init
+            else _to_array(job.finit, op, typed, job.stacked)
         )
-        rounds = 0
-        # Overflow saturates to +/-inf, matching the Python-float
-        # semantics of the sequential loop; suppress NumPy's warning
-        # about it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for active_idx, p in plan.steps:
-                if enforcer is not None and not enforcer.admit():
-                    break
-                active = int(active_idx.size)
-                with maybe_span(
-                    tracer,
-                    "solver.round",
-                    engine="numpy",
-                    round=rounds,
-                    active=active,
-                ):
-                    val[active_idx] = vec(val[p], val[active_idx])
-                    rounds += 1
-                    if stats is not None:
-                        stats.active_per_round.append(active)
-                if registry is not None:
-                    registry.counter("solver.rounds", engine="numpy").inc()
-                    registry.histogram(
-                        "solver.active_cells", engine="numpy"
-                    ).observe(active)
-
-        if stats is not None:
-            stats.rounds = rounds
-        if root is not None:
-            root.set_attribute("rounds", rounds)
-        if registry is not None:
-            registry.counter("solver.solves", engine="numpy").inc()
-            registry.counter("solver.init_ops", engine="numpy").inc(init_ops)
-
-        if enforcer is not None and enforcer.should_fallback:
-            out = _sequential_baseline(system, f_initial)
-            _maybe_check(system, out, f_initial, checked, check_sample)
-            return out, stats
-
-        out = list(S)
-        solved = val.tolist()  # numpy scalars -> Python scalars / objects
-        for i, cell in enumerate(g.tolist()):
-            out[cell] = solved[i]
-        if enforcer is None or not enforcer.is_partial:
-            _maybe_check(system, out, f_initial, checked, check_sample)
-        return out, stats
-
-
-def execute_numpy_batch(
-    system,
-    plan: OrdinaryPlan,
-    batch_initial: Sequence[Sequence[Any]],
-    *,
-    f_initial_batch: Optional[Sequence[Sequence[Any]]] = None,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-) -> List[List[Any]]:
-    """Solve ``k`` instances sharing the plan's index maps in one pass.
-
-    With a typed operator the whole batch runs as ``(k, m)`` matrices
-    through the same per-round gathers -- one vectorized sweep instead
-    of ``k`` solves.  Object-dtype operators fall back to sequentially
-    replaying the (already cached) plan per instance, which still skips
-    all replanning.  ``policy`` budgets apply to the shared round loop
-    (rounds are the same for every row); ``checked`` differentially
-    verifies each row against the sequential semantics.
-    """
-    op = system.op
-    use_typed = op.vector_fn is not None and op.dtype is not None
-    k = len(batch_initial)
-    if k == 0:
-        return []
-
-    def row_instance(row_idx: int):
-        return type(system)(
-            initial=list(batch_initial[row_idx]),
-            g=system.g,
-            f=system.f,
-            op=op,
-        )
-
-    def row_f_init(row_idx: int):
-        if f_initial_batch is None:
-            return None
-        return list(f_initial_batch[row_idx])
-
-    if not use_typed:
-        # The per-row fallback must honor the policy timeout
-        # *cumulatively* across the batch -- k rows sharing one budget,
-        # not k fresh budgets -- so each row runs under the remaining
-        # slice of the original wall-clock allowance.
-        from ..resilience import policy as policy_mod
-
-        t0 = policy_mod.budget_clock() if policy is not None else 0.0
-        out: List[List[Any]] = []
-        for row_idx in range(k):
-            row_policy = (
-                policy.with_remaining(t0) if policy is not None else None
-            )
-            values, _ = execute_numpy(
-                row_instance(row_idx),
-                plan,
-                f_initial=row_f_init(row_idx),
-                policy=row_policy,
-                checked=checked,
-                check_sample=check_sample,
-            )
-            out.append(values)
-        return out
-
-    vec = op.vector_fn
-    init = np.asarray(batch_initial, dtype=op.dtype)  # (k, m)
-    finit = (
-        init
-        if f_initial_batch is None
-        else np.asarray(f_initial_batch, dtype=op.dtype)
-    )
-    tracer = get_tracer()
-    registry = get_registry()
-    enforcer = (
-        policy.enforcer("ordinary.numpy.batch") if policy is not None else None
-    )
-    with maybe_span(
-        tracer, "solver.ordinary", engine="numpy.batch", n=plan.n, batch=k
-    ) as root:
-        val = init[:, plan.g].copy()  # (k, n)
-        t = plan.terminal_idx
+        #: the typed ``(k, m)`` input, scattered into in place by the
+        #: driver (``None``: scatter onto the Python rows)
+        self.base = init if typed and job.stacked else None
+        self.ix = ix = cells(init.ndim)
+        # ``[:, g]`` gathers come back column-major: copy a stack to
+        # C order once so every round indexes contiguous rows
+        val = np.ascontiguousarray(init[ix(sched.g)])
+        t = sched.terminal_idx
         if t.size:
-            val[:, t] = vec(finit[:, plan.f[t]], val[:, t])
-        rounds = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for active_idx, p in plan.steps:
-                if enforcer is not None and not enforcer.admit():
-                    break
-                val[:, active_idx] = vec(val[:, p], val[:, active_idx])
-                rounds += 1
-        out_arr = init.copy()
-        out_arr[:, plan.g] = val
-        if root is not None:
-            root.set_attribute("rounds", rounds)
-        if registry is not None:
-            registry.counter("solver.solves", engine="numpy.batch").inc()
+            val[ix(t)] = vec(finit[ix(sched.f[t])], val[ix(t)])
+        self.val = val
+        self.steps = sched.steps
 
-    if enforcer is not None and enforcer.should_fallback:
-        out = []
-        for row_idx in range(k):
-            baseline = _sequential_baseline(
-                row_instance(row_idx), row_f_init(row_idx)
-            )
-            out.append(baseline)
-        return out
+    def round(self, active, src) -> None:
+        val, ix = self.val, self.ix
+        val[ix(active)] = self.vec(val[ix(src)], val[ix(active)])
 
-    rows = [row for row in out_arr.tolist()]
-    if checked and (enforcer is None or not enforcer.is_partial):
-        for row_idx, row in enumerate(rows):
-            _maybe_check(
-                row_instance(row_idx),
-                row,
-                row_f_init(row_idx),
-                checked,
-                check_sample,
-            )
-    return rows
+    def solved(self):
+        return self.val

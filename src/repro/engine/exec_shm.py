@@ -1,11 +1,11 @@
-"""Master-side drivers of the ``shm`` backend.
+"""Value kernels of the ``shm`` backend.
 
-The shared-memory executor is the first *real-parallelism* backend:
+The shared-memory kernels are the first *real-parallelism* backend:
 where ``pram`` replays the paper's EREW schedule on one core, ``shm``
 fans each pointer-jumping round's active set out across OS processes
 over ``multiprocessing.shared_memory`` (see
-:mod:`repro.engine.shm_pool` for the pool/barrier protocol).  It
-covers
+:mod:`repro.engine.shm_pool` for the pool/barrier protocol).  They
+cover
 
 * the **ordinary** family with NumPy-typed operators (``vector_fn`` +
   ``dtype``) -- object monoids cannot cross a process boundary without
@@ -14,54 +14,39 @@ covers
   (``vector_power`` + int64-reducible exponents): the plan's CSR power
   table ships through the fingerprint-keyed upload path once, each
   worker evaluates a Brent-style contiguous shard of table rows in one
-  round, and the master scatters the row values onto the output cells
-  -- bit-identical to the numpy backend's batched evaluator, which
-  runs the same kernel (:func:`repro.engine.exec_gir.
-  eval_rows_vectorized`); and
-* the **Moebius affine** fast path (the ``(a, b)`` coefficient sweep),
-  with the standard guard/escalation ladder running master-side.
+  round, with the same kernel the numpy backend's batched evaluator
+  runs (:func:`repro.engine.exec_gir.eval_rows_vectorized`); and
+* the **Moebius affine** fast path (the ``(a, b)`` coefficient sweep).
 
-Per-solve flow: truncate the plan's round schedule under a
-:class:`~repro.resilience.SolvePolicy` (``max_rounds`` master-side,
-``timeout_s`` cooperatively in the workers), initialize the shared
-value buffer, drive the rounds through the persistent pool, and -- on
-a worker crash *or a supervisor-detected hang* -- respawn the dead
-ranks and retry the whole job from freshly initialized buffers (the
-solve is deterministic, so retries are idempotent), up to a bounded
-retry budget, before raising the structured
-:class:`~repro.errors.FaultError` (CLI exit code 7).  Each job arms
-the pool's :class:`~repro.resilience.supervisor.PoolSupervisor` with
-a policy-derived watchdog budget; chaos-injection payloads
+Unlike the in-process kernels these are *pooled*: the driver
+(:mod:`repro.engine.driver`) hands them an already policy-truncated
+round count and the policy's wall-clock deadline, which the workers
+check cooperatively; the kernel initializes the shared buffers, drives
+the rounds through the persistent pool and -- on a worker crash *or a
+supervisor-detected hang* -- respawns the dead ranks and retries the
+whole job from freshly initialized buffers (the solve is
+deterministic, so retries are idempotent), up to a bounded retry
+budget, before raising the structured :class:`~repro.errors.FaultError`
+(CLI exit code 7).  Each job arms the pool's
+:class:`~repro.resilience.supervisor.PoolSupervisor` with a
+policy-derived watchdog budget; chaos-injection payloads
 (:mod:`repro.chaos`) ride the job dict into the workers.
 
-Observability: spans ``solver.ordinary`` / ``solver.moebius`` with
-``engine="shm"``-prefixed labels, plus ``engine.shm.*`` counters --
-solves, rounds, worker gauge, per-round shard-size histogram, the
-per-worker barrier-wait histogram, plan uploads vs reuses, and
-respawns.
+Observability: ``engine.shm.*`` counters -- solves, rounds, worker
+gauge, per-round shard-size histogram, the per-worker barrier-wait
+histogram, plan uploads vs reuses, and respawns.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core.equations import OrdinaryIRSystem
-from ..core.gir import GIRSolveStats
-from ..core.moebius import run_moebius_sequential
-from ..core.ordinary import SolveStats, _maybe_check, _sequential_baseline
-from ..core.sequential import run_gir
-from ..errors import (
-    FaultError,
-    IterationBudgetExceeded,
-    PoolSpawnError,
-    SolveTimeoutError,
-)
-from ..obs import get_registry, get_tracer, maybe_span, merge_worker_snapshots
+from ..errors import FaultError, PoolSpawnError
+from ..obs import get_registry, merge_worker_snapshots
 from ..obs.recorder import record_event
-from .plan import GIRPlan, MoebiusPlan, OrdinaryPlan
+from .exec_moebius import affine_coefficients
 from .shm_pool import (
     BARRIER_TIMEOUT_S,
     CTRL_CRASH,
@@ -73,12 +58,7 @@ from .shm_pool import (
     get_pool,
 )
 
-__all__ = [
-    "execute_ordinary",
-    "execute_gir",
-    "execute_moebius",
-    "DEFAULT_WORKERS",
-]
+__all__ = ["ShmRounds", "ShmAffine", "ShmTraces", "DEFAULT_WORKERS"]
 
 #: Watchdog budget when neither ``watchdog_s`` nor a policy timeout is
 #: given: generous enough that no honest solve trips it, far below the
@@ -119,42 +99,6 @@ def _get_pool(workers: int):
             f"could not spawn the shm worker pool ({workers} workers): "
             f"{exc!r}"
         ) from exc
-
-
-def _record_exhausted(label: str, reason: str) -> None:
-    registry = get_registry()
-    if registry is not None:
-        registry.counter(
-            "resilience.policy.exhausted", label=label, reason=reason
-        ).inc()
-
-
-def _policy_preamble(
-    policy, label: str, rounds_total: int
-) -> Tuple[int, Optional[str], Optional[float]]:
-    """Apply ``max_rounds`` up front; returns ``(rounds_to_run,
-    rounds_exhaustion, deadline)``.  ``rounds_exhaustion`` is set when
-    the schedule was truncated (the caller applies the policy's
-    ``on_exhaustion`` behaviour); ``deadline`` is the absolute
-    wall-clock bound workers check cooperatively."""
-    rounds_to_run = rounds_total
-    exhausted = None
-    deadline = None
-    if policy is not None:
-        if policy.max_rounds is not None and rounds_total > policy.max_rounds:
-            exhausted = "rounds"
-            rounds_to_run = policy.max_rounds
-            _record_exhausted(label, "rounds")
-            if policy.on_exhaustion == "raise":
-                raise IterationBudgetExceeded(
-                    f"{label}: iteration budget of {policy.max_rounds} "
-                    "round(s) exhausted",
-                    rounds=policy.max_rounds,
-                    budget=policy.max_rounds,
-                )
-        if policy.timeout_s is not None:
-            deadline = time.time() + policy.timeout_s
-    return rounds_to_run, exhausted, deadline
 
 
 def _record_chaos(outcome: RunOutcome) -> None:
@@ -258,302 +202,221 @@ def _observe_run(
         merge_worker_snapshots(registry, outcome.worker_metrics)
 
 
-def _schedule_entry(pool: ShmWorkerPool, plan: OrdinaryPlan) -> Dict[str, Any]:
-    entry, uploaded = pool.schedule_blocks(plan)
+def _upload_counted(uploaded: bool) -> None:
     registry = get_registry()
     if registry is not None:
         name = "engine.shm.plan.uploads" if uploaded else "engine.shm.plan.reuses"
         registry.counter(name).inc()
-    return entry
 
 
-def _timeout_error(label: str, policy, started: float) -> SolveTimeoutError:
-    elapsed = time.time() - started
-    return SolveTimeoutError(
-        f"{label}: wall-clock budget of {policy.timeout_s}s exhausted",
-        elapsed=elapsed,
-        timeout=policy.timeout_s,
-    )
+class _Pooled:
+    """One job on the worker pool: the options every shm kernel reads
+    (``workers``, ``watchdog_s``, ``max_retries``, ``chaos`` and the
+    test-only ``_test_crash`` hook) and the launch protocol."""
 
+    pooled = True
+    family = "ordinary"
 
-# ---------------------------------------------------------------------------
-# Ordinary family
-# ---------------------------------------------------------------------------
+    def __init__(self, job):
+        opts = job.options
+        self.workers = int(opts.get("workers", DEFAULT_WORKERS))
+        chaos = opts.get("chaos")
+        if chaos is not None and hasattr(chaos, "resolve"):
+            chaos = chaos.resolve(self.workers)
+        self.faults = {"crash": opts.get("_test_crash"), "chaos": chaos}
+        self.watchdog_s = _watchdog_budget(job.policy, opts.get("watchdog_s"))
+        self.retries = int(opts.get("max_retries", DEFAULT_RETRIES))
+        self.deadline = job.deadline
+        self.attrs = {"workers": self.workers}
+        #: set when the workers stopped at the policy deadline
+        self.timed_out = False
 
-
-def execute_ordinary(
-    system,
-    plan: OrdinaryPlan,
-    *,
-    workers: int = DEFAULT_WORKERS,
-    collect_stats: bool = False,
-    f_initial: Optional[List[Any]] = None,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-    crash: Optional[Dict[str, Any]] = None,
-    chaos: Optional[Dict[str, Any]] = None,
-    watchdog_s: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    """Replay ``plan`` over ``system``'s values across the worker pool.
-
-    Requires a typed operator; round semantics (operand order, active
-    sets) are identical to the ``numpy`` backend, so typed results are
-    bit-identical to it.  ``crash`` is the test-only fault-injection
-    hook (``{"rank": r, "round": k, "once": bool}``); ``chaos`` is a
-    resolved :meth:`repro.chaos.ChaosPlan.resolve` payload;
-    ``watchdog_s`` overrides the supervisor's hang budget (see
-    :func:`_watchdog_budget`); ``retries`` bounds respawn-and-retry.
-    """
-    op = system.op
-    if op.vector_fn is None or op.dtype is None:
-        raise ValueError(
-            "the shm backend needs a NumPy-typed operator (vector_fn + "
-            f"dtype); operator {op.name!r} is object-typed -- use "
-            "backend='numpy' or backend='python' instead"
-        )
-    n = plan.n
-    label = "ordinary.shm"
-    started = time.time()
-    rounds_to_run, rounds_exhausted, deadline = _policy_preamble(
-        policy, label, plan.rounds
-    )
-    stats = (
-        SolveStats(n=n, init_ops=plan.init_ops) if collect_stats else None
-    )
-    if rounds_exhausted == "rounds" and policy.on_exhaustion == "fallback":
-        out = _sequential_baseline(system, f_initial)
-        _maybe_check(system, out, f_initial, checked, check_sample)
-        return out, stats
-
-    S = system.initial
-    dtype = np.dtype(op.dtype)
-    init = np.asarray(S, dtype=dtype)
-    finit = (
-        init if f_initial is None else np.asarray(f_initial, dtype=dtype)
-    )
-
-    tracer = get_tracer()
-    with maybe_span(
-        tracer, "solver.ordinary", engine="shm", n=n, workers=workers
-    ) as root:
-        pool = _get_pool(workers)
-        entry = _schedule_entry(pool, plan)
-        val_shm = pool.data_block("ordinary.val", n * dtype.itemsize)
-        scratch_shm = pool.data_block("ordinary.scratch", n * dtype.itemsize)
+    def _launch(
+        self,
+        pool: ShmWorkerPool,
+        job: Dict[str, Any],
+        init_buffers: Callable[[], None],
+        active_sizes: List[int],
+    ) -> int:
+        """Run ``job['rounds']`` rounds; returns the rounds executed."""
         ctrl_shm = pool.data_block("ctrl", CTRL_SLOTS * 8)
         ctrl = np.ndarray((CTRL_SLOTS,), dtype="int64", buffer=ctrl_shm.buf)
         ctrl[CTRL_CRASH] = 0
-        val = np.ndarray((n,), dtype=dtype, buffer=val_shm.buf)
 
-        def init_buffers() -> None:
+        def init() -> None:
             ctrl[CTRL_STOP] = 0
-            val[:] = init[plan.g]
-            t = plan.terminal_idx
-            if t.size:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    val[t] = op.vector_fn(finit[plan.f[t]], val[t])
+            init_buffers()
 
-        job = {
-            "kind": "ordinary",
-            "rounds": rounds_to_run,
-            "offsets": entry["offsets"],
-            "total": entry["total"],
-            "n": n,
-            "dtype": str(dtype),
-            "sched_active": entry["active"].name,
-            "sched_src": entry["src"].name,
-            "ctrl": ctrl_shm.name,
-            "data": {"val": val_shm.name, "scratch": scratch_shm.name},
-            "op": op.vector_fn,
-            "deadline": deadline,
-            "barrier_timeout": BARRIER_TIMEOUT_S,
-            "crash": crash,
-            "chaos": chaos,
-            "obs": get_registry() is not None,
-        }
+        job.update(
+            ctrl=ctrl_shm.name,
+            deadline=self.deadline,
+            barrier_timeout=BARRIER_TIMEOUT_S,
+            obs=get_registry() is not None,
+            **self.faults,
+        )
         outcome: Optional[RunOutcome] = None
-        if rounds_to_run > 0:
+        executed = 0
+        if job["rounds"] > 0:
             outcome = _drive(
                 pool,
                 job,
-                deadline=deadline,
-                init_buffers=init_buffers,
-                retries=retries,
-                watchdog_s=_watchdog_budget(policy, watchdog_s),
+                deadline=self.deadline,
+                init_buffers=init,
+                retries=self.retries,
+                watchdog_s=self.watchdog_s,
             )
             executed = outcome.rounds
-            timed_out = outcome.exhausted == "timeout" or bool(outcome.wedged)
+            self.timed_out = outcome.exhausted == "timeout" or bool(outcome.wedged)
         else:
-            init_buffers()
-            executed = 0
-            timed_out = False
+            init()
+        _observe_run(self.family, self.workers, executed, active_sizes, outcome)
+        return executed
 
-        _observe_run("ordinary", workers, executed, plan.active_per_round, outcome)
-        if stats is not None:
-            stats.rounds = executed
-            stats.active_per_round = plan.active_per_round[:executed]
-        if root is not None:
-            root.set_attribute("rounds", executed)
-
-        if timed_out:
-            _record_exhausted(label, "timeout")
-            if policy.on_exhaustion == "raise":
-                raise _timeout_error(label, policy, started)
-            if policy.on_exhaustion == "fallback":
-                out = _sequential_baseline(system, f_initial)
-                _maybe_check(system, out, f_initial, checked, check_sample)
-                return out, stats
-
-        out = list(S)
-        solved = val.tolist()
-        for i, cell in enumerate(plan.g.tolist()):
-            out[cell] = solved[i]
-        partial = timed_out or rounds_exhausted is not None
-        if not partial:
-            _maybe_check(system, out, f_initial, checked, check_sample)
-        return out, stats
+    def _round_job(self, pool, kind, rounds, dtype, data, op) -> Dict[str, Any]:
+        """The job of ``rounds`` rounds of ``self.sched``, whose schedule
+        ships to the pool once per plan."""
+        sched = self.sched
+        entry, uploaded = pool.schedule_blocks(sched)
+        _upload_counted(uploaded)
+        return {
+            "kind": kind,
+            "rounds": rounds,
+            "offsets": entry["offsets"],
+            "total": entry["total"],
+            "n": sched.n,
+            "dtype": str(dtype),
+            "sched_active": entry["active"].name,
+            "sched_src": entry["src"].name,
+            "data": data,
+            "op": op,
+        }
 
 
-# ---------------------------------------------------------------------------
-# GIR family
-# ---------------------------------------------------------------------------
+class ShmRounds(_Pooled):
+    """Ordinary round kernel over the pool.  Round semantics (operand
+    order, active sets) are identical to the ``numpy`` kernel, so typed
+    results are bit-identical to it."""
 
+    label = "shm"
 
-def execute_gir(
-    system,
-    problem,
-    plan: Optional[GIRPlan],
-    *,
-    workers: int = DEFAULT_WORKERS,
-    collect_stats: bool = False,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-    crash: Optional[Dict[str, Any]] = None,
-    chaos: Optional[Dict[str, Any]] = None,
-    watchdog_s: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-) -> Tuple[List[Any], Optional[GIRSolveStats], GIRPlan]:
-    """Evaluate a GIR plan's power table across the worker pool.
-
-    Planning (renaming, dependence graph, CAP) runs master-side via
-    :func:`repro.engine.exec_gir.build_plan`; the CSR table arrays are
-    uploaded once per ``(fingerprint, power period)`` and every worker
-    evaluates a contiguous shard of trace rows with the same vectorized
-    kernel the numpy backend uses, so typed results are bit-identical
-    to it.  Requires a *power-typed* operator: ``vector_fn`` +
-    ``vector_power`` + ``dtype``, with exponents reducible into int64
-    (either directly or through the operator's ``power_period``).
-
-    Ordinary-shaped systems dispatch to :func:`execute_ordinary` on the
-    nested plan, exactly as the in-process executors dispatch.
-
-    A :class:`~repro.resilience.SolvePolicy` acts in two places: its
-    iteration budget bounds the CAP doubling loop at *plan* time (as on
-    every backend), and its wall clock rides the job as the workers'
-    cooperative deadline.  ``crash`` / ``chaos`` / ``watchdog_s`` /
-    ``retries`` behave as in :func:`execute_ordinary`.
-    """
-    from . import exec_gir
-
-    if plan is None:
-        system.validate()
-        dispatch = exec_gir._should_dispatch(system, problem)
-    else:
-        dispatch = plan.dispatch is not None
-
-    if dispatch:
-        from . import exec_ordinary
-
-        ordinary = OrdinaryIRSystem(
-            initial=list(system.initial),
-            g=system.g,
-            f=system.f,
-            op=system.op,
-        )
-        if plan is None:
-            plan = GIRPlan(
-                fingerprint=problem.fingerprint(),
-                n=system.n,
-                m=system.m,
-                dispatch=exec_ordinary.build_plan(
-                    ordinary, problem.fingerprint()
-                ),
+    def __init__(self, job):
+        super().__init__(job)
+        op = self.op = job.op
+        if op.vector_fn is None or op.dtype is None:
+            raise ValueError(
+                "the shm backend needs a NumPy-typed operator (vector_fn + "
+                f"dtype); operator {op.name!r} is object-typed -- use "
+                "backend='numpy' or backend='python' instead"
             )
-        out, ord_stats = execute_ordinary(
-            ordinary,
-            plan.dispatch,
-            workers=workers,
-            collect_stats=collect_stats,
-            policy=policy,
-            crash=crash,
-            chaos=chaos,
-            watchdog_s=watchdog_s,
-            retries=retries,
+        self.sched = job.sched
+        self.dtype = dtype = np.dtype(op.dtype)
+        self.init = np.asarray(job.init, dtype=dtype)
+        self.finit = (
+            self.init
+            if job.finit is job.init
+            else np.asarray(job.finit, dtype=dtype)
         )
-        stats = None
-        if collect_stats:
-            assert ord_stats is not None
-            stats = GIRSolveStats(
-                n=system.n,
-                cap_iterations=0,
-                cap_edge_work=0,
-                power_ops=0,
-                combine_ops=ord_stats.total_ops,
-                reduction_depth=ord_stats.depth,
-                renamed=False,
-                ordinary_dispatch=True,
+
+    def run(self, rounds: int) -> int:
+        sched, dtype, op = self.sched, self.dtype, self.op
+        n = sched.n
+        pool = _get_pool(self.workers)
+        val_shm = pool.data_block("ordinary.val", n * dtype.itemsize)
+        scratch_shm = pool.data_block("ordinary.scratch", n * dtype.itemsize)
+        self.val = val = np.ndarray((n,), dtype=dtype, buffer=val_shm.buf)
+
+        def init_buffers() -> None:
+            val[:] = self.init[sched.g]
+            t = sched.terminal_idx
+            if t.size:
+                val[t] = op.vector_fn(self.finit[sched.f[t]], val[t])
+
+        data = {"val": val_shm.name, "scratch": scratch_shm.name}
+        job = self._round_job(pool, "ordinary", rounds, dtype, data, op.vector_fn)
+        return self._launch(pool, job, init_buffers, sched.active_per_round)
+
+    def solved(self):
+        return self.val
+
+
+class ShmAffine(_Pooled):
+    """The Moebius affine ``(a, b)`` sweep over the pool."""
+
+    label = "shm.affine"
+    family = "moebius"
+
+    def __init__(self, job):
+        super().__init__(job)
+        self.sched = job.sched
+        self.a0, self.b0 = affine_coefficients(job.source, job.sched)
+
+    def run(self, rounds: int) -> int:
+        sched = self.sched
+        n = sched.n
+        pool = _get_pool(self.workers)
+        blocks = {
+            role: pool.data_block(f"affine.{role}", n * 8)
+            for role in ("a", "b", "sa", "sb")
+        }
+        a = np.ndarray((n,), dtype="float64", buffer=blocks["a"].buf)
+        self.b = b = np.ndarray((n,), dtype="float64", buffer=blocks["b"].buf)
+
+        def init_buffers() -> None:
+            a[:] = self.a0
+            b[:] = self.b0
+
+        data = {role: blocks[role].name for role in blocks}
+        job = self._round_job(pool, "affine", rounds, "float64", data, None)
+        return self._launch(pool, job, init_buffers, sched.active_per_round)
+
+    def solved(self):
+        return self.b  # completed maps end constant: value = b
+
+
+class ShmTraces(_Pooled):
+    """GIR trace evaluation over the pool: every worker evaluates a
+    contiguous shard of power-table rows in one round.  Requires a
+    *power-typed* operator -- ``vector_fn`` + ``vector_power`` +
+    ``dtype``, with exponents reducible into int64 (directly or through
+    the operator's ``power_period``)."""
+
+    label = "shm"
+    family = "gir"
+
+    def __init__(self, job):
+        super().__init__(job)
+        self.plan, self.op = job.sched, job.source.op
+        op = self.op
+        if op.vector_fn is None or op.vector_power is None or op.dtype is None:
+            raise ValueError(
+                "the shm backend needs a power-typed operator (vector_fn + "
+                f"vector_power + dtype); operator {op.name!r} cannot evaluate "
+                "traces across a process boundary -- use backend='numpy' or "
+                "backend='python' instead"
             )
-        if checked:
-            from ..resilience.verify import differential_check
+        self.dtype = dtype = np.dtype(op.dtype)
+        try:
+            self.initial = np.asarray(job.source.initial, dtype=dtype)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"initial values do not fit operator dtype {op.dtype!r} for "
+                f"the shm backend ({exc!r}) -- use backend='numpy' or "
+                "backend='python' instead"
+            ) from exc
+        domain_check = getattr(op.vector_power, "domain_check", None)
+        if domain_check is not None and not domain_check(self.initial):
+            raise ValueError(
+                f"initial values fall outside operator {op.name!r}'s "
+                "vectorized domain for the shm backend -- use "
+                "backend='numpy' or backend='python' instead"
+            )
 
-            differential_check("gir", system, out, sample=check_sample)
-        return out, stats, plan
-
-    op = system.op
-    op.require_commutative()
-    if op.vector_fn is None or op.vector_power is None or op.dtype is None:
-        raise ValueError(
-            "the shm backend needs a power-typed operator (vector_fn + "
-            f"vector_power + dtype); operator {op.name!r} cannot evaluate "
-            "traces across a process boundary -- use backend='numpy' or "
-            "backend='python' instead"
-        )
-    dtype = np.dtype(op.dtype)
-    try:
-        initial_arr = np.asarray(system.initial, dtype=dtype)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"initial values do not fit operator dtype {op.dtype!r} for "
-            f"the shm backend ({exc!r}) -- use backend='numpy' or "
-            "backend='python' instead"
-        ) from exc
-    domain_check = getattr(op.vector_power, "domain_check", None)
-    if domain_check is not None and not domain_check(initial_arr):
-        raise ValueError(
-            f"initial values fall outside operator {op.name!r}'s "
-            "vectorized domain for the shm backend -- use "
-            "backend='numpy' or backend='python' instead"
-        )
-
-    label = "gir.shm"
-    started = time.time()
-    deadline = None
-    if policy is not None and policy.timeout_s is not None:
-        deadline = time.time() + policy.timeout_s
-
-    tracer = get_tracer()
-    registry = get_registry()
-    with maybe_span(
-        tracer, "solver.gir", engine="shm", n=system.n, workers=workers
-    ) as root:
-        if plan is None:
-            plan = exec_gir.build_plan(system, problem, policy=policy)
+    def evaluate(self):
+        """``(row values, typed initial array, mode)``; the values are
+        ``None`` when the workers stopped at the policy deadline."""
+        plan, op, dtype, initial = self.plan, self.op, self.dtype, self.initial
         table = plan.table
-        period = op.power_period
-        if table.reduced_exponents(period) is None:
+        if table.reduced_exponents(op.power_period) is None:
             raise ValueError(
                 "the shm backend needs int64-reducible trace exponents; "
                 f"operator {op.name!r} has no power period and this "
@@ -561,44 +424,16 @@ def execute_gir(
                 "backend='numpy' or backend='python' instead"
             )
         n_rows = table.rows
-        power_ops = table.power_entry_count
-        combine_ops = table.nnz - table.rows
-        stats = None
-        if collect_stats:
-            stats = GIRSolveStats(
-                n=n_rows,
-                cap_iterations=plan.cap_iterations,
-                cap_edge_work=plan.cap_edge_work,
-                power_ops=power_ops,
-                combine_ops=combine_ops,
-                reduction_depth=table.reduction_depth,
-                renamed=plan.renamed,
-            )
-
-        pool = _get_pool(workers)
-        entry, uploaded = pool.gir_blocks(plan, period)
-        if registry is not None:
-            name = (
-                "engine.shm.plan.uploads"
-                if uploaded
-                else "engine.shm.plan.reuses"
-            )
-            registry.counter(name).inc()
-        init_shm = pool.data_block(
-            "gir.init", initial_arr.size * dtype.itemsize
-        )
+        pool = _get_pool(self.workers)
+        entry, uploaded = pool.gir_blocks(plan, op.power_period)
+        _upload_counted(uploaded)
+        init_shm = pool.data_block("gir.init", initial.size * dtype.itemsize)
         out_shm = pool.data_block("gir.out", n_rows * dtype.itemsize)
-        ctrl_shm = pool.data_block("ctrl", CTRL_SLOTS * 8)
-        ctrl = np.ndarray((CTRL_SLOTS,), dtype="int64", buffer=ctrl_shm.buf)
-        ctrl[CTRL_CRASH] = 0
-        init_view = np.ndarray(
-            (initial_arr.size,), dtype=dtype, buffer=init_shm.buf
-        )
+        init_view = np.ndarray((initial.size,), dtype=dtype, buffer=init_shm.buf)
         out_view = np.ndarray((n_rows,), dtype=dtype, buffer=out_shm.buf)
 
         def init_buffers() -> None:
-            ctrl[CTRL_STOP] = 0
-            init_view[:] = initial_arr
+            init_view[:] = initial
             out_view[:] = 0  # retry hygiene: stale rows never leak
 
         job = {
@@ -613,236 +448,12 @@ def execute_gir(
                 "cells": entry["cells"].name,
                 "exps": entry["exps"].name,
                 "nnz": entry["nnz"],
-                "init_len": int(initial_arr.size),
+                "init_len": int(initial.size),
             },
-            "ctrl": ctrl_shm.name,
             "data": {"init": init_shm.name, "out": out_shm.name},
             "op": {"fn": op.vector_fn, "power": op.vector_power},
-            "deadline": deadline,
-            "barrier_timeout": BARRIER_TIMEOUT_S,
-            "crash": crash,
-            "chaos": chaos,
-            "obs": registry is not None,
         }
-        outcome = _drive(
-            pool,
-            job,
-            deadline=deadline,
-            init_buffers=init_buffers,
-            retries=retries,
-            watchdog_s=_watchdog_budget(policy, watchdog_s),
-        )
-        executed = outcome.rounds
-        timed_out = outcome.exhausted == "timeout" or bool(outcome.wedged)
-
-        _observe_run("gir", workers, executed, [n_rows], outcome)
-        if root is not None:
-            root.set_attribute("cap_iterations", plan.cap_iterations)
-            root.set_attribute("renamed", plan.renamed)
-            root.set_attribute("power_ops", power_ops)
-            root.set_attribute("combine_ops", combine_ops)
-        if registry is not None:
-            registry.counter("solver.solves", engine="gir").inc()
-            registry.counter("gir.power_ops").inc(power_ops)
-            registry.counter("gir.combine_ops").inc(combine_ops)
-
-        if timed_out:
-            _record_exhausted(label, "timeout")
-            if policy.on_exhaustion == "raise":
-                raise _timeout_error(label, policy, started)
-            if policy.on_exhaustion == "fallback":
-                out = run_gir(system)
-                return out, stats, plan
-            # "partial": the single evaluation round never ran, so the
-            # partial result is the untouched initial array.
-            return list(system.initial), stats, plan
-
-        values = out_view.copy()
-        out = exec_gir._scatter(plan, system, values, initial_arr)
-
-    if checked:
-        from ..resilience.verify import differential_check
-
-        differential_check("gir", system, out, sample=check_sample)
-    return out, stats, plan
-
-
-# ---------------------------------------------------------------------------
-# Moebius affine fast path
-# ---------------------------------------------------------------------------
-
-
-def execute_moebius(
-    rec,
-    problem,
-    plan: Optional[MoebiusPlan],
-    *,
-    workers: int = DEFAULT_WORKERS,
-    path: str = "auto",
-    guard: Any = "auto",
-    collect_stats: bool = False,
-    policy=None,
-    checked: bool = False,
-    check_sample: Optional[int] = 64,
-    crash: Optional[Dict[str, Any]] = None,
-    chaos: Optional[Dict[str, Any]] = None,
-    watchdog_s: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-) -> Tuple[List[Any], Optional[SolveStats], MoebiusPlan]:
-    """Moebius front door of the shm backend: the affine fast path
-    only, with the standard guard/escalation ladder on top (escalation
-    rungs run master-side on the exact object engine)."""
-    from . import exec_moebius
-    from ..resilience.guard import NumericGuard, default_guard
-
-    rec.validate()
-    auto = path == "auto"
-    if isinstance(guard, str):
-        if guard != "auto":
-            raise ValueError(f"unknown guard mode {guard!r}")
-        guard_obj: Optional[NumericGuard] = default_guard() if auto else None
-    else:
-        guard_obj = guard
-    resolved = exec_moebius.resolve_path(rec, path)
-    if resolved != "affine":
-        raise ValueError(
-            "the shm backend covers the NumPy-typed affine fast path; this "
-            f"recurrence resolves to the {resolved!r} path -- use "
-            "backend='numpy' (or 'python') for object/rational solves"
-        )
-    if plan is None:
-        plan = exec_moebius.build_plan(rec, problem.fingerprint())
-
-    X, stats = _execute_affine(
-        rec,
-        plan,
-        workers=workers,
-        collect_stats=collect_stats,
-        policy=policy,
-        crash=crash,
-        chaos=chaos,
-        watchdog_s=watchdog_s,
-        retries=retries,
-    )
-    if guard_obj is not None:
-        X, stats = exec_moebius._escalate_if_unhealthy(
-            rec,
-            plan,
-            X,
-            stats,
-            engine="shm.affine",
-            guard=guard_obj,
-            collect_stats=collect_stats,
-            policy=policy,
-        )
-    if checked:
-        from ..resilience.verify import differential_check
-
-        differential_check("moebius", rec, X, sample=check_sample)
-    return X, stats, plan
-
-
-def _execute_affine(
-    rec,
-    plan: MoebiusPlan,
-    *,
-    workers: int,
-    collect_stats: bool,
-    policy,
-    crash: Optional[Dict[str, Any]],
-    chaos: Optional[Dict[str, Any]] = None,
-    watchdog_s: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-) -> Tuple[List[Any], Optional[SolveStats]]:
-    from .exec_moebius import affine_coefficients
-
-    sched = plan.ordinary
-    n = rec.n
-    label = "moebius.shm"
-    started = time.time()
-    rounds_to_run, rounds_exhausted, deadline = _policy_preamble(
-        policy, label, sched.rounds
-    )
-    stats = (
-        SolveStats(n=n, init_ops=sched.init_ops) if collect_stats else None
-    )
-    if rounds_exhausted == "rounds" and policy.on_exhaustion == "fallback":
-        return run_moebius_sequential(rec), stats
-
-    a0, b0 = affine_coefficients(rec, sched)
-
-    tracer = get_tracer()
-    with maybe_span(
-        tracer, "solver.moebius", engine="shm.affine", n=n, workers=workers
-    ) as root:
-        pool = _get_pool(workers)
-        entry = _schedule_entry(pool, sched)
-        blocks = {
-            role: pool.data_block(f"affine.{role}", n * 8)
-            for role in ("a", "b", "sa", "sb")
-        }
-        ctrl_shm = pool.data_block("ctrl", CTRL_SLOTS * 8)
-        ctrl = np.ndarray((CTRL_SLOTS,), dtype="int64", buffer=ctrl_shm.buf)
-        ctrl[CTRL_CRASH] = 0
-        a = np.ndarray((n,), dtype="float64", buffer=blocks["a"].buf)
-        b = np.ndarray((n,), dtype="float64", buffer=blocks["b"].buf)
-
-        def init_buffers() -> None:
-            ctrl[CTRL_STOP] = 0
-            a[:] = a0
-            b[:] = b0
-
-        job = {
-            "kind": "affine",
-            "rounds": rounds_to_run,
-            "offsets": entry["offsets"],
-            "total": entry["total"],
-            "n": n,
-            "dtype": "float64",
-            "sched_active": entry["active"].name,
-            "sched_src": entry["src"].name,
-            "ctrl": ctrl_shm.name,
-            "data": {role: blocks[role].name for role in blocks},
-            "op": None,
-            "deadline": deadline,
-            "barrier_timeout": BARRIER_TIMEOUT_S,
-            "crash": crash,
-            "chaos": chaos,
-            "obs": get_registry() is not None,
-        }
-        outcome: Optional[RunOutcome] = None
-        if rounds_to_run > 0:
-            outcome = _drive(
-                pool,
-                job,
-                deadline=deadline,
-                init_buffers=init_buffers,
-                retries=retries,
-                watchdog_s=_watchdog_budget(policy, watchdog_s),
-            )
-            executed = outcome.rounds
-            timed_out = outcome.exhausted == "timeout" or bool(outcome.wedged)
-        else:
-            init_buffers()
-            executed = 0
-            timed_out = False
-
-        _observe_run("moebius", workers, executed, sched.active_per_round, outcome)
-        if stats is not None:
-            stats.rounds = executed
-            stats.active_per_round = sched.active_per_round[:executed]
-        if root is not None:
-            root.set_attribute("rounds", executed)
-
-        if timed_out:
-            _record_exhausted(label, "timeout")
-            if policy.on_exhaustion == "raise":
-                raise _timeout_error(label, policy, started)
-            if policy.on_exhaustion == "fallback":
-                return run_moebius_sequential(rec), stats
-
-        out = list(rec.initial)
-        values = b.tolist()  # completed maps end constant: value = b
-        for i, cell in enumerate(sched.g.tolist()):
-            out[cell] = values[i]
-        return out, stats
+        self._launch(pool, job, init_buffers, [n_rows])
+        if self.timed_out:
+            return None, None, "shm"
+        return out_view.copy(), initial, "shm"

@@ -1,15 +1,10 @@
 """Typed engine configuration: one frozen options record for every
 front door.
 
-Historically the engine's configuration travelled as loose keyword
-arguments -- ``backend=`` / ``policy=`` / ``checked=`` /
-``check_sample=`` / ``verify_plan=`` / ``failover=`` on
+:class:`EngineOptions` is the only way to configure
 :func:`repro.engine.solve`, :func:`~repro.engine.execute`,
 :func:`~repro.engine.solve_batch` and
-:class:`~repro.engine.session.Session`, plus ``workers`` buried in a
-free-form ``options`` dict.  :class:`EngineOptions` replaces that
-sprawl with one immutable dataclass accepted everywhere via
-``options=``::
+:class:`~repro.engine.session.Session` -- passed as ``options=``::
 
     from repro.engine import EngineOptions, Session, solve
 
@@ -17,11 +12,9 @@ sprawl with one immutable dataclass accepted everywhere via
     result = solve(system, options=opts)
     session = Session(system, options=opts.replace(checked=False))
 
-The loose keywords still work for one release (a single
-:class:`DeprecationWarning` names the replacement); unknown keywords
-keep raising :class:`ValueError` naming the valid set.  The record is
-hashable via :meth:`key`, which is what lets the serving layer
-(:mod:`repro.serve`) coalesce concurrent requests that share a
+Unknown keywords raise :class:`ValueError` naming the valid set.  The
+record is hashable via :meth:`key`, which is what lets the serving
+layer (:mod:`repro.serve`) coalesce concurrent requests that share a
 problem *and* a configuration, and :meth:`to_dict` /
 :meth:`from_dict` define the wire format ``repro.serve`` request JSON
 maps onto 1:1.

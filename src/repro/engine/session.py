@@ -12,13 +12,13 @@ replay.
 This is the preferred entry point when the same recurrence structure
 (index maps + operator) is solved repeatedly over different data::
 
-    from repro.engine import Session
+    from repro.engine import EngineOptions, Session
 
-    session = Session(system, backend="auto")
+    session = Session(system, options=EngineOptions(backend="numpy"))
     out = session.solve(values).values          # one value vector
     rows = session.solve_batch(value_matrix)    # many at once
 
-Sessions hold the same ``backend= / policy= / checked=`` knobs as
+Sessions take the same :class:`~repro.engine.options.EngineOptions` as
 :func:`repro.engine.solve`, fixed at construction so every request is
 served under one configuration.  They are cheap enough to build per
 problem and are safe to keep for the process lifetime; like the rest
@@ -35,24 +35,24 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry
-from .api import EngineResult, _reject_unknown, _resolve_engine_options, _UNSET
-from .backends import Backend, ExecutionRequest, resolve_backend
-from .failover import failover_ladder, run_ladder
+from .api import (
+    EngineResult,
+    _check_preconditions,
+    _reject_unknown,
+    _verified,
+    dispatch,
+    request_for,
+)
+from .backends import Backend, resolve_backend
+from .driver import build_plan
+from .failover import failover_ladder
 from .options import EngineOptions
 from .plan import Plan
 from .problem import Problem
 
 __all__ = ["Session", "SessionPool"]
 
-_SESSION_KWARGS = (
-    "backend",
-    "policy",
-    "checked",
-    "check_sample",
-    "verify_plan",
-    "failover",
-    "options",
-)
+_SESSION_KWARGS = ("options",)
 _SOLVE_KWARGS = ("f_initial", "collect_stats")
 _BATCH_KWARGS = ("f_initial_batch",)
 
@@ -72,47 +72,19 @@ class Session:
         arguments.
     options:
         The unified :class:`~repro.engine.options.EngineOptions`
-        record (or, historically, a plain dict of backend extras:
-        ``workers`` for ``shm``, Moebius ``path`` / ``guard``, PRAM
-        ``processors``, ...), frozen for the session's lifetime.
-    backend, policy, checked, check_sample, verify_plan, failover:
-        The deprecated loose forms of the same knobs (see
-        :func:`repro.engine.solve`); they still override ``options``
-        for one release and the first use warns once.
-        ``verify_plan`` opts into :mod:`repro.check`: preconditions
-        are proved and the pinned plan verified at construction (GIR
-        plans, captured from the first solve, are verified at
-        capture), and ``failover=True`` (default) arms the backend
-        failover ladder, resolved once at construction.
+        record (or a plain dict of backend extras: ``workers`` for
+        ``shm``, Moebius ``path`` / ``guard``, PRAM ``processors``,
+        ...), frozen for the session's lifetime.  ``verify_plan``
+        opts into :mod:`repro.check`: preconditions are proved and the
+        pinned plan verified at construction (GIR plans, captured from
+        the first solve, are verified at capture); ``failover=True``
+        (default) arms the backend failover ladder, resolved once at
+        construction.
     """
 
-    def __init__(
-        self,
-        source: Any,
-        *,
-        backend: Any = _UNSET,
-        policy: Any = _UNSET,
-        checked: Any = _UNSET,
-        check_sample: Any = _UNSET,
-        verify_plan: Any = _UNSET,
-        failover: Any = _UNSET,
-        options: Any = None,
-        **unknown: Any,
-    ):
+    def __init__(self, source: Any, *, options: Any = None, **unknown: Any):
         _reject_unknown("Session", unknown, _SESSION_KWARGS)
-        opts = _resolve_engine_options(
-            "Session",
-            options,
-            {
-                "backend": backend,
-                "policy": policy,
-                "checked": checked,
-                "check_sample": check_sample,
-                "verify_plan": verify_plan,
-                "failover": failover,
-            },
-        )
-        self._opts = opts
+        self._opts = opts = EngineOptions.from_value(options, where="Session")
         self._source = source
         self._problem = Problem.from_system(source)
         self._backend: Backend = resolve_backend(opts.backend, self._problem)
@@ -123,11 +95,6 @@ class Session:
             raise ValueError(
                 f"backend {self._backend.name!r} does not support SolvePolicy"
             )
-        self._policy = opts.policy
-        self._checked = opts.checked
-        self._check_sample = opts.check_sample
-        self._verify = opts.verify_plan
-        self._options = opts.request_options()
         # Ladders are structural (family + capabilities), so resolve
         # them once here rather than per request.
         self._ladder: List[Backend] = (
@@ -139,18 +106,18 @@ class Session:
             if opts.failover
             else [self._backend]
         )
-        self._plan = self._build_plan()
-        if self._verify:
-            from .api import _check_preconditions
-
+        # GIR plans (which depend on the rename/dispatch pipeline) are
+        # captured from the first solve; the PRAM machine does not plan.
+        self._plan: Optional[Plan] = None
+        if self._backend.name != "pram" and self.family != "gir":
+            self._plan = build_plan(source, self._problem)
+        if opts.verify_plan:
             _check_preconditions(self._source, self._problem)
             if self._plan is not None:
                 self._verify_pinned(self._plan)
 
     def _verify_pinned(self, plan: Plan) -> None:
-        from .api import _verified
-
-        workers = self._options.get("workers")
+        workers = self._opts.workers
         if workers is not None:
             from ..check.schedule import verify_or_raise
 
@@ -162,30 +129,6 @@ class Session:
             )
         else:
             _verified(plan, self._problem, self._source, stage="session")
-
-    # -- construction ------------------------------------------------------
-
-    def _build_plan(self) -> Optional[Plan]:
-        """Pin the plan now for the families whose planners are
-        value-independent entry points; GIR plans (which depend on the
-        rename/dispatch pipeline inside the executor) are captured from
-        the first solve, and the PRAM machine does not plan."""
-        if self._backend.name == "pram":
-            return None
-        family = self._problem.family
-        if family == "ordinary":
-            from . import exec_ordinary
-
-            return exec_ordinary.build_plan(
-                self._source, self._problem.fingerprint()
-            )
-        if family == "moebius":
-            from . import exec_moebius
-
-            return exec_moebius.build_plan(
-                self._source, self._problem.fingerprint()
-            )
-        return None
 
     # -- introspection -----------------------------------------------------
 
@@ -211,13 +154,12 @@ class Session:
 
     @property
     def options(self) -> EngineOptions:
-        """The resolved :class:`EngineOptions` this session serves
-        under (loose constructor keywords already folded in)."""
+        """The :class:`EngineOptions` this session serves under."""
         return self._opts
 
     @property
     def policy(self):
-        return self._policy
+        return self._opts.policy
 
     @property
     def batch_capable(self) -> bool:
@@ -258,56 +200,15 @@ class Session:
         """
         _reject_unknown("Session.solve", unknown, _SOLVE_KWARGS)
         source = self._source if values is None else self._with_values(values)
-        request = ExecutionRequest(
-            problem=self._problem,
-            source=source,
-            plan=self._plan,
-            collect_stats=collect_stats,
-            policy=self._policy,
-            checked=self._checked,
-            check_sample=self._check_sample,
+        request = request_for(
+            self._opts,
+            self._problem,
+            source,
+            self._plan,
             f_initial=f_initial,
-            options=dict(self._options),
+            collect_stats=collect_stats,
         )
-        registry = get_registry()
-        started = time.perf_counter() if registry is not None else 0.0
-        served = self._backend
-        failover_from = None
-        if len(self._ladder) > 1:
-            outcome, served, failover_from = run_ladder(
-                self._ladder,
-                self.fingerprint,
-                self._problem.family,
-                lambda b: b.execute(request),
-            )
-            out, stats, built_plan, metrics = outcome
-        else:
-            out, stats, built_plan, metrics = self._backend.execute(request)
-        if self._plan is None and built_plan is not None:
-            if self._verify:
-                self._verify_pinned(built_plan)
-            self._plan = built_plan  # GIR: pin from the first solve
-        if registry is not None:
-            registry.counter(
-                "engine.session.solves",
-                backend=served.name,
-                family=self._problem.family,
-            ).inc()
-            registry.histogram(
-                "engine.session.latency_s",
-                backend=served.name,
-                family=self._problem.family,
-            ).observe(time.perf_counter() - started)
-        return EngineResult(
-            values=out,
-            stats=stats,
-            backend=served.name,
-            family=self._problem.family,
-            plan=self._plan,
-            cache_hit=self._plan is not None,
-            metrics=metrics,
-            failover_from=failover_from,
-        )
+        return self._serve(self._ladder, request)
 
     def solve_batch(
         self,
@@ -324,49 +225,33 @@ class Session:
                 f"backend {self._backend.name!r} does not support batched "
                 "execution"
             )
-        request = ExecutionRequest(
-            problem=self._problem,
-            source=self._source,
-            plan=self._plan,
-            policy=self._policy,
-            checked=self._checked,
-            check_sample=self._check_sample,
-            options=dict(self._options),
-        )
+        request = request_for(self._opts, self._problem, self._source, self._plan)
+        return self._serve(
+            self._batch_ladder, request, batch_values, f_initial_batch
+        ).values
+
+    def _serve(self, rungs, request, rows=None, f_rows=None) -> EngineResult:
         registry = get_registry()
         started = time.perf_counter() if registry is not None else 0.0
-        served = self._backend
-        if len(self._batch_ladder) > 1:
-            outcome, served, _failover_from = run_ladder(
-                self._batch_ladder,
-                self.fingerprint,
-                self._problem.family,
-                lambda b: b.execute_batch(request, batch_values, f_initial_batch),
-            )
-            rows, built_plan = outcome
-        else:
-            rows, built_plan = self._backend.execute_batch(
-                request, batch_values, f_initial_batch
-            )
-        if self._plan is None and built_plan is not None:
-            if self._verify:
-                self._verify_pinned(built_plan)
-            self._plan = built_plan
+        result = dispatch(rungs, request, rows, f_rows)
+        if self._plan is None and result.plan is not None:
+            if self._opts.verify_plan:
+                self._verify_pinned(result.plan)
+            self._plan = result.plan  # GIR: pin from the first solve
+        result.plan, result.cache_hit = self._plan, self._plan is not None
         if registry is not None:
-            registry.counter(
-                "engine.session.solves",
-                backend=served.name,
-                family=self._problem.family,
-            ).inc(len(batch_values))
-            registry.counter(
-                "engine.session.batch.solves", backend=served.name
-            ).inc()
-            registry.histogram(
-                "engine.session.latency_s",
-                backend=served.name,
-                family=self._problem.family,
-            ).observe(time.perf_counter() - started)
-        return rows
+            labels = {"backend": result.backend, "family": self.family}
+            registry.counter("engine.session.solves", **labels).inc(
+                1 if rows is None else len(rows)
+            )
+            if rows is not None:
+                registry.counter(
+                    "engine.session.batch.solves", backend=result.backend
+                ).inc()
+            registry.histogram("engine.session.latency_s", **labels).observe(
+                time.perf_counter() - started
+            )
+        return result
 
 
 class _PoolEntry:

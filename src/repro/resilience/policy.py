@@ -113,48 +113,46 @@ class PolicyEnforcer:
         self.started = budget_clock()
         self.exhausted: Optional[str] = None  # None | "rounds" | "timeout"
 
-    def _record(self, reason: str) -> None:
+    def admit(self) -> bool:
+        """True when the next round fits the budget; counts the round."""
+        policy = self.policy
+        if policy.max_rounds is not None and self.rounds >= policy.max_rounds:
+            return self.exhaust("rounds")
+        if policy.timeout_s is not None:
+            if budget_clock() - self.started > policy.timeout_s:
+                return self.exhaust("timeout")
+        self.rounds += 1
+        return True
+
+    def exhaust(self, reason: str) -> bool:
+        """Record exhaustion (``"rounds"`` / ``"timeout"``, also one the
+        shm workers detected); raise under ``"raise"``, else ``False``."""
         self.exhausted = reason
         record_event(
-            "policy.exhausted",
-            label=self.label,
-            reason=reason,
-            rounds=self.rounds,
+            "policy.exhausted", label=self.label, reason=reason, rounds=self.rounds
         )
         registry = get_registry()
         if registry is not None:
             registry.counter(
                 "resilience.policy.exhausted", label=self.label, reason=reason
             ).inc()
-
-    def admit(self) -> bool:
-        """True when the next round fits the budget; counts the round."""
         policy = self.policy
-        if policy.max_rounds is not None and self.rounds >= policy.max_rounds:
-            self._record("rounds")
-            if policy.on_exhaustion == "raise":
-                raise IterationBudgetExceeded(
-                    f"{self.label}: iteration budget of "
-                    f"{policy.max_rounds} round(s) exhausted",
-                    rounds=self.rounds,
-                    budget=policy.max_rounds,
-                )
+        if policy.on_exhaustion != "raise":
             return False
-        if policy.timeout_s is not None:
-            elapsed = budget_clock() - self.started
-            if elapsed > policy.timeout_s:
-                self._record("timeout")
-                if policy.on_exhaustion == "raise":
-                    raise SolveTimeoutError(
-                        f"{self.label}: wall-clock budget of "
-                        f"{policy.timeout_s}s exhausted after "
-                        f"{self.rounds} round(s)",
-                        elapsed=elapsed,
-                        timeout=policy.timeout_s,
-                    )
-                return False
-        self.rounds += 1
-        return True
+        if reason == "rounds":
+            raise IterationBudgetExceeded(
+                f"{self.label}: iteration budget of "
+                f"{policy.max_rounds} round(s) exhausted",
+                rounds=self.rounds,
+                budget=policy.max_rounds,
+            )
+        elapsed = budget_clock() - self.started
+        raise SolveTimeoutError(
+            f"{self.label}: wall-clock budget of {policy.timeout_s}s "
+            f"exhausted after {self.rounds} round(s)",
+            elapsed=elapsed,
+            timeout=policy.timeout_s,
+        )
 
     @property
     def should_fallback(self) -> bool:

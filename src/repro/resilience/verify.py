@@ -96,17 +96,17 @@ def differential_check(
     *,
     sample: Optional[int] = 64,
     seed: int = 0,
+    f_initial: Optional[Sequence[Any]] = None,
 ) -> None:
     """Re-run the sequential oracle for ``system`` and compare.
 
-    ``kind`` selects the oracle: ``"ordinary"`` or ``"gir"`` run
-    :mod:`repro.core.sequential`; ``"moebius"`` runs the sequential
-    Moebius recurrence loop.
+    ``kind`` selects the sequential loop: ``"ordinary"`` (honoring an
+    ``f_initial`` override), ``"gir"`` or ``"moebius"``.
     """
     if kind == "ordinary":
-        from ..core import sequential
+        from ..core.ordinary import _sequential_baseline
 
-        oracle = sequential.run_ordinary(system)
+        oracle = _sequential_baseline(system, f_initial)
     elif kind == "gir":
         from ..core import sequential
 

@@ -15,9 +15,10 @@ shims had:
   rename/dispatch knobs;
 * ``solve_moebius`` maps the historical ``engine=`` names onto the
   engine's backend + ``options={"path": ...}``;
-* ``solve_affine_numpy`` / ``solve_rational_numpy`` call the fast-path
-  executors *directly* (plan-cached, never the guard's degradation
-  ladder) -- their historical bit-level contract.
+* ``solve_affine_numpy`` / ``solve_rational_numpy`` pin the numpy
+  backend's ``affine`` / ``rational`` path (``options={"path": ...}``);
+  an explicit path runs unguarded unless a guard is passed -- their
+  historical bit-level contract.
 
 All return ``(values, stats)`` tuples like the originals.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.engine import EngineOptions
 from repro.engine import solve as engine_solve
 
 __all__ = [
@@ -42,7 +44,6 @@ def solve_ordinary(
     system,
     *,
     collect_stats: bool = False,
-    max_rounds: Optional[int] = None,
     f_initial: Optional[List[Any]] = None,
     policy=None,
     checked: bool = False,
@@ -50,13 +51,14 @@ def solve_ordinary(
 ) -> Tuple[List[Any], Any]:
     result = engine_solve(
         system,
-        backend="python",
         collect_stats=collect_stats,
-        max_rounds=max_rounds,
         f_initial=f_initial,
-        policy=policy,
-        checked=checked,
-        check_sample=check_sample,
+        options=EngineOptions(
+            backend="python",
+            policy=policy,
+            checked=checked,
+            check_sample=check_sample,
+        ),
     )
     return result.values, result.stats
 
@@ -72,12 +74,14 @@ def solve_ordinary_numpy(
 ) -> Tuple[List[Any], Any]:
     result = engine_solve(
         system,
-        backend="numpy",
         collect_stats=collect_stats,
         f_initial=f_initial,
-        policy=policy,
-        checked=checked,
-        check_sample=check_sample,
+        options=EngineOptions(
+            backend="numpy",
+            policy=policy,
+            checked=checked,
+            check_sample=check_sample,
+        ),
     )
     return result.values, result.stats
 
@@ -94,13 +98,15 @@ def solve_gir(
 ) -> Tuple[List[Any], Any]:
     result = engine_solve(
         system,
-        backend="numpy",
         collect_stats=collect_stats,
         allow_rename=allow_rename,
         allow_ordinary_dispatch=allow_ordinary_dispatch,
-        policy=policy,
-        checked=checked,
-        check_sample=check_sample,
+        options=EngineOptions(
+            backend="numpy",
+            policy=policy,
+            checked=checked,
+            check_sample=check_sample,
+        ),
     )
     return result.values, result.stats
 
@@ -121,30 +127,29 @@ def solve_moebius(
     )
     result = engine_solve(
         rec,
-        backend=backend,
         collect_stats=collect_stats,
-        policy=policy,
-        checked=checked,
-        check_sample=check_sample,
-        options={"path": path, "guard": guard},
+        options=EngineOptions(
+            backend=backend,
+            policy=policy,
+            checked=checked,
+            check_sample=check_sample,
+            backend_options={"path": path, "guard": guard},
+        ),
     )
     return result.values, result.stats
 
 
-def _cached_moebius_plan(rec):
-    """Fetch (or build and cache) the shared pointer-jumping plan."""
-    from repro.engine.exec_moebius import build_plan
-    from repro.engine.planner import get_plan_cache
-    from repro.engine.problem import Problem
-
-    problem = Problem.from_system(rec)
-    cache = get_plan_cache()
-    plan = cache.get(problem.fingerprint(), family="moebius")
-    if plan is None:
-        rec.validate()
-        plan = build_plan(rec, problem.fingerprint())
-        cache.put(problem.fingerprint(), plan)
-    return plan
+def _fast_path(rec, path, collect_stats, guard, policy):
+    result = engine_solve(
+        rec,
+        collect_stats=collect_stats,
+        options=EngineOptions(
+            backend="numpy",
+            policy=policy,
+            backend_options={"path": path, "guard": guard},
+        ),
+    )
+    return result.values, result.stats
 
 
 def solve_affine_numpy(
@@ -154,12 +159,7 @@ def solve_affine_numpy(
     guard=None,
     policy=None,
 ) -> Tuple[List[Any], Any]:
-    from repro.engine.exec_moebius import execute_affine
-
-    plan = _cached_moebius_plan(rec)
-    return execute_affine(
-        rec, plan, collect_stats=collect_stats, guard=guard, policy=policy
-    )
+    return _fast_path(rec, "affine", collect_stats, guard, policy)
 
 
 def solve_rational_numpy(
@@ -169,9 +169,4 @@ def solve_rational_numpy(
     guard=None,
     policy=None,
 ) -> Tuple[List[Any], Any]:
-    from repro.engine.exec_moebius import execute_rational
-
-    plan = _cached_moebius_plan(rec)
-    return execute_rational(
-        rec, plan, collect_stats=collect_stats, guard=guard, policy=policy
-    )
+    return _fast_path(rec, "rational", collect_stats, guard, policy)

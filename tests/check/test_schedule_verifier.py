@@ -29,7 +29,7 @@ from repro.core.workloads import (
     random_ordinary_system,
     scatter_system,
 )
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 from repro.engine.plan import plan_from_dict, plan_to_dict
 from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
@@ -39,7 +39,11 @@ WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def plan_for(system):
-    result = solve(system, backend="numpy", cache=PlanCache())
+    result = solve(
+        system,
+        cache=PlanCache(),
+        options=EngineOptions(backend="numpy"),
+    )
     assert result.plan is not None
     return Problem.from_system(system), result.plan
 

@@ -12,7 +12,7 @@ from repro.cli import main
 from repro.core import FLOAT_MUL
 from repro.core.serialize import dump_system
 from repro.core.workloads import chain_system, fibonacci_gir_system
-from repro.engine import Session, execute, solve
+from repro.engine import EngineOptions, Session, execute, solve
 from repro.engine.plan import plan_to_dict
 from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
@@ -32,16 +32,26 @@ def counter_value(registry, name, **labels):
 class TestSolveSeam:
     def test_verified_solve_matches_unverified(self):
         system = chain_system(120)
-        plain = solve(system, backend="numpy", cache=PlanCache())
+        plain = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        )
         checked = solve(
-            system, backend="numpy", cache=PlanCache(), verify_plan=True
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy", verify_plan=True),
         )
         assert checked.values == plain.values
 
     def test_counters_count_accepted_verifications(self):
         system = chain_system(60)
         with obs.observed() as (_tracer, registry):
-            solve(system, backend="numpy", cache=PlanCache(), verify_plan=True)
+            solve(
+                system,
+                cache=PlanCache(),
+                options=EngineOptions(backend="numpy", verify_plan=True),
+            )
         assert (
             counter_value(
                 registry,
@@ -63,24 +73,40 @@ class TestSolveSeam:
 
     def test_caller_plan_verified_before_execution(self):
         system = chain_system(80)
-        good = solve(system, backend="numpy", cache=PlanCache()).plan
+        good = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        ).plan
         bad = mutate_plan(good, "perturb_gather", seed=0).plan
         with pytest.raises(PlanVerificationError):
-            execute(bad, system, backend="numpy", verify_plan=True)
+            execute(
+                bad,
+                system,
+                options=EngineOptions(backend="numpy", verify_plan=True),
+            )
         # The same corrupted plan runs unchecked without the opt-in --
         # that's exactly the hole verify_plan= closes.
-        execute(bad, system, backend="numpy")
+        execute(bad, system, options=EngineOptions(backend="numpy"))
 
     def test_poisoned_cache_hit_rejected(self):
         system = chain_system(70)
         problem = Problem.from_system(system)
-        good = solve(system, backend="numpy", cache=PlanCache()).plan
+        good = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        ).plan
         cache = PlanCache()
         cache.put(
             problem.fingerprint(), mutate_plan(good, "corrupt_pred", seed=1).plan
         )
         with pytest.raises(PlanVerificationError) as exc_info:
-            solve(system, backend="numpy", cache=cache, verify_plan=True)
+            solve(
+                system,
+                cache=cache,
+                options=EngineOptions(backend="numpy", verify_plan=True),
+            )
         assert exc_info.value.report is not None
 
     def test_precondition_failure_raises_before_planning(self):
@@ -90,20 +116,30 @@ class TestSolveSeam:
             [1.0, 1.0, 1.0], [1, 1], [0, 0], ADD, validate=False
         )
         with pytest.raises(PlanVerificationError) as exc_info:
-            solve(system, backend="numpy", cache=PlanCache(), verify_plan=True)
+            solve(
+                system,
+                cache=PlanCache(),
+                options=EngineOptions(backend="numpy", verify_plan=True),
+            )
         assert exc_info.value.findings[0].code == "PRE001"
 
 
 class TestSessionSeam:
     def test_session_verifies_pinned_plan(self):
         system = chain_system(90)
-        session = Session(system, backend="numpy", verify_plan=True)
-        plain = Session(system, backend="numpy")
+        session = Session(
+            system,
+            options=EngineOptions(backend="numpy", verify_plan=True),
+        )
+        plain = Session(system, options=EngineOptions(backend="numpy"))
         assert session.solve().values == plain.solve().values
 
     def test_gir_session_verifies_captured_plan(self):
         system = fibonacci_gir_system(12)
-        session = Session(system, backend="numpy", verify_plan=True)
+        session = Session(
+            system,
+            options=EngineOptions(backend="numpy", verify_plan=True),
+        )
         result = session.solve()
         assert result.plan is not None  # captured and verified
 
@@ -115,13 +151,21 @@ class TestCLI:
         return str(path)
 
     def test_check_accepts_genuine_plan_file(self, tmp_path, capsys):
-        plan = solve(chain_system(100), backend="numpy", cache=PlanCache()).plan
+        plan = solve(
+            chain_system(100),
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        ).plan
         path = self.write_plan(tmp_path, plan, "plan.json")
         assert main(["check", path, "--workers", "2", "--workers", "4"]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_check_rejects_mutated_plan_with_exit_8(self, tmp_path, capsys):
-        plan = solve(chain_system(100), backend="numpy", cache=PlanCache()).plan
+        plan = solve(
+            chain_system(100),
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        ).plan
         bad = mutate_plan(plan, "swap_rounds", seed=0).plan
         path = self.write_plan(tmp_path, bad, "bad.json")
         assert main(["check", path, "--json"]) == 8

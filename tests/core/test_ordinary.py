@@ -15,6 +15,7 @@ from repro.core import (
     run_ordinary,
 )
 from repro.core.traces import max_chain_length
+from repro.resilience import SolvePolicy
 
 from ..conftest import ordinary_systems
 from .._legacy_solvers import solve_ordinary, solve_ordinary_numpy
@@ -122,7 +123,9 @@ class TestRoundBounds:
     def test_max_rounds_truncates(self):
         sys_ = chain(16)
         out_partial, stats = solve_ordinary(
-            sys_, collect_stats=True, max_rounds=1
+            sys_,
+            collect_stats=True,
+            policy=SolvePolicy(max_rounds=1, on_exhaustion="partial"),
         )
         assert stats.rounds == 1
         assert out_partial != run_ordinary(sys_)

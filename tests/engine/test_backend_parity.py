@@ -19,7 +19,7 @@ from repro.core import (
     run_ordinary,
 )
 from repro.core.operators import modular_add
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 
 ORDINARY_BACKENDS = ["python", "numpy", "pram"]
 PLANNED_BACKENDS = ["python", "numpy"]
@@ -80,13 +80,16 @@ def adversarial_ordinary():
 class TestOrdinaryParity:
     def test_adversarial_systems(self, backend):
         for sys_ in adversarial_ordinary():
-            assert solve(sys_, backend=backend).values == run_ordinary(sys_)
+            assert (
+                solve(sys_, options=EngineOptions(backend=backend)).values
+                == run_ordinary(sys_)
+            )
 
     def test_seeded_random_exact(self, backend):
         rng = np.random.default_rng(20260806)
         for trial in range(8):
             sys_ = random_ordinary(rng, n=rng.integers(1, 20), extra=4)
-            got = solve(sys_, backend=backend).values
+            got = solve(sys_, options=EngineOptions(backend=backend)).values
             assert got == run_ordinary(sys_), f"trial {trial}"
 
     def test_seeded_random_float_tolerance(self, backend):
@@ -95,14 +98,21 @@ class TestOrdinaryParity:
             sys_ = random_ordinary(
                 rng, n=12, extra=3, op=FLOAT_ADD, float_values=True
             )
-            got = solve(sys_, backend=backend).values
+            got = solve(sys_, options=EngineOptions(backend=backend)).values
             want = run_ordinary(sys_)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_checked_against_oracle(self, backend):
         rng = np.random.default_rng(99)
         sys_ = random_ordinary(rng, n=10, extra=2)
-        result = solve(sys_, backend=backend, checked=True, check_sample=None)
+        result = solve(
+            sys_,
+            options=EngineOptions(
+                backend=backend,
+                checked=True,
+                check_sample=None,
+            ),
+        )
         assert result.values == run_ordinary(sys_)
 
 
@@ -112,7 +122,10 @@ class TestGIRParity:
         rng = np.random.default_rng(11)
         for _ in range(6):
             sys_ = random_gir(rng, n=int(rng.integers(1, 14)), extra=3)
-            assert solve(sys_, backend=backend).values == run_gir(sys_)
+            assert (
+                solve(sys_, options=EngineOptions(backend=backend)).values
+                == run_gir(sys_)
+            )
 
     def test_seeded_random_repeated_g(self, backend):
         rng = np.random.default_rng(13)
@@ -120,14 +133,19 @@ class TestGIRParity:
             sys_ = random_gir(
                 rng, n=int(rng.integers(1, 12)), extra=4, distinct_g=False
             )
-            assert solve(sys_, backend=backend).values == run_gir(sys_)
+            assert (
+                solve(sys_, options=EngineOptions(backend=backend)).values
+                == run_gir(sys_)
+            )
 
     def test_no_dispatch_path(self, backend):
         # force the CAP pipeline even on ordinary-shaped systems
         rng = np.random.default_rng(17)
         sys_ = random_gir(rng, n=8, extra=2)
         got = solve(
-            sys_, backend=backend, allow_ordinary_dispatch=False
+            sys_,
+            allow_ordinary_dispatch=False,
+            options=EngineOptions(backend=backend),
         ).values
         assert got == run_gir(sys_)
 
@@ -150,7 +168,7 @@ class TestMoebiusParity:
                 rng.uniform(0.1, 0.4, size=n).tolist(),
                 [1.0] * n,
             )
-            got = solve(rec, backend=backend).values
+            got = solve(rec, options=EngineOptions(backend=backend)).values
             want = run_moebius_sequential(rec)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
 
@@ -159,12 +177,18 @@ class TestPRAMLimits:
     def test_gir_rejected(self):
         sys_ = GIRSystem.build([1, 2], [1], [0], [0], modular_add(97))
         with pytest.raises(ValueError, match="does not support"):
-            solve(sys_, backend="pram")
+            solve(sys_, options=EngineOptions(backend="pram"))
 
     def test_metrics_payload(self):
         sys_ = OrdinaryIRSystem.build(
             [(f"s{j}",) for j in range(5)], [1, 2, 3, 4], [0, 1, 2, 3], CONCAT
         )
-        result = solve(sys_, backend="pram", options={"processors": 2})
+        result = solve(
+            sys_,
+            options=EngineOptions(
+                backend="pram",
+                backend_options={"processors": 2},
+            ),
+        )
         assert result.metrics is not None
         assert result.plan is None  # the machine does not plan

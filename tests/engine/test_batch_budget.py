@@ -16,7 +16,7 @@ import pytest
 from repro.core import OrdinaryIRSystem
 from repro.core.moebius import RationalRecurrence
 from repro.core.operators import Operator
-from repro.engine import solve_batch
+from repro.engine import EngineOptions, solve_batch
 from repro.errors import SolveTimeoutError
 from repro.resilience import SolvePolicy
 from repro.resilience import policy as policy_mod
@@ -62,7 +62,9 @@ class TestOrdinaryBatchBudget:
         sys_ = ticking_chain(clock)
         policy = SolvePolicy(timeout_s=100.0, on_exhaustion="raise")
         rows = solve_batch(
-            sys_, [sys_.initial], backend="numpy", policy=policy
+            sys_,
+            [sys_.initial],
+            options=EngineOptions(backend="numpy", policy=policy),
         )
         assert len(rows) == 1
         assert clock.now > 0  # the operator really drove the clock
@@ -79,8 +81,7 @@ class TestOrdinaryBatchBudget:
             solve_batch(
                 sys_,
                 [sys_.initial] * 40,
-                backend="numpy",
-                policy=policy,
+                options=EngineOptions(backend="numpy", policy=policy),
             )
 
     def test_rows_within_budget_still_complete(self, clock):
@@ -91,7 +92,9 @@ class TestOrdinaryBatchBudget:
         )
         clock.now = 0.0
         rows = solve_batch(
-            sys_, [sys_.initial] * 5, backend="numpy", policy=policy
+            sys_,
+            [sys_.initial] * 5,
+            options=EngineOptions(backend="numpy", policy=policy),
         )
         assert len(rows) == 5
 
@@ -109,7 +112,7 @@ class TestOrdinaryBatchBudget:
 
 def _measure_row_cost(clock, sys_):
     before = clock.now
-    solve_batch(sys_, [sys_.initial], backend="numpy")
+    solve_batch(sys_, [sys_.initial], options=EngineOptions(backend="numpy"))
     return max(clock.now - before, 1e-9)
 
 
@@ -146,11 +149,14 @@ class TestMoebiusBatchBudget:
                 solve_batch(
                     rec,
                     [rec.initial] * 50,
-                    backend="numpy",
-                    policy=policy,
+                    options=EngineOptions(backend="numpy", policy=policy),
                 )
 
     def test_unbudgeted_batch_is_unaffected(self, clock):
         rec = self.make_rec()
-        rows = solve_batch(rec, [rec.initial] * 3, backend="numpy")
+        rows = solve_batch(
+            rec,
+            [rec.initial] * 3,
+            options=EngineOptions(backend="numpy"),
+        )
         assert len(rows) == 3

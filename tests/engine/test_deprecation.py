@@ -1,5 +1,5 @@
 """Removed legacy entry points: every ``repro.core`` solver shim is
-gone, and the module-level tombstones name the engine replacement."""
+gone -- looking one up is a plain ``AttributeError``."""
 
 import pytest
 
@@ -31,30 +31,19 @@ HOME_MODULE = {
 class TestPackageTombstones:
     @pytest.mark.parametrize("name", REMOVED)
     def test_core_attribute_gone(self, name):
-        with pytest.raises(AttributeError) as exc:
+        with pytest.raises(AttributeError):
             getattr(repro.core, name)
-        msg = str(exc.value)
-        assert name in msg
-        assert "removed in repro 1.2.0" in msg
-        assert "repro.engine.solve" in msg
 
     @pytest.mark.parametrize("name", REMOVED)
     def test_home_module_attribute_gone(self, name):
-        with pytest.raises(AttributeError) as exc:
+        with pytest.raises(AttributeError):
             getattr(HOME_MODULE[name], name)
-        msg = str(exc.value)
-        assert name in msg
-        assert "removed in repro 1.2.0" in msg
-        assert "repro.engine.solve" in msg
 
     # the two fast-path wrappers were never re-exported at the root
     @pytest.mark.parametrize("name", REMOVED[:4])
     def test_root_package_names_both_removals(self, name):
-        with pytest.raises(AttributeError) as exc:
+        with pytest.raises(AttributeError):
             getattr(repro, name)
-        msg = str(exc.value)
-        assert name in msg
-        assert "repro.solve(" in msg
 
     def test_unknown_attribute_is_plain_error(self):
         with pytest.raises(AttributeError) as exc:

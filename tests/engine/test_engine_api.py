@@ -1,8 +1,6 @@
 """The engine front door: solve / execute / solve_batch, plan reuse,
 cache bookkeeping, obs counters, and the resilience seam."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from repro.core import (
 )
 from repro.core.operators import modular_add
 from repro.engine import (
+    EngineOptions,
     available_backends,
     execute,
     plan_cache_info,
@@ -44,7 +43,7 @@ class TestRegistrySurface:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            solve(chain(3), backend="cuda")
+            solve(chain(3), options=EngineOptions(backend="cuda"))
 
 
 class TestEquivalenceWithWrappers:
@@ -54,12 +53,10 @@ class TestEquivalenceWithWrappers:
         sys_ = chain(8)
         from .._legacy_solvers import solve_ordinary, solve_ordinary_numpy
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old_py, _ = solve_ordinary(sys_)
-            old_np, _ = solve_ordinary_numpy(sys_)
-        assert solve(sys_, backend="python").values == old_py
-        assert solve(sys_, backend="numpy").values == old_np
+        old_py, _ = solve_ordinary(sys_)
+        old_np, _ = solve_ordinary_numpy(sys_)
+        assert solve(sys_, options=EngineOptions(backend="python")).values == old_py
+        assert solve(sys_, options=EngineOptions(backend="numpy")).values == old_np
         assert old_py == run_ordinary(sys_)
 
     def test_gir(self):
@@ -68,9 +65,7 @@ class TestEquivalenceWithWrappers:
         )
         from .._legacy_solvers import solve_gir
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old, _ = solve_gir(sys_)
+        old, _ = solve_gir(sys_)
         assert solve(sys_).values == old == run_gir(sys_)
 
     def test_moebius(self):
@@ -85,9 +80,7 @@ class TestEquivalenceWithWrappers:
         )
         from .._legacy_solvers import solve_moebius
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old, _ = solve_moebius(rec)
+        old, _ = solve_moebius(rec)
         got = solve(rec).values
         assert got == pytest.approx(old)
         assert got == pytest.approx(run_moebius_sequential(rec))
@@ -122,19 +115,19 @@ class TestPlanReuse:
     def test_execute_with_held_plan(self):
         sys_ = chain(9)
         plan = solve(sys_, reuse_plan=False).plan
-        result = execute(plan, sys_, backend="numpy")
+        result = execute(plan, sys_, options=EngineOptions(backend="numpy"))
         assert result.values == run_ordinary(sys_)
 
     def test_cached_plan_correct_across_backends(self):
         sys_ = chain(12)
-        solve(sys_, backend="numpy")  # populate
-        via_python = solve(sys_, backend="python")
+        solve(sys_, options=EngineOptions(backend="numpy"))  # populate
+        via_python = solve(sys_, options=EngineOptions(backend="python"))
         assert via_python.cache_hit
         assert via_python.values == run_ordinary(sys_)
 
     def test_pram_backend_bypasses_cache(self):
         sys_ = chain(5)
-        result = solve(sys_, backend="pram")
+        result = solve(sys_, options=EngineOptions(backend="pram"))
         assert not result.cache_hit
         assert result.plan is None
         assert plan_cache_info()["size"] == 0
@@ -144,7 +137,7 @@ class TestPlanReuse:
             [1, 2, 3, 4], [1, 2], [0, 0], [0, 1], modular_add(97)
         )
         policy = SolvePolicy(max_rounds=1, on_exhaustion="fallback")
-        solve(sys_, policy=policy)
+        solve(sys_, options=EngineOptions(policy=policy))
         assert plan_cache_info()["size"] == 0
         # an unbounded solve afterwards must build (and cache) a full plan
         clean = solve(sys_)
@@ -176,7 +169,11 @@ class TestBatchedExecution:
 
     def test_batch_requires_capable_backend(self):
         with pytest.raises(ValueError, match="batched"):
-            solve_batch(chain(3), [[(f"s{j}",) for j in range(4)]], backend="python")
+            solve_batch(
+                chain(3),
+                [[(f"s{j}",) for j in range(4)]],
+                options=EngineOptions(backend="python"),
+            )
 
     def test_batch_reuses_cached_plan(self):
         sys_ = chain(6, op=FLOAT_ADD, initial=[0.0] * 7)
@@ -216,7 +213,7 @@ class TestObsCounters:
         # the executors keep the historical solver.* series alive
         sys_ = chain(6)
         with obs.observed() as (_tracer, registry):
-            solve(sys_, backend="numpy")
+            solve(sys_, options=EngineOptions(backend="numpy"))
             assert registry.value("solver.solves", engine="numpy") == 1
             assert registry.value("solver.rounds", engine="numpy") == 3
 
@@ -225,21 +222,36 @@ class TestResilienceSeam:
     def test_policy_raise_through_engine(self):
         sys_ = chain(40)
         with pytest.raises(PolicyError):
-            solve(sys_, policy=SolvePolicy(max_rounds=1))
+            solve(
+                sys_,
+                options=EngineOptions(policy=SolvePolicy(max_rounds=1)),
+            )
 
     def test_policy_partial_through_engine(self):
         sys_ = chain(40)
         result = solve(
-            sys_, policy=SolvePolicy(max_rounds=1, on_exhaustion="partial")
+            sys_,
+            options=EngineOptions(
+                policy=SolvePolicy(max_rounds=1, on_exhaustion="partial"),
+            ),
         )
         assert len(result.values) == 41
 
     def test_checked_through_engine(self):
         for backend in ("python", "numpy", "pram"):
             sys_ = chain(9)
-            result = solve(sys_, backend=backend, checked=True)
+            result = solve(
+                sys_,
+                options=EngineOptions(backend=backend, checked=True),
+            )
             assert result.values == run_ordinary(sys_)
 
     def test_pram_rejects_policy(self):
         with pytest.raises(ValueError, match="does not support SolvePolicy"):
-            solve(chain(4), backend="pram", policy=SolvePolicy(max_rounds=5))
+            solve(
+                chain(4),
+                options=EngineOptions(
+                    backend="pram",
+                    policy=SolvePolicy(max_rounds=5),
+                ),
+            )

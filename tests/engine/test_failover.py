@@ -14,7 +14,13 @@ import pytest
 
 from repro import obs
 from repro.core import ADD, OrdinaryIRSystem, run_ordinary
-from repro.engine import Session, failover_ladder, get_backend, solve
+from repro.engine import (
+    EngineOptions,
+    Session,
+    failover_ladder,
+    get_backend,
+    solve,
+)
 from repro.engine.problem import Problem
 from repro.errors import FaultError
 from repro.resilience.breaker import (
@@ -144,8 +150,11 @@ class TestSolveFailover:
         with obs.observed() as (_tracer, registry):
             res = solve(
                 sys_,
-                backend="shm",
-                options={"workers": WORKERS, "_test_crash": PERSISTENT_CRASH},
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    backend_options={"_test_crash": PERSISTENT_CRASH},
+                ),
             )
         assert res.values == run_ordinary(sys_)
         assert res.backend == "numpy"
@@ -161,21 +170,28 @@ class TestSolveFailover:
         with pytest.raises(FaultError):
             solve(
                 int_chain(seed=11),
-                backend="shm",
-                failover=False,
-                options={"workers": WORKERS, "_test_crash": PERSISTENT_CRASH},
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    failover=False,
+                    backend_options={"_test_crash": PERSISTENT_CRASH},
+                ),
             )
 
     def test_breaker_opens_then_short_circuits_the_sick_rung(self):
         configure_breakers(threshold=1, cooldown_s=600.0)
         sys_ = int_chain(seed=12)
-        opts = {"workers": WORKERS, "_test_crash": PERSISTENT_CRASH}
-        first = solve(sys_, backend="shm", options=opts)
+        opts = EngineOptions(
+            backend="shm",
+            workers=WORKERS,
+            backend_options={"_test_crash": PERSISTENT_CRASH},
+        )
+        first = solve(sys_, options=opts)
         assert first.backend == "numpy"
         fp = Problem.from_system(sys_).fingerprint()
         assert get_breaker(fp, "shm").state == "open"
         with obs.observed() as (_tracer, registry):
-            second = solve(sys_, backend="shm", options=opts)
+            second = solve(sys_, options=opts)
         assert second.backend == "numpy"
         assert second.values == run_ordinary(sys_)
         snap = registry.snapshot()
@@ -193,7 +209,8 @@ class TestSolveFailover:
 
     def test_healthy_solve_reports_no_failover(self):
         res = solve(
-            int_chain(seed=13), backend="shm", options={"workers": WORKERS}
+            int_chain(seed=13),
+            options=EngineOptions(backend="shm", workers=WORKERS),
         )
         assert res.backend == "shm"
         assert res.failover_from is None
@@ -204,11 +221,11 @@ class TestSessionFailover:
         sys_ = int_chain(n=600, seed=14)
         session = Session(
             sys_,
-            backend="shm",
-            options={
-                "workers": WORKERS,
-                "_test_crash": {"rank": 0, "round": 1, "once": True},
-            },
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                backend_options={"_test_crash": {"rank": 0, "round": 1, "once": True}},
+            ),
         )
         res = session.solve()
         assert res.values == run_ordinary(sys_)
@@ -219,8 +236,11 @@ class TestSessionFailover:
         sys_ = int_chain(n=600, seed=15)
         session = Session(
             sys_,
-            backend="shm",
-            options={"workers": WORKERS, "_test_crash": PERSISTENT_CRASH},
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                backend_options={"_test_crash": PERSISTENT_CRASH},
+            ),
         )
         res = session.solve()
         assert res.values == run_ordinary(sys_)
@@ -231,9 +251,12 @@ class TestSessionFailover:
         sys_ = int_chain(n=600, seed=16)
         session = Session(
             sys_,
-            backend="shm",
-            failover=False,
-            options={"workers": WORKERS, "_test_crash": PERSISTENT_CRASH},
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                failover=False,
+                backend_options={"_test_crash": PERSISTENT_CRASH},
+            ),
         )
         with pytest.raises(FaultError):
             session.solve()
@@ -245,12 +268,16 @@ class TestSessionFailover:
         sys_ = int_chain(n=600, seed=17)
         sick = Session(
             sys_,
-            backend="shm",
-            options={"workers": WORKERS, "_test_crash": PERSISTENT_CRASH},
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                backend_options={"_test_crash": PERSISTENT_CRASH},
+            ),
         )
         assert sick.solve().backend == "numpy"
         healthy = Session(
-            sys_, backend="shm", options={"workers": WORKERS}
+            sys_,
+            options=EngineOptions(backend="shm", workers=WORKERS),
         )
         res = healthy.solve()  # cooldown 0: probe admitted immediately
         assert res.backend == "shm"

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import run_gir
 from repro.core import cap as cap_module
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 from repro.engine.planner import PlanCache
 
 from ..conftest import gir_systems
@@ -26,7 +26,11 @@ class TestBackendParity:
     def test_python_and_numpy_match_oracle(self, sys_):
         oracle = run_gir(sys_)
         for backend in ("python", "numpy"):
-            res = solve(sys_, backend=backend, cache=PlanCache())
+            res = solve(
+                sys_,
+                cache=PlanCache(),
+                options=EngineOptions(backend=backend),
+            )
             assert res.values == oracle, backend
 
     @given(gir_systems(distinct_g=False, max_n=20))
@@ -35,7 +39,11 @@ class TestBackendParity:
         # non-distinct g exercises single-assignment renaming
         oracle = run_gir(sys_)
         for backend in ("python", "numpy"):
-            res = solve(sys_, backend=backend, cache=PlanCache())
+            res = solve(
+                sys_,
+                cache=PlanCache(),
+                options=EngineOptions(backend=backend),
+            )
             assert res.values == oracle, backend
 
     @given(gir_systems(distinct_g=True, max_n=20))
@@ -45,9 +53,11 @@ class TestBackendParity:
         for mode in ("rows", "batched"):
             res = solve(
                 sys_,
-                backend="numpy",
                 cache=PlanCache(),
-                options={"gir_eval": mode},
+                options=EngineOptions(
+                    backend="numpy",
+                    backend_options={"gir_eval": mode},
+                ),
             )
             assert res.values == oracle, mode
 
@@ -61,10 +71,8 @@ class TestBackendParity:
         oracle = run_gir(sys_)
         res = solve(
             sys_,
-            backend="shm",
             cache=PlanCache(),
-            failover=False,
-            options={"workers": 2},
+            options=EngineOptions(backend="shm", workers=2, failover=False),
         )
         assert res.values == oracle
 
@@ -80,7 +88,11 @@ class TestScipyAbsenceParity:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cap_module, "_scipy_sparse", lambda: None)
             for backend in ("python", "numpy"):
-                res = solve(sys_, backend=backend, cache=PlanCache())
+                res = solve(
+                    sys_,
+                    cache=PlanCache(),
+                    options=EngineOptions(backend=backend),
+                )
                 assert res.values == oracle, backend
 
     @given(gir_systems(distinct_g=True, max_n=16))
@@ -91,5 +103,9 @@ class TestScipyAbsenceParity:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cap_module, "_scipy_sparse", lambda: None)
             mp.setattr(cap_module, "_DENSE_MAX_NODES", 2)
-            res = solve(sys_, backend="numpy", cache=PlanCache())
+            res = solve(
+                sys_,
+                cache=PlanCache(),
+                options=EngineOptions(backend="numpy"),
+            )
             assert res.values == oracle

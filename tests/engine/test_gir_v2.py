@@ -15,7 +15,13 @@ import pytest
 
 from repro.core import GIRSystem, run_gir
 from repro.core.operators import modular_add, modular_mul
-from repro.engine import plan_from_dict, plan_to_dict, solve, solve_batch
+from repro.engine import (
+    EngineOptions,
+    plan_from_dict,
+    plan_to_dict,
+    solve,
+    solve_batch,
+)
 from repro.engine.plan import PowerTable
 from repro.engine.planner import PlanCache
 
@@ -106,10 +112,12 @@ class TestEvaluationModes:
         for mode in ("rows", "batched", "auto"):
             res = solve(
                 system,
-                backend="numpy",
                 plan=plan,
                 cache=PlanCache(),
-                options={"gir_eval": mode},
+                options=EngineOptions(
+                    backend="numpy",
+                    backend_options={"gir_eval": mode},
+                ),
             )
             assert res.values == oracle, mode
 
@@ -119,24 +127,32 @@ class TestEvaluationModes:
         for mode in ("rows", "batched"):
             res = solve(
                 system,
-                backend="numpy",
                 cache=PlanCache(),
-                options={"gir_eval": mode},
+                options=EngineOptions(
+                    backend="numpy",
+                    backend_options={"gir_eval": mode},
+                ),
             )
             assert res.values == oracle, mode
 
     def test_python_backend_matches(self):
         system = leafy(500)
-        res = solve(system, backend="python", cache=PlanCache())
+        res = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="python"),
+        )
         assert res.values == run_gir(system)
 
     def test_unknown_eval_mode_rejected(self):
         with pytest.raises(ValueError, match="gir_eval"):
             solve(
                 leafy(10),
-                backend="numpy",
                 cache=PlanCache(),
-                options={"gir_eval": "warp"},
+                options=EngineOptions(
+                    backend="numpy",
+                    backend_options={"gir_eval": "warp"},
+                ),
             )
 
 
@@ -163,7 +179,11 @@ class TestShmScale:
     @pytest.fixture(scope="class")
     def big(self):
         system = fibonacci_powers(BIG_N)
-        reference = solve(system, backend="python", cache=PlanCache())
+        reference = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="python"),
+        )
         return system, reference.values
 
     @pytest.mark.parametrize("workers", (2, 4))
@@ -171,9 +191,8 @@ class TestShmScale:
         system, expect = big
         res = solve(
             system,
-            backend="shm",
             cache=PlanCache(),
-            options={"workers": workers},
+            options=EngineOptions(backend="shm", workers=workers),
         )
         assert res.backend == "shm"
         assert res.values == expect
@@ -182,12 +201,12 @@ class TestShmScale:
         system, expect = big
         res = solve(
             system,
-            backend="shm",
             cache=PlanCache(),
-            options={
-                "workers": 2,
-                "_test_crash": {"rank": 0, "round": 0, "once": False},
-            },
+            options=EngineOptions(
+                backend="shm",
+                workers=2,
+                backend_options={"_test_crash": {"rank": 0, "round": 0, "once": False}},
+            ),
         )
         assert res.backend == "numpy"
         assert res.failover_from == "shm"

@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core import ADD, OrdinaryIRSystem, run_ordinary
-from repro.engine import Session, solve
+from repro.engine import EngineOptions, Session, solve
 from repro.errors import FaultError
 from repro.obs.recorder import configure, get_recorder
 
@@ -40,7 +40,10 @@ class TestWorkerAggregation:
     def test_per_worker_and_merged_series(self):
         sys_ = int_chain()
         with obs.observed() as (_tracer, registry):
-            res = solve(sys_, backend="shm", options={"workers": WORKERS})
+            res = solve(
+                sys_,
+                options=EngineOptions(backend="shm", workers=WORKERS),
+            )
         assert res.values == run_ordinary(sys_)
 
         # one barrier-wait histogram per worker...
@@ -67,12 +70,15 @@ class TestWorkerAggregation:
 
     def test_no_worker_series_when_unobserved(self):
         sys_ = int_chain(seed=1)
-        res = solve(sys_, backend="shm", options={"workers": WORKERS})
+        res = solve(
+            sys_,
+            options=EngineOptions(backend="shm", workers=WORKERS),
+        )
         assert res.values == run_ordinary(sys_)
         # nothing to assert on a registry -- none existed; just ensure
         # a subsequent observed solve still reports cleanly
         with obs.observed() as (_tracer, registry):
-            solve(sys_, backend="shm", options={"workers": WORKERS})
+            solve(sys_, options=EngineOptions(backend="shm", workers=WORKERS))
         assert registry.get(
             "engine.shm.worker.rounds", proc="worker-0"
         ) is not None
@@ -85,12 +91,14 @@ class TestCrashReport:
         with pytest.raises(FaultError) as info:
             solve(
                 sys_,
-                backend="shm",
-                failover=False,  # must see the raw worker fault
-                options={
-                    "workers": WORKERS,
-                    "_test_crash": {"rank": 0, "round": 1, "once": False},
-                },
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    failover=False,
+                    backend_options={
+                        "_test_crash": {"rank": 0, "round": 1, "once": False},
+                    },
+                ),
             )
         exc = info.value
         assert exc.exit_code == 7
@@ -116,12 +124,14 @@ class TestCrashReport:
         with pytest.raises(FaultError) as info:
             solve(
                 sys_,
-                backend="shm",
-                failover=False,
-                options={
-                    "workers": WORKERS,
-                    "_test_crash": {"rank": 0, "round": 0, "once": False},
-                },
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    failover=False,
+                    backend_options={
+                        "_test_crash": {"rank": 0, "round": 0, "once": False},
+                    },
+                ),
             )
         assert info.value.crash_report_path is None
 
@@ -130,7 +140,7 @@ class TestSessionLatency:
     def test_latency_histogram_per_serve(self):
         sys_ = int_chain(n=300, seed=4)
         with obs.observed() as (_tracer, registry):
-            session = Session(sys_, backend="numpy")
+            session = Session(sys_, options=EngineOptions(backend="numpy"))
             for _ in range(5):
                 session.solve()
         h = registry.get(
@@ -147,7 +157,7 @@ class TestSessionLatency:
             for i in range(3)
         ]
         with obs.observed() as (_tracer, registry):
-            session = Session(sys_, backend="numpy")
+            session = Session(sys_, options=EngineOptions(backend="numpy"))
             session.solve_batch(rows)
         h = registry.get(
             "engine.session.latency_s", backend="numpy", family="ordinary"
@@ -156,6 +166,6 @@ class TestSessionLatency:
 
     def test_no_histogram_when_unobserved(self):
         sys_ = int_chain(n=100, seed=6)
-        session = Session(sys_, backend="numpy")
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
         out = session.solve()
         assert out.values == run_ordinary(sys_)

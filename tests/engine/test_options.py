@@ -1,7 +1,5 @@
-"""EngineOptions: the unified typed front-door configuration, the
-one-release loose-kwarg deprecation path, and the SessionPool."""
-
-import warnings
+"""EngineOptions: the unified typed front-door configuration (the only
+way to configure a solve) and the SessionPool."""
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.engine import (
     EngineOptions,
     Session,
     SessionPool,
-    reset_deprecation_warnings,
     solve,
     solve_batch,
 )
@@ -113,32 +110,21 @@ class TestFrontDoorIntegration:
         assert session.options.backend == "numpy"
         assert session.solve().values[-1] == sum(range(17))
 
-    def test_loose_kwargs_warn_once_naming_replacement(self):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solve(chain(), backend="numpy")
-            solve(chain(), backend="python")
-        relevant = [
-            w
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "EngineOptions" in str(w.message)
-        ]
-        assert len(relevant) == 1
-        reset_deprecation_warnings()
-
-    def test_loose_kwarg_overrides_options(self):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = solve(
-                chain(),
-                backend="python",
-                options=EngineOptions(backend="numpy"),
-            )
-        assert result.backend == "python"
-        reset_deprecation_warnings()
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: solve(chain(), backend="python"),
+            lambda: solve_batch(chain(), [list(range(17))], checked=True),
+            lambda: Session(chain(), policy=SolvePolicy(max_rounds=1)),
+            lambda: solve(chain(), max_rounds=1),
+        ],
+        ids=["solve", "solve_batch", "Session", "max_rounds"],
+    )
+    def test_loose_kwarg_rejected(self, call):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert "unknown keyword" in str(exc.value)
+        assert "options" in str(exc.value)
 
     def test_unknown_kwarg_still_names_valid_set(self):
         with pytest.raises(ValueError) as exc:

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.core.operators import modular_add
 from repro.engine import (
+    EngineOptions,
     PlanCache,
     Problem,
     build_round_schedule,
@@ -95,7 +96,7 @@ class TestProblem:
 class TestRoundSchedule:
     def test_chain_schedule_halves(self):
         n = 16
-        plan = solve(chain(n), backend="numpy").plan
+        plan = solve(chain(n), options=EngineOptions(backend="numpy")).plan
         assert plan.rounds == 4  # ceil(log2(16))
         sizes = plan.active_per_round
         assert sizes[0] == n - 1  # iteration 0 reads an initial value
@@ -120,12 +121,16 @@ class TestRoundSchedule:
 class TestPlanSerialization:
     def test_ordinary_round_trip(self):
         sys_ = chain(9)
-        result = solve(sys_, backend="numpy")
+        result = solve(sys_, options=EngineOptions(backend="numpy"))
         payload = plan_to_dict(result.plan)
         restored = plan_from_dict(payload)
         assert restored.fingerprint == result.plan.fingerprint
         assert restored.rounds == result.plan.rounds
-        replay = solve(sys_, backend="python", plan=restored)
+        replay = solve(
+            sys_,
+            plan=restored,
+            options=EngineOptions(backend="python"),
+        )
         assert replay.values == run_ordinary(sys_)
 
     def test_gir_cap_round_trip(self):

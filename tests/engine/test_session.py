@@ -28,6 +28,7 @@ from repro.core import (
 )
 from repro.core.moebius import AffineRecurrence, run_moebius_sequential
 from repro.engine import (
+    EngineOptions,
     Session,
     clear_plan_cache,
     execute,
@@ -62,7 +63,7 @@ def affine_rec(n=90, seed=1):
 class TestPinnedPlan:
     def test_plan_built_at_construction(self):
         sys_ = int_chain()
-        session = Session(sys_, backend="numpy")
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
         assert session.plan is not None
         assert session.family == "ordinary"
         assert session.backend == "numpy"
@@ -70,7 +71,7 @@ class TestPinnedPlan:
 
     def test_serving_does_no_cache_traffic(self):
         sys_ = int_chain()
-        session = Session(sys_, backend="numpy")
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
         clear_plan_cache()
         before = plan_cache_info()
         for _ in range(4):
@@ -81,12 +82,15 @@ class TestPinnedPlan:
 
     def test_solve_matches_front_door(self):
         sys_ = int_chain(seed=2)
-        session = Session(sys_, backend="numpy")
-        assert session.solve().values == solve(sys_, backend="numpy").values
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
+        assert session.solve().values == solve(
+            sys_,
+            options=EngineOptions(backend="numpy"),
+        ).values
 
     def test_solve_with_new_values(self):
         sys_ = int_chain(n=80, seed=3)
-        session = Session(sys_, backend="numpy")
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
         rng = np.random.default_rng(99)
         fresh = rng.integers(0, 50, size=sys_.m).tolist()
         served = session.solve(fresh)
@@ -96,7 +100,10 @@ class TestPinnedPlan:
         assert served.values == oracle
 
     def test_wrong_length_values_rejected(self):
-        session = Session(int_chain(n=30), backend="numpy")
+        session = Session(
+            int_chain(n=30),
+            options=EngineOptions(backend="numpy"),
+        )
         with pytest.raises(ValueError, match="m="):
             session.solve([1, 2, 3])
 
@@ -110,7 +117,7 @@ class TestPinnedPlan:
         sys_ = GIRSystem.build(
             [1, 2, 3, 4, 5], [1, 2, 3], [0, 1, 2], [4, 4, 4], MAX
         )
-        session = Session(sys_, backend="numpy")
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
         assert session.plan is None  # GIR planning runs inside the executor
         first = session.solve()
         assert first.values == run_gir(sys_)
@@ -121,7 +128,7 @@ class TestPinnedPlan:
 
     def test_moebius_session(self):
         rec = affine_rec()
-        session = Session(rec, backend="numpy")
+        session = Session(rec, options=EngineOptions(backend="numpy"))
         assert session.plan is not None
         assert session.solve().values == pytest.approx(
             run_moebius_sequential(rec)
@@ -129,7 +136,10 @@ class TestPinnedPlan:
 
     def test_shm_session(self):
         sys_ = int_chain(n=200, seed=4)
-        session = Session(sys_, backend="shm", options={"workers": 2})
+        session = Session(
+            sys_,
+            options=EngineOptions(backend="shm", workers=2),
+        )
         oracle = run_ordinary(sys_)
         assert session.solve().values == oracle
         assert session.solve().values == oracle  # pool + schedule reused
@@ -138,8 +148,10 @@ class TestPinnedPlan:
         with pytest.raises(ValueError, match="SolvePolicy"):
             Session(
                 int_chain(n=20),
-                backend="pram",
-                policy=SolvePolicy(max_rounds=1),
+                options=EngineOptions(
+                    backend="pram",
+                    policy=SolvePolicy(max_rounds=1),
+                ),
             )
 
 
@@ -147,7 +159,7 @@ class TestServingCounters:
     def test_session_solves_counted(self):
         sys_ = int_chain(seed=5)
         with obs.observed() as (_tracer, registry):
-            session = Session(sys_, backend="numpy")
+            session = Session(sys_, options=EngineOptions(backend="numpy"))
             for _ in range(3):
                 session.solve()
         count = registry.value(
@@ -160,7 +172,7 @@ class TestServingCounters:
         rng = np.random.default_rng(7)
         batch = rng.integers(0, 50, size=(5, sys_.m)).tolist()
         with obs.observed() as (_tracer, registry):
-            session = Session(sys_, backend="numpy")
+            session = Session(sys_, options=EngineOptions(backend="numpy"))
             rows = session.solve_batch(batch)
         assert len(rows) == 5
         assert (
@@ -179,7 +191,7 @@ class TestSessionBatch:
         sys_ = int_chain(n=70, seed=8)
         rng = np.random.default_rng(9)
         batch = rng.integers(0, 50, size=(4, sys_.m)).tolist()
-        session = Session(sys_, backend="numpy")
+        session = Session(sys_, options=EngineOptions(backend="numpy"))
         rows = session.solve_batch(batch)
         import dataclasses
 
@@ -189,7 +201,10 @@ class TestSessionBatch:
             )
 
     def test_batch_rejected_without_capability(self):
-        session = Session(int_chain(n=20), backend="python")
+        session = Session(
+            int_chain(n=20),
+            options=EngineOptions(backend="python"),
+        )
         with pytest.raises(ValueError, match="batch"):
             session.solve_batch([[0] * 21])
 
@@ -199,13 +214,13 @@ class TestMoebiusBatch:
         rec = affine_rec(n=60, seed=10)
         rng = np.random.default_rng(11)
         batch = rng.random((5, len(rec.initial))).tolist()
-        rows = solve_batch(rec, batch, backend="numpy")
+        rows = solve_batch(rec, batch, options=EngineOptions(backend="numpy"))
         import dataclasses
 
         for row_in, row_out in zip(batch, rows):
             one = solve(
                 dataclasses.replace(rec, initial=list(row_in)),
-                backend="numpy",
+                options=EngineOptions(backend="numpy"),
             )
             assert row_out == pytest.approx(one.values, rel=0, abs=0)
 
@@ -222,7 +237,7 @@ class TestMoebiusBatch:
             [Fraction(k + 2, 5) for k in range(n + 1)],
             [Fraction(k + 7, 2) for k in range(n + 1)],
         ]
-        rows = solve_batch(rec, batch, backend="numpy")
+        rows = solve_batch(rec, batch, options=EngineOptions(backend="numpy"))
         import dataclasses
 
         for row_in, row_out in zip(batch, rows):
@@ -236,15 +251,19 @@ class TestMoebiusBatch:
         rec = affine_rec(n=40, seed=12)
         rng = np.random.default_rng(13)
         batch = rng.random((3, len(rec.initial))).tolist()
-        session = Session(rec, backend="numpy")
+        session = Session(rec, options=EngineOptions(backend="numpy"))
         rows = session.solve_batch(batch)
-        assert rows == solve_batch(rec, batch, backend="numpy")
+        assert rows == solve_batch(
+            rec,
+            batch,
+            options=EngineOptions(backend="numpy"),
+        )
 
 
 class TestKwargNormalization:
-    """Every front door takes the same ``backend= / policy= / checked=``
-    keyword family and rejects anything else with a ValueError that
-    names both the offender and the valid set."""
+    """Every front door takes its configuration as one ``options=``
+    record and rejects anything else with a ValueError that names both
+    the offender and the valid set."""
 
     def _assert_named(self, err, offender="bogus"):
         msg = str(err.value)
@@ -289,7 +308,10 @@ class TestKwargNormalization:
         self._assert_named(err)
 
     def test_session_solve_batch_rejects_unknown(self):
-        session = Session(int_chain(n=10), backend="numpy")
+        session = Session(
+            int_chain(n=10),
+            options=EngineOptions(backend="numpy"),
+        )
         with pytest.raises(ValueError) as err:
             session.solve_batch([list(range(11))], bogus=1)
         self._assert_named(err)
@@ -298,17 +320,41 @@ class TestKwargNormalization:
         sys_ = int_chain(n=20, seed=14)
         policy = SolvePolicy(max_rounds=64, on_exhaustion="raise")
         oracle = run_ordinary(sys_)
-        r1 = solve(sys_, backend="numpy", policy=policy, checked=True)
+        r1 = solve(
+            sys_,
+            options=EngineOptions(
+                backend="numpy",
+                policy=policy,
+                checked=True,
+            ),
+        )
         assert r1.values == oracle
         r2 = execute(
-            r1.plan, sys_, backend="numpy", policy=policy, checked=True
+            r1.plan,
+            sys_,
+            options=EngineOptions(
+                backend="numpy",
+                policy=policy,
+                checked=True,
+            ),
         )
         assert r2.values == oracle
         rows = solve_batch(
-            sys_, [sys_.initial], backend="numpy", policy=policy, checked=True
+            sys_,
+            [sys_.initial],
+            options=EngineOptions(
+                backend="numpy",
+                policy=policy,
+                checked=True,
+            ),
         )
         assert rows[0] == oracle
         session = Session(
-            sys_, backend="numpy", policy=policy, checked=True
+            sys_,
+            options=EngineOptions(
+                backend="numpy",
+                policy=policy,
+                checked=True,
+            ),
         )
         assert session.solve().values == oracle

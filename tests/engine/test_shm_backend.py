@@ -26,7 +26,7 @@ from repro.core.moebius import (
     RationalRecurrence,
     run_moebius_sequential,
 )
-from repro.engine import available_backends, get_backend, solve
+from repro.engine import EngineOptions, available_backends, get_backend, solve
 from repro.errors import (
     FaultError,
     IterationBudgetExceeded,
@@ -83,7 +83,7 @@ class TestRegistry:
         from repro.core import GIRSystem, MAX, run_gir
 
         sys_ = GIRSystem.build([0, 1, 2, 3], [1, 2], [0, 1], [3, 3], MAX)
-        res = solve(sys_, backend="shm", options={"workers": 2})
+        res = solve(sys_, options=EngineOptions(backend="shm", workers=2))
         assert res.values == run_gir(sys_)
         assert res.backend == "shm"
 
@@ -91,35 +91,49 @@ class TestRegistry:
 class TestParity:
     def test_int_chain_exact_vs_oracle(self):
         sys_ = int_chain()
-        res = solve(sys_, backend="shm", options={"workers": WORKERS})
+        res = solve(
+            sys_,
+            options=EngineOptions(backend="shm", workers=WORKERS),
+        )
         assert res.values == run_ordinary(sys_)
         assert res.backend == "shm"
 
     def test_float_random_bitwise_vs_numpy(self):
         sys_ = float_random()
-        shm = solve(sys_, backend="shm", options={"workers": WORKERS})
-        ref = solve(sys_, backend="numpy")
+        shm = solve(
+            sys_,
+            options=EngineOptions(backend="shm", workers=WORKERS),
+        )
+        ref = solve(sys_, options=EngineOptions(backend="numpy"))
         assert shm.values == ref.values  # same op order => bit-identical
 
     def test_worker_counts_agree(self):
         sys_ = int_chain(n=123, seed=5)
         oracle = run_ordinary(sys_)
         for workers in (1, 3):
-            res = solve(sys_, backend="shm", options={"workers": workers})
+            res = solve(
+                sys_,
+                options=EngineOptions(backend="shm", workers=workers),
+            )
             assert res.values == oracle, workers
 
     def test_checked_passes(self):
         res = solve(
-            int_chain(), backend="shm", options={"workers": WORKERS},
-            checked=True,
+            int_chain(),
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                checked=True,
+            ),
         )
         assert res.values == run_ordinary(int_chain())
 
     def test_stats_and_plan(self):
         sys_ = int_chain(n=64)
         res = solve(
-            sys_, backend="shm", options={"workers": WORKERS},
+            sys_,
             collect_stats=True,
+            options=EngineOptions(backend="shm", workers=WORKERS),
         )
         assert res.plan is not None
         assert res.stats.rounds == res.plan.rounds
@@ -127,13 +141,13 @@ class TestParity:
 
     def test_moebius_affine_parity(self):
         rec = affine_rec()
-        shm = solve(rec, backend="shm", options={"workers": WORKERS})
-        ref = solve(rec, backend="numpy")
+        shm = solve(rec, options=EngineOptions(backend="shm", workers=WORKERS))
+        ref = solve(rec, options=EngineOptions(backend="numpy"))
         assert shm.values == ref.values
 
     def test_moebius_affine_vs_sequential(self):
         rec = affine_rec(n=60, seed=9)
-        shm = solve(rec, backend="shm", options={"workers": WORKERS})
+        shm = solve(rec, options=EngineOptions(backend="shm", workers=WORKERS))
         seq = run_moebius_sequential(rec)
         assert shm.values == pytest.approx(seq)
 
@@ -141,10 +155,15 @@ class TestParity:
         sys_ = int_chain(n=50, seed=11)
         f_init = [7] * sys_.m
         shm = solve(
-            sys_, backend="shm", options={"workers": WORKERS},
+            sys_,
             f_initial=f_init,
+            options=EngineOptions(backend="shm", workers=WORKERS),
         )
-        ref = solve(sys_, backend="numpy", f_initial=f_init)
+        ref = solve(
+            sys_,
+            f_initial=f_init,
+            options=EngineOptions(backend="numpy"),
+        )
         assert shm.values == ref.values
 
 
@@ -154,14 +173,14 @@ class TestTypedOperatorRequirement:
             [("a",), ("b",), ("c",), ("d",)], [1, 2, 3], [0, 1, 2], CONCAT
         )
         with pytest.raises(ValueError, match="typed operator"):
-            solve(sys_, backend="shm")
+            solve(sys_, options=EngineOptions(backend="shm"))
 
     def test_non_affine_moebius_rejected(self):
         rec = RationalRecurrence.build(
             [1.0, 0.5], [1], [0], a=[1.0], b=[2.0], c=[1.0], d=[1.0]
         )
         with pytest.raises(ValueError, match="affine"):
-            solve(rec, backend="shm")
+            solve(rec, options=EngineOptions(backend="shm"))
 
 
 class TestCrashRecovery:
@@ -171,11 +190,13 @@ class TestCrashRecovery:
         with obs.observed() as (_tracer, registry):
             res = solve(
                 sys_,
-                backend="shm",
-                options={
-                    "workers": WORKERS,
-                    "_test_crash": {"rank": 1, "round": 2, "once": True},
-                },
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    backend_options={
+                        "_test_crash": {"rank": 1, "round": 2, "once": True},
+                    },
+                ),
             )
         assert res.values == oracle
         snap = registry.snapshot()
@@ -189,12 +210,14 @@ class TestCrashRecovery:
         with pytest.raises(FaultError) as info:
             solve(
                 sys_,
-                backend="shm",
-                failover=False,  # the raw fault is the point here
-                options={
-                    "workers": WORKERS,
-                    "_test_crash": {"rank": 0, "round": 1, "once": False},
-                },
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    failover=False,
+                    backend_options={
+                        "_test_crash": {"rank": 0, "round": 1, "once": False},
+                    },
+                ),
             )
         assert info.value.exit_code == 7
 
@@ -202,11 +225,11 @@ class TestCrashRecovery:
         sys_ = int_chain(n=600, seed=4)
         res = solve(
             sys_,
-            backend="shm",
-            options={
-                "workers": WORKERS,
-                "_test_crash": {"rank": 0, "round": 1, "once": False},
-            },
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                backend_options={"_test_crash": {"rank": 0, "round": 1, "once": False}},
+            ),
         )
         assert res.values == run_ordinary(sys_)
         assert res.backend == "numpy"
@@ -217,14 +240,19 @@ class TestCrashRecovery:
         with pytest.raises(FaultError):
             solve(
                 sys_,
-                backend="shm",
-                failover=False,
-                options={
-                    "workers": WORKERS,
-                    "_test_crash": {"rank": 0, "round": 0, "once": False},
-                },
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    failover=False,
+                    backend_options={
+                        "_test_crash": {"rank": 0, "round": 0, "once": False},
+                    },
+                ),
             )
-        res = solve(sys_, backend="shm", options={"workers": WORKERS})
+        res = solve(
+            sys_,
+            options=EngineOptions(backend="shm", workers=WORKERS),
+        )
         assert res.values == run_ordinary(sys_)
 
 
@@ -233,15 +261,24 @@ class TestPolicy:
         policy = SolvePolicy(timeout_s=0.0, on_exhaustion="raise")
         with pytest.raises(SolveTimeoutError):
             solve(
-                int_chain(), backend="shm", options={"workers": WORKERS},
-                policy=policy,
+                int_chain(),
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    policy=policy,
+                ),
             )
 
     def test_timeout_fallback_matches_oracle(self):
         sys_ = int_chain(seed=6)
         policy = SolvePolicy(timeout_s=0.0, on_exhaustion="fallback")
         res = solve(
-            sys_, backend="shm", options={"workers": WORKERS}, policy=policy
+            sys_,
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                policy=policy,
+            ),
         )
         assert res.values == run_ordinary(sys_)
 
@@ -249,33 +286,72 @@ class TestPolicy:
         policy = SolvePolicy(max_rounds=1, on_exhaustion="raise")
         with pytest.raises(IterationBudgetExceeded):
             solve(
-                int_chain(), backend="shm", options={"workers": WORKERS},
-                policy=policy,
+                int_chain(),
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    policy=policy,
+                ),
             )
 
     def test_max_rounds_partial_matches_numpy_partial(self):
         sys_ = int_chain(seed=7)
         policy = SolvePolicy(max_rounds=3, on_exhaustion="partial")
         shm = solve(
-            sys_, backend="shm", options={"workers": WORKERS}, policy=policy
+            sys_,
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                policy=policy,
+            ),
         )
-        ref = solve(sys_, backend="numpy", policy=policy)
+        ref = solve(
+            sys_,
+            options=EngineOptions(backend="numpy", policy=policy),
+        )
         assert shm.values == ref.values
 
     def test_max_rounds_fallback_matches_oracle(self):
         sys_ = int_chain(seed=8)
         policy = SolvePolicy(max_rounds=1, on_exhaustion="fallback")
         res = solve(
-            sys_, backend="shm", options={"workers": WORKERS}, policy=policy
+            sys_,
+            options=EngineOptions(
+                backend="shm",
+                workers=WORKERS,
+                policy=policy,
+            ),
         )
         assert res.values == run_ordinary(sys_)
+
+
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_round_budget_partial_agrees_across_backends(self, rounds):
+        # A round budget is a policy, with one meaning on every backend:
+        # the state after exactly `rounds` rounds, never the full answer.
+        sys_ = int_chain(n=16, seed=13)
+        policy = SolvePolicy(max_rounds=rounds, on_exhaustion="partial")
+        results = {
+            backend: solve(
+                sys_,
+                collect_stats=True,
+                options=EngineOptions(
+                    backend=backend, workers=WORKERS, policy=policy
+                ),
+            )
+            for backend in ("python", "numpy", "shm")
+        }
+        values = {b: r.values for b, r in results.items()}
+        assert values["python"] == values["numpy"] == values["shm"]
+        assert values["numpy"] != run_ordinary(sys_)
+        assert all(r.stats.rounds == rounds for r in results.values())
 
 
 class TestObservability:
     def test_engine_shm_metrics_emitted(self):
         sys_ = int_chain(n=200, seed=10)
         with obs.observed() as (_tracer, registry):
-            solve(sys_, backend="shm", options={"workers": WORKERS})
+            solve(sys_, options=EngineOptions(backend="shm", workers=WORKERS))
         snap = registry.snapshot()
         names = {e["name"] for e in snap}
         assert "engine.shm.solves" in names
@@ -291,10 +367,14 @@ class TestObservability:
     def test_schedule_uploaded_once_then_reused(self):
         sys_ = int_chain(n=150, seed=12)
         with obs.observed() as (_tracer, registry):
-            r1 = solve(sys_, backend="shm", options={"workers": WORKERS})
+            r1 = solve(
+                sys_,
+                options=EngineOptions(backend="shm", workers=WORKERS),
+            )
             solve(
-                sys_, backend="shm", plan=r1.plan,
-                options={"workers": WORKERS},
+                sys_,
+                plan=r1.plan,
+                options=EngineOptions(backend="shm", workers=WORKERS),
             )
         snap = registry.snapshot()
         reuses = sum(

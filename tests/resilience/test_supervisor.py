@@ -29,6 +29,7 @@ from repro.resilience.supervisor import (
     unregister_segment,
 )
 from repro.resilience import supervisor as supervisor_mod
+from repro.engine import EngineOptions
 
 WORKERS = int(os.environ.get("REPRO_SHM_TEST_WORKERS", "2"))
 
@@ -166,15 +167,17 @@ class TestHangRecovery:
         with pytest.raises((SolveTimeoutError, Exception)):
             solve(
                 sys_,
-                backend="shm",
-                policy=policy,
-                failover=False,
-                options={
-                    "workers": WORKERS,
-                    "chaos": plan,
-                    "watchdog_s": -1.0,  # explicit off
-                    "max_retries": 0,
-                },
+                options=EngineOptions(
+                    backend="shm",
+                    workers=WORKERS,
+                    policy=policy,
+                    failover=False,
+                    backend_options={
+                        "chaos": plan,
+                        "watchdog_s": -1.0,
+                        "max_retries": 0,
+                    },
+                ),
             )
         assert time.monotonic() - started < 30.0
 
@@ -253,7 +256,7 @@ _LEAK_SCRIPT_PRELUDE = """
 import os, signal, sys
 import numpy as np
 from repro.core import ADD, OrdinaryIRSystem
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 from repro.errors import FaultError
 from repro.resilience.supervisor import registered_segments
 
@@ -301,7 +304,7 @@ class TestNoSegmentOutlivesTheRun:
     def test_sigterm_reaps_everything(self):
         self.run_script(
             """
-            solve(sys_, backend="shm", options={"workers": 2})
+            solve(sys_, options=EngineOptions(backend="shm", workers=2))
             print("SEGS:" + ",".join(registered_segments()), flush=True)
             os.kill(os.getpid(), signal.SIGTERM)
             """,
@@ -314,7 +317,7 @@ class TestNoSegmentOutlivesTheRun:
     def test_keyboard_interrupt_reaps_everything(self):
         self.run_script(
             """
-            solve(sys_, backend="shm", options={"workers": 2})
+            solve(sys_, options=EngineOptions(backend="shm", workers=2))
             print("SEGS:" + ",".join(registered_segments()), flush=True)
             raise KeyboardInterrupt
             """
@@ -329,12 +332,14 @@ class TestNoSegmentOutlivesTheRun:
             try:
                 solve(
                     sys_,
-                    backend="shm",
-                    failover=False,
-                    options={
-                        "workers": 2,
-                        "_test_crash": {"rank": 0, "round": 1, "once": False},
-                    },
+                    options=EngineOptions(
+                        backend="shm",
+                        workers=2,
+                        failover=False,
+                        backend_options={
+                            "_test_crash": {"rank": 0, "round": 1, "once": False},
+                        },
+                    ),
                 )
             except FaultError:
                 pass

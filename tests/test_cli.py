@@ -294,3 +294,24 @@ class TestObsCommands:
         changed = [r for r in rows if r["status"] == "changed"]
         assert changed[0]["name"] == "engine.solves"
         assert changed[0]["delta"] == 2
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["check"],
+            ["lint"],
+            ["faults", "run", "--plan"],
+            ["chaos", "run", "--plan"],
+            ["serve", "--problem"],
+        ],
+        ids=["solve", "check", "lint", "faults-run", "chaos-run", "serve"],
+    )
+    def test_missing_path_is_a_clean_usage_error(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(argv + [missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert "Traceback" not in err
