@@ -9,8 +9,8 @@ Compares per-bench wall clocks and exits nonzero when
 
 * any **speedup-gated** bench (the ones whose ``main()`` enforces a
   parallel-beats-baseline gate: plan reuse, batched GIR eval, the shm
-  pool, serve coalescing) slowed down by more than the threshold
-  (default 25%), or
+  pool, serve coalescing, the engines' wall clock vs the sequential
+  loop) slowed down by more than the threshold (default 25%), or
 * a bench that passed in the baseline fails in the current run, or
 * a gated bench disappeared from the current file.
 
@@ -30,7 +30,13 @@ import sys
 
 #: Benches whose own main() enforces a speedup gate; their wall clock
 #: is a tracked performance contract, so the diff gates on them.
-GATED = ("bench_plan_reuse", "bench_gir_powers", "bench_shm", "bench_serve")
+GATED = (
+    "bench_plan_reuse",
+    "bench_gir_powers",
+    "bench_shm",
+    "bench_serve",
+    "bench_wallclock_engines",
+)
 
 DEFAULT_THRESHOLD = 0.25
 DEFAULT_MIN_SECONDS = 0.05

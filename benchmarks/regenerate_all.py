@@ -11,7 +11,9 @@ With ``--json`` the harness additionally runs every benchmark under a
 fresh :mod:`repro.obs` registry/tracer and writes ``BENCH_results.json``
 (repo root by default; override with ``--json-out``): per-bench
 wall-clock, round counts and op counts straight from the instrumented
-solvers -- the machine-readable perf baseline future PRs diff against.
+solvers, plus the ``ratios`` a ratio-gated bench publishes in its
+module-level ``RATIOS`` -- the machine-readable perf baseline future
+PRs diff against.
 
 Exit code is nonzero when any benchmark raises *or* returns a nonzero
 status.
@@ -117,6 +119,10 @@ def _run_one(name, collect_obs):
             module = importlib.import_module(name)
             with contextlib.redirect_stdout(buffer):
                 rc = module.main()
+            ratios = getattr(module, "RATIOS", None)
+            if ratios:
+                # ratio-gated benches: the figures check_regression diffs
+                record["ratios"] = dict(ratios)
             if rc not in (None, 0):
                 raise RuntimeError(f"main() returned nonzero status {rc}")
             if registry is not None:

@@ -39,6 +39,7 @@ from .mutate import (
     MUTATION_KINDS,
     Mutation,
     SHARD_MUTATION_KINDS,
+    CHAIN_MUTATION_KINDS,
     mutate_plan,
     mutation_campaign,
 )
@@ -56,6 +57,7 @@ from .schedule import (
     GIR_ORACLE_MAX_N,
     verify_or_raise,
     verify_ordinary_schedule,
+    verify_chain_layout,
     verify_plan,
     verify_shard_layout,
 )
@@ -72,6 +74,7 @@ __all__ = [
     # schedule verifier
     "verify_plan",
     "verify_ordinary_schedule",
+    "verify_chain_layout",
     "verify_shard_layout",
     "verify_or_raise",
     "GIR_ORACLE_MAX_N",
@@ -92,6 +95,7 @@ __all__ = [
     "Mutation",
     "MUTATION_KINDS",
     "SHARD_MUTATION_KINDS",
+    "CHAIN_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "mutate_plan",
     "mutation_campaign",

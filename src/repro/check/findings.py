@@ -51,6 +51,11 @@ FINDING_CODES: Dict[str, str] = {
     "SCH007": "plan shape/metadata inconsistent",
     "SCH008": "plan fingerprint does not match the problem",
     "SCH009": "plan g map is not injective",
+    # -- chain layout (CHN0xx) -----------------------------------------
+    "CHN001": "chain permutation is not a bijection of the iterations",
+    "CHN002": "chain segment or level offsets are not monotone or do not close",
+    "CHN003": "consecutive chain segment members are not pred-linked",
+    "CHN004": "a chain segment's seed does not lie in an earlier level",
     # -- shm shard layout (SHM0xx) -------------------------------------
     "SHM001": "shard boundaries do not partition the round's slots",
     "SHM002": "a written cell is split across workers within a barrier phase",

@@ -18,6 +18,17 @@ kind                 models                                  caught by
 ``shift_shard``      a one-sided Brent boundary shift        SHM001/SHM002
 ===================  =====================================================
 
+Chain plans (``plan.chains`` set) also get the chain-layout classes:
+
+======================  ==================================  ===============
+kind                    models                              caught by
+======================  ==================================  ===============
+``chain_swap_order``    two permutation entries swapped     CHN003
+``chain_shift_offset``  one segment boundary moved by one   CHN002/CHN003
+``chain_relink_seed``   a seed's segment moved to a later   CHN002/CHN004
+                        level than a segment it seeds
+======================  ==================================  ===============
+
 GIR plans (the v2 CSR power table) have their own mutation classes,
 applied by :func:`mutate_plan` when the plan's family is ``gir`` --
 feed the result to ``verify_plan(plan, system=system)``:
@@ -56,6 +67,7 @@ import numpy as np
 __all__ = [
     "MUTATION_KINDS",
     "SHARD_MUTATION_KINDS",
+    "CHAIN_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "Mutation",
     "mutate_plan",
@@ -72,6 +84,12 @@ MUTATION_KINDS: Tuple[str, ...] = (
 )
 
 SHARD_MUTATION_KINDS: Tuple[str, ...] = ("shift_shard",)
+
+CHAIN_MUTATION_KINDS: Tuple[str, ...] = (
+    "chain_swap_order",
+    "chain_shift_offset",
+    "chain_relink_seed",
+)
 
 GIR_MUTATION_KINDS: Tuple[str, ...] = (
     "gir_perturb_exponent",
@@ -99,9 +117,12 @@ class Mutation:
     data: dict = field(default_factory=dict)
 
 
-def _clone(plan: Any) -> Any:
-    from ..engine.plan import OrdinaryPlan
+def _clone(plan: Any, chains: Any = None) -> Any:
+    """A deep copy of ``plan`` -- its materialized round schedule and
+    chain layout (``chains`` replaces the layout)."""
+    from ..engine.plan import ChainLayout, OrdinaryPlan
 
+    layout = plan.chains if chains is None else chains
     return OrdinaryPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
@@ -112,8 +133,109 @@ def _clone(plan: Any) -> Any:
         steps=[
             (np.array(a, copy=True), np.array(s, copy=True))
             for a, s in plan.steps
-        ],
+        ]
+        if plan.has_steps
+        else None,
+        chains=None
+        if layout is None
+        else ChainLayout(
+            order=np.array(layout.order, dtype=np.int64, copy=True),
+            offsets=np.array(layout.offsets, dtype=np.int64, copy=True),
+            level_ptr=np.array(layout.level_ptr, dtype=np.int64, copy=True),
+        ),
     )
+
+
+def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
+    """The chain-layout mutation classes; each provably breaks the
+    layout (none yields an equivalent one)."""
+    chains = plan.chains
+    if chains is None:
+        return None
+    order, offsets, pred = chains.order, chains.offsets, plan.pred
+    heads = np.zeros(order.shape[0], dtype=bool)
+    heads[offsets[:-1]] = True
+
+    if kind == "chain_swap_order":
+        # Swap a member with its segment predecessor: x = pred-successor
+        # of y now precedes y, and pred[y] < y < x, so y is unlinked.
+        members = np.flatnonzero(~heads)
+        if members.size == 0:
+            return None
+        k = int(members[rng.randrange(members.size)])
+        mutated = _clone(plan)
+        o = mutated.chains.order
+        o[k - 1], o[k] = int(o[k]), int(o[k - 1])
+        return Mutation(
+            kind=kind,
+            description=f"chain positions {k - 1} and {k} swapped",
+            plan=mutated,
+            data={"position": k},
+        )
+
+    if kind == "chain_shift_offset":
+        # Only boundaries whose head does not read the previous tail:
+        # shifting one either way then unlinks a member (or empties a
+        # segment) rather than forming a longer valid segment.
+        interior = [
+            k
+            for k in range(1, int(offsets.shape[0]) - 1)
+            if int(pred[order[offsets[k]]]) != int(order[offsets[k] - 1])
+        ]
+        if not interior:
+            return None
+        k = rng.choice(interior)
+        delta = rng.choice((+1, -1))
+        mutated = _clone(plan)
+        mutated.chains.offsets[k] += delta
+        return Mutation(
+            kind=kind,
+            description=f"segment offset {k} shifted {delta:+d}",
+            plan=mutated,
+            data={"offset": k, "delta": delta},
+        )
+
+    if kind == "chain_relink_seed":
+        # Move the segment holding some head's seed to the last level:
+        # that head's seed is then no earlier than the head's own level.
+        levels = chains.levels
+        if levels < 2:
+            return None
+        lo = int(chains.level_ptr[1])
+        s = rng.randrange(lo, int(offsets.shape[0]) - 1)
+        seed = int(pred[order[offsets[s]]])
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.shape[0])
+        p = int(np.searchsorted(offsets, pos[seed], side="right")) - 1
+        level_of = np.repeat(np.arange(levels), np.diff(chains.level_ptr))
+        keep = [q for q in range(int(offsets.shape[0]) - 1) if q != p] + [p]
+        seg_levels = np.array([level_of[q] for q in keep[:-1]] + [levels - 1])
+        new_order = np.concatenate(
+            [order[offsets[q] : offsets[q + 1]] for q in keep]
+        )
+        new_offsets = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum([int(offsets[q + 1] - offsets[q]) for q in keep], out=new_offsets[1:])
+        from ..engine.plan import ChainLayout
+
+        mutated = _clone(
+            plan,
+            ChainLayout(
+                order=new_order,
+                offsets=new_offsets,
+                level_ptr=np.searchsorted(
+                    seg_levels, np.arange(levels + 1), side="left"
+                ).astype(np.int64),
+            ),
+        )
+        return Mutation(
+            kind=kind,
+            description=f"segment {p} (seeding segment {s}) moved from "
+            f"level {int(level_of[p])} to level {levels - 1}",
+            plan=mutated,
+            data={"segment": p, "seeded": s},
+        )
+
+    raise ValueError(f"unknown mutation kind {kind!r}")
 
 
 def _brent(lo: int, hi: int, rank: int, nworkers: int) -> Tuple[int, int]:
@@ -239,6 +361,12 @@ def mutate_plan(
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(kind.encode()))
     if kind.startswith("gir_"):
         return _mutate_gir(plan, kind, rng)
+    if kind.startswith("chain_"):
+        return _mutate_chains(plan, kind, rng)
+    if not plan.has_steps:
+        # a chain plan: mutate a copy whose round schedule is built
+        # (the input plan stays as it was, cache included)
+        plan = _clone(plan)
     rounds = len(plan.steps)
     n = int(plan.n)
 
@@ -405,13 +533,16 @@ def mutation_campaign(
 
     ``kinds`` defaults by plan family: GIR CAP plans (those carrying a
     power table) get :data:`GIR_MUTATION_KINDS`; everything else gets
-    the schedule + shard classes.
+    the schedule + shard classes, plus :data:`CHAIN_MUTATION_KINDS`
+    on a chain plan.
     """
     if kinds is None:
         if getattr(plan, "table", None) is not None:
             kinds = GIR_MUTATION_KINDS
         else:
             kinds = MUTATION_KINDS + SHARD_MUTATION_KINDS
+            if getattr(plan, "chains", None) is not None:
+                kinds = kinds + CHAIN_MUTATION_KINDS
     out: List[Mutation] = []
     for kind in kinds:
         for seed in seeds:

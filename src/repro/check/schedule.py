@@ -31,6 +31,18 @@ that delay jumps), not just the canonical one the planner emits; the
 adversarial mutation suite (:mod:`repro.check.mutate`) relies on this
 being a semantic -- not byte-comparison -- check.
 
+A chain plan (``plan.chains``: the work-efficient layout the NumPy
+chain kernel runs) is proved by :func:`verify_chain_layout` instead:
+the permutation is a bijection of the iterations (CHN001), the segment
+and level offsets are monotone and close at ``n`` and at the segment
+count (CHN002), consecutive members of a segment are ``pred``-linked
+(CHN003), and every segment head is seeded by a terminal in level 0
+or by an iteration in an earlier level (CHN004).  Each level then
+folds exactly the sequential loop's operands, in its order.  The round
+rules above check a chain plan's round schedule only when the plan
+carries one: the consumers that run rounds build it lazily from the
+verified ``pred`` with the planner's own builder.
+
 For the ``shm`` backend, :func:`verify_shard_layout` additionally
 proves the Brent shard split used by
 :func:`repro.engine.shm_pool._shard` never splits a written cell
@@ -51,6 +63,7 @@ from .findings import CheckReport, error, info, warning
 __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
+    "verify_chain_layout",
     "verify_shard_layout",
     "verify_or_raise",
 ]
@@ -87,7 +100,11 @@ def _brent_shard(lo: int, hi: int, rank: int, nworkers: int) -> Tuple[int, int]:
 
 def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
     """Prove an :class:`~repro.engine.plan.OrdinaryPlan` race-free and
-    trace-equivalent to the sequential loop (see module docstring)."""
+    trace-equivalent to the sequential loop (see module docstring).
+
+    A chain plan's layout is always proved; its round schedule only
+    when the plan carries one (a schedule built lazily comes from the
+    verified ``pred`` through the planner's own builder)."""
     report = CheckReport(subject=where)
     n, m = int(plan.n), int(plan.m)
     g = np.asarray(plan.g, dtype=np.int64)
@@ -177,6 +194,12 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
             )
         )
         return report
+
+    chains = getattr(plan, "chains", None)
+    if chains is not None:
+        report.extend(verify_chain_layout(chains, pred, where=where))
+        if not report.ok or not plan.has_steps:
+            return report
 
     # -- symbolic pointer replay --------------------------------------
     ptr = pred.copy()
@@ -294,6 +317,124 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
     return report
 
 
+def verify_chain_layout(
+    chains: Any, pred: np.ndarray, *, where: str = "plan"
+) -> CheckReport:
+    """Prove a :class:`~repro.engine.plan.ChainLayout` equivalent to the
+    sequential loop over the (already verified) ``pred`` array: every
+    iteration is scanned once, after its predecessor (CHN001-CHN004;
+    see the module docstring)."""
+    report = CheckReport(subject=where)
+    n = int(pred.shape[0])
+    order = np.asarray(chains.order, dtype=np.int64)
+    offsets = np.asarray(chains.offsets, dtype=np.int64)
+    level_ptr = np.asarray(chains.level_ptr, dtype=np.int64)
+    loc = f"{where} chains"
+
+    report.ran()
+    if order.shape != (n,) or (n and (order.min() < 0 or order.max() >= n)):
+        report.add(
+            error(
+                "CHN001",
+                f"chain permutation has shape {order.shape} / entries outside "
+                f"[0, {n}); it must list each of the {n} iterations once",
+                where=loc,
+            )
+        )
+        return report
+    seen = np.bincount(order, minlength=n)
+    if n and int(seen.max()) != 1:
+        it = int(np.argmax(seen != 1))
+        report.add(
+            error(
+                "CHN001",
+                f"iteration {it} appears {int(seen[it])} times in the chain "
+                "permutation: it would be scanned "
+                + ("never" if seen[it] == 0 else "more than once"),
+                where=loc,
+                data={"iteration": it, "count": int(seen[it])},
+            )
+        )
+        return report
+
+    report.ran()
+    segments = int(offsets.shape[0]) - 1
+    if (
+        offsets.ndim != 1
+        or segments < (1 if n else 0)
+        or int(offsets[0]) != 0
+        or int(offsets[-1]) != n
+        or bool(np.any(np.diff(offsets) <= 0))
+        or level_ptr.ndim != 1
+        or level_ptr.shape[0] < 1
+        or int(level_ptr[0]) != 0
+        or int(level_ptr[-1]) != segments
+        or bool(np.any(np.diff(level_ptr) <= 0))
+    ):
+        report.add(
+            error(
+                "CHN002",
+                "chain offsets must rise strictly from 0 to n "
+                f"(got {offsets[:3].tolist()}..{offsets[-1:].tolist()} for "
+                f"n={n}) and level offsets from 0 to the segment count "
+                f"{segments} (got {level_ptr.tolist()[:8]})",
+                where=loc,
+            )
+        )
+        return report
+
+    report.ran()
+    seg_start = np.zeros(n, dtype=bool)
+    seg_start[offsets[:-1]] = True
+    members = np.flatnonzero(~seg_start)
+    linked = pred[order[members]] == order[members - 1]
+    if not bool(linked.all()):
+        k = int(members[np.argmax(~linked)])
+        it, prev = int(order[k]), int(order[k - 1])
+        report.add(
+            error(
+                "CHN003",
+                f"chain position {k}: iteration {it} follows {prev} in its "
+                f"segment but reads pred {int(pred[it])}; the scan would "
+                "fold a different trace than the sequential loop",
+                where=loc,
+                data={"position": k, "iteration": it, "expected": int(pred[it])},
+            )
+        )
+        return report
+
+    report.ran()
+    level_of_seg = np.repeat(
+        np.arange(level_ptr.shape[0] - 1, dtype=np.int64), np.diff(level_ptr)
+    )
+    level_of_it = np.empty(n, dtype=np.int64)
+    level_of_it[order] = np.repeat(level_of_seg, np.diff(offsets))
+    heads = order[offsets[:-1]]
+    seed = pred[heads]
+    root = seed < 0
+    seed_level = np.where(root, -1, level_of_it[np.maximum(seed, 0)])
+    bad = np.where(root, level_of_seg != 0, seed_level >= level_of_seg)
+    if bool(bad.any()):
+        s = int(np.argmax(bad))
+        head = int(heads[s])
+        report.add(
+            error(
+                "CHN004",
+                f"segment {s} (head {head}, level {int(level_of_seg[s])}) "
+                + (
+                    "starts at a terminal outside level 0"
+                    if root[s]
+                    else f"is seeded by iteration {int(seed[s])} in level "
+                    f"{int(seed_level[s])}, not an earlier level"
+                )
+                + ": its seed is not final when the level runs",
+                where=loc,
+                data={"segment": s, "head": head},
+            )
+        )
+    return report
+
+
 # ---------------------------------------------------------------------------
 # shm shard layouts
 # ---------------------------------------------------------------------------
@@ -336,11 +477,12 @@ def _verify_shard_layouts(
             live.append(count)
 
     offset = 0
-    for r, (active_raw, _src) in enumerate(plan.steps):
+    # A chain plan's lazily built schedule is the planner's own sorted
+    # output: its round sizes suffice, and are derived without it.
+    carried = plan.has_steps or getattr(plan, "chains", None) is None
+    for r, size in enumerate(plan.active_per_round):
         if not live:
             break
-        active = np.asarray(active_raw, dtype=np.int64)
-        size = int(active.size)
         lo, hi = offset, offset + size
         offset = hi
         loc = f"{where} round {r}"
@@ -348,7 +490,8 @@ def _verify_shard_layouts(
         # Slot-unique active ids (verified by SCH001) arrive sorted
         # from the planner, making the duplicate scan vacuous; compute
         # the gate (and the sort, when it bites) once for all counts.
-        unsorted = size > 1 and not bool(np.all(np.diff(active) > 0))
+        active = np.asarray(plan.steps[r][0], dtype=np.int64) if carried else None
+        unsorted = carried and size > 1 and not bool(np.all(np.diff(active) > 0))
         if unsorted:
             order = np.argsort(active, kind="stable")
             sorted_active = active[order]

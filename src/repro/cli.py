@@ -603,6 +603,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from .core.serialize import load_system
     from .engine import EngineOptions
     from .engine import solve as engine_solve
+    from .errors import ReproError
     from .resilience import SolvePolicy
 
     path = args.path
@@ -632,6 +633,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ),
         )
     except ValueError as exc:
+        if isinstance(exc, ReproError):
+            raise  # e.g. a lossy cast into an integer operator: exit 3
         # backend/family mismatch (e.g. --backend pram on a GIR system)
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -647,6 +650,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     "cells": result,
                     "matches_sequential": matches,
                     "backend": solved.backend,
+                    "strategy": solved.strategy,
                     "stats": _stats_dict(stats),
                 },
                 default=repr,
@@ -659,7 +663,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if show_stats and stats is not None:
             print(f"# stats: {stats}", file=sys.stderr)
         if show_stats:
-            print(f"# backend: {solved.backend}", file=sys.stderr)
+            print(
+                f"# backend: {solved.backend} strategy: {solved.strategy}",
+                file=sys.stderr,
+            )
     if not matches and not as_json:
         print("# WARNING: parallel result differs from sequential "
               "(floating-point reassociation?)", file=sys.stderr)

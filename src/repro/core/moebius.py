@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -280,21 +280,30 @@ class RationalRecurrence:
         return len(self.initial)
 
     def validate(self) -> None:
+        self.validate_coefficients()
+        self.validate_maps()
+
+    def validate_coefficients(self) -> None:
+        """One coefficient per iteration (cheap: four lengths)."""
         n = self.n
         for name, coeffs in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
             if len(coeffs) != n:
                 raise IRValidationError(
                     f"coefficient {name} has {len(coeffs)} entries, expected {n}"
                 )
-        if len(np.unique(self.g)) != n:
+
+    def validate_maps(self) -> None:
+        """Index maps in range and ``g`` distinct -- the part a plan
+        proves once for every solve that reuses it."""
+        for arr, name in ((self.g, "g"), (self.f, "f")):
+            if arr.size and (arr.min() < 0 or arr.max() >= self.m):
+                raise IRValidationError(f"{name} maps outside [0, {self.m})")
+        if self.n and int(np.bincount(self.g, minlength=self.m).max()) > 1:
             raise IRValidationError(
                 "Moebius recurrences require distinct g (each cell assigned "
                 "once); the self-term rewrite and the constant-map "
                 "initialization both rely on it"
             )
-        for arr, name in ((self.g, "g"), (self.f, "f")):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.m):
-                raise IRValidationError(f"{name} maps outside [0, {self.m})")
 
     def coefficient_matrix(self, i: int) -> Mat2:
         """The Moebius matrix of iteration ``i`` (paper section 3,
@@ -368,31 +377,100 @@ def run_moebius_sequential(rec: RationalRecurrence) -> List[Number]:
     return X
 
 
-def _floatable_scalars(rec: "RationalRecurrence") -> bool:
-    """True when every scalar is a plain int/float (safe to cast to
-    float64) and at least one is a float.  All-int and exact-Fraction
-    systems must keep the exact object engine."""
-    scalars = list(rec.initial) + rec.a + rec.b + rec.c + rec.d
+#: Ints up to this magnitude convert to float64 exactly.
+_EXACT_INT = 2**53
+
+
+def _float_column(
+    xs: Sequence[Number],
+) -> Optional[Tuple[Optional[np.ndarray], bool]]:
+    """``(column, has_float)`` when every element of ``xs`` is a plain
+    int or float, else ``None`` (bools, Fractions, ...).
+
+    Classified by exact element type in one C-level pass -- dtype
+    inference alone cannot, since ``np.asarray([True, 0.5])`` is
+    float64.  ``column`` is the float64 array, or ``None`` when an int
+    is too large for float64 to hold exactly or a float is narrower
+    than float64 (callers then take the per-element path).
+    """
+    has_float = has_int = False
+    narrow = False  # float32 & co. compute in their own precision
+    for t in set(map(type, xs)):
+        if issubclass(t, (bool, np.bool_)):
+            return None
+        if issubclass(t, (float, np.floating)):
+            has_float = True
+            narrow = narrow or not issubclass(t, float)
+        elif issubclass(t, (int, np.integer)):
+            has_int = True
+        else:
+            return None
+    if narrow:
+        return None, has_float
+    try:
+        arr = np.asarray(xs)
+    except OverflowError:
+        return None, has_float
+    if arr.dtype.kind not in "iuf":
+        return None, has_float
+    if has_int and arr.size and float(np.abs(arr).max()) > _EXACT_INT:
+        return None, has_float  # an int float64 may round
+    return arr.astype(np.float64, copy=False), has_float
+
+
+@dataclass
+class FloatScalars:
+    """A recurrence's scalars as float64 columns (see
+    :func:`_float_scalars`); a column is ``None`` when only the
+    per-element path converts it exactly."""
+
+    initial: Optional[np.ndarray]
+    a: Optional[np.ndarray]
+    b: Optional[np.ndarray]
+    c: Optional[np.ndarray]
+    d: Optional[np.ndarray]
+    saw_float: bool
+
+    @property
+    def complete(self) -> bool:
+        return all(
+            col is not None for col in (self.initial, self.a, self.b, self.c, self.d)
+        )
+
+
+def _float_scalars(rec: "RationalRecurrence") -> Optional[FloatScalars]:
+    """Every scalar of ``rec`` as float64 columns, or ``None`` when one
+    is not a plain int/float (exact types keep the object engine)."""
+    columns = []
     saw_float = False
-    for x in scalars:
-        if isinstance(x, (bool, np.bool_)):
-            return False
-        if isinstance(x, (float, np.floating)):
-            saw_float = True
-        elif not isinstance(x, (int, np.integer)):
-            return False
-    return saw_float
+    for xs in (rec.initial, rec.a, rec.b, rec.c, rec.d):
+        col = _float_column(xs)
+        if col is None:
+            return None
+        columns.append(col[0])
+        saw_float = saw_float or col[1]
+    return FloatScalars(*columns, saw_float=saw_float)
 
 
-def _affine_fast_path_applicable(rec: "RationalRecurrence") -> bool:
+def _floatable_scalars(scalars: Optional[FloatScalars]) -> bool:
+    """True when every scalar is a plain int/float (safe to cast to
+    float64) and at least one is a float (``scalars`` is
+    :func:`_float_scalars`'s result).  All-int and exact-Fraction
+    systems must keep the exact object engine."""
+    return scalars is not None and scalars.saw_float
+
+
+def _affine_fast_path_applicable(
+    rec: "RationalRecurrence", scalars: Optional[FloatScalars]
+) -> bool:
     """The vectorized affine engine applies when the recurrence is
     affine (``c = 0``, ``d != 0``) over float-castable scalars --
     exact types (Fraction, all-int data) must keep the object engine."""
-    return (
-        all(x == 0 for x in rec.c)
-        and all(x != 0 for x in rec.d)
-        and _floatable_scalars(rec)
-    )
+    if not _floatable_scalars(scalars):
+        return False
+    if scalars.c is not None and scalars.d is not None:
+        return bool((scalars.c == 0).all() and (scalars.d != 0).all())
+    return all(x == 0 for x in rec.c) and all(x != 0 for x in rec.d)
 
 
 def _as_exact(rec: RationalRecurrence) -> Optional[RationalRecurrence]:

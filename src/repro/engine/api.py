@@ -74,6 +74,11 @@ class EngineResult:
     request_id: Optional[str] = None
     coalesced: bool = False
     queue_wait_s: Optional[float] = None
+    #: Which strategy ran: ``"chains"`` (work-efficient chain scans),
+    #: ``"rounds"`` (Lemma-1 pointer jumping) or ``"traces"`` (GIR
+    #: power-table evaluation); ``None`` from a backend that does not
+    #: report it.  Reported, never set: the planner chooses.
+    strategy: Optional[str] = None
 
 
 def _cacheable(problem: Problem, policy) -> bool:
@@ -202,8 +207,8 @@ def dispatch(rungs, request: ExecutionRequest, rows=None, f_rows=None) -> Engine
     def attempt(backend):
         if rows is None:
             return backend.execute(request)
-        values, plan = backend.execute_batch(request, rows, f_rows)
-        return values, None, plan, None
+        values, plan, ran = backend.execute_batch(request, rows, f_rows)
+        return values, None, plan, None, ran
 
     if len(rungs) > 1:
         outcome, served, failover_from = run_ladder(
@@ -211,7 +216,7 @@ def dispatch(rungs, request: ExecutionRequest, rows=None, f_rows=None) -> Engine
         )
     else:
         outcome, served, failover_from = attempt(rungs[0]), rungs[0], None
-    values, stats, plan, metrics = outcome
+    values, stats, plan, metrics, ran = outcome
     return EngineResult(
         values=values,
         stats=stats,
@@ -220,6 +225,7 @@ def dispatch(rungs, request: ExecutionRequest, rows=None, f_rows=None) -> Engine
         plan=plan,
         metrics=metrics,
         failover_from=failover_from,
+        strategy=ran,
     )
 
 

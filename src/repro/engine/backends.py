@@ -26,7 +26,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 from . import driver
 from .exec_gir import RowTraceEvaluator, TraceEvaluator
 from .exec_moebius import AffineRounds, RationalRounds
-from .exec_ordinary import NumpyRounds, PythonRounds
+from .exec_ordinary import NumpyChains, NumpyRounds, PythonRounds
 from .exec_shm import ShmAffine, ShmRounds, ShmTraces
 from .plan import Plan
 from .problem import Problem
@@ -77,12 +77,17 @@ class Backend(ABC):
     @abstractmethod
     def execute(
         self, request: ExecutionRequest
-    ) -> Tuple[List[Any], Optional[object], Optional[Plan], Optional[object]]:
-        """Run the solve; returns ``(values, stats, plan, metrics)``.
+    ) -> Tuple[
+        List[Any], Optional[object], Optional[Plan], Optional[object], Optional[str]
+    ]:
+        """Run the solve; returns ``(values, stats, plan, metrics,
+        strategy)``.
 
         ``plan`` is the (possibly freshly built) plan for caching, or
         ``None`` when the backend does not plan (PRAM); ``metrics`` is
-        a backend-specific extra (the PRAM run metrics).
+        a backend-specific extra (the PRAM run metrics); ``strategy``
+        names what ran -- ``"chains"``, ``"rounds"`` or ``"traces"``
+        (see :func:`repro.engine.driver.strategy`) -- or is ``None``.
         """
 
     def execute_batch(
@@ -90,7 +95,8 @@ class Backend(ABC):
         request: ExecutionRequest,
         batch_initial: Sequence[Sequence[Any]],
         f_initial_batch: Optional[Sequence[Sequence[Any]]] = None,
-    ) -> Tuple[List[List[Any]], Optional[Plan]]:
+    ) -> Tuple[List[List[Any]], Optional[Plan], Optional[str]]:
+        """Solve ``k`` value rows; returns ``(rows, plan, strategy)``."""
         raise NotImplementedError(
             f"backend {self.name!r} does not support batched execution"
         )
@@ -100,7 +106,8 @@ class KernelBackend(Backend):
     """A backend that is only a kernel table: the engine driver
     (:mod:`repro.engine.driver`) owns planning, policy, verification,
     stats, spans and the scatter, and calls ``kernels[kind]`` for the
-    values -- ``kind`` is ``ordinary``, a Moebius path (``object`` /
+    values -- ``kind`` is ``ordinary`` (or ``chains``, on a chain plan
+    when the backend has that kernel), a Moebius path (``object`` /
     ``affine`` / ``rational``) or ``gir``.  ``defaults`` are backend
     options applied under the request's own."""
 
@@ -117,8 +124,8 @@ class KernelBackend(Backend):
         self.defaults = dict(defaults or {})
 
     def execute(self, request: ExecutionRequest):
-        (values,), stats, plan = driver.solve(self, request)
-        return values, stats, plan, None
+        (values,), stats, plan, ran = driver.solve(self, request)
+        return values, stats, plan, None, ran
 
     def execute_batch(self, request, batch_initial, f_initial_batch=None):
         if not self.capabilities.batch:
@@ -158,6 +165,11 @@ class PRAMBackend(Backend):
         for key in ("cost_model", "access_policy", "fault_plan", "max_retries"):
             if key in opts:
                 kwargs["policy" if key == "access_policy" else key] = opts[key]
+        op = request.source.op
+        if op.dtype is not None:  # the front door's lossy-cast check
+            driver.admit(request.source.initial, op)
+            if request.f_initial is not None:
+                driver.admit(request.f_initial, op)
         values, metrics = run_ordinary_on_pram(
             request.source, f_initial=request.f_initial, **kwargs
         )
@@ -169,7 +181,7 @@ class PRAMBackend(Backend):
                 request.f_initial,
                 request.check_sample,
             )
-        return values, None, None, metrics
+        return values, None, None, metrics, "rounds"
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -234,6 +246,7 @@ register_backend(
         BackendCapabilities(families=_FAMILIES, exact=True, batch=True),
         {
             "ordinary": NumpyRounds,
+            "chains": NumpyChains,
             "object": NumpyRounds,
             "gir": TraceEvaluator,
             **_MOEBIUS,

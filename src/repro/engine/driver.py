@@ -7,7 +7,10 @@ therefore supply only *kernels* (a name-keyed table, see
 :class:`~repro.engine.backends.KernelBackend`):
 
 * round kernels -- ``ordinary`` (:mod:`~repro.engine.exec_ordinary`:
-  pure Python, NumPy), the Moebius paths ``object`` (the ordinary
+  pure Python, NumPy) and ``chains`` (NumPy's work-efficient chain
+  scan, run instead of ``ordinary`` on a chain plan whenever the
+  operator is a typed ufunc and no round budget asks for rounds), the
+  Moebius paths ``object`` (the ordinary
   kernel under the ``odot`` operator), ``affine`` and ``rational``
   (:mod:`~repro.engine.exec_moebius`), and the *pooled* shm kernels
   (:mod:`~repro.engine.exec_shm`), which run an already-truncated
@@ -15,7 +18,9 @@ therefore supply only *kernels* (a name-keyed table, see
 * trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`).
 
 This module owns, once, what every backend used to repeat: building a
-missing plan; the :class:`~repro.resilience.SolvePolicy` decision
+missing plan; value admission (:func:`~repro.engine.exec_ordinary.
+admit`: typed arrays, lossy casts rejected); the
+:class:`~repro.resilience.SolvePolicy` decision
 (per-round ``admit``, ``raise`` / ``fallback`` / ``partial``, the
 sequential-baseline fallback); ``checked=`` differential verification;
 :class:`~repro.core.ordinary.SolveStats` /
@@ -46,9 +51,10 @@ from ..core.sequential import run_gir
 from ..obs import get_registry, get_tracer, maybe_span
 from ..resilience.verify import differential_check
 from . import exec_gir, exec_moebius, exec_ordinary
+from .exec_ordinary import admit
 from .plan import GIRPlan
 
-__all__ = ["Job", "solve", "solve_batch", "check"]
+__all__ = ["Job", "admit", "solve", "solve_batch", "check", "strategy"]
 
 
 @dataclass
@@ -70,6 +76,13 @@ class Job:
     policy: Any = None
     #: absolute ``time.time()`` bound the pooled kernels' workers check
     deadline: Optional[float] = None
+    #: ``init`` / ``finit`` admitted as the operator's typed arrays
+    #: (``None``: no typed form, or not a typed operator)
+    typed: Any = None
+    ftyped: Any = None
+    #: a Moebius recurrence's scalars as float64 columns, classified
+    #: once per solve (see :func:`repro.engine.exec_moebius.resolve_mode`)
+    scalars: Any = None
 
 
 def _sequential(family: str, source, f_initial=None) -> List[Any]:
@@ -121,15 +134,17 @@ def _stats(plan, active: List[int]):
     )
 
 
-def _replay(family: str, make, job: Job, enforcer, label: str):
+def _replay(family: str, make, job: Job, enforcer, label: str, ran: str):
     """The one round loop: build ``make``'s kernel and replay the
-    admitted prefix of the schedule.  Returns ``(kernel, active cells
-    per executed round)``.
+    admitted prefix of the schedule under a root span carrying the
+    strategy ``ran``.  Returns ``(kernel, active cells per executed
+    round)``.
 
-    Single solves get a ``solver.round`` span and round counters per
-    round; a stacked batch reports only its root span, so the per-round
-    series keep counting one solve's rounds.  Pooled kernels receive
-    the policy-truncated round count in one job.
+    A round is one pointer-jumping round, or one chain level of a
+    chain kernel.  Single solves get a ``solver.round`` span and round
+    counters per round; a stacked batch reports only its root span, so
+    the per-round series keep counting one solve's rounds.  Pooled
+    kernels receive the policy-truncated round count in one job.
     """
     tracer, registry = get_tracer(), get_registry()
     sched = job.sched
@@ -142,7 +157,7 @@ def _replay(family: str, make, job: Job, enforcer, label: str):
         if job.stacked:
             attrs["batch"] = len(job.init)
         with maybe_span(
-            tracer, f"solver.{family}", engine=label, n=sched.n, **attrs
+            tracer, f"solver.{family}", engine=label, n=sched.n, strategy=ran, **attrs
         ) as root:
             if kernel.pooled:
                 admitted = 0
@@ -186,21 +201,21 @@ def _replay(family: str, make, job: Job, enforcer, label: str):
     return kernel, active
 
 
-def _object(make, job: Job, enforcer, label: str):
+def _object(make, job: Job, enforcer, label: str, ran: str):
     """The Moebius object path: ``Mat2`` coefficients solved as an
     OrdinaryIR system under ``odot`` by the backend's ordinary kernel,
     then evaluated.  Returns ``(per-iteration values, active)``."""
     tracer, registry = get_tracer(), get_registry()
     rec = job.source
     values = None
-    with maybe_span(tracer, "solver.moebius", engine=label, n=rec.n):
+    with maybe_span(tracer, "solver.moebius", engine=label, n=rec.n, strategy=ran):
         with maybe_span(tracer, "moebius.coefficients"):
             coeff, const = exec_moebius.object_inputs(rec)
         inner = dataclasses.replace(
             job, op=moebius_ir_operator(job.guard), init=coeff, finit=const
         )
         with maybe_span(tracer, "moebius.ir_solve"):
-            kernel, active = _replay("ordinary", make, inner, enforcer, label)
+            kernel, active = _replay("ordinary", make, inner, enforcer, label, ran)
         if enforcer is None or not enforcer.should_fallback:
             with maybe_span(tracer, "moebius.evaluate"):
                 solved = kernel.solved()
@@ -212,7 +227,7 @@ def _object(make, job: Job, enforcer, label: str):
     return values, active
 
 
-def _traces(make, job: Job, problem, enforcer, label: str):
+def _traces(make, job: Job, problem, enforcer, label: str, ran: str):
     """GIR trace evaluation, planning the CAP pipeline first when no
     plan is held.  Returns ``(row values, typed initial array or None,
     plan)``; the values are ``None`` when a pooled evaluation stopped
@@ -220,7 +235,9 @@ def _traces(make, job: Job, problem, enforcer, label: str):
     tracer, registry = get_tracer(), get_registry()
     system = job.source
     system.op.require_commutative()
-    with maybe_span(tracer, "solver.gir", engine=label, n=system.n) as root:
+    with maybe_span(
+        tracer, "solver.gir", engine=label, n=system.n, strategy=ran
+    ) as root:
         if job.sched is None:
             job.sched = exec_gir.build_plan(system, problem, policy=job.policy)
         plan, table = job.sched, job.sched.table
@@ -250,17 +267,25 @@ def _schedule(plan):
     return getattr(plan, "ordinary", plan)
 
 
-def _scatter(plan, source, initials, solved, base, batch: bool) -> List[List[Any]]:
-    """Place each row's solved per-iteration values onto a copy of its
-    initial array (``base``: a typed ``(k, m)`` batch input, scattered
-    in place with one ``tolist``; GIR: see :func:`_scatter_traces`)."""
+def _scatter(
+    plan, source, initials, solved, base, batch: bool, g=None
+) -> List[List[Any]]:
+    """Place each row's solved values onto a copy of its initial array.
+
+    ``g`` is the cells ``solved`` lines up with (the plan's ``g`` by
+    default).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
+    batch a kernel ran on -- is scattered in place with one
+    ``tolist``, so untouched cells come back in the operator's dtype;
+    object values (``base`` is ``None``) take the per-cell loop.  GIR:
+    see :func:`_scatter_traces`."""
     if isinstance(plan, GIRPlan) and plan.dispatch is None:
         return [_scatter_traces(plan, source, solved, base)]
-    g = _schedule(plan).g
+    if g is None:
+        g = _schedule(plan).g
     if base is not None:
         out = base.copy()
-        out[:, g] = solved
-        return out.tolist()
+        out[..., g] = solved
+        return out.tolist() if batch else [out.tolist()]
     if isinstance(solved, np.ndarray):
         solved = solved.tolist()  # a stacked (k, n) batch: k rows
     cells = g.tolist()
@@ -298,10 +323,21 @@ def _scatter_traces(plan: GIRPlan, system, values, typed) -> List[Any]:
     return out
 
 
-def _escalate(request, plan, X, stats, guard, label: str):
+def _guard_report(guard, solved, label: str):
+    """The guard's health scan of rung 1's per-iteration values: one
+    ``np.isnan`` / ``np.isinf`` pass over a float array, the per-value
+    walk otherwise (exact object values)."""
+    where = f"moebius.{label}"
+    if isinstance(solved, np.ndarray) and solved.dtype.kind == "f":
+        return guard.check_array(solved, where=where)
+    return guard.check_values(solved, where=where)
+
+
+def _escalate(request, plan, X, report, stats, guard, label: str):
     """The Moebius guard's degradation ladder above the path that ran.
 
-    Rung 1 produced ``X``; if the guard finds it unhealthy, rung 2
+    Rung 1 produced ``X`` (``report`` is its health scan); if the guard
+    finds it unhealthy, rung 2
     re-solves with exact ``Fraction`` arithmetic on the numpy object
     path (possible iff every input scalar is finite) -- reusing the
     plan, since the maps are unchanged -- and rung 3 falls back to the
@@ -310,7 +346,6 @@ def _escalate(request, plan, X, stats, guard, label: str):
     from .backends import get_backend
 
     rec = request.source
-    report = guard.check_values((X[int(c)] for c in rec.g), where=f"moebius.{label}")
     if report.healthy:
         return X, stats
     tracer = get_tracer()
@@ -329,7 +364,7 @@ def _escalate(request, plan, X, stats, guard, label: str):
             with maybe_span(
                 tracer, "resilience.escalate", source=label, target="exact"
             ):
-                (Xe,), stats, _ = solve(get_backend("numpy"), exact_request)
+                (Xe,), stats, _, _ = solve(get_backend("numpy"), exact_request)
             return [_exact_to_float(v) for v in Xe], stats
         except ZeroDivisionError:
             # a genuine pole (0/0 or x/0): only float semantics can
@@ -349,27 +384,48 @@ def build_plan(source, problem, policy=None):
     return exec_ordinary.build_plan(source, problem.fingerprint())
 
 
+def strategy(kind: str) -> str:
+    """The strategy a kernel kind runs: ``chains`` (chain scans),
+    ``traces`` (GIR power-table evaluation) or ``rounds`` (pointer
+    jumping, every other kernel)."""
+    return {"chains": "chains", "gir": "traces"}.get(kind, "rounds")
+
+
 def solve(backend, request, rows=None, f_rows=None):
     """Run ``request`` on ``backend``'s kernels -- or, given ``rows``,
     one stacked sweep over ``k`` value rows sharing its maps.
 
-    Returns ``(outputs, stats, plan)`` with one output array per row
-    (stats only for a single solve that asked for them).
+    Returns ``(outputs, stats, plan, strategy)``: one output array per
+    row, stats only for a single solve that asked for them, and the
+    :func:`strategy` that ran.
     """
     problem, source, policy = request.problem, request.source, request.policy
     family = problem.family
     options = {**backend.defaults, **request.options}
     batch = rows is not None
     plan = request.plan
-    guard = None
+    guard = scalars = None
     if family == "moebius":
-        kind, guard = (
-            ("affine", None) if batch else exec_moebius.resolve_mode(source, options)
+        kind, guard, scalars = (
+            ("affine", None, None)
+            if batch
+            else exec_moebius.resolve_mode(source, options)
         )
     elif family == "gir" and not exec_gir.dispatches(source, problem, plan):
         kind = "gir"
     else:
         kind = "ordinary"
+    if plan is None and kind != "gir":
+        plan = build_plan(source, problem)
+    op = getattr(source, "op", None)
+    if (
+        kind == "ordinary"
+        and "chains" in backend.kernels
+        and _schedule(plan).chains is not None
+        and exec_ordinary.chains_apply(op, policy)
+    ):
+        kind = "chains"
+    ran = strategy(kind)
     make = backend.kernels.get(kind)
     if make is None:
         raise ValueError(
@@ -377,8 +433,6 @@ def solve(backend, request, rows=None, f_rows=None):
             f"{', '.join(sorted(backend.kernels))}) -- use backend='numpy' "
             "or backend='python' instead"
         )
-    if plan is None and kind != "gir":
-        plan = build_plan(source, problem)
     label = make.label + (".batch" if batch else "")
     enforcer = policy.enforcer(f"{family}.{label}") if policy is not None else None
     if batch:
@@ -387,10 +441,15 @@ def solve(backend, request, rows=None, f_rows=None):
     else:
         init, f_init = source.initial, request.f_initial
         initials, f_inits = [init], [f_init]
+    typed = ftyped = None
+    if family != "moebius" and op is not None and op.dtype is not None:
+        typed = admit(init, op)
+        if f_init is not None:
+            ftyped = admit(f_init, op)
     job = Job(
         sched=plan if kind == "gir" else _schedule(plan),
         source=source,
-        op=getattr(source, "op", None),
+        op=op,
         init=init,
         finit=init if f_init is None else f_init,
         stacked=batch,
@@ -400,17 +459,21 @@ def solve(backend, request, rows=None, f_rows=None):
         deadline=None
         if policy is None or policy.timeout_s is None
         else time.time() + policy.timeout_s,
+        typed=typed,
+        ftyped=ftyped,
+        scalars=scalars,
     )
-    base = None
+    base = cells = None
     active: List[int] = []
     if kind == "gir":
-        solved, base, plan = _traces(make, job, problem, enforcer, label)
+        solved, base, plan = _traces(make, job, problem, enforcer, label, ran)
     elif kind == "object":
-        solved, active = _object(make, job, enforcer, label)
+        solved, active = _object(make, job, enforcer, label, ran)
     else:
         span = "moebius" if family == "moebius" else "ordinary"
-        kernel, active = _replay(span, make, job, enforcer, label)
+        kernel, active = _replay(span, make, job, enforcer, label, ran)
         solved, base = kernel.solved(), getattr(kernel, "base", None)
+        cells = getattr(kernel, "cells", None)
     stats = _stats(plan, active) if request.collect_stats else None
 
     def instance(r):
@@ -418,6 +481,7 @@ def solve(backend, request, rows=None, f_rows=None):
             return source
         return dataclasses.replace(source, initial=list(rows[r]))
 
+    report = None
     if enforcer is not None and enforcer.should_fallback:
         outs = [
             _sequential(family, instance(r), f_inits[r])
@@ -426,13 +490,20 @@ def solve(backend, request, rows=None, f_rows=None):
     elif solved is None:  # a pooled GIR evaluation stopped at the deadline
         outs = [list(source.initial)]
     else:
-        outs = _scatter(plan, source, initials, solved, base, batch)
+        if guard is not None:
+            report = _guard_report(guard, solved, label)
+        outs = _scatter(plan, source, initials, solved, base, batch, cells)
     if guard is not None:
-        outs[0], stats = _escalate(request, plan, outs[0], stats, guard, label)
+        if report is None:  # the policy's sequential fallback ran
+            X = outs[0]
+            report = _guard_report(guard, [X[c] for c in source.g.tolist()], label)
+        outs[0], stats = _escalate(
+            request, plan, outs[0], report, stats, guard, label
+        )
     if request.checked and not (enforcer is not None and enforcer.is_partial):
         for r, out in enumerate(outs):
             check(family, instance(r), out, f_inits[r], request.check_sample)
-    return outs, stats, plan
+    return outs, stats, plan, ran
 
 
 def solve_batch(backend, request, rows, f_rows=None):
@@ -442,7 +513,7 @@ def solve_batch(backend, request, rows, f_rows=None):
     stacked sweep (:func:`solve` with ``rows``); anything else replays
     the shared plan per row, every row drawing on ONE cumulative
     policy budget -- a batch cannot stretch a ``t``-second budget into
-    ``k * t`` seconds.  Returns ``(outputs, plan)``.
+    ``k * t`` seconds.  Returns ``(outputs, plan, strategy)``.
     """
     from ..resilience import policy as policy_mod
 
@@ -452,7 +523,7 @@ def solve_batch(backend, request, rows, f_rows=None):
             f"f_initial_batch does not apply to the {problem.family} family"
         )
     if len(rows) == 0:
-        return [], request.plan
+        return [], request.plan, None
     path = {**backend.defaults, **request.options}.get("path", "auto")
     if problem.family == "ordinary" or (
         problem.family == "moebius"
@@ -461,10 +532,10 @@ def solve_batch(backend, request, rows, f_rows=None):
         and "affine" in backend.kernels
         and exec_moebius.stackable_affine(source, rows)
     ):
-        outs, _stats, plan = solve(backend, request, rows, f_rows)
-        return outs, plan
+        outs, _stats, plan, ran = solve(backend, request, rows, f_rows)
+        return outs, plan, ran
     t0 = policy_mod.budget_clock() if policy is not None else 0.0
-    plan = request.plan
+    plan, ran = request.plan, None
     outs = []
     for row in rows:
         row_request = dataclasses.replace(
@@ -473,6 +544,6 @@ def solve_batch(backend, request, rows, f_rows=None):
             plan=plan,
             policy=None if policy is None else policy.with_remaining(t0),
         )
-        (out,), _stats, plan = solve(backend, row_request)
+        (out,), _stats, plan, ran = solve(backend, row_request)
         outs.append(out)
-    return outs, plan
+    return outs, plan, ran

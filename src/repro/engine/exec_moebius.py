@@ -26,9 +26,11 @@ import numpy as np
 
 from ..core.equations import IRValidationError
 from ..core.moebius import (
+    FloatScalars,
     Mat2,
     RationalRecurrence,
     _affine_fast_path_applicable,
+    _float_scalars,
     _floatable_scalars,
 )
 from ..resilience.guard import NumericGuard, default_guard
@@ -41,6 +43,7 @@ __all__ = [
     "resolve_mode",
     "build_plan",
     "affine_coefficients",
+    "scatter_base",
     "stackable_affine",
     "AffineRounds",
     "RationalRounds",
@@ -49,42 +52,52 @@ __all__ = [
 PATHS = ("auto", "object", "affine", "rational")
 
 
-def resolve_path(rec: RationalRecurrence, path: str) -> str:
+def resolve_path(
+    rec: RationalRecurrence, path: str, scalars: Optional[FloatScalars]
+) -> str:
     """Concrete numeric path of an ``auto`` request (mirrors the
-    historical engine-selection rules)."""
+    historical engine-selection rules); ``scalars`` is
+    :func:`~repro.core.moebius._float_scalars`'s result."""
     if path != "auto":
         return path
-    if _affine_fast_path_applicable(rec):
+    if _affine_fast_path_applicable(rec, scalars):
         return "affine"
-    if _floatable_scalars(rec):
+    if _floatable_scalars(scalars):
         return "rational"
     return "object"
 
 
 def resolve_mode(
     rec: RationalRecurrence, options: Mapping[str, Any]
-) -> Tuple[str, Optional[NumericGuard]]:
-    """Validate ``rec`` and resolve its ``(path, guard)``.
+) -> Tuple[str, Optional[NumericGuard], Optional[FloatScalars]]:
+    """Check ``rec``'s coefficients and resolve its ``(path, guard,
+    scalars)``; the index maps are validated once per plan
+    (:func:`build_plan`).
 
-    ``guard="auto"`` arms the default numeric guard only for ``auto``
-    solves: explicitly selected paths keep their bit-level behaviour
-    unguarded.
+    ``scalars`` are the recurrence's float64 columns, classified once
+    here for the path rules and the float kernels (``None`` when a
+    scalar is not a plain int/float).  ``guard="auto"`` arms the
+    default numeric guard only for ``auto`` solves: explicitly selected
+    paths keep their bit-level behaviour unguarded.
     """
-    rec.validate()
+    rec.validate_coefficients()
     path = options.get("path", "auto")
     guard = options.get("guard", "auto")
     if isinstance(guard, str):
         if guard != "auto":
             raise ValueError(f"unknown guard mode {guard!r}")
         guard = default_guard() if path == "auto" else None
-    resolved = resolve_path(rec, path)
+    scalars = _float_scalars(rec) if path in ("auto", "affine", "rational") else None
+    resolved = resolve_path(rec, path, scalars)
     if resolved not in PATHS[1:]:
         raise ValueError(f"unknown engine {resolved!r}")
-    return resolved, guard
+    return resolved, guard, scalars
 
 
 def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
-    """Plan the shared pointer-jumping structure over ``(g, f)``."""
+    """Validate the index maps and plan the shared pointer-jumping
+    structure over ``(g, f)`` (every Moebius kernel runs rounds)."""
+    rec.validate_maps()
     ordinary = exec_ordinary.build_plan_from_maps(
         rec.g, rec.f, rec.m, fingerprint
     )
@@ -128,11 +141,33 @@ def evaluate_object(rec: RationalRecurrence, g: np.ndarray, solved) -> List[Any]
 # ---------------------------------------------------------------------------
 
 
-def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
+def _affine_base(
+    rec: RationalRecurrence, scalars: Optional[FloatScalars] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Normalized per-iteration ``(a, b)`` coefficients, terminal fold
-    **not** applied.  Validates the affine preconditions (``c = 0``,
-    ``d != 0``)."""
-    rec.validate()
+    **not** applied.  Checks the affine preconditions (``c = 0``,
+    ``d != 0``).
+
+    With complete float ``scalars`` this is array arithmetic --
+    ``(S*c + a) / d`` and ``(S*d + b) / d`` under a self term, else
+    ``a / d`` and ``b / d`` -- the same IEEE operations, in the same
+    order, as the per-iteration ``Mat2`` walk it replaces (kept for
+    exact and oversized scalars).
+    """
+    rec.validate_coefficients()
+    if scalars is not None and scalars.complete:
+        A, B, C, D = scalars.a, scalars.b, scalars.c, scalars.d
+        if (C != 0).any():
+            raise IRValidationError(
+                "the affine path requires c = 0 everywhere; use the "
+                "rational or object path for rational recurrences"
+            )
+        if (D == 0).any():
+            raise ZeroDivisionError("affine normalization needs d != 0")
+        if rec.self_term:
+            S = scalars.initial[rec.g]
+            A, B = S * C + A, S * D + B
+        return A / D, B / D
     n = rec.n
     if any(c != 0 for c in rec.c):
         raise IRValidationError(
@@ -153,17 +188,21 @@ def _affine_base(rec: RationalRecurrence) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def affine_coefficients(
-    rec: RationalRecurrence, sched: OrdinaryPlan, values=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The affine sweep's starting ``(a, b)``, terminal fold applied.
+    rec: RationalRecurrence, sched: OrdinaryPlan, values=None, scalars=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The affine sweep's starting ``(a, b)``, terminal fold applied,
+    plus the float64 initial values ``V`` it read.
 
     ``values`` defaults to ``rec.initial``; a ``(k, m)`` stack of value
     rows yields ``b`` as ``(k, n)`` while ``a`` stays ``(n,)`` -- it is
     row-independent (composition multiplies coefficients without
     touching values).
     """
-    a, b = _affine_base(rec)
-    V = np.asarray(rec.initial if values is None else values, dtype=np.float64)
+    a, b = _affine_base(rec, scalars)
+    if values is None and scalars is not None and scalars.initial is not None:
+        V = scalars.initial
+    else:
+        V = np.asarray(rec.initial if values is None else values, dtype=np.float64)
     if V.ndim == 2:
         b = np.repeat(b[None, :], V.shape[0], axis=0)
     ix = exec_ordinary.cells(V.ndim)
@@ -174,7 +213,17 @@ def affine_coefficients(
     at = a[t]
     b[ix(t)] = np.where(at == 0.0, b[ix(t)], at * V[ix(sched.f[t])] + b[ix(t)])
     a[t] = 0.0
-    return a, b
+    return a, b, V
+
+
+def scatter_base(V: np.ndarray, job) -> Optional[np.ndarray]:
+    """``V`` -- the float64 initial values -- when the driver may
+    scatter the solved cells into it: every initial value is a Python
+    float, so each untouched cell comes back unchanged.  Otherwise
+    ``None``, and the driver scatters onto the Python rows (ints,
+    exact beyond 2**53, keep their type and value)."""
+    rows = job.init if job.stacked else [job.init]
+    return V if all(set(map(type, row)) == {float} for row in rows) else None
 
 
 class AffineRounds:
@@ -185,9 +234,17 @@ class AffineRounds:
     pooled = False
 
     def __init__(self, job):
-        self.a, self.b = affine_coefficients(
-            job.source, job.sched, job.init if job.stacked else None
+        scalars = job.scalars
+        if scalars is None and job.stacked:  # batches skip resolve_mode
+            scalars = _float_scalars(job.source)
+        self.a, self.b, V = affine_coefficients(
+            job.source,
+            job.sched,
+            job.init if job.stacked else None,
+            scalars,
         )
+        #: the float64 initial values the driver scatters into, if exact
+        self.base = scatter_base(V, job)
         self.ix = exec_ordinary.cells(self.b.ndim)
         self.steps = job.sched.steps
 
@@ -290,7 +347,7 @@ class RationalRounds:
 
     def __init__(self, job):
         rec, sched, guard = job.source, job.sched, job.guard
-        rec.validate()
+        rec.validate_coefficients()
         n = rec.n
         self.rec, self.g = rec, sched.g
         self.singular = (
@@ -298,13 +355,23 @@ class RationalRounds:
             if guard is not None
             else (lambda a, b, c, d: a * d - b * c == 0)
         )
-        A, B, C, D = (np.empty(n) for _ in range(4))
-        for i in range(n):
-            mat = rec.coefficient_matrix(i)
-            A[i], B[i], C[i], D[i] = mat.a, mat.b, mat.c, mat.d
+        scalars = job.scalars
+        if scalars is not None and scalars.complete:
+            A, B = scalars.a.copy(), scalars.b.copy()
+            C, D = scalars.c.copy(), scalars.d.copy()
+            if rec.self_term:  # [[S*c + a, S*d + b], [c, d]]
+                S = scalars.initial[sched.g]
+                A, B = S * C + A, S * D + B
+            V = scalars.initial
+        else:
+            A, B, C, D = (np.empty(n) for _ in range(4))
+            for i in range(n):
+                mat = rec.coefficient_matrix(i)
+                A[i], B[i], C[i], D[i] = mat.a, mat.b, mat.c, mat.d
+            V = np.asarray(rec.initial, dtype=np.float64)
         # terminals compose their map over Const(S[f(i)]) = [[0,S],[0,1]]
         t = sched.terminal_idx
-        s_f = np.asarray(rec.initial, dtype=np.float64)[sched.f[t]]
+        s_f = V[sched.f[t]]
         keep = self.singular(A[t], B[t], C[t], D[t])
         new_b = np.where(keep, B[t], _amul(A[t], s_f) + B[t])
         new_d = np.where(keep, D[t], _amul(C[t], s_f) + D[t])
@@ -312,6 +379,9 @@ class RationalRounds:
         new_c = np.where(keep, C[t], 0.0)
         A[t], B[t], C[t], D[t] = new_a, new_b, new_c, new_d
         self.abcd = A, B, C, D
+        self.V = V
+        #: the float64 initial values the driver scatters into, if exact
+        self.base = scatter_base(V, job)
         self.steps = sched.steps
 
     def round(self, active, src) -> None:
@@ -324,15 +394,12 @@ class RationalRounds:
         C[active] = np.where(keep, co, _amul(co, ai) + _amul(do, ci))
         D[active] = np.where(keep, do, _amul(co, bi) + _amul(do, di))
 
-    def solved(self) -> List[Any]:
+    def solved(self) -> np.ndarray:
+        """Each composed map evaluated: ``b / d`` for a complete
+        (constant) composition, else the rank-1 map at the paper's
+        ``S[g(i)]`` argument."""
         A, B, C, D = self.abcd
-        initial = self.rec.initial
-        out = []
-        for i, cell in enumerate(self.g.tolist()):
-            a, b, c, d = A[i], B[i], C[i], D[i]
-            if a == 0 and c == 0:
-                out.append(b / d)
-            else:  # rank-1 map: evaluate at the paper's S[g(i)] argument
-                s = initial[cell]
-                out.append((a * s + b) / (c * s + d))
-        return out
+        s = self.V[self.g]
+        const = (A == 0) & (C == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(const, B / D, (A * s + B) / (C * s + D))

@@ -46,7 +46,7 @@ import numpy as np
 from ..errors import FaultError, PoolSpawnError
 from ..obs import get_registry, merge_worker_snapshots
 from ..obs.recorder import record_event
-from .exec_moebius import affine_coefficients
+from .exec_moebius import affine_coefficients, scatter_base
 from .shm_pool import (
     BARRIER_TIMEOUT_S,
     CTRL_CRASH,
@@ -209,6 +209,11 @@ def _upload_counted(uploaded: bool) -> None:
         registry.counter(name).inc()
 
 
+def _typed(admitted, values, dtype) -> np.ndarray:
+    """The driver's admitted typed array, else ``values`` cast here."""
+    return admitted if admitted is not None else np.asarray(values, dtype=dtype)
+
+
 class _Pooled:
     """One job on the worker pool: the options every shm kernel reads
     (``workers``, ``watchdog_s``, ``max_retries``, ``chaos`` and the
@@ -310,12 +315,14 @@ class ShmRounds(_Pooled):
             )
         self.sched = job.sched
         self.dtype = dtype = np.dtype(op.dtype)
-        self.init = np.asarray(job.init, dtype=dtype)
+        self.init = _typed(job.typed, job.init, dtype)
         self.finit = (
             self.init
             if job.finit is job.init
-            else np.asarray(job.finit, dtype=dtype)
+            else _typed(job.ftyped, job.finit, dtype)
         )
+        #: the typed input the driver scatters into
+        self.base = self.init
 
     def run(self, rounds: int) -> int:
         sched, dtype, op = self.sched, self.dtype, self.op
@@ -348,7 +355,10 @@ class ShmAffine(_Pooled):
     def __init__(self, job):
         super().__init__(job)
         self.sched = job.sched
-        self.a0, self.b0 = affine_coefficients(job.source, job.sched)
+        self.a0, self.b0, V = affine_coefficients(
+            job.source, job.sched, None, job.scalars
+        )
+        self.base = scatter_base(V, job)
 
     def run(self, rounds: int) -> int:
         sched = self.sched

@@ -4,12 +4,17 @@ A plan records everything the engine can derive from the index maps
 alone, so repeated solves sharing ``f, g, h`` skip straight to the
 value-dependent work:
 
-* :class:`OrdinaryPlan` -- the Lemma-1 predecessor array, the terminal
-  mask, and the full **round schedule**: for every pointer-jumping
-  round, the iterations that are active and the source each one
-  concatenates from.  Executing a planned solve is then one gather +
-  ``op`` + scatter per round; no pointer bookkeeping, no validation,
-  no ``np.unique``.
+* :class:`OrdinaryPlan` -- the Lemma-1 predecessor array and ONE
+  execution layout chosen from the index structure: a
+  :class:`ChainLayout` (a permutation of the iterations into
+  pred-linked chains plus segment offsets grouped by level, ``O(n)``
+  bytes; each level is one ``ufunc.accumulate`` sweep) when it needs
+  fewer levels than pointer jumping needs rounds, else the **round
+  schedule**: for every pointer-jumping round, the iterations that are
+  active and the source each one concatenates from (``O(n log n)``
+  bytes; one gather + ``op`` + scatter per round).  A chain plan
+  builds the round schedule lazily, only for a consumer that runs
+  rounds.
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the CAP
   power table of every iteration's trace as a flat CSR-style
   :class:`PowerTable` (row-ptr / cell-id / exponent arrays, v2), the
@@ -23,7 +28,8 @@ value-dependent work:
   matrices are represented.
 
 Plans serialize to plain dicts (``to_dict``/``from_dict``) so they can
-be persisted and shipped; the schedule is stored as index lists.
+be persisted and shipped; the layout is stored as index lists (a
+chain plan's ``chains`` payload, a rounds plan's ``steps``).
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ import numpy as np
 
 __all__ = [
     "OrdinaryPlan",
+    "ChainLayout",
     "GIRPlan",
     "MoebiusPlan",
     "PowerTable",
     "Plan",
     "build_round_schedule",
+    "build_chain_layout",
     "plan_to_dict",
     "plan_from_dict",
 ]
@@ -74,9 +82,163 @@ def build_round_schedule(pred: np.ndarray) -> List[RoundStep]:
     return steps
 
 
+def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
+    """Decompose the Lemma-1 predecessor forest into chains, or return
+    ``None`` when pointer jumping needs no more rounds than the chains
+    need levels.
+
+    A *segment* is a maximal run of consecutive iterations each reading
+    its left neighbour (``pred[i] == i - 1``): a pred-linked path in
+    index order whose positions are plain arithmetic, found with one
+    vector compare.  A segment's head is seeded by ``pred[head]`` --
+    the terminal's initial value for a root, else a value in the
+    parent segment.  Its *level* counts the segment boundaries between
+    it and its root; a level only reads levels before it.  Levels and
+    head depths are pointer-jumped over the segments (not the
+    iterations), ``O(S log levels)`` for ``S`` segments, and the round
+    count of pointer jumping follows from the deepest iteration
+    without simulating it: an iteration at depth ``d`` is active in
+    round ``r`` iff ``d >= 2**(r-1)``.
+
+    Only index structure is read; the chain layout is ``O(n)`` bytes.
+    """
+    n = int(pred.shape[0])
+    if n == 0:
+        return None
+    idx = np.arange(n, dtype=np.int64)
+    is_head = pred != idx - 1
+    is_head[0] = True
+    heads = np.flatnonzero(is_head)
+    if 4 * heads.size > 3 * n:
+        # Mostly one-iteration segments: the chain levels track depth,
+        # which pointer jumping halves each round -- keep planning cheap.
+        return None
+    seg_of = np.cumsum(is_head) - 1
+    seeds = pred[heads]
+    nonroot = seeds >= 0
+    parent = np.where(nonroot, seg_of[np.maximum(seeds, 0)], -1)
+    level = nonroot.astype(np.int64)
+    # depth(head) = depth(parent head) + (seed - parent head) + 1
+    depth = np.where(nonroot, seeds - heads[np.maximum(parent, 0)] + 1, 0)
+    anc = parent.copy()
+    live = np.flatnonzero(anc >= 0)
+    while live.size:  # synchronous pointer jumping over segments
+        up = anc[live]
+        level[live] += level[up]
+        depth[live] += depth[up]
+        anc[live] = anc[up]
+        live = live[anc[live] >= 0]
+    lengths = np.diff(np.append(heads, n))
+    rounds = int((depth + lengths - 1).max()).bit_length()
+    levels = int(level.max()) + 1
+    if levels >= rounds:
+        return None
+    # Segments grouped by level, then by length (equal-length runs of
+    # one level form one reshaped block); each keeps index order.
+    seg_order = np.lexsort((lengths, level))
+    seg_len = lengths[seg_order]
+    offsets = np.zeros(heads.size + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=offsets[1:])
+    order = np.repeat(heads[seg_order] - offsets[:-1], seg_len) + idx
+    level_ptr = np.searchsorted(
+        level[seg_order], np.arange(levels + 1, dtype=np.int64)
+    ).astype(np.int64)
+    return ChainLayout(order=order, offsets=offsets, level_ptr=level_ptr)
+
+
+@dataclass
+class ChainLayout:
+    """The chain strategy's plan: one permutation of the iterations and
+    segment offsets into it, grouped by level.
+
+    ``order[offsets[s]:offsets[s + 1]]`` is segment ``s``: iterations
+    in index order, each reading its predecessor in the segment; the
+    head reads ``pred[head]``, which lies in an earlier level (or is a
+    terminal).  Segments ``level_ptr[l]:level_ptr[l + 1]`` form level
+    ``l``.  The per-solve index helpers (block slices, seed positions,
+    ``g`` in chain order) are derived lazily and cached, never
+    serialized.
+    """
+
+    order: np.ndarray  # (n,) int64 permutation of the iterations
+    offsets: np.ndarray  # (segments + 1,) int64, 0 .. n
+    level_ptr: np.ndarray  # (levels + 1,) int64 segment index per level
+    _cache: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def levels(self) -> int:
+        return int(self.level_ptr.shape[0]) - 1
+
+    @property
+    def segments(self) -> int:
+        return int(self.offsets.shape[0]) - 1
+
+    @property
+    def cached_nbytes(self) -> int:
+        """Bytes held by the lazily derived helpers."""
+
+        def size(value) -> int:
+            if isinstance(value, np.ndarray):
+                return int(value.nbytes)
+            if isinstance(value, (list, tuple)):
+                return sum(size(item) for item in value)
+            return 0
+
+        return size(list(self._cache.values()))
+
+    def depths(self, pred: np.ndarray) -> np.ndarray:
+        """Each iteration's depth in the predecessor forest (its number
+        of ancestors), level by level in chain order."""
+        order, offsets = self.order, self.offsets
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.shape[0], dtype=np.int64)
+        depth_c = np.zeros(order.shape[0], dtype=np.int64)
+        lengths = np.diff(offsets)
+        for level in range(self.levels):
+            s0, s1 = int(self.level_ptr[level]), int(self.level_ptr[level + 1])
+            lo, hi = int(offsets[s0]), int(offsets[s1])
+            heads = order[offsets[s0:s1]]
+            base = (
+                np.zeros(s1 - s0, dtype=np.int64)
+                if level == 0
+                else depth_c[pos[pred[heads]]] + 1
+            )
+            lens = lengths[s0:s1]
+            depth_c[lo:hi] = np.repeat(base - offsets[s0:s1], lens) + np.arange(
+                lo, hi, dtype=np.int64
+            )
+        depth = np.empty_like(depth_c)
+        depth[order] = depth_c
+        return depth
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            "order": self.order.tolist(),
+            "offsets": self.offsets.tolist(),
+            "level_ptr": self.level_ptr.tolist(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "ChainLayout":
+        return cls(
+            order=np.asarray(payload["order"], dtype=np.int64),
+            offsets=np.asarray(payload["offsets"], dtype=np.int64),
+            level_ptr=np.asarray(payload["level_ptr"], dtype=np.int64),
+        )
+
+
 @dataclass
 class OrdinaryPlan:
-    """Plan of an OrdinaryIR pointer-jumping solve over ``(g, f, m)``."""
+    """Plan of an OrdinaryIR solve over ``(g, f, m)``.
+
+    The planner materializes one layout: ``chains`` (a
+    :class:`ChainLayout`) when chain scans need fewer levels than
+    pointer jumping needs rounds, else the round schedule ``steps``.
+    ``steps`` is always readable -- on a chain plan it is built from
+    ``pred`` on first access and cached, for the consumers that run
+    rounds (python / shm kernels, non-ufunc operators, round budgets,
+    the checker's round rules).
+    """
 
     fingerprint: str
     n: int
@@ -84,7 +246,10 @@ class OrdinaryPlan:
     g: np.ndarray
     f: np.ndarray
     pred: np.ndarray
-    steps: List[RoundStep]
+    steps: Optional[List[RoundStep]] = field(
+        default=None, repr=False, compare=False
+    )
+    chains: Optional[ChainLayout] = field(default=None, repr=False, compare=False)
     family: str = "ordinary"
     # lazily-built caches (not serialized)
     _terminal_idx: Optional[np.ndarray] = field(
@@ -95,8 +260,19 @@ class OrdinaryPlan:
     )
 
     @property
+    def strategy(self) -> str:
+        """The layout the planner chose: ``"chains"`` or ``"rounds"``."""
+        return "rounds" if self.chains is None else "chains"
+
+    @property
+    def has_steps(self) -> bool:
+        """Whether the round schedule is materialized."""
+        return self._steps is not None
+
+    @property
     def rounds(self) -> int:
-        return len(self.steps)
+        """Pointer-jumping rounds (never builds a lazy schedule)."""
+        return len(self.active_per_round)
 
     @property
     def terminal_idx(self) -> np.ndarray:
@@ -111,7 +287,16 @@ class OrdinaryPlan:
 
     @property
     def active_per_round(self) -> List[int]:
-        return [int(active.size) for active, _src in self.steps]
+        """Active iterations per pointer-jumping round.  A chain plan
+        whose schedule is not materialized derives them from depths:
+        an iteration at depth ``d`` is active in round ``r`` iff
+        ``d >= 2**(r-1)``."""
+        if self._steps is not None or self.chains is None:
+            return [int(active.size) for active, _src in self.steps]
+        depth = self.chains.depths(self.pred)
+        bits = np.frexp(depth.astype(np.float64))[1]  # int.bit_length
+        per_bits = np.bincount(bits)
+        return np.cumsum(per_bits[::-1])[::-1][1:].tolist()
 
     def steps_py(self) -> List[Tuple[List[int], List[int]]]:
         """The schedule as Python lists (pure-Python backend)."""
@@ -122,7 +307,7 @@ class OrdinaryPlan:
         return self._steps_py
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        payload = {
             "schema_version": PLAN_SCHEMA_VERSION,
             "family": self.family,
             "fingerprint": self.fingerprint,
@@ -131,13 +316,19 @@ class OrdinaryPlan:
             "g": self.g.tolist(),
             "f": self.f.tolist(),
             "pred": self.pred.tolist(),
-            "steps": [
-                [active.tolist(), src.tolist()] for active, src in self.steps
-            ],
         }
+        if self.chains is not None:
+            payload["chains"] = self.chains.to_payload()
+        if self._steps is not None:  # a chain plan's only when materialized
+            payload["steps"] = [
+                [active.tolist(), src.tolist()] for active, src in self._steps
+            ]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "OrdinaryPlan":
+        steps = payload.get("steps")
+        chains = payload.get("chains")
         return cls(
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
@@ -145,14 +336,33 @@ class OrdinaryPlan:
             g=np.asarray(payload["g"], dtype=np.int64),
             f=np.asarray(payload["f"], dtype=np.int64),
             pred=np.asarray(payload["pred"], dtype=np.int64),
-            steps=[
+            steps=None
+            if steps is None
+            else [
                 (
                     np.asarray(active, dtype=np.int64),
                     np.asarray(src, dtype=np.int64),
                 )
-                for active, src in payload["steps"]
+                for active, src in steps
             ],
+            chains=None if chains is None else ChainLayout.from_payload(chains),
         )
+
+
+def _get_steps(plan: OrdinaryPlan) -> List[RoundStep]:
+    if plan._steps is None:
+        plan._steps = build_round_schedule(plan.pred)
+    return plan._steps
+
+
+def _set_steps(plan: OrdinaryPlan, steps: Optional[List[RoundStep]]) -> None:
+    plan._steps = steps
+    plan._steps_py = None
+
+
+# ``steps`` is a constructor field backed by a lazy property: a chain
+# plan builds its round schedule only when a rounds consumer reads it.
+OrdinaryPlan.steps = property(_get_steps, _set_steps)  # type: ignore[assignment]
 
 
 @dataclass

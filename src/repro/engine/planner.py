@@ -39,8 +39,9 @@ DEFAULT_CACHE_SIZE = 128
 def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
-    Counts the flat index arrays (schedule steps, CSR power-table
-    triple, projection maps); per-object overhead and the GIR table's
+    Counts the flat index arrays (materialized schedule steps, the
+    chain layout and its cached helpers, CSR power-table triple,
+    projection maps); per-object overhead and the GIR table's
     exact big-int exponents are estimated at one word each.  Used by
     :meth:`PlanCache.info` so the cache's memory footprint is visible
     next to its hit rate.
@@ -53,8 +54,13 @@ def plan_nbytes(plan) -> int:
         arr = getattr(plan, name, None)
         if arr is not None:
             total += int(arr.nbytes)
-    for active, src in getattr(plan, "steps", ()):
-        total += int(active.nbytes) + int(src.nbytes)
+    if getattr(plan, "has_steps", False):  # never builds a lazy schedule
+        for active, src in plan.steps:
+            total += int(active.nbytes) + int(src.nbytes)
+    chains = getattr(plan, "chains", None)
+    if chains is not None:
+        total += int(chains.order.nbytes) + int(chains.offsets.nbytes)
+        total += int(chains.level_ptr.nbytes) + chains.cached_nbytes
     table = getattr(plan, "table", None)
     if table is not None:
         total += int(table.row_ptr.nbytes) + int(table.cells.nbytes)

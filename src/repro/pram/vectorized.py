@@ -4,13 +4,15 @@ The interpreter in :mod:`repro.pram.machine` is honest but slow (it
 simulates every instruction in Python).  The Fig-3 benchmark runs at
 ``n = 50,000`` over a processor sweep, which calls for this engine:
 
-* the *data path* is the real vectorized solver
-  (:func:`repro.core.ordinary.solve_ordinary_numpy`) -- values are
-  genuinely computed, not modeled;
-* the *instruction accounting* is analytic: the solver's per-round
-  active counts are pushed through exactly the burst formulas the
-  interpreter charges (uniform per-step costs x ``ceil(active/P)``
-  bursts + per-burst fork overhead).
+* the *data path* is the real vectorized solver (the numpy backend,
+  whichever strategy its planner picks) -- values are genuinely
+  computed, not modeled;
+* the *instruction accounting* is analytic: the plan's Lemma-1
+  per-round active counts (:attr:`~repro.engine.plan.OrdinaryPlan.
+  active_per_round`, the paper's pointer-jumping rounds) are pushed
+  through exactly the burst formulas the interpreter charges (uniform
+  per-step costs x ``ceil(active/P)`` bursts + per-burst fork
+  overhead).
 
 The test suite runs both layers on identical small systems and asserts
 equal instruction totals for every ``P``, which is what licenses using
@@ -139,18 +141,16 @@ def profile_ordinary(
     questions for any processor count without re-running (scheduling
     is pure arithmetic over the recorded active counts).
     """
-    solved = engine_solve(
-        system, collect_stats=True, options=EngineOptions(backend="numpy")
-    )
-    result, stats = solved.values, solved.stats
-    assert stats is not None
+    solved = engine_solve(system, options=EngineOptions(backend="numpy"))
+    active = solved.plan.active_per_round  # the paper's rounds
     profile = OrdinaryCostProfile(
         n=system.n,
         op_cost=system.op.cost,
-        rounds=stats.rounds,
-        active_per_round=list(stats.active_per_round),
+        rounds=len(active),
+        active_per_round=list(active),
         cost_model=cost_model or DEFAULT_COST_MODEL,
     )
+    result = solved.values
     return result, profile
 
 

@@ -157,6 +157,23 @@ class NumericGuard:
                     report.bad_cells.append(cell)
         return report
 
+    def check_array(self, values: np.ndarray, *, where: str = "") -> GuardReport:
+        """:meth:`check_values` over a float array in one vectorized
+        pass (same counts, same ``bad_cells`` order)."""
+        nan, inf = np.isnan(values), np.isinf(values)
+        bad = np.zeros(values.shape, dtype=bool)
+        if self.nan_fatal:
+            bad |= nan
+        if self.inf_fatal:
+            bad |= inf
+        return GuardReport(
+            where=where,
+            checked=int(values.size),
+            nan_count=int(nan.sum()),
+            inf_count=int(inf.sum()),
+            bad_cells=np.flatnonzero(bad).tolist(),
+        )
+
     # -- observability ----------------------------------------------------
 
     def record_trip(self, *, kind: str, engine: str) -> None:

@@ -12,6 +12,7 @@ a silent data race.
 import pytest
 
 from repro.check import (
+    CHAIN_MUTATION_KINDS,
     MUTATION_KINDS,
     SHARD_MUTATION_KINDS,
     mutate_plan,
@@ -20,6 +21,7 @@ from repro.check import (
     verify_plan,
     verify_shard_layout,
 )
+from repro.core import ADD, OrdinaryIRSystem
 from repro.core.moebius import AffineRecurrence
 from repro.core.workloads import (
     chain_system,
@@ -153,6 +155,34 @@ class TestMutationRejection:
                     rejected += 1
         assert total > 0
         assert rejected == total, f"{total - rejected}/{total} mutants survived"
+
+    @pytest.mark.parametrize("kind", CHAIN_MUTATION_KINDS)
+    def test_chain_layout_mutations_rejected(self, kind):
+        # a caterpillar: a 200-spine plus legs, so two chain levels
+        f = list(range(-1, 199)) + [2 * k for k in range(100)]
+        f[0] = 300
+        problem, plan = plan_for(
+            OrdinaryIRSystem.build([1] * 301, list(range(300)), f, ADD)
+        )
+        assert plan.strategy == "chains" and plan.chains.levels == 2
+        expected = {
+            "chain_swap_order": {"CHN003"},
+            "chain_shift_offset": {"CHN002", "CHN003"},
+            "chain_relink_seed": {"CHN002", "CHN004"},
+        }[kind]
+        for seed in range(6):
+            mut = mutate_plan(plan, kind, seed=seed)
+            assert mut is not None, f"{kind} inapplicable"
+            report = verify_plan(mut.plan, problem)
+            assert not report.ok, f"{kind} survived: {mut.description}"
+            assert report.errors[0].code in expected
+            assert not mut.plan.has_steps  # proved on the layout alone
+
+    def test_chain_plan_campaign_includes_layout_kinds(self):
+        _, plan = plan_for(chain_system(300))
+        kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
+        assert "chain_swap_order" in kinds and "swap_rounds" in kinds
+        assert not plan.has_steps  # mutating never builds the input's rounds
 
     def test_boundaries_override_requires_single_count(self):
         from repro.check.schedule import _verify_shard_layouts

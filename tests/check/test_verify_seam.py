@@ -173,6 +173,20 @@ class TestCLI:
         assert report["ok"] is False
         assert any(f["code"].startswith("SCH") for f in report["findings"])
 
+    def test_check_chain_plan_file(self, tmp_path, capsys):
+        plan = solve(chain_system(100), cache=PlanCache()).plan
+        assert plan.strategy == "chains"
+        payload = plan_to_dict(plan)
+        assert "chains" in payload and "steps" not in payload
+        path = self.write_plan(tmp_path, plan, "chains.json")
+        assert main(["check", path, "--workers", "2"]) == 0
+        assert "OK" in capsys.readouterr().out
+        bad = mutate_plan(plan, "chain_swap_order", seed=0).plan
+        path = self.write_plan(tmp_path, bad, "bad-chains.json")
+        assert main(["check", path, "--json"]) == 8
+        report = json.loads(capsys.readouterr().out)
+        assert [f["code"] for f in report["findings"]] == ["CHN003"]
+
     def test_check_proves_system_files_end_to_end(self, tmp_path, capsys):
         path = str(tmp_path / "system.json")
         dump_system(chain_system(64, op=FLOAT_MUL), path)

@@ -18,14 +18,15 @@ from repro.core.workloads import (
     random_ordinary_system,
     scatter_system,
 )
-from .._legacy_solvers import solve_gir, solve_ordinary_numpy
+from .._legacy_solvers import solve_gir, solve_ordinary, solve_ordinary_numpy
 
 
 class TestChain:
     def test_is_one_maximal_chain(self):
         sys_ = chain_system(32)
         assert max_chain_length(sys_) == 32
-        _, stats = solve_ordinary_numpy(sys_, collect_stats=True)
+        # Lemma-1 rounds: ceil(log2 32) on the python engine's rounds
+        _, stats = solve_ordinary(sys_, collect_stats=True)
         assert stats.rounds == 5
 
     def test_solvable(self):

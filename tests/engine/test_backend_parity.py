@@ -19,7 +19,7 @@ from repro.core import (
     run_ordinary,
 )
 from repro.core.operators import modular_add
-from repro.engine import EngineOptions, solve
+from repro.engine import EngineOptions, solve, solve_batch
 
 ORDINARY_BACKENDS = ["python", "numpy", "pram"]
 PLANNED_BACKENDS = ["python", "numpy"]
@@ -171,6 +171,24 @@ class TestMoebiusParity:
             got = solve(rec, options=EngineOptions(backend=backend)).values
             want = run_moebius_sequential(rec)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5], ids=["affine", "rational"])
+    def test_untouched_cells_come_back_unchanged(self, backend, c):
+        """Cells no iteration writes keep their Python value and type,
+        even an int float64 cannot hold (the float kernels scatter onto
+        the caller's values, not onto a float64 copy of them)."""
+        big = 10**17 + 1
+        initial = [3, 1.5, 2.0, 0.25, 4.0, big]
+        maps = [1, 2, 3, 4], [0, 1, 2, 3]
+        coefficients = [2.0] * 4, [1.0] * 4, [c] * 4, [1.0] * 4
+        rec = RationalRecurrence.build(initial, *maps, *coefficients)
+        rows = [solve(rec, options=EngineOptions(backend=backend)).values]
+        if backend == "numpy":
+            rows += solve_batch(rec, [initial, initial])
+        for row in rows:
+            assert row[0] == 3 and type(row[0]) is int
+            assert row[5] == big and type(row[5]) is int
+            assert row[1:5] == pytest.approx(run_moebius_sequential(rec)[1:5])
 
 
 class TestPRAMLimits:

@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core.cap import count_all_paths
 from repro.core.depgraph import build_dependence_graph
 from repro.core.moebius import AffineRecurrence
+from repro.resilience import SolvePolicy
 from .._legacy_solvers import solve_affine_numpy, solve_gir, solve_moebius, solve_ordinary, solve_ordinary_numpy
 
 
@@ -28,17 +29,31 @@ def fig3_system(n):
     )
 
 
+def solve_numpy_rounds(system, **kwargs):
+    """The numpy backend held to pointer-jumping rounds: a round budget
+    always runs rounds (the default would scan this chain in one
+    level)."""
+    return solve_ordinary_numpy(
+        system, policy=SolvePolicy(max_rounds=64), **kwargs
+    )
+
+
 class TestOrdinarySolvers:
-    @pytest.mark.parametrize("solver,engine", [
-        (solve_ordinary, "python"),
-        (solve_ordinary_numpy, "numpy"),
+    @pytest.mark.parametrize("solver,engine,expected", [
+        (solve_ordinary, "python", math.ceil(math.log2(257))),
+        (solve_numpy_rounds, "numpy", math.ceil(math.log2(257))),
+        (solve_ordinary_numpy, "numpy", 1),  # chain scan: one level
+    ], ids=[
+        "solve_ordinary-python",
+        "solve_ordinary_numpy-numpy",
+        "solve_ordinary_numpy-chains",
     ])
-    def test_round_spans_agree_with_stats(self, solver, engine):
+    def test_round_spans_agree_with_stats(self, solver, engine, expected):
         system = fig3_system(257)
         with obs.observed() as (tracer, registry):
             _out, stats = solver(system, collect_stats=True)
         rounds = tracer.find("solver.round")
-        assert len(rounds) == stats.rounds == math.ceil(math.log2(257))
+        assert len(rounds) == stats.rounds == expected
         assert [s.attributes["active"] for s in rounds] == stats.active_per_round
         assert registry.value("solver.rounds", engine=engine) == stats.rounds
         assert registry.value("solver.init_ops", engine=engine) == stats.init_ops

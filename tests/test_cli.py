@@ -144,23 +144,36 @@ class TestObservabilityFlags:
 
         n = 300
         path = fig3_system_file(tmp_path, n=n)
-        trace_path = str(tmp_path / "t.json")
-        assert main(["solve", path, "--json", "--trace-out", trace_path]) == 0
-        stats = json.loads(capsys.readouterr().out)["stats"]
-        with open(trace_path) as handle:
-            trace = json.load(handle)
-        rounds = [
-            e for e in trace["traceEvents"]
-            if e.get("name") == "solver.round"
-        ]
-        assert len(rounds) == stats["rounds"] == math.ceil(math.log2(n))
-        actives = [e["args"]["active"] for e in rounds]
-        assert actives == stats["active_per_round"]
+        # a round budget runs pointer-jumping rounds; by default the
+        # chain is one accumulate level
+        for flags, strategy, expected in (
+            (["--policy-rounds", "64"], "rounds", math.ceil(math.log2(n))),
+            ([], "chains", 1),
+        ):
+            trace_path = str(tmp_path / f"t{strategy}.json")
+            assert main(
+                ["solve", path, "--json", "--trace-out", trace_path, *flags]
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            stats = payload["stats"]
+            assert payload["strategy"] == strategy
+            with open(trace_path) as handle:
+                trace = json.load(handle)
+            rounds = [
+                e for e in trace["traceEvents"]
+                if e.get("name") == "solver.round"
+            ]
+            assert len(rounds) == stats["rounds"] == expected
+            actives = [e["args"]["active"] for e in rounds]
+            assert actives == stats["active_per_round"]
 
     def test_solve_metrics_json(self, tmp_path, capsys):
         path = fig3_system_file(tmp_path, n=32)
         metrics_path = str(tmp_path / "m.json")
-        assert main(["solve", path, "--metrics-json", metrics_path]) == 0
+        assert main(
+            ["solve", path, "--metrics-json", metrics_path,
+             "--policy-rounds", "64"]  # a round budget runs rounds
+        ) == 0
         capsys.readouterr()
         series = json.loads(open(metrics_path).read())
         by_name = {(e["name"], e["labels"].get("engine")): e for e in series}
