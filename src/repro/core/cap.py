@@ -44,9 +44,12 @@ and ``F_t = A^{2^t}`` exactly.  This module runs that recurrence on
   int64 the whole state is converted to dict rows over exact Python
   ints and the loop continues there bit-for-bit.
 
-The public result is unchanged: a dict-row :class:`EdgeSet` view, so
-the checker, the PRAM profile and every historical test compare
-against the same representation.
+A converged int64 matrix run hands its leaf block ``L`` out as CSR
+arrays (:attr:`CAPResult.leaf_csr`) -- the planner builds the power
+table from them without a Python pass -- and :attr:`CAPResult.powers`
+stays the dict-row :class:`EdgeSet` view, built lazily, so the
+checker, the PRAM profile and every historical test compare against
+the same representation.
 
 Deep graphs are the one shape doubling handles badly: each round
 copies every live prefix, so a chain of depth ``d`` costs ``O(n*d)``
@@ -67,7 +70,7 @@ from __future__ import annotations
 import os
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -122,10 +125,6 @@ class CAPResult:
 
     Attributes
     ----------
-    powers:
-        ``powers[i]`` maps leaf node ids to path counts from final node
-        ``i`` -- i.e. the multiset of initial values (with
-        multiplicities) in the trace of iteration ``i``.
     iterations:
         Number of path-doubling iterations executed (for
         ``method="dp"``: the rounds the doubling schedule would need,
@@ -138,12 +137,40 @@ class CAPResult:
         Edge compositions per doubling iteration -- the per-superstep
         active counts the processor-bounded (Brent) accounting needs.
         Empty when the DP ran instead of doubling rounds.
+    leaf_csr:
+        When the matrix recurrence converged in int64: the leaf block
+        ``L`` as CSR arrays ``(row_ptr, cells, counts)`` -- int64 row
+        pointers, leaf cells strictly increasing per row, int64 path
+        counts.  ``None`` when the result was computed as dict rows
+        (dict doubling, the DP, an overflow promotion, a partial
+        state).
     """
 
-    powers: EdgeSet
     iterations: int
     edge_work: int = 0
     work_per_iteration: List[int] = field(default_factory=list)
+    leaf_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False
+    )
+    _rows: Optional[EdgeSet] = field(default=None, repr=False, compare=False)
+
+    @property
+    def powers(self) -> EdgeSet:
+        """``powers[i]`` maps leaf node ids to path counts from final
+        node ``i`` -- the multiset of initial values (with
+        multiplicities) in the trace of iteration ``i``.  Built from
+        ``leaf_csr`` on first access and cached."""
+        if self._rows is None:
+            row_ptr, cells, counts = self.leaf_csr
+            n = int(row_ptr.shape[0]) - 1
+            ptr = row_ptr.tolist()
+            keys = (cells + n).tolist()
+            vals = counts.tolist()
+            self._rows = [
+                dict(zip(keys[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]]))
+                for i in range(n)
+            ]
+        return self._rows
 
     def powers_by_cell(self, graph: DependenceGraph, i: int) -> Dict[int, int]:
         """Trace powers of iteration ``i`` keyed by array *cell*."""
@@ -282,7 +309,23 @@ class _MatrixState:
             self.F = self.F @ self.F
         return work
 
-    # -- view -------------------------------------------------------------
+    # -- views ------------------------------------------------------------
+
+    def leaf_csr(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The converged ``L`` as int64 CSR arrays ``(row_ptr, cells,
+        counts)``, cells strictly increasing within each row."""
+        if self.sparse is not None:
+            L = self.L
+            L.sum_duplicates()  # canonical: sorted, duplicate-free
+            return (
+                L.indptr.astype(np.int64),
+                L.indices.astype(np.int64),
+                L.data.astype(np.int64),
+            )
+        rows, cells = np.nonzero(self.L)  # row-major: sorted per row
+        row_ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=row_ptr[1:])
+        return row_ptr, cells.astype(np.int64), self.L[rows, cells]
 
     def to_edge_set(self) -> EdgeSet:
         """The dict-row view of the current state (leaf targets keyed
@@ -396,7 +439,7 @@ def count_all_paths(
                 root.set_attribute("iterations", iterations)
                 root.set_attribute("edge_work", work)
             return CAPResult(
-                powers=powers,
+                _rows=powers,
                 iterations=iterations,
                 edge_work=work,
                 work_per_iteration=[],
@@ -455,15 +498,19 @@ def count_all_paths(
         if root is not None:
             root.set_attribute("iterations", iterations)
             root.set_attribute("edge_work", total_work)
-        if state is not None:
-            edges = state.to_edge_set()
+        leaf_csr = None
         if enforcer is not None and enforcer.should_fallback:
             edges = count_paths_dp(graph)
+        elif state is not None and state.converged():
+            edges, leaf_csr = None, state.leaf_csr()
+        elif state is not None:  # a partial state keeps its open prefixes
+            edges = state.to_edge_set()
         return CAPResult(
-            powers=edges,
             iterations=iterations,
             edge_work=total_work,
             work_per_iteration=per_iteration,
+            leaf_csr=leaf_csr,
+            _rows=edges,
         )
 
 

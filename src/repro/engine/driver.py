@@ -425,7 +425,6 @@ def solve(backend, request, rows=None, f_rows=None):
         and exec_ordinary.chains_apply(op, policy)
     ):
         kind = "chains"
-    ran = strategy(kind)
     make = backend.kernels.get(kind)
     if make is None:
         raise ValueError(
@@ -433,8 +432,6 @@ def solve(backend, request, rows=None, f_rows=None):
             f"{', '.join(sorted(backend.kernels))}) -- use backend='numpy' "
             "or backend='python' instead"
         )
-    label = make.label + (".batch" if batch else "")
-    enforcer = policy.enforcer(f"{family}.{label}") if policy is not None else None
     if batch:
         init, f_init, initials = rows, f_rows, rows
         f_inits = [None] * len(rows) if f_rows is None else f_rows
@@ -446,6 +443,24 @@ def solve(backend, request, rows=None, f_rows=None):
         typed = admit(init, op)
         if f_init is not None:
             ftyped = admit(f_init, op)
+    if (
+        kind in ("ordinary", "chains")
+        and make is not exec_ordinary.PythonRounds
+        and exec_ordinary.may_wrap(op, _schedule(plan), typed, ftyped)
+    ):
+        # The integer result could wrap: run the object-dtype rounds
+        # over Python ints instead, exact like the sequential loop.
+        kind, make = "ordinary", exec_ordinary.NumpyRounds
+        op = dataclasses.replace(op, vector_fn=None, dtype=None)
+        init = typed.tolist()
+        f_init = None if ftyped is None else ftyped.tolist()
+        initials = init if batch else [init]
+        if f_init is not None:
+            f_inits = f_init if batch else [f_init]
+        typed = ftyped = None
+    ran = strategy(kind)
+    label = make.label + (".batch" if batch else "")
+    enforcer = policy.enforcer(f"{family}.{label}") if policy is not None else None
     job = Job(
         sched=plan if kind == "gir" else _schedule(plan),
         source=source,

@@ -13,21 +13,23 @@ ordinary round kernel instead.
 Trace evaluation has two modes:
 
 * ``"batched"`` -- for operators with a picklable ``vector_power``
-  (and exponents reducible into int64 via ``power_period``): every
-  distinct ``(cell, exponent)`` pair is powered **once** per
-  initial-value vector, and the combine phase runs vectorized over all
-  rows sharing a factor count, replicating the legacy balanced pairing
-  column-for-column so results are bit-identical to the per-row loop.
+  (and exponents reducible into int64 via ``power_period``): entries
+  with exponent 1 gather their initial value directly, only the
+  entries with exponent > 1 go through ``vector_power``, and the
+  combine phase runs vectorized over all rows sharing a factor count,
+  replicating the legacy balanced pairing column-for-column so results
+  are bit-identical to the per-row loop.
 * ``"rows"`` -- the historical per-row evaluation over pre-sorted
   cells (no per-call re-sort), with a power memo so each distinct
   atomic power is still computed once; this is the exact-semantics
   path for ``Fraction``/object operators and the comparator the
   Fig-5 bench gates against.
 
-The per-plan int64 exponent reductions are cached on the
-:class:`PowerTable`, so each extra initial-value vector costs only its
-powers and combines.  Spans, stats, policy and the projection back
-onto the original cells belong to :mod:`repro.engine.driver`.
+The powered entries' index and int64 exponent reductions are cached on
+the :class:`PowerTable` per power period, so each extra initial-value
+vector costs only its powers and combines.  Spans, stats, policy and
+the projection back onto the original cells belong to
+:mod:`repro.engine.driver`.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
     # Leaf cells are always original cells (< m): renamed version
     # cells are written before any read, so only pristine cells appear
     # as initial-value leaves.  The table therefore indexes the
-    # original initial array.
-    table = PowerTable.from_node_rows(cap.powers, graph.n)
+    # original initial array.  A converged matrix CAP hands over its
+    # int64 CSR ``L`` as is; dict-row results are flattened.
+    table = PowerTable.from_cap(cap, graph.n)
     return GIRPlan(
         fingerprint=problem.fingerprint(),
         n=system.n,
@@ -145,12 +148,13 @@ def eval_rows_vectorized(
     """Evaluate trace rows ``[lo, hi)`` of a flat power table.
 
     ``factors`` (pre-powered per-entry factor values, e.g. from the
-    deduplicated power pass) may be supplied; otherwise every entry is
-    powered directly.  The combine phase replays the legacy balanced
-    pairwise reduction **column-for-column** -- pair ``(2t, 2t+1)``,
-    odd leftover appended at the end of the next level -- so results
-    are bit-identical to :func:`repro.core.gir.evaluate_trace_powers`
-    even for non-exact (floating) operators.
+    batched evaluator's gather-and-power pass) may be supplied;
+    otherwise every entry is powered directly.  The combine phase
+    replays the legacy balanced pairwise reduction
+    **column-for-column** -- pair ``(2t, 2t+1)``, odd leftover appended
+    at the end of the next level -- so results are bit-identical to
+    :func:`repro.core.gir.evaluate_trace_powers` even for non-exact
+    (floating) operators.
 
     Shared by the NumPy batched evaluator and the shm GIR workers
     (each worker calls it on its Brent row shard).
@@ -187,34 +191,40 @@ def eval_rows_vectorized(
     return out
 
 
-def _typed_eval_setup(plan: GIRPlan, initial: Sequence[Any], op):
+def _typed_eval_setup(plan: GIRPlan, initial: Sequence[Any], op, typed=None):
     """Try to stage the vectorized path: returns ``(initial_arr,
-    ucells, uexps, inverse)`` or ``None`` when the operator/values
-    cannot take it exactly."""
+    power_idx, reduced_exps)`` or ``None`` when the operator/values
+    cannot take it exactly.  ``typed`` is ``initial`` already admitted
+    as an ``op.dtype`` array (:func:`~repro.engine.exec_ordinary.admit`),
+    when the solve has one."""
     if op.vector_fn is None or op.vector_power is None or op.dtype is None:
         return None
-    dedup = plan.table.dedup_factors(op.power_period)
-    if dedup is None:
+    powered = plan.table.powered(op.power_period)
+    if powered is None:
         return None
-    try:
-        initial_arr = np.asarray(initial, dtype=np.dtype(op.dtype))
-    except (OverflowError, TypeError, ValueError):
-        return None
+    initial_arr = typed
+    if initial_arr is None:
+        try:
+            initial_arr = np.asarray(initial, dtype=np.dtype(op.dtype))
+        except (OverflowError, TypeError, ValueError):
+            return None
     if initial_arr.shape != (len(initial),):
         return None
     domain_check = getattr(op.vector_power, "domain_check", None)
     if domain_check is not None and not domain_check(initial_arr):
         return None
-    return (initial_arr,) + dedup
+    return (initial_arr,) + powered
 
 
 def _evaluate_batched(plan: GIRPlan, setup, op) -> np.ndarray:
-    """One vectorized sweep: power each distinct (cell, exponent) pair
-    once, scatter, combine all rows level by level."""
-    initial_arr, ucells, uexps, inverse = setup
-    unique_factors = op.vector_power(initial_arr[ucells], uexps)
-    factors = unique_factors[inverse]
+    """One vectorized sweep: gather every entry's initial value, power
+    the entries with exponent > 1 in place, combine all rows level by
+    level."""
+    initial_arr, idx, exps = setup
     table = plan.table
+    factors = initial_arr[table.cells]
+    if idx.size:
+        factors[idx] = op.vector_power(factors[idx], exps)
     return eval_rows_vectorized(
         table.row_ptr,
         table.cells,
@@ -235,14 +245,14 @@ def _evaluate_rows(
     memo: Dict[Tuple[int, int], Any] = {}
     power = op.power
     values: List[Any] = []
-    ptr = table.row_ptr
-    cells = table.cells
-    exps = table.exponents
+    ptr = table.row_ptr.tolist()
+    cells = table.cells.tolist()
+    exps = table.exponent_list()
     for i in range(table.rows):
-        lo, hi = int(ptr[i]), int(ptr[i + 1])
+        lo, hi = ptr[i], ptr[i + 1]
         items = []
         for j in range(lo, hi):
-            c = int(cells[j])
+            c = cells[j]
             x = exps[j]
             items.append((c, x))
             if x > 1 and (c, x) not in memo:
@@ -274,7 +284,7 @@ class TraceEvaluator:
     pooled = False
 
     def __init__(self, job):
-        self.plan, self.system = job.sched, job.source
+        self.plan, self.system, self.typed = job.sched, job.source, job.typed
         self.mode = job.options.get("gir_eval", "auto")
         if self.mode not in _EVAL_MODES:
             raise ValueError(
@@ -287,7 +297,7 @@ class TraceEvaluator:
         plan, initial, op = self.plan, self.system.initial, self.system.op
         mode = self.prefer if self.mode == "auto" else self.mode
         if mode == "batched":
-            setup = _typed_eval_setup(plan, initial, op)
+            setup = _typed_eval_setup(plan, initial, op, self.typed)
             if setup is not None:
                 return _evaluate_batched(plan, setup, op), setup[0], mode
         return _evaluate_rows(plan, initial, op), None, "rows"

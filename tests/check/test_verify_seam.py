@@ -4,6 +4,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -11,7 +12,11 @@ from repro.check import mutate_plan
 from repro.cli import main
 from repro.core import FLOAT_MUL
 from repro.core.serialize import dump_system
-from repro.core.workloads import chain_system, fibonacci_gir_system
+from repro.core.workloads import (
+    chain_system,
+    fibonacci_gir_system,
+    random_gir_system,
+)
 from repro.engine import EngineOptions, Session, execute, solve
 from repro.engine.plan import plan_to_dict
 from repro.engine.planner import PlanCache
@@ -186,6 +191,26 @@ class TestCLI:
         assert main(["check", path, "--json"]) == 8
         report = json.loads(capsys.readouterr().out)
         assert [f["code"] for f in report["findings"]] == ["CHN003"]
+
+    @pytest.mark.parametrize(
+        "kind, code",
+        [("gir_swap_cells", "GIR006"), ("gir_truncate_rowptr", "GIR006")],
+    )
+    def test_check_random_gir_plan_file(self, tmp_path, capsys, kind, code):
+        # int64 exponents (matrix CAP, no dict rows) through JSON and
+        # the checker; a mutated table exits 8
+        plan = solve(
+            random_gir_system(3000, extra_cells=3000, seed=5), cache=PlanCache()
+        ).plan
+        assert plan.table.exponents.dtype == np.int64
+        path = self.write_plan(tmp_path, plan, "gir.json")
+        assert main(["check", path]) == 0
+        assert "OK" in capsys.readouterr().out
+        bad = mutate_plan(plan, kind, seed=1).plan
+        path = self.write_plan(tmp_path, bad, "bad-gir.json")
+        assert main(["check", path, "--json"]) == 8
+        report = json.loads(capsys.readouterr().out)
+        assert code in [f["code"] for f in report["findings"]]
 
     def test_check_proves_system_files_end_to_end(self, tmp_path, capsys):
         path = str(tmp_path / "system.json")

@@ -64,7 +64,7 @@ class TestSerialization:
         restored = PowerTable.from_payload(payload)
         assert (restored.row_ptr == plan.table.row_ptr).all()
         assert (restored.cells == plan.table.cells).all()
-        assert restored.exponents == plan.table.exponents
+        assert restored.exponent_list() == plan.table.exponent_list()
 
     def test_v2_plan_json_round_trip_replays(self):
         system = leafy(80)
@@ -89,7 +89,7 @@ class TestSerialization:
         assert migrated.table is not None
         assert (migrated.table.row_ptr == plan.table.row_ptr).all()
         assert (migrated.table.cells == plan.table.cells).all()
-        assert migrated.table.exponents == plan.table.exponents
+        assert migrated.table.exponent_list() == plan.table.exponent_list()
         replay = solve(system, plan=migrated, cache=PlanCache())
         assert replay.values == run_gir(system)
 
