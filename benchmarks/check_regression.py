@@ -8,9 +8,8 @@
 Compares per-bench wall clocks and exits nonzero when
 
 * any **speedup-gated** bench (the ones whose ``main()`` enforces a
-  parallel-beats-baseline gate: plan reuse, batched GIR eval, the shm
-  pool, serve coalescing, the engines' wall clock vs the sequential
-  loop) slowed down by more than the threshold (default 25%), or
+  parallel-beats-baseline gate: plan reuse, batched GIR eval, serve
+  coalescing, the engines' wall clock vs the sequential loop) slowed down by more than the threshold (default 25%), or
 * a bench that passed in the baseline fails in the current run, or
 * a gated bench disappeared from the current file.
 
@@ -33,7 +32,6 @@ import sys
 GATED = (
     "bench_plan_reuse",
     "bench_gir_powers",
-    "bench_shm",
     "bench_serve",
     "bench_wallclock_engines",
 )

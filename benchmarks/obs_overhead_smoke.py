@@ -18,13 +18,9 @@ interleaved in shuffled order), and a breached budget is remeasured
 up to ``MAX_ATTEMPTS`` times before failing -- a load burst inflates
 one round, a real regression inflates all of them.
 
-Plus the aggregation contract: an observed ``shm`` solve must surface
-at least one ``proc=worker-N`` labeled series per worker, and the
-rolled-up (unlabeled) series must exist master-side.
-
 Exit 0 on success, 1 on any violated budget; ``repro obs``-level
 functional coverage lives in the test suite -- this job only guards
-the overhead envelope and the per-worker fan-in.
+the overhead envelope.
 """
 
 import os
@@ -38,7 +34,6 @@ N = int(os.environ.get("REPRO_SMOKE_N", "100000"))
 TRIALS = int(os.environ.get("REPRO_SMOKE_TRIALS", "9"))
 REPEATS = int(os.environ.get("REPRO_SMOKE_REPEATS", "3"))
 MAX_ATTEMPTS = int(os.environ.get("REPRO_SMOKE_ATTEMPTS", "3"))
-SHM_WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
 DISABLED_BUDGET = 0.01
 ENABLED_BUDGET = 0.05
 
@@ -178,34 +173,6 @@ def main() -> int:
             f"enabled-path overhead {best_enabled:.2%} exceeds "
             f"{ENABLED_BUDGET:.0%} in all {MAX_ATTEMPTS} attempts"
         )
-
-    # 4. shm fan-in: per-worker + rolled-up series master-side
-    shm_system = build(20_000)
-    with obs.observed() as (_tracer, registry):
-        solve(
-            shm_system,
-            options=EngineOptions(backend="shm", workers=SHM_WORKERS),
-        )
-    per_worker = 0
-    for rank in range(SHM_WORKERS):
-        series = [
-            s for s in registry.series()
-            if s.labels.get("proc") == f"worker-{rank}"
-        ]
-        print(f"  worker-{rank}: {len(series)} series")
-        if series:
-            per_worker += 1
-    rollup = registry.get("engine.shm.worker.barrier_wait_s")
-    if per_worker < SHM_WORKERS:
-        failures.append(
-            f"only {per_worker}/{SHM_WORKERS} workers produced "
-            "proc-labeled series"
-        )
-    if rollup is None or rollup.count == 0:
-        failures.append("no rolled-up barrier_wait_s series master-side")
-    else:
-        print(f"  rollup  : barrier_wait_s count={rollup.count} "
-              f"p99={rollup.percentile(0.99):.2e}s")
 
     if failures:
         print("\nFAIL")

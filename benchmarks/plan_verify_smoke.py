@@ -7,13 +7,12 @@ families; ordinary plans also re-verified after a
 ``plan_to_dict``/``plan_from_dict`` round trip, the ``repro check``
 file path):
 
-1. **Acceptance** -- every genuine planner schedule verifies clean,
-   including shm shard layouts for 1/2/4/8 workers.  One rejection
-   fails the job: the verifier would be crying wolf in production.
+1. **Acceptance** -- every genuine planner schedule verifies clean.
+   One rejection fails the job: the verifier would be crying wolf in production.
 2. **Mutation rejection** -- :func:`repro.check.mutate.mutation_campaign`
    corrupts each ordinary schedule (round swaps, gather perturbations,
    dropped rounds, duplicated active ids, predecessor corruption,
-   truncation, one-sided shard-boundary shifts) plus each GIR CAP
+   truncation, chain-layout corruption) plus each GIR CAP
    power table (exponent perturbation, row-pointer truncation, cell
    swaps, pointer-repaired leaf drift) and the verifier must
    reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
@@ -38,7 +37,6 @@ from repro.engine import EngineOptions
 
 ORDINARY_N = int(os.environ.get("REPRO_SMOKE_N", "20000"))
 GIR_N = int(os.environ.get("REPRO_SMOKE_GIR_N", "40"))
-WORKER_COUNTS = (1, 2, 4, 8)
 MUTATION_SEEDS = range(int(os.environ.get("REPRO_SMOKE_SEEDS", "6")))
 REJECT_FLOOR = 0.95
 OVERHEAD_BUDGET = float(os.environ.get("REPRO_SMOKE_VERIFY_BUDGET", "0.10"))
@@ -94,7 +92,7 @@ def warm_up():
         cache=PlanCache(),
         options=EngineOptions(backend="numpy"),
     )
-    verify_plan(result.plan, workers=WORKER_COUNTS)
+    verify_plan(result.plan)
 
 
 def acquire_plans(matrix):
@@ -135,7 +133,6 @@ def gate_acceptance(rows):
             plan,
             problem,
             system=system if family == "gir" else None,
-            workers=WORKER_COUNTS,
         )
         verify_s[label] = time.perf_counter() - t0
         if not report.ok:
@@ -146,7 +143,6 @@ def gate_acceptance(rows):
             rehydrated,
             problem,
             system=system if family == "gir" else None,
-            workers=WORKER_COUNTS,
         )
         if not round_trip.ok:
             failures.append(
@@ -171,7 +167,7 @@ def ordinary_schedule_of(family, plan):
 def gate_mutations(rows):
     """Gate 2: campaign every ordinary schedule -- and every GIR CAP
     power table against the system-backed oracle; count rejections."""
-    from repro.check import mutation_campaign, verify_plan, verify_shard_layout
+    from repro.check import mutation_campaign, verify_plan
 
     total = rejected = 0
     survivors = []
@@ -180,12 +176,7 @@ def gate_mutations(rows):
         if sched is not None:
             for mut in mutation_campaign(sched, seeds=MUTATION_SEEDS):
                 total += 1
-                if mut.boundaries is not None:
-                    report = verify_shard_layout(
-                        mut.plan, mut.workers, boundaries=mut.boundaries
-                    )
-                else:
-                    report = verify_plan(mut.plan)
+                report = verify_plan(mut.plan)
                 if report.ok:
                     survivors.append((label, mut.kind, mut.description))
                 else:
@@ -206,7 +197,7 @@ def gate_mutations(rows):
 def main():
     print(
         f"plan-verify smoke: n={ORDINARY_N} gir_n={GIR_N} "
-        f"workers={WORKER_COUNTS} budget={OVERHEAD_BUDGET:.0%}"
+        f"budget={OVERHEAD_BUDGET:.0%}"
     )
     matrix = build_matrix()
     warm_up()

@@ -50,7 +50,6 @@ BENCHES = [
     "bench_wallclock_engines",
     "bench_plan_reuse",
     "bench_gir_powers",
-    "bench_shm",
     "bench_serve",
 ]
 

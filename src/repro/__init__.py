@@ -26,7 +26,7 @@ Quick start::
 solve (trace lists, round schedules, CAP counts -- everything
 derivable from the index maps alone), caches the plan by fingerprint,
 and dispatches to a registered backend (``python``, ``numpy``,
-``pram``, ``shm``, or ``auto``).  For repeated solves over one
+``pram``, or ``auto``).  For repeated solves over one
 problem, :class:`repro.engine.Session` pins the plan and backend once
 and serves value vectors with no per-request planning.
 

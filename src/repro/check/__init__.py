@@ -4,10 +4,9 @@ prover, and loop lint.
 Three layers, one currency (:class:`Finding` / :class:`CheckReport`):
 
 * :mod:`repro.check.schedule` -- proves, without executing, that a
-  solve plan's round schedule is race-free, happens-before ordered,
-  trace-equivalent to the sequential semantics, and (for the shm
-  backend) that Brent shard boundaries never split a written cell
-  across workers within a barrier phase.
+  solve plan's round schedule is race-free, happens-before ordered
+  and trace-equivalent to the sequential semantics, and that a chain
+  plan's layout folds exactly the sequential loop's operands.
 * :mod:`repro.check.preconditions` -- the paper's safety
   side-conditions (g injectivity, domain bounds, acyclicity,
   commutativity, Moebius determinant edge cases) as structured
@@ -38,7 +37,6 @@ from .mutate import (
     GIR_MUTATION_KINDS,
     MUTATION_KINDS,
     Mutation,
-    SHARD_MUTATION_KINDS,
     CHAIN_MUTATION_KINDS,
     mutate_plan,
     mutation_campaign,
@@ -59,7 +57,6 @@ from .schedule import (
     verify_ordinary_schedule,
     verify_chain_layout,
     verify_plan,
-    verify_shard_layout,
 )
 
 __all__ = [
@@ -75,7 +72,6 @@ __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
     "verify_chain_layout",
-    "verify_shard_layout",
     "verify_or_raise",
     "GIR_ORACLE_MAX_N",
     # precondition prover
@@ -94,7 +90,6 @@ __all__ = [
     # adversarial mutations
     "Mutation",
     "MUTATION_KINDS",
-    "SHARD_MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "mutate_plan",

@@ -56,9 +56,6 @@ FINDING_CODES: Dict[str, str] = {
     "CHN002": "chain segment or level offsets are not monotone or do not close",
     "CHN003": "consecutive chain segment members are not pred-linked",
     "CHN004": "a chain segment's seed does not lie in an earlier level",
-    # -- shm shard layout (SHM0xx) -------------------------------------
-    "SHM001": "shard boundaries do not partition the round's slots",
-    "SHM002": "a written cell is split across workers within a barrier phase",
     # -- GIR plan artifacts (GIR0xx) -----------------------------------
     "GIR001": "nested dispatch plan failed verification",
     "GIR002": "GIR plan cell index out of range",
@@ -235,7 +232,7 @@ def merge_reports(
     subject: str, reports: Iterable[CheckReport]
 ) -> CheckReport:
     """Concatenate reports under one subject (helper for multi-part
-    verifications such as plan + shard layout)."""
+    verifications)."""
     merged = CheckReport(subject=subject)
     for rep in reports:
         merged.extend(rep, prefix=rep.subject)

@@ -15,7 +15,6 @@ kind                 models                                  caught by
 ``duplicate_active`` a write slot emitted twice              SCH001
 ``corrupt_pred``     pred drifting from (g, f)               SCH006
 ``truncate``         a schedule cut short                    SCH004
-``shift_shard``      a one-sided Brent boundary shift        SHM001/SHM002
 ===================  =====================================================
 
 Chain plans (``plan.chains`` set) also get the chain-layout classes:
@@ -46,12 +45,6 @@ kind                       models                              caught by
 repairs every downstream row pointer, so the table stays structurally
 perfect and only the dependence-graph oracle can reject it.
 
-(A *coherent* boundary shift -- both neighbours moving together -- is
-deliberately not a mutation: it yields a different but still exact
-partition, which is race-free and must remain accepted.  The bug being
-modelled is two workers disagreeing about one boundary, which drops or
-double-executes a slot.)
-
 All mutations are seeded and pure: the input plan is never modified.
 """
 
@@ -66,7 +59,6 @@ import numpy as np
 
 __all__ = [
     "MUTATION_KINDS",
-    "SHARD_MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "Mutation",
@@ -82,8 +74,6 @@ MUTATION_KINDS: Tuple[str, ...] = (
     "corrupt_pred",
     "truncate",
 )
-
-SHARD_MUTATION_KINDS: Tuple[str, ...] = ("shift_shard",)
 
 CHAIN_MUTATION_KINDS: Tuple[str, ...] = (
     "chain_swap_order",
@@ -101,19 +91,11 @@ GIR_MUTATION_KINDS: Tuple[str, ...] = (
 
 @dataclass
 class Mutation:
-    """One applied mutation.
-
-    ``plan`` is the mutated copy (schedule mutations), or the original
-    plan with ``boundaries`` carrying the corrupted per-round shard
-    layout (``shift_shard``; feed it to
-    :func:`~repro.check.schedule.verify_shard_layout`).
-    """
+    """One applied mutation: ``plan`` is the mutated copy."""
 
     kind: str
     description: str
     plan: Any
-    boundaries: Optional[List[List[Tuple[int, int]]]] = None
-    workers: int = 0
     data: dict = field(default_factory=dict)
 
 
@@ -238,11 +220,6 @@ def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
     raise ValueError(f"unknown mutation kind {kind!r}")
 
 
-def _brent(lo: int, hi: int, rank: int, nworkers: int) -> Tuple[int, int]:
-    size = hi - lo
-    return lo + rank * size // nworkers, lo + (rank + 1) * size // nworkers
-
-
 def _clone_gir(plan: Any) -> Any:
     from ..engine.plan import GIRPlan, PowerTable
 
@@ -356,9 +333,7 @@ def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
     raise ValueError(f"unknown mutation kind {kind!r}")
 
 
-def mutate_plan(
-    plan: Any, kind: str, seed: int = 0, *, workers: int = 4
-) -> Optional[Mutation]:
+def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
     """Apply one seeded mutation of ``kind``; ``None`` when the plan is
     too small for it (e.g. ``swap_rounds`` on a 1-round schedule)."""
     # zlib.crc32 rather than hash(): stable across processes
@@ -469,61 +444,6 @@ def mutate_plan(
             plan=mutated,
         )
 
-    if kind == "shift_shard":
-        if workers < 2 or rounds == 0:
-            return None
-        # Find a round and an interior boundary that can shift by one
-        # slot on ONE side only: the neighbouring ranks then disagree,
-        # dropping a slot (gap) or executing it twice (overlap).
-        candidates = []
-        for r, (active, _src) in enumerate(plan.steps):
-            size = int(active.size)
-            if size < 2:
-                continue
-            offsets = sum(
-                int(a.size) for a, _ in plan.steps[:r]
-            )
-            shards = [
-                _brent(offsets, offsets + size, w, workers)
-                for w in range(workers)
-            ]
-            for w in range(1, workers):
-                b = shards[w][0]
-                if shards[w - 1][0] < b < shards[w][1]:
-                    candidates.append((r, w, shards))
-        if not candidates:
-            return None
-        r, w, shards = rng.choice(candidates)
-        direction = rng.choice((+1, -1))
-        corrupted = list(shards)
-        lo_w, hi_w = corrupted[w]
-        # Only rank w's start moves; rank w-1 keeps its end.
-        corrupted[w] = (lo_w + direction, hi_w)
-        boundaries: List[List[Tuple[int, int]]] = []
-        offset = 0
-        for rr, (active, _src) in enumerate(plan.steps):
-            size = int(active.size)
-            if rr == r:
-                boundaries.append(corrupted)
-            else:
-                boundaries.append(
-                    [
-                        _brent(offset, offset + size, ww, workers)
-                        for ww in range(workers)
-                    ]
-                )
-            offset += size
-        effect = "gap (slot dropped)" if direction > 0 else "overlap (slot run twice)"
-        return Mutation(
-            kind=kind,
-            description=f"round {r}: rank {w}'s lower boundary shifted "
-            f"{direction:+d} -- {effect}",
-            plan=plan,
-            boundaries=boundaries,
-            workers=workers,
-            data={"round": r, "rank": w, "direction": direction},
-        )
-
     raise ValueError(f"unknown mutation kind {kind!r}")
 
 
@@ -532,26 +452,25 @@ def mutation_campaign(
     *,
     kinds: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = range(8),
-    workers: int = 4,
 ) -> List[Mutation]:
     """All applicable (kind, seed) mutations of ``plan``.
 
     ``kinds`` defaults by plan family: GIR CAP plans (those carrying a
     power table) get :data:`GIR_MUTATION_KINDS`; everything else gets
-    the schedule + shard classes, plus :data:`CHAIN_MUTATION_KINDS`
+    the schedule classes, plus :data:`CHAIN_MUTATION_KINDS`
     on a chain plan.
     """
     if kinds is None:
         if getattr(plan, "table", None) is not None:
             kinds = GIR_MUTATION_KINDS
         else:
-            kinds = MUTATION_KINDS + SHARD_MUTATION_KINDS
+            kinds = MUTATION_KINDS
             if getattr(plan, "chains", None) is not None:
                 kinds = kinds + CHAIN_MUTATION_KINDS
     out: List[Mutation] = []
     for kind in kinds:
         for seed in seeds:
-            mut = mutate_plan(plan, kind, seed, workers=workers)
+            mut = mutate_plan(plan, kind, seed)
             if mut is not None:
                 out.append(mut)
     return out

@@ -1,6 +1,6 @@
 """Static schedule verification: prove a plan race-free without running it.
 
-The value engines (``numpy`` / ``python`` / ``shm`` / batch) replay an
+The value engines (``numpy`` / ``python`` / batch) replay an
 :class:`~repro.engine.plan.OrdinaryPlan`'s round schedule verbatim:
 per round they gather ``val[src]`` from the pre-round state, then
 scatter ``op(val[src], val[active])`` into ``val[active]``.  This
@@ -42,19 +42,11 @@ folds exactly the sequential loop's operands, in its order.  The round
 rules above check a chain plan's round schedule only when the plan
 carries one: the consumers that run rounds build it lazily from the
 verified ``pred`` with the planner's own builder.
-
-For the ``shm`` backend, :func:`verify_shard_layout` additionally
-proves the Brent shard split used by
-:func:`repro.engine.shm_pool._shard` never splits a written cell
-across workers inside a barrier phase (SHM001/SHM002): the per-round
-shards must partition the round's schedule slots exactly, and -- with
-slot-unique active ids -- gather writes (``scratch[active]``) and
-combine writes (``val[active]``) are then disjoint across workers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -64,7 +56,6 @@ __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
     "verify_chain_layout",
-    "verify_shard_layout",
     "verify_or_raise",
 ]
 
@@ -82,15 +73,6 @@ GIR_SAMPLE_BUDGET = 4_000_000
 #: Modulus of the unbounded total-path-count oracle: a prime small
 #: enough that per-row int64 sums cannot overflow.
 _GIR_TOTAL_MOD = 2_147_483_629
-
-
-def _brent_shard(lo: int, hi: int, rank: int, nworkers: int) -> Tuple[int, int]:
-    # Mirrors repro.engine.shm_pool._shard; duplicated as a frozen
-    # contract so the verifier stays independent of the implementation
-    # under test (a drifting formula must fail verification, not
-    # silently re-verify itself).
-    size = hi - lo
-    return lo + rank * size // nworkers, lo + (rank + 1) * size // nworkers
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +278,7 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
 
         # Synchronous pointer jump: gather pre-round ptr[src], then
         # scatter -- exactly the two-phase gather/combine the engines
-        # (and the shm barrier) implement.
+        # implement.
         ptr[active] = ptr[src]
 
     # -- completeness --------------------------------------------------
@@ -433,162 +415,6 @@ def verify_chain_layout(
             )
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# shm shard layouts
-# ---------------------------------------------------------------------------
-
-
-def _verify_shard_layouts(
-    plan: Any,
-    counts: Sequence[int],
-    *,
-    boundaries: Optional[Sequence[Sequence[Tuple[int, int]]]] = None,
-    where: str = "shm",
-) -> Dict[int, CheckReport]:
-    """Verify every worker count in ``counts`` in ONE pass over
-    ``plan.steps``.
-
-    The expensive per-round work -- materializing the active array and
-    the sortedness test that gates the duplicate-id scan -- is
-    identical for every worker count, so sharing it makes verifying
-    the whole 1/2/4/8 matrix cost barely more than one count.  A
-    count stops being scanned after its first finding (mirroring the
-    single-count early return).  ``boundaries`` (the mutation suite's
-    override) requires exactly one count.
-    """
-    if boundaries is not None and len(counts) != 1:
-        raise ValueError("boundaries override requires exactly one worker count")
-    reports: Dict[int, CheckReport] = {}
-    live: List[int] = []
-    for raw in counts:
-        count = int(raw)
-        report = reports[count] = CheckReport(subject=f"{where} x{count}")
-        if count < 1:
-            report.add(
-                error(
-                    "SHM001",
-                    f"worker count must be >= 1, got {count}",
-                    where=where,
-                )
-            )
-        else:
-            live.append(count)
-
-    offset = 0
-    # A chain plan's lazily built schedule is the planner's own sorted
-    # output: its round sizes suffice, and are derived without it.
-    carried = plan.has_steps or getattr(plan, "chains", None) is None
-    for r, size in enumerate(plan.active_per_round):
-        if not live:
-            break
-        lo, hi = offset, offset + size
-        offset = hi
-        loc = f"{where} round {r}"
-
-        # Slot-unique active ids (verified by SCH001) arrive sorted
-        # from the planner, making the duplicate scan vacuous; compute
-        # the gate (and the sort, when it bites) once for all counts.
-        active = np.asarray(plan.steps[r][0], dtype=np.int64) if carried else None
-        unsorted = carried and size > 1 and not bool(np.all(np.diff(active) > 0))
-        if unsorted:
-            order = np.argsort(active, kind="stable")
-            sorted_active = active[order]
-            same = sorted_active[1:] == sorted_active[:-1]
-
-        for count in list(live):
-            report = reports[count]
-            report.ran(2)
-            if boundaries is not None:
-                shards = [(int(a), int(b)) for a, b in boundaries[r]]
-            else:
-                shards = [_brent_shard(lo, hi, w, count) for w in range(count)]
-
-            # Partition exactness: contiguous ranges must tile [lo, hi).
-            cursor = lo
-            tiled = True
-            for w, (slo, shi) in enumerate(shards):
-                if slo != cursor or shi < slo or shi > hi:
-                    report.add(
-                        error(
-                            "SHM001",
-                            f"rank {w} owns slots [{slo}, {shi}) but the "
-                            f"partition cursor is at {cursor} in [{lo}, {hi}): "
-                            + ("overlap" if slo < cursor else "gap")
-                            + " in the barrier phase",
-                            where=loc,
-                            data={"rank": w, "lo": slo, "hi": shi},
-                        )
-                    )
-                    tiled = False
-                    break
-                cursor = shi
-            if tiled and cursor != hi:
-                report.add(
-                    error(
-                        "SHM001",
-                        f"shards cover [{lo}, {cursor}) but the round has "
-                        f"slots [{lo}, {hi}): {hi - cursor} slot(s) dropped",
-                        where=loc,
-                    )
-                )
-                tiled = False
-            if not tiled:
-                live.remove(count)
-                continue
-
-            # Cell-split detection across ranks: a duplicated active id
-            # straddling a shard boundary is an inter-worker race.
-            if unsorted:
-                rank_of = np.empty(size, dtype=np.int64)
-                for w, (slo, shi) in enumerate(shards):
-                    rank_of[slo - lo : shi - lo] = w
-                split = same & (rank_of[order][1:] != rank_of[order][:-1])
-                if bool(split.any()):
-                    k = int(np.argmax(split))
-                    it = int(sorted_active[k])
-                    report.add(
-                        error(
-                            "SHM002",
-                            f"iteration {it}'s write is claimed by ranks "
-                            f"{int(rank_of[order][k])} and "
-                            f"{int(rank_of[order][k + 1])} in one barrier "
-                            "phase: an inter-worker write-write race",
-                            where=loc,
-                            data={"iteration": it},
-                        )
-                    )
-                    live.remove(count)
-    return reports
-
-
-def verify_shard_layout(
-    plan: Any,
-    workers: int,
-    *,
-    boundaries: Optional[Sequence[Sequence[Tuple[int, int]]]] = None,
-    where: str = "shm",
-) -> CheckReport:
-    """Prove the two-phase shm replay race-free for ``workers`` ranks.
-
-    Replays the slot partition :func:`repro.engine.shm_pool._shard`
-    assigns inside each barrier phase (or an explicit ``boundaries``
-    override: one ``[(lo, hi), ...]`` list per round, as produced by
-    the mutation suite) and checks:
-
-    * **SHM001** -- the per-round shards partition the round's slot
-      range ``[offset[r], offset[r+1])`` exactly: no slot is executed
-      twice (overlap) or dropped (gap).
-    * **SHM002** -- no written cell is claimed by two different
-      workers within one barrier phase.  Gather writes ``scratch[
-      active]`` and combine writes ``val[active]``; with slot-unique
-      active ids a cell can only be split across workers if a
-      duplicate id lands in two shards.
-    """
-    return _verify_shard_layouts(
-        plan, [int(workers)], boundaries=boundaries, where=where
-    )[int(workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -968,16 +794,13 @@ def verify_plan(
     problem: Any = None,
     *,
     system: Any = None,
-    workers: Optional[Sequence[int]] = None,
     where: Optional[str] = None,
 ) -> CheckReport:
     """Verify any plan family; the ``repro check`` CLI and the
     ``verify_plan=`` engine kwarg both land here.
 
     ``problem`` (when given) pins the fingerprint (SCH008).  ``system``
-    enables the deep GIR oracle check.  ``workers`` adds
-    :func:`verify_shard_layout` for each worker count (the ``shm``
-    backend's barrier-phase race check).
+    enables the deep GIR oracle check.
     """
     family = getattr(plan, "family", None)
     label = where or f"{family or 'plan'} {str(plan.fingerprint)[:12]}"
@@ -1001,7 +824,6 @@ def verify_plan(
 
     if family == "ordinary":
         report.extend(verify_ordinary_schedule(plan, where=label))
-        sched = plan
     elif family == "moebius":
         report.extend(
             verify_ordinary_schedule(plan.ordinary, where=f"{label} ordinary")
@@ -1015,22 +837,12 @@ def verify_plan(
                     where=label,
                 )
             )
-        sched = plan.ordinary
     elif family == "gir":
         _verify_gir(plan, system, report)
-        sched = plan.dispatch
     else:
         report.add(
             error("SCH007", f"unknown plan family {family!r}", where=label)
         )
-        return report
-
-    if workers and sched is not None and report.ok:
-        layouts = _verify_shard_layouts(
-            sched, [int(count) for count in workers], where=label
-        )
-        for sub in layouts.values():
-            report.extend(sub)
     return report
 
 
@@ -1039,15 +851,12 @@ def verify_or_raise(
     problem: Any = None,
     *,
     system: Any = None,
-    workers: Optional[Sequence[int]] = None,
     where: Optional[str] = None,
 ) -> CheckReport:
     """:func:`verify_plan`, raising
     :class:`~repro.errors.PlanVerificationError` (exit code 8) when any
     error-severity finding is present."""
-    report = verify_plan(
-        plan, problem, system=system, workers=workers, where=where
-    )
+    report = verify_plan(plan, problem, system=system, where=where)
     if not report.ok:
         from ..errors import PlanVerificationError
 

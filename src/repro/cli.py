@@ -102,18 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("path", help="JSON file written by dump_system")
     solve.add_argument(
         "--backend",
-        choices=["auto", "python", "numpy", "pram", "shm"],
+        choices=["auto", "python", "numpy", "pram"],
         default="auto",
         help="execution backend from the engine registry (default: auto; "
-        "'pram' runs the simulated machine, OrdinaryIR only; 'shm' fans "
-        "rounds across worker processes over shared memory)",
-    )
-    solve.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="worker-process count for --backend shm (default: 4)",
+        "'pram' runs the simulated machine, OrdinaryIR only)",
     )
     solve.add_argument(
         "--stats", action="store_true", help="also print solver statistics"
@@ -225,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=["auto", "python", "numpy", "pram", "shm"],
+        choices=["auto", "python", "numpy", "pram"],
         default="auto",
         help="backend for --problem registrations (default: auto)",
     )
@@ -245,14 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     check.add_argument("path", help="plan JSON or system JSON file")
-    check.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        action="append",
-        help="also verify the shm backend's Brent shard layout for N "
-        "worker processes (repeatable)",
-    )
     check.add_argument(
         "--json",
         action="store_true",
@@ -327,60 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable report"
     )
     _add_obs_flags(frun)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="generate or run a whole-stack chaos plan on the shm pool",
-        description=(
-            "Chaos driver for the REAL shm worker pool: "
-            "'repro chaos gen --seed 7 --out plan.json' writes a seeded "
-            "plan of kill/hang/slow/corrupt faults; 'repro chaos run "
-            "--plan plan.json' injects them into a live solve and reports "
-            "whether recovery (respawn, watchdog kill, failover) still "
-            "produced the exact sequential-oracle answer."
-        ),
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-    cgen = chaos_sub.add_parser("gen", help="generate a seeded chaos plan")
-    cgen.add_argument("--seed", type=int, default=0, help="plan RNG seed")
-    cgen.add_argument(
-        "--rounds", type=int, default=4, help="round range faults land in"
-    )
-    cgen.add_argument("--count", type=int, default=4, help="number of faults")
-    cgen.add_argument(
-        "--kinds",
-        default=None,
-        metavar="K1,K2",
-        help="comma-separated subset of kill,hang,slow,corrupt",
-    )
-    cgen.add_argument(
-        "--out", metavar="FILE", help="write the plan JSON here (default: stdout)"
-    )
-    crun = chaos_sub.add_parser(
-        "run", help="run a chaos plan against a live shm-pool solve"
-    )
-    crun.add_argument(
-        "--plan", metavar="FILE", help="chaos-plan JSON (default: a fresh "
-        "seeded plan, see --seed)"
-    )
-    crun.add_argument("--seed", type=int, default=0, help="seed when no --plan")
-    crun.add_argument("--n", type=int, default=100_000, help="chain length")
-    crun.add_argument("--workers", type=int, default=4, help="pool size")
-    crun.add_argument(
-        "--watchdog", type=float, default=1.0, metavar="SECONDS",
-        help="heartbeat watchdog budget for hang detection",
-    )
-    crun.add_argument(
-        "--max-retries", type=int, default=1, help="respawn-and-retry budget"
-    )
-    crun.add_argument(
-        "--no-failover",
-        action="store_true",
-        help="disable the backend failover ladder (raw faults surface)",
-    )
-    crun.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -617,9 +547,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             on_exhaustion=args.on_exhaustion,
         )
     system = _read(path, load_system)
-    if args.workers is not None and args.backend != "shm":
-        print("error: --workers applies to --backend shm", file=sys.stderr)
-        return 2
     try:
         solved = engine_solve(
             system,
@@ -629,7 +556,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 policy=policy,
                 checked=args.check,
                 verify_plan=args.verify,
-                workers=args.workers,
             ),
         )
     except ValueError as exc:
@@ -724,13 +650,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     path = args.path
     data = _read(path)
-    workers = args.workers or None
     if isinstance(data, dict) and "schema_version" in data and "family" in data:
         # A serialized plan (plan_to_dict): verify the schedule alone.
         from .engine.plan import plan_from_dict
 
         plan = plan_from_dict(data)
-        report = verify_plan(plan, workers=workers)
+        report = verify_plan(plan)
     elif isinstance(data, dict) and "kind" in data:
         # A serialized system (dump_system): prove preconditions, then
         # build its plan and verify that too.
@@ -748,9 +673,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 plan = exec_ordinary.build_plan(
                     system, problem.fingerprint()
                 )
-                report.extend(
-                    verify_plan(plan, problem, workers=workers)
-                )
+                report.extend(verify_plan(plan, problem))
             elif problem.family == "gir":
                 from .engine import EngineOptions
                 from .engine import solve as engine_solve
@@ -760,12 +683,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 ).plan
                 if captured is not None:
                     report.extend(
-                        verify_plan(
-                            captured,
-                            problem,
-                            system=system,
-                            workers=workers,
-                        )
+                        verify_plan(captured, problem, system=system)
                     )
     else:
         print(
@@ -881,69 +799,6 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
             print(f"  fired: {record}")
         print("oracle match: " + ("yes" if matches else "NO"))
     return 0 if ok else 7
-
-
-def _cmd_chaos_gen(args: argparse.Namespace) -> int:
-    from .chaos import CHAOS_KINDS, ChaosPlan
-
-    kinds = CHAOS_KINDS
-    if args.kinds:
-        kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    plan = ChaosPlan.random(
-        args.seed, rounds=args.rounds, count=args.count, kinds=kinds
-    )
-    if args.out:
-        error = _check_writable(args.out)
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-        plan.to_json(args.out)
-        print(
-            f"wrote {len(plan.events)} chaos event(s) to {args.out}",
-            file=sys.stderr,
-        )
-    else:
-        print(plan.to_json())
-    return 0
-
-
-def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    """Inject a chaos plan into a live shm-pool solve.
-
-    Accepted when the solve completed (recovery or failover) and the
-    final array equals the sequential oracle exactly; exit code 7
-    mirrors :class:`~repro.errors.FaultError` otherwise.
-    """
-    from .chaos import ChaosPlan, run_chaos
-
-    if args.plan:
-        plan = _read(args.plan, ChaosPlan.from_json)
-    else:
-        plan = ChaosPlan.random(args.seed, rounds=4, count=4)
-    report = run_chaos(
-        plan,
-        n=args.n,
-        workers=args.workers,
-        watchdog_s=args.watchdog,
-        retries=args.max_retries,
-        seed=args.seed,
-        failover=not args.no_failover,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(
-            f"events={len(plan.events)} backend={report['backend']} "
-            f"respawns={report['respawns']} hang_kills={report['hang_kills']} "
-            f"reroutes={report['reroutes']} "
-            f"latency_s={report['latency_s']}"
-        )
-        if report["failover_from"]:
-            print(f"  failed over from: {report['failover_from']}")
-        if report["error"]:
-            print(f"  error: {report['error']}")
-        print("oracle match: " + ("yes" if report["oracle_exact"] else "NO"))
-    return 0 if report["ok"] else 7
 
 
 def _check_writable(*paths: Optional[str]) -> Optional[str]:
@@ -1117,10 +972,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             if args.faults_command == "gen":
                 return _cmd_faults_gen(args)
             return _cmd_faults_run(args)
-        if args.command == "chaos":
-            if args.chaos_command == "gen":
-                return _cmd_chaos_gen(args)
-            return _cmd_chaos_run(args)
     raise AssertionError(args.command)
 
 

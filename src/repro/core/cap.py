@@ -39,10 +39,13 @@ and ``F_t = A^{2^t}`` exactly.  This module runs that recurrence on
 * dense ``numpy`` int64 matrices for small graphs without SciPy,
 * the pure-Python sparse rows (the historical dict ``EdgeSet`` --
   literally a CSR matrix with dict rows) as the last resort, and as
-  the **object-dtype promotion** target: path counts grow
-  Fibonacci-fast, and the moment an upcoming product could exceed
-  int64 the whole state is converted to dict rows over exact Python
-  ints and the loop continues there bit-for-bit.
+  the **object-dtype promotion** target of a bounded run: path
+  counts grow Fibonacci-fast, and the moment an upcoming product
+  could exceed int64 the whole state is converted to dict rows over
+  exact Python ints and the loop continues there bit-for-bit.  An
+  unbounded ``method="auto"`` run finishes on the sequential DP
+  instead (exact, and linear where doubling dense big-int rows is
+  quadratic).
 
 A converged int64 matrix run hands its leaf block ``L`` out as CSR
 arrays (:attr:`CAPResult.leaf_csr`) -- the planner builds the power
@@ -387,6 +390,21 @@ def _dp_with_work(graph: DependenceGraph) -> "tuple[EdgeSet, int]":
     return counts, work
 
 
+def _dp_result(graph: DependenceGraph, root) -> CAPResult:
+    """CAP by the sequential DP, reporting the ``ceil(log2(depth))``
+    rounds the doubling schedule would have used (the plan-level
+    quantity) and no doubling rounds."""
+    powers, work = _dp_with_work(graph)
+    depth = graph.depth()
+    iterations = (depth - 1).bit_length() if depth > 1 else 0
+    if root is not None:
+        root.set_attribute("iterations", iterations)
+        root.set_attribute("edge_work", work)
+    return CAPResult(
+        _rows=powers, iterations=iterations, edge_work=work, work_per_iteration=[]
+    )
+
+
 def count_all_paths(
     graph: DependenceGraph,
     *,
@@ -415,7 +433,8 @@ def count_all_paths(
     doubling), ``"dp"`` (sequential forward DP, no doubling rounds) or
     ``"auto"``.  All three produce identical ``powers``; matrix and
     edges also share iteration counts, work accounting, partial states
-    and policy behaviour exactly.
+    and policy behaviour exactly.  An unbounded ``"auto"`` run whose
+    counting matrix would overflow int64 finishes on the DP.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -423,27 +442,18 @@ def count_all_paths(
         )
     if validate:
         graph.validate_acyclic()
+    unbounded = max_iterations is None and policy is None
+    # Only the planner's own pick may trade the doubling rounds for
+    # the DP mid-run; an explicit method keeps its round accounting.
+    finish_on_dp = unbounded and method == "auto"
     if method == "auto":
-        method = _choose_method(
-            graph, bounded=max_iterations is not None or policy is not None
-        )
+        method = _choose_method(graph, bounded=not unbounded)
     enforcer = policy.enforcer("cap") if policy is not None else None
     tracer = get_tracer()
     registry = get_registry()
     with maybe_span(tracer, "cap.count_all_paths", n=graph.n) as root:
-        if method == "dp" and enforcer is None and max_iterations is None:
-            powers, work = _dp_with_work(graph)
-            depth = graph.depth()
-            iterations = (depth - 1).bit_length() if depth > 1 else 0
-            if root is not None:
-                root.set_attribute("iterations", iterations)
-                root.set_attribute("edge_work", work)
-            return CAPResult(
-                _rows=powers,
-                iterations=iterations,
-                edge_work=work,
-                work_per_iteration=[],
-            )
+        if method == "dp" and unbounded:
+            return _dp_result(graph, root)
 
         state: Optional[_MatrixState] = None
         edges: Optional[EdgeSet] = None
@@ -471,7 +481,12 @@ def count_all_paths(
             if enforcer is not None and not enforcer.admit():
                 break
             if state is not None and state.overflow_risk():
-                # object-dtype promotion: continue on exact Python ints
+                if finish_on_dp:
+                    # Doubling dense big-int rows is quadratic; the DP
+                    # reaches the same exact counts in one linear pass.
+                    return _dp_result(graph, root)
+                # A bounded solve's partial states are doubling-round
+                # states: continue on exact Python ints.
                 edges = state.to_edge_set()
                 state = None
             with maybe_span(

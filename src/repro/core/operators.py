@@ -276,12 +276,10 @@ class Operator:
         keeps arbitrary monoids (tuples, 2x2 matrices) working.
     vector_power:
         Optional elementwise atomic power ``vector_power(x, k)`` over
-        NumPy arrays, used by the batched GIR evaluator and the shm GIR
-        workers.  It may expose ``domain_check(values) -> bool`` to
-        reject inputs outside its exact range (the engines then fall
-        back to the scalar ``power`` loop).  Must be picklable for the
-        shm backend (module-level callables / callable class instances,
-        not closures).
+        NumPy arrays, used by the batched GIR evaluator.  It may
+        expose ``domain_check(values) -> bool`` to reject inputs outside
+        its exact range (the engines then fall back to the scalar
+        ``power`` loop).
     power_period:
         Optional period ``p`` such that ``power(x, k) == power(x, k')``
         whenever ``k ≡ k' (mod p)`` and both are >= 1.  GIR exponents

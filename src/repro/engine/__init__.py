@@ -12,7 +12,7 @@ is that split made explicit:
   :class:`~repro.engine.plan.MoebiusPlan` capture the planned
   artifacts, serialize to dicts, and live in a process-wide LRU
   keyed by :meth:`Problem.fingerprint`;
-* backends (``python``, ``numpy``, ``pram``, ``shm``;
+* backends (``python``, ``numpy``, ``pram``;
   :func:`register_backend` for custom ones) replay plans over values,
   selected by name or ``"auto"``.  The built-in ones are kernel tables
   run by one driver (:mod:`repro.engine.driver`), which owns policy,
@@ -27,7 +27,7 @@ Entry points::
     outs = solve_batch(system, batch_of_initial_arrays)
     result = execute(result.plan, system2)     # explicit plan reuse
 
-    session = Session(system, options=EngineOptions(backend="shm"))
+    session = Session(system, options=EngineOptions(checked=True))
     out = session.solve(values).values         # ...serve repeatedly
 
 Configuration travels as one frozen :class:`EngineOptions` record
@@ -35,16 +35,15 @@ Configuration travels as one frozen :class:`EngineOptions` record
 
 For repeated solves over one problem, prefer :class:`Session`: it pins
 the plan and backend at construction and serves value vectors with no
-per-request planning or cache lookups.  The ``shm`` backend fans each
-round across worker processes over shared memory (see
-:mod:`repro.engine.exec_shm`).
+per-request planning or cache lookups.  A structured backend failure
+reroutes down the ``numpy -> python`` failover ladder
+(:mod:`repro.engine.failover`).
 """
 
 from .api import EngineResult, execute, solve, solve_batch
 from .failover import FAILOVER_TRIP, LADDER_ORDER, failover_ladder, run_ladder
 from .options import EngineOptions
 from .session import Session, SessionPool
-from .shm_pool import ShmWorkerPool, get_pool, shutdown_pools
 from .backends import (
     Backend,
     BackendCapabilities,
@@ -85,9 +84,6 @@ __all__ = [
     "LADDER_ORDER",
     "failover_ladder",
     "run_ladder",
-    "ShmWorkerPool",
-    "get_pool",
-    "shutdown_pools",
     "Problem",
     "Plan",
     "OrdinaryPlan",

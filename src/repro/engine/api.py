@@ -8,7 +8,7 @@
 2. look its fingerprint up in the plan cache -- a hit skips
    validation, predecessor construction and schedule/CAP planning;
 3. dispatch to the selected backend (``python`` / ``numpy`` /
-   ``pram`` / ``shm`` / ``auto``), whose kernels replay the plan over
+   ``pram`` / ``auto``), whose kernels replay the plan over
    the values under the engine driver (:mod:`repro.engine.driver`);
 4. store a freshly built plan back into the cache.
 
@@ -20,8 +20,7 @@ lookups increment ``engine.plan.cache.{hits,misses}``.
 (:mod:`repro.engine.failover`): a structured backend failure
 (:class:`~repro.errors.FaultError`,
 :class:`~repro.errors.VerificationError`) transparently re-executes
-the request on the next capable backend (``shm -> numpy -> python``),
-guarded by per-fingerprint circuit breakers.
+the request on the next capable backend (``numpy -> python``).
 :attr:`EngineResult.backend` names the rung that actually served;
 :attr:`EngineResult.failover_from` the originally chosen backend when
 they differ.
@@ -192,7 +191,7 @@ def request_for(opts: EngineOptions, problem: Problem, source, plan, **extra):
         policy=opts.policy,
         checked=opts.checked,
         check_sample=opts.check_sample,
-        options=opts.request_options(),
+        options=dict(opts.backend_options),
         **extra,
     )
 

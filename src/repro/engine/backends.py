@@ -2,13 +2,13 @@
 
 A :class:`Backend` turns an :class:`ExecutionRequest` (problem + source
 object + optional plan + solve options) into values.  Backends register
-under a name (``python``, ``numpy``, ``pram``, ``shm`` ship built in;
+under a name (``python``, ``numpy``, ``pram`` ship built in;
 register your own with :func:`register_backend`) and declare
 capabilities -- which solver families they run, whether their
 arithmetic is exact for object operands, whether they support the
 batch axis -- which :func:`resolve_backend` checks before dispatch.
 
-The built-in ``python`` / ``numpy`` / ``shm`` backends are one type,
+The built-in ``python`` / ``numpy`` backends are one type,
 :class:`KernelBackend`: a name, capabilities and a table of value
 kernels, all run by the one engine driver.  ``pram`` simulates the
 paper's machine instead.
@@ -27,7 +27,6 @@ from . import driver
 from .exec_gir import RowTraceEvaluator, TraceEvaluator
 from .exec_moebius import AffineRounds, RationalRounds
 from .exec_ordinary import NumpyChains, NumpyRounds, PythonRounds
-from .exec_shm import ShmAffine, ShmRounds, ShmTraces
 from .plan import Plan
 from .problem import Problem
 
@@ -254,19 +253,3 @@ register_backend(
     )
 )
 register_backend(PRAMBackend())
-#: Shared-memory multiprocess kernels (see :mod:`repro.engine.exec_shm`):
-#: each round's active set is split into contiguous Brent-style ``n/P``
-#: shards across a persistent worker pool.  Options: ``workers``
-#: (default 4), Moebius ``path`` / ``guard``, ``watchdog_s`` (``<= 0``
-#: disables the heartbeat watchdog), ``max_retries``, ``chaos`` (a
-#: :class:`~repro.chaos.ChaosPlan` or resolved event dict) and the
-#: test-only ``_test_crash`` hook.  ``exact=False``: object operands
-#: cannot cross the process boundary, so exact/object solves stay on
-#: ``python`` / ``numpy``.
-register_backend(
-    KernelBackend(
-        "shm",
-        BackendCapabilities(families=_FAMILIES, exact=False, batch=False),
-        {"ordinary": ShmRounds, "affine": ShmAffine, "gir": ShmTraces},
-    )
-)

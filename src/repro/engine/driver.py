@@ -12,9 +12,7 @@ therefore supply only *kernels* (a name-keyed table, see
   operator is a typed ufunc and no round budget asks for rounds), the
   Moebius paths ``object`` (the ordinary
   kernel under the ``odot`` operator), ``affine`` and ``rational``
-  (:mod:`~repro.engine.exec_moebius`), and the *pooled* shm kernels
-  (:mod:`~repro.engine.exec_shm`), which run an already-truncated
-  schedule plus a deadline on the worker pool;
+  (:mod:`~repro.engine.exec_moebius`);
 * trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`).
 
 This module owns, once, what every backend used to repeat: building a
@@ -33,7 +31,6 @@ scatter of solved values back onto cells.  Single solves and stacked
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional
 
@@ -74,8 +71,6 @@ class Job:
     guard: Any = None
     options: Mapping[str, Any] = field(default_factory=dict)
     policy: Any = None
-    #: absolute ``time.time()`` bound the pooled kernels' workers check
-    deadline: Optional[float] = None
     #: ``init`` / ``finit`` admitted as the operator's typed arrays
     #: (``None``: no typed form, or not a typed operator)
     typed: Any = None
@@ -143,8 +138,7 @@ def _replay(family: str, make, job: Job, enforcer, label: str, ran: str):
     A round is one pointer-jumping round, or one chain level of a
     chain kernel.  Single solves get a ``solver.round`` span and round
     counters per round; a stacked batch reports only its root span, so
-    the per-round series keep counting one solve's rounds.  Pooled
-    kernels receive the policy-truncated round count in one job.
+    the per-round series keep counting one solve's rounds.
     """
     tracer, registry = get_tracer(), get_registry()
     sched = job.sched
@@ -159,37 +153,27 @@ def _replay(family: str, make, job: Job, enforcer, label: str, ran: str):
         with maybe_span(
             tracer, f"solver.{family}", engine=label, n=sched.n, strategy=ran, **attrs
         ) as root:
-            if kernel.pooled:
-                admitted = 0
-                for _step in sched.steps:
-                    if enforcer is not None and not enforcer.admit():
-                        break
-                    admitted += 1
-                active = sched.active_per_round[: kernel.run(admitted)]
-                if kernel.timed_out:
-                    enforcer.exhaust("timeout")
-            else:
-                for idx, src in kernel.steps:
-                    if enforcer is not None and not enforcer.admit():
-                        break
-                    count = len(idx)
-                    if job.stacked:
+            for idx, src in kernel.steps:
+                if enforcer is not None and not enforcer.admit():
+                    break
+                count = len(idx)
+                if job.stacked:
+                    kernel.round(idx, src)
+                else:
+                    with maybe_span(
+                        tracer,
+                        "solver.round",
+                        engine=label,
+                        round=len(active),
+                        active=count,
+                    ):
                         kernel.round(idx, src)
-                    else:
-                        with maybe_span(
-                            tracer,
-                            "solver.round",
-                            engine=label,
-                            round=len(active),
-                            active=count,
-                        ):
-                            kernel.round(idx, src)
-                        if registry is not None:
-                            registry.counter("solver.rounds", engine=label).inc()
-                            registry.histogram(
-                                "solver.active_cells", engine=label
-                            ).observe(count)
-                    active.append(count)
+                    if registry is not None:
+                        registry.counter("solver.rounds", engine=label).inc()
+                        registry.histogram(
+                            "solver.active_cells", engine=label
+                        ).observe(count)
+                active.append(count)
             if root is not None:
                 root.set_attribute("rounds", len(active))
     if registry is not None:
@@ -227,11 +211,10 @@ def _object(make, job: Job, enforcer, label: str, ran: str):
     return values, active
 
 
-def _traces(make, job: Job, problem, enforcer, label: str, ran: str):
+def _traces(make, job: Job, problem, label: str, ran: str):
     """GIR trace evaluation, planning the CAP pipeline first when no
     plan is held.  Returns ``(row values, typed initial array or None,
-    plan)``; the values are ``None`` when a pooled evaluation stopped
-    at the policy deadline."""
+    plan)``."""
     tracer, registry = get_tracer(), get_registry()
     system = job.source
     system.op.require_commutative()
@@ -255,8 +238,6 @@ def _traces(make, job: Job, problem, enforcer, label: str, ran: str):
             registry.counter("solver.solves", engine="gir").inc()
             registry.counter("gir.power_ops").inc(power_ops)
             registry.counter("gir.combine_ops").inc(combine_ops)
-    if values is None:
-        enforcer.exhaust("timeout")
     return values, base, plan
 
 
@@ -471,9 +452,6 @@ def solve(backend, request, rows=None, f_rows=None):
         guard=guard,
         options=options,
         policy=policy,
-        deadline=None
-        if policy is None or policy.timeout_s is None
-        else time.time() + policy.timeout_s,
         typed=typed,
         ftyped=ftyped,
         scalars=scalars,
@@ -481,7 +459,7 @@ def solve(backend, request, rows=None, f_rows=None):
     base = cells = None
     active: List[int] = []
     if kind == "gir":
-        solved, base, plan = _traces(make, job, problem, enforcer, label, ran)
+        solved, base, plan = _traces(make, job, problem, label, ran)
     elif kind == "object":
         solved, active = _object(make, job, enforcer, label, ran)
     else:
@@ -502,8 +480,6 @@ def solve(backend, request, rows=None, f_rows=None):
             _sequential(family, instance(r), f_inits[r])
             for r in range(len(initials))
         ]
-    elif solved is None:  # a pooled GIR evaluation stopped at the deadline
-        outs = [list(source.initial)]
     else:
         if guard is not None:
             report = _guard_report(guard, solved, label)

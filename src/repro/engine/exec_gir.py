@@ -42,13 +42,14 @@ from ..obs import get_tracer, maybe_span
 from ..core.cap import CAPResult, count_all_paths
 from ..core.depgraph import build_dependence_graph
 from ..core.equations import OrdinaryIRSystem, normalize_non_distinct
+from ..errors import PolicyError
 from . import exec_ordinary
 from .plan import GIRPlan, PowerTable
 
 __all__ = [
     "build_plan",
     "dispatches",
-    "eval_rows_vectorized",
+    "combine_rows",
     "TraceEvaluator",
     "RowTraceEvaluator",
 ]
@@ -98,6 +99,14 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
                 "system has non-distinct g; pass allow_rename=True "
                 "or normalize explicitly"
             )
+        if policy is not None and policy.on_exhaustion == "partial":
+            # A partial CAP state keeps open final-node prefixes, which
+            # have no projection onto a renamed system's cells.
+            raise PolicyError(
+                "on_exhaustion='partial' is not supported for a GIR "
+                "system with repeated g (renamed); use 'raise' or "
+                "'fallback'"
+            )
         with maybe_span(tracer, "gir.normalize"):
             norm = normalize_non_distinct(system)
         work_system = norm.system
@@ -134,46 +143,21 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
 # ---------------------------------------------------------------------------
 
 
-def eval_rows_vectorized(
-    row_ptr: np.ndarray,
-    cells: np.ndarray,
-    exponents: np.ndarray,
-    initial_arr: np.ndarray,
-    vector_fn,
-    vector_power,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    factors: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Evaluate trace rows ``[lo, hi)`` of a flat power table.
+def combine_rows(row_ptr: np.ndarray, factors: np.ndarray, vector_fn) -> np.ndarray:
+    """Combine each CSR row's pre-powered ``factors`` into one value.
 
-    ``factors`` (pre-powered per-entry factor values, e.g. from the
-    batched evaluator's gather-and-power pass) may be supplied;
-    otherwise every entry is powered directly.  The combine phase
-    replays the legacy balanced pairwise reduction
+    The combine replays the legacy balanced pairwise reduction
     **column-for-column** -- pair ``(2t, 2t+1)``, odd leftover appended
     at the end of the next level -- so results are bit-identical to
     :func:`repro.core.gir.evaluate_trace_powers` even for non-exact
-    (floating) operators.
-
-    Shared by the NumPy batched evaluator and the shm GIR workers
-    (each worker calls it on its Brent row shard).
+    (floating) operators.  Rows sharing a factor count combine in one
+    vectorized sweep.
     """
-    if hi is None:
-        hi = int(row_ptr.shape[0]) - 1
-    base_off = int(row_ptr[lo])
-    if factors is None:
-        seg = slice(base_off, int(row_ptr[hi]))
-        factors = vector_power(initial_arr[cells[seg]], exponents[seg])
-        base_off = 0
-        ptr = row_ptr[lo : hi + 1] - int(row_ptr[lo])
-    else:
-        ptr = row_ptr[lo : hi + 1]
-    lengths = np.diff(ptr)
+    lengths = np.diff(row_ptr)
     if lengths.size and int(lengths.min()) == 0:
         raise ValueError("empty trace: cell was never assigned")
-    out = np.empty(hi - lo, dtype=initial_arr.dtype)
-    starts = ptr[:-1]
+    out = np.empty(lengths.size, dtype=factors.dtype)
+    starts = row_ptr[:-1]
     for width in np.unique(lengths):
         width = int(width)
         idx = np.nonzero(lengths == width)[0]
@@ -225,15 +209,7 @@ def _evaluate_batched(plan: GIRPlan, setup, op) -> np.ndarray:
     factors = initial_arr[table.cells]
     if idx.size:
         factors[idx] = op.vector_power(factors[idx], exps)
-    return eval_rows_vectorized(
-        table.row_ptr,
-        table.cells,
-        None,
-        initial_arr,
-        op.vector_fn,
-        op.vector_power,
-        factors=factors,
-    )
+    return combine_rows(table.row_ptr, factors, op.vector_fn)
 
 
 def _evaluate_rows(
@@ -281,7 +257,6 @@ class TraceEvaluator:
 
     label = "numpy"
     prefer = "batched"
-    pooled = False
 
     def __init__(self, job):
         self.plan, self.system, self.typed = job.sched, job.source, job.typed

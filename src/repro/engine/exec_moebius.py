@@ -231,7 +231,6 @@ class AffineRounds:
     round composes the newer ``(a, b)`` segment over the older one."""
 
     label = "affine"
-    pooled = False
 
     def __init__(self, job):
         scalars = job.scalars
@@ -343,7 +342,6 @@ class RationalRounds:
     is armed)."""
 
     label = "rational"
-    pooled = False
 
     def __init__(self, job):
         rec, sched, guard = job.source, job.sched, job.guard

@@ -206,7 +206,6 @@ class PythonRounds:
     of the paper's algorithm."""
 
     label = "python"
-    pooled = False
 
     def __init__(self, job):
         sched = job.sched
@@ -271,7 +270,6 @@ class NumpyRounds:
     as one ``(k, n)`` array through the same rounds."""
 
     label = "numpy"
-    pooled = False
 
     def __init__(self, job):
         op, sched = job.op, job.sched
@@ -365,7 +363,6 @@ class NumpyChains:
     """
 
     label = "numpy"
-    pooled = False
 
     def __init__(self, job):
         op, sched = job.op, job.sched

@@ -1,32 +1,21 @@
 """Backend failover ladder: degrade across backends, not to an error.
 
 When a solve fails *structurally* -- a :class:`~repro.errors.FaultError`
-(worker crash/hang that exhausted the pool's respawn budget, a pool
-that would not spawn) or a :class:`~repro.errors.VerificationError`
-(the differential check caught wrong values, e.g. a corrupted shard)
--- the failing backend is not the last word: the same request is
-re-executed on the next *capable* backend, in the fixed preference
-order ``shm -> numpy -> python`` (any chosen backend degrades toward
-the exact single-process rungs; the order mirrors the numeric
-escalation ladder float64 -> Fraction -> sequential).
+or a :class:`~repro.errors.VerificationError` (the differential check
+caught wrong values) -- the failing backend is not the last word: the
+same request is re-executed on the next *capable* backend, in the
+fixed preference order ``numpy -> python`` (the vectorized kernels
+degrade to the exact pure-Python reference kernels; the order mirrors
+the numeric escalation ladder float64 -> Fraction -> sequential).
 
 Semantic failures never trip the ladder: a
 :class:`~repro.errors.PolicyError` (budget exhausted), validation
 errors, and numeric-health errors would fail identically on every
 backend, so they propagate immediately.
 
-Each rung is guarded by a per-``(fingerprint, backend)``
-:class:`~repro.resilience.breaker.CircuitBreaker`: after ``K``
-consecutive failures the rung is skipped outright (no pool spin-up,
-no retry storm) until a cooldown admits a half-open probe.  The final
-rung is always attempted -- the in-process exact backends are the
-safety net, and short-circuiting the last resort would trade a slow
-answer for none.
-
 Observability: ``engine.failover.reroutes{frm,to,family}`` /
-``engine.failover.short_circuits{backend}`` /
 ``engine.failover.exhausted{family}`` counters and
-``engine.failover`` / ``breaker.*`` flight-recorder events.
+``engine.failover`` flight-recorder events.
 """
 
 from __future__ import annotations
@@ -36,7 +25,6 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..errors import FaultError, VerificationError
 from ..obs import get_registry
 from ..obs.recorder import record_event
-from ..resilience.breaker import get_breaker
 from .backends import Backend, get_backend
 from .problem import Problem
 
@@ -51,13 +39,12 @@ __all__ = [
 #: one" rather than "this request is doomed everywhere".
 FAILOVER_TRIP = (FaultError, VerificationError)
 
-#: The degradation order.  Only ``numpy`` and ``python`` qualify as
-#: failover *targets*: in-process, exact, covering every family -- a
-#: failover must never introduce a new failure domain.  Backends
+#: The degradation order: in-process, exact, covering every family --
+#: a failover must never introduce a new failure domain.  Backends
 #: outside this order (``pram``, custom registrations) never reroute:
 #: the PRAM machine's structured fault verdicts are its purpose, and
 #: custom backends opt in by their own means.
-LADDER_ORDER = ("shm", "numpy", "python")
+LADDER_ORDER = ("numpy", "python")
 
 
 def failover_ladder(
@@ -96,59 +83,39 @@ def run_ladder(
     propagate immediately from whichever rung raised them.
     """
     registry = get_registry()
-    last_exc: Optional[BaseException] = None
     for i, backend in enumerate(rungs):
-        is_last = i == len(rungs) - 1
-        breaker = get_breaker(fingerprint, backend.name)
-        if not is_last and not breaker.allow():
-            record_event(
-                "engine.failover.short_circuit",
-                backend=backend.name,
-                fingerprint=fingerprint[:12],
-                state=breaker.state,
-            )
-            if registry is not None:
-                registry.counter(
-                    "engine.failover.short_circuits", backend=backend.name
-                ).inc()
-            continue
         try:
             result = attempt(backend)
         except FAILOVER_TRIP as exc:
-            breaker.record_failure()
-            last_exc = exc
-            if not is_last:
-                nxt = rungs[i + 1].name
+            if i == len(rungs) - 1:
+                if registry is not None:
+                    registry.counter(
+                        "engine.failover.exhausted", family=family
+                    ).inc()
                 record_event(
-                    "engine.failover",
+                    "engine.failover.exhausted",
+                    family=family,
+                    fingerprint=fingerprint[:12],
+                    rungs=[b.name for b in rungs],
+                )
+                raise
+            nxt = rungs[i + 1].name
+            record_event(
+                "engine.failover",
+                frm=backend.name,
+                to=nxt,
+                family=family,
+                fingerprint=fingerprint[:12],
+                error=type(exc).__name__,
+            )
+            if registry is not None:
+                registry.counter(
+                    "engine.failover.reroutes",
                     frm=backend.name,
                     to=nxt,
                     family=family,
-                    fingerprint=fingerprint[:12],
-                    error=type(exc).__name__,
-                )
-                if registry is not None:
-                    registry.counter(
-                        "engine.failover.reroutes",
-                        frm=backend.name,
-                        to=nxt,
-                        family=family,
-                    ).inc()
+                ).inc()
             continue
-        breaker.record_success()
         failover_from = rungs[0].name if backend is not rungs[0] else None
         return result, backend, failover_from
-    if registry is not None:
-        registry.counter("engine.failover.exhausted", family=family).inc()
-    record_event(
-        "engine.failover.exhausted",
-        family=family,
-        fingerprint=fingerprint[:12],
-        rungs=[b.name for b in rungs],
-    )
-    if last_exc is not None:
-        raise last_exc
-    raise FaultError(
-        "backend failover ladder exhausted without attempting any rung "
-        f"(all breakers open) for family {family!r}"
-    )
+    raise ValueError("run_ladder needs at least one rung")

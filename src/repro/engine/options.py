@@ -8,7 +8,7 @@ front door.
 
     from repro.engine import EngineOptions, Session, solve
 
-    opts = EngineOptions(backend="shm", workers=4, checked=True)
+    opts = EngineOptions(backend="numpy", checked=True)
     result = solve(system, options=opts)
     session = Session(system, options=opts.replace(checked=False))
 
@@ -36,7 +36,6 @@ OPTION_KEYS = (
     "check_sample",
     "verify_plan",
     "failover",
-    "workers",
     "backend_options",
 )
 
@@ -95,14 +94,11 @@ class EngineOptions:
     failover:
         Arm the backend failover ladder
         (:mod:`repro.engine.failover`).
-    workers:
-        Worker-process count for the ``shm`` backend (``None`` keeps
-        the backend default).
     backend_options:
         Remaining backend/family extras (Moebius ``path`` / ``guard``,
-        PRAM ``processors`` / ``fault_plan``, shm ``watchdog_s`` /
-        ``max_retries`` / ``chaos``, GIR ``gir_eval``, ...), exactly
-        the keys the historical free-form ``options`` dict carried.
+        PRAM ``processors`` / ``fault_plan`` / ``max_retries``, GIR
+        ``gir_eval``, ...), exactly the keys the historical free-form
+        ``options`` dict carried.
     """
 
     backend: str = "auto"
@@ -111,7 +107,6 @@ class EngineOptions:
     check_sample: Optional[int] = 64
     verify_plan: bool = False
     failover: bool = True
-    workers: Optional[int] = None
     backend_options: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -121,24 +116,12 @@ class EngineOptions:
                 f"{type(self.backend).__name__}"
             )
         object.__setattr__(self, "policy", _policy_from_value(self.policy))
-        if self.workers is not None:
-            workers = int(self.workers)
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1, got {workers}")
-            object.__setattr__(self, "workers", workers)
         if not isinstance(self.backend_options, Mapping):
             raise TypeError(
                 "backend_options must be a mapping, got "
                 f"{type(self.backend_options).__name__}"
             )
-        extras = dict(self.backend_options)
-        if "workers" in extras:
-            # The historical dict carried workers; lift it so there is
-            # exactly one source of truth (an explicit field wins).
-            lifted = extras.pop("workers")
-            if self.workers is None and lifted is not None:
-                object.__setattr__(self, "workers", int(lifted))
-        object.__setattr__(self, "backend_options", extras)
+        object.__setattr__(self, "backend_options", dict(self.backend_options))
 
     # -- construction ------------------------------------------------------
 
@@ -147,8 +130,7 @@ class EngineOptions:
         """Normalize any accepted ``options=`` value.
 
         ``None`` -> defaults; an :class:`EngineOptions` passes through;
-        a plain mapping is the historical backend-extras dict (its
-        ``workers`` key is lifted into the typed field).
+        a plain mapping is the historical backend-extras dict.
         """
         if value is None:
             return cls()
@@ -194,14 +176,6 @@ class EngineOptions:
 
     # -- views -------------------------------------------------------------
 
-    def request_options(self) -> Dict[str, Any]:
-        """The dict handed to backends as ``ExecutionRequest.options``
-        (backend extras plus the lifted ``workers``)."""
-        merged = dict(self.backend_options)
-        if self.workers is not None:
-            merged["workers"] = self.workers
-        return merged
-
     def key(self) -> tuple:
         """Hashable identity: two requests coalesce only when their
         options keys are equal (same backend, same policy, same
@@ -213,7 +187,6 @@ class EngineOptions:
             self.check_sample,
             self.verify_plan,
             self.failover,
-            self.workers,
             tuple(
                 sorted(
                     (k, repr(v)) for k, v in self.backend_options.items()
@@ -231,7 +204,6 @@ class EngineOptions:
             "check_sample": self.check_sample,
             "verify_plan": self.verify_plan,
             "failover": self.failover,
-            "workers": self.workers,
             "backend_options": dict(self.backend_options),
         }
 

@@ -242,7 +242,7 @@ class OrdinaryPlan:
     pointer jumping needs rounds, else the round schedule ``steps``.
     ``steps`` is always readable -- on a chain plan it is built from
     ``pred`` on first access and cached, for the consumers that run
-    rounds (python / shm kernels, non-ufunc operators, round budgets,
+    rounds (python kernels, non-ufunc operators, round budgets,
     the checker's round rules).
     """
 
@@ -421,9 +421,6 @@ class PowerTable:
     cells: np.ndarray  # (nnz,) int64, sorted strictly increasing per row
     exponents: np.ndarray  # (nnz,) >= 1, int64 or object
     # lazily-built caches (not serialized, not compared)
-    _reduced: Dict[Optional[int], Optional[np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     _dicts: Optional[List[Dict[int, int]]] = field(
         default=None, repr=False, compare=False
     )
@@ -498,17 +495,6 @@ class PowerTable:
                 for i in range(self.rows)
             ]
         return self._dicts
-
-    def reduced_exponents(self, period: Optional[int]) -> Optional[np.ndarray]:
-        """Every exponent reduced into int64 via the operator's power
-        period (the shm workers' upload); with no period, the int64
-        view or ``None`` when an exponent overflows.  Cached per
-        period -- reducing Fibonacci-sized exponents costs a big-int
-        pass worth amortizing across solves.
-        """
-        if period not in self._reduced:
-            self._reduced[period] = _reduce(self.exponents, period)
-        return self._reduced[period]
 
     @classmethod
     def from_cap(cls, cap, n: int) -> "PowerTable":

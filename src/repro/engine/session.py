@@ -72,10 +72,9 @@ class Session:
         arguments.
     options:
         The unified :class:`~repro.engine.options.EngineOptions`
-        record (or a plain dict of backend extras: ``workers`` for
-        ``shm``, Moebius ``path`` / ``guard``, PRAM ``processors``,
-        ...), frozen for the session's lifetime.  ``verify_plan``
-        opts into :mod:`repro.check`: preconditions are proved and the
+        record (or a plain dict of backend extras: Moebius ``path`` /
+        ``guard``, PRAM ``processors``, ...), frozen for the session's
+        lifetime.  ``verify_plan`` opts into :mod:`repro.check`: preconditions are proved and the
         pinned plan verified at construction (GIR plans, captured from
         the first solve, are verified at capture); ``failover=True``
         (default) arms the backend failover ladder, resolved once at
@@ -114,21 +113,7 @@ class Session:
         if opts.verify_plan:
             _check_preconditions(self._source, self._problem)
             if self._plan is not None:
-                self._verify_pinned(self._plan)
-
-    def _verify_pinned(self, plan: Plan) -> None:
-        workers = self._opts.workers
-        if workers is not None:
-            from ..check.schedule import verify_or_raise
-
-            verify_or_raise(
-                plan,
-                self._problem,
-                system=self._source if self.family == "gir" else None,
-                workers=[int(workers)],
-            )
-        else:
-            _verified(plan, self._problem, self._source, stage="session")
+                _verified(self._plan, self._problem, source, stage="session")
 
     # -- introspection -----------------------------------------------------
 
@@ -236,7 +221,9 @@ class Session:
         result = dispatch(rungs, request, rows, f_rows)
         if self._plan is None and result.plan is not None:
             if self._opts.verify_plan:
-                self._verify_pinned(result.plan)
+                _verified(
+                    result.plan, self._problem, self._source, stage="session"
+                )
             self._plan = result.plan  # GIR: pin from the first solve
         result.plan, result.cache_hit = self._plan, self._plan is not None
         if registry is not None:

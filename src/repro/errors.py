@@ -16,8 +16,8 @@ class                       exit code    meaning
                                          and no ladder rung could recover
 :class:`VerificationError`  6            differential check against the
                                          sequential oracle failed
-:class:`FaultError`         7            fault injection / worker-recovery failure
-                                         (PRAM machine or shm worker pool)
+:class:`FaultError`         7            fault injection / recovery failure
+                                         (the PRAM machine)
 :class:`CheckError`         8            static analysis (:mod:`repro.check`)
                                          found an error-severity finding
 ==========================  ===========  =======================================
@@ -46,7 +46,6 @@ __all__ = [
     "VerificationError",
     "FaultError",
     "UnrecoverableFaultError",
-    "PoolSpawnError",
     "CheckError",
     "PlanVerificationError",
     "exit_code_for",
@@ -206,21 +205,12 @@ class VerificationError(ReproError):
 
 
 class FaultError(ReproError):
-    """A fault-domain failure: the PRAM fault-injection machinery, a
-    crashed/hung shm worker the pool could not recover by respawning,
-    or a pool that failed to spawn at all.  The engine's backend
-    failover ladder treats this category as "this backend is sick,
-    try the next capable one"."""
+    """A fault-domain failure: the PRAM fault-injection machinery could
+    not recover.  The engine's backend failover ladder treats this
+    category as "this backend is sick, try the next capable one"."""
 
     exit_code = 7
     category = "fault"
-
-
-class PoolSpawnError(FaultError):
-    """The shm worker pool could not be spawned (or respawned) at all
-    -- fd/process limits, a broken start method, ...  Distinct from a
-    mid-job crash so the failover ladder can skip straight past the
-    backend without a retry."""
 
 
 class UnrecoverableFaultError(FaultError):

@@ -39,7 +39,6 @@ import contextlib
 import threading
 from typing import Iterator, Optional, Tuple
 
-from .aggregate import merge_snapshot, merge_worker_snapshots
 from .export import (
     SCHEMA_VERSION,
     SchemaError,
@@ -93,8 +92,6 @@ __all__ = [
     "is_enabled",
     "load_snapshot_file",
     "maybe_span",
-    "merge_snapshot",
-    "merge_worker_snapshots",
     "observed",
     "on_structured_error",
     "record_event",

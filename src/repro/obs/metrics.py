@@ -21,14 +21,7 @@ v2 additions (the serving-telemetry layer):
   extends below 1.0 so sub-second latencies resolve;
 * windowed min/max/sum/count on histograms
   (:meth:`Histogram.window` / :meth:`Histogram.reset_window`) for
-  "since the last scrape" views;
-* every instrument knows how to :meth:`~Counter.merge` a snapshot
-  entry produced by another registry -- the cross-process aggregation
-  primitive (:mod:`repro.obs.aggregate`) the ``shm`` workers use to
-  ship their telemetry back to the master.  Merge semantics per kind:
-  counters sum, gauges keep the latest write (wall-clock ``ts``
-  tie-broken by value, so merging is order-insensitive), histograms
-  merge bucket-wise.
+  "since the last scrape" views.
 """
 
 from __future__ import annotations
@@ -98,10 +91,6 @@ class Counter:
             raise ValueError("counters only go up; use a gauge")
         self.value += amount
 
-    def merge(self, data: Dict[str, Any]) -> None:
-        """Fold another registry's snapshot of this series in (sum)."""
-        self.value += data["value"]
-
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
 
@@ -110,10 +99,7 @@ class Gauge:
     """Last-written value plus its observed range (live edges, active
     processors).
 
-    ``ts`` is the wall-clock time of the last :meth:`set`; merging two
-    gauge snapshots keeps the write with the larger ``(ts, value)``
-    key, so cross-process "last write wins" is deterministic and
-    order-insensitive.
+    ``ts`` is the wall-clock time of the last :meth:`set`.
     """
 
     kind = "gauge"
@@ -134,22 +120,6 @@ class Gauge:
         self.max = value if self.max is None else max(self.max, value)
         self.updates += 1
         self.ts = time.time()
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        """Fold another registry's snapshot in (latest write wins)."""
-        if not data.get("updates"):
-            return
-        their_key = (data.get("ts") or 0.0, data["value"])
-        mine_key = None if self.updates == 0 else (self.ts or 0.0, self.value)
-        if mine_key is None or their_key >= mine_key:
-            self.value = data["value"]
-            self.ts = data.get("ts")
-        lo, hi = data.get("min"), data.get("max")
-        if lo is not None:
-            self.min = lo if self.min is None else min(self.min, lo)
-        if hi is not None:
-            self.max = hi if self.max is None else max(self.max, hi)
-        self.updates += data["updates"]
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -258,36 +228,6 @@ class Histogram:
         self.window_sum = 0
         self.window_min = None
         self.window_max = None
-
-    def merge(self, data: Dict[str, Any]) -> None:
-        """Fold another registry's snapshot in (bucket-wise sum)."""
-        self.count += data["count"]
-        self.sum += data["sum"]
-        lo, hi = data.get("min"), data.get("max")
-        if lo is not None:
-            self.min = lo if self.min is None else min(self.min, lo)
-        if hi is not None:
-            self.max = hi if self.max is None else max(self.max, hi)
-        for key, n in data.get("buckets", {}).items():
-            bound = float(key)
-            if bound >= 1 and bound == int(bound):
-                bound = int(bound)
-            self.buckets[bound] = self.buckets.get(bound, 0) + n
-        win = data.get("window")
-        if win and win.get("count"):
-            self.window_count += win["count"]
-            self.window_sum += win["sum"]
-            wlo, whi = win.get("min"), win.get("max")
-            if wlo is not None:
-                self.window_min = (
-                    wlo if self.window_min is None
-                    else min(self.window_min, wlo)
-                )
-            if whi is not None:
-                self.window_max = (
-                    whi if self.window_max is None
-                    else max(self.window_max, whi)
-                )
 
     def snapshot(self) -> Dict[str, Any]:
         return {

@@ -13,12 +13,12 @@ Event sources (each a one-line call at an existing decision point):
 
 =====================  ===================================================
 ``solve.start/end``    :mod:`repro.engine.api` front doors
-``round``              shm driver round completion (rounds, wall clock)
+``engine.failover*``   :mod:`repro.engine.failover` reroutes
 ``guard.trip`` /       :class:`repro.resilience.NumericGuard` ladder
 ``guard.escalation``
 ``policy.exhausted``   :class:`repro.resilience.PolicyEnforcer`
 ``fault.injected``     :mod:`repro.resilience.faults`
-``worker.respawn``     shm pool crash repair
+``serve.start/stop``   :mod:`repro.serve` server lifecycle
 ``error``              every :class:`repro.errors.ReproError` construction
 =====================  ===================================================
 

@@ -246,7 +246,7 @@ def profile_gir(
     speedup only materializes at large processor counts -- the paper's
     ``O(n^2)``-processor regime.
     """
-    from ..core.cap import count_all_paths
+    from ..core.cap import DP_DEPTH_CUTOFF, count_all_paths
     from ..core.depgraph import build_dependence_graph
     from ..core.equations import normalize_non_distinct
 
@@ -264,7 +264,10 @@ def profile_gir(
         system if system.g_is_distinct() else normalize_non_distinct(system).system
     )
     graph = build_dependence_graph(solved_system)
-    cap = count_all_paths(graph)
+    # The profile prices CAP's doubling rounds: ask for them even where
+    # the planner would finish an overflowing run on the DP.
+    deep = graph.depth() > DP_DEPTH_CUTOFF
+    cap = count_all_paths(graph, method="dp" if deep else "matrix")
 
     # per-level combine actives: every trace's factor count halves per
     # level (floor-pairing, mirroring evaluate_trace_powers and the

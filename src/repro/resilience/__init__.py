@@ -1,6 +1,6 @@
 """Resilience layer: numeric guards, fault injection, execution policies.
 
-Five pillars, all optional and all off by default:
+Four pillars, all optional and all off by default:
 
 * :class:`NumericGuard` -- tolerance-aware numeric health checks
   backing the float fast paths' degradation ladder
@@ -10,35 +10,16 @@ Five pillars, all optional and all off by default:
 * :class:`SolvePolicy` -- iteration/wall-clock budgets with
   raise/fallback/partial exhaustion behaviour, enforced by every
   doubling-loop solver;
-* :class:`PoolSupervisor` + the segment reaper -- heartbeat watchdog
-  for the shm worker pool (hang detection, targeted kill) and
-  force-unlink of shared-memory segments on abnormal exit;
-* :class:`CircuitBreaker` -- per-``(fingerprint, backend)`` guards for
-  the engine's backend failover ladder.
+* :func:`differential_check` -- sampled verification against the
+  sequential oracle, behind ``checked=`` and the engine's
+  ``numpy -> python`` failover ladder.
 
 Failures surface through the :mod:`repro.errors` taxonomy.
 """
 
-from .breaker import (
-    BreakerConfig,
-    CircuitBreaker,
-    breakers_snapshot,
-    configure_breakers,
-    get_breaker,
-    reset_breakers,
-)
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
 from .guard import GuardReport, NumericGuard, default_guard
 from .policy import PolicyEnforcer, SolvePolicy, budget_clock
-from .supervisor import (
-    HB_DONE,
-    PoolSupervisor,
-    install_reaper,
-    reap_segments,
-    register_segment,
-    registered_segments,
-    unregister_segment,
-)
 from .verify import check_against_oracle, differential_check
 
 __all__ = [
@@ -51,19 +32,6 @@ __all__ = [
     "PolicyEnforcer",
     "SolvePolicy",
     "budget_clock",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "breakers_snapshot",
-    "configure_breakers",
-    "get_breaker",
-    "reset_breakers",
-    "HB_DONE",
-    "PoolSupervisor",
-    "install_reaper",
-    "reap_segments",
-    "register_segment",
-    "registered_segments",
-    "unregister_segment",
     "check_against_oracle",
     "differential_check",
 ]

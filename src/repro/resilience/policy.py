@@ -125,8 +125,8 @@ class PolicyEnforcer:
         return True
 
     def exhaust(self, reason: str) -> bool:
-        """Record exhaustion (``"rounds"`` / ``"timeout"``, also one the
-        shm workers detected); raise under ``"raise"``, else ``False``."""
+        """Record exhaustion (``"rounds"`` / ``"timeout"``); raise under
+        ``"raise"``, else ``False``."""
         self.exhausted = reason
         record_event(
             "policy.exhausted", label=self.label, reason=reason, rounds=self.rounds

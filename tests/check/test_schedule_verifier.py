@@ -3,8 +3,7 @@ rejection of every adversarial mutation.
 
 Acceptance runs the whole family matrix (ordinary, Moebius, GIR with
 both dispatch and CAP artifacts), including serialized round trips --
-the ``repro check`` file path -- and shm shard layouts for the CI
-worker counts.  The mutation half is the verifier's own soundness
+the ``repro check`` file path.  The mutation half is the verifier's own soundness
 test: a verifier that accepts a corrupted schedule would sign off on
 a silent data race.
 """
@@ -14,12 +13,10 @@ import pytest
 from repro.check import (
     CHAIN_MUTATION_KINDS,
     MUTATION_KINDS,
-    SHARD_MUTATION_KINDS,
     mutate_plan,
     mutation_campaign,
     verify_or_raise,
     verify_plan,
-    verify_shard_layout,
 )
 from repro.core import ADD, OrdinaryIRSystem
 from repro.core.moebius import AffineRecurrence
@@ -36,8 +33,6 @@ from repro.engine.plan import plan_from_dict, plan_to_dict
 from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
 from repro.errors import PlanVerificationError, exit_code_for
-
-WORKER_COUNTS = (1, 2, 4, 8)
 
 
 def plan_for(system):
@@ -69,7 +64,6 @@ class TestAcceptance:
             plan,
             problem,
             system=system if problem.family == "gir" else None,
-            workers=WORKER_COUNTS,
         )
         assert report.ok, [f.describe() for f in report.errors]
         assert report.checks_run > 0
@@ -79,7 +73,7 @@ class TestAcceptance:
         system = SYSTEMS[name]()
         problem, plan = plan_for(system)
         rehydrated = plan_from_dict(plan_to_dict(plan))
-        report = verify_plan(rehydrated, problem, workers=(2, 4))
+        report = verify_plan(rehydrated, problem)
         assert report.ok, [f.describe() for f in report.errors]
 
     def test_moebius_plan_accepted(self):
@@ -93,7 +87,7 @@ class TestAcceptance:
         )
         problem, plan = plan_for(rec)
         assert plan.family == "moebius"
-        report = verify_plan(plan, problem, workers=WORKER_COUNTS)
+        report = verify_plan(plan, problem)
         assert report.ok, [f.describe() for f in report.errors]
 
     def test_verify_or_raise_returns_report_when_clean(self):
@@ -128,30 +122,13 @@ class TestMutationRejection:
         report = verify_plan(mut.plan, problem)
         assert not report.ok, f"{kind} survived: {mut.description}"
 
-    @pytest.mark.parametrize("kind", SHARD_MUTATION_KINDS)
-    def test_shard_mutations_rejected(self, kind):
-        _, plan = plan_for(chain_system(120))
-        mut = mutate_plan(plan, kind, seed=0, workers=4)
-        assert mut is not None
-        report = verify_shard_layout(
-            mut.plan, mut.workers, boundaries=mut.boundaries
-        )
-        assert not report.ok
-        assert report.errors[0].code == "SHM001"
-
     def test_full_campaign_rejected_across_shapes(self):
         total = rejected = 0
         for name in ("chain", "forest", "random"):
             problem, plan = plan_for(SYSTEMS[name]())
             for mut in mutation_campaign(plan, seeds=range(4)):
                 total += 1
-                if mut.boundaries is not None:
-                    report = verify_shard_layout(
-                        mut.plan, mut.workers, boundaries=mut.boundaries
-                    )
-                else:
-                    report = verify_plan(mut.plan, problem)
-                if not report.ok:
+                if not verify_plan(mut.plan, problem).ok:
                     rejected += 1
         assert total > 0
         assert rejected == total, f"{total - rejected}/{total} mutants survived"
@@ -183,47 +160,6 @@ class TestMutationRejection:
         kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
         assert "chain_swap_order" in kinds and "swap_rounds" in kinds
         assert not plan.has_steps  # mutating never builds the input's rounds
-
-    def test_boundaries_override_requires_single_count(self):
-        from repro.check.schedule import _verify_shard_layouts
-
-        _, plan = plan_for(chain_system(30))
-        mut = mutate_plan(plan, "shift_shard", seed=0, workers=4)
-        with pytest.raises(ValueError):
-            _verify_shard_layouts(plan, [2, 4], boundaries=mut.boundaries)
-
-
-class TestShardLayouts:
-    def test_genuine_layouts_all_counts(self):
-        _, plan = plan_for(chain_system(100))
-        for workers in WORKER_COUNTS:
-            report = verify_shard_layout(plan, workers)
-            assert report.ok, [f.describe() for f in report.errors]
-
-    def test_zero_workers_rejected(self):
-        _, plan = plan_for(chain_system(20))
-        report = verify_shard_layout(plan, 0)
-        assert not report.ok
-        assert report.errors[0].code == "SHM001"
-
-    def test_duplicate_active_straddling_boundary_is_shm002(self):
-        # Duplicate an active id across a shard boundary by hand: the
-        # one genuinely-racy layout SCH001 alone would also catch, but
-        # the shard check must localize it to the barrier phase.
-        _, plan = plan_for(chain_system(64))
-        mut = mutate_plan(plan, "duplicate_active", seed=1)
-        assert mut is not None
-        report = verify_shard_layout(mut.plan, 4)
-        codes = set()
-        if not report.ok:
-            codes = {f.code for f in report.errors}
-        # Either the duplicate straddles a boundary (SHM002) or it
-        # lands inside one shard -- then only SCH001 sees it, which
-        # verify_plan layers on top (workers= runs after the schedule
-        # proof, so the full path still rejects).
-        full = verify_plan(mut.plan, workers=(4,))
-        assert not full.ok
-        assert codes <= {"SHM002"}
 
 
 class TestRaiseContract:

@@ -162,7 +162,7 @@ class TestCLI:
             options=EngineOptions(backend="numpy"),
         ).plan
         path = self.write_plan(tmp_path, plan, "plan.json")
-        assert main(["check", path, "--workers", "2", "--workers", "4"]) == 0
+        assert main(["check", path]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_check_rejects_mutated_plan_with_exit_8(self, tmp_path, capsys):
@@ -184,7 +184,7 @@ class TestCLI:
         payload = plan_to_dict(plan)
         assert "chains" in payload and "steps" not in payload
         path = self.write_plan(tmp_path, plan, "chains.json")
-        assert main(["check", path, "--workers", "2"]) == 0
+        assert main(["check", path]) == 0
         assert "OK" in capsys.readouterr().out
         bad = mutate_plan(plan, "chain_swap_order", seed=0).plan
         path = self.write_plan(tmp_path, bad, "bad-chains.json")
@@ -279,7 +279,6 @@ class TestSurface:
         for name in (
             "verify_plan",
             "verify_or_raise",
-            "verify_shard_layout",
             "check_system",
             "lint_source",
             "mutation_campaign",

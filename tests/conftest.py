@@ -91,28 +91,3 @@ def _fresh_plan_cache():
     clear_plan_cache()
     yield
     clear_plan_cache()
-
-
-@pytest.fixture(autouse=True)
-def _fresh_breakers():
-    """Isolate tests from the failover ladder's breaker registry.
-
-    Breakers are keyed by problem fingerprint, and the test suite
-    reuses small systems with identical index maps -- a breaker opened
-    by one test's injected faults must not short-circuit another
-    test's solve.
-    """
-    import dataclasses
-
-    from repro.resilience.breaker import (
-        BreakerConfig,
-        configure_breakers,
-        reset_breakers,
-    )
-
-    defaults = dataclasses.asdict(BreakerConfig())
-    reset_breakers()
-    configure_breakers(**defaults)
-    yield
-    reset_breakers()
-    configure_breakers(**defaults)

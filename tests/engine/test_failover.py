@@ -1,39 +1,30 @@
-"""The backend failover ladder and its circuit breakers.
+"""The backend failover ladder: ``numpy -> python``.
 
 Covers ladder construction (downward-only degradation, capability
-filtering, pram opt-out), breaker state transitions under a fake
-clock, transparent failover from a persistently crashing shm pool to
-the numpy backend (solve and Session), the ``failover=False`` raw-fault
-escape hatch, and breaker short-circuiting of a known-sick rung.
+filtering, pram opt-out), transparent failover from a numpy kernel
+whose values fail the differential check to the exact python backend
+(solve and Session), the ``failover=False`` escape hatch, and the
+removed ``shm`` backend and ``workers`` option failing cleanly.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.core import ADD, OrdinaryIRSystem, run_ordinary
+from repro.core.serialize import dump_system
 from repro.engine import (
     EngineOptions,
     Session,
+    available_backends,
     failover_ladder,
     get_backend,
     solve,
 )
+from repro.engine.exec_ordinary import NumpyChains
 from repro.engine.problem import Problem
-from repro.errors import FaultError
-from repro.resilience.breaker import (
-    BreakerConfig,
-    CircuitBreaker,
-    breakers_snapshot,
-    configure_breakers,
-    get_breaker,
-)
-
-WORKERS = int(os.environ.get("REPRO_SHM_TEST_WORKERS", "2"))
-
-PERSISTENT_CRASH = {"rank": 0, "round": 1, "once": False}
+from repro.errors import VerificationError
 
 
 def int_chain(n=400, seed=0):
@@ -46,12 +37,22 @@ def int_chain(n=400, seed=0):
     )
 
 
-class TestLadderShape:
-    def test_shm_degrades_to_numpy_then_python(self):
-        problem = Problem.from_system(int_chain())
-        rungs = failover_ladder(get_backend("shm"), problem)
-        assert [b.name for b in rungs] == ["shm", "numpy", "python"]
+class CorruptChains(NumpyChains):
+    """The numpy chain kernel with every solved value off by one."""
 
+    def solved(self):
+        return super().solved() + 1
+
+
+@pytest.fixture
+def corrupt_numpy(monkeypatch):
+    monkeypatch.setitem(get_backend("numpy").kernels, "chains", CorruptChains)
+
+
+CHECKED = EngineOptions(backend="numpy", checked=True)
+
+
+class TestLadderShape:
     def test_numpy_degrades_to_python_only(self):
         problem = Problem.from_system(int_chain())
         rungs = failover_ladder(get_backend("numpy"), problem)
@@ -73,214 +74,62 @@ class TestLadderShape:
         assert [b.name for b in rungs] == ["numpy"]
 
 
-class TestBreakerTransitions:
-    def test_opens_after_threshold_consecutive_failures(self):
-        b = CircuitBreaker(("fp", "shm"), BreakerConfig(threshold=3))
-        assert b.state == "closed"
-        b.record_failure()
-        b.record_failure()
-        assert b.state == "closed" and b.allow()
-        b.record_failure()
-        assert b.state == "open" and not b.allow()
-
-    def test_success_resets_the_failure_count(self):
-        b = CircuitBreaker(("fp", "shm"), BreakerConfig(threshold=2))
-        b.record_failure()
-        b.record_success()
-        b.record_failure()
-        assert b.state == "closed"
-
-    def test_half_open_probe_after_cooldown(self):
-        now = [0.0]
-        b = CircuitBreaker(
-            ("fp", "shm"),
-            BreakerConfig(threshold=1, cooldown_s=10.0),
-            clock=lambda: now[0],
-        )
-        b.record_failure()
-        assert b.state == "open" and not b.allow()
-        now[0] = 9.9
-        assert not b.allow()
-        now[0] = 10.0
-        assert b.allow()  # the single probe
-        assert b.state == "half-open"
-        assert not b.allow()  # probe in flight: nothing else admitted
-
-    def test_probe_success_closes(self):
-        now = [0.0]
-        b = CircuitBreaker(
-            ("fp", "shm"),
-            BreakerConfig(threshold=1, cooldown_s=1.0),
-            clock=lambda: now[0],
-        )
-        b.record_failure()
-        now[0] = 2.0
-        assert b.allow()
-        b.record_success()
-        assert b.state == "closed" and b.failures == 0
-
-    def test_probe_failure_reopens_for_another_cooldown(self):
-        now = [0.0]
-        b = CircuitBreaker(
-            ("fp", "shm"),
-            BreakerConfig(threshold=1, cooldown_s=5.0),
-            clock=lambda: now[0],
-        )
-        b.record_failure()
-        now[0] = 5.0
-        assert b.allow()
-        b.record_failure()
-        assert b.state == "open"
-        now[0] = 9.0
-        assert not b.allow()  # new cooldown runs from the re-open
-        now[0] = 10.0
-        assert b.allow()
-
-    def test_registry_and_snapshot(self):
-        breaker = get_breaker("f" * 64, "shm")
-        assert get_breaker("f" * 64, "shm") is breaker
-        breaker.record_failure()
-        snap = breakers_snapshot()
-        assert snap[f"{'f' * 12}/shm"]["failures"] == 1
-
-
 class TestSolveFailover:
-    def test_persistent_crash_fails_over_to_numpy(self):
+    def test_corrupt_numpy_fails_over_to_python(self, corrupt_numpy):
         sys_ = int_chain(seed=11)
         with obs.observed() as (_tracer, registry):
-            res = solve(
-                sys_,
-                options=EngineOptions(
-                    backend="shm",
-                    workers=WORKERS,
-                    backend_options={"_test_crash": PERSISTENT_CRASH},
-                ),
-            )
+            res = solve(sys_, options=CHECKED)
         assert res.values == run_ordinary(sys_)
-        assert res.backend == "numpy"
-        assert res.failover_from == "shm"
-        reroutes = sum(
-            e["value"]
-            for e in registry.snapshot()
-            if e["name"] == "engine.failover.reroutes"
+        assert res.backend == "python"
+        assert res.failover_from == "numpy"
+        reroutes = registry.value(
+            "engine.failover.reroutes", frm="numpy", to="python", family="ordinary"
         )
-        assert reroutes >= 1
+        assert reroutes == 1
 
-    def test_failover_false_surfaces_the_raw_fault(self):
-        with pytest.raises(FaultError):
-            solve(
-                int_chain(seed=11),
-                options=EngineOptions(
-                    backend="shm",
-                    workers=WORKERS,
-                    failover=False,
-                    backend_options={"_test_crash": PERSISTENT_CRASH},
-                ),
-            )
-
-    def test_breaker_opens_then_short_circuits_the_sick_rung(self):
-        configure_breakers(threshold=1, cooldown_s=600.0)
-        sys_ = int_chain(seed=12)
-        opts = EngineOptions(
-            backend="shm",
-            workers=WORKERS,
-            backend_options={"_test_crash": PERSISTENT_CRASH},
-        )
-        first = solve(sys_, options=opts)
-        assert first.backend == "numpy"
-        fp = Problem.from_system(sys_).fingerprint()
-        assert get_breaker(fp, "shm").state == "open"
-        with obs.observed() as (_tracer, registry):
-            second = solve(sys_, options=opts)
-        assert second.backend == "numpy"
-        assert second.values == run_ordinary(sys_)
-        snap = registry.snapshot()
-        shorted = sum(
-            e["value"]
-            for e in snap
-            if e["name"] == "engine.failover.short_circuits"
-        )
-        assert shorted >= 1
-        # the short-circuited rung never ran: no respawn churn recorded
-        respawns = sum(
-            e["value"] for e in snap if e["name"] == "engine.shm.respawns"
-        )
-        assert respawns == 0
+    def test_failover_false_surfaces_the_raw_fault(self, corrupt_numpy):
+        with pytest.raises(VerificationError) as info:
+            solve(int_chain(seed=11), options=CHECKED.replace(failover=False))
+        assert info.value.exit_code == 6
 
     def test_healthy_solve_reports_no_failover(self):
-        res = solve(
-            int_chain(seed=13),
-            options=EngineOptions(backend="shm", workers=WORKERS),
-        )
-        assert res.backend == "shm"
+        sys_ = int_chain(seed=13)
+        res = solve(sys_, options=CHECKED)
+        assert res.values == run_ordinary(sys_)
+        assert res.backend == "numpy"
         assert res.failover_from is None
 
 
 class TestSessionFailover:
-    def test_session_survives_single_crash_on_shm(self):
-        sys_ = int_chain(n=600, seed=14)
-        session = Session(
-            sys_,
-            options=EngineOptions(
-                backend="shm",
-                workers=WORKERS,
-                backend_options={"_test_crash": {"rank": 0, "round": 1, "once": True}},
-            ),
-        )
-        res = session.solve()
-        assert res.values == run_ordinary(sys_)
-        assert res.backend == "shm"  # respawn-and-retry, not failover
-        assert res.failover_from is None
-
-    def test_session_fails_over_on_persistent_crash(self):
+    def test_session_fails_over_to_python(self, corrupt_numpy):
         sys_ = int_chain(n=600, seed=15)
-        session = Session(
-            sys_,
-            options=EngineOptions(
-                backend="shm",
-                workers=WORKERS,
-                backend_options={"_test_crash": PERSISTENT_CRASH},
-            ),
-        )
-        res = session.solve()
+        res = Session(sys_, options=CHECKED).solve()
         assert res.values == run_ordinary(sys_)
-        assert res.backend == "numpy"
-        assert res.failover_from == "shm"
+        assert res.backend == "python"
+        assert res.failover_from == "numpy"
 
-    def test_session_failover_false_raises(self):
-        sys_ = int_chain(n=600, seed=16)
+    def test_session_failover_false_raises(self, corrupt_numpy):
         session = Session(
-            sys_,
-            options=EngineOptions(
-                backend="shm",
-                workers=WORKERS,
-                failover=False,
-                backend_options={"_test_crash": PERSISTENT_CRASH},
-            ),
+            int_chain(n=600, seed=16), options=CHECKED.replace(failover=False)
         )
-        with pytest.raises(FaultError):
+        with pytest.raises(VerificationError):
             session.solve()
 
-    def test_session_recovers_service_after_breaker_cooldown(self):
-        # Half-open probe: after the cooldown the shm rung is retried,
-        # and once the (transient) fault has cleared it serves again.
-        configure_breakers(threshold=1, cooldown_s=0.0)
-        sys_ = int_chain(n=600, seed=17)
-        sick = Session(
-            sys_,
-            options=EngineOptions(
-                backend="shm",
-                workers=WORKERS,
-                backend_options={"_test_crash": PERSISTENT_CRASH},
-            ),
-        )
-        assert sick.solve().backend == "numpy"
-        healthy = Session(
-            sys_,
-            options=EngineOptions(backend="shm", workers=WORKERS),
-        )
-        res = healthy.solve()  # cooldown 0: probe admitted immediately
-        assert res.backend == "shm"
-        assert res.values == run_ordinary(sys_)
-        fp = Problem.from_system(sys_).fingerprint()
-        assert get_breaker(fp, "shm").state == "closed"
+
+class TestShmRemoved:
+    def test_shm_backend_is_unknown(self):
+        with pytest.raises(ValueError, match="available") as info:
+            solve(int_chain(), options=EngineOptions(backend="shm"))
+        for name in available_backends():
+            assert name in str(info.value)
+
+    def test_cli_backend_shm_is_a_usage_error(self, tmp_path):
+        path = str(tmp_path / "chain.json")
+        dump_system(int_chain(n=16), path)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", path, "--backend", "shm"])
+        assert info.value.code == 2
+
+    def test_workers_option_is_gone(self):
+        with pytest.raises(TypeError):
+            EngineOptions(workers=2)

@@ -100,10 +100,6 @@ class TestTables:
         for period in (None, 97, 100):
             a, b = dp.table.powered(period), matrix.table.powered(period)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-            assert np.array_equal(
-                dp.table.reduced_exponents(period),
-                matrix.table.reduced_exponents(period),
-            )
 
     @pytest.mark.parametrize("method", ["matrix", "edges", "dp"])
     def test_overflow_promotion_keeps_exact_ints(self, method):
@@ -115,7 +111,7 @@ class TestTables:
         _same(table, _table(graph, "dp"))
         assert max(table.exponent_list()).bit_length() > 63
         assert table.exponents.dtype == object
-        assert table.reduced_exponents(None) is None
+        assert table.powered(None) is None
 
 
 def fibonacci(n, op):
@@ -143,7 +139,7 @@ class TestEvaluation:
     def test_fibonacci_reduced_exponents(self, name):
         system = fibonacci(300, OPS[name])
         plan = solve(system, cache=PlanCache()).plan
-        assert plan.table.reduced_exponents(None) is None  # exact big ints
+        assert plan.table.powered(None) is None  # exact big ints
         assert _eval(system, plan, "batched") == run_gir(system)
 
     @given(gir_maps(), st.integers(min_value=0, max_value=2**32))

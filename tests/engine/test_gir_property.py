@@ -2,7 +2,7 @@
 
 Hypothesis drives random acyclic GIR systems (modular addition: the
 reads-later-writes semantics make any ``f`` / ``h`` maps acyclic by
-construction) through the python / numpy / shm backends and both trace
+construction) through the python / numpy backends and both trace
 evaluators, with and without SciPy, and requires bit-exact agreement
 with ``run_gir`` every time.  This is the refactor's safety net: the
 array-backed pipeline may only ever be a faster spelling of the
@@ -10,7 +10,7 @@ sequential semantics.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 
 from repro.core import run_gir
 from repro.core import cap as cap_module
@@ -60,21 +60,6 @@ class TestBackendParity:
                 ),
             )
             assert res.values == oracle, mode
-
-    @given(gir_systems(distinct_g=True, max_n=16))
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_shm_matches_oracle(self, sys_):
-        oracle = run_gir(sys_)
-        res = solve(
-            sys_,
-            cache=PlanCache(),
-            options=EngineOptions(backend="shm", workers=2, failover=False),
-        )
-        assert res.values == oracle
 
 
 class TestScipyAbsenceParity:

@@ -1,12 +1,12 @@
-"""GIRPlan v2 end-to-end: serialization, batched evaluation, shm.
+"""GIRPlan v2 end-to-end: serialization, batched evaluation, CAP
+overflow.
 
 The array-backed CAP pipeline's integration surface: the flat CSR
 power table must round-trip through JSON (and migrate v1 payloads),
 the batched and per-row evaluators must agree with the sequential
 oracle bit-for-bit, ``solve_batch`` must sweep value vectors through
-one plan, and the shm pool must serve the same bits at Fig.-5 scale
-(``n = 100,000``) for the CI worker counts -- including chaos-injected
-failover back down the ladder.
+one plan, and an unbounded CAP whose path counts outgrow int64 must
+finish on the sequential DP rather than doubling big-int dict rows.
 """
 
 import json
@@ -14,6 +14,9 @@ import json
 import pytest
 
 from repro.core import GIRSystem, run_gir
+from repro.core import cap as cap_module
+from repro.core.cap import count_all_paths, count_paths_dp
+from repro.core.depgraph import build_dependence_graph
 from repro.core.operators import modular_add, modular_mul
 from repro.engine import (
     EngineOptions,
@@ -26,7 +29,6 @@ from repro.engine.plan import PowerTable
 from repro.engine.planner import PlanCache
 
 MOD = 10**9 + 7
-BIG_N = 100_000
 
 
 def fibonacci_powers(n, op=None):
@@ -172,42 +174,31 @@ class TestSolveBatch:
             assert rows[j] == expect
 
 
-class TestShmScale:
-    """The acceptance bar: shm bit-identical to the python backend at
-    n >= 100,000 for 2 and 4 workers."""
+class TestOverflowFinishesOnDP:
+    """Fibonacci path counts leave int64 near depth 90, far below
+    ``DP_DEPTH_CUTOFF``: the matrix CAP detects the overflow and an
+    unbounded run finishes on the DP; a bounded one keeps doubling."""
 
-    @pytest.fixture(scope="class")
-    def big(self):
-        system = fibonacci_powers(BIG_N)
-        reference = solve(
-            system,
-            cache=PlanCache(),
-            options=EngineOptions(backend="python"),
-        )
-        return system, reference.values
+    def test_unbounded_overflow_never_doubles_dict_rows(self, monkeypatch):
+        def no_doubling(*_args):
+            raise AssertionError("dict doubling ran")
 
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_shm_bit_identical_at_scale(self, big, workers):
-        system, expect = big
-        res = solve(
-            system,
-            cache=PlanCache(),
-            options=EngineOptions(backend="shm", workers=workers),
-        )
-        assert res.backend == "shm"
-        assert res.values == expect
+        monkeypatch.setattr(cap_module, "_doubling_step", no_doubling)
+        system = fibonacci_powers(1000)
+        res = solve(system, cache=PlanCache())
+        assert res.values == run_gir(system)
+        assert max(res.plan.table.exponents).bit_length() > 63
 
-    def test_chaos_crash_fails_over_to_numpy(self, big):
-        system, expect = big
-        res = solve(
-            system,
-            cache=PlanCache(),
-            options=EngineOptions(
-                backend="shm",
-                workers=2,
-                backend_options={"_test_crash": {"rank": 0, "round": 0, "once": False}},
-            ),
-        )
-        assert res.backend == "numpy"
-        assert res.failover_from == "shm"
-        assert res.values == expect
+    def test_bounded_overflow_keeps_doubling(self, monkeypatch):
+        calls = []
+        doubling = cap_module._doubling_step
+
+        def counted(*args):
+            calls.append(1)
+            return doubling(*args)
+
+        monkeypatch.setattr(cap_module, "_doubling_step", counted)
+        graph = build_dependence_graph(fibonacci_powers(200))
+        cap = count_all_paths(graph, max_iterations=64)
+        assert calls
+        assert cap.powers == count_paths_dp(graph)

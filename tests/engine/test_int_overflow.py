@@ -53,7 +53,6 @@ PATHS = {
         s, EngineOptions(policy=SolvePolicy(max_rounds=64))
     ),
     "python": lambda s: _single(s, EngineOptions(backend="python")),
-    "shm": lambda s: _single(s, EngineOptions(backend="shm", workers=2)),
     "batch": lambda s: solve_batch(
         s, [list(s.initial)] * 3, cache=PlanCache()
     )[2],

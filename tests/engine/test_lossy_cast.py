@@ -27,12 +27,10 @@ def chain(values, op=ADD):
 def run_path(path, values, op):
     system = chain([0] * (N + 1), op)
     if path.startswith("solve:"):
-        backend = path.split(":")[1]
-        workers = 2 if backend == "shm" else None
         return solve(
             chain(values, op),
             cache=PlanCache(),
-            options=EngineOptions(backend=backend, workers=workers),
+            options=EngineOptions(backend=path.split(":")[1]),
         ).values
     if path == "solve_batch":
         return solve_batch(system, [values, [0] * (N + 1)], cache=PlanCache())
@@ -48,7 +46,6 @@ def run_path(path, values, op):
 PATHS = (
     "solve:numpy",
     "solve:python",
-    "solve:shm",
     "solve:pram",
     "solve_batch",
     "session",

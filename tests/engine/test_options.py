@@ -31,7 +31,6 @@ class TestEngineOptions:
         assert opts.check_sample == 64
         assert not opts.verify_plan
         assert opts.failover
-        assert opts.workers is None
         assert opts.backend_options == {}
 
     def test_policy_accepts_dict(self):
@@ -60,16 +59,13 @@ class TestEngineOptions:
             policy=SolvePolicy(max_rounds=5, on_exhaustion="partial"),
             checked=True,
             check_sample=None,
-            workers=2,
             backend_options={"path": "auto"},
         )
         assert EngineOptions.from_dict(opts.to_dict()) == opts
 
-    def test_legacy_mapping_lifts_workers(self):
-        opts = EngineOptions.from_value({"workers": 3, "path": "auto"})
-        assert opts.workers == 3
-        assert opts.backend_options == {"path": "auto"}
-        assert opts.request_options() == {"path": "auto", "workers": 3}
+    def test_legacy_mapping_is_backend_extras(self):
+        opts = EngineOptions.from_value({"path": "auto"})
+        assert opts == EngineOptions(backend_options={"path": "auto"})
 
     def test_key_distinguishes_configurations(self):
         base = EngineOptions(backend="numpy")
@@ -80,10 +76,6 @@ class TestEngineOptions:
             base.key()
             != base.replace(backend_options={"path": "object"}).key()
         )
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError, match="workers"):
-            EngineOptions(workers=0)
 
     def test_invalid_backend_type(self):
         with pytest.raises(ValueError, match="backend"):

@@ -134,16 +134,6 @@ class TestPinnedPlan:
             run_moebius_sequential(rec)
         )
 
-    def test_shm_session(self):
-        sys_ = int_chain(n=200, seed=4)
-        session = Session(
-            sys_,
-            options=EngineOptions(backend="shm", workers=2),
-        )
-        oracle = run_ordinary(sys_)
-        assert session.solve().values == oracle
-        assert session.solve().values == oracle  # pool + schedule reused
-
     def test_policy_rejected_on_pram(self):
         with pytest.raises(ValueError, match="SolvePolicy"):
             Session(

@@ -17,6 +17,8 @@ from repro.core import (
     run_ordinary,
 )
 from repro.core.moebius import AffineRecurrence, run_moebius_sequential
+from repro.core.workloads import random_gir_system
+from repro.engine import EngineOptions, solve
 from repro.errors import IterationBudgetExceeded, PolicyError, SolveTimeoutError
 from repro.resilience import SolvePolicy
 from .._legacy_solvers import solve_gir, solve_moebius, solve_ordinary, solve_ordinary_numpy
@@ -195,3 +197,24 @@ def test_moebius_policy_raise():
     )
     with pytest.raises(IterationBudgetExceeded):
         solve_moebius(rec, policy=SolvePolicy(max_rounds=1))
+
+
+@pytest.mark.parametrize("rounds", range(4))
+@pytest.mark.parametrize("seed", range(3))
+def test_gir_partial_on_renamed_system_is_a_policy_error(seed, rounds):
+    # A partial CAP state keeps open final-node prefixes, which have no
+    # projection onto a renamed system's cells: refuse up front.
+    system = random_gir_system(2000, extra_cells=500, distinct_g=False, seed=seed)
+    policy = SolvePolicy(max_rounds=rounds, on_exhaustion="partial")
+    with pytest.raises(PolicyError, match="'raise' or 'fallback'") as info:
+        solve(system, options=EngineOptions(policy=policy))
+    assert info.value.exit_code == 4
+
+
+@pytest.mark.parametrize("rounds", (0, 2))
+def test_gir_partial_on_distinct_system_returns_partial_values(rounds):
+    system = random_gir_system(2000, extra_cells=500, seed=1)
+    policy = SolvePolicy(max_rounds=rounds, on_exhaustion="partial")
+    values = solve(system, options=EngineOptions(policy=policy)).values
+    assert len(values) == len(system.initial)
+    assert values != run_gir(system)

@@ -317,10 +317,9 @@ class TestUnreadableInput:
             ["check"],
             ["lint"],
             ["faults", "run", "--plan"],
-            ["chaos", "run", "--plan"],
             ["serve", "--problem"],
         ],
-        ids=["solve", "check", "lint", "faults-run", "chaos-run", "serve"],
+        ids=["solve", "check", "lint", "faults-run", "serve"],
     )
     def test_missing_path_is_a_clean_usage_error(self, argv, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
