@@ -13,6 +13,13 @@ layout for this problem, so the solve is one ``accumulate`` plus the
 list conversions, which alone cost about a third of the loop: list I/O
 rules out an order-of-magnitude win.
 
+The affine row does the same for a 200k affine Moebius chain
+(``X[i+1] = a[i]*X[i] + b[i]``, uniform coefficients and values in
+``[-1, 1]``): a default ``Session`` against ``run_moebius_sequential``,
+checked within ``rtol = atol = 1e-9`` and gated at
+``affine_speedup_vs_loop >= MIN_AFFINE_SPEEDUP``.  The plan is a chain
+layout, so the solve is one tiled affine scan.
+
 The pytest-benchmark tests below time the smaller engine matrix (the
 parallel algorithm's rounds do log n times more work; the paper's
 speedups are in *simulated processor time*, which
@@ -94,6 +101,9 @@ def test_wallclock_moebius_affine_fast_path(benchmark):
 #: Size of the gated chain, and the gate on ``speedup_vs_loop``.
 GATE_N = 1_000_000
 MIN_SPEEDUP = 1.3
+#: Size of the gated affine chain, and its gate.
+AFFINE_N = 200_000
+MIN_AFFINE_SPEEDUP = 1.5
 REPEATS = 5
 
 #: Filled by :func:`main`; ``regenerate_all --json`` records it.
@@ -146,14 +156,52 @@ def gate_chain(n=GATE_N):
     }
 
 
+def gate_affine(n=AFFINE_N):
+    """Default-``Session`` affine chain vs ``run_moebius_sequential``,
+    median of ``REPEATS`` runs each, checked within ``rtol = atol =
+    1e-9``.  Returns the timings and the ratio."""
+    import dataclasses
+
+    from repro.core.moebius import AffineRecurrence, run_moebius_sequential
+    from repro.engine import Session
+
+    rng = np.random.default_rng(0)
+    rec = AffineRecurrence.build(
+        [0.0] * (n + 1),
+        np.arange(1, n + 1),
+        np.arange(n),
+        rng.uniform(-1.0, 1.0, n).tolist(),
+        rng.uniform(-1.0, 1.0, n).tolist(),
+    )
+    values = rng.uniform(-1.0, 1.0, n + 1).tolist()
+    session = Session(rec)
+    got = session.solve(values)
+    want = run_moebius_sequential(dataclasses.replace(rec, initial=values))
+    if not np.allclose(got.values, want, rtol=1e-9, atol=1e-9):
+        raise AssertionError("Session result differs from the sequential loop")
+    engine_s = _median_time(lambda: session.solve(values))
+    loop_s = _median_time(
+        lambda: run_moebius_sequential(dataclasses.replace(rec, initial=values))
+    )
+    return {
+        "n": n,
+        "strategy": got.strategy,
+        "engine_s": engine_s,
+        "loop_s": loop_s,
+        "speedup_vs_loop": loop_s / engine_s,
+    }
+
+
 def main():
     import time
 
     gate = gate_chain()
+    affine = gate_affine()
     RATIOS.clear()
     RATIOS.update(
         speedup_vs_loop=round(gate["speedup_vs_loop"], 3),
         floor_ratio=round(gate["floor_ratio"], 1),
+        affine_speedup_vs_loop=round(affine["speedup_vs_loop"], 3),
     )
     print(
         f"int ADD chain, n = {gate['n']:,}, default Session "
@@ -166,6 +214,16 @@ def main():
         f"  speedup_vs_loop = {gate['speedup_vs_loop']:.2f}x "
         f"(gate >= {MIN_SPEEDUP}x); session / floor = "
         f"{gate['floor_ratio']:.0f}x"
+    )
+    print(
+        f"affine chain, n = {affine['n']:,}, default Session "
+        f"(strategy={affine['strategy']}), list in / list out:"
+    )
+    print(f"  {'session solve':<24} {affine['engine_s']:.4f}s")
+    print(f"  {'sequential loop':<24} {affine['loop_s']:.4f}s")
+    print(
+        f"  affine_speedup_vs_loop = {affine['speedup_vs_loop']:.2f}x "
+        f"(gate >= {MIN_AFFINE_SPEEDUP}x)"
     )
 
     system = build()
@@ -183,13 +241,20 @@ def main():
     t0 = time.perf_counter()
     solve(small, options=EngineOptions(backend="python"))
     print(f"{'python parallel engine':<24} {time.perf_counter() - t0:.4f}s  (n = 10,000)")
+    status = 0
     if gate["speedup_vs_loop"] < MIN_SPEEDUP:
         print(
             f"FAIL: speedup_vs_loop {gate['speedup_vs_loop']:.2f}x < "
             f"{MIN_SPEEDUP}x"
         )
-        return 1
-    return 0
+        status = 1
+    if affine["speedup_vs_loop"] < MIN_AFFINE_SPEEDUP:
+        print(
+            f"FAIL: affine_speedup_vs_loop {affine['speedup_vs_loop']:.2f}x < "
+            f"{MIN_AFFINE_SPEEDUP}x"
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -381,21 +381,34 @@ def run_moebius_sequential(rec: RationalRecurrence) -> List[Number]:
 _EXACT_INT = 2**53
 
 
-def _float_column(
-    xs: Sequence[Number],
-) -> Optional[Tuple[Optional[np.ndarray], bool]]:
-    """``(column, has_float)`` when every element of ``xs`` is a plain
-    int or float, else ``None`` (bools, Fractions, ...).
+class FloatColumn(NamedTuple):
+    """One scalar column classified by :func:`_float_column`."""
+
+    #: the float64 array, or ``None`` when an int is too large for
+    #: float64 to hold exactly or a float is narrower than float64
+    #: (callers then take the per-element path)
+    values: Optional[np.ndarray]
+    has_float: bool
+    #: every element is exactly a Python ``float``: a float64 copy of
+    #: the column gives each element back unchanged
+    only_float: bool
+
+
+def _float_column(xs: Sequence[Number]) -> Optional[FloatColumn]:
+    """``xs`` classified when every element is a plain int or float,
+    else ``None`` (bools, Fractions, ...).
 
     Classified by exact element type in one C-level pass -- dtype
     inference alone cannot, since ``np.asarray([True, 0.5])`` is
-    float64.  ``column`` is the float64 array, or ``None`` when an int
-    is too large for float64 to hold exactly or a float is narrower
-    than float64 (callers then take the per-element path).
+    float64.  A numeric ndarray is classified by its dtype.
     """
+    if isinstance(xs, np.ndarray) and xs.dtype != object:
+        types = {xs.dtype.type}
+    else:
+        types = set(map(type, xs))
     has_float = has_int = False
     narrow = False  # float32 & co. compute in their own precision
-    for t in set(map(type, xs)):
+    for t in types:
         if issubclass(t, (bool, np.bool_)):
             return None
         if issubclass(t, (float, np.floating)):
@@ -405,51 +418,105 @@ def _float_column(
             has_int = True
         else:
             return None
+    if types == {float}:  # Python floats are float64: no inference, no range test
+        return FloatColumn(np.array(xs, dtype=np.float64), True, True)
     if narrow:
-        return None, has_float
+        return FloatColumn(None, has_float, False)
     try:
         arr = np.asarray(xs)
     except OverflowError:
-        return None, has_float
+        return FloatColumn(None, has_float, False)
     if arr.dtype.kind not in "iuf":
-        return None, has_float
+        return FloatColumn(None, has_float, False)
     if has_int and arr.size and float(np.abs(arr).max()) > _EXACT_INT:
-        return None, has_float  # an int float64 may round
-    return arr.astype(np.float64, copy=False), has_float
+        return FloatColumn(None, has_float, False)  # an int float64 may round
+    return FloatColumn(arr.astype(np.float64, copy=False), has_float, False)
 
 
-@dataclass
-class FloatScalars:
-    """A recurrence's scalars as float64 columns (see
-    :func:`_float_scalars`); a column is ``None`` when only the
-    per-element path converts it exactly."""
+@dataclass(frozen=True)
+class FloatCoefficients:
+    """A recurrence's coefficient columns ``a, b, c, d`` classified by
+    :func:`_float_column` -- the value-independent half of
+    :func:`_float_scalars`, which a ``Session`` computes once.  A
+    column is ``None`` when only the per-element path converts it
+    exactly; ``plain`` is False (every column ``None``) when a
+    coefficient is not a plain int/float."""
 
-    initial: Optional[np.ndarray]
     a: Optional[np.ndarray]
     b: Optional[np.ndarray]
     c: Optional[np.ndarray]
     d: Optional[np.ndarray]
     saw_float: bool
+    plain: bool
+    #: ``c = 0`` and ``d != 0`` everywhere (``None``: ``c`` or ``d``
+    #: has no float64 column; see :func:`_affine_shape`)
+    affine: Optional[bool]
 
     @property
     def complete(self) -> bool:
-        return all(
-            col is not None for col in (self.initial, self.a, self.b, self.c, self.d)
-        )
+        return all(col is not None for col in (self.a, self.b, self.c, self.d))
 
 
-def _float_scalars(rec: "RationalRecurrence") -> Optional[FloatScalars]:
-    """Every scalar of ``rec`` as float64 columns, or ``None`` when one
-    is not a plain int/float (exact types keep the object engine)."""
+def _float_coefficients(rec: "RationalRecurrence") -> FloatCoefficients:
+    """Classify ``rec``'s coefficient columns (see :class:`FloatCoefficients`)."""
     columns = []
-    saw_float = False
-    for xs in (rec.initial, rec.a, rec.b, rec.c, rec.d):
+    for xs in (rec.a, rec.b, rec.c, rec.d):
         col = _float_column(xs)
         if col is None:
-            return None
-        columns.append(col[0])
-        saw_float = saw_float or col[1]
-    return FloatScalars(*columns, saw_float=saw_float)
+            return FloatCoefficients(
+                None, None, None, None, saw_float=False, plain=False, affine=None
+            )
+        columns.append(col)
+    a, b, c, d = (col.values for col in columns)
+    affine = None
+    if c is not None and d is not None:
+        affine = bool((c == 0).all() and (d != 0).all())
+    return FloatCoefficients(
+        a,
+        b,
+        c,
+        d,
+        saw_float=any(col.has_float for col in columns),
+        plain=True,
+        affine=affine,
+    )
+
+
+@dataclass
+class FloatScalars:
+    """A recurrence's scalars as float64 columns (see
+    :func:`_float_scalars`): its initial values -- a ``(m,)`` vector,
+    or ``(k, m)`` stacked rows -- and its :class:`FloatCoefficients`."""
+
+    initial: Optional[np.ndarray]
+    coefficients: FloatCoefficients
+    saw_float: bool
+    #: every initial value (of every row) is exactly a Python ``float``
+    only_float: bool
+
+    @property
+    def complete(self) -> bool:
+        return self.initial is not None and self.coefficients.complete
+
+
+def _float_scalars(
+    rec: "RationalRecurrence", coefficients: Optional[FloatCoefficients] = None
+) -> Optional[FloatScalars]:
+    """Every scalar of ``rec`` as float64 columns, or ``None`` when one
+    is not a plain int/float (exact types keep the object engine).
+    ``coefficients`` is ``rec``'s coefficient half when already
+    classified; only ``rec.initial`` is classified then."""
+    if coefficients is None:
+        coefficients = _float_coefficients(rec)
+    col = _float_column(rec.initial) if coefficients.plain else None
+    if col is None:
+        return None
+    return FloatScalars(
+        col.values,
+        coefficients,
+        saw_float=coefficients.saw_float or col.has_float,
+        only_float=col.only_float,
+    )
 
 
 def _floatable_scalars(scalars: Optional[FloatScalars]) -> bool:
@@ -460,17 +527,22 @@ def _floatable_scalars(scalars: Optional[FloatScalars]) -> bool:
     return scalars is not None and scalars.saw_float
 
 
+def _affine_shape(rec: "RationalRecurrence", coefficients: FloatCoefficients) -> bool:
+    """``c = 0`` and ``d != 0`` everywhere: read from the classified
+    columns, walking the Python lists only when a column has no
+    float64 form."""
+    if coefficients.affine is not None:
+        return coefficients.affine
+    return all(x == 0 for x in rec.c) and all(x != 0 for x in rec.d)
+
+
 def _affine_fast_path_applicable(
     rec: "RationalRecurrence", scalars: Optional[FloatScalars]
 ) -> bool:
     """The vectorized affine engine applies when the recurrence is
     affine (``c = 0``, ``d != 0``) over float-castable scalars --
     exact types (Fraction, all-int data) must keep the object engine."""
-    if not _floatable_scalars(scalars):
-        return False
-    if scalars.c is not None and scalars.d is not None:
-        return bool((scalars.c == 0).all() and (scalars.d != 0).all())
-    return all(x == 0 for x in rec.c) and all(x != 0 for x in rec.d)
+    return _floatable_scalars(scalars) and _affine_shape(rec, scalars.coefficients)
 
 
 def _as_exact(rec: RationalRecurrence) -> Optional[RationalRecurrence]:

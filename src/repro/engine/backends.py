@@ -25,7 +25,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 
 from . import driver
 from .exec_gir import RowTraceEvaluator, TraceEvaluator
-from .exec_moebius import AffineRounds, RationalRounds
+from .exec_moebius import AffineChains, AffineRounds, RationalRounds
 from .exec_ordinary import NumpyChains, NumpyRounds, PythonRounds
 from .plan import Plan
 from .problem import Problem
@@ -65,6 +65,9 @@ class ExecutionRequest:
     check_sample: Optional[int] = 64
     f_initial: Optional[List[Any]] = None
     options: Dict[str, Any] = field(default_factory=dict)
+    #: a Moebius recurrence's coefficient columns, classified once by
+    #: its ``Session`` (``None``: classified per solve)
+    coefficients: Any = None
 
 
 class Backend(ABC):
@@ -107,7 +110,8 @@ class KernelBackend(Backend):
     stats, spans and the scatter, and calls ``kernels[kind]`` for the
     values -- ``kind`` is ``ordinary`` (or ``chains``, on a chain plan
     when the backend has that kernel), a Moebius path (``object`` /
-    ``affine`` / ``rational``) or ``gir``.  ``defaults`` are backend
+    ``affine`` / ``rational``; ``affine_chains`` replaces ``affine`` on
+    a chain plan likewise) or ``gir``.  ``defaults`` are backend
     options applied under the request's own."""
 
     def __init__(
@@ -246,6 +250,7 @@ register_backend(
         {
             "ordinary": NumpyRounds,
             "chains": NumpyChains,
+            "affine_chains": AffineChains,
             "object": NumpyRounds,
             "gir": TraceEvaluator,
             **_MOEBIUS,

@@ -7,12 +7,13 @@ therefore supply only *kernels* (a name-keyed table, see
 :class:`~repro.engine.backends.KernelBackend`):
 
 * round kernels -- ``ordinary`` (:mod:`~repro.engine.exec_ordinary`:
-  pure Python, NumPy) and ``chains`` (NumPy's work-efficient chain
-  scan, run instead of ``ordinary`` on a chain plan whenever the
-  operator is a typed ufunc and no round budget asks for rounds), the
-  Moebius paths ``object`` (the ordinary
+  pure Python, NumPy) and the Moebius paths ``object`` (the ordinary
   kernel under the ``odot`` operator), ``affine`` and ``rational``
   (:mod:`~repro.engine.exec_moebius`);
+* chain scans -- ``chains`` and ``affine_chains`` (NumPy's
+  work-efficient kernels), run instead of ``ordinary`` / ``affine`` on
+  a chain plan whenever no round budget asks for rounds (and, for
+  ``chains``, the operator is a typed ufunc);
 * trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`).
 
 This module owns, once, what every backend used to repeat: building a
@@ -76,7 +77,8 @@ class Job:
     typed: Any = None
     ftyped: Any = None
     #: a Moebius recurrence's scalars as float64 columns, classified
-    #: once per solve (see :func:`repro.engine.exec_moebius.resolve_mode`)
+    #: once per solve (see :func:`repro.engine.exec_moebius.resolve_mode`;
+    #: a stacked batch's by :func:`~repro.engine.exec_moebius.stack_affine`)
     scalars: Any = None
 
 
@@ -340,6 +342,7 @@ def _escalate(request, plan, X, report, stats, guard, label: str):
             plan=plan,
             checked=False,
             options={"path": "object", "guard": None},
+            coefficients=None,
         )
         try:
             with maybe_span(
@@ -365,16 +368,24 @@ def build_plan(source, problem, policy=None):
     return exec_ordinary.build_plan(source, problem.fingerprint())
 
 
+#: The chain-scan kernel kind that replaces a round kernel kind on a
+#: chain plan.
+_CHAIN_SCANS = {"ordinary": "chains", "affine": "affine_chains"}
+
+
 def strategy(kind: str) -> str:
     """The strategy a kernel kind runs: ``chains`` (chain scans),
     ``traces`` (GIR power-table evaluation) or ``rounds`` (pointer
     jumping, every other kernel)."""
-    return {"chains": "chains", "gir": "traces"}.get(kind, "rounds")
+    if kind in _CHAIN_SCANS.values():
+        return "chains"
+    return "traces" if kind == "gir" else "rounds"
 
 
-def solve(backend, request, rows=None, f_rows=None):
+def solve(backend, request, rows=None, f_rows=None, scalars=None):
     """Run ``request`` on ``backend``'s kernels -- or, given ``rows``,
-    one stacked sweep over ``k`` value rows sharing its maps.
+    one stacked sweep over ``k`` value rows sharing its maps (a Moebius
+    batch passes their ``scalars``, see :func:`solve_batch`).
 
     Returns ``(outputs, stats, plan, strategy)``: one output array per
     row, stats only for a single solve that asked for them, and the
@@ -385,13 +396,14 @@ def solve(backend, request, rows=None, f_rows=None):
     options = {**backend.defaults, **request.options}
     batch = rows is not None
     plan = request.plan
-    guard = scalars = None
+    guard = None
     if family == "moebius":
-        kind, guard, scalars = (
-            ("affine", None, None)
-            if batch
-            else exec_moebius.resolve_mode(source, options)
-        )
+        if batch:
+            kind = "affine"
+        else:
+            kind, guard, scalars = exec_moebius.resolve_mode(
+                source, options, request.coefficients
+            )
     elif family == "gir" and not exec_gir.dispatches(source, problem, plan):
         kind = "gir"
     else:
@@ -399,13 +411,13 @@ def solve(backend, request, rows=None, f_rows=None):
     if plan is None and kind != "gir":
         plan = build_plan(source, problem)
     op = getattr(source, "op", None)
+    scan = _CHAIN_SCANS.get(kind)
     if (
-        kind == "ordinary"
-        and "chains" in backend.kernels
+        scan in backend.kernels
         and _schedule(plan).chains is not None
         and exec_ordinary.chains_apply(op, policy)
     ):
-        kind = "chains"
+        kind = scan
     make = backend.kernels.get(kind)
     if make is None:
         raise ValueError(
@@ -516,14 +528,16 @@ def solve_batch(backend, request, rows, f_rows=None):
     if len(rows) == 0:
         return [], request.plan, None
     path = {**backend.defaults, **request.options}.get("path", "auto")
-    if problem.family == "ordinary" or (
+    scalars = None
+    if (
         problem.family == "moebius"
         and policy is None
         and path in ("auto", "affine")
         and "affine" in backend.kernels
-        and exec_moebius.stackable_affine(source, rows)
     ):
-        outs, _stats, plan, ran = solve(backend, request, rows, f_rows)
+        scalars = exec_moebius.stack_affine(source, rows, request.coefficients)
+    if problem.family == "ordinary" or scalars is not None:
+        outs, _stats, plan, ran = solve(backend, request, rows, f_rows, scalars)
         return outs, plan, ran
     t0 = policy_mod.budget_clock() if policy is not None else 0.0
     plan, ran = request.plan, None

@@ -1,18 +1,23 @@
-"""Moebius plans and value kernels: one schedule, three representations.
+"""Moebius plans and value kernels: one layout, four kernels.
 
 Every numeric path replays the same :class:`~repro.engine.plan.
-MoebiusPlan` (an OrdinaryIR round schedule over ``(g, f)``) -- the
-pointer-jumping structure is independent of how the matrices are
+MoebiusPlan` -- an :class:`~repro.engine.plan.OrdinaryPlan` over
+``(g, f)``, laid out by the ordinary planner's rule (a chain layout
+when chains need fewer levels than pointer jumping needs rounds, else
+the round schedule).  The structure is independent of how the maps are
 represented:
 
 * ``object`` -- exact ``Mat2`` coefficient matrices composed by an
   ordinary round kernel under the ``odot`` operator
   (:func:`object_inputs` / :func:`evaluate_object` bracket it);
-* ``affine`` -- :class:`AffineRounds`, the ``(a, b)`` sweep for
-  ``c = 0`` recurrences (single vectors and stacked ``(k, n)``
-  batches share its round);
+* ``affine`` -- the ``(a, b)`` maps of ``c = 0`` recurrences:
+  :class:`AffineChains` scans a chain plan in ``O(n)`` (numpy),
+  :class:`AffineRounds` runs the pointer-jumping rounds otherwise
+  (single vectors and stacked ``(k, n)`` batches share both);
 * ``rational`` -- :class:`RationalRounds`, float ``(A, B, C, D)``.
 
+The two affine kernels compose maps with one helper,
+:func:`_compose`, which carries structural constness as its own mask.
 Path selection (``auto``) and the guard mode are resolved by
 :func:`resolve_mode`; the degradation ladder, policy, spans and
 verification belong to :mod:`repro.engine.driver`.
@@ -26,10 +31,14 @@ import numpy as np
 
 from ..core.equations import IRValidationError
 from ..core.moebius import (
+    FloatCoefficients,
     FloatScalars,
     Mat2,
     RationalRecurrence,
     _affine_fast_path_applicable,
+    _affine_shape,
+    _float_coefficients,
+    _float_column,
     _float_scalars,
     _floatable_scalars,
 )
@@ -44,8 +53,9 @@ __all__ = [
     "build_plan",
     "affine_coefficients",
     "scatter_base",
-    "stackable_affine",
+    "stack_affine",
     "AffineRounds",
+    "AffineChains",
     "RationalRounds",
 ]
 
@@ -68,7 +78,9 @@ def resolve_path(
 
 
 def resolve_mode(
-    rec: RationalRecurrence, options: Mapping[str, Any]
+    rec: RationalRecurrence,
+    options: Mapping[str, Any],
+    coefficients: Optional[FloatCoefficients] = None,
 ) -> Tuple[str, Optional[NumericGuard], Optional[FloatScalars]]:
     """Check ``rec``'s coefficients and resolve its ``(path, guard,
     scalars)``; the index maps are validated once per plan
@@ -76,9 +88,12 @@ def resolve_mode(
 
     ``scalars`` are the recurrence's float64 columns, classified once
     here for the path rules and the float kernels (``None`` when a
-    scalar is not a plain int/float).  ``guard="auto"`` arms the
-    default numeric guard only for ``auto`` solves: explicitly selected
-    paths keep their bit-level behaviour unguarded.
+    scalar is not a plain int/float); ``coefficients`` is their
+    coefficient half when already classified (a ``Session``'s), so
+    only ``rec.initial`` is classified per solve.  ``guard="auto"``
+    arms the default numeric guard only for ``auto`` solves:
+    explicitly selected paths keep their bit-level behaviour
+    unguarded.
     """
     rec.validate_coefficients()
     path = options.get("path", "auto")
@@ -87,7 +102,11 @@ def resolve_mode(
         if guard != "auto":
             raise ValueError(f"unknown guard mode {guard!r}")
         guard = default_guard() if path == "auto" else None
-    scalars = _float_scalars(rec) if path in ("auto", "affine", "rational") else None
+    scalars = (
+        _float_scalars(rec, coefficients)
+        if path in ("auto", "affine", "rational")
+        else None
+    )
     resolved = resolve_path(rec, path, scalars)
     if resolved not in PATHS[1:]:
         raise ValueError(f"unknown engine {resolved!r}")
@@ -95,8 +114,10 @@ def resolve_mode(
 
 
 def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
-    """Validate the index maps and plan the shared pointer-jumping
-    structure over ``(g, f)`` (every Moebius kernel runs rounds)."""
+    """Validate the index maps and plan their layout over ``(g, f)``
+    by the ordinary planner's rule: the affine chain kernel scans a
+    chain layout, and every kernel that runs rounds builds the round
+    schedule from it on first use."""
     rec.validate_maps()
     ordinary = exec_ordinary.build_plan_from_maps(
         rec.g, rec.f, rec.m, fingerprint
@@ -143,10 +164,11 @@ def evaluate_object(rec: RationalRecurrence, g: np.ndarray, solved) -> List[Any]
 
 def _affine_base(
     rec: RationalRecurrence, scalars: Optional[FloatScalars] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized per-iteration ``(a, b)`` coefficients, terminal fold
-    **not** applied.  Checks the affine preconditions (``c = 0``,
-    ``d != 0``).
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized per-iteration ``(a, b)`` coefficients and the mask of
+    structurally constant maps (``a`` exactly 0 before normalization),
+    terminal fold **not** applied.  Checks the affine preconditions
+    (``c = 0``, ``d != 0``).
 
     With complete float ``scalars`` this is array arithmetic --
     ``(S*c + a) / d`` and ``(S*d + b) / d`` under a self term, else
@@ -156,18 +178,19 @@ def _affine_base(
     """
     rec.validate_coefficients()
     if scalars is not None and scalars.complete:
-        A, B, C, D = scalars.a, scalars.b, scalars.c, scalars.d
-        if (C != 0).any():
-            raise IRValidationError(
-                "the affine path requires c = 0 everywhere; use the "
-                "rational or object path for rational recurrences"
-            )
-        if (D == 0).any():
+        coeffs = scalars.coefficients
+        A, B, C, D = coeffs.a, coeffs.b, coeffs.c, coeffs.d
+        if not coeffs.affine:
+            if (C != 0).any():
+                raise IRValidationError(
+                    "the affine path requires c = 0 everywhere; use the "
+                    "rational or object path for rational recurrences"
+                )
             raise ZeroDivisionError("affine normalization needs d != 0")
         if rec.self_term:
             S = scalars.initial[rec.g]
             A, B = S * C + A, S * D + B
-        return A / D, B / D
+        return A / D, B / D, A == 0
     n = rec.n
     if any(c != 0 for c in rec.c):
         raise IRValidationError(
@@ -180,26 +203,30 @@ def _affine_base(
     # per-iteration normalized coefficients (self-term folded in)
     a = np.empty(n, dtype=np.float64)
     b = np.empty(n, dtype=np.float64)
+    const = np.empty(n, dtype=bool)
     for i in range(n):
         mat = rec.coefficient_matrix(i)
         a[i] = mat.a / mat.d
         b[i] = mat.b / mat.d
-    return a, b
+        const[i] = mat.a == 0
+    return a, b, const
 
 
 def affine_coefficients(
     rec: RationalRecurrence, sched: OrdinaryPlan, values=None, scalars=None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The affine sweep's starting ``(a, b)``, terminal fold applied,
-    plus the float64 initial values ``V`` it read.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The affine kernels' starting ``(a, b)`` and constness mask,
+    terminal fold applied, plus the float64 initial values ``V`` they
+    read.
 
-    ``values`` defaults to ``rec.initial``; a ``(k, m)`` stack of value
-    rows yields ``b`` as ``(k, n)`` while ``a`` stays ``(n,)`` -- it is
-    row-independent (composition multiplies coefficients without
-    touching values).
+    ``V`` is ``scalars.initial`` when classified, else ``values``
+    (default ``rec.initial``) cast; a ``(k, m)`` stack of value rows
+    yields ``b`` as ``(k, n)`` while ``a`` and the mask stay ``(n,)``
+    -- they are row-independent (composition multiplies coefficients
+    without touching values).
     """
-    a, b = _affine_base(rec, scalars)
-    if values is None and scalars is not None and scalars.initial is not None:
+    a, b, const = _affine_base(rec, scalars)
+    if scalars is not None and scalars.initial is not None:
         V = scalars.initial
     else:
         V = np.asarray(rec.initial if values is None else values, dtype=np.float64)
@@ -207,23 +234,43 @@ def affine_coefficients(
         b = np.repeat(b[None, :], V.shape[0], axis=0)
     ix = exec_ordinary.cells(V.ndim)
     t = sched.terminal_idx
-    # terminals absorb Const(S[f(i)]): (a,b) o (0,S) = (0, a*S + b);
-    # constant pairs (a == 0) keep their b untouched -- their
-    # structural zero must absorb even an infinite S
-    at = a[t]
-    b[ix(t)] = np.where(at == 0.0, b[ix(t)], at * V[ix(sched.f[t])] + b[ix(t)])
-    a[t] = 0.0
-    return a, b, V
+    # terminals absorb Const(S[f(i)]): (a, b) o (0, S) = (0, a*S + b)
+    b[ix(t)] = _apply(a[t], b[ix(t)], const[t], V[ix(sched.f[t])])
+    const[t] = True
+    return a, b, const, V
 
 
-def scatter_base(V: np.ndarray, job) -> Optional[np.ndarray]:
+def scatter_base(
+    V: np.ndarray, scalars: Optional[FloatScalars]
+) -> Optional[np.ndarray]:
     """``V`` -- the float64 initial values -- when the driver may
-    scatter the solved cells into it: every initial value is a Python
-    float, so each untouched cell comes back unchanged.  Otherwise
-    ``None``, and the driver scatters onto the Python rows (ints,
-    exact beyond 2**53, keep their type and value)."""
-    rows = job.init if job.stacked else [job.init]
-    return V if all(set(map(type, row)) == {float} for row in rows) else None
+    scatter the solved cells into it: the classification found every
+    initial value (of every row) a Python float, so each untouched
+    cell comes back unchanged.  Otherwise ``None``, and the driver
+    scatters onto the Python rows (ints, exact beyond 2**53, keep
+    their type and value)."""
+    return V if scalars is not None and scalars.only_float else None
+
+
+def _apply(a, b, const, x):
+    """The affine map ``(a, b)`` at ``x``: ``a*x + b``, or ``b`` where
+    the map is structurally constant -- its exact zero absorbs even a
+    non-finite ``x`` (the ``odot`` rule, kept out of IEEE's
+    ``0 * inf = NaN``)."""
+    return np.where(const, b, a * x + b)
+
+
+def _compose(a2, b2, const2, a1, b1, const1):
+    """``(a2, b2)`` after ``(a1, b1)``: ``(a2*a1, a2*b1 + b2)``, the
+    outer map absorbing where it is constant.
+
+    Constness is structural, carried as its own mask: a map is
+    constant when an input coefficient was exactly 0 or a terminal was
+    folded in, OR'ed along the composition.  The product of ``a`` may
+    underflow to 0 without turning a map constant, so an underflowed
+    coefficient never swallows an infinite operand; ``a`` of a
+    constant map is never read."""
+    return a2 * a1, _apply(a2, b2, const2, b1), const2 | const1
 
 
 class AffineRounds:
@@ -233,90 +280,200 @@ class AffineRounds:
     label = "affine"
 
     def __init__(self, job):
-        scalars = job.scalars
-        if scalars is None and job.stacked:  # batches skip resolve_mode
-            scalars = _float_scalars(job.source)
-        self.a, self.b, V = affine_coefficients(
+        self.a, self.b, self.const, V = affine_coefficients(
             job.source,
             job.sched,
             job.init if job.stacked else None,
-            scalars,
+            job.scalars,
         )
         #: the float64 initial values the driver scatters into, if exact
-        self.base = scatter_base(V, job)
+        self.base = scatter_base(V, job.scalars)
         self.ix = exec_ordinary.cells(self.b.ndim)
         self.steps = job.sched.steps
 
     def round(self, active, src) -> None:
-        a, b, ix = self.a, self.b, self.ix
-        # newer segment (active) composes over the older one (src).
-        # Constant pairs (a == 0) absorb: the odot rule, kept out of
-        # IEEE's 0 * inf = NaN.
-        const_pair = a[active] == 0.0
-        new_b = np.where(
-            const_pair, b[ix(active)], a[active] * b[ix(src)] + b[ix(active)]
+        a, b, const, ix = self.a, self.b, self.const, self.ix
+        # newer segment (active) composes over the older one (src)
+        a[active], b[ix(active)], const[active] = _compose(
+            a[active], b[ix(active)], const[active], a[src], b[ix(src)], const[src]
         )
-        new_a = np.where(const_pair, 0.0, a[active] * a[src])
-        a[active] = new_a
-        b[ix(active)] = new_b
 
     def solved(self):
         return self.b  # every completed map ends constant: value = b
 
 
-def stackable_affine(rec: RationalRecurrence, batch) -> bool:
-    """True when the whole batch can run as one stacked affine sweep:
-    no self term (the self-term rewrite folds each row's initial values
-    into the *coefficients*, so they stop being row-independent), affine
-    shape (``c = 0``, ``d != 0``), and every scalar -- coefficients and
-    all batch rows -- float-castable with at least one genuine float
-    (all-int / Fraction data keeps the exact per-row object engine,
-    mirroring the single-solve ``auto`` rules)."""
+#: Most positions per tile of :func:`_affine_scan`.
+_TILE = 64
+
+
+def _scan_tiles(a, b, const) -> None:
+    """In place along axis -3: position ``j`` becomes the composition
+    of positions ``j, j-1, ..., 0`` -- one vector step per position,
+    across every tile at once."""
+    for j in range(1, a.shape[-3]):
+        a[..., j, :, :], b[..., j, :, :], const[..., j, :, :] = _compose(
+            a[..., j, :, :],
+            b[..., j, :, :],
+            const[..., j, :, :],
+            a[..., j - 1, :, :],
+            b[..., j - 1, :, :],
+            const[..., j - 1, :, :],
+        )
+
+
+def _tiles(x: np.ndarray, tiles: int, span: int, fill) -> np.ndarray:
+    """``x``'s ``(..., segments, width)`` cut into ``tiles`` tiles of
+    ``span`` positions (the last padded with ``fill``), position-major:
+    ``(..., span, segments, tiles)``, one contiguous vector per
+    position."""
+    width = x.shape[-1]
+    if width < tiles * span:
+        padded = np.empty(x.shape[:-1] + (tiles * span,), dtype=x.dtype)
+        padded[..., :width] = x
+        padded[..., width:] = fill
+        x = padded
+    x = x.reshape(x.shape[:-1] + (tiles, span))
+    return np.ascontiguousarray(np.moveaxis(x, -1, -3))
+
+
+def _affine_scan(a, b, const) -> np.ndarray:
+    """The values of affine chains laid along the last axis, whose
+    position 0 is a constant map (a head with its seed composed in).
+
+    ``a`` and ``const`` are ``(segments, width)``; ``b`` may carry
+    leading batch axes.  ``O(width)`` work in two passes: the tiles'
+    prefix compositions (:func:`_scan_tiles`), then each tile's carry
+    -- the value its predecessor tile ends on, found by scanning the
+    tiles' totals, one shorter chain per segment -- applied to every
+    tile at once.  Overwrites its arguments.
+    """
+    width = a.shape[-1]
+    tiles = -(-width // _TILE)
+    span = -(-width // tiles)
+    # identity maps pad the last tile
+    a, b, const = (
+        _tiles(a, tiles, span, 1.0),
+        _tiles(b, tiles, span, 0.0),
+        _tiles(const, tiles, span, False),
+    )
+    _scan_tiles(a, b, const)
+    if tiles > 1:
+        # copies: the apply below still reads the tiles' last positions
+        ends = _affine_scan(
+            a[..., -1, :, :].copy(),
+            b[..., -1, :, :].copy(),
+            const[..., -1, :, :].copy(),
+        )
+        # tile 0 is constant throughout (its position 0 is): its carry
+        # is never read
+        carry = np.zeros_like(ends)
+        carry[..., 1:] = ends[..., :-1]
+        b = _apply(a, b, const, carry[..., None, :, :])
+    b = np.moveaxis(b, -3, -1)
+    return b.reshape(b.shape[:-2] + (-1,))[..., :width]
+
+
+class AffineChains:
+    """Work-efficient affine kernel for chain plans: ``O(n)`` work
+    where :class:`AffineRounds` does ``O(n log n)``.
+
+    The maps are gathered into chain order once.  Per level, every
+    segment head composes over its predecessor's solved value (level-0
+    heads are terminals, already constant after the fold), then each
+    ``(segments, width)`` block of
+    :func:`~repro.engine.exec_ordinary.chain_blocks` is scanned by
+    :func:`_affine_scan`.  A stacked ``(k, n)`` batch keeps ``a`` and
+    the constness mask ``(n,)`` and ``b`` ``(k, n)``.  Results differ
+    from the sequential loop only by reassociation across tiles.
+    """
+
+    label = "affine"
+
+    def __init__(self, job):
+        sched = job.sched
+        a, b, const, V = affine_coefficients(
+            job.source,
+            sched,
+            job.init if job.stacked else None,
+            job.scalars,
+        )
+        #: the float64 initial values the driver scatters into, if exact
+        self.base = scatter_base(V, job.scalars)
+        g_order, self.blocks = exec_ordinary.chain_blocks(sched)
+        #: the cells ``solved()`` lines up with (chain order)
+        self.cells = g_order
+        order = sched.chains.order
+        self.a, self.const = a[order], const[order]
+        self.b = np.ascontiguousarray(b[..., order])
+        self.steps = exec_ordinary.chain_steps(sched)
+
+    def round(self, _cells, level: int) -> None:
+        a, b, const = self.a, self.b, self.const
+        lead = b.shape[:-1]
+        for lo, hi, nseg, width, gather, keep, seeds in self.blocks[level]:
+            if gather is None:
+                ba = a[lo:hi].reshape(nseg, width)  # views
+                bb = b[..., lo:hi].reshape(lead + (nseg, width))
+                bc = const[lo:hi].reshape(nseg, width)
+            else:
+                ba, bb, bc = a[gather], b[..., gather], const[gather]
+            if level:  # heads compose over their predecessors' values
+                bb[..., 0] = _apply(ba[:, 0], bb[..., 0], bc[:, 0], b[..., seeds])
+                bc[:, 0] = True
+            values = _affine_scan(ba, bb, bc).reshape(lead + (-1,))
+            b[..., lo:hi] = values if keep is None else values[..., keep]
+
+    def solved(self):
+        return self.b  # chain order: every map ends constant, value = b
+
+
+def stack_affine(
+    rec: RationalRecurrence,
+    rows,
+    coefficients: Optional[FloatCoefficients] = None,
+) -> Optional[FloatScalars]:
+    """The batch's scalars -- ``initial`` the ``(k, m)`` float64 rows --
+    when the whole batch can run as one stacked affine sweep, else
+    ``None``.
+
+    It can when there is no self term (the self-term rewrite folds
+    each row's initial values into the *coefficients*, so they stop
+    being row-independent), the shape is affine (``c = 0``,
+    ``d != 0``), and every scalar -- coefficients and all rows -- is a
+    plain int/float with at least one genuine float (all-int /
+    Fraction data keeps the exact per-row object engine, mirroring the
+    single-solve ``auto`` rules).  ``coefficients`` is ``rec``'s
+    classified coefficient half (a ``Session``'s); without it they are
+    classified here.  Rows are classified once, by
+    :func:`~repro.core.moebius._float_column`.
+    """
     if rec.self_term:
-        return False
-    if any(x != 0 for x in rec.c) or any(x == 0 for x in rec.d):
-        return False
-    saw_float = False
-
-    def scan_slow(xs) -> bool:
-        # Object/mixed rows: the original elementwise walk.
-        nonlocal saw_float
-        for x in xs:
-            if isinstance(x, (bool, np.bool_)):
-                return False
-            if isinstance(x, (float, np.floating)):
-                saw_float = True
-            elif not isinstance(x, (int, np.integer)):
-                return False
-        return True
-
-    def scan(xs) -> bool:
-        # Dtype inspection classifies a whole row in O(1) after one
-        # asarray pass -- the serving coalescer calls this per gather
-        # window, so the O(k*n) isinstance walk above is reserved for
-        # object arrays (Fraction / mixed rows), where elementwise is
-        # the only sound answer.
-        nonlocal saw_float
-        try:
-            arr = np.asarray(xs)
-        except (ValueError, TypeError, OverflowError):
-            return False
-        if arr.dtype == object:
-            return scan_slow(arr.tolist())
-        if arr.dtype.kind == "f":
-            saw_float = True
-            return True
-        if arr.dtype.kind in "iu":
-            return True
-        return False  # bool, complex, str, datetime, ...
-
-    for xs in (rec.a, rec.b, rec.d):
-        if not scan(xs):
-            return False
-    for row in batch:
-        if not scan(row):
-            return False
-    return saw_float
+        return None
+    if coefficients is None:
+        coefficients = _float_coefficients(rec)
+    if not coefficients.plain or not _affine_shape(rec, coefficients):
+        return None
+    columns = []
+    for row in rows:
+        col = _float_column(row)
+        if col is None:
+            return None
+        columns.append(col)
+    saw_float = coefficients.saw_float or any(col.has_float for col in columns)
+    if not saw_float:
+        return None
+    V = np.stack(
+        [
+            np.asarray(row, dtype=np.float64) if col.values is None else col.values
+            for row, col in zip(rows, columns)
+        ]
+    )
+    return FloatScalars(
+        V,
+        coefficients,
+        saw_float=True,
+        only_float=all(col.only_float for col in columns),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +512,9 @@ class RationalRounds:
         )
         scalars = job.scalars
         if scalars is not None and scalars.complete:
-            A, B = scalars.a.copy(), scalars.b.copy()
-            C, D = scalars.c.copy(), scalars.d.copy()
+            coeffs = scalars.coefficients
+            A, B = coeffs.a.copy(), coeffs.b.copy()
+            C, D = coeffs.c.copy(), coeffs.d.copy()
             if rec.self_term:  # [[S*c + a, S*d + b], [c, d]]
                 S = scalars.initial[sched.g]
                 A, B = S * C + A, S * D + B
@@ -379,7 +537,7 @@ class RationalRounds:
         self.abcd = A, B, C, D
         self.V = V
         #: the float64 initial values the driver scatters into, if exact
-        self.base = scatter_base(V, job)
+        self.base = scatter_base(V, scalars)
         self.steps = sched.steps
 
     def round(self, active, src) -> None:

@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core.traces import predecessor_array, writer_map
+from ..core.traces import writer_map
 from ..errors import IRValidationError
 from .plan import OrdinaryPlan, build_chain_layout, build_round_schedule
 
@@ -34,6 +34,8 @@ __all__ = [
     "build_plan_from_maps",
     "cells",
     "chains_apply",
+    "chain_blocks",
+    "chain_steps",
     "may_wrap",
     "PythonRounds",
     "NumpyRounds",
@@ -46,33 +48,23 @@ _INT64_LIMIT = 2.0**63
 
 
 def build_plan(system, fingerprint: str) -> OrdinaryPlan:
-    """Validate the system and plan its layout: chains when they need
-    fewer levels than pointer jumping needs rounds, else the full
-    round schedule."""
+    """Validate the system and plan its layout
+    (:func:`build_plan_from_maps`)."""
     system.validate()
-    pred = predecessor_array(system)
-    chains = build_chain_layout(pred)
-    return OrdinaryPlan(
-        fingerprint=fingerprint,
-        n=system.n,
-        m=system.m,
-        g=system.g,
-        f=system.f,
-        pred=pred,
-        steps=None if chains is not None else build_round_schedule(pred),
-        chains=chains,
-    )
+    return build_plan_from_maps(system.g, system.f, system.m, fingerprint)
 
 
 def build_plan_from_maps(
     g: np.ndarray, f: np.ndarray, m: int, fingerprint: str
 ) -> OrdinaryPlan:
-    """Plan the round schedule directly from index maps (caller
-    guarantees distinct ``g`` in range -- e.g. a validated Moebius
-    recurrence, whose matrix kernels always run rounds)."""
+    """Plan validated index maps (distinct ``g`` in range): the Lemma-1
+    predecessor array, then chains when they need fewer levels than
+    pointer jumping needs rounds, else the full round schedule.  The
+    one layout rule of the ordinary and Moebius planners."""
     n = int(g.shape[0])
-    cand = writer_map(g, m)[f]
+    cand = writer_map(g, m)[f]  # iteration that (eventually) writes f(i)
     pred = np.where(cand < np.arange(n, dtype=np.int64), cand, -1)
+    chains = build_chain_layout(pred)
     return OrdinaryPlan(
         fingerprint=fingerprint,
         n=n,
@@ -80,7 +72,8 @@ def build_plan_from_maps(
         g=g,
         f=f,
         pred=pred,
-        steps=build_round_schedule(pred),
+        steps=None if chains is not None else build_round_schedule(pred),
+        chains=chains,
     )
 
 
@@ -190,14 +183,14 @@ def may_wrap(op, plan: OrdinaryPlan, typed, ftyped) -> bool:
 
 
 def chains_apply(op, policy) -> bool:
-    """Whether :class:`NumpyChains` can run a solve: the operator is a
-    typed ufunc (``accumulate`` folds in loop order) and no round
-    budget asks for pointer-jumping rounds."""
+    """Whether a chain kernel can run a solve on a chain plan: no round
+    budget asks for pointer-jumping rounds, and the operator ``op`` is
+    a typed ufunc (:class:`NumpyChains`: ``accumulate`` folds in loop
+    order).  ``op`` is ``None`` for a kernel with its own arithmetic
+    (the Moebius affine scan)."""
     return (
-        isinstance(op.vector_fn, np.ufunc)
-        and op.dtype is not None
-        and (policy is None or policy.max_rounds is None)
-    )
+        op is None or (isinstance(op.vector_fn, np.ufunc) and op.dtype is not None)
+    ) and (policy is None or policy.max_rounds is None)
 
 
 class PythonRounds:
@@ -297,9 +290,11 @@ class NumpyRounds:
         return self.val
 
 
-def _chain_blocks(sched: OrdinaryPlan):
-    """Per level, the ``ufunc.accumulate`` blocks of a chain plan
-    (derived once per plan and cached on its layout).
+def chain_blocks(sched: OrdinaryPlan):
+    """Per level, the scan blocks of a chain plan -- one
+    ``ufunc.accumulate`` each in :class:`NumpyChains`, one affine scan
+    in the Moebius chain kernel -- plus ``g`` in chain order (derived
+    once per plan and cached on its layout).
 
     A level's segments are sorted by length; each power-of-two length
     class is one ``(segments, width)`` block over the contiguous slice
@@ -344,6 +339,16 @@ def _chain_blocks(sched: OrdinaryPlan):
     return cache["g_order"], blocks
 
 
+def chain_steps(sched: OrdinaryPlan):
+    """A chain kernel's ``steps``: per level, the chain positions it
+    solves and the level number its :meth:`round` takes."""
+    offsets, level_ptr = sched.chains.offsets, sched.chains.level_ptr
+    return [
+        (range(int(offsets[level_ptr[lv]]), int(offsets[level_ptr[lv + 1]])), lv)
+        for lv in range(sched.chains.levels)
+    ]
+
+
 def _bit_length(x: np.ndarray) -> np.ndarray:
     """Elementwise ``int.bit_length`` of non-negative integers (exact
     below 2**53: ``frexp``'s exponent)."""
@@ -370,15 +375,11 @@ class NumpyChains:
         init, finit = _inputs(job, True)
         self.base = init
         self.finit = finit
-        g_order, self.blocks = _chain_blocks(sched)
+        g_order, self.blocks = chain_blocks(sched)
         #: the cells ``solved()`` lines up with (chain order)
         self.cells = g_order
         self.c = np.ascontiguousarray(init[..., g_order])
-        offsets, level_ptr = sched.chains.offsets, sched.chains.level_ptr
-        self.steps = [
-            (range(int(offsets[level_ptr[lv]]), int(offsets[level_ptr[lv + 1]])), lv)
-            for lv in range(sched.chains.levels)
-        ]
+        self.steps = chain_steps(sched)
 
     def round(self, _cells, level: int) -> None:
         c, vec = self.c, self.vec

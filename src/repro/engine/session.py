@@ -34,6 +34,7 @@ import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.moebius import _float_coefficients
 from ..obs import get_registry
 from .api import (
     EngineResult,
@@ -110,6 +111,12 @@ class Session:
         self._plan: Optional[Plan] = None
         if self._backend.name != "pram" and self.family != "gir":
             self._plan = build_plan(source, self._problem)
+        # Like the index maps, a Moebius recurrence's coefficient lists
+        # are fixed for the session: classify them once, so a request
+        # classifies only its own values.
+        self._coefficients = (
+            _float_coefficients(source) if self.family == "moebius" else None
+        )
         if opts.verify_plan:
             _check_preconditions(self._source, self._problem)
             if self._plan is not None:
@@ -192,6 +199,7 @@ class Session:
             self._plan,
             f_initial=f_initial,
             collect_stats=collect_stats,
+            coefficients=self._coefficients,
         )
         return self._serve(self._ladder, request)
 
@@ -210,7 +218,13 @@ class Session:
                 f"backend {self._backend.name!r} does not support batched "
                 "execution"
             )
-        request = request_for(self._opts, self._problem, self._source, self._plan)
+        request = request_for(
+            self._opts,
+            self._problem,
+            self._source,
+            self._plan,
+            coefficients=self._coefficients,
+        )
         return self._serve(
             self._batch_ladder, request, batch_values, f_initial_batch
         ).values

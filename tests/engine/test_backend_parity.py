@@ -19,7 +19,7 @@ from repro.core import (
     run_ordinary,
 )
 from repro.core.operators import modular_add
-from repro.engine import EngineOptions, solve, solve_batch
+from repro.engine import EngineOptions, Session, solve, solve_batch
 
 ORDINARY_BACKENDS = ["python", "numpy", "pram"]
 PLANNED_BACKENDS = ["python", "numpy"]
@@ -183,8 +183,15 @@ class TestMoebiusParity:
         coefficients = [2.0] * 4, [1.0] * 4, [c] * 4, [1.0] * 4
         rec = RationalRecurrence.build(initial, *maps, *coefficients)
         rows = [solve(rec, options=EngineOptions(backend=backend)).values]
+        session = Session(rec, options=EngineOptions(backend=backend))
+        rows.append(session.solve(initial).values)
         if backend == "numpy":
             rows += solve_batch(rec, [initial, initial])
+            # a Session classifies each row: one all-float row does not
+            # let the int row scatter onto a float64 copy
+            floats, mixed = session.solve_batch([[float(x) for x in initial], initial])
+            assert floats[1:5] == mixed[1:5]
+            rows.append(mixed)
         for row in rows:
             assert row[0] == 3 and type(row[0]) is int
             assert row[5] == big and type(row[5]) is int

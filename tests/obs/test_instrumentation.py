@@ -175,14 +175,24 @@ class TestMoebius:
         assert inner.parent_id == tracer.find("moebius.ir_solve")[0].span_id
 
     def test_affine_fast_path_rounds(self):
+        """One ``solver.round`` span and one ``solver.rounds`` count per
+        step: the single level of the chain scan by default, the
+        pointer-jumping rounds under a round budget."""
         rec = self.recurrence(33)
-        with obs.observed() as (tracer, registry):
-            _out, stats = solve_affine_numpy(rec, collect_stats=True)
-        rounds = tracer.find("solver.round")
-        assert len(rounds) == stats.rounds == math.ceil(math.log2(33))
-        assert registry.value("solver.rounds", engine="affine") == stats.rounds
-        (root,) = tracer.find("solver.moebius")
-        assert root.attributes["engine"] == "affine"
+        for policy, strategy, rounds in (
+            (None, "chains", 1),
+            (SolvePolicy(max_rounds=64), "rounds", math.ceil(math.log2(33))),
+        ):
+            with obs.observed() as (tracer, registry):
+                _out, stats = solve_affine_numpy(
+                    rec, collect_stats=True, policy=policy
+                )
+            spans = tracer.find("solver.round")
+            assert len(spans) == stats.rounds == rounds
+            assert registry.value("solver.rounds", engine="affine") == stats.rounds
+            (root,) = tracer.find("solver.moebius")
+            assert root.attributes["engine"] == "affine"
+            assert root.attributes["strategy"] == strategy
 
 
 class TestPRAM:

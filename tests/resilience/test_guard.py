@@ -192,16 +192,37 @@ def test_guard_report_to_dict():
 
 
 def _nan_engineered_recurrence():
-    """Affine chain whose float fast path manufactures NaN: composing
-    two overflowed (inf, 0) segments multiplies 0 * inf."""
-    n = 8
+    """Two interleaved affine chains (``X[i+2] = 1e300 * X[i]``) whose
+    float fast path manufactures NaN: the maps plan pointer-jumping
+    rounds (every iteration heads its own segment), and composing two
+    overflowed (inf, 0) segments multiplies 0 * inf."""
+    n = 16
     return AffineRecurrence.build(
+        initial=[1.0, 1.0] + [0.0] * n,
+        g=list(range(2, n + 2)),
+        f=list(range(n)),
+        a=[1e300] * n,
+        b=[0.0] * n,
+    )
+
+
+def test_chain_scan_keeps_the_loops_overflow():
+    """On one chain the affine chain scan folds in loop order inside a
+    tile, so the overflow the rounds path turns into NaN stays the
+    loop's inf -- no escalation needed."""
+    n = 8
+    rec = AffineRecurrence.build(
         initial=[1.0] + [0.0] * n,
         g=list(range(1, n + 1)),
         f=list(range(n)),
         a=[1e300] * n,
         b=[0.0] * n,
     )
+    from .._legacy_solvers import solve_affine_numpy
+
+    raw, _ = solve_affine_numpy(rec)
+    assert raw == run_moebius_sequential(rec)
+    assert math.isinf(raw[-1])
 
 
 def test_engineered_nan_escalates_to_correct_result():
