@@ -52,7 +52,7 @@ from . import exec_gir, exec_moebius, exec_ordinary
 from .exec_ordinary import admit
 from .plan import GIRPlan
 
-__all__ = ["Job", "admit", "solve", "solve_batch", "check", "strategy"]
+__all__ = ["Job", "admit", "as_values", "solve", "solve_batch", "check", "strategy"]
 
 
 @dataclass
@@ -80,6 +80,13 @@ class Job:
     #: once per solve (see :func:`repro.engine.exec_moebius.resolve_mode`;
     #: a stacked batch's by :func:`~repro.engine.exec_moebius.stack_affine`)
     scalars: Any = None
+
+
+def as_values(values) -> Any:
+    """``values`` as a system's ``initial``: a list or ndarray passes
+    through uncopied (the engine never writes into either), any other
+    sequence becomes a list."""
+    return values if isinstance(values, (list, np.ndarray)) else list(values)
 
 
 def _sequential(family: str, source, f_initial=None) -> List[Any]:
@@ -253,22 +260,23 @@ def _schedule(plan):
 def _scatter(
     plan, source, initials, solved, base, batch: bool, g=None
 ) -> List[List[Any]]:
-    """Place each row's solved values onto a copy of its initial array.
+    """Place each row's solved values onto its initial array.
 
     ``g`` is the cells ``solved`` lines up with (the plan's ``g`` by
     default).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
-    batch a kernel ran on -- is scattered in place with one
-    ``tolist``, so untouched cells come back in the operator's dtype;
-    object values (``base`` is ``None``) take the per-cell loop.  GIR:
+    batch a kernel ran on, a fresh array admission made -- takes them
+    in place, then one ``tolist``, so untouched cells come back in the
+    operator's dtype.  A kernel that scanned in ``base`` hands back the
+    view it scanned, and NumPy skips assigning a view onto itself.
+    Object values (``base`` is ``None``) take the per-cell loop.  GIR:
     see :func:`_scatter_traces`."""
     if isinstance(plan, GIRPlan) and plan.dispatch is None:
         return [_scatter_traces(plan, source, solved, base)]
     if g is None:
         g = _schedule(plan).g
     if base is not None:
-        out = base.copy()
-        out[..., g] = solved
-        return out.tolist() if batch else [out.tolist()]
+        base[..., g] = solved
+        return base.tolist() if batch else [base.tolist()]
     if isinstance(solved, np.ndarray):
         solved = solved.tolist()  # a stacked (k, n) batch: k rows
     cells = g.tolist()
@@ -484,7 +492,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
     def instance(r):
         if not batch:
             return source
-        return dataclasses.replace(source, initial=list(rows[r]))
+        return dataclasses.replace(source, initial=as_values(rows[r]))
 
     report = None
     if enforcer is not None and enforcer.should_fallback:
@@ -545,7 +553,7 @@ def solve_batch(backend, request, rows, f_rows=None):
     for row in rows:
         row_request = dataclasses.replace(
             request,
-            source=dataclasses.replace(source, initial=list(row)),
+            source=dataclasses.replace(source, initial=as_values(row)),
             plan=plan,
             policy=None if policy is None else policy.with_remaining(t0),
         )

@@ -20,7 +20,7 @@ its ``cells`` attribute when it has one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "cells",
     "chains_apply",
     "chain_blocks",
+    "chain_cell_range",
     "chain_steps",
     "may_wrap",
     "PythonRounds",
@@ -107,14 +108,53 @@ def _object_lossy(arr: np.ndarray, info: np.iinfo) -> np.ndarray:
     return bad.reshape(arr.shape)
 
 
+def _strict_int64(values: list) -> Optional[np.ndarray]:
+    """``values`` -- a list of Python ints, or of equal-length lists of
+    them -- as a fresh int64 ``(m,)`` / ``(k, m)`` array, one C pass
+    per row after an exact type check; ``None`` for anything else (an
+    element whose type is not exactly ``int`` -- a bool, a NumPy
+    scalar, a float -- or an int outside int64), which then takes
+    :func:`_admit_cast`, its dtype discovery and its error message."""
+    stacked = bool(values) and type(values[0]) is list
+    rows = values if stacked else [values]
+    m = len(rows[0])
+    if not all(type(row) is list and len(row) == m for row in rows):
+        return None
+    out = []
+    for row in rows:
+        if list(map(type, row)).count(int) != m:
+            return None
+        try:
+            out.append(np.fromiter(row, np.int64, m))
+        except OverflowError:
+            return None
+    return np.stack(out) if stacked else out[0]
+
+
 def admit(values: Any, op) -> Optional[np.ndarray]:
     """Admit ``values`` (a vector, or ``k`` stacked rows) for the typed
-    operator ``op``: the ``op.dtype`` array the NumPy kernels run on,
-    or ``None`` when the values have no typed form (tuples, ragged
-    rows, ...) and keep their Python representation.
+    operator ``op``: a fresh ``op.dtype`` array the NumPy kernels run
+    on, and may write into -- the caller's values, an array included,
+    are never written to -- or ``None`` when the values have no typed
+    form (tuples, ragged rows, ...) and keep their Python
+    representation.
 
-    A value an integer operator cannot hold exactly -- non-integral,
-    non-finite, or outside the dtype's range -- raises
+    An int64 operator takes a list (or list of equal-length rows) of
+    Python ints in one strict pass per row (:func:`_strict_int64`);
+    anything else, or anything that pass refuses, takes
+    :func:`_admit_cast`.
+    """
+    if type(values) is list and np.dtype(op.dtype) == np.int64:
+        arr = _strict_int64(values)
+        if arr is not None:
+            return arr
+    return _admit_cast(values, op)
+
+
+def _admit_cast(values: Any, op) -> Optional[np.ndarray]:
+    """:func:`admit`'s general route: ``np.array``, then a checked
+    cast.  A value an integer operator cannot hold exactly --
+    non-integral, non-finite, or outside the dtype's range -- raises
     :class:`~repro.errors.IRValidationError` (exit code 3) instead of
     being truncated or wrapped by the cast.  Integer and float input
     costs one dtype test (plus a range test for other integer dtypes);
@@ -122,7 +162,7 @@ def admit(values: Any, op) -> Optional[np.ndarray]:
     """
     dtype = np.dtype(op.dtype)
     try:
-        arr = np.asarray(values)
+        arr = np.array(values)
     except (ValueError, TypeError, OverflowError):
         return None  # ragged rows: not an array of scalars
     if arr.dtype == dtype:
@@ -199,6 +239,8 @@ class PythonRounds:
     of the paper's algorithm."""
 
     label = "python"
+    #: root-span attributes: the values are never scanned in place
+    attrs = {"in_place": False}
 
     def __init__(self, job):
         sched = job.sched
@@ -233,7 +275,7 @@ def cells(ndim: int):
 
 def _to_array(values: Sequence[Any], op, typed: bool, stacked: bool) -> np.ndarray:
     if typed:
-        return np.asarray(values, dtype=op.dtype)
+        return np.array(values, dtype=op.dtype)  # fresh: kernels write into it
     if stacked:
         return np.stack([_to_array(row, op, False, False) for row in values])
     arr = np.empty(len(values), dtype=object)
@@ -244,7 +286,8 @@ def _to_array(values: Sequence[Any], op, typed: bool, stacked: bool) -> np.ndarr
 
 def _inputs(job, typed: bool):
     """``(init, finit)`` arrays: the driver's admitted typed arrays when
-    it has them, else converted here."""
+    it has them, else converted here -- fresh arrays either way, so a
+    kernel may scan or scatter in ``init``."""
     op = job.op
     init = job.typed if typed and job.typed is not None else None
     if init is None:
@@ -263,6 +306,8 @@ class NumpyRounds:
     as one ``(k, n)`` array through the same rounds."""
 
     label = "numpy"
+    #: root-span attributes: the rounds run on a gathered copy
+    attrs = {"in_place": False}
 
     def __init__(self, job):
         op, sched = job.op, job.sched
@@ -355,16 +400,39 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
+def chain_cell_range(sched: OrdinaryPlan) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` when ``g`` in chain order is the contiguous cell
+    range ``lo .. hi - 1`` -- a chain kernel can then scan the values
+    where they lie -- else ``None``.  Tested once per plan and cached
+    on its layout beside ``g_order``."""
+    cache = sched.chains._cache
+    if "g_range" not in cache:
+        g_order, _ = chain_blocks(sched)
+        lo = int(g_order[0])
+        hi = lo + int(g_order.shape[0])
+        contiguous = np.array_equal(g_order, np.arange(lo, hi, dtype=np.int64))
+        cache["g_range"] = (lo, hi) if contiguous else None
+    return cache["g_range"]
+
+
 class NumpyChains:
-    """Work-efficient kernel for chain plans: gathers the values into
-    chain order once, then per level seeds every segment head with
-    ``op(seed, head)`` and runs ``op.vector_fn.accumulate`` along the
-    last axis of each block.  ``accumulate`` folds left to right, the
-    sequential loop's own order, so results are the loop's bit for bit
-    wherever ``vector_fn`` is the loop's ``fn`` (the add and multiply
-    operators, floats included; MIN / MAX keep ``np.minimum`` /
-    ``np.maximum``'s NaN and signed-zero rules).  A stacked ``(k, n)``
-    batch is a leading axis on every block.
+    """Work-efficient kernel for chain plans: per level, seeds every
+    segment head with ``op(seed, head)`` and runs
+    ``op.vector_fn.accumulate`` along the last axis of each block.
+    ``accumulate`` folds left to right, the sequential loop's own
+    order, so results are the loop's bit for bit wherever
+    ``vector_fn`` is the loop's ``fn`` (the add and multiply operators,
+    floats included; MIN / MAX keep ``np.minimum`` / ``np.maximum``'s
+    NaN and signed-zero rules).  A stacked ``(k, n)`` batch is a
+    leading axis on every block.
+
+    When chain order is one contiguous cell range
+    (:func:`chain_cell_range`) the values are scanned where they lie,
+    in the admitted array, and ``solved()`` is that view: the driver's
+    scatter has nothing to move.  Otherwise they are gathered into
+    chain order once.  Every level-0 seed is gathered before the first
+    write, so a seed cell that a later segment writes still reads its
+    initial value.
     """
 
     label = "numpy"
@@ -374,19 +442,27 @@ class NumpyChains:
         self.vec = op.vector_fn
         init, finit = _inputs(job, True)
         self.base = init
-        self.finit = finit
         g_order, self.blocks = chain_blocks(sched)
+        self.seeds0 = [finit[..., blk[-1]] for blk in self.blocks[0]]
+        span = chain_cell_range(sched)
+        #: root-span attributes: which I/O path ran
+        self.attrs = {"in_place": span is not None}
         #: the cells ``solved()`` lines up with (chain order)
-        self.cells = g_order
-        self.c = np.ascontiguousarray(init[..., g_order])
+        if span is not None:
+            self.cells = slice(*span)
+            self.c = init[..., self.cells]  # a view: the scan writes init
+        else:
+            self.cells = g_order
+            self.c = np.ascontiguousarray(init[..., g_order])
         self.steps = chain_steps(sched)
 
     def round(self, _cells, level: int) -> None:
         c, vec = self.c, self.vec
         lead = c.shape[:-1]
-        source = self.finit if level == 0 else c
-        for lo, hi, nseg, width, gather, keep, seeds in self.blocks[level]:
-            seed = source[..., seeds]
+        for b, (lo, hi, nseg, width, gather, keep, seeds) in enumerate(
+            self.blocks[level]
+        ):
+            seed = self.seeds0[b] if level == 0 else c[..., seeds]
             if gather is None:
                 block = c[..., lo:hi].reshape(lead + (nseg, width))  # a view
             else:

@@ -45,7 +45,7 @@ from .api import (
     request_for,
 )
 from .backends import Backend, resolve_backend
-from .driver import build_plan
+from .driver import as_values, build_plan
 from .failover import failover_ladder
 from .options import EngineOptions
 from .plan import Plan
@@ -173,7 +173,7 @@ class Session:
                 f"value vector has {len(values)} cells, the session's "
                 f"problem has m={self._problem.m}"
             )
-        return dataclasses.replace(self._source, initial=list(values))
+        return dataclasses.replace(self._source, initial=as_values(values))
 
     def solve(
         self,

@@ -68,6 +68,16 @@ class TestOrdinarySolvers:
         assert root.attributes["n"] == 64
         assert root.attributes["rounds"] == stats.rounds
         assert len(root.children) == stats.rounds
+        # the chain scan ran in the admitted buffer (a contiguous chain)
+        assert root.attributes["in_place"] is True
+
+    def test_root_span_in_place_is_false_off_the_chain_scan(self):
+        system = fig3_system(64)
+        with obs.observed() as (tracer, _):
+            solve_numpy_rounds(system)
+        (root,) = tracer.find("solver.ordinary")
+        assert root.attributes["strategy"] == "rounds"
+        assert root.attributes["in_place"] is False
 
     def test_results_identical_with_and_without_tracing(self):
         system = fig3_system(100)
