@@ -14,7 +14,8 @@ file path):
    dropped rounds, duplicated active ids, predecessor corruption,
    truncation, chain-layout corruption) plus each GIR CAP
    power table (exponent perturbation, row-pointer truncation, cell
-   swaps, pointer-repaired leaf drift) and the verifier must
+   swaps, pointer-repaired leaf drift) -- exact int64 tables and a
+   DP-path Fibonacci table reduced by its period -- and the verifier must
    reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
    exists because a mutation can, rarely, land on a semantically
    equivalent schedule; in practice rejection is 100%.
@@ -74,6 +75,8 @@ def build_matrix():
         ("ordinary/forest", forest_system([n // 2] + [8] * (n // 64))),
         ("moebius/random", moebius),
         ("gir/fibonacci", fibonacci_gir_system(GIR_N)),
+        # past int64 the counts finish on the DP, reduced by the period
+        ("gir/fibonacci-dp", fibonacci_gir_system(5 * GIR_N)),
         ("gir/double-chain", double_chain_gir_system(GIR_N)),
         ("gir/scatter", scatter_system(8 * GIR_N, 24, seed=5)),
     ]

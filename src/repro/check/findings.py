@@ -65,6 +65,7 @@ FINDING_CODES: Dict[str, str] = {
     "GIR006": "GIR power-table CSR structure is inconsistent",
     "GIR007": "power-table leaf counts drift from the dependence-graph totals",
     "GIR008": "sampled trace row disagrees with the exact leaf-count oracle",
+    "GIR009": "power table reduced modulo a period other than the operator's",
     # -- precondition prover (PRE0xx) ----------------------------------
     "PRE001": "g index map is not injective (distinctness violated)",
     "PRE002": "index map leaves the array domain",

@@ -235,6 +235,7 @@ def _clone_gir(plan: Any) -> Any:
             row_ptr=np.array(table.row_ptr, dtype=np.int64, copy=True),
             cells=np.array(table.cells, dtype=np.int64, copy=True),
             exponents=table.exponents.copy(),
+            period=table.period,
         ),
         final_cell_of=(
             None

@@ -50,6 +50,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from ..core.cap import residue
 from .findings import CheckReport, error, info, warning
 
 __all__ = [
@@ -511,6 +512,21 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
         return
     from ..core.equations import normalize_non_distinct
 
+    period = table.period
+    report.ran()
+    if not table.serves(system.op.power_period):
+        report.add(
+            error(
+                "GIR009",
+                f"the power table counts paths modulo {period}, but the "
+                f"{system.op.name!r} operator's power period is "
+                f"{system.op.power_period}: its exponents would power to "
+                "wrong values",
+                where="gir",
+                hint="re-plan for this operator",
+            )
+        )
+        return
     work = system
     if plan.renamed:
         work = normalize_non_distinct(system).system
@@ -522,7 +538,7 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
         oracle = leaf_counts(work)
         for i in range(n):
             got = dict(table.row_items(i))
-            if got != oracle[i]:
+            if got != _as_stored(oracle[i], period):
                 report.add(
                     error(
                         "GIR004",
@@ -550,14 +566,23 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
     _verify_gir_sampled(table, graph, report)
 
 
+def _as_stored(counts: Dict[int, int], period: Optional[int]) -> Dict[int, int]:
+    """Exact oracle counts in the form a table of ``period`` stores
+    them: as is for exact tables, else their residues."""
+    if period is None:
+        return counts
+    return {cell: residue(k, period) for cell, k in counts.items()}
+
+
 def _verify_gir_csr(table: Any, n: int, m: int, report: CheckReport) -> bool:
     """GIR006/GIR002: structural integrity of the v2 CSR power table.
 
     Proves the flat arrays form a well-shaped table -- row pointers
     monotone from 0 to nnz, no empty trace rows, leaf cells strictly
     increasing within each row (the order the evaluators rely on) and
-    inside the original array, exponents positive.  Returns False when
-    a finding stops verification.
+    inside the original array, exponents positive and, in a table
+    reduced modulo ``table.period``, at most the period.  Returns False
+    when a finding stops verification.
     """
     row_ptr = np.asarray(table.row_ptr, dtype=np.int64)
     cells = np.asarray(table.cells, dtype=np.int64)
@@ -655,6 +680,19 @@ def _verify_gir_csr(table: Any, n: int, m: int, report: CheckReport) -> bool:
             )
         )
         return False
+    period = table.period
+    if period is not None and exps.size and bool(np.any(exps > period)):
+        j = int(np.argmax(exps > period))
+        report.add(
+            error(
+                "GIR006",
+                f"table entry {j} carries exponent {exps[j]}, above the "
+                f"period {period} the table is reduced by",
+                where="gir",
+                data={"entry": j},
+            )
+        )
+        return False
     return True
 
 
@@ -667,10 +705,11 @@ def _verify_gir_totals(table: Any, graph: Any, report: CheckReport) -> bool:
     the table side by one segmented sum -- so the sweep stays linear at
     any ``n``.  Catches any mutation that changes a multiplicity or
     drops/duplicates a factor, with false-accept probability 1/p per
-    row.
+    row.  A table reduced modulo ``table.period`` knows its counts only
+    modulo that period, so both sides are taken modulo it instead.
     """
     n = graph.n
-    P = _GIR_TOTAL_MOD
+    P = _GIR_TOTAL_MOD if table.period is None else table.period
     report.ran()
     vals = np.ones(n + graph.m, dtype=np.int64).tolist()
     tf = graph.target_f.tolist()
@@ -678,7 +717,11 @@ def _verify_gir_totals(table: Any, graph: Any, report: CheckReport) -> bool:
     for i in range(n):
         # targets are strictly earlier finals or leaves (init 1)
         vals[i] = (vals[tf[i]] + vals[th[i]]) % P
-    exps_mod = (table.exponents % P).astype(np.int64)
+    widest = int(np.diff(table.row_ptr).max())
+    # exact per-row sums: int64 while they cannot overflow
+    exps_mod = (table.exponents % P).astype(
+        np.int64 if widest * P < 2**63 else object
+    )
     sums = np.add.reduceat(exps_mod, table.row_ptr[:-1]) % P
     expect = np.asarray(vals[:n], dtype=np.int64)
     if not np.array_equal(sums, expect):
@@ -712,7 +755,8 @@ def _verify_gir_sampled(table: Any, graph: Any, report: CheckReport) -> None:
     :data:`GIR_SAMPLE_ROWS` evenly spaced rows by memoized DP over the
     dependence DAG (exact big-int arithmetic, iterative so chain depth
     cannot overflow the stack) and requires byte-equality with the
-    table rows.  Work is bounded by :data:`GIR_SAMPLE_BUDGET`
+    table rows (after the residue rule, for a reduced table).  Work is
+    bounded by :data:`GIR_SAMPLE_BUDGET`
     accumulated dict entries; rows past the budget are skipped with an
     info finding rather than silently passed.
     """
@@ -757,7 +801,7 @@ def _verify_gir_sampled(table: Any, graph: Any, report: CheckReport) -> None:
             break
         report.ran()
         got = dict(table.row_items(int(root)))
-        if got != memo[int(root)]:
+        if got != _as_stored(memo[int(root)], table.period):
             report.add(
                 error(
                     "GIR008",

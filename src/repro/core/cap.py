@@ -44,8 +44,7 @@ and ``F_t = A^{2^t}`` exactly.  This module runs that recurrence on
   could exceed int64 the whole state is converted to dict rows over
   exact Python ints and the loop continues there bit-for-bit.  An
   unbounded ``method="auto"`` run finishes on the sequential DP
-  instead (exact, and linear where doubling dense big-int rows is
-  quadratic).
+  instead (linear where doubling dense big-int rows is quadratic).
 
 A converged int64 matrix run hands its leaf block ``L`` out as CSR
 arrays (:attr:`CAPResult.leaf_csr`) -- the planner builds the power
@@ -62,6 +61,17 @@ falls back to the sequential DP (:func:`count_paths_dp`) beyond
 ``ceil(log2(depth))`` rounds the doubling schedule would have used
 (the plan-level quantity), while ``work_per_iteration`` is empty since
 no doubling rounds ran.
+
+Path counts only ever become exponents of an operator's atomic
+power, and an operator with a ``power_period`` ``p`` needs each
+exponent ``k`` only modulo ``p``.  An unbounded run given that
+``period`` therefore keeps its counts exact only while they fit int64
+(every matrix result does); once a count would leave int64 -- the
+Fibonacci-shaped DAGs, whose counts run to ``n * 0.7`` bits -- every
+count is returned as its :func:`residue` ``((k - 1) mod p) + 1``.  The
+DP reduces as it counts from that row on, so no Fibonacci-sized
+integer is ever built.  Bounded runs (``max_iterations`` / ``policy``)
+keep exact counts: their partial states are doubling-round states.
 
 A memoized sequential DP (:func:`count_paths_dp`) provides independent
 ground truth for the tests, and :func:`cap_iterations` exposes the
@@ -86,6 +96,7 @@ __all__ = [
     "count_all_paths",
     "cap_iterations",
     "count_paths_dp",
+    "residue",
     "DP_DEPTH_CUTOFF",
 ]
 
@@ -104,7 +115,19 @@ _DENSE_MAX_NODES = 2048
 #: Promote to exact Python ints before any product could reach this.
 _INT64_GUARD = 2**62
 
+#: A count past this has no int64 form: with a period, reduce it.
+_INT64_MAX = 2**63 - 1
+
 _METHODS = ("auto", "matrix", "edges", "dp")
+
+
+def residue(count, period: int):
+    """A path count ``k >= 1`` as ``((k - 1) mod period) + 1``: congruent
+    to ``k`` modulo ``period`` and still in ``[1, period]`` (atomic
+    powers need positive exponents).  Works on Python ints and on int64
+    or object arrays alike; taking ``k mod period`` first keeps a
+    big-int ``k`` from being copied whole by the ``- 1``."""
+    return (count % period - 1) % period + 1
 
 
 def _scipy_sparse():
@@ -147,6 +170,10 @@ class CAPResult:
         counts.  ``None`` when the result was computed as dict rows
         (dict doubling, the DP, an overflow promotion, a partial
         state).
+    period:
+        When set, every count is its :func:`residue` modulo ``period``
+        (an unbounded run given a period whose exact counts would
+        leave int64); ``None`` for exact counts.
     """
 
     iterations: int
@@ -155,6 +182,7 @@ class CAPResult:
     leaf_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False
     )
+    period: Optional[int] = None
     _rows: Optional[EdgeSet] = field(default=None, repr=False, compare=False)
 
     @property
@@ -371,37 +399,69 @@ def _choose_method(graph: DependenceGraph, bounded: bool) -> str:
     return "edges"
 
 
-def _dp_with_work(graph: DependenceGraph) -> "tuple[EdgeSet, int]":
+def _reduce_rows(rows: EdgeSet, period: int) -> None:
+    """Replace every count in ``rows`` by its :func:`residue`."""
+    for row in rows:
+        for leaf, x in row.items():
+            if x > period:
+                row[leaf] = residue(x, period)
+
+
+def _dp_with_work(
+    graph: DependenceGraph, period: Optional[int] = None
+) -> "tuple[EdgeSet, int, Optional[int]]":
     """:func:`count_paths_dp` plus its composition count (one per
-    leaf-count multiply-accumulate, the DP's work measure)."""
+    leaf-count multiply-accumulate, the DP's work measure) and the
+    period its counts were reduced by (``None``: exact).
+
+    With a ``period``, the first row holding a count past int64 turns
+    reduction on: that row and every later one are reduced as soon as
+    they are complete, so counts stay small ints, and the earlier rows
+    are reduced at the end."""
     n = graph.n
+    tf, th = graph.target_f.tolist(), graph.target_h.tolist()
     counts: EdgeSet = [dict() for _ in range(n)]
     work = 0
+    reduce_from = None
     for i in range(n):
+        a, b = tf[i], th[i]
         acc: Dict[int, int] = {}
-        for t, mult in graph.out_edges(i).items():
+        for t, mult in ((a, 2),) if a == b else ((a, 1), (b, 1)):
             if t >= n:
                 acc[t] = acc.get(t, 0) + mult
             else:
-                for leaf, x in counts[t].items():
+                row = counts[t]
+                work += len(row)
+                for leaf, x in row.items():
                     acc[leaf] = acc.get(leaf, 0) + mult * x
-                    work += 1
+        if period is not None:
+            if reduce_from is None and max(acc.values()) > _INT64_MAX:
+                reduce_from = i
+            if reduce_from is not None:
+                _reduce_rows([acc], period)
         counts[i] = acc
-    return counts, work
+    if reduce_from is None:
+        return counts, work, None
+    _reduce_rows(counts[:reduce_from], period)
+    return counts, work, period
 
 
-def _dp_result(graph: DependenceGraph, root) -> CAPResult:
+def _dp_result(graph: DependenceGraph, root, period: Optional[int]) -> CAPResult:
     """CAP by the sequential DP, reporting the ``ceil(log2(depth))``
     rounds the doubling schedule would have used (the plan-level
     quantity) and no doubling rounds."""
-    powers, work = _dp_with_work(graph)
+    powers, work, period = _dp_with_work(graph, period)
     depth = graph.depth()
     iterations = (depth - 1).bit_length() if depth > 1 else 0
     if root is not None:
         root.set_attribute("iterations", iterations)
         root.set_attribute("edge_work", work)
     return CAPResult(
-        _rows=powers, iterations=iterations, edge_work=work, work_per_iteration=[]
+        _rows=powers,
+        iterations=iterations,
+        edge_work=work,
+        work_per_iteration=[],
+        period=period,
     )
 
 
@@ -412,6 +472,7 @@ def count_all_paths(
     policy: Optional[SolvePolicy] = None,
     validate: bool = True,
     method: str = "auto",
+    period: Optional[int] = None,
 ) -> CAPResult:
     """Run CAP to convergence (all edges reach leaves).
 
@@ -435,6 +496,12 @@ def count_all_paths(
     edges also share iteration counts, work accounting, partial states
     and policy behaviour exactly.  An unbounded ``"auto"`` run whose
     counting matrix would overflow int64 finishes on the DP.
+
+    ``period`` (an operator's ``power_period``) makes an unbounded run
+    whose exact counts would leave int64 return every count as its
+    :func:`residue` modulo ``period`` (``CAPResult.period`` says so);
+    iteration and work counts are those of the exact run.  A bounded
+    run ignores it and counts exactly.
     """
     if method not in _METHODS:
         raise ValueError(
@@ -443,6 +510,8 @@ def count_all_paths(
     if validate:
         graph.validate_acyclic()
     unbounded = max_iterations is None and policy is None
+    if not unbounded:
+        period = None  # partial states are exact doubling-round states
     # Only the planner's own pick may trade the doubling rounds for
     # the DP mid-run; an explicit method keeps its round accounting.
     finish_on_dp = unbounded and method == "auto"
@@ -453,7 +522,7 @@ def count_all_paths(
     registry = get_registry()
     with maybe_span(tracer, "cap.count_all_paths", n=graph.n) as root:
         if method == "dp" and unbounded:
-            return _dp_result(graph, root)
+            return _dp_result(graph, root, period)
 
         state: Optional[_MatrixState] = None
         edges: Optional[EdgeSet] = None
@@ -483,8 +552,8 @@ def count_all_paths(
             if state is not None and state.overflow_risk():
                 if finish_on_dp:
                     # Doubling dense big-int rows is quadratic; the DP
-                    # reaches the same exact counts in one linear pass.
-                    return _dp_result(graph, root)
+                    # reaches the same counts in one linear pass.
+                    return _dp_result(graph, root, period)
                 # A bounded solve's partial states are doubling-round
                 # states: continue on exact Python ints.
                 edges = state.to_edge_set()
@@ -520,11 +589,21 @@ def count_all_paths(
             edges, leaf_csr = None, state.leaf_csr()
         elif state is not None:  # a partial state keeps its open prefixes
             edges = state.to_edge_set()
+        if period is not None:
+            # unbounded, hence converged; only dict doubling's exact
+            # rows can hold counts past int64
+            if leaf_csr is None and any(
+                x > _INT64_MAX for row in edges for x in row.values()
+            ):
+                _reduce_rows(edges, period)
+            else:
+                period = None
         return CAPResult(
             iterations=iterations,
             edge_work=total_work,
             work_per_iteration=per_iteration,
             leaf_csr=leaf_csr,
+            period=period,
             _rows=edges,
         )
 

@@ -283,10 +283,14 @@ class Operator:
     power_period:
         Optional period ``p`` such that ``power(x, k) == power(x, k')``
         whenever ``k ≡ k' (mod p)`` and both are >= 1.  GIR exponents
-        (path counts) can be astronomically large; a period lets plans
-        cache them reduced into int64 via ``((k - 1) % p) + 1``.
-        Modular addition has period ``m``; modular multiplication has
-        period ``m - 1`` when the modulus is prime (Fermat).
+        (path counts) can be astronomically large; with a period the
+        GIR planner counts them modulo ``p`` as soon as they would leave
+        int64, storing ``((k - 1) % p) + 1`` in ``[1, p]``
+        (:func:`repro.core.cap.residue`), and the plan serves only
+        operators of the same period (it is part of the GIR
+        fingerprint).  Modular addition has period ``m``; modular
+        multiplication has period ``m - 1`` when the modulus is prime
+        (Fermat).
     """
 
     name: str

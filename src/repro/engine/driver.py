@@ -232,6 +232,7 @@ def _traces(make, job: Job, problem, label: str, ran: str):
     ) as root:
         if job.sched is None:
             job.sched = exec_gir.build_plan(system, problem, policy=job.policy)
+        exec_gir.check_period(job.sched, system.op)
         plan, table = job.sched, job.sched.table
         power_ops, combine_ops = table.power_entry_count, table.nnz - table.rows
         with maybe_span(tracer, "gir.evaluate") as esp:

@@ -13,7 +13,7 @@ ordinary round kernel instead.
 Trace evaluation has two modes:
 
 * ``"batched"`` -- for operators with a picklable ``vector_power``
-  (and exponents reducible into int64 via ``power_period``): entries
+  (and exponents that fit or reduce into int64): entries
   with exponent 1 gather their initial value directly, only the
   entries with exponent > 1 go through ``vector_power``, and the
   combine phase runs vectorized over all rows sharing a factor count,
@@ -25,11 +25,14 @@ Trace evaluation has two modes:
   path for ``Fraction``/object operators and the comparator the
   Fig-5 bench gates against.
 
-The powered entries' index and int64 exponent reductions are cached on
-the :class:`PowerTable` per power period, so each extra initial-value
-vector costs only its powers and combines.  Spans, stats, policy and
-the projection back onto the original cells belong to
-:mod:`repro.engine.driver`.
+Once path counts would leave int64, CAP counts them modulo the
+operator's ``power_period`` when it has one (``Problem.period``), so
+the plan's table already holds int64 residues; a table of exact counts
+is reduced on first use instead.  Either way the powered entries'
+index and int64 exponents are cached on the :class:`PowerTable` per
+power period, so each extra initial-value vector costs only its powers
+and combines.  Spans, stats, policy and the projection back onto the
+original cells belong to :mod:`repro.engine.driver`.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ from ..obs import get_tracer, maybe_span
 from ..core.cap import CAPResult, count_all_paths
 from ..core.depgraph import build_dependence_graph
 from ..core.equations import OrdinaryIRSystem, normalize_non_distinct
-from ..errors import PolicyError
+from ..errors import PlanVerificationError, PolicyError
 from . import exec_ordinary
 from .plan import GIRPlan, PowerTable
 
 __all__ = [
     "build_plan",
+    "check_period",
     "dispatches",
     "combine_rows",
     "TraceEvaluator",
@@ -117,13 +121,18 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
         if gsp is not None:
             gsp.set_attribute("edges", graph.edge_count())
             gsp.set_attribute("depth", graph.depth())
-    with maybe_span(tracer, "gir.cap"):
-        cap: CAPResult = count_all_paths(graph, policy=policy)
+    with maybe_span(tracer, "gir.cap") as csp:
+        cap: CAPResult = count_all_paths(
+            graph, policy=policy, period=problem.period
+        )
+        if csp is not None:
+            csp.set_attribute("period", cap.period)
     # Leaf cells are always original cells (< m): renamed version
     # cells are written before any read, so only pristine cells appear
     # as initial-value leaves.  The table therefore indexes the
     # original initial array.  A converged matrix CAP hands over its
-    # int64 CSR ``L`` as is; dict-row results are flattened.
+    # int64 CSR ``L`` as is; dict-row results are flattened.  Counts
+    # are residues modulo ``cap.period`` when it is set.
     table = PowerTable.from_cap(cap, graph.n)
     return GIRPlan(
         fingerprint=problem.fingerprint(),
@@ -136,6 +145,19 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
         cap_iterations=cap.iterations,
         cap_edge_work=cap.edge_work,
     )
+
+
+def check_period(plan: GIRPlan, op) -> None:
+    """Refuse a power table reduced modulo a period other than ``op``'s:
+    its exponents would power to wrong values.  A table of exact counts
+    serves any operator."""
+    table = plan.table
+    if table is not None and not table.serves(op.power_period):
+        raise PlanVerificationError(
+            f"GIR009: the plan's power table counts paths modulo "
+            f"{table.period}, but the {op.name!r} operator's power period "
+            f"is {op.power_period}; re-plan for this operator"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +238,12 @@ def _evaluate_rows(
     plan: GIRPlan, initial: Sequence[Any], op
 ) -> List[Any]:
     """Per-row object-exact evaluation over pre-sorted cells, with a
-    power memo so each distinct atomic power is computed once."""
+    power memo so each distinct atomic power is computed once.
+
+    A one-factor row is always powered: its trace folds at least two
+    operands, so its exact count is >= 2 even when a reduced table
+    stores the residue 1, and ``power(x, 1)`` (for a modular operator,
+    ``x mod m``) is what the loop's fold yields for any ``x``."""
     table = plan.table
     memo: Dict[Tuple[int, int], Any] = {}
     power = op.power
@@ -226,17 +253,19 @@ def _evaluate_rows(
     exps = table.exponent_list()
     for i in range(table.rows):
         lo, hi = ptr[i], ptr[i + 1]
+        if lo == hi:
+            raise ValueError("empty trace: cell was never assigned")
+        single = hi - lo == 1
         items = []
         for j in range(lo, hi):
             c = cells[j]
             x = exps[j]
             items.append((c, x))
-            if x > 1 and (c, x) not in memo:
+            if (x > 1 or single) and (c, x) not in memo:
                 memo[(c, x)] = power(initial[c], x)
-        if not items:
-            raise ValueError("empty trace: cell was never assigned")
         factors = [
-            initial[c] if x == 1 else memo[(c, x)] for c, x in items
+            initial[c] if x == 1 and not single else memo[(c, x)]
+            for c, x in items
         ]
         # balanced pairwise reduction, identical to the legacy order
         while len(factors) > 1:

@@ -46,6 +46,8 @@ __all__ = [
 #: Magnitude from which float64 no longer holds every integer exactly
 #: and int64 no longer holds the value at all.
 _INT64_LIMIT = 2.0**63
+#: float64 holds every integer below this exactly.
+_FLOAT_EXACT = 2.0**53
 
 
 def build_plan(system, fingerprint: str) -> OrdinaryPlan:
@@ -89,10 +91,14 @@ def _lossy(values, bad: np.ndarray, op) -> IRValidationError:
     )
 
 
-def _object_lossy(arr: np.ndarray, info: np.iinfo) -> np.ndarray:
+def _object_lossy(
+    arr: np.ndarray, info: np.iinfo, admitted: Optional[list] = None
+) -> np.ndarray:
     """Mask of object elements an integer operator cannot hold exactly:
     non-integral or non-finite floats, non-integral Fractions and ints
-    outside ``info``'s range (other types are the operator's business)."""
+    outside ``info``'s range (other types are the operator's business).
+    Given the ``admitted`` float values of the same elements, also
+    those whose exact value the float does not equal."""
     flat = arr.reshape(-1)
     bad = np.zeros(flat.shape, dtype=bool)
     lo, hi = int(info.min), int(info.max)
@@ -104,7 +110,11 @@ def _object_lossy(arr: np.ndarray, info: np.iinfo) -> np.ndarray:
             x = x.numerator if x.denominator == 1 else None
         elif not isinstance(x, (int, np.integer)):
             continue
-        bad[k] = x is None or not lo <= int(x) <= hi
+        bad[k] = (
+            x is None
+            or not lo <= int(x) <= hi
+            or (admitted is not None and int(x) != admitted[k])
+        )
     return bad.reshape(arr.shape)
 
 
@@ -174,6 +184,13 @@ def _admit_cast(values: Any, op) -> Optional[np.ndarray]:
             with np.errstate(invalid="ignore"):
                 bad = ~(np.isfinite(arr) & (np.trunc(arr) == arr))
                 bad |= np.abs(arr) >= _INT64_LIMIT
+                big = ~bad & (np.abs(arr) >= _FLOAT_EXACT)
+            if big.any() and not isinstance(values, np.ndarray):
+                # np.array may have promoted exact ints (np.uint64 beside
+                # Python ints) to float64 and rounded them: re-check
+                # those elements against their exact values.
+                exact = np.array(values, dtype=object)[big]
+                bad[big] = _object_lossy(exact, info, arr[big].tolist())
             if bad.any():
                 raise _lossy(values, bad, op)
         elif kind == "c":

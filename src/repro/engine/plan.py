@@ -39,6 +39,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.cap import residue
+
 __all__ = [
     "OrdinaryPlan",
     "ChainLayout",
@@ -412,14 +414,21 @@ class PowerTable:
     path count fits -- a converged matrix CAP hands over its CSR ``L``
     as is, no per-row dicts -- and an object array of exact Python
     ints after an overflow promotion (path counts are
-    Fibonacci-sized).  The vectorized evaluators read cached int64
-    views: the entries that need powering (exponent > 1) and their
-    period-reduced exponents.
+    Fibonacci-sized).  Unless the operator it was planned for has a
+    ``power_period`` ``p``: then a table whose counts would leave
+    int64 stores each as its :func:`~repro.core.cap.residue` modulo
+    ``p`` -- int64 in ``[1, p]`` -- and records ``period = p``; it
+    serves only operators of that period.  ``period=None`` marks exact
+    counts, which serve any operator.  The vectorized evaluators read
+    cached int64 views: the entries that need powering
+    (:meth:`power_index`) and their period-reduced exponents.
     """
 
     row_ptr: np.ndarray  # (rows + 1,) int64
     cells: np.ndarray  # (nnz,) int64, sorted strictly increasing per row
     exponents: np.ndarray  # (nnz,) >= 1, int64 or object
+    #: the modulus the exponents are reduced by (``None``: exact counts)
+    period: Optional[int] = None
     # lazily-built caches (not serialized, not compared)
     _dicts: Optional[List[Dict[int, int]]] = field(
         default=None, repr=False, compare=False
@@ -445,15 +454,21 @@ class PowerTable:
         return self.exponents.tolist()
 
     def power_index(self) -> np.ndarray:
-        """Entries with exponent > 1 (the rest gather their initial
-        value unpowered); cached."""
+        """Entries that need powering (the rest gather their initial
+        value unpowered); cached.  That is every exponent > 1 and the
+        only factor of a row: a trace folds at least two operands, so
+        a one-factor row's exact count is >= 2 even where a reduced
+        table stores the residue 1."""
         if self._power_idx is None:
-            self._power_idx = np.flatnonzero(self.exponents > 1)
+            need = self.exponents > 1
+            lengths = np.diff(self.row_ptr)
+            need[self.row_ptr[:-1][lengths == 1]] = True
+            self._power_idx = np.flatnonzero(need)
         return self._power_idx
 
     @property
     def power_entry_count(self) -> int:
-        """Entries with exponent > 1 -- the solve's ``power_ops``."""
+        """Entries that need powering -- the solve's ``power_ops``."""
         return int(self.power_index().shape[0])
 
     @property
@@ -465,15 +480,27 @@ class PowerTable:
         top = int(lengths.max())
         return (top - 1).bit_length() if top > 1 else 0
 
+    def serves(self, period: Optional[int]) -> bool:
+        """Whether the exponents power correctly for an operator of
+        power period ``period``: exact counts serve any operator,
+        residues only their own period."""
+        return self.period is None or self.period == period
+
     def powered(self, period: Optional[int]):
         """``(index, reduced exponents)`` of the entries that need
         powering, int64-reduced via ``period``; ``None`` when they do
-        not reduce.  Cached per period, so a cached plan's solves pay
-        only the powers themselves.
+        not reduce (exact counts past int64 and no period, or a table
+        reduced by another period).  Cached per period, so a cached
+        plan's solves pay only the powers themselves; a table already
+        reduced by ``period`` hands its exponents over as they are.
         """
         if period not in self._powered:
             idx = self.power_index()
-            reduced = _reduce(self.exponents[idx], period)
+            exps = self.exponents[idx]
+            if self.period is None:
+                reduced = _reduce(exps, period)
+            else:
+                reduced = exps if self.serves(period) else None
             self._powered[period] = None if reduced is None else (idx, reduced)
         return self._powered[period]
 
@@ -499,15 +526,20 @@ class PowerTable:
     @classmethod
     def from_cap(cls, cap, n: int) -> "PowerTable":
         """The table of a converged :class:`~repro.core.cap.CAPResult`
-        over ``n`` final nodes: its int64 CSR ``L`` as is when the
-        matrix recurrence produced one, else its dict rows flattened."""
+        over ``n`` final nodes (and its ``period``): its int64 CSR ``L``
+        as is when the matrix recurrence produced one, else its dict
+        rows flattened."""
         if cap.leaf_csr is not None:
             row_ptr, cells, counts = cap.leaf_csr
-            return cls(row_ptr=row_ptr, cells=cells, exponents=counts)
-        return cls.from_node_rows(cap.powers, n)
+            return cls(
+                row_ptr=row_ptr, cells=cells, exponents=counts, period=cap.period
+            )
+        return cls.from_node_rows(cap.powers, n, period=cap.period)
 
     @classmethod
-    def from_node_rows(cls, rows: List[Dict[int, int]], n: int) -> "PowerTable":
+    def from_node_rows(
+        cls, rows: List[Dict[int, int]], n: int, period: Optional[int] = None
+    ) -> "PowerTable":
         """Build from CAP's converged edge sets (targets are leaf node
         ids ``n + cell``); one pass, rows come out cell-sorted."""
         row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
@@ -522,6 +554,7 @@ class PowerTable:
             row_ptr=row_ptr,
             cells=np.asarray(cells, dtype=np.int64),
             exponents=exponent_array(exponents),
+            period=period,
         )
 
     @classmethod
@@ -535,27 +568,27 @@ class PowerTable:
             "cells": self.cells.tolist(),
             # JSON carries arbitrary-precision ints natively
             "exponents": self.exponent_list(),
+            "period": self.period,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "PowerTable":
+        period = payload.get("period")  # absent: a payload of exact counts
         return cls(
             row_ptr=np.asarray(payload["row_ptr"], dtype=np.int64),
             cells=np.asarray(payload["cells"], dtype=np.int64),
             exponents=exponent_array([int(x) for x in payload["exponents"]]),
+            period=None if period is None else int(period),
         )
 
 
 def _reduce(exps: np.ndarray, period: Optional[int]) -> Optional[np.ndarray]:
-    """Exponents ``k >= 1`` as int64 ``((k - 1) % period) + 1`` -- still
-    >= 1 (atomic powers need positive exponents) and congruent to ``k``
-    modulo ``period``; with no period, the int64 view or ``None`` when
-    any exponent overflows.  Reducing before the ``- 1`` keeps exact
-    big-int exponents from being copied whole."""
+    """Exponents ``k >= 1`` as int64 residues modulo ``period``
+    (:func:`~repro.core.cap.residue`); with no period, the int64 view
+    or ``None`` when any exponent overflows."""
     if period is None:
         return exps if exps.dtype == np.int64 else None
-    residues = (exps % period).astype(np.int64, copy=False)
-    return (residues - 1) % period + 1
+    return residue(exps, period).astype(np.int64, copy=False)
 
 
 @dataclass

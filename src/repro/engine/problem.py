@@ -2,16 +2,23 @@
 
 A :class:`Problem` captures exactly what a :class:`~repro.engine.plan.Plan`
 may depend on -- the solver family, the index maps ``g``/``f``(/``h``),
-the array size ``m``, and the structural flags that change the planned
+the array size ``m``, the structural flags that change the planned
 pipeline (GIR renaming / ordinary dispatch, the Moebius self-term
-rewrite).  Deliberately **excluded** are the values (``initial``, the
-coefficient lists) and the operator: plans are value- and
-operator-independent, which is what lets one cached plan serve solves
-over different data and even different monoids sharing the maps.
+rewrite) and, for GIR, the operator's ``power_period``.  Deliberately
+**excluded** are the values (``initial``, the coefficient lists) and
+the operator itself: plans are value-independent, and
+operator-independent up to the GIR exponent modulus, which is what
+lets one cached plan serve solves over different data and even
+different monoids sharing the maps (and, for GIR, the period).
+
+A GIR plan counts trace paths modulo the period once they would leave
+int64 (the power table then holds residues, see
+:class:`~repro.engine.plan.PowerTable`), so two GIR operators share a
+plan exactly when they share the period.
 
 :meth:`Problem.fingerprint` is the cache key of the plan cache
 (:mod:`repro.engine.planner`): a BLAKE2 digest over the family, the
-dimensions, the flags, and the raw index-map bytes.
+dimensions, the flags, the period and the raw index-map bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ class Problem:
     self_term:
         Moebius self-term rewrite flag (fingerprinted for symmetry;
         the coefficient matrices it changes are built at execute time).
+    period:
+        GIR only: the operator's ``power_period`` -- CAP keeps path
+        counts past int64 modulo it -- or ``None`` for exact counts.
     """
 
     family: str
@@ -56,6 +66,7 @@ class Problem:
     allow_rename: bool = True
     allow_ordinary_dispatch: bool = True
     self_term: bool = False
+    period: Optional[int] = None
     _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
@@ -89,6 +100,7 @@ class Problem:
                 m=source.m,
                 allow_rename=allow_rename,
                 allow_ordinary_dispatch=allow_ordinary_dispatch,
+                period=source.op.power_period,
             )
         if isinstance(source, OrdinaryIRSystem):
             return cls(family="ordinary", g=source.g, f=source.f, m=source.m)
@@ -109,10 +121,12 @@ class Problem:
         """Stable digest of everything a plan may depend on.
 
         Two problems with equal fingerprints have identical index
-        structure, so they share plans.  Values and operators are
-        intentionally not hashed (plans are value/operator-independent).
-        The digest is memoized -- index maps are treated as immutable,
-        matching the library-wide convention.
+        structure (and, for GIR, the same power period), so they share
+        plans.  Values and operators are intentionally not hashed --
+        plans are value-independent, and operator-independent up to the
+        period a GIR plan reduces its path counts by.  The digest is
+        memoized -- index maps are treated as immutable, matching the
+        library-wide convention.
         """
         if self._fingerprint is not None:
             return self._fingerprint
@@ -123,6 +137,8 @@ class Problem:
             f"|dispatch={int(self.allow_ordinary_dispatch)}"
             f"|self={int(self.self_term)}"
         )
+        if self.period is not None:  # exact-count problems keep their digest
+            header += f"|period={self.period}"
         hsh.update(header.encode("ascii"))
         for arr in (self.g, self.f, self.h):
             hsh.update(b"|")

@@ -231,7 +231,9 @@ class UnrecoverableFaultError(FaultError):
 class CheckError(ReproError):
     """Static analysis (:mod:`repro.check`) found error-severity
     findings.  Raised only on explicit opt-in (``verify_plan=True``,
-    ``repro check``): the checkers themselves report, never raise."""
+    ``repro check``) -- and for a caller-held GIR plan reduced modulo
+    another operator's power period: the checkers themselves report,
+    never raise."""
 
     exit_code = 8
     category = "check"

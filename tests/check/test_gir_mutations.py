@@ -21,9 +21,12 @@ from repro.check import (
     verify_plan,
 )
 from repro.core import GIRSystem
-from repro.core.operators import modular_add
+from repro.core.operators import modular_add, modular_mul
 from repro.engine import solve
 from repro.engine.planner import PlanCache
+
+
+MOD = 10**9 + 7
 
 
 def leafy_gir(n, k=4):
@@ -33,7 +36,7 @@ def leafy_gir(n, k=4):
     g = [i + k for i in range(n)]
     f = [i + k - 1 for i in range(n)]
     h = [i % k for i in range(n)]
-    return GIRSystem.build(initial, g, f, h, modular_add(10**9 + 7))
+    return GIRSystem.build(initial, g, f, h, modular_add(MOD))
 
 
 def cap_plan_for(system):
@@ -129,10 +132,10 @@ class TestMutationRejection:
 @pytest.mark.parametrize("n", [SMALL_N, 120])
 def test_exponent_mutations_keep_the_storage(kind, n):
     # n = 48 keeps int64 exponents; Fibonacci counts at n = 120 leave
-    # int64, so the table holds an object array of exact Python ints --
-    # mutations must bump / delete in either dtype without touching
-    # the original.
-    system = leafy_gir(n) if n == SMALL_N else fibonacci_gir(n)
+    # int64, so under an operator without a power period the table
+    # holds an object array of exact Python ints -- mutations must
+    # bump / delete in either dtype without touching the original.
+    system = leafy_gir(n) if n == SMALL_N else fibonacci_gir(n, modular_mul(MOD + 1))
     plan = cap_plan_for(system)
     exps_before = plan.table.exponent_list()
     mut = mutate_plan(plan, kind, seed=2)
@@ -141,14 +144,70 @@ def test_exponent_mutations_keep_the_storage(kind, n):
     assert not verify_plan(mut.plan, system=system).ok
 
 
-def fibonacci_gir(n):
+def fibonacci_gir(n, op=None):
     return GIRSystem.build(
         list(range(1, n + 3)),
         [i + 2 for i in range(n)],
         [i + 1 for i in range(n)],
         list(range(n)),
-        modular_add(10**9 + 7),
+        op or modular_add(MOD),
     )
+
+
+class TestReducedTables:
+    """Fibonacci counts leave int64, so the DP keeps them modulo the
+    operator's power period: the table holds residues in ``[1, p]``
+    and the oracles compare residues."""
+
+    # Which error codes may reject each kind, per oracle tier; an
+    # exponent bumped past the period is a structural (GIR006) fault.
+    CODES = {
+        "gir_perturb_exponent": {
+            "small": {"GIR004", "GIR006"},
+            "large": {"GIR006", "GIR007", "GIR008"},
+        },
+        "gir_truncate_rowptr": {"small": {"GIR006"}, "large": {"GIR006"}},
+        "gir_swap_cells": {"small": {"GIR006"}, "large": {"GIR006"}},
+        "gir_leaf_drift": {
+            "small": {"GIR004"},
+            "large": {"GIR007", "GIR008"},
+        },
+    }
+
+    @pytest.fixture(scope="class", params=["small", "large"])
+    def reduced(self, request):
+        n = 200 if request.param == "small" else LARGE_N
+        system = fibonacci_gir(n)
+        plan = cap_plan_for(system)
+        assert plan.table.period == MOD
+        return request.param, system, plan
+
+    def test_genuine_reduced_plan_accepted(self, reduced):
+        _tier, system, plan = reduced
+        report = verify_plan(plan, system=system)
+        assert report.ok, [f.describe() for f in report.errors]
+
+    @pytest.mark.parametrize("kind", GIR_MUTATION_KINDS)
+    def test_every_mutant_rejected(self, reduced, kind):
+        tier, system, plan = reduced
+        for seed in range(3):
+            mut = mutate_plan(plan, kind, seed=seed)
+            report = verify_plan(mut.plan, system=system)
+            assert not report.ok, f"{kind} survived: {mut.description}"
+            assert {f.code for f in report.errors} & self.CODES[kind][tier]
+
+    def test_exponent_above_the_period_rejected(self, reduced):
+        _tier, _system, plan = reduced
+        mut = mutate_plan(plan, "gir_perturb_exponent", seed=0)
+        mut.plan.table.exponents[0] = MOD + 1
+        report = verify_plan(mut.plan)  # structure alone catches it
+        assert [f.code for f in report.errors] == ["GIR006"]
+
+    def test_period_disagreeing_with_the_operator_rejected(self, reduced):
+        _tier, system, plan = reduced
+        other = fibonacci_gir(system.n, modular_add(97))
+        report = verify_plan(plan, system=other)
+        assert [f.code for f in report.errors] == ["GIR009"]
 
 
 class TestStructuralChecks:

@@ -29,6 +29,8 @@ from repro.engine.plan import PowerTable
 from repro.engine.planner import PlanCache
 
 MOD = 10**9 + 7
+#: A composite modulus: no power period, so CAP keeps exact counts.
+COMPOSITE_MUL = modular_mul(MOD + 1)
 
 
 def fibonacci_powers(n, op=None):
@@ -97,8 +99,9 @@ class TestSerialization:
 
     def test_exact_bigint_exponents_survive_json(self):
         # Fibonacci exponents at n=120 exceed int64; JSON carries exact
-        # Python ints, so the round trip must not truncate.
-        plan = cap_plan(fibonacci_powers(120))
+        # Python ints, so the round trip must not truncate.  Only an
+        # operator without a power period keeps exact counts.
+        plan = cap_plan(fibonacci_powers(120, COMPOSITE_MUL))
         restored = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
         top = max(restored.table.exponents)
         assert top == max(plan.table.exponents)
@@ -184,7 +187,7 @@ class TestOverflowFinishesOnDP:
             raise AssertionError("dict doubling ran")
 
         monkeypatch.setattr(cap_module, "_doubling_step", no_doubling)
-        system = fibonacci_powers(1000)
+        system = fibonacci_powers(1000, COMPOSITE_MUL)
         res = solve(system, cache=PlanCache())
         assert res.values == run_gir(system)
         assert max(res.plan.table.exponents).bit_length() > 63

@@ -96,19 +96,25 @@ def test_admission_matches_the_general_route(op, values):
 
 @pytest.mark.parametrize("backend", ["numpy", "python", "pram"])
 def test_numpy_scalars_beside_python_ints_are_refused_on_every_backend(backend):
-    """``np.uint64`` beside a negative Python int has no common integer
-    dtype: the strict pass leaves it to the general route, which
-    refuses it (exit code 3) on every backend alike."""
-    values = [np.uint64(0), -(2**63)]
-    with pytest.raises(IRValidationError) as strict:
-        admit(values, ADD)
-    with pytest.raises(IRValidationError) as general:
-        _admit_cast(values, ADD)
-    assert str(strict.value) == str(general.value)
-    assert strict.value.exit_code == 3
-    system = OrdinaryIRSystem.build(values, [1], [0], ADD)
-    with pytest.raises(IRValidationError):
-        solve(system, cache=PlanCache(), options=EngineOptions(backend=backend))
+    """``np.uint64`` beside a Python int has no common integer dtype:
+    the strict pass leaves it to the general route, where ``np.array``
+    promotes to float64 -- rounding ``2**60 + 1`` to ``2**60`` -- or
+    finds no exact form.  That route refuses both (exit code 3) on
+    every backend alike."""
+    for values in ([np.uint64(0), -(2**63)], [np.uint64(2**60 + 1), 1]):
+        with pytest.raises(IRValidationError) as strict:
+            admit(values, ADD)
+        with pytest.raises(IRValidationError) as general:
+            _admit_cast(values, ADD)
+        assert str(strict.value) == str(general.value)
+        assert strict.value.exit_code == 3
+        system = OrdinaryIRSystem.build(values, [1], [0], ADD)
+        with pytest.raises(IRValidationError):
+            solve(
+                system,
+                cache=PlanCache(),
+                options=EngineOptions(backend=backend),
+            )
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,23 @@ class TestGIR:
         (cap_root,) = tracer.find("cap.count_all_paths")
         assert cap_root.parent_id == tracer.find("gir.cap")[0].span_id
 
+    def test_cap_span_reports_the_period(self):
+        # Counts that fit int64 stay exact (period None); Fibonacci
+        # counts past int64 are reduced by the operator's period.
+        op = modular_mul(97)
+        for n, want in ((10, None), (100, op.power_period)):
+            system = GIRSystem.build(
+                [2, 3] + [1] * n,
+                [i + 2 for i in range(n)],
+                [i + 1 for i in range(n)],
+                list(range(n)),
+                op,
+            )
+            with obs.observed() as (tracer, _):
+                solve_gir(system)
+            (cap,) = tracer.find("gir.cap")
+            assert cap.attributes["period"] == want, n
+
     def test_normalize_phase_when_renaming(self):
         op = modular_mul(97)
         system = GIRSystem.build([1, 2], [0, 0], [1, 1], [1, 0], op)
