@@ -84,18 +84,22 @@ def build_matrix():
 
 def warm_up():
     """Pay the one-time import and first-call costs (module loading,
-    numpy ufunc dispatch caches) outside the timed region."""
+    numpy ufunc dispatch caches) outside the timed region: plan and
+    verify one tiny chain and one tiny GIR, so neither family's first
+    timed plan carries an import."""
     from repro.check import verify_plan
-    from repro.core.workloads import chain_system
+    from repro.core.workloads import chain_system, random_gir_system
     from repro.engine import solve
     from repro.engine.planner import PlanCache
+    from repro.engine.problem import Problem
 
-    result = solve(
-        chain_system(64),
-        cache=PlanCache(),
-        options=EngineOptions(backend="numpy"),
-    )
-    verify_plan(result.plan)
+    for system in (chain_system(64), random_gir_system(16, extra_cells=16)):
+        result = solve(
+            system,
+            cache=PlanCache(),
+            options=EngineOptions(backend="numpy"),
+        )
+        verify_plan(result.plan, Problem.from_system(system), system=system)
 
 
 def acquire_plans(matrix):

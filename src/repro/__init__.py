@@ -48,18 +48,9 @@ plan/schedule verifier, precondition prover and loop lint; see
 :mod:`repro.errors`.
 """
 
-from . import (
-    analysis,
-    check,
-    core,
-    engine,
-    errors,
-    livermore,
-    loops,
-    obs,
-    pram,
-    resilience,
-)
+import importlib
+
+from . import core, engine, errors, obs, resilience
 from .core import (
     ADD,
     CONCAT,
@@ -106,8 +97,6 @@ from .errors import (
     VerificationError,
     exit_code_for,
 )
-from .loops import Loop, parallelize, recognize
-from .pram import PRAM, AccessPolicy, profile_ordinary
 from .resilience import (
     FaultEvent,
     FaultPlan,
@@ -117,6 +106,38 @@ from .resilience import (
 )
 
 __version__ = "1.2.0"
+
+#: Subpackages a solve never needs, and the names re-exported from
+#: them: imported on first access, so a process that only solves does
+#: not pay for the loop front end, the PRAM simulator, the Livermore
+#: suite or the checker at start-up.
+_LAZY = {
+    "analysis": None,
+    "check": None,
+    "livermore": None,
+    "loops": None,
+    "pram": None,
+    "Loop": "loops",
+    "parallelize": "loops",
+    "recognize": "loops",
+    "PRAM": "pram",
+    "AccessPolicy": "pram",
+    "profile_ordinary": "pram",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{_LAZY[name] or name}", __name__)
+    if _LAZY[name] is not None:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     # subpackages

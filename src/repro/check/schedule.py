@@ -157,8 +157,8 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
             )
         )
         return report
-    cand = writer[f]
-    expected_pred = np.where(cand < idx, cand, -1)
+    expected_pred = writer[f]
+    expected_pred[expected_pred >= idx] = -1
     if not np.array_equal(expected_pred, pred):
         bad = int(np.argmax(expected_pred != pred))
         report.add(
@@ -189,9 +189,27 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
     for r, (active_raw, src_raw) in enumerate(plan.steps):
         active = np.asarray(active_raw, dtype=np.int64)
         src = np.asarray(src_raw, dtype=np.int64)
-        loc = f"{where} round {r}"
         report.ran(4)
 
+        # A planner round passes in one sweep: strictly increasing
+        # active ids inside [0, n) are race-free, and since every ptr
+        # value lies in [-1, n), ``src == ptr[active] >= 0`` bounds
+        # src as well.  Anything else takes the checks below, which
+        # name the first rule it breaks.
+        if (
+            active.ndim == 1
+            and active.shape == src.shape
+            and active.size
+            and active[0] >= 0
+            and active[-1] < n
+            and (active.size == 1 or bool((active[1:] > active[:-1]).all()))
+        ):
+            cur = ptr[active]
+            if np.array_equal(src, cur) and cur.min() >= 0:
+                ptr[active] = ptr[cur]
+                continue
+
+        loc = f"{where} round {r}"
         if active.shape != src.shape or active.ndim != 1:
             report.add(
                 error(
@@ -325,8 +343,11 @@ def verify_chain_layout(
             )
         )
         return report
-    seen = np.bincount(order, minlength=n)
-    if n and int(seen.max()) != 1:
+    # n in-range entries hit every iteration iff none repeats
+    hit = np.zeros(n, dtype=bool)
+    hit[order] = True
+    if not bool(hit.all()):
+        seen = np.bincount(order, minlength=n)
         it = int(np.argmax(seen != 1))
         report.add(
             error(
@@ -367,12 +388,11 @@ def verify_chain_layout(
         return report
 
     report.ran()
-    seg_start = np.zeros(n, dtype=bool)
-    seg_start[offsets[:-1]] = True
-    members = np.flatnonzero(~seg_start)
-    linked = pred[order[members]] == order[members - 1]
+    # position k > 0 continues its segment unless a segment starts there
+    linked = pred[order[1:]] == order[:-1]
+    linked[offsets[1:-1] - 1] = True
     if not bool(linked.all()):
-        k = int(members[np.argmax(~linked)])
+        k = int(np.argmax(~linked)) + 1
         it, prev = int(order[k]), int(order[k - 1])
         report.add(
             error(
@@ -536,19 +556,28 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
 
         report.ran()
         oracle = leaf_counts(work)
-        for i in range(n):
-            got = dict(table.row_items(i))
-            if got != _as_stored(oracle[i], period):
-                report.add(
-                    error(
-                        "GIR004",
-                        f"iteration {i}'s power table {got} disagrees "
-                        f"with the trace oracle {oracle[i]}",
-                        where="gir",
-                        data={"iteration": i},
-                    )
+        want = oracle if period is None else [
+            _as_stored(row, period) for row in oracle
+        ]
+        ptr = table.row_ptr.tolist()
+        cells = table.cells.tolist()
+        exps = table.exponent_list()
+        got = [
+            dict(zip(cells[lo:hi], exps[lo:hi]))
+            for lo, hi in zip(ptr[:-1], ptr[1:])
+        ]
+        if got != want:
+            i = next(i for i in range(n) if got[i] != want[i])
+            report.add(
+                error(
+                    "GIR004",
+                    f"iteration {i}'s power table {got[i]} disagrees "
+                    f"with the trace oracle {oracle[i]}",
+                    where="gir",
+                    data={"iteration": i},
                 )
-                return
+            )
+            return
         report.add(
             info(
                 "IR000",

@@ -32,46 +32,65 @@ is then the closed-form recurrence
 .. math::  L_{t+1} = L_t + F_t L_t, \\qquad F_{t+1} = F_t^2
 
 with ``L_0 / F_0`` the leaf / final columns of the adjacency matrix,
-and ``F_t = A^{2^t}`` exactly.  This module runs that recurrence on
+and ``F_t = A^{2^t}`` exactly.
 
-* ``scipy.sparse`` int64 CSR matrices when SciPy is importable
-  (dependence DAGs have out-degree <= 2, so the state stays sparse),
+Which algorithm runs
+--------------------
+
+An unbounded ``method="auto"`` run -- every plan the engine builds --
+never doubles.  It counts bottom-up in dependence order, the way the
+sequential DP does, but one whole dependence *level* at a time in
+NumPy (:func:`_level_pass`): give every node its level (the longest
+path below it, leaves at 0), then for each level gather every node's
+two operand rows -- a finished final node contributes its row, a leaf
+``(cell, 1)`` -- and merge them with one sort plus ``np.add.reduceat``
+on ``node * m + cell`` keys.  Rows come out cell-sorted, so the result
+is :attr:`CAPResult.leaf_csr` directly.  A count at level ``L`` is at
+most ``2^L``, so graphs of depth <= :data:`_LEVEL_MAX_DEPTH` (62) never
+leave int64.  Deeper graphs go to the sequential DP
+(:func:`count_paths_dp`'s loop), which reduces by ``period`` as it
+counts; the Fibonacci-shaped DAGs, whose counts run to ``n * 0.7``
+bits, are the typical case.  Neither route imports SciPy.
+
+Doubling rounds are still what a caller gets from a bounded run
+(``max_iterations`` / ``policy``: partial states and enforcer budgets
+are doubling-round notions), from an explicit ``method="matrix"`` or
+``"edges"``, and from :func:`repro.pram.vectorized.profile_gir`, which
+prices CAP's rounds.  The ``"matrix"`` recurrence runs on
+
+* ``scipy.sparse`` int64 CSR matrices when SciPy is importable (the
+  only place this package imports it, lazily; dependence DAGs have
+  out-degree <= 2, so the state stays sparse),
 * dense ``numpy`` int64 matrices for small graphs without SciPy,
 * the pure-Python sparse rows (the historical dict ``EdgeSet`` --
   literally a CSR matrix with dict rows) as the last resort, and as
-  the **object-dtype promotion** target of a bounded run: path
-  counts grow Fibonacci-fast, and the moment an upcoming product
-  could exceed int64 the whole state is converted to dict rows over
-  exact Python ints and the loop continues there bit-for-bit.  An
-  unbounded ``method="auto"`` run finishes on the sequential DP
-  instead (linear where doubling dense big-int rows is quadratic).
+  the **object-dtype promotion** target: path counts grow
+  Fibonacci-fast, and the moment an upcoming product could exceed
+  int64 the whole state is converted to dict rows over exact Python
+  ints and the loop continues there bit-for-bit.
 
-A converged int64 matrix run hands its leaf block ``L`` out as CSR
-arrays (:attr:`CAPResult.leaf_csr`) -- the planner builds the power
-table from them without a Python pass -- and :attr:`CAPResult.powers`
-stays the dict-row :class:`EdgeSet` view, built lazily, so the
-checker, the PRAM profile and every historical test compare against
-the same representation.
+A converged int64 run hands its leaf block out as CSR arrays
+(:attr:`CAPResult.leaf_csr`) -- the planner builds the power table
+from them without a Python pass -- and :attr:`CAPResult.powers` stays
+the dict-row :class:`EdgeSet` view, built lazily, so the checker, the
+PRAM profile and every historical test compare against the same
+representation.
 
-Deep graphs are the one shape doubling handles badly: each round
-copies every live prefix, so a chain of depth ``d`` costs ``O(n*d)``
-label work regardless of representation.  ``method="auto"`` therefore
-falls back to the sequential DP (:func:`count_paths_dp`) beyond
-:data:`DP_DEPTH_CUTOFF`; the reported ``iterations`` is the
+The level pass and the DP report as ``iterations`` the
 ``ceil(log2(depth))`` rounds the doubling schedule would have used
-(the plan-level quantity), while ``work_per_iteration`` is empty since
-no doubling rounds ran.
+(the plan-level quantity) and as ``edge_work`` the row entries they
+merged from finished final nodes; ``work_per_iteration`` is empty
+since no doubling rounds ran.
 
 Path counts only ever become exponents of an operator's atomic
 power, and an operator with a ``power_period`` ``p`` needs each
 exponent ``k`` only modulo ``p``.  An unbounded run given that
-``period`` therefore keeps its counts exact only while they fit int64
-(every matrix result does); once a count would leave int64 -- the
-Fibonacci-shaped DAGs, whose counts run to ``n * 0.7`` bits -- every
+``period`` therefore keeps its counts exact while they fit int64
+(every level-pass result does); once a count would leave int64 every
 count is returned as its :func:`residue` ``((k - 1) mod p) + 1``.  The
 DP reduces as it counts from that row on, so no Fibonacci-sized
-integer is ever built.  Bounded runs (``max_iterations`` / ``policy``)
-keep exact counts: their partial states are doubling-round states.
+integer is ever built.  Bounded runs keep exact counts: their partial
+states are doubling-round states.
 
 A memoized sequential DP (:func:`count_paths_dp`) provides independent
 ground truth for the tests, and :func:`cap_iterations` exposes the
@@ -102,11 +121,14 @@ __all__ = [
 
 EdgeSet = List[Dict[int, int]]  # per final node: {target: path count}
 
-#: ``method="auto"`` switches from path doubling to the sequential DP
-#: when the DAG is deeper than this: doubling work is O(n * depth) on
-#: chain-like graphs, so at production sizes (the Fig-5 workload at
-#: n >= 100k has depth n) the DP is the only feasible planner.
+#: Doubling work is O(n * depth) on chain-like graphs, so past this
+#: depth a caller that wants doubling-round accounting
+#: (:func:`repro.pram.vectorized.profile_gir`) asks for the DP instead.
 DP_DEPTH_CUTOFF = 4096
+
+#: The level pass serves graphs at most this deep: a count at level
+#: ``L`` is at most ``2^L``, so every count of such a graph fits int64.
+_LEVEL_MAX_DEPTH = 62
 
 #: Without SciPy, dense matrices are used only up to this many nodes
 #: (n + m); past it the pure-Python sparse rows take over.
@@ -152,24 +174,26 @@ class CAPResult:
     Attributes
     ----------
     iterations:
-        Number of path-doubling iterations executed (for
-        ``method="dp"``: the rounds the doubling schedule would need,
+        Number of path-doubling iterations executed (for the level
+        pass and the DP: the rounds the doubling schedule would need,
         ``ceil(log2(depth))``).
     edge_work:
         Total number of edge compositions performed across all
         iterations (the algorithm's work measure, consumed by the PRAM
-        cost accounting).
+        cost accounting); for the level pass and the DP, the row
+        entries merged from finished final nodes.
     work_per_iteration:
         Edge compositions per doubling iteration -- the per-superstep
         active counts the processor-bounded (Brent) accounting needs.
-        Empty when the DP ran instead of doubling rounds.
+        Empty when the level pass or the DP ran instead of doubling
+        rounds.
     leaf_csr:
-        When the matrix recurrence converged in int64: the leaf block
-        ``L`` as CSR arrays ``(row_ptr, cells, counts)`` -- int64 row
-        pointers, leaf cells strictly increasing per row, int64 path
-        counts.  ``None`` when the result was computed as dict rows
-        (dict doubling, the DP, an overflow promotion, a partial
-        state).
+        When the level pass ran or the matrix recurrence converged in
+        int64: the leaf block ``L`` as CSR arrays ``(row_ptr, cells,
+        counts)`` -- int64 row pointers, leaf cells strictly
+        increasing per row, int64 path counts.  ``None`` when the
+        result was computed as dict rows (dict doubling, the DP, an
+        overflow promotion, a partial state).
     period:
         When set, every count is its :func:`residue` modulo ``period``
         (an unbounded run given a period whose exact counts would
@@ -381,24 +405,6 @@ class _MatrixState:
         return edges
 
 
-def _choose_method(graph: DependenceGraph, bounded: bool) -> str:
-    """Pick the CAP backend for ``method="auto"``.
-
-    ``bounded`` solves (max_iterations / policy) always double, so the
-    partial-state and enforcer semantics stay exact; otherwise deep
-    graphs take the DP escape hatch and the matrix recurrence serves
-    the rest (scipy CSR, or dense numpy for small graphs without
-    scipy, or the pure-Python dict rows).
-    """
-    if not bounded and graph.depth() > DP_DEPTH_CUTOFF:
-        return "dp"
-    if _scipy_sparse() is not None:
-        return "matrix"
-    if graph.n + graph.m <= _DENSE_MAX_NODES:
-        return "matrix"
-    return "edges"
-
-
 def _reduce_rows(rows: EdgeSet, period: int) -> None:
     """Replace every count in ``rows`` by its :func:`residue`."""
     for row in rows:
@@ -407,12 +413,32 @@ def _reduce_rows(rows: EdgeSet, period: int) -> None:
                 row[leaf] = residue(x, period)
 
 
+def _rounds(depth: int) -> int:
+    """The ``ceil(log2(depth))`` rounds path doubling needs."""
+    return (depth - 1).bit_length() if depth > 1 else 0
+
+
+def _report(result: CAPResult, root) -> CAPResult:
+    """Record a level-pass or DP result on the root span and the
+    ``cap.iterations`` / ``cap.edge_work`` counters."""
+    if root is not None:
+        root.set_attribute("iterations", result.iterations)
+        root.set_attribute("edge_work", result.edge_work)
+    registry = get_registry()
+    if registry is not None:
+        registry.counter("cap.iterations").inc(result.iterations)
+        registry.counter("cap.edge_work").inc(result.edge_work)
+    return result
+
+
 def _dp_with_work(
     graph: DependenceGraph, period: Optional[int] = None
 ) -> "tuple[EdgeSet, int, Optional[int]]":
     """:func:`count_paths_dp` plus its composition count (one per
     leaf-count multiply-accumulate, the DP's work measure) and the
-    period its counts were reduced by (``None``: exact).
+    period its counts were reduced by (``None``: exact).  The same
+    loop records every node's level, so ``graph.depth()`` is cached
+    without a second scan.
 
     With a ``period``, the first row holding a count past int64 turns
     reduction on: that row and every later one are reduced as soon as
@@ -421,25 +447,31 @@ def _dp_with_work(
     n = graph.n
     tf, th = graph.target_f.tolist(), graph.target_h.tolist()
     counts: EdgeSet = [dict() for _ in range(n)]
+    level = [0] * n
     work = 0
     reduce_from = None
     for i in range(n):
         a, b = tf[i], th[i]
         acc: Dict[int, int] = {}
+        below = 0
         for t, mult in ((a, 2),) if a == b else ((a, 1), (b, 1)):
             if t >= n:
                 acc[t] = acc.get(t, 0) + mult
             else:
+                if level[t] > below:
+                    below = level[t]
                 row = counts[t]
                 work += len(row)
                 for leaf, x in row.items():
                     acc[leaf] = acc.get(leaf, 0) + mult * x
+        level[i] = below + 1
         if period is not None:
             if reduce_from is None and max(acc.values()) > _INT64_MAX:
                 reduce_from = i
             if reduce_from is not None:
                 _reduce_rows([acc], period)
         counts[i] = acc
+    graph._depth = max(level) if n else 0
     if reduce_from is None:
         return counts, work, None
     _reduce_rows(counts[:reduce_from], period)
@@ -447,22 +479,143 @@ def _dp_with_work(
 
 
 def _dp_result(graph: DependenceGraph, root, period: Optional[int]) -> CAPResult:
-    """CAP by the sequential DP, reporting the ``ceil(log2(depth))``
-    rounds the doubling schedule would have used (the plan-level
-    quantity) and no doubling rounds."""
+    """CAP by the sequential DP."""
     powers, work, period = _dp_with_work(graph, period)
-    depth = graph.depth()
-    iterations = (depth - 1).bit_length() if depth > 1 else 0
-    if root is not None:
-        root.set_attribute("iterations", iterations)
-        root.set_attribute("edge_work", work)
-    return CAPResult(
-        _rows=powers,
-        iterations=iterations,
-        edge_work=work,
-        work_per_iteration=[],
-        period=period,
+    return _report(
+        CAPResult(
+            _rows=powers,
+            iterations=_rounds(graph.depth()),
+            edge_work=work,
+            period=period,
+        ),
+        root,
     )
+
+
+def _node_levels(graph: DependenceGraph) -> Optional[np.ndarray]:
+    """Every final node's level -- the longest path from it to a leaf,
+    in edges -- as int8, or ``None`` when the graph is deeper than
+    :data:`_LEVEL_MAX_DEPTH`.
+
+    Relaxation: after sweep ``k`` every node holds ``min(level, k)``,
+    so the sweeps stop one past the depth.  A chain of single operands
+    longer than the limit is found first, by pointer jumping along
+    each operand (``log2`` of the limit gathers), so a deep chain-like
+    graph costs a few gathers, not the limit's worth of sweeps.  (A
+    graph whose ``node * m + cell`` merge keys could leave int64 is
+    also left to the DP.)"""
+    n = graph.n
+    limit = _LEVEL_MAX_DEPTH
+    if n * graph.m > _INT64_MAX:
+        return None
+    targets = [np.minimum(t, n) for t in (graph.target_f, graph.target_h)]
+    for t in targets:
+        # the 2^k-th ancestor along one operand; slot n is every leaf
+        up = np.append(t, n)
+        for _ in range((limit - 1).bit_length() if limit > 0 else 0):
+            up = up[up]
+        if np.any(up[:n] < n):
+            return None
+    level = np.zeros(n + 1, dtype=np.int8)
+    swept = np.empty(n, dtype=np.int8)
+    for _ in range(limit + 1):
+        np.maximum(level[targets[0]], level[targets[1]], out=swept)
+        swept += 1
+        if np.array_equal(swept, level[:n]):
+            graph._depth = int(swept.max()) if n else 0
+            return swept
+        level[:n] = swept
+    return None
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndarray:
+    """The indices ``starts[j] .. starts[j] + lengths[j] - 1``, all
+    ``j`` in order."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(total)
+
+
+def _level_pass(graph: DependenceGraph, level: np.ndarray) -> CAPResult:
+    """CAP bottom-up, one dependence level at a time.
+
+    Rows live in one growing buffer pair (``cells``, ``counts``); leaf
+    ``n + c`` is the row ``(c, 1)`` stored up front, so both operands
+    of a node are gathered alike.  A level's gathered entries form two
+    runs sorted by ``(node, cell)`` -- its ``f`` rows and its ``h``
+    rows -- so one stable sort merges them, and ``np.add.reduceat``
+    sums the entries of equal key.  A node whose operands coincide
+    gathers its row once, doubled, as the DP does, so ``edge_work``
+    (entries gathered from final-node rows) equals the DP's."""
+    n, m = graph.n, graph.m
+    tf, th = graph.target_f, graph.target_h
+    depth = graph.depth()
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[by_level], np.arange(1, depth + 2))
+    cells = np.empty(m + 4 * n, dtype=np.int64)
+    counts = np.empty_like(cells)
+    cells[:m] = np.arange(m)
+    counts[:m] = 1
+    used = m
+    start = np.empty(n + m, dtype=np.int64)
+    length = np.empty(n + m, dtype=np.int64)
+    start[n:] = np.arange(m)
+    length[n:] = 1
+    work = 0
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        nodes = by_level[lo:hi]
+        a, b = tf[nodes], th[nodes]
+        twice = a == b
+        h_rank = np.flatnonzero(~twice)
+        b = b[h_rank]
+        a_len, b_len = length[a], length[b]
+        work += int(a_len[a < n].sum()) + int(b_len[b < n].sum())
+        na, nb = int(a_len.sum()), int(b_len.sum())
+        keys = np.empty(na + nb, dtype=np.int64)
+        keys[:na] = np.repeat(np.arange(nodes.size), a_len)
+        keys[na:] = np.repeat(h_rank, b_len)
+        at = np.empty(na + nb, dtype=np.int64)
+        at[:na] = _ragged(start[a], a_len, na)
+        at[na:] = _ragged(start[b], b_len, nb)
+        keys *= m
+        keys += cells[at]
+        vals = counts[at]
+        if h_rank.size < nodes.size:
+            vals[:na] <<= np.repeat(twice, a_len)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        merged = np.add.reduceat(vals[order], first)
+        keys = keys[first]
+        rank = keys // m
+        row_len = np.bincount(rank, minlength=nodes.size)
+        end = used + merged.size
+        if end > cells.size:
+            cells = _grown(cells, used, end)
+            counts = _grown(counts, used, end)
+        np.subtract(keys, rank * m, out=cells[used:end])
+        counts[used:end] = merged
+        start[nodes] = used + np.cumsum(row_len) - row_len
+        length[nodes] = row_len
+        used = end
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(length[:n], out=row_ptr[1:])
+    at = _ragged(start[:n], length[:n], int(row_ptr[-1]))
+    return CAPResult(
+        iterations=_rounds(depth),
+        edge_work=work,
+        leaf_csr=(row_ptr, cells[at], counts[at]),
+    )
+
+
+def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf``'s first ``used`` entries in a buffer of at least
+    ``need``, doubling the capacity."""
+    out = np.empty(max(2 * buf.size, need), dtype=buf.dtype)
+    out[:used] = buf[:used]
+    return out
 
 
 def count_all_paths(
@@ -492,10 +645,11 @@ def count_all_paths(
     matrix recurrence -- scipy CSR, dense numpy, or pure-Python rows,
     in that order of preference), ``"edges"`` (the historical dict
     doubling), ``"dp"`` (sequential forward DP, no doubling rounds) or
-    ``"auto"``.  All three produce identical ``powers``; matrix and
-    edges also share iteration counts, work accounting, partial states
-    and policy behaviour exactly.  An unbounded ``"auto"`` run whose
-    counting matrix would overflow int64 finishes on the DP.
+    ``"auto"``.  All produce identical ``powers``; matrix and edges
+    also share iteration counts, work accounting, partial states and
+    policy behaviour exactly.  An unbounded ``"auto"`` run takes the
+    level pass on graphs of depth <= 62 and the DP on deeper ones; a
+    bounded one doubles on the matrix recurrence.
 
     ``period`` (an operator's ``power_period``) makes an unbounded run
     whose exact counts would leave int64 return every count as its
@@ -512,21 +666,21 @@ def count_all_paths(
     unbounded = max_iterations is None and policy is None
     if not unbounded:
         period = None  # partial states are exact doubling-round states
-    # Only the planner's own pick may trade the doubling rounds for
-    # the DP mid-run; an explicit method keeps its round accounting.
-    finish_on_dp = unbounded and method == "auto"
-    if method == "auto":
-        method = _choose_method(graph, bounded=not unbounded)
     enforcer = policy.enforcer("cap") if policy is not None else None
     tracer = get_tracer()
     registry = get_registry()
     with maybe_span(tracer, "cap.count_all_paths", n=graph.n) as root:
-        if method == "dp" and unbounded:
+        if unbounded and method == "auto":
+            level = _node_levels(graph)
+            if level is not None:
+                return _report(_level_pass(graph, level), root)
+            method = "dp"
+        if unbounded and method == "dp":
             return _dp_result(graph, root, period)
 
         state: Optional[_MatrixState] = None
         edges: Optional[EdgeSet] = None
-        if method in ("matrix", "dp"):
+        if method != "edges":
             # (a bounded "dp" request still has to double: partial
             # states and enforcer budgets are doubling-round notions)
             sparse_mod = _scipy_sparse()
@@ -550,12 +704,7 @@ def count_all_paths(
             if enforcer is not None and not enforcer.admit():
                 break
             if state is not None and state.overflow_risk():
-                if finish_on_dp:
-                    # Doubling dense big-int rows is quadratic; the DP
-                    # reaches the same counts in one linear pass.
-                    return _dp_result(graph, root, period)
-                # A bounded solve's partial states are doubling-round
-                # states: continue on exact Python ints.
+                # doubling-round states stay exact: go on in Python ints
                 edges = state.to_edge_set()
                 state = None
             with maybe_span(

@@ -110,10 +110,11 @@ class DependenceGraph:
         """Longest path (in edges) from any final node to a leaf.
 
         CAP converges in ``ceil(log2(depth))`` doubling iterations.
-        Computed once and cached: the planner's method choice, its span
-        attributes and the DP's iteration count all read the same
-        value.  One O(n) forward scan over the ``tolist()``ed targets
-        (operand targets are always earlier iterations or leaves).
+        Computed once and cached; CAP's level pass and DP fill the
+        cache as they run, so a plan's span attributes and iteration
+        count cost no extra scan.  Otherwise one O(n) forward scan over
+        the ``tolist()``ed targets (operand targets are always earlier
+        iterations or leaves).
         """
         if self._depth is None:
             n = self.n

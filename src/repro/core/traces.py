@@ -282,22 +282,27 @@ def leaf_counts(system: GIRSystem) -> List[Dict[int, int]]:
     truth the CAP path counter must reproduce (tested against it).
     Worst-case O(n * distinct-leaves) time/space; intended for
     verification, not for the production GIR path.
+
+    Each row starts as a C-level copy of its first operand's row; the
+    second operand's entries are added in one tight loop.
     """
     writer = _gir_writer(system)
-    counts: List[Dict[int, int]] = [dict() for _ in range(system.n)]
-
-    def add_operand(acc: Dict[int, int], cell: int, i: int) -> None:
-        kind, ref = _operand_ref(writer, cell, i)
-        if kind == "leaf":
-            acc[ref] = acc.get(ref, 0) + 1
+    n = system.n
+    idx = np.arange(n, dtype=np.int64)
+    # each operand as an earlier iteration i >= 0, or leaf c as -1 - c
+    refs = []
+    for cells in (np.asarray(system.f), np.asarray(system.h)):
+        w = writer[cells]
+        refs.append(np.where((w >= 0) & (w < idx), w, -1 - cells).tolist())
+    counts: List[Dict[int, int]] = [dict() for _ in range(n)]
+    for i, (a, b) in enumerate(zip(*refs)):
+        acc = dict(counts[a]) if a >= 0 else {-1 - a: 1}
+        get = acc.get
+        if b >= 0:
+            for c, k in counts[b].items():
+                acc[c] = get(c, 0) + k
         else:
-            for c, k in counts[ref].items():
-                acc[c] = acc.get(c, 0) + k
-
-    for i in range(system.n):
-        acc: Dict[int, int] = {}
-        add_operand(acc, int(system.f[i]), i)
-        add_operand(acc, int(system.h[i]), i)
+            acc[-1 - b] = get(-1 - b, 0) + 1
         counts[i] = acc
     return counts
 

@@ -120,19 +120,19 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
         graph = build_dependence_graph(work_system)
         if gsp is not None:
             gsp.set_attribute("edges", graph.edge_count())
-            gsp.set_attribute("depth", graph.depth())
     with maybe_span(tracer, "gir.cap") as csp:
         cap: CAPResult = count_all_paths(
             graph, policy=policy, period=problem.period
         )
-        if csp is not None:
+        if csp is not None:  # an unbounded CAP has cached the depth
+            csp.set_attribute("depth", graph.depth())
             csp.set_attribute("period", cap.period)
     # Leaf cells are always original cells (< m): renamed version
     # cells are written before any read, so only pristine cells appear
     # as initial-value leaves.  The table therefore indexes the
-    # original initial array.  A converged matrix CAP hands over its
-    # int64 CSR ``L`` as is; dict-row results are flattened.  Counts
-    # are residues modulo ``cap.period`` when it is set.
+    # original initial array.  The level pass (or a converged matrix
+    # CAP) hands over its int64 CSR ``L`` as is; dict-row results are
+    # flattened.  Counts are residues modulo ``cap.period`` when set.
     table = PowerTable.from_cap(cap, graph.n)
     return GIRPlan(
         fingerprint=problem.fingerprint(),

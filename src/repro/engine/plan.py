@@ -411,9 +411,9 @@ class PowerTable:
     :func:`repro.core.gir.evaluate_trace_powers` historically sorted
     into) and the power of each cell's initial value.  ``exponents``
     is always an array (see :func:`exponent_array`): int64 when every
-    path count fits -- a converged matrix CAP hands over its CSR ``L``
-    as is, no per-row dicts -- and an object array of exact Python
-    ints after an overflow promotion (path counts are
+    path count fits -- the level pass or a converged matrix CAP hands
+    over its CSR ``L`` as is, no per-row dicts -- and an object array
+    of exact Python ints after an overflow promotion (path counts are
     Fibonacci-sized).  Unless the operator it was planned for has a
     ``power_period`` ``p``: then a table whose counts would leave
     int64 stores each as its :func:`~repro.core.cap.residue` modulo
@@ -430,9 +430,6 @@ class PowerTable:
     #: the modulus the exponents are reduced by (``None``: exact counts)
     period: Optional[int] = None
     # lazily-built caches (not serialized, not compared)
-    _dicts: Optional[List[Dict[int, int]]] = field(
-        default=None, repr=False, compare=False
-    )
     _powered: Dict[Optional[int], Any] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -511,24 +508,12 @@ class PowerTable:
             zip(self.cells[lo:hi].tolist(), self.exponents[lo:hi].tolist())
         )
 
-    def row_dicts(self) -> List[Dict[int, int]]:
-        """The legacy per-row dict view (built once, cached)."""
-        if self._dicts is None:
-            ptr = self.row_ptr.tolist()
-            cells = self.cells.tolist()
-            exps = self.exponent_list()
-            self._dicts = [
-                dict(zip(cells[ptr[i] : ptr[i + 1]], exps[ptr[i] : ptr[i + 1]]))
-                for i in range(self.rows)
-            ]
-        return self._dicts
-
     @classmethod
     def from_cap(cls, cap, n: int) -> "PowerTable":
         """The table of a converged :class:`~repro.core.cap.CAPResult`
         over ``n`` final nodes (and its ``period``): its int64 CSR ``L``
-        as is when the matrix recurrence produced one, else its dict
-        rows flattened."""
+        as is when the level pass or the matrix recurrence produced
+        one, else its dict rows flattened."""
         if cap.leaf_csr is not None:
             row_ptr, cells, counts = cap.leaf_csr
             return cls(
@@ -556,11 +541,6 @@ class PowerTable:
             exponents=exponent_array(exponents),
             period=period,
         )
-
-    @classmethod
-    def from_tables(cls, tables: List[Dict[int, int]]) -> "PowerTable":
-        """Build from legacy cell-keyed per-row dicts (v1 payloads)."""
-        return cls.from_node_rows(tables, 0)
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -603,9 +583,6 @@ class GIRPlan:
     cell iteration ``i`` writes in the (possibly renamed) working
     system, and ``final_cell_of``, projecting the renamed array back
     onto the original cells (``None`` when no renaming happened).
-
-    ``tables`` (the v1 per-row dicts) remains available as a lazy
-    read-only view for the checker's oracle and historical callers.
     """
 
     fingerprint: str
@@ -619,13 +596,6 @@ class GIRPlan:
     cap_iterations: int = 0
     cap_edge_work: int = 0
     family: str = "gir"
-
-    @property
-    def tables(self) -> Optional[List[Dict[int, int]]]:
-        """Legacy v1 view: per-row ``{cell: power}`` dicts."""
-        if self.table is None:
-            return None
-        return self.table.row_dicts()
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -649,14 +619,6 @@ class GIRPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "GIRPlan":
-        table: Optional[PowerTable] = None
-        if payload.get("table") is not None:
-            table = PowerTable.from_payload(payload["table"])
-        elif payload.get("tables") is not None:
-            # v1 payload: per-row [(cell, power), ...] pair lists
-            table = PowerTable.from_tables(
-                [{int(c): int(x) for c, x in t} for t in payload["tables"]]
-            )
         return cls(
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
@@ -668,7 +630,9 @@ class GIRPlan:
             out_cells=None
             if payload["out_cells"] is None
             else np.asarray(payload["out_cells"], dtype=np.int64),
-            table=table,
+            table=None
+            if payload.get("table") is None
+            else PowerTable.from_payload(payload["table"]),
             final_cell_of=None
             if payload["final_cell_of"] is None
             else np.asarray(payload["final_cell_of"], dtype=np.int64),

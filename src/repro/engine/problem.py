@@ -143,6 +143,6 @@ class Problem:
         for arr in (self.g, self.f, self.h):
             hsh.update(b"|")
             if arr is not None:
-                hsh.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+                hsh.update(np.ascontiguousarray(arr, dtype=np.int64))
         self._fingerprint = hsh.hexdigest()
         return self._fingerprint

@@ -90,7 +90,7 @@ class TestTables:
     def test_planner_routes_to_dp_below_the_cutoff(self, system):
         matrix = solve(system, cache=PlanCache()).plan
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cap_module, "DP_DEPTH_CUTOFF", 0)
+            mp.setattr(cap_module, "_LEVEL_MAX_DEPTH", 0)
             dp = solve(system, cache=PlanCache()).plan
         if matrix.dispatch is not None:
             return

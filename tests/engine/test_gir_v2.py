@@ -2,11 +2,11 @@
 overflow.
 
 The array-backed CAP pipeline's integration surface: the flat CSR
-power table must round-trip through JSON (and migrate v1 payloads),
-the batched and per-row evaluators must agree with the sequential
-oracle bit-for-bit, ``solve_batch`` must sweep value vectors through
-one plan, and an unbounded CAP whose path counts outgrow int64 must
-finish on the sequential DP rather than doubling big-int dict rows.
+power table must round-trip through JSON, the batched and per-row
+evaluators must agree with the sequential oracle bit-for-bit,
+``solve_batch`` must sweep value vectors through one plan, and an
+unbounded CAP whose path counts outgrow int64 must run on the
+sequential DP rather than doubling big-int dict rows.
 """
 
 import json
@@ -79,23 +79,17 @@ class TestSerialization:
         replay = solve(system, plan=restored, cache=PlanCache())
         assert replay.values == run_gir(system)
 
-    def test_v1_payload_migrates(self):
-        # v1 serialized per-row [(cell, power), ...] pair lists under
-        # "tables"; from_dict must rebuild the flat CSR transparently.
-        system = leafy(40)
-        plan = cap_plan(system)
-        payload = plan_to_dict(plan)
+    def test_v1_payload_is_refused(self):
+        # v1 per-row "tables" are no longer read: the plan loads with
+        # no CAP artifacts and the checker refuses it (GIR005).
+        from repro.check import verify_plan
+
+        payload = plan_to_dict(cap_plan(leafy(40)))
+        payload["tables"] = [[[0, 1]]]
         del payload["table"]
-        payload["tables"] = [
-            sorted(d.items()) for d in plan.table.row_dicts()
-        ]
-        migrated = plan_from_dict(json.loads(json.dumps(payload)))
-        assert migrated.table is not None
-        assert (migrated.table.row_ptr == plan.table.row_ptr).all()
-        assert (migrated.table.cells == plan.table.cells).all()
-        assert migrated.table.exponent_list() == plan.table.exponent_list()
-        replay = solve(system, plan=migrated, cache=PlanCache())
-        assert replay.values == run_gir(system)
+        plan = plan_from_dict(json.loads(json.dumps(payload)))
+        assert plan.table is None
+        assert [f.code for f in verify_plan(plan).errors] == ["GIR005"]
 
     def test_exact_bigint_exponents_survive_json(self):
         # Fibonacci exponents at n=120 exceed int64; JSON carries exact
@@ -178,9 +172,9 @@ class TestSolveBatch:
 
 
 class TestOverflowFinishesOnDP:
-    """Fibonacci path counts leave int64 near depth 90, far below
-    ``DP_DEPTH_CUTOFF``: the matrix CAP detects the overflow and an
-    unbounded run finishes on the DP; a bounded one keeps doubling."""
+    """Fibonacci path counts leave int64 near depth 90: an unbounded
+    run is deeper than the level pass serves and runs on the DP; a
+    bounded matrix run keeps doubling, promoting to exact ints."""
 
     def test_unbounded_overflow_never_doubles_dict_rows(self, monkeypatch):
         def no_doubling(*_args):
@@ -202,6 +196,6 @@ class TestOverflowFinishesOnDP:
 
         monkeypatch.setattr(cap_module, "_doubling_step", counted)
         graph = build_dependence_graph(fibonacci_powers(200))
-        cap = count_all_paths(graph, max_iterations=64)
+        cap = count_all_paths(graph, max_iterations=64, method="matrix")
         assert calls
         assert cap.powers == count_paths_dp(graph)

@@ -109,7 +109,7 @@ class TestCAP:
     def test_iteration_spans_agree_with_result(self):
         graph = self.fib_graph(20)
         with obs.observed() as (tracer, registry):
-            result = count_all_paths(graph)
+            result = count_all_paths(graph, method="matrix")
         iterations = tracer.find("cap.iteration")
         assert len(iterations) == result.iterations
         assert [
@@ -122,7 +122,7 @@ class TestCAP:
     def test_root_attributes(self):
         graph = self.fib_graph(12)
         with obs.observed() as (tracer, _):
-            result = count_all_paths(graph)
+            result = count_all_paths(graph, method="matrix")
         (root,) = tracer.find("cap.count_all_paths")
         assert root.attributes["iterations"] == result.iterations
         assert root.attributes["edge_work"] == result.edge_work
