@@ -37,7 +37,7 @@ from ..errors import CyclicDependenceError
 from .equations import GIRSystem, IRValidationError
 from .traces import writer_map
 
-__all__ = ["DependenceGraph", "build_dependence_graph"]
+__all__ = ["DependenceGraph", "build_dependence_graph", "dependence_graph"]
 
 @dataclass
 class DependenceGraph:
@@ -232,6 +232,13 @@ def build_dependence_graph(system: GIRSystem) -> DependenceGraph:
             "dependence graph requires distinct g; apply "
             "normalize_non_distinct() first"
         )
+    return dependence_graph(system)
+
+
+def dependence_graph(system: GIRSystem) -> DependenceGraph:
+    """:func:`build_dependence_graph` without its checks, for a caller
+    that has validated ``system`` and tested ``g`` distinct itself (the
+    GIR planner does both once per plan)."""
     n, m = system.n, system.m
     writer = writer_map(system.g, m)
 

@@ -118,9 +118,16 @@ def _check_domain(arr: np.ndarray, m: int, name: str) -> None:
         raise IRValidationError(finding.message, findings=[finding])
 
 
-def _distinct(arr: np.ndarray) -> bool:
-    """True when no value repeats (a sort; NumPy 2's hash-based
-    ``np.unique`` is an order of magnitude slower on int64 maps)."""
+def _distinct(arr: np.ndarray, m: int) -> bool:
+    """True when no value repeats.  Values inside the domain ``[0, m)``
+    are counted with one ``np.bincount`` (O(n + m), and no larger than
+    the array the system already holds); a map that may be negative or
+    out of domain is sorted (NumPy 2's hash-based ``np.unique`` is an
+    order of magnitude slower on int64 maps)."""
+    if arr.size == 0:
+        return True
+    if arr.min() >= 0 and arr.max() < m:
+        return bool(np.bincount(arr).max() <= 1)
     s = np.sort(arr)
     return bool((s[1:] != s[:-1]).all())
 
@@ -226,7 +233,7 @@ class OrdinaryIRSystem(IRSystemBase):
 
     def g_is_distinct(self) -> bool:
         """True when no cell is assigned by two different iterations."""
-        return _distinct(self.g)
+        return _distinct(self.g, self.m)
 
     def first_duplicate_cell(self) -> Optional[int]:
         """The first cell assigned more than once, or ``None``."""
@@ -310,7 +317,7 @@ class GIRSystem(IRSystemBase):
         _check_domain(self.h, self.m, "h")
 
     def g_is_distinct(self) -> bool:
-        return _distinct(self.g)
+        return _distinct(self.g, self.m)
 
     def is_ordinary_shaped(self) -> bool:
         """True when ``h = g`` pointwise, i.e. the system is in the

@@ -62,7 +62,7 @@ from typing import List, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from ..resilience.guard import NumericGuard
-from .equations import IRValidationError, as_index_array
+from .equations import IRValidationError, _distinct, as_index_array
 from .operators import Operator
 
 __all__ = [
@@ -298,7 +298,7 @@ class RationalRecurrence:
         for arr, name in ((self.g, "g"), (self.f, "f")):
             if arr.size and (arr.min() < 0 or arr.max() >= self.m):
                 raise IRValidationError(f"{name} maps outside [0, {self.m})")
-        if self.n and int(np.bincount(self.g, minlength=self.m).max()) > 1:
+        if not _distinct(self.g, self.m):
             raise IRValidationError(
                 "Moebius recurrences require distinct g (each cell assigned "
                 "once); the self-term rewrite and the constant-map "
@@ -394,18 +394,55 @@ class FloatColumn(NamedTuple):
     only_float: bool
 
 
+def _exact_types(xs: Sequence[Number]) -> set:
+    """The set of ``xs``'s exact element types, in C-level passes: a
+    list of types, counted against its first entry (one identity
+    compare each) so a homogeneous column skips the set build."""
+    types = list(map(type, xs))
+    if types and types.count(types[0]) == len(types):
+        return {types[0]}
+    return set(types)
+
+
+def _exact_float64(arr: np.ndarray) -> Optional[np.ndarray]:
+    """``arr`` of ints (or ints promoted to floats) as float64, or
+    ``None`` when an entry is too large for float64 to hold exactly."""
+    if arr.size and float(np.abs(arr).max()) > _EXACT_INT:
+        return None
+    return arr.astype(np.float64, copy=False)
+
+
+def _int_column(xs: Union[list, tuple]) -> Optional[np.ndarray]:
+    """A non-empty list or tuple of exact ints as float64, or ``None``
+    when one is too large for float64 to hold exactly.  A constant
+    column (``c = [0]*n``, ``d = [1]*n``) is one C-level compare and a
+    fill; any other converts through int64, never by dtype discovery."""
+    n = len(xs)
+    x0 = xs[0]
+    if abs(x0) <= _EXACT_INT and xs.count(x0) == n:
+        return np.full(n, float(x0))
+    try:
+        arr = np.fromiter(xs, np.int64, n)
+    except OverflowError:  # beyond int64, so beyond 2**53
+        return None
+    return _exact_float64(arr)
+
+
 def _float_column(xs: Sequence[Number]) -> Optional[FloatColumn]:
     """``xs`` classified when every element is a plain int or float,
     else ``None`` (bools, Fractions, ...).
 
-    Classified by exact element type in one C-level pass -- dtype
+    Classified by exact element type in C-level passes -- dtype
     inference alone cannot, since ``np.asarray([True, 0.5])`` is
-    float64.  A numeric ndarray is classified by its dtype.
+    float64.  A numeric ndarray is classified by its dtype.  Columns
+    of exactly ``float``, and lists or tuples of exactly ``int``,
+    convert with no dtype discovery; every other mix goes through
+    ``np.asarray``.
     """
     if isinstance(xs, np.ndarray) and xs.dtype != object:
         types = {xs.dtype.type}
     else:
-        types = set(map(type, xs))
+        types = _exact_types(xs)
     has_float = has_int = False
     narrow = False  # float32 & co. compute in their own precision
     for t in types:
@@ -419,7 +456,9 @@ def _float_column(xs: Sequence[Number]) -> Optional[FloatColumn]:
         else:
             return None
     if types == {float}:  # Python floats are float64: no inference, no range test
-        return FloatColumn(np.array(xs, dtype=np.float64), True, True)
+        return FloatColumn(np.fromiter(xs, np.float64, len(xs)), True, True)
+    if types == {int} and isinstance(xs, (list, tuple)):
+        return FloatColumn(_int_column(xs), False, False)
     if narrow:
         return FloatColumn(None, has_float, False)
     try:
@@ -428,8 +467,8 @@ def _float_column(xs: Sequence[Number]) -> Optional[FloatColumn]:
         return FloatColumn(None, has_float, False)
     if arr.dtype.kind not in "iuf":
         return FloatColumn(None, has_float, False)
-    if has_int and arr.size and float(np.abs(arr).max()) > _EXACT_INT:
-        return FloatColumn(None, has_float, False)  # an int float64 may round
+    if has_int:  # an int float64 may round
+        return FloatColumn(_exact_float64(arr), has_float, False)
     return FloatColumn(arr.astype(np.float64, copy=False), has_float, False)
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..obs import get_tracer, maybe_span
 from ..core.cap import CAPResult, count_all_paths
-from ..core.depgraph import build_dependence_graph
+from ..core.depgraph import dependence_graph
 from ..core.equations import OrdinaryIRSystem, normalize_non_distinct
 from ..errors import PlanVerificationError, PolicyError
 from . import exec_ordinary
@@ -94,6 +94,8 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
 
     system.op.require_commutative()
     tracer = get_tracer()
+    # ``dispatches`` validated the system; ``g`` is tested distinct
+    # once here, and the (renamed) system's graph is built unchecked.
     renamed = not system.g_is_distinct()
     final_cell_of = None
     work_system = system
@@ -117,7 +119,7 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
         final_cell_of = norm.final_cell_of
 
     with maybe_span(tracer, "gir.build_graph") as gsp:
-        graph = build_dependence_graph(work_system)
+        graph = dependence_graph(work_system)
         if gsp is not None:
             gsp.set_attribute("edges", graph.edge_count())
     with maybe_span(tracer, "gir.cap") as csp:

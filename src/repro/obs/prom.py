@@ -26,12 +26,11 @@ Two transports:
 
 from __future__ import annotations
 
-import http.server
 import json
 import os
 import re
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from .metrics import MetricsRegistry
 
@@ -226,42 +225,38 @@ def load_snapshot_file(path: str) -> List[Dict[str, Any]]:
     return data
 
 
-class _MetricsHandler(http.server.BaseHTTPRequestHandler):
-    source: Callable[[], List[Dict[str, Any]]]
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path.split("?", 1)[0] not in ("/", "/metrics"):
-            self.send_error(404, "try /metrics")
-            return
-        try:
-            body = to_prometheus(type(self).source()).encode("utf-8")
-        except Exception as exc:  # surface scrape failures as 500s
-            self.send_error(500, str(exc))
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args: Any) -> None:  # quiet by default
-        pass
-
-
 def serve_http(
     source: Any,
     *,
     port: int = 0,
     host: str = "127.0.0.1",
-) -> http.server.ThreadingHTTPServer:
+) -> "http.server.ThreadingHTTPServer":
     """An HTTP server exposing ``GET /metrics`` for ``source`` (any
     :func:`write_prom_file`-style source).  Returned unstarted: call
     ``serve_forever()`` (the CLI does) or drive it from a thread in
     tests; ``server.server_address[1]`` is the bound port (useful with
-    ``port=0``)."""
-    handler = type(
-        "BoundMetricsHandler",
-        (_MetricsHandler,),
-        {"source": staticmethod(lambda: _resolve(source))},
-    )
-    return http.server.ThreadingHTTPServer((host, port), handler)
+    ``port=0``).  :mod:`http.server` (and with it ``email``, ``socket``
+    and ``ssl``) is imported here, so a process that only solves never
+    loads it."""
+    import http.server
+
+    class MetricsHandler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            if self.path.split("?", 1)[0] not in ("/", "/metrics"):
+                self.send_error(404, "try /metrics")
+                return
+            try:
+                body = to_prometheus(_resolve(source)).encode("utf-8")
+            except Exception as exc:  # surface scrape failures as 500s
+                self.send_error(500, str(exc))
+                return
+            self.send_response(200)
+            self.send_header("Content-Type", CONTENT_TYPE)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args: Any) -> None:  # quiet by default
+            pass
+
+    return http.server.ThreadingHTTPServer((host, port), MetricsHandler)

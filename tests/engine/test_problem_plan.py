@@ -92,6 +92,36 @@ class TestProblem:
             ).fingerprint()
         )
 
+    def test_fingerprint_contract(self):
+        """A 32-hex key, stable across fresh Problems, that changes
+        with one map entry, a flag or the GIR period."""
+        g, f, h = [1, 2, 3], [0, 1, 2], [0, 0, 1]
+
+        def key(**fields):
+            base = dict(family="gir", g=g, f=f, h=h, m=4, period=97)
+            base.update(fields)
+            for name in ("g", "f", "h"):
+                if base[name] is not None:
+                    base[name] = np.asarray(base[name], dtype=np.int64)
+            return Problem(**base).fingerprint()
+
+        fp = key()
+        assert len(fp) == 32 and int(fp, 16) >= 0
+        assert fp == key()
+        variants = [
+            key(g=[1, 2, 0]),
+            key(f=[0, 1, 1]),
+            key(h=[0, 0, 2]),
+            key(m=5),
+            key(allow_rename=False),
+            key(allow_ordinary_dispatch=False),
+            key(self_term=True),
+            key(period=None),
+            key(period=101),
+            key(family="ordinary", h=None),
+        ]
+        assert len({fp, *variants}) == len(variants) + 1
+
 
 class TestRoundSchedule:
     def test_chain_schedule_halves(self):

@@ -3,6 +3,9 @@ snapshot tooling (``obs top`` / ``obs diff``)."""
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import urllib.request
 
@@ -166,6 +169,43 @@ class TestHttpEndpoint:
         with pytest.raises(urllib.error.HTTPError) as info:
             self._get(server, "/nope")
         assert info.value.code == 404
+
+
+def test_default_solves_never_import_http_server():
+    """``http.server`` (and the ``email`` package it loads) is imported
+    by :func:`serve_http` alone: a fresh interpreter's default solves
+    of every family leave both unimported."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    code = textwrap.dedent(
+        """
+        import sys
+        from repro.core import FLOAT_ADD
+        from repro.core.moebius import AffineRecurrence
+        from repro.core.workloads import (
+            fibonacci_gir_system, random_gir_system, random_ordinary_system,
+            scatter_system,
+        )
+        from repro.engine import solve
+
+        solve(random_ordinary_system(64, seed=0, op=FLOAT_ADD))
+        solve(AffineRecurrence.build(
+            [0.5] * 65, range(1, 65), range(64), [0.5] * 64, [0.25] * 64))
+        solve(random_gir_system(64, extra_cells=64, seed=0))
+        solve(fibonacci_gir_system(300))
+        solve(scatter_system(200, 16, seed=2))
+        print(sorted(m for m in sys.modules if m in ("http.server", "email")))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestTop:
