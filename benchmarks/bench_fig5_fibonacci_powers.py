@@ -12,7 +12,7 @@ from repro.core import GIRSystem, modular_mul, run_gir
 from repro.core.cap import count_all_paths
 from repro.core.depgraph import build_dependence_graph
 from repro.core.traces import gir_trace_tree, render_tree
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 
 N = 40
 MOD = 10**9 + 7
@@ -34,7 +34,10 @@ def run_fig5(n=N):
     graph = build_dependence_graph(system)
     cap = count_all_paths(graph)
     powers = [cap.powers_by_cell(graph, i) for i in range(n)]
-    result = solve(system, collect_stats=True)
+    # the CAP pipeline: a default solve of a graph this shallow (depth
+    # 40) sweeps its dependence levels instead and runs no CAP
+    table = EngineOptions(backend_options={"gir_eval": "batched"})
+    result = solve(system, collect_stats=True, options=table)
     parallel, stats = result.values, result.stats
     sequential = run_gir(system)
     return system, powers, parallel, sequential, stats

@@ -12,10 +12,12 @@ file path):
 2. **Mutation rejection** -- :func:`repro.check.mutate.mutation_campaign`
    corrupts each ordinary schedule (round swaps, gather perturbations,
    dropped rounds, duplicated active ids, predecessor corruption,
-   truncation, chain-layout corruption) plus each GIR CAP
+   truncation, chain-layout corruption), each GIR level layout (level
+   order swaps, shifted level pointers, re-pointed operands, swapped
+   output cells -- the shallow GIR rows plan levels) and each GIR CAP
    power table (exponent perturbation, row-pointer truncation, cell
-   swaps, pointer-repaired leaf drift) -- exact int64 tables and a
-   DP-path Fibonacci table reduced by its period -- and the verifier must
+   swaps, pointer-repaired leaf drift -- the DP-path Fibonacci table
+   reduced by its period), and the verifier must
    reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
    exists because a mutation can, rarely, land on a semantically
    equivalent schedule; in practice rejection is 100%.
@@ -75,7 +77,8 @@ def build_matrix():
         ("ordinary/forest", forest_system([n // 2] + [8] * (n // 64))),
         ("moebius/random", moebius),
         ("gir/fibonacci", fibonacci_gir_system(GIR_N)),
-        # past int64 the counts finish on the DP, reduced by the period
+        # deeper than the level layout reaches: a CAP table, whose
+        # counts past int64 finish on the DP, reduced by the period
         ("gir/fibonacci-dp", fibonacci_gir_system(5 * GIR_N)),
         ("gir/double-chain", double_chain_gir_system(GIR_N)),
         ("gir/scatter", scatter_system(8 * GIR_N, 24, seed=5)),
@@ -172,8 +175,9 @@ def ordinary_schedule_of(family, plan):
 
 
 def gate_mutations(rows):
-    """Gate 2: campaign every ordinary schedule -- and every GIR CAP
-    power table against the system-backed oracle; count rejections."""
+    """Gate 2: campaign every ordinary schedule -- and every GIR level
+    layout or CAP power table against the system-backed oracle; count
+    rejections."""
     from repro.check import mutation_campaign, verify_plan
 
     total = rejected = 0
@@ -188,9 +192,9 @@ def gate_mutations(rows):
                     survivors.append((label, mut.kind, mut.description))
                 else:
                     rejected += 1
-        if family == "gir" and getattr(plan, "table", None) is not None:
-            # CAP-family plans: the v2 CSR mutation classes, verified
-            # against the dependence-graph oracle.
+        if family == "gir" and sched is None:
+            # GIR trace plans: the level-layout or v2 CSR mutation
+            # classes, verified against the system.
             for mut in mutation_campaign(plan, seeds=MUTATION_SEEDS):
                 total += 1
                 report = verify_plan(mut.plan, system=system)

@@ -34,6 +34,7 @@ from .findings import (
 )
 from .lint import lint_loop, lint_program, lint_source
 from .mutate import (
+    GIR_LEVEL_MUTATION_KINDS,
     GIR_MUTATION_KINDS,
     MUTATION_KINDS,
     Mutation,
@@ -91,6 +92,7 @@ __all__ = [
     "Mutation",
     "MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
+    "GIR_LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "mutate_plan",
     "mutation_campaign",

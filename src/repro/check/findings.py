@@ -66,6 +66,10 @@ FINDING_CODES: Dict[str, str] = {
     "GIR007": "power-table leaf counts drift from the dependence-graph totals",
     "GIR008": "sampled trace row disagrees with the exact leaf-count oracle",
     "GIR009": "power table reduced modulo a period other than the operator's",
+    "GIR010": "GIR level order is not a permutation of the iterations",
+    "GIR011": "GIR level pointers are not monotone or do not close",
+    "GIR012": "a GIR operand does not lie in an earlier level",
+    "GIR013": "GIR level graph or output cells disagree with the system",
     # -- precondition prover (PRE0xx) ----------------------------------
     "PRE001": "g index map is not injective (distinctness violated)",
     "PRE002": "index map leaves the array domain",

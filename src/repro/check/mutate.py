@@ -45,6 +45,24 @@ kind                       models                              caught by
 repairs every downstream row pointer, so the table stays structurally
 perfect and only the dependence-graph oracle can reject it.
 
+GIR level plans (``plan.levels`` set) get the level-layout classes;
+``gir_level_retarget`` and ``gir_level_swap_out_cells`` leave the
+layout structurally perfect, so only the system-backed GIR013 rule
+can reject them:
+
+============================  ===================================  ======
+kind                          models                               caught
+============================  ===================================  ======
+``gir_level_swap_order``      two iterations of different levels   GIR012
+                              swapped in the level order
+``gir_level_shift_ptr``       a level boundary moved by one: an    GIR012
+                              iteration joins its operand's level
+``gir_level_retarget``        an operand re-pointed at another     GIR013
+                              cell's initial value
+``gir_level_swap_out_cells``  two iterations' output cells         GIR013
+                              swapped
+============================  ===================================  ======
+
 All mutations are seeded and pure: the input plan is never modified.
 """
 
@@ -61,6 +79,7 @@ __all__ = [
     "MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
+    "GIR_LEVEL_MUTATION_KINDS",
     "Mutation",
     "mutate_plan",
     "mutation_campaign",
@@ -86,6 +105,13 @@ GIR_MUTATION_KINDS: Tuple[str, ...] = (
     "gir_truncate_rowptr",
     "gir_swap_cells",
     "gir_leaf_drift",
+)
+
+GIR_LEVEL_MUTATION_KINDS: Tuple[str, ...] = (
+    "gir_level_swap_order",
+    "gir_level_shift_ptr",
+    "gir_level_retarget",
+    "gir_level_swap_out_cells",
 )
 
 
@@ -221,39 +247,131 @@ def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
 
 
 def _clone_gir(plan: Any) -> Any:
-    from ..engine.plan import GIRPlan, PowerTable
+    """A deep copy of a GIR trace plan: its level layout and its
+    materialized power table (a lazy one stays unbuilt)."""
+    from ..engine.plan import GIRPlan, LevelLayout, PowerTable
 
-    table = plan.table
+    def copy(arr):
+        return None if arr is None else np.array(arr, dtype=np.int64, copy=True)
+
+    table = plan.table if plan.has_table else None
+    layout = plan.levels
     return GIRPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
         m=int(plan.m),
         renamed=bool(plan.renamed),
         dispatch=plan.dispatch,
-        out_cells=np.array(plan.out_cells, dtype=np.int64, copy=True),
-        table=PowerTable(
-            row_ptr=np.array(table.row_ptr, dtype=np.int64, copy=True),
-            cells=np.array(table.cells, dtype=np.int64, copy=True),
+        out_cells=copy(plan.out_cells),
+        table=None
+        if table is None
+        else PowerTable(
+            row_ptr=copy(table.row_ptr),
+            cells=copy(table.cells),
             exponents=table.exponents.copy(),
             period=table.period,
         ),
-        final_cell_of=(
-            None
-            if plan.final_cell_of is None
-            else np.array(plan.final_cell_of, dtype=np.int64, copy=True)
-        ),
+        final_cell_of=copy(plan.final_cell_of),
         cap_iterations=int(plan.cap_iterations),
         cap_edge_work=int(plan.cap_edge_work),
+        levels=None
+        if layout is None
+        else LevelLayout(
+            target_f=copy(layout.target_f),
+            target_h=copy(layout.target_h),
+            order=copy(layout.order),
+            level_ptr=copy(layout.level_ptr),
+        ),
     )
 
 
+def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
+    """The GIR level-layout mutation classes."""
+    layout = getattr(plan, "levels", None)
+    if layout is None:
+        return None
+    n, m = int(plan.n), int(plan.m)
+    ptr = layout.level_ptr.tolist()
+    levels = len(ptr) - 1
+
+    if kind == "gir_level_swap_order":
+        # a node of a later level now runs first: it has an operand
+        # in the level just below its own, hence not earlier than it
+        if levels < 2:
+            return None
+        lo_level = rng.randrange(levels - 1)
+        hi_level = rng.randrange(lo_level + 1, levels)
+        a = rng.randrange(ptr[lo_level], ptr[lo_level + 1])
+        b = rng.randrange(ptr[hi_level], ptr[hi_level + 1])
+        mutated = _clone_gir(plan)
+        order = mutated.levels.order
+        order[a], order[b] = int(order[b]), int(order[a])
+        return Mutation(
+            kind=kind,
+            description=f"level order entries {a} (level {lo_level + 1}) and "
+            f"{b} (level {hi_level + 1}) swapped",
+            plan=mutated,
+            data={"entries": (a, b)},
+        )
+
+    if kind == "gir_level_shift_ptr":
+        # the first node of a level joins the level below it, where
+        # one of its operands is computed
+        if levels < 2:
+            return None
+        k = rng.randrange(1, levels)
+        mutated = _clone_gir(plan)
+        mutated.levels.level_ptr[k] += 1
+        return Mutation(
+            kind=kind,
+            description=f"level pointer {k} moved up by one: iteration "
+            f"{int(layout.order[ptr[k]])} joins level {k}",
+            plan=mutated,
+            data={"pointer": k},
+        )
+
+    if kind == "gir_level_retarget":
+        if n == 0 or m < 2:
+            return None
+        i = rng.randrange(n)
+        old = int(layout.target_f[i])
+        cell = rng.randrange(m - 1)
+        cell += cell >= old - n  # any cell but the current leaf's
+        mutated = _clone_gir(plan)
+        mutated.levels.target_f[i] = n + cell
+        return Mutation(
+            kind=kind,
+            description=f"iteration {i}'s f operand re-pointed from node "
+            f"{old} to cell {cell}'s initial value",
+            plan=mutated,
+            data={"iteration": i},
+        )
+
+    if kind == "gir_level_swap_out_cells":
+        if n < 2:
+            return None
+        i, j = rng.sample(range(n), 2)
+        mutated = _clone_gir(plan)
+        cells = mutated.out_cells
+        cells[i], cells[j] = int(cells[j]), int(cells[i])
+        return Mutation(
+            kind=kind,
+            description=f"iterations {i} and {j} swap output cells",
+            plan=mutated,
+            data={"iterations": (i, j)},
+        )
+
+    raise ValueError(f"unknown mutation kind {kind!r}")
+
+
 def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
-    """The GIR power-table mutation classes (v2 CSR artifacts)."""
+    """The GIR power-table mutation classes (v2 CSR artifacts); a
+    level plan's table only once it is built."""
     from ..engine.plan import exponent_array
 
-    table = getattr(plan, "table", None)
-    if table is None:
+    if not getattr(plan, "has_table", False):
         return None
+    table = plan.table
     nnz = table.nnz
 
     if kind == "gir_perturb_exponent":
@@ -340,6 +458,8 @@ def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
     # zlib.crc32 rather than hash(): stable across processes
     # (str hashing is randomized by PYTHONHASHSEED).
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(kind.encode()))
+    if kind.startswith("gir_level_"):
+        return _mutate_levels(plan, kind, rng)
     if kind.startswith("gir_"):
         return _mutate_gir(plan, kind, rng)
     if kind.startswith("chain_"):
@@ -456,14 +576,17 @@ def mutation_campaign(
 ) -> List[Mutation]:
     """All applicable (kind, seed) mutations of ``plan``.
 
-    ``kinds`` defaults by plan family: GIR CAP plans (those carrying a
-    power table) get :data:`GIR_MUTATION_KINDS`; everything else gets
-    the schedule classes, plus :data:`CHAIN_MUTATION_KINDS`
-    on a chain plan.
+    ``kinds`` defaults by plan family: GIR trace plans get
+    :data:`GIR_LEVEL_MUTATION_KINDS` when they carry a level layout
+    and :data:`GIR_MUTATION_KINDS` when they carry a built power table;
+    everything else gets the schedule classes, plus
+    :data:`CHAIN_MUTATION_KINDS` on a chain plan.
     """
     if kinds is None:
-        if getattr(plan, "table", None) is not None:
-            kinds = GIR_MUTATION_KINDS
+        if getattr(plan, "family", None) == "gir":
+            kinds = (
+                GIR_LEVEL_MUTATION_KINDS if plan.levels is not None else ()
+            ) + (GIR_MUTATION_KINDS if plan.has_table else ())
         else:
             kinds = MUTATION_KINDS
             if getattr(plan, "chains", None) is not None:

@@ -42,6 +42,16 @@ folds exactly the sequential loop's operands, in its order.  The round
 rules above check a chain plan's round schedule only when the plan
 carries one: the consumers that run rounds build it lazily from the
 verified ``pred`` with the planner's own builder.
+
+A GIR level plan (``plan.levels``: the dependence graph with its
+iterations grouped by level) is proved the same way: the level order
+is a permutation of the iterations (GIR010), the level pointers are
+monotone and close at ``n`` (GIR011), every operand is an iteration
+in an earlier level or an original cell (GIR012, GIR002) and -- given
+the system -- the operand targets and output cells are the ones
+re-derived from it (GIR013).  Each level then folds exactly the
+loop's operands.  The power-table rules (GIR002-GIR009) check a level
+plan's table only once it is built.
 """
 
 from __future__ import annotations
@@ -459,12 +469,14 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
             )
         report.extend(sub)
         return
-    if plan.out_cells is None or plan.table is None:
+    layout = plan.levels
+    has_table = plan.has_table  # a level plan's lazy table: once built
+    if plan.out_cells is None or (layout is None and not has_table):
         report.add(
             error(
                 "GIR005",
-                "plan has neither a dispatch plan nor CAP artifacts "
-                "(out_cells/table)",
+                "plan has neither a dispatch plan nor trace artifacts "
+                "(out_cells and a level layout or power table)",
                 where="gir",
                 hint="rebuild the plan from the system",
             )
@@ -472,7 +484,7 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
         return
 
     out_cells = np.asarray(plan.out_cells, dtype=np.int64)
-    table = plan.table
+    table = plan.table if has_table else None
     work_m = m + n if plan.renamed else m
     report.ran(3)
     if out_cells.shape != (n,):
@@ -505,7 +517,9 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
             )
         )
         return
-    if not _verify_gir_csr(table, n, m, report):
+    if layout is not None and not _verify_gir_levels(layout, n, m, report):
+        return
+    if table is not None and not _verify_gir_csr(table, n, m, report):
         return
     if plan.final_cell_of is not None:
         report.ran()
@@ -530,8 +544,32 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
     # out of budget.
     if system is None or n == 0:
         return
+    from ..core.depgraph import build_dependence_graph
     from ..core.equations import normalize_non_distinct
 
+    work = system
+    if plan.renamed:
+        work = normalize_non_distinct(system).system
+    graph = None
+    report.ran()
+    if not np.array_equal(out_cells, work.g):
+        wrong = out_cells != work.g if work.n == n else np.ones(n, dtype=bool)
+        i = int(np.argmax(wrong))
+        report.add(
+            error(
+                "GIR013",
+                f"iteration {i} writes cell {int(out_cells[i])}, but the "
+                f"system's (working) g has {work.n} iterations and assigns "
+                f"{int(work.g[i]) if i < work.n else 'none'}",
+                where="gir",
+                data={"iteration": i},
+            )
+        )
+        return
+    if layout is not None:
+        graph = build_dependence_graph(work)
+        if not _verify_gir_targets(layout, graph, report) or table is None:
+            return
     period = table.period
     report.ran()
     if not table.serves(system.op.power_period):
@@ -547,9 +585,6 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
             )
         )
         return
-    work = system
-    if plan.renamed:
-        work = normalize_non_distinct(system).system
 
     if n <= GIR_ORACLE_MAX_N:
         from ..core.traces import leaf_counts
@@ -587,12 +622,143 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
         )
         return
 
-    from ..core.depgraph import build_dependence_graph
-
-    graph = build_dependence_graph(work)
+    if graph is None:
+        graph = build_dependence_graph(work)
     if not _verify_gir_totals(table, graph, report):
         return
     _verify_gir_sampled(table, graph, report)
+
+
+def _verify_gir_levels(layout: Any, n: int, m: int, report: CheckReport) -> bool:
+    """GIR010-GIR012: the level layout is a well-formed schedule.
+
+    The level order lists every iteration once (GIR010); the level
+    pointers rise monotonically from 0 and close at ``n`` (GIR011);
+    every operand target is an iteration or one of the ``m`` original
+    cells (GIR002), and an iteration operand lies in an earlier level
+    (GIR012), so each level reads only values final before it runs.
+    Returns False when a finding stops verification."""
+    order = np.asarray(layout.order, dtype=np.int64)
+    level_ptr = np.asarray(layout.level_ptr, dtype=np.int64)
+    targets = [
+        np.asarray(t, dtype=np.int64) for t in (layout.target_f, layout.target_h)
+    ]
+    loc = "gir levels"
+    report.ran(4)
+    if any(t.shape != (n,) for t in targets):
+        report.add(
+            error(
+                "SCH007",
+                f"level layout operand targets disagree with n={n}: "
+                f"{[t.shape for t in targets]}",
+                where=loc,
+            )
+        )
+        return False
+    seen = (
+        np.bincount(order, minlength=n)
+        if order.shape == (n,) and (n == 0 or (order.min() >= 0 and order.max() < n))
+        else None
+    )
+    if seen is None or (n and int(seen.max()) != 1):
+        it = None if seen is None else int(np.argmax(seen != 1))
+        report.add(
+            error(
+                "GIR010",
+                "the level order is not a permutation of the iterations"
+                + (
+                    ""
+                    if it is None
+                    else f": iteration {it} appears {int(seen[it])} times"
+                ),
+                where=loc,
+                data={} if it is None else {"iteration": it},
+            )
+        )
+        return False
+    if (
+        level_ptr.ndim != 1
+        or level_ptr.shape[0] < 1
+        or int(level_ptr[0]) != 0
+        or int(level_ptr[-1]) != n
+        or bool(np.any(np.diff(level_ptr) < 0))
+    ):
+        report.add(
+            error(
+                "GIR011",
+                "level pointers must rise monotonically from 0 to "
+                f"n={n} (got {level_ptr.tolist()[:8]})",
+                where=loc,
+            )
+        )
+        return False
+    for name, t in zip(("f", "h"), targets):
+        if n and (int(t.min()) < 0 or int(t.max()) >= n + m):
+            i = int(np.argmax((t < 0) | (t >= n + m)))
+            report.add(
+                error(
+                    "GIR002",
+                    f"iteration {i}'s {name} operand is node {int(t[i])}, "
+                    f"neither an iteration nor one of the {m} cells",
+                    where=loc,
+                    data={"iteration": i},
+                )
+            )
+            return False
+    level_of = np.zeros(n + m, dtype=np.int64)  # leaves: level 0
+    level_of[order] = np.repeat(
+        np.arange(1, level_ptr.shape[0], dtype=np.int64), np.diff(level_ptr)
+    )
+    own = level_of[:n]
+    for name, t in zip(("f", "h"), targets):
+        late = level_of[t] >= own
+        if bool(late.any()):
+            i = int(np.argmax(late))
+            report.add(
+                error(
+                    "GIR012",
+                    f"iteration {i} (level {int(own[i])}) reads its {name} "
+                    f"operand from iteration {int(t[i])} in level "
+                    f"{int(level_of[t[i]])}, not an earlier level: the "
+                    "operand is not final when its level runs",
+                    where=loc,
+                    data={"iteration": i},
+                )
+            )
+            return False
+    return True
+
+
+def _verify_gir_targets(layout: Any, graph: Any, report: CheckReport) -> bool:
+    """GIR013: the layout's operand targets are the dependence graph
+    re-derived from the system, so each level folds the loop's own
+    operands."""
+    report.ran()
+    for name, got, want in (
+        ("f", layout.target_f, graph.target_f),
+        ("h", layout.target_h, graph.target_h),
+    ):
+        if not np.array_equal(got, want):
+            i = int(np.argmax(np.asarray(got) != want))
+            report.add(
+                error(
+                    "GIR013",
+                    f"iteration {i}'s {name} operand is node {int(got[i])}, "
+                    f"but the system's dependence graph has {int(want[i])}",
+                    where="gir levels",
+                    data={"iteration": i},
+                )
+            )
+            return False
+    report.add(
+        info(
+            "IR000",
+            f"level layout matches the dependence graph on all {graph.n} "
+            "iterations",
+            where="gir",
+        )
+    )
+    return True
 
 
 def _as_stored(counts: Dict[int, int], period: Optional[int]) -> Dict[int, int]:

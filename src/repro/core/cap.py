@@ -37,9 +37,9 @@ and ``F_t = A^{2^t}`` exactly.
 Which algorithm runs
 --------------------
 
-An unbounded ``method="auto"`` run -- every plan the engine builds --
-never doubles.  It counts bottom-up in dependence order, the way the
-sequential DP does, but one whole dependence *level* at a time in
+An unbounded ``method="auto"`` run -- every power table the engine
+builds -- never doubles.  It counts bottom-up in dependence order, the
+way the sequential DP does, but one whole dependence *level* at a time in
 NumPy (:func:`_level_pass`): give every node its level (the longest
 path below it, leaves at 0), then for each level gather every node's
 two operand rows -- a finished final node contributes its row, a leaf
@@ -47,10 +47,12 @@ two operand rows -- a finished final node contributes its row, a leaf
 on ``node * m + cell`` keys.  Rows come out cell-sorted, so the result
 is :attr:`CAPResult.leaf_csr` directly.  A count at level ``L`` is at
 most ``2^L``, so graphs of depth <= :data:`_LEVEL_MAX_DEPTH` (62) never
-leave int64.  Deeper graphs go to the sequential DP
-(:func:`count_paths_dp`'s loop), which reduces by ``period`` as it
-counts; the Fibonacci-shaped DAGs, whose counts run to ``n * 0.7``
-bits, are the typical case.  Neither route imports SciPy.
+leave int64.  (A default engine solve of such a graph runs no CAP at
+all: it sweeps the same levels over values, see
+:class:`~repro.engine.plan.LevelLayout`.)  Deeper graphs go to the
+sequential DP (:func:`count_paths_dp`'s loop), which reduces by
+``period`` as it counts; the Fibonacci-shaped DAGs, whose counts run
+to ``n * 0.7`` bits, are the typical case.  Neither route imports SciPy.
 
 Doubling rounds are still what a caller gets from a bounded run
 (``max_iterations`` / ``policy``: partial states and enforcer budgets
@@ -115,6 +117,7 @@ __all__ = [
     "count_all_paths",
     "cap_iterations",
     "count_paths_dp",
+    "node_levels",
     "residue",
     "DP_DEPTH_CUTOFF",
 ]
@@ -492,7 +495,7 @@ def _dp_result(graph: DependenceGraph, root, period: Optional[int]) -> CAPResult
     )
 
 
-def _node_levels(graph: DependenceGraph) -> Optional[np.ndarray]:
+def node_levels(graph: DependenceGraph) -> Optional[np.ndarray]:
     """Every final node's level -- the longest path from it to a leaf,
     in edges -- as int8, or ``None`` when the graph is deeper than
     :data:`_LEVEL_MAX_DEPTH`.
@@ -671,7 +674,7 @@ def count_all_paths(
     registry = get_registry()
     with maybe_span(tracer, "cap.count_all_paths", n=graph.n) as root:
         if unbounded and method == "auto":
-            level = _node_levels(graph)
+            level = node_levels(graph)
             if level is not None:
                 return _report(_level_pass(graph, level), root)
             method = "dp"

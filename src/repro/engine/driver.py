@@ -14,7 +14,8 @@ therefore supply only *kernels* (a name-keyed table, see
   work-efficient kernels), run instead of ``ordinary`` / ``affine`` on
   a chain plan whenever no round budget asks for rounds (and, for
   ``chains``, the operator is a typed ufunc);
-* trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`).
+* trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`): the
+  level sweeps on a level plan, else power-table evaluation.
 
 This module owns, once, what every backend used to repeat: building a
 missing plan; value admission (:func:`~repro.engine.exec_ordinary.
@@ -104,9 +105,19 @@ def check(family: str, source, out, f_initial, sample: Optional[int]) -> None:
     differential_check(family, source, out, sample=sample, f_initial=f_initial)
 
 
-def _stats(plan, active: List[int]):
-    """The family's stats record for a solve that ran ``active``."""
+def _stats(plan, active: List[int], ran: str = ""):
+    """The family's stats record for a solve that ran ``active`` (GIR:
+    that ran strategy ``ran``)."""
     if isinstance(plan, GIRPlan):
+        if ran == "levels":  # one op per iteration, one sweep per level
+            return GIRSolveStats(
+                n=plan.n,
+                cap_iterations=0,
+                cap_edge_work=0,
+                combine_ops=plan.n,
+                reduction_depth=plan.levels.levels,
+                renamed=plan.renamed,
+            )
         if plan.dispatch is not None:
             inner = _stats(plan.dispatch, active)
             return GIRSolveStats(
@@ -220,35 +231,45 @@ def _object(make, job: Job, enforcer, label: str, ran: str):
     return values, active
 
 
-def _traces(make, job: Job, problem, label: str, ran: str):
-    """GIR trace evaluation, planning the CAP pipeline first when no
-    plan is held.  Returns ``(row values, typed initial array or None,
-    plan)``."""
+def _traces(make, job: Job, problem, label: str):
+    """GIR evaluation, planning first when no plan is held.  Returns
+    ``(row values, typed initial array or None, plan, strategy)``: the
+    strategy is ``levels`` when the level sweeps ran, else ``traces``."""
     tracer, registry = get_tracer(), get_registry()
     system = job.source
     system.op.require_commutative()
-    with maybe_span(
-        tracer, "solver.gir", engine=label, n=system.n, strategy=ran
-    ) as root:
+    kernel = make(job)
+    with maybe_span(tracer, "solver.gir", engine=label, n=system.n) as root:
         if job.sched is None:
-            job.sched = exec_gir.build_plan(system, problem, policy=job.policy)
+            job.sched = exec_gir.build_plan(
+                system, problem, policy=job.policy, table=kernel.wants_table
+            )
         exec_gir.check_period(job.sched, system.op)
-        plan, table = job.sched, job.sched.table
-        power_ops, combine_ops = table.power_entry_count, table.nnz - table.rows
+        plan = job.sched
         with maybe_span(tracer, "gir.evaluate") as esp:
-            values, base, mode = make(job).evaluate()
+            values, base, mode = kernel.evaluate()
+            ran = "levels" if mode == "levels" else "traces"
+            if ran == "levels":
+                power_ops = combine_ops = 0  # the table's work, not run
+                attrs = {"levels": plan.levels.levels}
+            else:
+                table = plan.table
+                power_ops = table.power_entry_count
+                combine_ops = table.nnz - table.rows
+                attrs = {"power_ops": power_ops, "combine_ops": combine_ops}
             if esp is not None:
-                esp.set_attribute("power_ops", power_ops)
-                esp.set_attribute("combine_ops", combine_ops)
+                for key, value in attrs.items():
+                    esp.set_attribute(key, value)
                 esp.set_attribute("mode", mode)
         if root is not None:
+            root.set_attribute("strategy", ran)
             root.set_attribute("cap_iterations", plan.cap_iterations)
             root.set_attribute("renamed", plan.renamed)
         if registry is not None:
             registry.counter("solver.solves", engine="gir").inc()
             registry.counter("gir.power_ops").inc(power_ops)
             registry.counter("gir.combine_ops").inc(combine_ops)
-    return values, base, plan
+    return values, base, plan, ran
 
 
 def _schedule(plan):
@@ -384,8 +405,9 @@ _CHAIN_SCANS = {"ordinary": "chains", "affine": "affine_chains"}
 
 def strategy(kind: str) -> str:
     """The strategy a kernel kind runs: ``chains`` (chain scans),
-    ``traces`` (GIR power-table evaluation) or ``rounds`` (pointer
-    jumping, every other kernel)."""
+    ``traces`` (GIR evaluation; the solve reports ``levels`` instead
+    when the level sweeps ran) or ``rounds`` (pointer jumping, every
+    other kernel)."""
     if kind in _CHAIN_SCANS.values():
         return "chains"
     return "traces" if kind == "gir" else "rounds"
@@ -448,7 +470,9 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
     if (
         kind in ("ordinary", "chains")
         and make is not exec_ordinary.PythonRounds
-        and exec_ordinary.may_wrap(op, _schedule(plan), typed, ftyped)
+        and exec_ordinary.may_wrap(
+            op, _schedule(plan).trace_bound, typed, ftyped
+        )
     ):
         # The integer result could wrap: run the object-dtype rounds
         # over Python ints instead, exact like the sequential loop.
@@ -480,7 +504,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
     base = cells = None
     active: List[int] = []
     if kind == "gir":
-        solved, base, plan = _traces(make, job, problem, label, ran)
+        solved, base, plan, ran = _traces(make, job, problem, label)
     elif kind == "object":
         solved, active = _object(make, job, enforcer, label, ran)
     else:
@@ -488,7 +512,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
         kernel, active = _replay(span, make, job, enforcer, label, ran)
         solved, base = kernel.solved(), getattr(kernel, "base", None)
         cells = getattr(kernel, "cells", None)
-    stats = _stats(plan, active) if request.collect_stats else None
+    stats = _stats(plan, active, ran) if request.collect_stats else None
 
     def instance(r):
         if not batch:

@@ -1,16 +1,26 @@
-"""GIR plans and trace-evaluation kernels: plan the dependence-DAG/CAP
-pipeline once, evaluate trace power tables per solve.
+"""GIR plans and trace-evaluation kernels: plan the dependence DAG once,
+evaluate each initial-value vector per solve.
 
-The value-independent artifacts -- renaming, the dependence graph, the
-CAP path counts flattened into the CSR-style
-:class:`~repro.engine.plan.PowerTable` -- live in the
+The value-independent artifacts -- renaming, the dependence graph and
+one evaluation layout -- live in the
 :class:`~repro.engine.plan.GIRPlan`; re-solving a system with the same
 maps (different initial values, different commutative operator) skips
-straight to trace evaluation.  Ordinary-shaped systems carry a nested
+straight to evaluation.  Ordinary-shaped systems carry a nested
 :class:`OrdinaryPlan` that the driver replays through the backend's
 ordinary round kernel instead.
 
-Trace evaluation has two modes:
+The planner picks the layout from the graph's depth alone.  A graph at
+most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep gets a
+:class:`~repro.engine.plan.LevelLayout` and no CAP run: the ``levels``
+kernel computes every iteration with one gather + ``op.vector_fn`` +
+store per dependence level, ``O(n)`` work folding exactly the loop's
+operands, so results are bit-identical to ``run_gir``, floats
+included.  It runs for a default (``gir_eval="auto"``) NumPy solve
+without a policy whose operator and values it can prove exact
+(:func:`level_exact`).  A deeper graph, a policy, an explicit
+``gir_eval`` or the pure-Python backend gets the CAP power table --
+built at plan time, or on a level plan lazily on first use -- and
+trace evaluation has two modes:
 
 * ``"batched"`` -- for operators with a picklable ``vector_power``
   (and exponents that fit or reduce into int64): entries
@@ -42,18 +52,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_tracer, maybe_span
-from ..core.cap import CAPResult, count_all_paths
+from ..core.cap import CAPResult, count_all_paths, node_levels
 from ..core.depgraph import dependence_graph
 from ..core.equations import OrdinaryIRSystem, normalize_non_distinct
 from ..errors import PlanVerificationError, PolicyError
 from . import exec_ordinary
-from .plan import GIRPlan, PowerTable
+from .plan import GIRPlan, LevelLayout, PowerTable
 
 __all__ = [
     "build_plan",
     "check_period",
     "dispatches",
     "combine_rows",
+    "level_exact",
     "TraceEvaluator",
     "RowTraceEvaluator",
 ]
@@ -74,12 +85,17 @@ def dispatches(system, problem, plan: Optional[GIRPlan]) -> bool:
     )
 
 
-def build_plan(system, problem, *, policy=None) -> GIRPlan:
-    """Build the value-independent GIR plan (dispatch or CAP pipeline).
+def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
+    """Build the value-independent GIR plan: a dispatch plan, a level
+    layout, or the CAP power table.
 
-    Shared by every backend and the CLI; emits the ``gir.normalize`` /
-    ``gir.build_graph`` / ``gir.cap`` phase spans (nested under
-    whatever span the caller holds open).
+    An unbounded plan (no ``policy``) whose dependence graph is at most
+    :data:`~repro.core.cap._LEVEL_MAX_DEPTH` deep is a level plan
+    unless ``table`` asks for the power table up front (a consumer
+    that evaluates it).  Shared by every backend and the CLI;
+    emits the ``gir.normalize`` / ``gir.build_graph`` / ``gir.levels``
+    / ``gir.cap`` phase spans (nested under whatever span the caller
+    holds open).
     """
     if dispatches(system, problem, None):
         ordinary = OrdinaryIRSystem(
@@ -122,9 +138,32 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
         graph = dependence_graph(work_system)
         if gsp is not None:
             gsp.set_attribute("edges", graph.edge_count())
+    level = None
+    levels = not table and policy is None
+    if levels:
+        with maybe_span(tracer, "gir.levels") as lsp:
+            level = node_levels(graph)
+            if lsp is not None:
+                depth = None if level is None else graph.depth()
+                lsp.set_attribute("depth", depth)
+    if level is not None:
+        return GIRPlan(
+            fingerprint=problem.fingerprint(),
+            n=system.n,
+            m=system.m,
+            renamed=renamed,
+            out_cells=work_system.g,
+            final_cell_of=final_cell_of,
+            levels=LevelLayout.from_levels(graph, level),
+        )
     with maybe_span(tracer, "gir.cap") as csp:
         cap: CAPResult = count_all_paths(
-            graph, policy=policy, period=problem.period
+            graph,
+            policy=policy,
+            period=problem.period,
+            # a graph found too deep for the level pass: what "auto"
+            # would pick after finding that again
+            method="dp" if levels else "auto",
         )
         if csp is not None:  # an unbounded CAP has cached the depth
             csp.set_attribute("depth", graph.depth())
@@ -152,8 +191,9 @@ def build_plan(system, problem, *, policy=None) -> GIRPlan:
 def check_period(plan: GIRPlan, op) -> None:
     """Refuse a power table reduced modulo a period other than ``op``'s:
     its exponents would power to wrong values.  A table of exact counts
-    serves any operator."""
-    table = plan.table
+    serves any operator, and so does a level plan, whose lazily built
+    table is always exact."""
+    table = plan.table if plan.has_table else None
     if table is not None and not table.serves(op.power_period):
         raise PlanVerificationError(
             f"GIR009: the plan's power table counts paths modulo "
@@ -182,8 +222,8 @@ def combine_rows(row_ptr: np.ndarray, factors: np.ndarray, vector_fn) -> np.ndar
         raise ValueError("empty trace: cell was never assigned")
     out = np.empty(lengths.size, dtype=factors.dtype)
     starts = row_ptr[:-1]
-    for width in np.unique(lengths):
-        width = int(width)
+    # the distinct widths, ascending (a bincount: no hash-based unique)
+    for width in np.flatnonzero(np.bincount(lengths)).tolist():
         idx = np.nonzero(lengths == width)[0]
         base = starts[idx]
         cols = [factors[base + j] for j in range(width)]
@@ -197,6 +237,53 @@ def combine_rows(row_ptr: np.ndarray, factors: np.ndarray, vector_fn) -> np.ndar
             cols = nxt
         out[idx] = cols[0]
     return out
+
+
+#: Ufuncs whose float64 / int64 results equal the loop's Python
+#: arithmetic on the same values (while an int64 result cannot wrap).
+_EXACT_UFUNCS = (np.add, np.multiply, np.minimum, np.maximum)
+
+
+def level_exact(op, typed: Optional[np.ndarray], levels: int) -> bool:
+    """Whether sweeping ``op.vector_fn`` over the admitted initial
+    values ``typed`` for ``levels`` dependence levels computes exactly
+    what the loop's ``op.fn`` does.
+
+    A modular operator needs its values inside the domain its vector
+    power checks (``[0, m)``: its int64 kernels cannot wrap there, and
+    results stay there).  A stock ufunc is exact on float64, and on
+    int64 while no result can wrap: an iteration at level ``L`` folds
+    at most ``2**L`` initial values
+    (:func:`~repro.engine.exec_ordinary.may_wrap`).  Anything else --
+    object values, other dtypes, other vector functions -- is left to
+    the power table."""
+    if typed is None or typed.ndim != 1 or op.vector_fn is None:
+        return False
+    domain_check = getattr(op.vector_power, "domain_check", None)
+    if domain_check is not None:
+        return bool(domain_check(typed))
+    if op.vector_fn not in _EXACT_UFUNCS:
+        return False
+    if typed.dtype not in (np.float64, np.int64):
+        return False
+    return not exec_ordinary.may_wrap(op, 2**levels, typed)
+
+
+def _evaluate_levels(layout: LevelLayout, typed: np.ndarray, fn) -> np.ndarray:
+    """Every iteration's value, one dependence level at a time over an
+    ``(n + m)`` buffer: slot ``i`` is iteration ``i``'s result, slot
+    ``n + c`` cell ``c``'s initial value -- the graph's node ids."""
+    n = layout.order.shape[0]
+    vals = np.empty(n + typed.shape[0], dtype=typed.dtype)
+    vals[n:] = typed
+    tf, th, order = layout.target_f, layout.target_h, layout.order
+    ptr = layout.level_ptr.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow saturates to +/-inf, as Python floats do in the loop
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            nodes = order[lo:hi]
+            vals[nodes] = fn(vals[tf[nodes]], vals[th[nodes]])
+    return vals[:n]
 
 
 def _typed_eval_setup(plan: GIRPlan, initial: Sequence[Any], op, typed=None):
@@ -283,14 +370,18 @@ def _evaluate_rows(
 
 
 class TraceEvaluator:
-    """In-process GIR kernel: evaluates one initial-value vector's
-    traces, ``gir_eval="auto"`` resolving to ``prefer``."""
+    """In-process GIR kernel: evaluates one initial-value vector,
+    ``gir_eval="auto"`` resolving to the ``levels`` kernel on a level
+    plan when it is exact (and no policy bounds the solve), else to
+    ``prefer``."""
 
     label = "numpy"
     prefer = "batched"
+    #: whether ``auto`` may sweep a level plan's levels
+    sweeps_levels = True
 
     def __init__(self, job):
-        self.plan, self.system, self.typed = job.sched, job.source, job.typed
+        self.job = job
         self.mode = job.options.get("gir_eval", "auto")
         if self.mode not in _EVAL_MODES:
             raise ValueError(
@@ -298,12 +389,30 @@ class TraceEvaluator:
                 f"{_EVAL_MODES}"
             )
 
+    @property
+    def wants_table(self) -> bool:
+        """Whether this solve evaluates the power table whatever the
+        plan's layout: an explicit ``gir_eval``, a backend that does
+        not sweep levels, or a policy."""
+        return not (
+            self.mode == "auto" and self.sweeps_levels and self.job.policy is None
+        )
+
     def evaluate(self) -> Tuple[Any, Optional[np.ndarray], str]:
         """``(row values, typed initial array or None, mode used)``."""
-        plan, initial, op = self.plan, self.system.initial, self.system.op
+        job = self.job
+        plan, initial, op = job.sched, job.source.initial, job.source.op
+        layout = plan.levels
+        if (
+            not self.wants_table
+            and layout is not None
+            and level_exact(op, job.typed, layout.levels)
+        ):
+            values = _evaluate_levels(layout, job.typed, op.vector_fn)
+            return values, job.typed, "levels"
         mode = self.prefer if self.mode == "auto" else self.mode
         if mode == "batched":
-            setup = _typed_eval_setup(plan, initial, op, self.typed)
+            setup = _typed_eval_setup(plan, initial, op, job.typed)
             if setup is not None:
                 return _evaluate_batched(plan, setup, op), setup[0], mode
         return _evaluate_rows(plan, initial, op), None, "rows"
@@ -314,3 +423,4 @@ class RowTraceEvaluator(TraceEvaluator):
 
     label = "python"
     prefer = "rows"
+    sweeps_levels = False

@@ -213,15 +213,17 @@ def _admit_cast(values: Any, op) -> Optional[np.ndarray]:
         return None
 
 
-def may_wrap(op, plan: OrdinaryPlan, typed, ftyped) -> bool:
+def may_wrap(op, bound: int, typed, ftyped=None) -> bool:
     """Whether an integer ``add`` / ``multiply`` solve could leave its
     dtype: the typed kernels would wrap silently where the sequential
     loop computes exact Python ints.
 
-    Value-independent ``L = plan.trace_bound`` operands fold into any
-    one result, so with ``t`` the largest magnitude among the admitted
-    values a sum stays below ``t * L`` and a product below ``t ** L``.
-    One ``max`` / ``min`` reduction per admitted array.
+    At most ``bound`` operands fold into any one result -- a
+    value-independent bound, such as an ordinary plan's
+    :attr:`~repro.engine.plan.OrdinaryPlan.trace_bound` -- so with
+    ``t`` the largest magnitude among the admitted values a sum stays
+    below ``t * bound`` and a product below ``t ** bound``.  One
+    ``max`` / ``min`` reduction per admitted array.
     """
     if typed is None or typed.dtype.kind != "i" or typed.size == 0:
         return False
@@ -233,7 +235,6 @@ def may_wrap(op, plan: OrdinaryPlan, typed, ftyped) -> bool:
         if arr is not None and arr.size:
             top = max(top, int(arr.max()), -int(arr.min()))
     limit = int(np.iinfo(typed.dtype).max) + 1
-    bound = plan.trace_bound
     if add:
         return top * bound >= limit
     return top >= 2 and (bound >= limit.bit_length() or top**bound >= limit)

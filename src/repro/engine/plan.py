@@ -15,13 +15,17 @@ value-dependent work:
   bytes; one gather + ``op`` + scatter per round).  A chain plan
   builds the round schedule lazily, only for a consumer that runs
   rounds.
-* :class:`GIRPlan` -- the (possibly renamed) output cells, the CAP
+* :class:`GIRPlan` -- the (possibly renamed) output cells, the
+  projection map back onto the original cells and ONE evaluation
+  layout: a :class:`LevelLayout` (the dependence graph's operand
+  targets plus its final nodes grouped by dependence level, ``O(n)``
+  bytes; each level is one gather + ``op`` + store) when the graph is
+  at most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep, else the CAP
   power table of every iteration's trace as a flat CSR-style
-  :class:`PowerTable` (row-ptr / cell-id / exponent arrays, v2), the
-  projection map back onto the original cells, and -- for ordinary-
-  shaped systems -- a nested :class:`OrdinaryPlan` for the cheap
-  dispatch path.  The historical per-row dict ``tables`` survive as a
-  lazily-built read-only view; v1 payloads still deserialize.
+  :class:`PowerTable` (row-ptr / cell-id / exponent arrays, v2).  A
+  level plan builds its power table lazily, only for a consumer that
+  evaluates traces.  Ordinary-shaped systems carry a nested
+  :class:`OrdinaryPlan` for the cheap dispatch path instead.
 * :class:`MoebiusPlan` -- an :class:`OrdinaryPlan` over ``(g, f)``
   shared by every Moebius execution path (object, affine, rational):
   the pointer-jumping structure is the same regardless of how the
@@ -39,12 +43,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.cap import residue
+from ..core.cap import count_all_paths, residue
+from ..core.depgraph import DependenceGraph
+from ..obs import get_tracer, maybe_span
 
 __all__ = [
     "OrdinaryPlan",
     "ChainLayout",
     "GIRPlan",
+    "LevelLayout",
     "MoebiusPlan",
     "PowerTable",
     "Plan",
@@ -572,17 +579,93 @@ def _reduce(exps: np.ndarray, period: Optional[int]) -> Optional[np.ndarray]:
 
 
 @dataclass
+class LevelLayout:
+    """The level strategy's GIR plan: the dependence graph and its final
+    nodes grouped by dependence level.
+
+    ``target_f[i]`` / ``target_h[i]`` are the nodes iteration ``i``'s
+    operands resolve to (:class:`~repro.core.depgraph.DependenceGraph`
+    encoding: an earlier iteration ``j < n``, or ``n + c`` for cell
+    ``c``'s initial value).  ``order[level_ptr[l]:level_ptr[l + 1]]``
+    are the iterations at level ``l + 1`` -- the longest path below
+    them -- so every operand of a level lies in an earlier level (or
+    is a leaf), and one gather + ``op`` + store per level computes each
+    iteration's value from exactly the loop's operands.
+    """
+
+    target_f: np.ndarray  # (n,) int64 operand node ids
+    target_h: np.ndarray  # (n,) int64
+    order: np.ndarray  # (n,) int64 permutation of the iterations
+    level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. n
+
+    @property
+    def levels(self) -> int:
+        return int(self.level_ptr.shape[0]) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            int(a.nbytes)
+            for a in (self.target_f, self.target_h, self.order, self.level_ptr)
+        )
+
+    @classmethod
+    def from_levels(
+        cls, graph: DependenceGraph, level: np.ndarray
+    ) -> "LevelLayout":
+        """Group ``graph``'s final nodes by ``level`` (each node's level,
+        ``1 .. depth``, as :func:`~repro.core.cap.node_levels` gives it)."""
+        counts = np.bincount(level, minlength=1)[1:]
+        level_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=level_ptr[1:])
+        return cls(
+            target_f=graph.target_f,
+            target_h=graph.target_h,
+            order=np.argsort(level, kind="stable").astype(np.int64, copy=False),
+            level_ptr=level_ptr,
+        )
+
+    def graph(self, n: int, m: int) -> DependenceGraph:
+        """The dependence graph over ``n`` final nodes and ``m`` cells."""
+        return DependenceGraph(
+            n=n, m=m, target_f=self.target_f, target_h=self.target_h
+        )
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            "target_f": self.target_f.tolist(),
+            "target_h": self.target_h.tolist(),
+            "order": self.order.tolist(),
+            "level_ptr": self.level_ptr.tolist(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "LevelLayout":
+        return cls(
+            **{
+                key: np.asarray(payload[key], dtype=np.int64)
+                for key in ("target_f", "target_h", "order", "level_ptr")
+            }
+        )
+
+
+@dataclass
 class GIRPlan:
     """Plan of a GIR solve (schema v2: array-backed power table).
 
     Either ``dispatch`` is set (ordinary-shaped system: the nested
     :class:`OrdinaryPlan` runs instead of the CAP pipeline), or the
-    CAP artifacts are: ``table`` -- the flat :class:`PowerTable` whose
+    trace artifacts are: ``out_cells[i]``, the cell iteration ``i``
+    writes in the (possibly renamed) working system; ``final_cell_of``,
+    projecting the renamed array back onto the original cells
+    (``None`` when no renaming happened); and an evaluation layout.
+    That is ``levels`` (a :class:`LevelLayout`) on a graph the planner
+    found shallow, else ``table`` -- the flat :class:`PowerTable` whose
     row ``i`` maps leaf cells (< original ``m``) to the power of their
-    initial value in iteration ``i``'s trace -- ``out_cells[i]``, the
-    cell iteration ``i`` writes in the (possibly renamed) working
-    system, and ``final_cell_of``, projecting the renamed array back
-    onto the original cells (``None`` when no renaming happened).
+    initial value in iteration ``i``'s trace.  ``table`` is always
+    readable: on a level plan CAP builds it from the layout's graph on
+    first access and caches it (``has_table`` says whether it is
+    built), for the consumers that evaluate traces.
     """
 
     fingerprint: str
@@ -591,14 +674,26 @@ class GIRPlan:
     renamed: bool = False
     dispatch: Optional[OrdinaryPlan] = None
     out_cells: Optional[np.ndarray] = None
-    table: Optional[PowerTable] = None
+    table: Optional[PowerTable] = field(default=None, repr=False, compare=False)
     final_cell_of: Optional[np.ndarray] = None
     cap_iterations: int = 0
     cap_edge_work: int = 0
+    levels: Optional[LevelLayout] = field(default=None, repr=False, compare=False)
     family: str = "gir"
 
+    @property
+    def strategy(self) -> str:
+        """The layout the planner chose: ``"levels"`` or ``"traces"``
+        (the power table; a dispatch plan has neither)."""
+        return "traces" if self.levels is None else "levels"
+
+    @property
+    def has_table(self) -> bool:
+        """Whether the power table is materialized."""
+        return self._table is not None
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        payload = {
             "schema_version": GIR_PLAN_SCHEMA_VERSION,
             "family": self.family,
             "fingerprint": self.fingerprint,
@@ -609,16 +704,21 @@ class GIRPlan:
             "out_cells": None
             if self.out_cells is None
             else self.out_cells.tolist(),
-            "table": None if self.table is None else self.table.to_payload(),
+            # a level plan's table only when materialized
+            "table": None if self._table is None else self._table.to_payload(),
             "final_cell_of": None
             if self.final_cell_of is None
             else self.final_cell_of.tolist(),
             "cap_iterations": self.cap_iterations,
             "cap_edge_work": self.cap_edge_work,
         }
+        if self.levels is not None:
+            payload["levels"] = self.levels.to_payload()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "GIRPlan":
+        levels = payload.get("levels")
         return cls(
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
@@ -638,7 +738,33 @@ class GIRPlan:
             else np.asarray(payload["final_cell_of"], dtype=np.int64),
             cap_iterations=int(payload["cap_iterations"]),
             cap_edge_work=int(payload["cap_edge_work"]),
+            levels=None if levels is None else LevelLayout.from_payload(levels),
         )
+
+
+def _get_table(plan: GIRPlan) -> Optional[PowerTable]:
+    if plan._table is None and plan.levels is not None:
+        # CAP over the layout's graph: a graph this shallow takes the
+        # level pass, whose int64 counts never need a period.
+        work_m = plan.m + plan.n if plan.renamed else plan.m
+        graph = plan.levels.graph(plan.n, work_m)
+        with maybe_span(get_tracer(), "gir.cap") as csp:
+            cap = count_all_paths(graph)
+            if csp is not None:
+                csp.set_attribute("depth", graph.depth())
+                csp.set_attribute("period", cap.period)
+        plan._table = PowerTable.from_cap(cap, plan.n)
+        plan.cap_iterations, plan.cap_edge_work = cap.iterations, cap.edge_work
+    return plan._table
+
+
+def _set_table(plan: GIRPlan, table: Optional[PowerTable]) -> None:
+    plan._table = table
+
+
+# ``table`` is a constructor field backed by a lazy property: a level
+# plan builds its power table only when a trace consumer reads it.
+GIRPlan.table = property(_get_table, _set_table)  # type: ignore[assignment]
 
 
 @dataclass

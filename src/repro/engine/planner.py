@@ -40,9 +40,10 @@ def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
     Counts the flat index arrays (materialized schedule steps, the
-    chain layout and its cached helpers, CSR power-table triple,
-    projection maps); per-object overhead and the GIR table's
-    exact big-int exponents are estimated at one word each.  Used by
+    chain layout and its cached helpers, the GIR level layout, a
+    materialized CSR power-table triple, projection maps); per-object
+    overhead and the GIR table's exact big-int exponents are estimated
+    at one word each.  Never builds a lazy schedule or table.  Used by
     :meth:`PlanCache.info` so the cache's memory footprint is visible
     next to its hit rate.
     """
@@ -61,8 +62,11 @@ def plan_nbytes(plan) -> int:
     if chains is not None:
         total += int(chains.order.nbytes) + int(chains.offsets.nbytes)
         total += int(chains.level_ptr.nbytes) + chains.cached_nbytes
-    table = getattr(plan, "table", None)
-    if table is not None:
+    levels = getattr(plan, "levels", None)
+    if levels is not None:
+        total += levels.nbytes
+    if getattr(plan, "has_table", False):
+        table = plan.table
         total += int(table.row_ptr.nbytes) + int(table.cells.nbytes)
         total += 8 * table.nnz  # exact-int exponents, >= one word each
     return total

@@ -251,12 +251,12 @@ def profile_gir(
     from ..core.equations import normalize_non_distinct
 
     # force the CAP pipeline: the profile describes GIR's own stages,
-    # not the ordinary-dispatch fast path
+    # not the ordinary-dispatch fast path nor the level sweeps
     solved = engine_solve(
         system,
         collect_stats=True,
         allow_ordinary_dispatch=False,
-        options=EngineOptions(backend="numpy"),
+        options=EngineOptions(backend="numpy", backend_options={"gir_eval": "batched"}),
     )
     result, stats = solved.values, solved.stats
     assert stats is not None

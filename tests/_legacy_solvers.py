@@ -12,7 +12,9 @@ shims had:
 * ``solve_ordinary`` / ``solve_ordinary_numpy`` pin the python/numpy
   backend respectively;
 * ``solve_gir`` runs the numpy backend with the historical
-  rename/dispatch knobs;
+  rename/dispatch knobs (``gir_eval`` names the trace evaluator, so a
+  test of CAP and its power table can ask for one instead of the
+  default's level sweeps);
 * ``solve_moebius`` maps the historical ``engine=`` names onto the
   engine's backend + ``options={"path": ...}``;
 * ``solve_affine_numpy`` / ``solve_rational_numpy`` pin the numpy
@@ -95,6 +97,7 @@ def solve_gir(
     policy=None,
     checked: bool = False,
     check_sample: Optional[int] = 64,
+    gir_eval: Optional[str] = None,
 ) -> Tuple[List[Any], Any]:
     result = engine_solve(
         system,
@@ -106,6 +109,7 @@ def solve_gir(
             policy=policy,
             checked=checked,
             check_sample=check_sample,
+            backend_options={} if gir_eval is None else {"gir_eval": gir_eval},
         ),
     )
     return result.values, result.stats

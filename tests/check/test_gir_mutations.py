@@ -22,7 +22,7 @@ from repro.check import (
 )
 from repro.core import GIRSystem
 from repro.core.operators import modular_add, modular_mul
-from repro.engine import solve
+from repro.engine import EngineOptions, solve
 from repro.engine.planner import PlanCache
 
 
@@ -40,7 +40,9 @@ def leafy_gir(n, k=4):
 
 
 def cap_plan_for(system):
-    result = solve(system, cache=PlanCache())
+    # the power table (a default solve of a shallow graph plans levels)
+    options = EngineOptions(backend_options={"gir_eval": "batched"})
+    result = solve(system, cache=PlanCache(), options=options)
     plan = result.plan
     assert plan.dispatch is None, "these tests need a true CAP plan"
     return plan

@@ -139,6 +139,9 @@ class TestPredictionsMatchObservation:
         )
         bound = predicted_cap_iterations(explain_gir(system))
         _out, stats = solve_gir(
-            system, collect_stats=True, allow_ordinary_dispatch=False
+            system,
+            collect_stats=True,
+            allow_ordinary_dispatch=False,
+            gir_eval="batched",  # CAP and its table, not the level sweeps
         )
         assert 0 < stats.cap_iterations <= bound

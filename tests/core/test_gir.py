@@ -175,7 +175,8 @@ class TestTraceEvaluation:
 class TestStats:
     def test_stats_fields(self):
         sys_ = fib_system(16)
-        _, stats = solve_gir(sys_, collect_stats=True)
+        # the power-table path (a default solve sweeps levels instead)
+        _, stats = solve_gir(sys_, collect_stats=True, gir_eval="batched")
         assert stats.n == 16
         assert stats.cap_iterations >= 1
         assert stats.cap_edge_work > 0

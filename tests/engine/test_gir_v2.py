@@ -56,7 +56,9 @@ def leafy(n, k=4):
 
 
 def cap_plan(system):
-    result = solve(system, cache=PlanCache())
+    # the power table (a default solve of a shallow graph plans levels)
+    options = EngineOptions(backend_options={"gir_eval": "batched"})
+    result = solve(system, cache=PlanCache(), options=options)
     assert result.plan.dispatch is None
     return result.plan
 

@@ -139,7 +139,8 @@ class TestGIR:
             modular_mul(97),
         )
         with obs.observed() as (tracer, registry):
-            _out, stats = solve_gir(system, collect_stats=True)
+            # the power-table path (a default solve sweeps levels instead)
+            _out, stats = solve_gir(system, collect_stats=True, gir_eval="batched")
         (root,) = tracer.find("solver.gir")
         child_names = [c.name for c in root.children]
         assert child_names == ["gir.build_graph", "gir.cap", "gir.evaluate"]
@@ -165,7 +166,7 @@ class TestGIR:
                 op,
             )
             with obs.observed() as (tracer, _):
-                solve_gir(system)
+                solve_gir(system, gir_eval="batched")
             (cap,) = tracer.find("gir.cap")
             assert cap.attributes["period"] == want, n
 
