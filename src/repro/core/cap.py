@@ -50,9 +50,15 @@ most ``2^L``, so graphs of depth <= :data:`_LEVEL_MAX_DEPTH` (62) never
 leave int64.  (A default engine solve of such a graph runs no CAP at
 all: it sweeps the same levels over values, see
 :class:`~repro.engine.plan.LevelLayout`.)  Deeper graphs go to the
-sequential DP (:func:`count_paths_dp`'s loop), which reduces by
-``period`` as it counts; the Fibonacci-shaped DAGs, whose counts run
-to ``n * 0.7`` bits, are the typical case.  Neither route imports SciPy.
+sequential DP (:func:`_dp_with_work`), which counts in index order and
+reduces by ``period`` as it counts; the Fibonacci-shaped DAGs, whose
+counts run to ``n * 0.7`` bits, are the typical case.  It keeps each
+row as a tuple of leaf ids, shared between rows of equal keys, and a
+slice of one flat list of counts, so a merge of equal keys appends
+sums to that list and builds nothing else, and it fills
+:attr:`CAPResult.leaf_csr` at the end with ``np.fromiter``: int64
+counts, or object ones (exact Python ints) when exact counts leave
+int64 with no period.  Neither route imports SciPy.
 
 Doubling rounds are still what a caller gets from a bounded run
 (``max_iterations`` / ``policy``: partial states and enforcer budgets
@@ -71,12 +77,15 @@ prices CAP's rounds.  The ``"matrix"`` recurrence runs on
   int64 the whole state is converted to dict rows over exact Python
   ints and the loop continues there bit-for-bit.
 
-A converged int64 run hands its leaf block out as CSR arrays
-(:attr:`CAPResult.leaf_csr`) -- the planner builds the power table
-from them without a Python pass -- and :attr:`CAPResult.powers` stays
-the dict-row :class:`EdgeSet` view, built lazily, so the checker, the
-PRAM profile and every historical test compare against the same
-representation.
+Every unbounded run, and a matrix run converged in int64, hands its
+leaf block out as CSR arrays (:attr:`CAPResult.leaf_csr`) -- the
+planner wraps them as the power table without a Python pass -- and
+:attr:`CAPResult.powers` stays the dict-row :class:`EdgeSet` view,
+built lazily, so the checker, the PRAM profile and every historical
+test compare against the same representation.  Only doubling runs
+that end in dict rows (dict doubling, an overflow promotion, a
+policy's fallback, a partial state) carry no CSR.
+:attr:`CAPResult.method` names the route that counted.
 
 The level pass and the DP report as ``iterations`` the
 ``ceil(log2(depth))`` rounds the doubling schedule would have used
@@ -90,20 +99,24 @@ exponent ``k`` only modulo ``p``.  An unbounded run given that
 ``period`` therefore keeps its counts exact while they fit int64
 (every level-pass result does); once a count would leave int64 every
 count is returned as its :func:`residue` ``((k - 1) mod p) + 1``.  The
-DP reduces as it counts from that row on, so no Fibonacci-sized
-integer is ever built.  Bounded runs keep exact counts: their partial
-states are doubling-round states.
+DP folds the residue into every merge from that row on, so no
+Fibonacci-sized integer is ever built, and reduces the earlier rows
+(which fit int64) in one array pass at the end.  Bounded runs keep
+exact counts: their partial states are doubling-round states.
 
-A memoized sequential DP (:func:`count_paths_dp`) provides independent
-ground truth for the tests, and :func:`cap_iterations` exposes the
-round-by-round edge sets for the Fig-9 benchmark.
+A plain dict-row DP (:func:`count_paths_dp`), sharing no code with
+:func:`_dp_with_work`, provides independent ground truth for the
+tests, and :func:`cap_iterations` exposes the round-by-round edge sets
+for the Fig-9 benchmark.
 """
 
 from __future__ import annotations
 
 import os
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -191,16 +204,22 @@ class CAPResult:
         Empty when the level pass or the DP ran instead of doubling
         rounds.
     leaf_csr:
-        When the level pass ran or the matrix recurrence converged in
-        int64: the leaf block ``L`` as CSR arrays ``(row_ptr, cells,
-        counts)`` -- int64 row pointers, leaf cells strictly
-        increasing per row, int64 path counts.  ``None`` when the
-        result was computed as dict rows (dict doubling, the DP, an
-        overflow promotion, a partial state).
+        The leaf block ``L`` as CSR arrays ``(row_ptr, cells, counts)``
+        -- int64 row pointers, leaf cells strictly increasing per row
+        -- whenever the level pass or the DP ran, or the matrix
+        recurrence converged in int64.  ``counts`` is int64, except
+        for a DP whose exact counts leave int64 with no period: an
+        object array of exact Python ints.  ``None`` when the result
+        was computed as dict rows (dict doubling, an overflow
+        promotion, a policy's fallback, a partial state).
     period:
         When set, every count is its :func:`residue` modulo ``period``
         (an unbounded run given a period whose exact counts would
         leave int64); ``None`` for exact counts.
+    method:
+        The route that counted: ``"levels"`` (the level pass),
+        ``"dp"`` (the sequential DP, also a policy's fallback) or
+        ``"doubling"`` (path-doubling rounds, matrix or dict).
     """
 
     iterations: int
@@ -210,6 +229,7 @@ class CAPResult:
         default=None, repr=False
     )
     period: Optional[int] = None
+    method: str = "doubling"
     _rows: Optional[EdgeSet] = field(default=None, repr=False, compare=False)
 
     @property
@@ -436,60 +456,127 @@ def _report(result: CAPResult, root) -> CAPResult:
 
 def _dp_with_work(
     graph: DependenceGraph, period: Optional[int] = None
-) -> "tuple[EdgeSet, int, Optional[int]]":
-    """:func:`count_paths_dp` plus its composition count (one per
-    leaf-count multiply-accumulate, the DP's work measure) and the
-    period its counts were reduced by (``None``: exact).  The same
-    loop records every node's level, so ``graph.depth()`` is cached
-    without a second scan.
+) -> "tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], int, Optional[int]]":
+    """CAP by the sequential DP, in index order: the leaf block as CSR
+    arrays ``(row_ptr, cells, counts)``, the composition count (the
+    row entries merged from finished final nodes, the DP's work
+    measure) and the period the counts were reduced by (``None``:
+    exact).  The same loop records every node's level, so
+    ``graph.depth()`` is cached without a second scan.
+
+    A row is a tuple of leaf ids, strictly increasing, and its counts,
+    a slice of one flat list that every row is appended to in index
+    order.  Rows with equal keys share one tuple, so the common merges
+    copy no keys: operands of equal keys (every Fibonacci row, and a
+    doubled operand) append their summed counts straight from the flat
+    list, entry by entry, and a leaf already in the row adds one to a
+    copied slice; only rows of different keys pay for a dict merge and
+    a sort.  A finished row leaves no container of its own behind
+    (key tuples are shared, or hold only ints and drop out of the
+    collector's view), so the rows do not set off the cyclic garbage
+    collector, which would walk the caller's whole heap each time.
+    The flat list is the CSR ``counts`` (``np.fromiter``: int64, or
+    object -- exact Python ints -- when a count leaves int64 and there
+    is no period), and the key tuples chained are its ``cells``.
 
     With a ``period``, the first row holding a count past int64 turns
-    reduction on: that row and every later one are reduced as soon as
-    they are complete, so counts stay small ints, and the earlier rows
-    are reduced at the end."""
+    reduction on: that row and every later one fold :func:`residue`
+    into their merge, so counts stay small ints, and the earlier rows
+    (which fit int64) are reduced at the end, in one array pass."""
     n = graph.n
     tf, th = graph.target_f.tolist(), graph.target_h.tolist()
-    counts: EdgeSet = [dict() for _ in range(n)]
+    # row i is flat[start[i]:start[i + 1]], counts of the leaves keys[i];
+    # an unfinished operand (only in a graph that is not index-ordered)
+    # reads as an empty row
+    keys: List[Tuple[int, ...]] = [()] * n
+    start = [0] * (n + 1)
+    flat: List[int] = []
+    append = flat.append
     level = [0] * n
     work = 0
-    reduce_from = None
+    p = None  # the period, once reduction is on
+    reduce_from = n
+    watch = period is not None
     for i in range(n):
         a, b = tf[i], th[i]
-        acc: Dict[int, int] = {}
-        below = 0
-        for t, mult in ((a, 2),) if a == b else ((a, 1), (b, 1)):
-            if t >= n:
-                acc[t] = acc.get(t, 0) + mult
+        if a > b:  # operands commute: a final node comes first
+            a, b = b, a
+        if a >= n:  # two leaves
+            k, v = ((a,), [2]) if a == b else ((a, b), [1, 1])
+            level[i] = 1
+            flat += v if p is None else [(x - 1) % p + 1 for x in v]
+        elif b >= n:  # a final node and a leaf
+            k = keys[a]
+            s = start[a]
+            v = flat[s : s + len(k)]
+            work += len(k)
+            level[i] = level[a] + 1
+            j = bisect_left(k, b)
+            if j < len(k) and k[j] == b:
+                v[j] += 1
             else:
-                if level[t] > below:
-                    below = level[t]
-                row = counts[t]
-                work += len(row)
-                for leaf, x in row.items():
-                    acc[leaf] = acc.get(leaf, 0) + mult * x
-        level[i] = below + 1
-        if period is not None:
-            if reduce_from is None and max(acc.values()) > _INT64_MAX:
-                reduce_from = i
-            if reduce_from is not None:
-                _reduce_rows([acc], period)
-        counts[i] = acc
+                k = k[:j] + (b,) + k[j:]
+                v.insert(j, 1)
+            flat += v if p is None else [(x - 1) % p + 1 for x in v]
+        else:  # two final nodes
+            k, kb = keys[a], keys[b]
+            s, sb = start[a], start[b]
+            la, lb = level[a], level[b]
+            level[i] = (la if la > lb else lb) + 1
+            if k is kb or k == kb:  # equal keys, a doubled operand too
+                work += len(k) if a == b else 2 * len(k)
+                d = sb - s
+                if p is None:
+                    for j in range(s, s + len(k)):
+                        append(flat[j] + flat[j + d])
+                else:
+                    for j in range(s, s + len(k)):
+                        append((flat[j] + flat[j + d] - 1) % p + 1)
+            else:
+                work += len(k) + len(kb)
+                acc = dict(zip(k, flat[s : s + len(k)]))
+                get = acc.get
+                for t, y in zip(kb, flat[sb : sb + len(kb)]):
+                    acc[t] = get(t, 0) + y
+                if len(acc) == len(kb):  # k within kb
+                    k = kb
+                elif len(acc) != len(k):  # neither within the other
+                    k = tuple(sorted(acc))
+                if p is None:
+                    flat += map(acc.__getitem__, k)
+                else:
+                    flat += [(acc[t] - 1) % p + 1 for t in k]
+        keys[i] = k
+        start[i + 1] = len(flat)
+        if watch and max(flat[start[i] :]) > _INT64_MAX:
+            watch = False
+            p, reduce_from = period, i
+            flat[start[i] :] = [(x - 1) % p + 1 for x in flat[start[i] :]]
     graph._depth = max(level) if n else 0
-    if reduce_from is None:
-        return counts, work, None
-    _reduce_rows(counts[:reduce_from], period)
-    return counts, work, period
+    row_ptr = np.array(start, dtype=np.int64)
+    nnz = len(flat)
+    cells = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=nnz)
+    cells -= n
+    try:
+        counts = np.fromiter(flat, dtype=np.int64, count=nnz)
+    except OverflowError:  # exact counts past int64 (no period)
+        counts = np.array(flat, dtype=object)
+    if p is not None:
+        head = int(row_ptr[reduce_from])
+        counts[:head] = residue(counts[:head], p)
+    return (row_ptr, cells, counts), work, p
 
 
 def _dp_result(graph: DependenceGraph, root, period: Optional[int]) -> CAPResult:
     """CAP by the sequential DP."""
-    powers, work, period = _dp_with_work(graph, period)
+    leaf_csr, work, period = _dp_with_work(graph, period)
     return _report(
         CAPResult(
-            _rows=powers,
             iterations=_rounds(graph.depth()),
             edge_work=work,
+            leaf_csr=leaf_csr,
             period=period,
+            method="dp",
         ),
         root,
     )
@@ -610,6 +697,7 @@ def _level_pass(graph: DependenceGraph, level: np.ndarray) -> CAPResult:
         iterations=_rounds(depth),
         edge_work=work,
         leaf_csr=(row_ptr, cells[at], counts[at]),
+        method="levels",
     )
 
 
@@ -735,8 +823,9 @@ def count_all_paths(
             root.set_attribute("iterations", iterations)
             root.set_attribute("edge_work", total_work)
         leaf_csr = None
+        route = "doubling"
         if enforcer is not None and enforcer.should_fallback:
-            edges = count_paths_dp(graph)
+            edges, route = count_paths_dp(graph), "dp"
         elif state is not None and state.converged():
             edges, leaf_csr = None, state.leaf_csr()
         elif state is not None:  # a partial state keeps its open prefixes
@@ -756,6 +845,7 @@ def count_all_paths(
             work_per_iteration=per_iteration,
             leaf_csr=leaf_csr,
             period=period,
+            method=route,
             _rows=edges,
         )
 

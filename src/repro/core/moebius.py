@@ -55,9 +55,9 @@ kernel 23 (see :mod:`repro.livermore.parallel`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -321,6 +321,13 @@ class AffineRecurrence(RationalRecurrence):
     """``for i: X[g(i)] := a[i]*X[f(i)] + b[i]`` (plus an optional self
     term) -- the rational form with ``c = 0, d = 1``."""
 
+    #: the constant ``(c, d)`` lists :meth:`build` wrote: while ``c`` and
+    #: ``d`` are still these objects, :func:`_float_coefficients` knows
+    #: their columns without scanning them
+    _built_cd: Optional[Tuple[list, list]] = field(
+        default=None, repr=False, compare=False
+    )
+
     @classmethod
     def build(  # type: ignore[override]
         cls,
@@ -345,6 +352,7 @@ class AffineRecurrence(RationalRecurrence):
             d=[1] * n,
             self_term=self_term,
         )
+        rec._built_cd = (rec.c, rec.d)
         rec.validate()
         return rec
 
@@ -496,19 +504,44 @@ class FloatCoefficients:
         return all(col is not None for col in (self.a, self.b, self.c, self.d))
 
 
+def _built_columns(
+    rec: "RationalRecurrence",
+) -> Optional[Tuple[FloatColumn, FloatColumn]]:
+    """``rec``'s ``c`` and ``d`` columns as :func:`_float_column` would
+    classify them, without the scan, when they are still the constant
+    lists :meth:`AffineRecurrence.build` wrote (``[0]*n``, ``[1]*n``:
+    int columns of 0.0 / 1.0); ``None`` for a recurrence built another
+    way or whose ``c`` / ``d`` were replaced.  Like a ``Session``'s
+    cached classification, this takes the coefficient lists as fixed:
+    new coefficients come as new lists, not as in-place edits."""
+    built = getattr(rec, "_built_cd", None)
+    if built is None or built[0] is not rec.c or built[1] is not rec.d:
+        return None
+    n = len(rec.c)
+    return (
+        FloatColumn(np.zeros(n), False, False),
+        FloatColumn(np.ones(n), False, False),
+    )
+
+
 def _float_coefficients(rec: "RationalRecurrence") -> FloatCoefficients:
     """Classify ``rec``'s coefficient columns (see :class:`FloatCoefficients`)."""
+    built = _built_columns(rec)
     columns = []
-    for xs in (rec.a, rec.b, rec.c, rec.d):
+    for xs in (rec.a, rec.b) if built else (rec.a, rec.b, rec.c, rec.d):
         col = _float_column(xs)
         if col is None:
             return FloatCoefficients(
                 None, None, None, None, saw_float=False, plain=False, affine=None
             )
         columns.append(col)
+    if built:
+        columns.extend(built)
     a, b, c, d = (col.values for col in columns)
     affine = None
-    if c is not None and d is not None:
+    if built:
+        affine = True  # c = 0, d = 1
+    elif c is not None and d is not None:
         affine = bool((c == 0).all() and (d != 0).all())
     return FloatCoefficients(
         a,

@@ -171,9 +171,10 @@ def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
     # Leaf cells are always original cells (< m): renamed version
     # cells are written before any read, so only pristine cells appear
     # as initial-value leaves.  The table therefore indexes the
-    # original initial array.  The level pass (or a converged matrix
-    # CAP) hands over its int64 CSR ``L`` as is; dict-row results are
-    # flattened.  Counts are residues modulo ``cap.period`` when set.
+    # original initial array.  An unbounded CAP (level pass or DP) or
+    # a converged matrix CAP hands over its CSR ``L`` as is; a
+    # doubling run's dict rows are flattened.  Counts are residues
+    # modulo ``cap.period`` when set.
     table = PowerTable.from_cap(cap, graph.n)
     return GIRPlan(
         fingerprint=problem.fingerprint(),

@@ -38,6 +38,7 @@ chain plan's ``chains`` payload, a rounds plan's ``steps``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -123,10 +124,11 @@ def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
         # Mostly one-iteration segments: the chain levels track depth,
         # which pointer jumping halves each round -- keep planning cheap.
         return None
-    seg_of = np.cumsum(is_head) - 1
     seeds = pred[heads]
     nonroot = seeds >= 0
-    parent = np.where(nonroot, seg_of[np.maximum(seeds, 0)], -1)
+    # a seed's segment is the last head at or before it; a root's
+    # negative seed lands before head 0, at -1
+    parent = np.searchsorted(heads, seeds, side="right") - 1
     level = nonroot.astype(np.int64)
     # depth(head) = depth(parent head) + (seed - parent head) + 1
     depth = np.where(nonroot, seeds - heads[np.maximum(parent, 0)] + 1, 0)
@@ -261,7 +263,9 @@ class OrdinaryPlan:
     g: np.ndarray
     f: np.ndarray
     pred: np.ndarray
-    steps: Optional[List[RoundStep]] = field(
+    #: the round schedule as materialized (``None``: not yet); the
+    #: constructor takes it as ``steps``, which reads it lazily
+    _steps: Optional[List[RoundStep]] = field(
         default=None, repr=False, compare=False
     )
     chains: Optional[ChainLayout] = field(default=None, repr=False, compare=False)
@@ -393,9 +397,28 @@ def _set_steps(plan: OrdinaryPlan, steps: Optional[List[RoundStep]]) -> None:
     plan._steps_py = None
 
 
-# ``steps`` is a constructor field backed by a lazy property: a chain
-# plan builds its round schedule only when a rounds consumer reads it.
-OrdinaryPlan.steps = property(_get_steps, _set_steps)  # type: ignore[assignment]
+def _lazy_layout(cls, name: str, get, put) -> None:
+    """Make ``name`` a lazy property of dataclass ``cls`` over its field
+    ``_name``, and let the constructor take ``name=`` for that field.
+
+    The lazy property is deliberately not a dataclass field:
+    ``dataclasses.replace`` and ``asdict`` read every field, so a copy
+    reads ``_name`` as it stands and never builds the layout."""
+    setattr(cls, name, property(get, put))
+    init, private = cls.__init__, "_" + name
+
+    @functools.wraps(init)
+    def __init__(self, *args, **kwargs):
+        if name in kwargs:
+            kwargs[private] = kwargs.pop(name)
+        init(self, *args, **kwargs)
+
+    cls.__init__ = __init__
+
+
+# A chain plan builds its round schedule only when a rounds consumer
+# reads ``steps``.
+_lazy_layout(OrdinaryPlan, "steps", _get_steps, _set_steps)
 
 
 def exponent_array(values: Any) -> np.ndarray:
@@ -418,14 +441,15 @@ class PowerTable:
     :func:`repro.core.gir.evaluate_trace_powers` historically sorted
     into) and the power of each cell's initial value.  ``exponents``
     is always an array (see :func:`exponent_array`): int64 when every
-    path count fits -- the level pass or a converged matrix CAP hands
-    over its CSR ``L`` as is, no per-row dicts -- and an object array
-    of exact Python ints after an overflow promotion (path counts are
-    Fibonacci-sized).  Unless the operator it was planned for has a
-    ``power_period`` ``p``: then a table whose counts would leave
-    int64 stores each as its :func:`~repro.core.cap.residue` modulo
-    ``p`` -- int64 in ``[1, p]`` -- and records ``period = p``; it
-    serves only operators of that period.  ``period=None`` marks exact
+    path count fits -- the level pass, the DP or a converged matrix
+    CAP hands over its CSR ``L`` as is, no per-row dicts -- and an
+    object array of exact Python ints when exact counts leave int64
+    (path counts are Fibonacci-sized).  Unless the operator it was
+    planned for has a ``power_period`` ``p``: then a table whose
+    counts would leave int64 stores each as its
+    :func:`~repro.core.cap.residue` modulo ``p`` -- int64 in ``[1, p]``
+    -- and records ``period = p``; it serves only operators of that
+    period.  ``period=None`` marks exact
     counts, which serve any operator.  The vectorized evaluators read
     cached int64 views: the entries that need powering
     (:meth:`power_index`) and their period-reduced exponents.
@@ -518,9 +542,10 @@ class PowerTable:
     @classmethod
     def from_cap(cls, cap, n: int) -> "PowerTable":
         """The table of a converged :class:`~repro.core.cap.CAPResult`
-        over ``n`` final nodes (and its ``period``): its int64 CSR ``L``
-        as is when the level pass or the matrix recurrence produced
-        one, else its dict rows flattened."""
+        over ``n`` final nodes (and its ``period``): its CSR ``L`` as
+        is -- every unbounded run (level pass or DP) and a matrix
+        recurrence that converged in int64 produce one -- else the
+        dict rows of a doubling run flattened."""
         if cap.leaf_csr is not None:
             row_ptr, cells, counts = cap.leaf_csr
             return cls(
@@ -533,7 +558,9 @@ class PowerTable:
         cls, rows: List[Dict[int, int]], n: int, period: Optional[int] = None
     ) -> "PowerTable":
         """Build from CAP's converged edge sets (targets are leaf node
-        ids ``n + cell``); one pass, rows come out cell-sorted."""
+        ids ``n + cell``) -- the dict rows of a doubling run (dict
+        doubling, an overflow promotion, a policy's fallback); one
+        pass, rows come out cell-sorted."""
         row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
         cells: List[int] = []
         exponents: List[int] = []
@@ -674,7 +701,9 @@ class GIRPlan:
     renamed: bool = False
     dispatch: Optional[OrdinaryPlan] = None
     out_cells: Optional[np.ndarray] = None
-    table: Optional[PowerTable] = field(default=None, repr=False, compare=False)
+    #: the power table as built (``None``: not yet); the constructor
+    #: takes it as ``table``, which reads it lazily
+    _table: Optional[PowerTable] = field(default=None, repr=False, compare=False)
     final_cell_of: Optional[np.ndarray] = None
     cap_iterations: int = 0
     cap_edge_work: int = 0
@@ -762,9 +791,9 @@ def _set_table(plan: GIRPlan, table: Optional[PowerTable]) -> None:
     plan._table = table
 
 
-# ``table`` is a constructor field backed by a lazy property: a level
-# plan builds its power table only when a trace consumer reads it.
-GIRPlan.table = property(_get_table, _set_table)  # type: ignore[assignment]
+# A level plan builds its power table only when a trace consumer reads
+# ``table``.
+_lazy_layout(GIRPlan, "table", _get_table, _set_table)
 
 
 @dataclass

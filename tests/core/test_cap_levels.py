@@ -38,7 +38,7 @@ def _graph(system):
 
 def _assert_level_pass_exact(graph):
     got = count_all_paths(graph)
-    assert got.leaf_csr is not None, "the level pass did not run"
+    assert got.method == "levels", "the level pass did not run"
     row_ptr, cells, counts = got.leaf_csr
     assert row_ptr.dtype == cells.dtype == counts.dtype == np.int64
     assert got.period is None
@@ -99,7 +99,7 @@ class TestInt64Edge:
         graph = _graph(double_chain_gir_system(62, op=op))
         assert graph.depth() == 62
         got = count_all_paths(graph, period=op.power_period)
-        assert got.leaf_csr is not None and got.period is None
+        assert got.method == "levels" and got.period is None
         assert int(got.leaf_csr[2].max()) == 2**62
         assert got.powers == count_paths_dp(graph)
         assert got.powers == count_all_paths(graph, method="matrix").powers
@@ -107,7 +107,7 @@ class TestInt64Edge:
     def test_depth_63_exact_on_the_dp(self):
         graph = _graph(double_chain_gir_system(63, op=modular_mul(P + 1)))
         got = count_all_paths(graph)
-        assert got.leaf_csr is None and got.period is None
+        assert got.method == "dp" and got.period is None
         assert got.powers == count_paths_dp(graph)
         assert max(got.powers[-1].values()) == 2**63
         assert got.powers == count_all_paths(graph, method="matrix").powers
@@ -115,7 +115,7 @@ class TestInt64Edge:
     def test_depth_63_reduced_on_the_dp(self):
         graph = _graph(double_chain_gir_system(63, op=modular_add(P)))
         got = count_all_paths(graph, period=P)
-        assert got.leaf_csr is None and got.period == P
+        assert got.method == "dp" and got.period == P
         exact = count_paths_dp(graph)
         assert got.powers == [
             {leaf: residue(k, P) for leaf, k in row.items()} for row in exact
@@ -144,7 +144,7 @@ def test_the_relaxation_alone_finds_the_depth_limit(n, level_pass):
     graph = _zigzag(n)
     assert graph.depth() == n
     got = count_all_paths(graph)
-    assert (got.leaf_csr is not None) == level_pass
+    assert got.method == ("levels" if level_pass else "dp")
     assert got.powers == count_paths_dp(graph)
 
 
@@ -152,7 +152,7 @@ def test_level_pass_span_and_counters():
     graph = _graph(random_gir_system(300, extra_cells=200, seed=4))
     with obs.observed() as (tracer, registry):
         got = count_all_paths(graph)
-    assert got.leaf_csr is not None
+    assert got.method == "levels"
     (root,) = tracer.find("cap.count_all_paths")
     assert root.attributes["iterations"] == got.iterations > 0
     assert root.attributes["edge_work"] == got.edge_work > 0
@@ -165,7 +165,7 @@ def test_the_depth_limit_routes_to_the_dp(monkeypatch):
     graph = _graph(random_gir_system(200, extra_cells=100, seed=1))
     monkeypatch.setattr(cap_module, "_LEVEL_MAX_DEPTH", graph.depth() - 1)
     got = count_all_paths(graph)
-    assert got.leaf_csr is None
+    assert got.method == "dp"
     assert got.powers == count_paths_dp(graph)
 
 

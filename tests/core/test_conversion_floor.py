@@ -5,10 +5,15 @@
   classify exactly as the ``np.asarray`` route below does (kept here as
   the reference), and every Moebius path must give bit-identical
   values either way.
+* ``moebius._float_coefficients`` knows the constant ``c = [0]*n`` and
+  ``d = [1]*n`` that ``AffineRecurrence.build`` wrote without scanning
+  them; the result must equal the scan's, and replaced ``c`` / ``d``
+  lists must be scanned again.
 * ``equations._distinct`` counts an in-domain map with ``np.bincount``
   and sorts anything else; both must agree with a plain sort.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +28,7 @@ from repro.core.moebius import (
     AffineRecurrence,
     FloatColumn,
     RationalRecurrence,
+    _float_coefficients,
     _float_column,
 )
 from repro.core.operators import modular_add
@@ -217,6 +223,73 @@ def test_cold_solves_are_bit_identical(monkeypatch, seed, rational, path):
     assert np.array(got, dtype=np.float64).tobytes() == (
         np.array(want, dtype=np.float64).tobytes()
     )
+
+
+# ---------------------------------------------------------------------------
+# AffineRecurrence.build's constant c / d: classified without a scan
+# ---------------------------------------------------------------------------
+
+
+def assert_same_coefficients(got, want):
+    assert (got.saw_float, got.plain, got.affine) == (
+        want.saw_float,
+        want.plain,
+        want.affine,
+    )
+    for name in "abcd":
+        x, y = getattr(got, name), getattr(want, name)
+        if y is None:
+            assert x is None
+        else:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+COEFFICIENT_COLUMNS = {
+    "floats": lambda n: ([0.5] * n, [-0.25] * n),
+    "ints": lambda n: (list(range(n)), [3] * n),
+    "fractions": lambda n: ([Fraction(1, 3)] * n, [0.5] * n),
+    "big-ints": lambda n: ([2**60] * n, [1.5] * n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_COLUMNS))
+@pytest.mark.parametrize("n", [0, 1, 7, 3000])
+def test_built_constant_columns_classify_like_the_scan(kind, n):
+    a, b = COEFFICIENT_COLUMNS[kind](n)
+    rec = AffineRecurrence.build([1.0] * (n + 1), range(1, n + 1), range(n), a, b)
+    # replaced c / d lists (equal values) take the scan
+    scanned = dataclasses.replace(rec, c=list(rec.c), d=list(rec.d))
+    assert_same_coefficients(_float_coefficients(rec), _float_coefficients(scanned))
+
+
+def test_only_the_built_c_and_d_skip_the_scan(monkeypatch):
+    seen = []
+    classify = moebius._float_column
+
+    def counting(xs):
+        seen.append(xs)
+        return classify(xs)
+
+    monkeypatch.setattr(moebius, "_float_column", counting)
+    n = 50
+    args = ([1.0] * (n + 1), range(1, n + 1), range(n), [0.5] * n, [0.25] * n)
+    rec = AffineRecurrence.build(*args)
+
+    def scanned(r):
+        del seen[:]
+        _float_coefficients(r)
+        return [xs is r.c or xs is r.d for xs in seen]
+
+    assert scanned(rec) == [False, False]  # a and b only
+    # new initial values keep build's c / d lists
+    assert scanned(dataclasses.replace(rec, initial=[2.0] * (n + 1))) == [
+        False,
+        False,
+    ]
+    assert scanned(dataclasses.replace(rec, c=[0] * n)) == [False, False, True, True]
+    assert scanned(dataclasses.replace(rec, d=[2] * n)) == [False, False, True, True]
+    rational = RationalRecurrence.build(*args, [0] * n, [1] * n)
+    assert scanned(rational) == [False, False, True, True]
 
 
 # ---------------------------------------------------------------------------

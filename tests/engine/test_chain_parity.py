@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.check import verify_plan
 from repro.core import ADD, FLOAT_ADD, FLOAT_MUL, MAX, MIN, MUL, OrdinaryIRSystem
 from repro.core.sequential import run_ordinary
 from repro.engine import EngineOptions, Session, execute, solve, solve_batch
@@ -203,6 +204,46 @@ def test_chain_plan_memory_is_linear():
     large = solve(_system("chain", 1 << 15), cache=PlanCache()).plan
     assert not large.has_steps  # the round schedule stays lazy
     assert plan_nbytes(large) / plan_nbytes(small) == pytest.approx(8, rel=0.01)
+
+
+@pytest.mark.parametrize("at_head", [False, True])
+def test_nested_segments_get_their_parents_level(at_head):
+    """Segments seeded inside (or at the head of) a segment of the level
+    before: a spine, a branch off the spine, a branch off the branch and
+    one off that -- four levels, each segment's parent found among the
+    segment heads."""
+    n, starts = 4000, [0, 500, 1500, 2800]
+    idx = np.arange(n)
+    f = idx - 1
+    f[0] = n
+    for parent, head in zip(starts, starts[1:]):
+        f[head] = parent if at_head else parent + 100
+    system = OrdinaryIRSystem.build(list(range(n + 1)), idx, f, ADD)
+    plan = solve(system, cache=PlanCache()).plan
+    assert plan.strategy == "chains" and plan.chains.levels == 4
+    assert plan.chains.level_ptr.tolist() == [0, 1, 2, 3, 4]
+    depth = [0] * n
+    for i, p in enumerate(plan.pred.tolist()):
+        depth[i] = depth[p] + 1 if p >= 0 else 0
+    assert plan.chains.max_depth == max(depth)
+    assert verify_plan(plan, system=system).ok
+    assert solve(system, plan=plan, cache=PlanCache()).values == run_ordinary(system)
+
+
+def test_copying_a_chain_plan_builds_no_steps():
+    plan = solve(_system("chain", 1 << 12), cache=PlanCache()).plan
+    assert plan.strategy == "chains" and not plan.has_steps
+    copy = dataclasses.replace(plan)
+    as_dict = dataclasses.asdict(plan)
+    assert not plan.has_steps and not copy.has_steps
+    assert as_dict["_steps"] is None
+    # the copy still builds the same schedule when a consumer asks
+    assert [a.tolist() for a, _ in copy.steps] == [a.tolist() for a, _ in plan.steps]
+    # a built schedule travels with the copy; a rounds plan keeps its own
+    assert dataclasses.replace(plan).steps is plan.steps
+    rounds = solve(_system("forest", 1 << 10), cache=PlanCache()).plan
+    assert rounds.strategy == "rounds"
+    assert dataclasses.replace(rounds).steps is rounds.steps
 
 
 @pytest.mark.parametrize("policy", [None, {"timeout_s": 60.0}])

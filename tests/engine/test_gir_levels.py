@@ -27,6 +27,7 @@ from repro.core import ADD, FLOAT_ADD, run_gir
 from repro.core.operators import modular_add, modular_mul
 from repro.core.workloads import (
     double_chain_gir_system,
+    fibonacci_gir_system,
     random_gir_system,
     scatter_system,
 )
@@ -155,6 +156,28 @@ def test_level_plan_is_smaller_than_the_table_plan():
     level = solve(system, cache=PlanCache()).plan
     table = _table_solve(system, backend_options={"gir_eval": "batched"}).plan
     assert plan_nbytes(level) < plan_nbytes(table)
+
+
+def test_copying_a_level_plan_builds_no_table():
+    system = random_gir_system(200, extra_cells=100, seed=13)
+    plan = solve(system, cache=PlanCache()).plan
+    assert plan.strategy == "levels" and not plan.has_table
+    copy = dataclasses.replace(plan)
+    as_dict = dataclasses.asdict(plan)
+    assert not plan.has_table and not copy.has_table
+    assert as_dict["_table"] is None
+    # the copy still builds the same table when a consumer asks
+    assert np.array_equal(copy.table.exponents, plan.table.exponents)
+    # a built table travels with the copy
+    assert dataclasses.replace(plan).table is plan.table
+
+
+def test_copying_a_table_plan_keeps_its_table():
+    system = fibonacci_gir_system(100)
+    plan = solve(system, cache=PlanCache()).plan
+    assert plan.strategy == "traces" and plan.has_table
+    assert dataclasses.replace(plan).table is plan.table
+    assert dataclasses.replace(plan, table=None).table is None
 
 
 def test_level_stats_report_what_ran():
