@@ -10,9 +10,12 @@ file path):
 1. **Acceptance** -- every genuine planner schedule verifies clean.
    One rejection fails the job: the verifier would be crying wolf in production.
 2. **Mutation rejection** -- :func:`repro.check.mutate.mutation_campaign`
-   corrupts each ordinary schedule (round swaps, gather perturbations,
-   dropped rounds, duplicated active ids, predecessor corruption,
-   truncation, chain-layout corruption), each GIR level layout (level
+   corrupts each ordinary schedule by its layout (round swaps, gather
+   perturbations, dropped rounds, duplicated active ids, predecessor
+   corruption, truncation; plus chain-layout corruption on a chain
+   plan and level-layout corruption -- swapped level order, shifted
+   level pointers, re-pointed read cells, duplicated write cells -- on
+   a level plan: the random forest row), each GIR level layout (level
    order swaps, shifted level pointers, re-pointed operands, swapped
    output cells -- the shallow GIR rows plan levels) and each GIR CAP
    power table (exponent perturbation, row-pointer truncation, cell
@@ -182,26 +185,29 @@ def gate_mutations(rows):
 
     total = rejected = 0
     survivors = []
+    by_layout = {}  # layout -> [mutants, rejected]
     for label, family, _problem, system, plan, _plan_s in rows:
         sched = ordinary_schedule_of(family, plan)
         if sched is not None:
-            for mut in mutation_campaign(sched, seeds=MUTATION_SEEDS):
-                total += 1
-                report = verify_plan(mut.plan)
-                if report.ok:
-                    survivors.append((label, mut.kind, mut.description))
-                else:
-                    rejected += 1
-        if family == "gir" and sched is None:
+            target, oracle, layout = sched, None, sched.strategy
+        elif family == "gir":
             # GIR trace plans: the level-layout or v2 CSR mutation
             # classes, verified against the system.
-            for mut in mutation_campaign(plan, seeds=MUTATION_SEEDS):
-                total += 1
-                report = verify_plan(mut.plan, system=system)
-                if report.ok:
-                    survivors.append((label, mut.kind, mut.description))
-                else:
-                    rejected += 1
+            target, oracle, layout = plan, system, f"gir {plan.strategy}"
+        else:
+            continue
+        tally = by_layout.setdefault(layout, [0, 0])
+        for mut in mutation_campaign(target, seeds=MUTATION_SEEDS):
+            total += 1
+            tally[0] += 1
+            report = verify_plan(mut.plan, system=oracle)
+            if report.ok:
+                survivors.append((label, mut.kind, mut.description))
+            else:
+                rejected += 1
+                tally[1] += 1
+    for layout, (count, caught) in sorted(by_layout.items()):
+        print(f"  mutants {layout:<22} {caught}/{count} rejected")
     return total, rejected, survivors
 
 

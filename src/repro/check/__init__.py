@@ -36,6 +36,7 @@ from .lint import lint_loop, lint_program, lint_source
 from .mutate import (
     GIR_LEVEL_MUTATION_KINDS,
     GIR_MUTATION_KINDS,
+    LEVEL_MUTATION_KINDS,
     MUTATION_KINDS,
     Mutation,
     CHAIN_MUTATION_KINDS,
@@ -57,6 +58,7 @@ from .schedule import (
     verify_or_raise,
     verify_ordinary_schedule,
     verify_chain_layout,
+    verify_forest_levels,
     verify_plan,
 )
 
@@ -73,6 +75,7 @@ __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
     "verify_chain_layout",
+    "verify_forest_levels",
     "verify_or_raise",
     "GIR_ORACLE_MAX_N",
     # precondition prover
@@ -92,6 +95,7 @@ __all__ = [
     "Mutation",
     "MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
+    "LEVEL_MUTATION_KINDS",
     "GIR_LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "mutate_plan",

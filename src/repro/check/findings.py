@@ -56,6 +56,11 @@ FINDING_CODES: Dict[str, str] = {
     "CHN002": "chain segment or level offsets are not monotone or do not close",
     "CHN003": "consecutive chain segment members are not pred-linked",
     "CHN004": "a chain segment's seed does not lie in an earlier level",
+    # -- ordinary level layout (LVL0xx) ---------------------------------
+    "LVL001": "level order is not a permutation of the iterations",
+    "LVL002": "level pointers are not monotone or do not close",
+    "LVL003": "an iteration's operand is not final when its level runs",
+    "LVL004": "level read cells disagree with f in level order",
     # -- GIR plan artifacts (GIR0xx) -----------------------------------
     "GIR001": "nested dispatch plan failed verification",
     "GIR002": "GIR plan cell index out of range",

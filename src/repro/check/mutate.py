@@ -28,6 +28,25 @@ kind                    models                              caught by
                         level than a segment it seeds
 ======================  ==================================  ===============
 
+Level plans (``plan.levels`` set) get the level-layout classes:
+
+=========================  ===================================  =========
+kind                       models                               caught by
+=========================  ===================================  =========
+``level_swap_order``       two iterations of different levels   LVL003
+                           swapped in the level order
+``level_shift_ptr``        a level boundary moved by one: an    LVL003
+                           iteration joins its predecessor's
+                           level
+``level_retarget_read``    one read cell re-pointed at another  LVL004
+                           cell
+``level_duplicate_write``  one write cell copied over another:  LVL001
+                           an iteration swept twice, one never
+=========================  ===================================  =========
+
+A level plan stores no ``pred`` and a chain or level plan no round
+schedule; the schedule classes mutate a copy that builds both.
+
 GIR plans (the v2 CSR power table) have their own mutation classes,
 applied by :func:`mutate_plan` when the plan's family is ``gir`` --
 feed the result to ``verify_plan(plan, system=system)``:
@@ -78,6 +97,7 @@ import numpy as np
 __all__ = [
     "MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
+    "LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "GIR_LEVEL_MUTATION_KINDS",
     "Mutation",
@@ -98,6 +118,13 @@ CHAIN_MUTATION_KINDS: Tuple[str, ...] = (
     "chain_swap_order",
     "chain_shift_offset",
     "chain_relink_seed",
+)
+
+LEVEL_MUTATION_KINDS: Tuple[str, ...] = (
+    "level_swap_order",
+    "level_shift_ptr",
+    "level_retarget_read",
+    "level_duplicate_write",
 )
 
 GIR_MUTATION_KINDS: Tuple[str, ...] = (
@@ -126,18 +153,22 @@ class Mutation:
 
 
 def _clone(plan: Any, chains: Any = None) -> Any:
-    """A deep copy of ``plan`` -- its materialized round schedule and
-    chain layout (``chains`` replaces the layout)."""
-    from ..engine.plan import ChainLayout, OrdinaryPlan
+    """A deep copy of ``plan`` -- its layout and whatever lazy state it
+    has materialized (``chains`` replaces a chain layout)."""
+    from ..engine.plan import ChainLayout, ForestLevels, OrdinaryPlan
+
+    def copy(arr):
+        return np.array(arr, dtype=np.int64, copy=True)
 
     layout = plan.chains if chains is None else chains
+    levels = plan.levels
     return OrdinaryPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
         m=int(plan.m),
-        g=np.array(plan.g, dtype=np.int64, copy=True),
-        f=np.array(plan.f, dtype=np.int64, copy=True),
-        pred=np.array(plan.pred, dtype=np.int64, copy=True),
+        g=copy(plan.g),
+        f=copy(plan.f),
+        pred=copy(plan.pred) if plan.has_pred else None,
         steps=[
             (np.array(a, copy=True), np.array(s, copy=True))
             for a, s in plan.steps
@@ -147,11 +178,99 @@ def _clone(plan: Any, chains: Any = None) -> Any:
         chains=None
         if layout is None
         else ChainLayout(
-            order=np.array(layout.order, dtype=np.int64, copy=True),
-            offsets=np.array(layout.offsets, dtype=np.int64, copy=True),
-            level_ptr=np.array(layout.level_ptr, dtype=np.int64, copy=True),
+            order=copy(layout.order),
+            offsets=copy(layout.offsets),
+            level_ptr=copy(layout.level_ptr),
+        ),
+        levels=None
+        if levels is None
+        else ForestLevels(
+            write_cells=copy(levels.write_cells),
+            read_cells=copy(levels.read_cells),
+            level_ptr=copy(levels.level_ptr),
         ),
     )
+
+
+def _mutate_forest_levels(
+    plan: Any, kind: str, rng: random.Random
+) -> Optional[Mutation]:
+    """The level-layout mutation classes; each provably breaks the
+    layout (none yields an equivalent one)."""
+    layout = plan.levels
+    if layout is None:
+        return None
+    n, m = int(plan.n), int(plan.m)
+    ptr = layout.level_ptr.tolist()
+    levels = len(ptr) - 1
+
+    if kind == "level_swap_order":
+        # the iteration from the later level lands no later than its
+        # predecessor's level (or, a root taken out of level 0)
+        if levels < 2:
+            return None
+        lo_level = rng.randrange(levels - 1)
+        hi_level = rng.randrange(lo_level + 1, levels)
+        a = rng.randrange(ptr[lo_level], ptr[lo_level + 1])
+        b = rng.randrange(ptr[hi_level], ptr[hi_level + 1])
+        mutated = _clone(plan)
+        for cells in (mutated.levels.write_cells, mutated.levels.read_cells):
+            cells[a], cells[b] = int(cells[b]), int(cells[a])
+        return Mutation(
+            kind=kind,
+            description=f"level positions {a} (level {lo_level}) and {b} "
+            f"(level {hi_level}) swapped",
+            plan=mutated,
+            data={"positions": (a, b)},
+        )
+
+    if kind == "level_shift_ptr":
+        # the first iteration of a level joins the level below it, where
+        # its predecessor runs
+        if levels < 2:
+            return None
+        k = rng.randrange(1, levels)
+        mutated = _clone(plan)
+        mutated.levels.level_ptr[k] += 1
+        return Mutation(
+            kind=kind,
+            description=f"level pointer {k} moved up by one: the cell "
+            f"{int(layout.write_cells[ptr[k]])} writer joins level {k - 1}",
+            plan=mutated,
+            data={"pointer": k},
+        )
+
+    if kind == "level_retarget_read":
+        if n == 0 or m < 2:
+            return None
+        j = rng.randrange(n)
+        old = int(layout.read_cells[j])
+        cell = rng.randrange(m - 1)
+        cell += cell >= old  # any cell but the current one
+        mutated = _clone(plan)
+        mutated.levels.read_cells[j] = cell
+        return Mutation(
+            kind=kind,
+            description=f"level position {j} reads cell {cell}, not {old}",
+            plan=mutated,
+            data={"position": j},
+        )
+
+    if kind == "level_duplicate_write":
+        if n < 2:
+            return None
+        j, k = rng.sample(range(n), 2)
+        mutated = _clone(plan)
+        mutated.levels.write_cells[j] = int(layout.write_cells[k])
+        return Mutation(
+            kind=kind,
+            description=f"level position {j} writes cell "
+            f"{int(layout.write_cells[k])}, as position {k} does",
+            plan=mutated,
+            data={"positions": (j, k)},
+        )
+
+    raise ValueError(f"unknown mutation kind {kind!r}")
 
 
 def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
@@ -464,9 +583,11 @@ def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
         return _mutate_gir(plan, kind, rng)
     if kind.startswith("chain_"):
         return _mutate_chains(plan, kind, rng)
+    if kind.startswith("level_"):
+        return _mutate_forest_levels(plan, kind, rng)
     if not plan.has_steps:
-        # a chain plan: mutate a copy whose round schedule is built
-        # (the input plan stays as it was, cache included)
+        # a chain or level plan: mutate a copy whose round schedule
+        # (and pred) is built -- the input plan stays as it was
         plan = _clone(plan)
     rounds = len(plan.steps)
     n = int(plan.n)
@@ -580,7 +701,8 @@ def mutation_campaign(
     :data:`GIR_LEVEL_MUTATION_KINDS` when they carry a level layout
     and :data:`GIR_MUTATION_KINDS` when they carry a built power table;
     everything else gets the schedule classes, plus
-    :data:`CHAIN_MUTATION_KINDS` on a chain plan.
+    :data:`CHAIN_MUTATION_KINDS` on a chain plan and
+    :data:`LEVEL_MUTATION_KINDS` on a level plan.
     """
     if kinds is None:
         if getattr(plan, "family", None) == "gir":
@@ -591,6 +713,8 @@ def mutation_campaign(
             kinds = MUTATION_KINDS
             if getattr(plan, "chains", None) is not None:
                 kinds = kinds + CHAIN_MUTATION_KINDS
+            if getattr(plan, "levels", None) is not None:
+                kinds = kinds + LEVEL_MUTATION_KINDS
     out: List[Mutation] = []
     for kind in kinds:
         for seed in seeds:

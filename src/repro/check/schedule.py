@@ -43,6 +43,20 @@ rules above check a chain plan's round schedule only when the plan
 carries one: the consumers that run rounds build it lazily from the
 verified ``pred`` with the planner's own builder.
 
+A level plan (``plan.levels``: the cells each iteration writes and
+reads, grouped by its depth in the predecessor forest; the NumPy level
+kernels sweep it in cell space) is proved by
+:func:`verify_forest_levels`: the write cells name every iteration
+once, so the level order is a permutation (LVL001); the level
+pointers rise monotonically from 0 and close at ``n`` (LVL002); every
+root runs in level 0 -- reading its ``f`` operand before any write,
+so the later writer of that cell is never in an earlier level -- and
+every other iteration's predecessor in an earlier level (LVL003,
+happens-before); and the read cells are ``f`` in level order (LVL004).
+Each level then folds exactly the loop's operands.  A level plan keeps
+no ``pred`` (the verifier re-derives it from ``(g, f)``); a stored
+one, like its round schedule, is checked only when present.
+
 A GIR level plan (``plan.levels``: the dependence graph with its
 iterations grouped by level) is proved the same way: the level order
 is a permutation of the iterations (GIR010), the level pointers are
@@ -67,6 +81,7 @@ __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
     "verify_chain_layout",
+    "verify_forest_levels",
     "verify_or_raise",
 ]
 
@@ -95,14 +110,16 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
     """Prove an :class:`~repro.engine.plan.OrdinaryPlan` race-free and
     trace-equivalent to the sequential loop (see module docstring).
 
-    A chain plan's layout is always proved; its round schedule only
-    when the plan carries one (a schedule built lazily comes from the
-    verified ``pred`` through the planner's own builder)."""
+    A chain or level plan's layout is always proved; its round
+    schedule and stored ``pred`` only when the plan carries them (a
+    lazily built one comes from ``(g, f)`` through the planner's own
+    builders)."""
     report = CheckReport(subject=where)
     n, m = int(plan.n), int(plan.m)
     g = np.asarray(plan.g, dtype=np.int64)
     f = np.asarray(plan.f, dtype=np.int64)
-    pred = np.asarray(plan.pred, dtype=np.int64)
+    stored = plan.has_pred  # never build a lazy pred
+    pred = np.asarray(plan.pred if stored else np.full(g.shape, -1), dtype=np.int64)
 
     # -- shapes and bounds --------------------------------------------
     report.ran()
@@ -169,7 +186,7 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
         return report
     expected_pred = writer[f]
     expected_pred[expected_pred >= idx] = -1
-    if not np.array_equal(expected_pred, pred):
+    if stored and not np.array_equal(expected_pred, pred):
         bad = int(np.argmax(expected_pred != pred))
         report.add(
             error(
@@ -188,9 +205,14 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
         )
         return report
 
+    pred = expected_pred
     chains = getattr(plan, "chains", None)
-    if chains is not None:
-        report.extend(verify_chain_layout(chains, pred, where=where))
+    levels = getattr(plan, "levels", None)
+    if chains is not None or levels is not None:
+        if chains is not None:
+            report.extend(verify_chain_layout(chains, pred, where=where))
+        else:
+            report.extend(verify_forest_levels(levels, f, pred, writer, where=where))
         if not report.ok or not plan.has_steps:
             return report
 
@@ -443,6 +465,112 @@ def verify_chain_layout(
                 + ": its seed is not final when the level runs",
                 where=loc,
                 data={"segment": s, "head": head},
+            )
+        )
+    return report
+
+
+def verify_forest_levels(
+    levels: Any,
+    f: np.ndarray,
+    pred: np.ndarray,
+    writer: np.ndarray,
+    *,
+    where: str = "plan",
+) -> CheckReport:
+    """Prove a :class:`~repro.engine.plan.ForestLevels` equivalent to
+    the sequential loop over the (already verified) ``pred`` array and
+    ``writer`` map (cell -> iteration): every iteration is swept once,
+    after its predecessor (LVL001-LVL004; see the module docstring)."""
+    report = CheckReport(subject=where)
+    n, m = int(pred.shape[0]), int(writer.shape[0])
+    write = np.asarray(levels.write_cells, dtype=np.int64)
+    read = np.asarray(levels.read_cells, dtype=np.int64)
+    level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
+    loc = f"{where} levels"
+
+    report.ran()
+    order = None
+    if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < m)):
+        order = writer[write]  # each write cell's iteration, -1: none
+    seen = None
+    if order is not None and (n == 0 or order.min() >= 0):
+        seen = np.bincount(order, minlength=n)
+    if seen is None or (n and int(seen.max()) != 1):
+        it = None if seen is None else int(np.argmax(seen != 1))
+        report.add(
+            error(
+                "LVL001",
+                "the level order is not a permutation of the iterations"
+                + (
+                    ": its write cells name a cell no iteration writes"
+                    if it is None
+                    else f": iteration {it} appears {int(seen[it])} times"
+                ),
+                where=loc,
+                data={} if it is None else {"iteration": it},
+            )
+        )
+        return report
+
+    report.ran()
+    if (
+        level_ptr.ndim != 1
+        or level_ptr.shape[0] < 1
+        or int(level_ptr[0]) != 0
+        or int(level_ptr[-1]) != n
+        or bool(np.any(np.diff(level_ptr) < 0))
+    ):
+        report.add(
+            error(
+                "LVL002",
+                "level pointers must rise monotonically from 0 to "
+                f"n={n} (got {level_ptr.tolist()[:8]})",
+                where=loc,
+            )
+        )
+        return report
+
+    report.ran()
+    level_of = np.empty(n, dtype=np.int64)
+    level_of[order] = np.repeat(
+        np.arange(level_ptr.shape[0] - 1, dtype=np.int64), np.diff(level_ptr)
+    )
+    root = pred < 0
+    late = np.where(root, level_of != 0, level_of[np.maximum(pred, 0)] >= level_of)
+    if bool(late.any()):
+        i = int(np.argmax(late))
+        report.add(
+            error(
+                "LVL003",
+                f"iteration {i} (level {int(level_of[i])}) "
+                + (
+                    "reads an initial value outside level 0: a writer of "
+                    "its f cell in an earlier level would overwrite it first"
+                    if root[i]
+                    else f"reads its predecessor {int(pred[i])} from level "
+                    f"{int(level_of[pred[i]])}, not an earlier level: the "
+                    "operand is not final when its level runs"
+                ),
+                where=loc,
+                data={"iteration": i},
+            )
+        )
+        return report
+
+    report.ran()
+    if read.shape != (n,) or not np.array_equal(read, f[order]):
+        k = 0 if read.shape != (n,) else int(np.argmax(read != f[order]))
+        report.add(
+            error(
+                "LVL004",
+                f"level position {k} reads cell "
+                f"{int(read[k]) if k < read.size else 'none'}, but its "
+                f"iteration {int(order[k]) if n else 'none'} reads f = "
+                f"{int(f[order[k]]) if n else 'none'}: the sweep would fold "
+                "another operand than the sequential loop",
+                where=loc,
+                data={"position": k},
             )
         )
     return report

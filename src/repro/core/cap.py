@@ -50,8 +50,10 @@ most ``2^L``, so graphs of depth <= :data:`_LEVEL_MAX_DEPTH` (62) never
 leave int64.  (A default engine solve of such a graph runs no CAP at
 all: it sweeps the same levels over values, see
 :class:`~repro.engine.plan.LevelLayout`.)  Deeper graphs go to the
-sequential DP (:func:`_dp_with_work`), which counts in index order and
-reduces by ``period`` as it counts; the Fibonacci-shaped DAGs, whose
+sequential DP (:func:`_dp_with_work`), which counts in index order --
+a hand-built graph whose operands do not precede their readers is
+first renumbered into dependence order -- and reduces by ``period`` as
+it counts; the Fibonacci-shaped DAGs, whose
 counts run to ``n * 0.7`` bits, are the typical case.  It keeps each
 row as a tuple of leaf ids, shared between rows of equal keys, and a
 slice of one flat list of counts, so a merge of equal keys appends
@@ -115,6 +117,7 @@ from __future__ import annotations
 import os
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -454,7 +457,70 @@ def _report(result: CAPResult, root) -> CAPResult:
     return result
 
 
+def _dependence_order(graph: DependenceGraph) -> Optional[np.ndarray]:
+    """``None`` when every final-node operand precedes its reader (the
+    order both DPs count in; one vectorized test), else the final nodes
+    in an order that does (Kahn's algorithm).  A cycle raises
+    :class:`~repro.errors.CyclicDependenceError` naming it."""
+    if graph.index_ordered():
+        return None
+    n = graph.n
+    readers: List[List[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for i, pair in enumerate(zip(graph.target_f.tolist(), graph.target_h.tolist())):
+        for t in set(pair):
+            if t < n:
+                readers[t].append(i)
+                waiting[i] += 1
+    ready = deque(i for i in range(n) if not waiting[i])
+    order: List[int] = []
+    while ready:
+        i = ready.popleft()
+        order.append(i)
+        for r in readers[i]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                ready.append(r)
+    if len(order) < n:
+        graph.validate_acyclic()  # raises, naming the cycle
+    return np.asarray(order, dtype=np.int64)
+
+
+def _renumbered(graph: DependenceGraph, order: np.ndarray) -> DependenceGraph:
+    """``graph`` with final node ``order[k]`` renamed ``k`` (leaves keep
+    their ids)."""
+    n = graph.n
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n, dtype=np.int64)
+    targets = [
+        np.where(t < n, new_id[np.minimum(t, n - 1)], t)
+        for t in (graph.target_f[order], graph.target_h[order])
+    ]
+    return DependenceGraph(n=n, m=graph.m, target_f=targets[0], target_h=targets[1])
+
+
 def _dp_with_work(
+    graph: DependenceGraph, period: Optional[int] = None
+) -> "tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], int, Optional[int]]":
+    """:func:`_dp_in_index_order`, on ``graph`` renumbered into
+    dependence order when it is not index-ordered; the rows come back
+    in ``graph``'s own node order."""
+    order = _dependence_order(graph)
+    if order is None:
+        return _dp_in_index_order(graph, period)
+    work_graph = _renumbered(graph, order)
+    (row_ptr, cells, counts), work, period = _dp_in_index_order(work_graph, period)
+    graph._depth = work_graph._depth
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size, dtype=np.int64)
+    lengths = np.diff(row_ptr)[new_id]
+    take = _ragged(row_ptr[:-1][new_id], lengths, int(lengths.sum()))
+    ptr = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return (ptr, cells[take], counts[take]), work, period
+
+
+def _dp_in_index_order(
     graph: DependenceGraph, period: Optional[int] = None
 ) -> "tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], int, Optional[int]]":
     """CAP by the sequential DP, in index order: the leaf block as CSR
@@ -485,9 +551,7 @@ def _dp_with_work(
     (which fit int64) are reduced at the end, in one array pass."""
     n = graph.n
     tf, th = graph.target_f.tolist(), graph.target_h.tolist()
-    # row i is flat[start[i]:start[i + 1]], counts of the leaves keys[i];
-    # an unfinished operand (only in a graph that is not index-ordered)
-    # reads as an empty row
+    # row i is flat[start[i]:start[i + 1]], counts of the leaves keys[i]
     keys: List[Tuple[int, ...]] = [()] * n
     start = [0] * (n + 1)
     flat: List[int] = []
@@ -582,6 +646,17 @@ def _dp_result(graph: DependenceGraph, root, period: Optional[int]) -> CAPResult
     )
 
 
+def deep_chain(up: np.ndarray) -> bool:
+    """Whether some node has an ancestor ``2**6 = 64`` steps up -- a
+    chain deeper than :data:`_LEVEL_MAX_DEPTH` -- where ``up[i]`` is
+    node ``i``'s parent and the last slot, its own parent, stands for
+    "none".  Pointer jumping: ``log2`` of the limit gathers."""
+    sentinel = up.shape[0] - 1
+    for _ in range((_LEVEL_MAX_DEPTH - 1).bit_length()):
+        up = up[up]
+    return bool(np.any(up[:sentinel] < sentinel))
+
+
 def node_levels(graph: DependenceGraph) -> Optional[np.ndarray]:
     """Every final node's level -- the longest path from it to a leaf,
     in edges -- as int8, or ``None`` when the graph is deeper than
@@ -599,13 +674,8 @@ def node_levels(graph: DependenceGraph) -> Optional[np.ndarray]:
     if n * graph.m > _INT64_MAX:
         return None
     targets = [np.minimum(t, n) for t in (graph.target_f, graph.target_h)]
-    for t in targets:
-        # the 2^k-th ancestor along one operand; slot n is every leaf
-        up = np.append(t, n)
-        for _ in range((limit - 1).bit_length() if limit > 0 else 0):
-            up = up[up]
-        if np.any(up[:n] < n):
-            return None
+    if any(deep_chain(np.append(t, n)) for t in targets):  # slot n: every leaf
+        return None
     level = np.zeros(n + 1, dtype=np.int8)
     swept = np.empty(n, dtype=np.int8)
     for _ in range(limit + 1):
@@ -873,8 +943,18 @@ def cap_iterations(graph: DependenceGraph) -> Iterator[EdgeSet]:
 
 def count_paths_dp(graph: DependenceGraph) -> EdgeSet:
     """Sequential ground truth: leaf path counts by forward dynamic
-    programming (operands always point to earlier iterations), entirely
-    independent of the doubling algorithm.  O(n * leaves)."""
+    programming, entirely independent of the doubling algorithm.
+    O(n * leaves).  It counts in index order, where operands point to
+    earlier iterations; a hand-built graph that breaks that order is
+    counted renumbered into dependence order (a cycle raises
+    :class:`~repro.errors.CyclicDependenceError`)."""
+    order = _dependence_order(graph)
+    if order is not None:
+        rows = count_paths_dp(_renumbered(graph, order))
+        out: EdgeSet = [dict() for _ in range(graph.n)]
+        for k, i in enumerate(order.tolist()):
+            out[i] = rows[k]
+        return out
     n = graph.n
     counts: EdgeSet = [dict() for _ in range(n)]
     for i in range(n):

@@ -42,6 +42,7 @@ from .equations import GIRSystem, IRValidationError, OrdinaryIRSystem
 __all__ = [
     "writer_map",
     "predecessor_array",
+    "predecessors",
     "ordinary_trace_factors",
     "all_ordinary_traces",
     "chain_lengths",
@@ -78,10 +79,15 @@ def predecessor_array(system: OrdinaryIRSystem) -> np.ndarray:
     ``g(j) = f(i)`` and ``j < i`` (``j`` unique by distinctness of
     ``g``).  Vectorized: O(n + m).
     """
-    writer = writer_map(system.g, system.m)
-    cand = writer[system.f]  # iteration that (eventually) writes f(i), or -1
-    idx = np.arange(system.n, dtype=np.int64)
-    return np.where(cand < idx, cand, -1)
+    return predecessors(system.f, writer_map(system.g, system.m))
+
+
+def predecessors(f: np.ndarray, writer: np.ndarray) -> np.ndarray:
+    """:func:`predecessor_array` from the ``f`` map and the
+    :func:`writer_map` of ``g``."""
+    pred = writer.take(f)  # iteration that (eventually) writes f(i), or -1
+    pred[pred >= np.arange(f.shape[0], dtype=np.int64)] = -1
+    return pred
 
 
 def ordinary_trace_factors(

@@ -34,6 +34,7 @@ from typing import Any, List, Optional, Sequence
 from ..obs import get_registry
 from ..obs.recorder import record_event
 from .backends import ExecutionRequest, resolve_backend
+from .driver import verify
 from .failover import failover_ladder, run_ladder
 from .options import EngineOptions
 from .plan import Plan
@@ -100,71 +101,6 @@ _SOLVE_KWARGS = (
     "options",
 )
 _BATCH_KWARGS = ("plan", "reuse_plan", "cache", "f_initial_batch", "options")
-
-
-def _verified(plan, problem, source, *, stage: str):
-    """Run the :mod:`repro.check` schedule verifier over ``plan`` for
-    the ``verify_plan=True`` opt-in; raises
-    :class:`~repro.errors.PlanVerificationError` on error findings and
-    counts ``check.plan.verifications`` either way."""
-    from ..check.schedule import verify_or_raise
-
-    registry = get_registry()
-    family = problem.family
-    try:
-        report = verify_or_raise(
-            plan,
-            problem,
-            system=source if family == "gir" else None,
-        )
-    except Exception:
-        if registry is not None:
-            registry.counter(
-                "check.plan.verifications",
-                family=family,
-                outcome="rejected",
-            ).inc()
-        record_event(
-            "check.plan.rejected", family=family, stage=stage
-        )
-        raise
-    if registry is not None:
-        registry.counter(
-            "check.plan.verifications", family=family, outcome="accepted"
-        ).inc()
-    record_event(
-        "check.plan.verified",
-        family=family,
-        stage=stage,
-        checks=report.checks_run,
-    )
-    return report
-
-
-def _check_preconditions(source, problem) -> None:
-    """Precondition half of ``verify_plan=True``: prove the paper's
-    side-conditions on the source system before planning/executing."""
-    from ..check.preconditions import check_system
-    from ..errors import PlanVerificationError
-
-    report = check_system(source)
-    if not report.ok:
-        registry = get_registry()
-        if registry is not None:
-            registry.counter(
-                "check.preconditions", family=problem.family, outcome="rejected"
-            ).inc()
-        first = report.errors[0]
-        raise PlanVerificationError(
-            f"precondition check failed: {first.describe()} "
-            f"({len(report.errors)} error finding(s))",
-            report=report,
-        )
-    registry = get_registry()
-    if registry is not None:
-        registry.counter(
-            "check.preconditions", family=problem.family, outcome="accepted"
-        ).inc()
 
 
 def _reject_unknown(where: str, unknown, valid) -> None:
@@ -257,9 +193,7 @@ def _front_door(
             f"backend {chosen.name!r} does not support batched execution"
         )
     if opts.verify_plan:
-        _check_preconditions(source, problem)
-        if plan is not None:
-            _verified(plan, problem, source, stage="pre")
+        verify(source, problem, plan, stage="pre", preconditions=True)
 
     cache_hit = False
     consulted = False
@@ -274,7 +208,7 @@ def _front_door(
         plan = store.get(problem.fingerprint(), family=problem.family)
         cache_hit = plan is not None
         if opts.verify_plan and cache_hit:
-            _verified(plan, problem, source, stage="cache")
+            verify(source, problem, plan, stage="cache")
 
     record_event(
         "solve.start",
@@ -297,7 +231,7 @@ def _front_door(
         # Freshly built this solve (GIR plans only materialize inside
         # execute): verify post-hoc so a bad plan cannot be cached or
         # reused even though this execution already consumed it.
-        _verified(built, problem, source, stage="post")
+        verify(source, problem, built, stage="post")
     if consulted and not cache_hit and built is not None:
         store.put(problem.fingerprint(), built)
 

@@ -25,8 +25,14 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 
 from . import driver
 from .exec_gir import RowTraceEvaluator, TraceEvaluator
-from .exec_moebius import AffineChains, AffineRounds, RationalRounds
-from .exec_ordinary import NumpyChains, NumpyRounds, PythonRounds
+from .exec_moebius import (
+    AffineChains,
+    AffineLevels,
+    AffineRounds,
+    RationalLevels,
+    RationalRounds,
+)
+from .exec_ordinary import NumpyChains, NumpyLevels, NumpyRounds, PythonRounds
 from .plan import Plan
 from .problem import Problem
 
@@ -88,7 +94,8 @@ class Backend(ABC):
         ``plan`` is the (possibly freshly built) plan for caching, or
         ``None`` when the backend does not plan (PRAM); ``metrics`` is
         a backend-specific extra (the PRAM run metrics); ``strategy``
-        names what ran -- ``"chains"``, ``"rounds"`` or ``"traces"``
+        names what ran -- ``"chains"``, ``"levels"``, ``"rounds"`` or
+        ``"traces"``
         (see :func:`repro.engine.driver.strategy`) -- or is ``None``.
         """
 
@@ -108,10 +115,11 @@ class KernelBackend(Backend):
     """A backend that is only a kernel table: the engine driver
     (:mod:`repro.engine.driver`) owns planning, policy, verification,
     stats, spans and the scatter, and calls ``kernels[kind]`` for the
-    values -- ``kind`` is ``ordinary`` (or ``chains``, on a chain plan
-    when the backend has that kernel), a Moebius path (``object`` /
-    ``affine`` / ``rational``; ``affine_chains`` replaces ``affine`` on
-    a chain plan likewise) or ``gir``.  ``defaults`` are backend
+    values -- ``kind`` is ``ordinary`` (or ``chains`` / ``levels`` on a
+    chain / level plan when the backend has that kernel), a Moebius
+    path (``object`` / ``affine`` / ``rational``; ``affine_chains``,
+    ``affine_levels`` and ``rational_levels`` replace them likewise) or
+    ``gir``.  ``defaults`` are backend
     options applied under the request's own."""
 
     def __init__(
@@ -250,7 +258,10 @@ register_backend(
         {
             "ordinary": NumpyRounds,
             "chains": NumpyChains,
+            "levels": NumpyLevels,
             "affine_chains": AffineChains,
+            "affine_levels": AffineLevels,
+            "rational_levels": RationalLevels,
             "object": NumpyRounds,
             "gir": TraceEvaluator,
             **_MOEBIUS,

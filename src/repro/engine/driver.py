@@ -14,6 +14,11 @@ therefore supply only *kernels* (a name-keyed table, see
   work-efficient kernels), run instead of ``ordinary`` / ``affine`` on
   a chain plan whenever no round budget asks for rounds (and, for
   ``chains``, the operator is a typed ufunc);
+* level sweeps -- ``levels`` and ``affine_levels`` /
+  ``rational_levels`` (NumPy, loop-exact), run instead of
+  ``ordinary``, ``affine`` and an ``auto`` solve's ``rational`` on a
+  level plan under the same conditions (a Moebius sweep also needs
+  every scalar as float64);
 * trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`): the
   level sweeps on a level plan, else power-table evaluation.
 
@@ -48,12 +53,22 @@ from ..core.moebius import (
 from ..core.ordinary import SolveStats, _sequential_baseline
 from ..core.sequential import run_gir
 from ..obs import get_registry, get_tracer, maybe_span
+from ..obs.recorder import record_event
 from ..resilience.verify import differential_check
 from . import exec_gir, exec_moebius, exec_ordinary
 from .exec_ordinary import admit
 from .plan import GIRPlan
 
-__all__ = ["Job", "admit", "as_values", "solve", "solve_batch", "check", "strategy"]
+__all__ = [
+    "Job",
+    "admit",
+    "as_values",
+    "solve",
+    "solve_batch",
+    "check",
+    "strategy",
+    "verify",
+]
 
 
 @dataclass
@@ -103,6 +118,58 @@ def _sequential(family: str, source, f_initial=None) -> List[Any]:
 def check(family: str, source, out, f_initial, sample: Optional[int]) -> None:
     """``checked=``: differentially verify ``out`` against the oracle."""
     differential_check(family, source, out, sample=sample, f_initial=f_initial)
+
+
+def verify(source, problem, plan=None, *, stage: str, preconditions: bool = False):
+    """The ``verify_plan=True`` opt-in, one seam for every front door
+    and :class:`~repro.engine.session.Session`: with ``preconditions``,
+    prove the paper's side-conditions on ``source`` first; then, given
+    a ``plan``, run the :mod:`repro.check` schedule verifier over it.
+    Error findings raise :class:`~repro.errors.PlanVerificationError`;
+    ``check.preconditions`` / ``check.plan.verifications`` count each
+    outcome.  Returns the plan's report (``None`` without a plan)."""
+    from ..check.preconditions import check_system
+    from ..check.schedule import verify_or_raise
+    from ..errors import PlanVerificationError
+
+    registry = get_registry()
+    family = problem.family
+    if preconditions:
+        report = check_system(source)
+        if registry is not None:
+            registry.counter(
+                "check.preconditions",
+                family=family,
+                outcome="accepted" if report.ok else "rejected",
+            ).inc()
+        if not report.ok:
+            first = report.errors[0]
+            raise PlanVerificationError(
+                f"precondition check failed: {first.describe()} "
+                f"({len(report.errors)} error finding(s))",
+                report=report,
+            )
+    if plan is None:
+        return None
+    try:
+        report = verify_or_raise(
+            plan, problem, system=source if family == "gir" else None
+        )
+    except Exception:
+        if registry is not None:
+            registry.counter(
+                "check.plan.verifications", family=family, outcome="rejected"
+            ).inc()
+        record_event("check.plan.rejected", family=family, stage=stage)
+        raise
+    if registry is not None:
+        registry.counter(
+            "check.plan.verifications", family=family, outcome="accepted"
+        ).inc()
+    record_event(
+        "check.plan.verified", family=family, stage=stage, checks=report.checks_run
+    )
+    return report
 
 
 def _stats(plan, active: List[int], ran: str = ""):
@@ -297,7 +364,8 @@ def _scatter(
     if g is None:
         g = _schedule(plan).g
     if base is not None:
-        base[..., g] = solved
+        if solved is not base:  # a kernel that swept in place is done
+            base[..., g] = solved
         return base.tolist() if batch else [base.tolist()]
     if isinstance(solved, np.ndarray):
         solved = solved.tolist()  # a stacked (k, n) batch: k rows
@@ -401,16 +469,48 @@ def build_plan(source, problem, policy=None):
 #: The chain-scan kernel kind that replaces a round kernel kind on a
 #: chain plan.
 _CHAIN_SCANS = {"ordinary": "chains", "affine": "affine_chains"}
+#: The level-sweep kernel kind that replaces a round kernel kind on a
+#: level plan.
+_LEVEL_SWEEPS = {
+    "ordinary": "levels",
+    "affine": "affine_levels",
+    "rational": "rational_levels",
+}
 
 
 def strategy(kind: str) -> str:
     """The strategy a kernel kind runs: ``chains`` (chain scans),
-    ``traces`` (GIR evaluation; the solve reports ``levels`` instead
-    when the level sweeps ran) or ``rounds`` (pointer jumping, every
-    other kernel)."""
+    ``levels`` (level sweeps), ``traces`` (GIR evaluation; the solve
+    reports ``levels`` instead when the GIR level sweeps ran) or
+    ``rounds`` (pointer jumping, every other kernel)."""
     if kind in _CHAIN_SCANS.values():
         return "chains"
+    if kind in _LEVEL_SWEEPS.values():
+        return "levels"
     return "traces" if kind == "gir" else "rounds"
+
+
+def _layout_kind(kind: str, sched, op, policy, path: str, scalars) -> Optional[str]:
+    """The chain scan or level sweep that replaces round kernel
+    ``kind`` on ``sched``'s layout, or ``None``.  Neither runs under a
+    round budget or a non-ufunc operator.  A Moebius sweep evaluates
+    the loop's formula over float64 columns, so it needs all of them;
+    like the chain scan it serves the affine path however chosen, and
+    an ``auto`` solve's rational one (an explicit ``rational`` path
+    keeps its rounds)."""
+    if kind not in _LEVEL_SWEEPS or not exec_ordinary.chains_apply(op, policy):
+        return None
+    if sched.chains is not None:
+        return _CHAIN_SCANS.get(kind)
+    if sched.levels is None:
+        return None
+    if kind != "ordinary" and (
+        scalars is None
+        or not scalars.complete
+        or (kind == "rational" and path != "auto")
+    ):
+        return None
+    return _LEVEL_SWEEPS[kind]
 
 
 def solve(backend, request, rows=None, f_rows=None, scalars=None):
@@ -442,13 +542,11 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
     if plan is None and kind != "gir":
         plan = build_plan(source, problem)
     op = getattr(source, "op", None)
-    scan = _CHAIN_SCANS.get(kind)
-    if (
-        scan in backend.kernels
-        and _schedule(plan).chains is not None
-        and exec_ordinary.chains_apply(op, policy)
-    ):
-        kind = scan
+    sweep = _layout_kind(
+        kind, _schedule(plan), op, policy, options.get("path", "auto"), scalars
+    )
+    if sweep in backend.kernels:
+        kind = sweep
     make = backend.kernels.get(kind)
     if make is None:
         raise ValueError(
@@ -468,7 +566,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
         if f_init is not None:
             ftyped = admit(f_init, op)
     if (
-        kind in ("ordinary", "chains")
+        kind in ("ordinary", "chains", "levels")
         and make is not exec_ordinary.PythonRounds
         and exec_ordinary.may_wrap(
             op, _schedule(plan).trace_bound, typed, ftyped

@@ -1,10 +1,9 @@
-"""Moebius plans and value kernels: one layout, four kernels.
+"""Moebius plans and value kernels: one layout, several kernels.
 
 Every numeric path replays the same :class:`~repro.engine.plan.
 MoebiusPlan` -- an :class:`~repro.engine.plan.OrdinaryPlan` over
-``(g, f)``, laid out by the ordinary planner's rule (a chain layout
-when chains need fewer levels than pointer jumping needs rounds, else
-the round schedule).  The structure is independent of how the maps are
+``(g, f)``, laid out by the ordinary planner's rule (chains -> levels
+-> rounds).  The structure is independent of how the maps are
 represented:
 
 * ``object`` -- exact ``Mat2`` coefficient matrices composed by an
@@ -14,9 +13,12 @@ represented:
   :class:`AffineChains` scans a chain plan in ``O(n)`` (numpy),
   :class:`AffineRounds` runs the pointer-jumping rounds otherwise
   (single vectors and stacked ``(k, n)`` batches share both);
-* ``rational`` -- :class:`RationalRounds`, float ``(A, B, C, D)``.
+* ``rational`` -- :class:`RationalRounds`, float ``(A, B, C, D)``;
+* on a level plan, :class:`AffineLevels` / :class:`RationalLevels`
+  evaluate the loop's own formula one dependence level at a time, bit
+  for bit the sequential loop's.
 
-The two affine kernels compose maps with one helper,
+The two affine round and chain kernels compose maps with one helper,
 :func:`_compose`, which carries structural constness as its own mask.
 Path selection (``auto``) and the guard mode are resolved by
 :func:`resolve_mode`; the degradation ladder, policy, spans and
@@ -56,7 +58,9 @@ __all__ = [
     "stack_affine",
     "AffineRounds",
     "AffineChains",
+    "AffineLevels",
     "RationalRounds",
+    "RationalLevels",
 ]
 
 PATHS = ("auto", "object", "affine", "rational")
@@ -116,8 +120,9 @@ def resolve_mode(
 def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
     """Validate the index maps and plan their layout over ``(g, f)``
     by the ordinary planner's rule: the affine chain kernel scans a
-    chain layout, and every kernel that runs rounds builds the round
-    schedule from it on first use."""
+    chain layout, the level kernels sweep a level layout, and every
+    kernel that runs rounds builds the round schedule from either on
+    first use."""
     rec.validate_maps()
     ordinary = exec_ordinary.build_plan_from_maps(
         rec.g, rec.f, rec.m, fingerprint
@@ -162,6 +167,18 @@ def evaluate_object(rec: RationalRecurrence, g: np.ndarray, solved) -> List[Any]
 # ---------------------------------------------------------------------------
 
 
+def _require_affine(coeffs: FloatCoefficients) -> None:
+    """Refuse complete float columns that are not affine (``c = 0``,
+    ``d != 0``) on the affine path."""
+    if not coeffs.affine:
+        if (coeffs.c != 0).any():
+            raise IRValidationError(
+                "the affine path requires c = 0 everywhere; use the "
+                "rational or object path for rational recurrences"
+            )
+        raise ZeroDivisionError("affine normalization needs d != 0")
+
+
 def _affine_base(
     rec: RationalRecurrence, scalars: Optional[FloatScalars] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,14 +196,8 @@ def _affine_base(
     rec.validate_coefficients()
     if scalars is not None and scalars.complete:
         coeffs = scalars.coefficients
+        _require_affine(coeffs)
         A, B, C, D = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-        if not coeffs.affine:
-            if (C != 0).any():
-                raise IRValidationError(
-                    "the affine path requires c = 0 everywhere; use the "
-                    "rational or object path for rational recurrences"
-                )
-            raise ZeroDivisionError("affine normalization needs d != 0")
         if rec.self_term:
             S = scalars.initial[rec.g]
             A, B = S * C + A, S * D + B
@@ -474,6 +485,106 @@ def stack_affine(
         saw_float=True,
         only_float=all(col.only_float for col in columns),
     )
+
+
+# ---------------------------------------------------------------------------
+# level plans: the loop's formula, one dependence level at a time
+# ---------------------------------------------------------------------------
+
+
+def _zmul(c, x):
+    """Vectorized :func:`~repro.core.moebius._zmul`: ``c * x``, except
+    that an exact zero absorbs a non-finite partner.  Only such a pair
+    (or a NaN operand) makes the product NaN, so finite data costs one
+    NaN test."""
+    out = c * x
+    nan = np.isnan(out)
+    if nan.any():
+        out = np.where(nan & (c == 0) & ~np.isfinite(x), c, out)
+        out = np.where(nan & (x == 0) & ~np.isfinite(c), x, out)
+    return out
+
+
+class AffineLevels:
+    """Level kernel for Moebius level plans: per dependence level, the
+    sequential loop's own statement over the level's cells --
+    ``x[w] = (zmul(a, x[r]) + b) / (zmul(c, x[r]) + d)``, plus
+    ``x[w]`` under a self term -- so every value is the loop's, bit for
+    bit (:func:`~repro.core.moebius.run_moebius_sequential`, whose
+    ``_zmul`` structural zeros :func:`_zmul` mirrors).
+
+    It runs on the float64 initial values, which it may write (a copy
+    when they are the caller's array), and reads each coefficient from
+    the cell its iteration writes, so the coefficients move once, not
+    per level.  Known-affine columns (``c = 0``, ``d != 0``: the
+    denominator is exactly ``d``) skip the ``c`` / ``d`` gathers, and
+    ``d = 1`` its exact division too.  A stacked ``(k, m)`` batch is a
+    leading axis of the values.
+    """
+
+    label = "affine"
+
+    def __init__(self, job):
+        rec, sched, scalars = job.source, job.sched, job.scalars
+        rec.validate_coefficients()
+        coeffs = scalars.coefficients
+        if self.label == "affine":
+            _require_affine(coeffs)
+        x = scalars.initial
+        if isinstance(rec.initial, np.ndarray) and np.may_share_memory(
+            x, rec.initial
+        ):
+            x = x.copy()
+        layout = sched.levels
+        self.x, self.ix = x, exec_ordinary.cells(x.ndim)
+        self.write, self.read = layout.write_cells, layout.read_cells
+
+        def on_cells(column):  # each iteration's coefficient at its g cell
+            out = np.empty(sched.m)
+            out[sched.g] = column
+            return out
+
+        self.a, self.b = on_cells(coeffs.a), on_cells(coeffs.b)
+        self.c = self.d = None
+        if not coeffs.affine:
+            self.c, self.d = on_cells(coeffs.c), on_cells(coeffs.d)
+        elif not (coeffs.d == 1).all():
+            self.d = on_cells(coeffs.d)
+        self.self_term = rec.self_term
+        #: the float64 initial values the driver scatters into, if exact
+        self.base = scatter_base(x, scalars)
+        #: the cells ``solved()`` lines up with (level order)
+        self.cells = self.write
+        ptr = layout.level_ptr.tolist()
+        if len(ptr) > 1:  # level 0 reads initial values
+            self.round(None, slice(0, ptr[1]))
+        self.steps = [
+            (range(lo, hi), slice(lo, hi)) for lo, hi in zip(ptr[1:-1], ptr[2:])
+        ]
+
+    def round(self, _positions, level: slice) -> None:
+        x, w = self.x, self.write[level]
+        xf = x.take(self.read[level], axis=-1)
+        value = _zmul(self.a.take(w), xf) + self.b.take(w)
+        if self.c is not None:
+            with np.errstate(divide="ignore"):  # a pole: inf, as the rounds give
+                value /= _zmul(self.c.take(w), xf) + self.d.take(w)
+        elif self.d is not None:
+            value /= self.d.take(w)
+        if self.self_term:
+            value = x.take(w, axis=-1) + value
+        x[self.ix(w)] = value
+
+    def solved(self) -> np.ndarray:
+        return self.x[..., self.write]
+
+
+class RationalLevels(AffineLevels):
+    """:class:`AffineLevels` serving an ``auto`` solve of a rational
+    recurrence (the same formula; ``c`` and ``d`` are read, and need
+    not be affine)."""
+
+    label = "rational"
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """OrdinaryIR plans and value kernels.
 
 :func:`build_plan` reads the index structure alone and materializes
-one layout (see :mod:`repro.engine.plan`): a chain layout when chain
-scans need fewer levels than pointer jumping needs rounds, else the
-round schedule.  The kernels replay it over values --
-:class:`NumpyChains` runs one ``ufunc.accumulate`` sweep per chain
-level, the round kernels one gather + ``op`` + scatter per round.
-Everything around them (policy, spans, stats, verification, the
-scatter back to cells) belongs to :mod:`repro.engine.driver`, which
-also admits the values once through :func:`admit`.
+one layout (see :mod:`repro.engine.plan`) by the rule chains ->
+levels -> rounds: a chain layout when chain scans need fewer levels
+than pointer jumping needs rounds, else a level layout when the
+predecessor forest is at most 62 deep, else the round schedule.  The
+kernels replay it over values -- :class:`NumpyChains` runs one
+``ufunc.accumulate`` sweep per chain level, :class:`NumpyLevels` one
+vector statement per dependence level in the admitted array, the round
+kernels one gather + ``op`` + scatter per round.  Everything around
+them (policy, spans, stats, verification, the scatter back to cells)
+belongs to :mod:`repro.engine.driver`, which also admits the values
+once through :func:`admit`.
 
 A kernel is built from a :class:`~repro.engine.driver.Job` (applying
 the terminals' first products), exposes ``steps`` (the rounds or
@@ -24,9 +27,14 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.traces import writer_map
+from ..core.traces import predecessors, writer_map
 from ..errors import IRValidationError
-from .plan import OrdinaryPlan, build_chain_layout, build_round_schedule
+from .plan import (
+    OrdinaryPlan,
+    build_chain_layout,
+    build_forest_levels,
+    build_round_schedule,
+)
 
 __all__ = [
     "admit",
@@ -41,6 +49,7 @@ __all__ = [
     "PythonRounds",
     "NumpyRounds",
     "NumpyChains",
+    "NumpyLevels",
 ]
 
 #: Magnitude from which float64 no longer holds every integer exactly
@@ -60,23 +69,27 @@ def build_plan(system, fingerprint: str) -> OrdinaryPlan:
 def build_plan_from_maps(
     g: np.ndarray, f: np.ndarray, m: int, fingerprint: str
 ) -> OrdinaryPlan:
-    """Plan validated index maps (distinct ``g`` in range): the Lemma-1
+    """Plan validated index maps (distinct ``g`` in range) by the one
+    layout rule of the ordinary and Moebius planners: the Lemma-1
     predecessor array, then chains when they need fewer levels than
-    pointer jumping needs rounds, else the full round schedule.  The
-    one layout rule of the ordinary and Moebius planners."""
-    n = int(g.shape[0])
-    cand = writer_map(g, m)[f]  # iteration that (eventually) writes f(i)
-    pred = np.where(cand < np.arange(n, dtype=np.int64), cand, -1)
+    pointer jumping needs rounds, else dependence levels when the
+    forest is shallow (``pred`` is then not kept: a rounds consumer
+    rebuilds it), else the full round schedule."""
+    writer = writer_map(g, m)
+    pred = predecessors(f, writer)
     chains = build_chain_layout(pred)
+    levels = None if chains is not None else build_forest_levels(g, f, pred, writer)
     return OrdinaryPlan(
         fingerprint=fingerprint,
-        n=n,
+        n=int(g.shape[0]),
         m=m,
         g=g,
         f=f,
-        pred=pred,
-        steps=None if chains is not None else build_round_schedule(pred),
+        pred=None if levels is not None else pred,
+        steps=None if chains is not None or levels is not None
+        else build_round_schedule(pred),
         chains=chains,
+        levels=levels,
     )
 
 
@@ -492,3 +505,55 @@ class NumpyChains:
 
     def solved(self):
         return self.c
+
+
+class NumpyLevels:
+    """Work-efficient kernel for level plans: one vector statement per
+    dependence level, in cell space, on the admitted array --
+    ``x[w] = op(x[r], x[w])`` over the level's write and read cells
+    (:class:`~repro.engine.plan.ForestLevels`).
+
+    Each cell has one writer, so the only values a level reads are its
+    predecessors' (final: an earlier level wrote them), an iteration's
+    own initial ``g`` cell, and at level 0 the roots' ``f`` operands --
+    from ``f_initial`` when given, else gathered before the statement
+    writes, so a root still reads the initial value of a cell that
+    another root writes.  Every result is the loop's own fold, bit for
+    bit wherever ``vector_fn`` is the loop's ``fn`` (MIN / MAX keep
+    ``np.minimum`` / ``np.maximum``'s NaN and signed-zero rules).  No
+    gather into iteration order, no scatter back: ``solved()`` is the
+    array itself.  A stacked ``(k, m)`` batch is a leading axis.
+    """
+
+    label = "numpy"
+    #: root-span attributes: the values are swept where they lie
+    attrs = {"in_place": True}
+    #: ``solved()`` is the whole array, every cell in place
+    cells = slice(None)
+
+    def __init__(self, job):
+        self.vec = job.op.vector_fn
+        x, finit = _inputs(job, True)
+        self.base = x
+        layout = job.sched.levels
+        self.write, self.read = layout.write_cells, layout.read_cells
+        self.ix = cells(x.ndim)
+        ptr = layout.level_ptr.tolist()
+        if len(ptr) > 1:  # level 0: the roots' first products
+            self._sweep(finit, slice(0, ptr[1]))
+        self.steps = [
+            (range(lo, hi), slice(lo, hi)) for lo, hi in zip(ptr[1:-1], ptr[2:])
+        ]
+
+    def _sweep(self, source, level: slice) -> None:
+        """``x[w] = op(source[r], x[w])`` over one level's cells."""
+        x, w = self.base, self.write[level]
+        value = source.take(self.read[level], axis=-1)
+        self.vec(value, x.take(w, axis=-1), out=value)
+        x[self.ix(w)] = value
+
+    def round(self, _positions, level: slice) -> None:
+        self._sweep(self.base, level)
+
+    def solved(self):
+        return self.base

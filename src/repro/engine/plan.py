@@ -4,17 +4,22 @@ A plan records everything the engine can derive from the index maps
 alone, so repeated solves sharing ``f, g, h`` skip straight to the
 value-dependent work:
 
-* :class:`OrdinaryPlan` -- the Lemma-1 predecessor array and ONE
-  execution layout chosen from the index structure: a
-  :class:`ChainLayout` (a permutation of the iterations into
+* :class:`OrdinaryPlan` -- ONE execution layout chosen from the
+  Lemma-1 predecessor forest by the rule chains -> levels -> rounds:
+  a :class:`ChainLayout` (a permutation of the iterations into
   pred-linked chains plus segment offsets grouped by level, ``O(n)``
   bytes; each level is one ``ufunc.accumulate`` sweep) when it needs
-  fewer levels than pointer jumping needs rounds, else the **round
-  schedule**: for every pointer-jumping round, the iterations that are
-  active and the source each one concatenates from (``O(n log n)``
-  bytes; one gather + ``op`` + scatter per round).  A chain plan
-  builds the round schedule lazily, only for a consumer that runs
-  rounds.
+  fewer levels than pointer jumping needs rounds; else a
+  :class:`ForestLevels` (the cells each iteration writes and reads,
+  grouped by its depth in the forest, ``O(n)`` bytes; each level is
+  one vector statement in cell space) when the forest is at most
+  :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep; else the
+  **round schedule**: for every pointer-jumping round, the iterations
+  that are active and the source each one concatenates from
+  (``O(n log n)`` bytes; one gather + ``op`` + scatter per round).
+  Chain and level plans build the round schedule lazily, only for a
+  consumer that runs rounds; a level plan builds its predecessor
+  array lazily too.
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the
   projection map back onto the original cells and ONE evaluation
   layout: a :class:`LevelLayout` (the dependence graph's operand
@@ -28,12 +33,13 @@ value-dependent work:
   :class:`OrdinaryPlan` for the cheap dispatch path instead.
 * :class:`MoebiusPlan` -- an :class:`OrdinaryPlan` over ``(g, f)``
   shared by every Moebius execution path (object, affine, rational):
-  the pointer-jumping structure is the same regardless of how the
+  the dependence structure is the same regardless of how the
   matrices are represented.
 
 Plans serialize to plain dicts (``to_dict``/``from_dict``) so they can
 be persisted and shipped; the layout is stored as index lists (a
-chain plan's ``chains`` payload, a rounds plan's ``steps``).
+chain plan's ``chains`` payload, a level plan's ``levels``, a rounds
+plan's ``steps``).
 """
 
 from __future__ import annotations
@@ -44,13 +50,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.cap import count_all_paths, residue
+from ..core.cap import _LEVEL_MAX_DEPTH, count_all_paths, deep_chain, residue
 from ..core.depgraph import DependenceGraph
+from ..core.traces import predecessors, writer_map
 from ..obs import get_tracer, maybe_span
 
 __all__ = [
     "OrdinaryPlan",
     "ChainLayout",
+    "ForestLevels",
     "GIRPlan",
     "LevelLayout",
     "MoebiusPlan",
@@ -59,6 +67,7 @@ __all__ = [
     "exponent_array",
     "build_round_schedule",
     "build_chain_layout",
+    "build_forest_levels",
     "plan_to_dict",
     "plan_from_dict",
 ]
@@ -117,13 +126,13 @@ def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
     if n == 0:
         return None
     idx = np.arange(n, dtype=np.int64)
-    is_head = pred != idx - 1
-    is_head[0] = True
-    heads = np.flatnonzero(is_head)
-    if 4 * heads.size > 3 * n:
+    is_head = np.ones(n, dtype=bool)
+    np.not_equal(pred[1:], idx[:-1], out=is_head[1:])
+    if 4 * np.count_nonzero(is_head) > 3 * n:
         # Mostly one-iteration segments: the chain levels track depth,
         # which pointer jumping halves each round -- keep planning cheap.
         return None
+    heads = np.flatnonzero(is_head)
     seeds = pred[heads]
     nonroot = seeds >= 0
     # a seed's segment is the last head at or before it; a root's
@@ -159,6 +168,104 @@ def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
     return ChainLayout(
         order=order, offsets=offsets, level_ptr=level_ptr, max_depth=max_depth
     )
+
+
+def build_forest_levels(
+    g: np.ndarray, f: np.ndarray, pred: np.ndarray, writer: np.ndarray
+) -> Optional["ForestLevels"]:
+    """Group the Lemma-1 predecessor forest's iterations by depth --
+    roots at level 0 -- or return ``None`` when the forest is deeper
+    than :data:`~repro.core.cap._LEVEL_MAX_DEPTH`.
+
+    Depths are relaxed on one int8 array indexed by cell: an
+    iteration's depth lands on the cell it writes, one more than the
+    depth on the cell its ``f`` operand reads (its predecessor's).
+    Sweep ``k`` leaves ``min(depth, k)`` on every cell and keeps only
+    the iterations still climbing, so the sweeps cost the sum of the
+    depths; once that passes ``2n``, one pointer-jumping test
+    (:func:`~repro.core.cap.deep_chain`) finds a forest past the limit
+    before its sweeps would.  A stable radix argsort of the cell
+    depths then lists the written cells level by level, ascending
+    within a level; ``writer`` (cell -> iteration) gives the cells
+    their ``f`` operands read.
+    """
+    n, m = int(pred.shape[0]), int(writer.shape[0])
+    depth = (writer >= 0).view(np.int8) - np.int8(1)  # 0 where written, else -1
+    nonroot = pred >= 0
+    w, r = np.compress(nonroot, g), np.compress(nonroot, f)
+    sizes = [n - w.size]
+    work, tested = 0, False
+    while w.size:
+        if len(sizes) > _LEVEL_MAX_DEPTH:
+            return None
+        work += w.size
+        if not tested and work > 2 * n:
+            tested = True
+            if deep_chain(np.append(np.where(nonroot, pred, n), n)):
+                return None
+        depth[w] = depth.take(r) + 1
+        climbing = depth.take(r) == len(sizes)
+        w, r = np.compress(climbing, w), np.compress(climbing, r)
+        sizes.append(climbing.size - w.size)
+    level_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=level_ptr[1:])
+    write_cells = np.argsort(depth, kind="stable")[m - n :]
+    if m > 2 * n:  # keep no slots of the unwritten cells alive
+        write_cells = write_cells.copy()
+    return ForestLevels(
+        write_cells=write_cells,
+        read_cells=f.take(writer.take(write_cells)),
+        level_ptr=level_ptr,
+    )
+
+
+@dataclass
+class ForestLevels:
+    """The level strategy's ordinary plan: the iterations grouped by
+    their depth in the Lemma-1 predecessor forest, kept as the cells
+    they touch.
+
+    ``write_cells[level_ptr[l]:level_ptr[l + 1]]`` are the cells the
+    iterations at depth ``l`` write (their ``g``), ascending, and
+    ``read_cells`` the same slice of the cells their ``f`` operands
+    read.  A root (level 0) reads an initial value -- its cell is
+    written, if at all, by a later iteration in no earlier level --
+    and every other iteration reads its predecessor's cell, written by
+    the level before.  So one ``x[w] = op(x[r], x[w])`` per level, in
+    cell space, folds exactly the loop's operands in the loop's order.
+    ``O(n)`` bytes and no iteration ids (the writer map of ``g``
+    recovers them).
+    """
+
+    write_cells: np.ndarray  # (n,) int64 g in level order
+    read_cells: np.ndarray  # (n,) int64 f in level order
+    level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. n
+
+    @property
+    def levels(self) -> int:
+        return int(self.level_ptr.shape[0]) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            int(a.nbytes) for a in (self.write_cells, self.read_cells, self.level_ptr)
+        )
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            "write_cells": self.write_cells.tolist(),
+            "read_cells": self.read_cells.tolist(),
+            "level_ptr": self.level_ptr.tolist(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "ForestLevels":
+        return cls(
+            **{
+                key: np.asarray(payload[key], dtype=np.int64)
+                for key in ("write_cells", "read_cells", "level_ptr")
+            }
+        )
 
 
 @dataclass
@@ -250,11 +357,13 @@ class OrdinaryPlan:
 
     The planner materializes one layout: ``chains`` (a
     :class:`ChainLayout`) when chain scans need fewer levels than
-    pointer jumping needs rounds, else the round schedule ``steps``.
-    ``steps`` is always readable -- on a chain plan it is built from
-    ``pred`` on first access and cached, for the consumers that run
-    rounds (python kernels, non-ufunc operators, round budgets,
-    the checker's round rules).
+    pointer jumping needs rounds, else ``levels`` (a
+    :class:`ForestLevels`) when the predecessor forest is shallow,
+    else the round schedule ``steps``.  ``steps`` and ``pred`` are
+    always readable -- built from ``(g, f)`` on first access and
+    cached, for the consumers that run rounds (python kernels,
+    non-ufunc operators, round budgets, the checker's round rules);
+    ``has_steps`` / ``has_pred`` say whether they are built.
     """
 
     fingerprint: str
@@ -262,13 +371,16 @@ class OrdinaryPlan:
     m: int
     g: np.ndarray
     f: np.ndarray
-    pred: np.ndarray
+    #: the Lemma-1 predecessor array as materialized (``None``: not
+    #: yet); the constructor takes it as ``pred``, which reads it lazily
+    _pred: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: the round schedule as materialized (``None``: not yet); the
     #: constructor takes it as ``steps``, which reads it lazily
     _steps: Optional[List[RoundStep]] = field(
         default=None, repr=False, compare=False
     )
     chains: Optional[ChainLayout] = field(default=None, repr=False, compare=False)
+    levels: Optional[ForestLevels] = field(default=None, repr=False, compare=False)
     family: str = "ordinary"
     # lazily-built caches (not serialized)
     _terminal_idx: Optional[np.ndarray] = field(
@@ -281,13 +393,21 @@ class OrdinaryPlan:
 
     @property
     def strategy(self) -> str:
-        """The layout the planner chose: ``"chains"`` or ``"rounds"``."""
-        return "rounds" if self.chains is None else "chains"
+        """The layout the planner chose: ``"chains"``, ``"levels"`` or
+        ``"rounds"``."""
+        if self.chains is not None:
+            return "chains"
+        return "rounds" if self.levels is None else "levels"
 
     @property
     def has_steps(self) -> bool:
         """Whether the round schedule is materialized."""
         return self._steps is not None
+
+    @property
+    def has_pred(self) -> bool:
+        """Whether the predecessor array is materialized."""
+        return self._pred is not None
 
     @property
     def rounds(self) -> int:
@@ -298,11 +418,13 @@ class OrdinaryPlan:
     def trace_bound(self) -> int:
         """Value-independent bound ``L`` on the operands folded into
         any one result: the deepest iteration's ancestors, itself and
-        its terminal's ``f`` operand.  A chain plan knows its depth; a
-        rounds plan bounds it by ``2**rounds - 1``.  The overflow guard
-        of the int64 add / multiply kernels reads it."""
+        its terminal's ``f`` operand.  Chain and level plans know their
+        depth; a rounds plan bounds it by ``2**rounds - 1``.  The
+        overflow guard of the int64 add / multiply kernels reads it."""
         if self._trace_bound is None:
-            if self.chains is None:
+            if self.levels is not None:
+                depth = max(self.levels.levels - 1, 0)
+            elif self.chains is None:
                 depth = 2**self.rounds - 1
             elif self.chains.max_depth is not None:
                 depth = self.chains.max_depth
@@ -320,20 +442,25 @@ class OrdinaryPlan:
 
     @property
     def init_ops(self) -> int:
+        """Terminals (a level plan's level 0: never builds ``pred``)."""
+        if self.levels is not None and self._terminal_idx is None:
+            return int(self.levels.level_ptr[min(1, self.levels.levels)])
         return int(self.terminal_idx.size)
 
     @property
     def active_per_round(self) -> List[int]:
-        """Active iterations per pointer-jumping round.  A chain plan
-        whose schedule is not materialized derives them from depths:
-        an iteration at depth ``d`` is active in round ``r`` iff
-        ``d >= 2**(r-1)``."""
-        if self._steps is not None or self.chains is None:
+        """Active iterations per pointer-jumping round.  Chain and level
+        plans whose schedule is not materialized derive them from
+        depths: an iteration at depth ``d`` is active in round ``r``
+        iff ``d >= 2**(r-1)``."""
+        if self._steps is not None or (self.chains is None and self.levels is None):
             return [int(active.size) for active, _src in self.steps]
-        depth = self.chains.depths(self.pred)
-        bits = np.frexp(depth.astype(np.float64))[1]  # int.bit_length
-        per_bits = np.bincount(bits)
-        return np.cumsum(per_bits[::-1])[::-1][1:].tolist()
+        if self.levels is not None:
+            per_depth = np.diff(self.levels.level_ptr)
+        else:
+            per_depth = np.bincount(self.chains.depths(self.pred))
+        deeper = np.cumsum(per_depth[::-1])[::-1]  # iterations at depth >= d
+        return [int(deeper[1 << r]) for r in range((deeper.size - 1).bit_length())]
 
     def steps_py(self) -> List[Tuple[List[int], List[int]]]:
         """The schedule as Python lists (pure-Python backend)."""
@@ -352,11 +479,15 @@ class OrdinaryPlan:
             "m": self.m,
             "g": self.g.tolist(),
             "f": self.f.tolist(),
-            "pred": self.pred.tolist(),
         }
+        # lazy state only when materialized
+        if self._pred is not None:
+            payload["pred"] = self._pred.tolist()
         if self.chains is not None:
             payload["chains"] = self.chains.to_payload()
-        if self._steps is not None:  # a chain plan's only when materialized
+        if self.levels is not None:
+            payload["levels"] = self.levels.to_payload()
+        if self._steps is not None:
             payload["steps"] = [
                 [active.tolist(), src.tolist()] for active, src in self._steps
             ]
@@ -364,15 +495,17 @@ class OrdinaryPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "OrdinaryPlan":
+        pred = payload.get("pred")
         steps = payload.get("steps")
         chains = payload.get("chains")
+        levels = payload.get("levels")
         return cls(
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
             m=int(payload["m"]),
             g=np.asarray(payload["g"], dtype=np.int64),
             f=np.asarray(payload["f"], dtype=np.int64),
-            pred=np.asarray(payload["pred"], dtype=np.int64),
+            pred=None if pred is None else np.asarray(pred, dtype=np.int64),
             steps=None
             if steps is None
             else [
@@ -383,7 +516,18 @@ class OrdinaryPlan:
                 for active, src in steps
             ],
             chains=None if chains is None else ChainLayout.from_payload(chains),
+            levels=None if levels is None else ForestLevels.from_payload(levels),
         )
+
+
+def _get_pred(plan: OrdinaryPlan) -> np.ndarray:
+    if plan._pred is None:
+        plan._pred = predecessors(plan.f, writer_map(plan.g, plan.m))
+    return plan._pred
+
+
+def _set_pred(plan: OrdinaryPlan, pred: Optional[np.ndarray]) -> None:
+    plan._pred = pred
 
 
 def _get_steps(plan: OrdinaryPlan) -> List[RoundStep]:
@@ -416,8 +560,10 @@ def _lazy_layout(cls, name: str, get, put) -> None:
     cls.__init__ = __init__
 
 
-# A chain plan builds its round schedule only when a rounds consumer
-# reads ``steps``.
+# Chain and level plans build the round schedule only when a rounds
+# consumer reads ``steps``, and a level plan its predecessor array
+# only when a consumer reads ``pred``.
+_lazy_layout(OrdinaryPlan, "pred", _get_pred, _set_pred)
 _lazy_layout(OrdinaryPlan, "steps", _get_steps, _set_steps)
 
 
@@ -798,9 +944,9 @@ _lazy_layout(GIRPlan, "table", _get_table, _set_table)
 
 @dataclass
 class MoebiusPlan:
-    """Plan of a Moebius solve: the shared pointer-jumping structure
-    over ``(g, f)``; every numeric path (object / affine / rational)
-    replays it over its own matrix representation."""
+    """Plan of a Moebius solve: the shared ordinary layout over
+    ``(g, f)``; every numeric path (object / affine / rational)
+    replays it over its own representation."""
 
     fingerprint: str
     n: int

@@ -39,11 +39,12 @@ DEFAULT_CACHE_SIZE = 128
 def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
-    Counts the flat index arrays (materialized schedule steps, the
-    chain layout and its cached helpers, the GIR level layout, a
-    materialized CSR power-table triple, projection maps); per-object
-    overhead and the GIR table's exact big-int exponents are estimated
-    at one word each.  Never builds a lazy schedule or table.  Used by
+    Counts the flat index arrays (a materialized predecessor array and
+    schedule steps, the chain layout and its cached helpers, the
+    ordinary or GIR level layout, a materialized CSR power-table
+    triple, projection maps); per-object overhead and the GIR table's
+    exact big-int exponents are estimated at one word each.  Never
+    builds a lazy predecessor array, schedule or table.  Used by
     :meth:`PlanCache.info` so the cache's memory footprint is visible
     next to its hit rate.
     """
@@ -51,10 +52,12 @@ def plan_nbytes(plan) -> int:
     ordinary = getattr(plan, "ordinary", None) or getattr(plan, "dispatch", None)
     if ordinary is not None:
         return plan_nbytes(ordinary)
-    for name in ("g", "f", "pred", "out_cells", "final_cell_of"):
+    for name in ("g", "f", "out_cells", "final_cell_of"):
         arr = getattr(plan, name, None)
         if arr is not None:
             total += int(arr.nbytes)
+    if getattr(plan, "has_pred", False):  # never builds a lazy pred
+        total += int(plan.pred.nbytes)
     if getattr(plan, "has_steps", False):  # never builds a lazy schedule
         for active, src in plan.steps:
             total += int(active.nbytes) + int(src.nbytes)

@@ -36,16 +36,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.moebius import _float_coefficients
 from ..obs import get_registry
-from .api import (
-    EngineResult,
-    _check_preconditions,
-    _reject_unknown,
-    _verified,
-    dispatch,
-    request_for,
-)
+from .api import EngineResult, _reject_unknown, dispatch, request_for
 from .backends import Backend, resolve_backend
-from .driver import as_values, build_plan
+from .driver import as_values, build_plan, verify
 from .failover import failover_ladder
 from .options import EngineOptions
 from .plan import Plan
@@ -118,9 +111,9 @@ class Session:
             _float_coefficients(source) if self.family == "moebius" else None
         )
         if opts.verify_plan:
-            _check_preconditions(self._source, self._problem)
-            if self._plan is not None:
-                _verified(self._plan, self._problem, source, stage="session")
+            verify(
+                source, self._problem, self._plan, stage="session", preconditions=True
+            )
 
     # -- introspection -----------------------------------------------------
 
@@ -235,9 +228,7 @@ class Session:
         result = dispatch(rungs, request, rows, f_rows)
         if self._plan is None and result.plan is not None:
             if self._opts.verify_plan:
-                _verified(
-                    result.plan, self._problem, self._source, stage="session"
-                )
+                verify(self._source, self._problem, result.plan, stage="session")
             self._plan = result.plan  # GIR: pin from the first solve
         result.plan, result.cache_hit = self._plan, self._plan is not None
         if registry is not None:

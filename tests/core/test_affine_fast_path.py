@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.equations import IRValidationError
+from repro.engine import EngineOptions, solve
+from repro.engine.planner import PlanCache
 from repro.core.moebius import (
     AffineRecurrence,
     RationalRecurrence,
@@ -30,13 +32,21 @@ def random_affine(rng, n, m, self_term=False):
 class TestFastPath:
     @pytest.mark.parametrize("self_term", [False, True])
     def test_bit_identical_to_object_engine(self, rng, self_term):
+        # the affine rounds (python backend: random forests plan
+        # dependence levels, which numpy sweeps instead) compose the
+        # object engine's products in its order; the numpy level sweep
+        # is the sequential loop's formula
+        rounds = EngineOptions(
+            backend="python", backend_options={"path": "affine", "guard": None}
+        )
         for _ in range(15):
             n = int(rng.integers(1, 60))
             rec = random_affine(rng, n, n + int(rng.integers(0, 10)), self_term)
             obj, s_obj = solve_moebius(rec, engine="numpy", collect_stats=True)
-            fast, s_fast = solve_affine_numpy(rec, collect_stats=True)
-            assert obj == fast  # bit-identical floats
-            assert s_obj.active_per_round == s_fast.active_per_round
+            fast = solve(rec, cache=PlanCache(), collect_stats=True, options=rounds)
+            assert obj == fast.values  # bit-identical floats
+            assert s_obj.active_per_round == fast.stats.active_per_round
+            assert solve_affine_numpy(rec)[0] == run_moebius_sequential(rec)
 
     def test_matches_sequential(self, rng):
         rec = random_affine(rng, 120, 140)
@@ -143,9 +153,12 @@ class TestRationalFastPath:
         from .._legacy_solvers import solve_rational_numpy
 
         rec = self._rational(rng, 30)
-        auto, _ = solve_moebius(rec, engine="auto")
+        result = solve(rec, cache=PlanCache())
+        # the float level kernel: the loop's formula, bit for bit
+        assert result.strategy == "levels"
+        assert result.values == run_moebius_sequential(rec)
         fast, _ = solve_rational_numpy(rec)
-        assert auto == fast
+        assert np.allclose(result.values, fast)
 
     def test_degenerate_coefficient_maps(self):
         from .._legacy_solvers import solve_rational_numpy

@@ -290,3 +290,62 @@ def test_empty_graph():
     assert got.iterations == 0 and got.edge_work == 0
     assert got.leaf_csr[0].tolist() == [0]
     assert got.leaf_csr[1].size == got.leaf_csr[2].size == 0
+
+
+# ---------------------------------------------------------------------------
+# graphs that are not index-ordered
+# ---------------------------------------------------------------------------
+
+
+def _reference(graph):
+    """Dict doubling: no assumption about node order."""
+    return count_all_paths(graph, method="edges").powers
+
+
+def test_dp_renumbers_a_graph_that_is_not_index_ordered():
+    # node 0 reads node 1: index order is not a dependence order
+    graph = DependenceGraph(
+        n=3, m=3, target_f=np.array([1, 3, 4]), target_h=np.array([3, 4, 5])
+    )
+    want = [{3: 2, 4: 1}, {3: 1, 4: 1}, {4: 1, 5: 1}]
+    assert _reference(graph) == want
+    assert count_all_paths(graph, method="matrix").powers == want
+    assert count_all_paths(graph).powers == want  # the level pass
+    assert count_all_paths(graph, method="dp").powers == want
+    assert count_paths_dp(graph) == want
+    assert graph.depth() == 2
+
+
+@pytest.mark.parametrize("period", [None, 7])
+def test_deep_graph_that_is_not_index_ordered(period):
+    # a reversed Fibonacci: node i reads nodes i + 1 and i + 2, 100 deep,
+    # so an unbounded auto run takes the DP (and counts leave int64)
+    n = 100
+    idx = np.arange(n)
+    tf = np.where(idx + 1 < n, idx + 1, n)
+    th = np.where(idx + 2 < n, idx + 2, n + 1)
+    graph = DependenceGraph(n=n, m=2, target_f=tf, target_h=th)
+    want = count_paths_dp(graph)
+    assert want == _reference(graph)
+    assert max(want[0].values()) > INT64_MAX
+    cap = count_all_paths(graph, period=period)
+    assert cap.method == "dp" and graph.depth() == n
+    if period is None:
+        assert cap.powers == want
+    else:
+        assert cap.period == period
+        assert cap.powers == [
+            {leaf: residue(k, period) for leaf, k in row.items()} for row in want
+        ]
+
+
+def test_a_cycle_is_refused_by_name():
+    from repro.errors import CyclicDependenceError
+
+    graph = DependenceGraph(
+        n=2, m=1, target_f=np.array([1, 0]), target_h=np.array([2, 2])
+    )
+    with pytest.raises(CyclicDependenceError, match="cycle"):
+        count_paths_dp(graph)
+    with pytest.raises(CyclicDependenceError):
+        count_all_paths(graph, method="dp", validate=False)

@@ -227,9 +227,21 @@ def random_maps(n):
     return affine(np.random.default_rng(2).integers(0, n + 1, n), n)
 
 
+def strided(n):
+    """Two interleaved chains: deep, so they keep the round schedule."""
+    f = np.arange(n) - 1
+    f[0] = n
+    return affine(f, n)
+
+
 @pytest.mark.parametrize(
     "build, strategy",
-    [(chain, "chains"), (caterpillar, "chains"), (random_maps, "rounds")],
+    [
+        (chain, "chains"),
+        (caterpillar, "chains"),
+        (random_maps, "levels"),
+        (strided, "rounds"),
+    ],
 )
 def test_strategy_follows_the_layout(build, strategy):
     rec = build(4096)
@@ -237,6 +249,8 @@ def test_strategy_follows_the_layout(build, strategy):
     assert result.plan.ordinary.strategy == result.strategy == strategy
     assert Session(rec).solve().strategy == strategy
     assert_close(result.values, run_moebius_sequential(rec))
+    if strategy == "levels":  # the loop's own formula, bit for bit
+        assert result.values == run_moebius_sequential(rec)
 
 
 def test_chain_plan_is_linear():

@@ -4,7 +4,8 @@ coalescing -- results are the left fold of ``op.vector_fn`` in the
 sequential loop's order, bit for bit, for every typed ufunc operator.
 
 For ``ADD``, ``MUL``, ``FLOAT_ADD`` and ``FLOAT_MUL`` the ufunc is the
-loop's own arithmetic, so chain results are bit-identical to
+loop's own arithmetic, so chain results -- and the level sweeps' on
+the shapes that plan dependence levels -- are bit-identical to
 ``run_ordinary``, floats included.  ``MIN`` / ``MAX`` differ from the
 loop's ``x if x <= y else y`` on NaN (``np.minimum`` propagates it) and
 on ties between ``0.0`` and ``-0.0``; the suite draws both and checks
@@ -106,10 +107,14 @@ def assert_bit_identical(got, want):
         assert x == y
 
 
+#: The strategies that fold in the loop's own order.
+LOOP_ORDER = ("chains", "levels")
+
+
 def exact(system, result):
-    """Chain results and exactly associative operators must match the
-    loop bit for bit."""
-    return result.strategy == "chains" or system.op.dtype == "int64"
+    """Chain and level results and exactly associative operators must
+    match the loop bit for bit."""
+    return result.strategy in LOOP_ORDER or system.op.dtype == "int64"
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,7 +132,7 @@ def test_solve_matches_loop(problem):
 def test_session_and_batch_match_loop(problem):
     system, rows = problem
     session = Session(system)
-    chains = session.plan.strategy == "chains"
+    chains = session.plan.strategy in LOOP_ORDER
     for row in rows:
         got = session.solve(row)
         if chains or system.op.dtype == "int64":
@@ -172,6 +177,9 @@ def _system(kind, n, op=FLOAT_MUL, seed=0):
     f[0] = n
     if kind == "forest":
         f = rng.integers(0, n + 1, n)
+    elif kind == "strided":  # two interleaved chains: deep, no runs
+        f = idx - 2
+        f[:2] = n
     elif kind == "caterpillar":
         f[n // 2 :] = rng.integers(0, n // 2, n - n // 2)
     return OrdinaryIRSystem.build(
@@ -181,12 +189,20 @@ def _system(kind, n, op=FLOAT_MUL, seed=0):
 
 @pytest.mark.parametrize(
     "kind, strategy",
-    [("chain", "chains"), ("caterpillar", "chains"), ("forest", "rounds")],
+    [
+        ("chain", "chains"),
+        ("caterpillar", "chains"),
+        ("forest", "levels"),
+        ("strided", "rounds"),
+    ],
 )
 def test_planner_picks_both_strategies(kind, strategy):
     system = _system(kind, 4096)
     result = solve(system, cache=PlanCache())
     assert result.plan.strategy == result.strategy == strategy
+    if strategy == "levels":  # loop-exact, and no pred or schedule kept
+        assert_bit_identical(result.values, run_ordinary(system))
+        assert not result.plan.has_pred and not result.plan.has_steps
     if strategy == "chains":
         plan = result.plan
         assert plan.chains.levels < plan.rounds  # fewer levels than rounds
@@ -241,7 +257,7 @@ def test_copying_a_chain_plan_builds_no_steps():
     assert [a.tolist() for a, _ in copy.steps] == [a.tolist() for a, _ in plan.steps]
     # a built schedule travels with the copy; a rounds plan keeps its own
     assert dataclasses.replace(plan).steps is plan.steps
-    rounds = solve(_system("forest", 1 << 10), cache=PlanCache()).plan
+    rounds = solve(_system("strided", 1 << 10), cache=PlanCache()).plan
     assert rounds.strategy == "rounds"
     assert dataclasses.replace(rounds).steps is rounds.steps
 

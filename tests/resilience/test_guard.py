@@ -194,9 +194,10 @@ def test_guard_report_to_dict():
 def _nan_engineered_recurrence():
     """Two interleaved affine chains (``X[i+2] = 1e300 * X[i]``) whose
     float fast path manufactures NaN: the maps plan pointer-jumping
-    rounds (every iteration heads its own segment), and composing two
-    overflowed (inf, 0) segments multiplies 0 * inf."""
-    n = 16
+    rounds (every iteration heads its own segment, and the chains are
+    64 deep, past the level layout), and composing two overflowed
+    (inf, 0) segments multiplies 0 * inf."""
+    n = 128
     return AffineRecurrence.build(
         initial=[1.0, 1.0] + [0.0] * n,
         g=list(range(2, n + 2)),
