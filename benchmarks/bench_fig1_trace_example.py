@@ -61,6 +61,20 @@ def test_fig1_traces(benchmark):
     assert stats.rounds == 1  # chains of length 2 need one concatenation
 
 
+def test_fig1_chained_loop_plans_four_stride4_runs():
+    """On the default backend the chained loop plans a chain layout of
+    four stride-4 runs (``{i, i + 4}``); ``CONCAT`` is no ufunc, so the
+    solve runs the round schedule rebuilt from ``(g, f)`` -- and still
+    equals the loop."""
+    system = chained_loop()
+    result = solve(system)
+    layout = result.plan.chains
+    assert result.plan.strategy == "chains" and result.strategy == "rounds"
+    assert layout.segments == 4 and layout.strides.tolist() == [4] * 4
+    assert sorted(layout.heads.tolist()) == [0, 1, 2, 3]
+    assert result.values == run_ordinary(system)
+
+
 def main():
     out = run_fig1()
     for name, title in (("literal", "for i=1..8: A[i] := A[i+4]*A[i]"),
@@ -75,6 +89,13 @@ def main():
                 rows.append((f"A'[{cell + 1}]", f"A[{cell + 1}]  (initial value preserved)"))
         print(ascii_table(("cell", "trace"), rows))
         print(f"parallel solve: {stats.rounds} concatenation round(s)\n")
+    plan = solve(chained_loop()).plan
+    runs = ", ".join(
+        f"{{{h}, {h + s}}}" for h, s in zip(plan.chains.heads.tolist(),
+                                          plan.chains.strides.tolist())
+    )
+    print(f"chained loop, default backend: {plan.strategy} layout, "
+          f"{plan.chains.segments} stride-4 runs: {runs} (0-based iterations)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ Compares per-bench wall clocks and exits nonzero when
 
 * any **speedup-gated** bench (the ones whose ``main()`` enforces a
   parallel-beats-baseline gate: plan reuse, batched GIR eval, serve
-  coalescing, the engines' wall clock vs the sequential loop) slowed down by more than the threshold (default 25%), or
+  coalescing, the engines' and the strided chains' wall clock vs the
+  sequential loop) slowed down by more than the threshold (default
+  25%), or
 * a bench that passed in the baseline fails in the current run, or
 * a gated bench disappeared from the current file.
 
@@ -34,6 +36,7 @@ GATED = (
     "bench_gir_powers",
     "bench_serve",
     "bench_wallclock_engines",
+    "bench_strided_chains",
 )
 
 DEFAULT_THRESHOLD = 0.25

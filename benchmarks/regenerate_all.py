@@ -13,7 +13,9 @@ fresh :mod:`repro.obs` registry/tracer and writes ``BENCH_results.json``
 wall-clock, round counts and op counts straight from the instrumented
 solvers, plus the ``ratios`` a ratio-gated bench publishes in its
 module-level ``RATIOS`` -- the machine-readable perf baseline future
-PRs diff against.
+PRs diff against.  Every record carries its own provenance; with
+``--only`` the selected records replace theirs in an existing results
+file and the others are kept.
 
 Exit code is nonzero when any benchmark raises *or* returns a nonzero
 status.
@@ -48,6 +50,7 @@ BENCHES = [
     "bench_ablation_work_efficiency",
     "bench_ablation_scheduling",
     "bench_wallclock_engines",
+    "bench_strided_chains",
     "bench_plan_reuse",
     "bench_gir_powers",
     "bench_serve",
@@ -191,6 +194,12 @@ def main() -> int:
             os.path.dirname(here), "BENCH_results.json"
         )
         provenance = _provenance()
+        kept = []
+        if args.only and os.path.exists(json_path):
+            with open(json_path, encoding="utf-8") as handle:
+                kept = [
+                    b for b in json.load(handle)["benches"] if b["name"] not in selected
+                ]
         payload = {
             "schema_version": RESULTS_SCHEMA_VERSION,
             "generated_by": "benchmarks/regenerate_all.py",
@@ -198,8 +207,11 @@ def main() -> int:
             "python": provenance["python"],
             "numpy": provenance["numpy"],
             "total_wall_clock_s": round(total, 4),
-            "benches": [
-                {k: v for k, v in r.items() if k != "output"} for r in results
+            "benches": kept
+            + [
+                {k: v for k, v in r.items() if k != "output"}
+                | {"provenance": provenance}
+                for r in results
             ],
         }
         with open(json_path, "w", encoding="utf-8") as handle:

@@ -52,10 +52,10 @@ FINDING_CODES: Dict[str, str] = {
     "SCH008": "plan fingerprint does not match the problem",
     "SCH009": "plan g map is not injective",
     # -- chain layout (CHN0xx) -----------------------------------------
-    "CHN001": "chain permutation is not a bijection of the iterations",
-    "CHN002": "chain segment or level offsets are not monotone or do not close",
-    "CHN003": "consecutive chain segment members are not pred-linked",
-    "CHN004": "a chain segment's seed does not lie in an earlier level",
+    "CHN001": "chain runs do not cover each iteration exactly once",
+    "CHN002": "chain run arrays or run / level offsets are malformed or do not close",
+    "CHN003": "consecutive members of a chain run are not pred-linked",
+    "CHN004": "a chain run's seed is not its head's pred in an earlier level",
     # -- ordinary level layout (LVL0xx) ---------------------------------
     "LVL001": "level order is not a permutation of the iterations",
     "LVL002": "level pointers are not monotone or do not close",

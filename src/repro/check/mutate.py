@@ -17,15 +17,19 @@ kind                 models                                  caught by
 ``truncate``         a schedule cut short                    SCH004
 ===================  =====================================================
 
-Chain plans (``plan.chains`` set) also get the chain-layout classes:
+Chain plans (``plan.chains`` set) also get the chain-layout classes,
+one per field of a run:
 
 ======================  ==================================  ===============
 kind                    models                              caught by
 ======================  ==================================  ===============
-``chain_swap_order``    two permutation entries swapped     CHN003
-``chain_shift_offset``  one segment boundary moved by one   CHN002/CHN003
-``chain_relink_seed``   a seed's segment moved to a later   CHN002/CHN004
-                        level than a segment it seeds
+``chain_swap_order``    a level boundary moved by one: a    CHN002/CHN004
+                        run joins its parent run's level
+``chain_shift_offset``  one run boundary moved by one       CHN001/CHN002
+``chain_relink_seed``   a run's seed re-pointed at another  CHN004
+                        chain position
+``chain_bend_stride``   a run's stride off by one           CHN001
+``chain_shift_head``    a run's head moved by one           CHN001
 ======================  ==================================  ===============
 
 Level plans (``plan.levels`` set) get the level-layout classes:
@@ -118,6 +122,8 @@ CHAIN_MUTATION_KINDS: Tuple[str, ...] = (
     "chain_swap_order",
     "chain_shift_offset",
     "chain_relink_seed",
+    "chain_bend_stride",
+    "chain_shift_head",
 )
 
 LEVEL_MUTATION_KINDS: Tuple[str, ...] = (
@@ -178,9 +184,7 @@ def _clone(plan: Any, chains: Any = None) -> Any:
         chains=None
         if layout is None
         else ChainLayout(
-            order=copy(layout.order),
-            offsets=copy(layout.offsets),
-            level_ptr=copy(layout.level_ptr),
+            **{name: copy(getattr(layout, name)) for name in ChainLayout._ARRAYS}
         ),
         levels=None
         if levels is None
@@ -279,88 +283,53 @@ def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
     chains = plan.chains
     if chains is None:
         return None
-    order, offsets, pred = chains.order, chains.offsets, plan.pred
-    heads = np.zeros(order.shape[0], dtype=bool)
-    heads[offsets[:-1]] = True
+    lengths = np.diff(chains.offsets)
+    segments, n = int(lengths.shape[0]), int(plan.n)
 
-    if kind == "chain_swap_order":
-        # Swap a member with its segment predecessor: x = pred-successor
-        # of y now precedes y, and pred[y] < y < x, so y is unlinked.
-        members = np.flatnonzero(~heads)
-        if members.size == 0:
-            return None
-        k = int(members[rng.randrange(members.size)])
+    def one(field: str, s: int, value: int, what: str) -> Mutation:
         mutated = _clone(plan)
-        o = mutated.chains.order
-        o[k - 1], o[k] = int(o[k]), int(o[k - 1])
-        return Mutation(
-            kind=kind,
-            description=f"chain positions {k - 1} and {k} swapped",
-            plan=mutated,
-            data={"position": k},
-        )
+        old = int(getattr(mutated.chains, field)[s])
+        getattr(mutated.chains, field)[s] = value
+        description = f"{what} {s}: {old} -> {value}"
+        return Mutation(kind=kind, description=description, plan=mutated)
 
-    if kind == "chain_shift_offset":
-        # Only boundaries whose head does not read the previous tail:
-        # shifting one either way then unlinks a member (or empties a
-        # segment) rather than forming a longer valid segment.
-        interior = [
-            k
-            for k in range(1, int(offsets.shape[0]) - 1)
-            if int(pred[order[offsets[k]]]) != int(order[offsets[k] - 1])
-        ]
-        if not interior:
+    if kind == "chain_bend_stride":
+        # the run's second member is then covered by no run
+        long = np.flatnonzero(lengths > 1)
+        if long.size == 0:
             return None
-        k = rng.choice(interior)
-        delta = rng.choice((+1, -1))
-        mutated = _clone(plan)
-        mutated.chains.offsets[k] += delta
-        return Mutation(
-            kind=kind,
-            description=f"segment offset {k} shifted {delta:+d}",
-            plan=mutated,
-            data={"offset": k, "delta": delta},
-        )
+        s = int(long[rng.randrange(long.size)])
+        return one("strides", s, int(chains.strides[s]) + 1, "run stride")
+
+    if kind == "chain_shift_head":
+        # the run's old head is then covered by no run
+        s = rng.randrange(segments)
+        head = int(chains.heads[s])
+        return one("heads", s, head + rng.choice((-1, 1)) if head else 1, "run head")
 
     if kind == "chain_relink_seed":
-        # Move the segment holding some head's seed to the last level:
-        # that head's seed is then no earlier than the head's own level.
-        levels = chains.levels
-        if levels < 2:
-            return None
-        lo = int(chains.level_ptr[1])
-        s = rng.randrange(lo, int(offsets.shape[0]) - 1)
-        seed = int(pred[order[offsets[s]]])
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.shape[0])
-        p = int(np.searchsorted(offsets, pos[seed], side="right")) - 1
-        level_of = np.repeat(np.arange(levels), np.diff(chains.level_ptr))
-        keep = [q for q in range(int(offsets.shape[0]) - 1) if q != p] + [p]
-        seg_levels = np.array([level_of[q] for q in keep[:-1]] + [levels - 1])
-        new_order = np.concatenate(
-            [order[offsets[q] : offsets[q + 1]] for q in keep]
-        )
-        new_offsets = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum([int(offsets[q + 1] - offsets[q]) for q in keep], out=new_offsets[1:])
-        from ..engine.plan import ChainLayout
+        # positions name distinct iterations: any other one is wrong
+        s = rng.randrange(segments)
+        value = rng.randrange(-1, n - 1)
+        return one("seeds", s, value + (value >= chains.seeds[s]), "run seed")
 
-        mutated = _clone(
-            plan,
-            ChainLayout(
-                order=new_order,
-                offsets=new_offsets,
-                level_ptr=np.searchsorted(
-                    seg_levels, np.arange(levels + 1), side="left"
-                ).astype(np.int64),
-            ),
-        )
-        return Mutation(
-            kind=kind,
-            description=f"segment {p} (seeding segment {s}) moved from "
-            f"level {int(level_of[p])} to level {levels - 1}",
-            plan=mutated,
-            data={"segment": p, "seeded": s},
-        )
+    if kind == "chain_shift_offset":
+        # one run gains the next member of its progression, its
+        # neighbour loses its tail (or empties): some iteration is then
+        # covered twice or never
+        if segments < 2:
+            return None
+        k = rng.randrange(1, segments)
+        delta = rng.choice((+1, -1))
+        return one("offsets", k, int(chains.offsets[k]) + delta, "run offset")
+
+    if kind == "chain_swap_order":
+        # a level boundary moved by one: the first run of a level joins
+        # the level of its parent run, which holds its seed
+        if chains.levels < 2:
+            return None
+        k = rng.randrange(1, chains.levels)
+        return one("level_ptr", k, int(chains.level_ptr[k]) + 1, "level pointer")
 
     raise ValueError(f"unknown mutation kind {kind!r}")
 

@@ -31,14 +31,15 @@ that delay jumps), not just the canonical one the planner emits; the
 adversarial mutation suite (:mod:`repro.check.mutate`) relies on this
 being a semantic -- not byte-comparison -- check.
 
-A chain plan (``plan.chains``: the work-efficient layout the NumPy
-chain kernel runs) is proved by :func:`verify_chain_layout` instead:
-the permutation is a bijection of the iterations (CHN001), the segment
-and level offsets are monotone and close at ``n`` and at the segment
-count (CHN002), consecutive members of a segment are ``pred``-linked
-(CHN003), and every segment head is seeded by a terminal in level 0
-or by an iteration in an earlier level (CHN004).  Each level then
-folds exactly the sequential loop's operands, in its order.  The round
+A chain plan (``plan.chains``: arithmetic runs, the work-efficient
+layout the NumPy chain kernels scan) is proved by
+:func:`verify_chain_layout` instead: the run arrays are one per run
+and the run and level offsets are monotone and close at ``n`` and at
+the run count (CHN002), the runs cover every iteration once (CHN001),
+consecutive members of a run are ``pred``-linked (CHN003), and every
+run head is seeded by a terminal in level 0 or by the chain position
+of its ``pred`` in an earlier level (CHN004).  Each level then folds
+exactly the sequential loop's operands, in its order.  The round
 rules above check a chain plan's round schedule only when the plan
 carries one: the consumers that run rounds build it lazily from the
 verified ``pred`` with the planner's own builder.
@@ -357,47 +358,22 @@ def verify_chain_layout(
     sequential loop over the (already verified) ``pred`` array: every
     iteration is scanned once, after its predecessor (CHN001-CHN004;
     see the module docstring)."""
+    from ..engine.plan import ChainLayout  # the order as the kernels derive it
+
     report = CheckReport(subject=where)
     n = int(pred.shape[0])
-    order = np.asarray(chains.order, dtype=np.int64)
-    offsets = np.asarray(chains.offsets, dtype=np.int64)
-    level_ptr = np.asarray(chains.level_ptr, dtype=np.int64)
+    names = ChainLayout._ARRAYS
+    arrays = [np.asarray(getattr(chains, k), dtype=np.int64) for k in names]
+    heads, strides, seeds, offsets, level_ptr = arrays
     loc = f"{where} chains"
-
-    report.ran()
-    if order.shape != (n,) or (n and (order.min() < 0 or order.max() >= n)):
-        report.add(
-            error(
-                "CHN001",
-                f"chain permutation has shape {order.shape} / entries outside "
-                f"[0, {n}); it must list each of the {n} iterations once",
-                where=loc,
-            )
-        )
-        return report
-    # n in-range entries hit every iteration iff none repeats
-    hit = np.zeros(n, dtype=bool)
-    hit[order] = True
-    if not bool(hit.all()):
-        seen = np.bincount(order, minlength=n)
-        it = int(np.argmax(seen != 1))
-        report.add(
-            error(
-                "CHN001",
-                f"iteration {it} appears {int(seen[it])} times in the chain "
-                "permutation: it would be scanned "
-                + ("never" if seen[it] == 0 else "more than once"),
-                where=loc,
-                data={"iteration": it, "count": int(seen[it])},
-            )
-        )
-        return report
 
     report.ran()
     segments = int(offsets.shape[0]) - 1
     if (
         offsets.ndim != 1
         or segments < (1 if n else 0)
+        or any(arr.shape != (segments,) for arr in (heads, strides, seeds))
+        or bool(np.any((strides < 1) | (strides > max(n, 1))))
         or int(offsets[0]) != 0
         or int(offsets[-1]) != n
         or bool(np.any(np.diff(offsets) <= 0))
@@ -412,15 +388,36 @@ def verify_chain_layout(
                 "CHN002",
                 "chain offsets must rise strictly from 0 to n "
                 f"(got {offsets[:3].tolist()}..{offsets[-1:].tolist()} for "
-                f"n={n}) and level offsets from 0 to the segment count "
-                f"{segments} (got {level_ptr.tolist()[:8]})",
+                f"n={n}) with one head, stride (1 .. n) and seed per run, "
+                f"and level offsets from 0 to the run count {segments} (got "
+                f"{level_ptr.tolist()[:8]})",
                 where=loc,
             )
         )
         return report
 
     report.ran()
-    # position k > 0 continues its segment unless a segment starts there
+    order = ChainLayout(*arrays).order
+    inside = n == 0 or (int(order.min()) >= 0 and int(order.max()) < n)
+    hit = np.zeros(n, dtype=bool)
+    if inside:  # n entries in range cover every iteration iff none repeats
+        hit[order] = True
+    if not (inside and bool(hit.all())):
+        seen = np.bincount(order[(order >= 0) & (order < n)], minlength=n)
+        it = int(np.argmax(seen != 1))  # some iteration is missed or repeated
+        report.add(
+            error(
+                "CHN001",
+                f"the chain runs scan iteration {it} {int(seen[it])} times; "
+                "each must be scanned exactly once",
+                where=loc,
+                data={"iteration": it},
+            )
+        )
+        return report
+
+    report.ran()
+    # position k > 0 continues its run unless a run starts there
     linked = pred[order[1:]] == order[:-1]
     linked[offsets[1:-1] - 1] = True
     if not bool(linked.all()):
@@ -430,8 +427,8 @@ def verify_chain_layout(
             error(
                 "CHN003",
                 f"chain position {k}: iteration {it} follows {prev} in its "
-                f"segment but reads pred {int(pred[it])}; the scan would "
-                "fold a different trace than the sequential loop",
+                f"run but reads pred {int(pred[it])}; the scan would fold a "
+                "different trace than the sequential loop",
                 where=loc,
                 data={"position": k, "iteration": it, "expected": int(pred[it])},
             )
@@ -442,25 +439,27 @@ def verify_chain_layout(
     level_of_seg = np.repeat(
         np.arange(level_ptr.shape[0] - 1, dtype=np.int64), np.diff(level_ptr)
     )
-    level_of_it = np.empty(n, dtype=np.int64)
-    level_of_it[order] = np.repeat(level_of_seg, np.diff(offsets))
-    heads = order[offsets[:-1]]
-    seed = pred[heads]
-    root = seed < 0
-    seed_level = np.where(root, -1, level_of_it[np.maximum(seed, 0)])
-    bad = np.where(root, level_of_seg != 0, seed_level >= level_of_seg)
-    if bool(bad.any()):
-        s = int(np.argmax(bad))
+    start = offsets[level_ptr[level_of_seg]]  # each run's level starts here
+    want = pred[heads]
+    root = want < 0
+    named = order[np.clip(seeds, 0, max(n - 1, 0))]
+    ok = np.where(
+        root,
+        (seeds == -1) & (level_of_seg == 0),
+        (seeds >= 0) & (seeds < start) & (named == want),
+    )
+    if not bool(ok.all()):
+        s = int(np.argmin(ok))
         head = int(heads[s])
         report.add(
             error(
                 "CHN004",
-                f"segment {s} (head {head}, level {int(level_of_seg[s])}) "
+                f"run {s} (head {head}, level {int(level_of_seg[s])}) "
                 + (
-                    "starts at a terminal outside level 0"
+                    "starts at a terminal outside level 0 or names a seed"
                     if root[s]
-                    else f"is seeded by iteration {int(seed[s])} in level "
-                    f"{int(seed_level[s])}, not an earlier level"
+                    else f"reads pred {int(want[s])}, but its seed position "
+                    f"{int(seeds[s])} is not that iteration in an earlier level"
                 )
                 + ": its seed is not final when the level runs",
                 where=loc,

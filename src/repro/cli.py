@@ -654,7 +654,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # A serialized plan (plan_to_dict): verify the schedule alone.
         from .engine.plan import plan_from_dict
 
-        plan = plan_from_dict(data)
+        try:
+            plan = plan_from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:  # another schema
+            raise _Unreadable(f"error: cannot read {path}: {exc}") from exc
         report = verify_plan(plan)
     elif isinstance(data, dict) and "kind" in data:
         # A serialized system (dump_system): prove preconditions, then

@@ -352,7 +352,7 @@ def _scatter(
     """Place each row's solved values onto its initial array.
 
     ``g`` is the cells ``solved`` lines up with (the plan's ``g`` by
-    default).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
+    default; a slice when they are one contiguous range).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
     batch a kernel ran on, a fresh array admission made -- takes them
     in place, then one ``tolist``, so untouched cells come back in the
     operator's dtype.  A kernel that scanned in ``base`` hands back the
@@ -369,7 +369,7 @@ def _scatter(
         return base.tolist() if batch else [base.tolist()]
     if isinstance(solved, np.ndarray):
         solved = solved.tolist()  # a stacked (k, n) batch: k rows
-    cells = g.tolist()
+    cells = range(g.start, g.stop) if isinstance(g, slice) else g.tolist()
     outs = []
     for initial, vals in zip(initials, solved if batch else [solved]):
         out = list(initial)

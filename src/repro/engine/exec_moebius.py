@@ -388,7 +388,8 @@ class AffineChains:
     """Work-efficient affine kernel for chain plans: ``O(n)`` work
     where :class:`AffineRounds` does ``O(n log n)``.
 
-    The maps are gathered into chain order once.  Per level, every
+    The maps are taken in chain order -- views when the runs are one
+    unit-stride range, else gathered once.  Per level, every
     segment head composes over its predecessor's solved value (level-0
     heads are terminals, already constant after the fold), then each
     ``(segments, width)`` block of
@@ -410,12 +411,13 @@ class AffineChains:
         )
         #: the float64 initial values the driver scatters into, if exact
         self.base = scatter_base(V, job.scalars)
-        g_order, self.blocks = exec_ordinary.chain_blocks(sched)
+        self.blocks = exec_ordinary.chain_blocks(sched)
         #: the cells ``solved()`` lines up with (chain order)
-        self.cells = g_order
-        order = sched.chains.order
+        self.cells = exec_ordinary.chain_cells(sched)
+        order = exec_ordinary.chain_order(sched)
         self.a, self.const = a[order], const[order]
         self.b = np.ascontiguousarray(b[..., order])
+        self.seed_pos = sched.chains.seeds
         self.steps = exec_ordinary.chain_steps(sched)
 
     def round(self, _cells, level: int) -> None:
@@ -429,7 +431,8 @@ class AffineChains:
             else:
                 ba, bb, bc = a[gather], b[..., gather], const[gather]
             if level:  # heads compose over their predecessors' values
-                bb[..., 0] = _apply(ba[:, 0], bb[..., 0], bc[:, 0], b[..., seeds])
+                seed = b[..., self.seed_pos[seeds]]
+                bb[..., 0] = _apply(ba[:, 0], bb[..., 0], bc[:, 0], seed)
                 bc[:, 0] = True
             values = _affine_scan(ba, bb, bc).reshape(lead + (-1,))
             b[..., lo:hi] = values if keep is None else values[..., keep]
@@ -592,17 +595,6 @@ class RationalLevels(AffineLevels):
 # ---------------------------------------------------------------------------
 
 
-def _amul(x, y):
-    # product with an exact absorbing zero (vectorized _zmul): a
-    # structural 0 entry wipes out a non-finite partner instead of
-    # manufacturing NaN; finite data is untouched
-    out = x * y
-    zero = (x == 0.0) | (y == 0.0)
-    if zero.any():
-        out = np.where(zero, 0.0, out)
-    return out
-
-
 class RationalRounds:
     """Vectorized kernel for *rational* recurrences over floats: each
     round multiplies ``(A, B, C, D)`` matrices, a singular outer map
@@ -640,8 +632,8 @@ class RationalRounds:
         t = sched.terminal_idx
         s_f = V[sched.f[t]]
         keep = self.singular(A[t], B[t], C[t], D[t])
-        new_b = np.where(keep, B[t], _amul(A[t], s_f) + B[t])
-        new_d = np.where(keep, D[t], _amul(C[t], s_f) + D[t])
+        new_b = np.where(keep, B[t], _zmul(A[t], s_f) + B[t])
+        new_d = np.where(keep, D[t], _zmul(C[t], s_f) + D[t])
         new_a = np.where(keep, A[t], 0.0)
         new_c = np.where(keep, C[t], 0.0)
         A[t], B[t], C[t], D[t] = new_a, new_b, new_c, new_d
@@ -656,10 +648,10 @@ class RationalRounds:
         ao, bo, co, do = A[active], B[active], C[active], D[active]
         ai, bi, ci, di = A[src], B[src], C[src], D[src]
         keep = self.singular(ao, bo, co, do)  # odot: singular outer absorbs
-        A[active] = np.where(keep, ao, _amul(ao, ai) + _amul(bo, ci))
-        B[active] = np.where(keep, bo, _amul(ao, bi) + _amul(bo, di))
-        C[active] = np.where(keep, co, _amul(co, ai) + _amul(do, ci))
-        D[active] = np.where(keep, do, _amul(co, bi) + _amul(do, di))
+        A[active] = np.where(keep, ao, _zmul(ao, ai) + _zmul(bo, ci))
+        B[active] = np.where(keep, bo, _zmul(ao, bi) + _zmul(bo, di))
+        C[active] = np.where(keep, co, _zmul(co, ai) + _zmul(do, ci))
+        D[active] = np.where(keep, do, _zmul(co, bi) + _zmul(do, di))
 
     def solved(self) -> np.ndarray:
         """Each composed map evaluated: ``b / d`` for a complete

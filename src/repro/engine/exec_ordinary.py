@@ -23,7 +23,7 @@ its ``cells`` attribute when it has one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,8 @@ __all__ = [
     "cells",
     "chains_apply",
     "chain_blocks",
-    "chain_cell_range",
+    "chain_cells",
+    "chain_order",
     "chain_steps",
     "may_wrap",
     "PythonRounds",
@@ -71,10 +72,10 @@ def build_plan_from_maps(
 ) -> OrdinaryPlan:
     """Plan validated index maps (distinct ``g`` in range) by the one
     layout rule of the ordinary and Moebius planners: the Lemma-1
-    predecessor array, then chains when they need fewer levels than
-    pointer jumping needs rounds, else dependence levels when the
-    forest is shallow (``pred`` is then not kept: a rounds consumer
-    rebuilds it), else the full round schedule."""
+    predecessor array, then chains when their runs need one level or
+    fewer levels than pointer jumping needs rounds, else dependence
+    levels when the forest is shallow (neither keeps ``pred``: a
+    rounds consumer rebuilds it), else the full round schedule."""
     writer = writer_map(g, m)
     pred = predecessors(f, writer)
     chains = build_chain_layout(pred)
@@ -85,7 +86,7 @@ def build_plan_from_maps(
         m=m,
         g=g,
         f=f,
-        pred=None if levels is not None else pred,
+        pred=None if chains is not None or levels is not None else pred,
         steps=None if chains is not None or levels is not None
         else build_round_schedule(pred),
         chains=chains,
@@ -369,32 +370,29 @@ class NumpyRounds:
 def chain_blocks(sched: OrdinaryPlan):
     """Per level, the scan blocks of a chain plan -- one
     ``ufunc.accumulate`` each in :class:`NumpyChains`, one affine scan
-    in the Moebius chain kernel -- plus ``g`` in chain order (derived
-    once per plan and cached on its layout).
+    in the Moebius chain kernel (derived once per plan and cached on
+    its layout).
 
     A level's segments are sorted by length; each power-of-two length
     class is one ``(segments, width)`` block over the contiguous slice
     ``[lo, hi)`` of chain order -- a reshaped view when its segments
     share one length, else an index gather padded with each segment's
     last position plus the mask of real entries.  A block's heads are
-    seeded from the terminals' initial cells (level 0) or from chain
-    positions solved in earlier levels.
+    seeded from the terminals' initial cells (level 0: the block ends
+    with them) or from chain positions solved in earlier levels (the
+    block ends with its slice of the layout's ``seeds``).
     """
     layout = sched.chains
     cache = layout._cache
     if "blocks" in cache:
-        return cache["g_order"], cache["blocks"]
-    order, offsets = layout.order, layout.offsets
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.shape[0], dtype=np.int64)
-    heads = order[offsets[:-1]]
+        return cache["blocks"]
+    offsets = layout.offsets
     lengths = np.diff(offsets)
-    seed_cells = sched.f[heads]
-    seed_pos = pos[np.maximum(sched.pred[heads], 0)]
+    roots = int(layout.level_ptr[min(1, layout.levels)])
+    seed_cells = sched.f[layout.heads[:roots]]
     blocks = []
     for level in range(layout.levels):
         s0, s1 = int(layout.level_ptr[level]), int(layout.level_ptr[level + 1])
-        seeds = seed_cells if level == 0 else seed_pos
         klass = lengths[s0:s1] - 1
         bounds = np.flatnonzero(np.diff(_bit_length(klass))) + 1
         level_blocks = []
@@ -408,11 +406,36 @@ def chain_blocks(sched: OrdinaryPlan):
                 cols = np.arange(width, dtype=np.int64)
                 gather = offsets[a:b, None] + np.minimum(cols, lens[:, None] - 1)
                 keep = (cols < lens[:, None]).reshape(-1)
-            level_blocks.append((lo, hi, nseg, width, gather, keep, seeds[a:b]))
+            seeds = seed_cells[a:b] if level == 0 else slice(a, b)
+            level_blocks.append((lo, hi, nseg, width, gather, keep, seeds))
         blocks.append(level_blocks)
-    cache["g_order"] = sched.g[order]
     cache["blocks"] = blocks
-    return cache["g_order"], blocks
+    return blocks
+
+
+def chain_cells(sched: OrdinaryPlan):
+    """The cells a chain plan writes, in chain order: a ``slice`` when
+    they are one contiguous range (a kernel then scans the values where
+    they lie), else ``g`` gathered; cached on the layout."""
+    cache = sched.chains._cache
+    if "cells" not in cache:
+        cells = sched.g.take(sched.chains.order)
+        lo = int(cells[0])
+        hi = lo + int(cells.shape[0])
+        if np.array_equal(cells, np.arange(lo, hi, dtype=np.int64)):
+            cells = slice(lo, hi)
+        cache["cells"] = cells
+    return cache["cells"]
+
+
+def chain_order(sched: OrdinaryPlan):
+    """The iterations in chain order: a ``slice`` when they are one
+    unit-stride range, else the gather order; cached on the layout."""
+    cache = sched.chains._cache
+    if "order" not in cache:
+        span = sched.chains.iteration_range()
+        cache["order"] = sched.chains.order if span is None else slice(*span)
+    return cache["order"]
 
 
 def chain_steps(sched: OrdinaryPlan):
@@ -431,21 +454,6 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
-def chain_cell_range(sched: OrdinaryPlan) -> Optional[Tuple[int, int]]:
-    """``(lo, hi)`` when ``g`` in chain order is the contiguous cell
-    range ``lo .. hi - 1`` -- a chain kernel can then scan the values
-    where they lie -- else ``None``.  Tested once per plan and cached
-    on its layout beside ``g_order``."""
-    cache = sched.chains._cache
-    if "g_range" not in cache:
-        g_order, _ = chain_blocks(sched)
-        lo = int(g_order[0])
-        hi = lo + int(g_order.shape[0])
-        contiguous = np.array_equal(g_order, np.arange(lo, hi, dtype=np.int64))
-        cache["g_range"] = (lo, hi) if contiguous else None
-    return cache["g_range"]
-
-
 class NumpyChains:
     """Work-efficient kernel for chain plans: per level, seeds every
     segment head with ``op(seed, head)`` and runs
@@ -458,7 +466,7 @@ class NumpyChains:
     leading axis on every block.
 
     When chain order is one contiguous cell range
-    (:func:`chain_cell_range`) the values are scanned where they lie,
+    (:func:`chain_cells`) the values are scanned where they lie,
     in the admitted array, and ``solved()`` is that view: the driver's
     scatter has nothing to move.  Otherwise they are gathered into
     chain order once.  Every level-0 seed is gathered before the first
@@ -473,18 +481,18 @@ class NumpyChains:
         self.vec = op.vector_fn
         init, finit = _inputs(job, True)
         self.base = init
-        g_order, self.blocks = chain_blocks(sched)
+        self.blocks = chain_blocks(sched)
         self.seeds0 = [finit[..., blk[-1]] for blk in self.blocks[0]]
-        span = chain_cell_range(sched)
-        #: root-span attributes: which I/O path ran
-        self.attrs = {"in_place": span is not None}
+        self.seed_pos = sched.chains.seeds
         #: the cells ``solved()`` lines up with (chain order)
-        if span is not None:
-            self.cells = slice(*span)
+        self.cells = chain_cells(sched)
+        in_place = isinstance(self.cells, slice)
+        #: root-span attributes: which I/O path ran
+        self.attrs = {"in_place": in_place}
+        if in_place:
             self.c = init[..., self.cells]  # a view: the scan writes init
         else:
-            self.cells = g_order
-            self.c = np.ascontiguousarray(init[..., g_order])
+            self.c = np.ascontiguousarray(init[..., self.cells])
         self.steps = chain_steps(sched)
 
     def round(self, _cells, level: int) -> None:
@@ -493,7 +501,7 @@ class NumpyChains:
         for b, (lo, hi, nseg, width, gather, keep, seeds) in enumerate(
             self.blocks[level]
         ):
-            seed = self.seeds0[b] if level == 0 else c[..., seeds]
+            seed = self.seeds0[b] if level == 0 else c[..., self.seed_pos[seeds]]
             if gather is None:
                 block = c[..., lo:hi].reshape(lead + (nseg, width))  # a view
             else:

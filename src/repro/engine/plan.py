@@ -6,9 +6,9 @@ value-dependent work:
 
 * :class:`OrdinaryPlan` -- ONE execution layout chosen from the
   Lemma-1 predecessor forest by the rule chains -> levels -> rounds:
-  a :class:`ChainLayout` (a permutation of the iterations into
-  pred-linked chains plus segment offsets grouped by level, ``O(n)``
-  bytes; each level is one ``ufunc.accumulate`` sweep) when it needs
+  a :class:`ChainLayout` (pred-linked arithmetic runs -- head,
+  stride, length -- grouped by level, ``O(segments)`` bytes; each
+  level is one ``ufunc.accumulate`` sweep) when it needs one level or
   fewer levels than pointer jumping needs rounds; else a
   :class:`ForestLevels` (the cells each iteration writes and reads,
   grouped by its depth in the forest, ``O(n)`` bytes; each level is
@@ -17,9 +17,8 @@ value-dependent work:
   **round schedule**: for every pointer-jumping round, the iterations
   that are active and the source each one concatenates from
   (``O(n log n)`` bytes; one gather + ``op`` + scatter per round).
-  Chain and level plans build the round schedule lazily, only for a
-  consumer that runs rounds; a level plan builds its predecessor
-  array lazily too.
+  Chain and level plans build the round schedule and the predecessor
+  array lazily, only for a consumer that runs rounds.
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the
   projection map back onto the original cells and ONE evaluation
   layout: a :class:`LevelLayout` (the dependence graph's operand
@@ -72,7 +71,9 @@ __all__ = [
     "plan_from_dict",
 ]
 
-PLAN_SCHEMA_VERSION = 1
+#: Ordinary and Moebius plans (chain layouts as arithmetic runs);
+#: ``from_dict`` refuses any other version.
+PLAN_SCHEMA_VERSION = 2
 #: GIR plans moved from per-row dicts (v1) to flat arrays (v2);
 #: ``GIRPlan.from_dict`` migrates v1 payloads transparently.
 GIR_PLAN_SCHEMA_VERSION = 2
@@ -103,70 +104,145 @@ def build_round_schedule(pred: np.ndarray) -> List[RoundStep]:
 
 
 def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
-    """Decompose the Lemma-1 predecessor forest into chains, or return
-    ``None`` when pointer jumping needs no more rounds than the chains
-    need levels.
+    """Cut the Lemma-1 predecessor forest into pred-linked arithmetic
+    runs, or return ``None`` when pointer jumping needs no more rounds
+    than the runs need levels.
 
-    A *segment* is a maximal run of consecutive iterations each reading
-    its left neighbour (``pred[i] == i - 1``): a pred-linked path in
-    index order whose positions are plain arithmetic, found with one
-    vector compare.  A segment's head is seeded by ``pred[head]`` --
-    the terminal's initial value for a root, else a value in the
-    parent segment.  Its *level* counts the segment boundaries between
-    it and its root; a level only reads levels before it.  Levels and
-    head depths are pointer-jumped over the segments (not the
-    iterations), ``O(S log levels)`` for ``S`` segments, and the round
-    count of pointer jumping follows from the deepest iteration
-    without simulating it: an iteration at depth ``d`` is active in
-    round ``r`` iff ``d >= 2**(r-1)``.
-
-    Only index structure is read; the chain layout is ``O(n)`` bytes.
+    A *run* is ``head, head + stride, ...``, each member reading the
+    one before it.  A link that *keeps* its parent's stride (the member
+    lies as far past its parent as the parent past its predecessor)
+    continues the parent's run.  Otherwise a child continues its parent
+    only as the run's second member: the parent surely heads a run,
+    has no stride-keeping child, and this is its first other child.
+    So stride 1 cuts the index-contiguous segments, and ``k``
+    interleaved stride-``k`` chains (the paper's Fig 1) are ``k`` runs.
+    Heads and tails come from a few vector passes over ``n`` (a sample
+    of every 17th link sends a random forest away first); sorting both
+    by stride, residue and place pairs them up.  A head is seeded
+    by ``pred[head]``: a terminal for a root, else a member of the
+    parent run.  A run's *level* counts the runs between it and its
+    root.  Levels and head depths are pointer-jumped over the ``S``
+    runs, and the round count of pointer jumping follows from the
+    deepest iteration: one at depth ``d`` is active in round ``r`` iff
+    ``d >= 2**(r-1)``.  The layout is ``O(S)`` bytes.
     """
     n = int(pred.shape[0])
     if n == 0:
         return None
-    idx = np.arange(n, dtype=np.int64)
-    is_head = np.ones(n, dtype=bool)
-    np.not_equal(pred[1:], idx[:-1], out=is_head[1:])
-    if 4 * np.count_nonzero(is_head) > 3 * n:
-        # Mostly one-iteration segments: the chain levels track depth,
-        # which pointer jumping halves each round -- keep planning cheap.
+    # Every 17th iteration samples the links: when fewer than a quarter
+    # keep their parent's stride or have stride 1 (a random forest),
+    # run levels track depth, which pointer jumping halves each round.
+    # A one-level forest still makes one level of runs.
+    i = np.arange(0, n, 17)
+    p = pred[i]
+    up = p - pred.take(p, mode="clip")  # the parent's stride; a root's > p
+    extend = ((up == i - p) & (up <= p)) | (i - p == 1)
+    if 4 * np.count_nonzero(extend) < i.size and not bool((up > p).all()):
         return None
-    heads = np.flatnonzero(is_head)
-    seeds = pred[heads]
-    nonroot = seeds >= 0
-    # a seed's segment is the last head at or before it; a root's
-    # negative seed lands before head 0, at -1
-    parent = np.searchsorted(heads, seeds, side="right") - 1
+    step = np.arange(n, dtype=np.int64)
+    step -= pred  # each link's stride (a root's: its index + 1)
+    up = step.take(pred, mode="clip")  # the parent's; a root's exceeds it
+    keep = up == step
+    keep &= up <= pred
+
+    def keep_child(i):  # i's stride-keeping child, or -1
+        j = np.minimum(i + step[i], n - 1)
+        return np.where(keep[j] & (pred[j] == i), j, -1)
+
+    other = np.flatnonzero(head := ~keep)
+    below = pred[other]
+    second, below = other[below >= 0], below[below >= 0]
+    free = keep_child(below) < 0
+    below, first = np.unique(below[free], return_index=True)
+    second = second[free][first]
+    sure = head[below] & ~np.isin(below, second)
+    second, below = second[sure], below[sure]
+    head[second] = False
+    heads = np.flatnonzero(head)
+    S = int(heads.size)
+    if 4 * S > 3 * n:
+        return None  # mostly one-iteration runs: keep planning cheap
+    nxt = keep_child(heads)
+    nxt[np.searchsorted(heads, below)] = second
+    # runs past one member first -- by stride, residue and place -- then
+    # the one-member runs, by head
+    long = np.flatnonzero(nxt >= 0)
+    used = np.unique(nxt[long] - heads[long]).tolist()  # the runs' strides
+
+    def key(x, stride):  # by stride, residue, then place in the progression
+        out = x + stride * (2 * n + 1)
+        for s in used[used[0] == 1 :]:  # (stride 1 needs no division)
+            at = stride == s
+            xs = x[at]
+            place = xs // s  # a scalar divisor divides fast
+            out[at] += (xs - place * s) * (n // s + 1) + place - xs
+        return out
+
+    lkey = key(heads[long], nxt[long] - heads[long])
+    by_key = np.argsort(lkey, kind="stable")
+    lkey, L = lkey[by_key], int(long.size)
+    rank = np.concatenate([long[by_key], np.flatnonzero(nxt < 0)])
+    runs = heads[rank]
+    strides = np.maximum(nxt[rank] - runs, 1)
+    # members with a next: keep links' parents (a shifted mask per
+    # stride) and the seconds' parents; the other non-heads end runs
+    has_next = np.zeros(n, dtype=bool)
+    for s in used:
+        has_next[:-s] |= keep[s:] if len(used) == 1 else keep[s:] & (step[s:] == s)
+    has_next[below] = True
+    has_next |= head
+    tails = np.flatnonzero(~has_next)
+    tails = tails[np.argsort(key(tails, step[tails]), kind="stable")]
+    lengths = np.ones(S, dtype=np.int64)
+    lengths[:L] += (tails - runs[:L]) // strides[:L]
+    # each non-root head's parent run: the run its seed x lies in
+    nonroot = pred[runs] >= 0
+    x = pred[runs[nonroot]]
+    found = np.searchsorted(lkey, key(x, step[x]), "right") - 1
+    x_head = head[x]
+    rank[rank.copy()] = np.arange(S, dtype=np.int64)  # head -> run
+    found[x_head] = rank[np.searchsorted(heads, x[x_head])]
+    parent = np.full(S, -1, dtype=np.int64)
+    parent[nonroot] = found
+    # depth(head) = depth(parent head) + (seed's place in its run) + 1
+    place = np.zeros(S, dtype=np.int64)
+    place[nonroot] = (x - runs[found]) // strides[found]
     level = nonroot.astype(np.int64)
-    # depth(head) = depth(parent head) + (seed - parent head) + 1
-    depth = np.where(nonroot, seeds - heads[np.maximum(parent, 0)] + 1, 0)
-    anc = parent.copy()
+    depth = np.where(nonroot, place + 1, 0)
+    # a root run adds nothing: jump only over non-root parents
+    anc = np.where(nonroot[np.maximum(parent, 0)], parent, -1)
     live = np.flatnonzero(anc >= 0)
-    while live.size:  # synchronous pointer jumping over segments
-        up = anc[live]
-        level[live] += level[up]
-        depth[live] += depth[up]
-        anc[live] = anc[up]
+    while live.size:  # synchronous pointer jumping over runs
+        hop = anc[live]
+        level[live] += level[hop]
+        depth[live] += depth[hop]
+        anc[live] = anc[hop]
         live = live[anc[live] >= 0]
-    lengths = np.diff(np.append(heads, n))
     max_depth = int((depth + lengths - 1).max())
-    rounds = max_depth.bit_length()
     levels = int(level.max()) + 1
-    if levels >= rounds:
+    # one level always wins; past it, runs must beat pointer jumping
+    if levels >= max(max_depth.bit_length(), 2):
         return None
-    # Segments grouped by level, then by length (equal-length runs of
-    # one level form one reshaped block); each keeps index order.
-    seg_order = np.lexsort((lengths, level))
-    seg_len = lengths[seg_order]
-    offsets = np.zeros(heads.size + 1, dtype=np.int64)
-    np.cumsum(seg_len, out=offsets[1:])
-    order = np.repeat(heads[seg_order] - offsets[:-1], seg_len) + idx
+    # Runs grouped by level, then by length (equal-length runs of one
+    # level form one reshaped block).
+    seg_order = np.argsort(level * (n + 1) + lengths, kind="stable")
+    offsets = np.zeros(S + 1, dtype=np.int64)
+    np.cumsum(lengths[seg_order], out=offsets[1:])
+    rank = np.empty(S, dtype=np.int64)
+    rank[seg_order] = np.arange(S, dtype=np.int64)
+    parent = parent[seg_order]
+    seed_pos = np.where(
+        parent >= 0, offsets[rank[np.maximum(parent, 0)]] + place[seg_order], -1
+    )
     level_ptr = np.searchsorted(
         level[seg_order], np.arange(levels + 1, dtype=np.int64)
     ).astype(np.int64)
     return ChainLayout(
-        order=order, offsets=offsets, level_ptr=level_ptr, max_depth=max_depth
+        heads=runs[seg_order],
+        strides=strides[seg_order],
+        seeds=seed_pos,
+        offsets=offsets,
+        level_ptr=level_ptr,
     )
 
 
@@ -270,24 +346,25 @@ class ForestLevels:
 
 @dataclass
 class ChainLayout:
-    """The chain strategy's plan: one permutation of the iterations and
-    segment offsets into it, grouped by level.
-
-    ``order[offsets[s]:offsets[s + 1]]`` is segment ``s``: iterations
-    in index order, each reading its predecessor in the segment; the
-    head reads ``pred[head]``, which lies in an earlier level (or is a
-    terminal).  Segments ``level_ptr[l]:level_ptr[l + 1]`` form level
-    ``l``.  The per-solve index helpers (block slices, seed positions,
-    ``g`` in chain order) are derived lazily and cached, never
-    serialized.
+    """The chain strategy's plan: pred-linked arithmetic runs, grouped
+    by level.  Segment ``s`` is the run ``heads[s] + k * strides[s]``
+    at chain positions ``offsets[s] + k < offsets[s + 1]``: each member
+    reads the one before it, the head the chain position ``seeds[s]``
+    in an earlier level, or (``-1``) its terminal's initial value.  The
+    chain order is implicit (:attr:`order`).  Segments
+    ``level_ptr[l]:level_ptr[l + 1]`` form level ``l``, sorted by
+    length.  ``O(segments)`` bytes; the per-solve helpers (scan blocks,
+    a gather order) are derived lazily and cached, never serialized.
     """
 
-    order: np.ndarray  # (n,) int64 permutation of the iterations
+    heads: np.ndarray  # (segments,) int64 first iteration of each run
+    strides: np.ndarray  # (segments,) int64 >= 1 (1 for a one-member run)
+    seeds: np.ndarray  # (segments,) int64 chain position of pred[head], or -1
     offsets: np.ndarray  # (segments + 1,) int64, 0 .. n
     level_ptr: np.ndarray  # (levels + 1,) int64 segment index per level
-    #: the deepest iteration's ancestor count (``None``: derive it)
-    max_depth: Optional[int] = field(default=None, repr=False, compare=False)
     _cache: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
+
+    _ARRAYS = ("heads", "strides", "seeds", "offsets", "level_ptr")
 
     @property
     def levels(self) -> int:
@@ -298,56 +375,62 @@ class ChainLayout:
         return int(self.offsets.shape[0]) - 1
 
     @property
-    def cached_nbytes(self) -> int:
-        """Bytes held by the lazily derived helpers."""
+    def nbytes(self) -> int:
+        """Bytes of the layout and of its cached helpers."""
 
         def size(value) -> int:
-            if isinstance(value, np.ndarray):
-                return int(value.nbytes)
             if isinstance(value, (list, tuple)):
                 return sum(size(item) for item in value)
-            return 0
+            return int(value.nbytes) if isinstance(value, np.ndarray) else 0
 
-        return size(list(self._cache.values()))
+        arrays = [getattr(self, name) for name in self._ARRAYS]
+        return size(arrays + list(self._cache.values()))
 
-    def depths(self, pred: np.ndarray) -> np.ndarray:
-        """Each iteration's depth in the predecessor forest (its number
-        of ancestors), level by level in chain order."""
-        order, offsets = self.order, self.offsets
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.shape[0], dtype=np.int64)
-        depth_c = np.zeros(order.shape[0], dtype=np.int64)
-        lengths = np.diff(offsets)
-        for level in range(self.levels):
+    @property
+    def order(self) -> np.ndarray:
+        """The chain order: iteration ids position by position (built on
+        each access; the kernels cache what they need)."""
+        lengths, strides = np.diff(self.offsets), self.strides
+        order = np.arange(int(self.offsets[-1]), dtype=np.int64)
+        if strides.size and (strides == strides[0]).all():
+            order *= strides[0]  # one stride serves every run
+        else:
+            order *= np.repeat(strides, lengths)
+        order += np.repeat(self.heads - strides * self.offsets[:-1], lengths)
+        return order
+
+    def iteration_range(self) -> Optional[Tuple[int, int]]:
+        """``(lo, hi)`` when the chain order is the iterations
+        ``lo .. hi - 1`` in index order (unit-stride runs, each starting
+        where the one before it ends), else ``None``."""
+        lengths = np.diff(self.offsets)
+        ends = self.heads + lengths
+        unit = not (self.strides[lengths > 1] != 1).any()
+        if not unit or (self.heads[1:] != ends[:-1]).any():
+            return None
+        return int(self.heads[0]), int(ends[-1])
+
+    def head_depths(self) -> np.ndarray:
+        """Each segment head's depth in the predecessor forest (its
+        number of ancestors), one level after another."""
+        offsets, seeds = self.offsets, self.seeds
+        depth = np.zeros(self.segments, dtype=np.int64)
+        for level in range(1, self.levels):
             s0, s1 = int(self.level_ptr[level]), int(self.level_ptr[level + 1])
-            lo, hi = int(offsets[s0]), int(offsets[s1])
-            heads = order[offsets[s0:s1]]
-            base = (
-                np.zeros(s1 - s0, dtype=np.int64)
-                if level == 0
-                else depth_c[pos[pred[heads]]] + 1
-            )
-            lens = lengths[s0:s1]
-            depth_c[lo:hi] = np.repeat(base - offsets[s0:s1], lens) + np.arange(
-                lo, hi, dtype=np.int64
-            )
-        depth = np.empty_like(depth_c)
-        depth[order] = depth_c
+            seg = np.searchsorted(offsets, seeds[s0:s1], side="right") - 1
+            depth[s0:s1] = depth[seg] + seeds[s0:s1] - offsets[seg] + 1
         return depth
 
     def to_payload(self) -> Dict[str, Any]:
-        return {
-            "order": self.order.tolist(),
-            "offsets": self.offsets.tolist(),
-            "level_ptr": self.level_ptr.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in self._ARRAYS}
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "ChainLayout":
         return cls(
-            order=np.asarray(payload["order"], dtype=np.int64),
-            offsets=np.asarray(payload["offsets"], dtype=np.int64),
-            level_ptr=np.asarray(payload["level_ptr"], dtype=np.int64),
+            **{
+                name: np.asarray(payload[name], dtype=np.int64)
+                for name in cls._ARRAYS
+            }
         )
 
 
@@ -356,8 +439,8 @@ class OrdinaryPlan:
     """Plan of an OrdinaryIR solve over ``(g, f, m)``.
 
     The planner materializes one layout: ``chains`` (a
-    :class:`ChainLayout`) when chain scans need fewer levels than
-    pointer jumping needs rounds, else ``levels`` (a
+    :class:`ChainLayout`) when its runs need one level or fewer levels
+    than pointer jumping needs rounds, else ``levels`` (a
     :class:`ForestLevels`) when the predecessor forest is shallow,
     else the round schedule ``steps``.  ``steps`` and ``pred`` are
     always readable -- built from ``(g, f)`` on first access and
@@ -426,25 +509,31 @@ class OrdinaryPlan:
                 depth = max(self.levels.levels - 1, 0)
             elif self.chains is None:
                 depth = 2**self.rounds - 1
-            elif self.chains.max_depth is not None:
-                depth = self.chains.max_depth
-            else:
-                depth = int(self.chains.depths(self.pred).max())
+            else:  # a run's deepest member is its last
+                chains = self.chains
+                depth = int((chains.head_depths() + np.diff(chains.offsets)).max()) - 1
             self._trace_bound = depth + 2
         return self._trace_bound
 
     @property
     def terminal_idx(self) -> np.ndarray:
-        """Iterations whose ``f``-operand is an initial value."""
+        """Iterations whose ``f``-operand is an initial value (a chain
+        plan's level-0 heads)."""
         if self._terminal_idx is None:
-            self._terminal_idx = np.nonzero(self.pred < 0)[0]
+            if self.chains is not None:
+                roots = self.chains.heads[: self.chains.level_ptr[1]]
+                self._terminal_idx = np.sort(roots)
+            else:
+                self._terminal_idx = np.nonzero(self.pred < 0)[0]
         return self._terminal_idx
 
     @property
     def init_ops(self) -> int:
-        """Terminals (a level plan's level 0: never builds ``pred``)."""
-        if self.levels is not None and self._terminal_idx is None:
-            return int(self.levels.level_ptr[min(1, self.levels.levels)])
+        """Terminals (level 0 of a chain or level plan: never builds
+        ``pred``)."""
+        layout = self.chains if self.chains is not None else self.levels
+        if layout is not None and self._terminal_idx is None:
+            return int(layout.level_ptr[min(1, layout.levels)])
         return int(self.terminal_idx.size)
 
     @property
@@ -457,8 +546,12 @@ class OrdinaryPlan:
             return [int(active.size) for active, _src in self.steps]
         if self.levels is not None:
             per_depth = np.diff(self.levels.level_ptr)
-        else:
-            per_depth = np.bincount(self.chains.depths(self.pred))
+        else:  # each run covers depths head .. head + length - 1
+            start = self.chains.head_depths()
+            stop = start + np.diff(self.chains.offsets)
+            size = int(stop.max()) + 1
+            per_depth = np.bincount(start, minlength=size) - np.bincount(stop)
+            per_depth = np.cumsum(per_depth)[:-1]
         deeper = np.cumsum(per_depth[::-1])[::-1]  # iterations at depth >= d
         return [int(deeper[1 << r]) for r in range((deeper.size - 1).bit_length())]
 
@@ -495,6 +588,9 @@ class OrdinaryPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "OrdinaryPlan":
+        if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
+            version = PLAN_SCHEMA_VERSION
+            raise ValueError(f"plan schema_version is not {version}; re-plan it")
         pred = payload.get("pred")
         steps = payload.get("steps")
         chains = payload.get("chains")
@@ -966,7 +1062,7 @@ class MoebiusPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MoebiusPlan":
-        return cls(
+        return cls(  # the nested ordinary plan checks the schema
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
             m=int(payload["m"]),

@@ -39,14 +39,14 @@ DEFAULT_CACHE_SIZE = 128
 def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
-    Counts the flat index arrays (a materialized predecessor array and
-    schedule steps, the chain layout and its cached helpers, the
-    ordinary or GIR level layout, a materialized CSR power-table
-    triple, projection maps); per-object overhead and the GIR table's
-    exact big-int exponents are estimated at one word each.  Never
-    builds a lazy predecessor array, schedule or table.  Used by
-    :meth:`PlanCache.info` so the cache's memory footprint is visible
-    next to its hit rate.
+    Counts the flat index arrays (a materialized predecessor array,
+    schedule steps and terminal list, the chain layout's runs and its
+    cached helpers, the ordinary or GIR level layout, a materialized
+    CSR power-table triple, projection maps); per-object overhead and
+    the GIR table's exact big-int exponents are estimated at one word
+    each.  Never builds a lazy predecessor array, schedule or table.
+    Used by :meth:`PlanCache.info` so the cache's memory footprint is
+    visible next to its hit rate.
     """
     total = 0
     ordinary = getattr(plan, "ordinary", None) or getattr(plan, "dispatch", None)
@@ -61,10 +61,12 @@ def plan_nbytes(plan) -> int:
     if getattr(plan, "has_steps", False):  # never builds a lazy schedule
         for active, src in plan.steps:
             total += int(active.nbytes) + int(src.nbytes)
+    terminals = getattr(plan, "_terminal_idx", None)
+    if terminals is not None:
+        total += int(terminals.nbytes)
     chains = getattr(plan, "chains", None)
     if chains is not None:
-        total += int(chains.order.nbytes) + int(chains.offsets.nbytes)
-        total += int(chains.level_ptr.nbytes) + chains.cached_nbytes
+        total += chains.nbytes
     levels = getattr(plan, "levels", None)
     if levels is not None:
         total += levels.nbytes

@@ -40,6 +40,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..engine import EngineOptions, Session
 from ..engine.api import EngineResult
 from ..engine.failover import FAILOVER_TRIP
@@ -53,17 +55,40 @@ __all__ = [
 ]
 
 
+#: The scalar types a full value vector keys by its buffer.
+_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+
+
+def _exact(value: Any) -> tuple:
+    """A value's identity for dedup: its type and ``repr``, so ``0.0``
+    and ``-0.0`` (and ``1``, ``1.0`` and ``True``) stay apart."""
+    return (type(value), repr(value))
+
+
 def payload_key(values: Optional[Sequence[Any]], patch: Optional[Dict[int, Any]]) -> tuple:
     """Hashable identity of one request payload, for dedup.
 
-    Full value vectors hash by content; sparse patches by their sorted
-    ``(index, value)`` pairs.  ``(None, None)`` -- "solve the
-    registered initial values" -- is its own singleton key.
+    Two payloads share a key only when every value has the same type
+    and the same bits -- equal values that differ in type or in the
+    sign of a zero get different replies.  A full value vector of one
+    scalar type keys by that type and the buffer of its array; any
+    other by each value's type and ``repr``.  Sparse
+    patches key by their sorted ``(index, type, repr)`` triples.
+    ``(None, None)`` -- "solve the registered initial values" -- is its
+    own singleton key.
     """
     if values is not None:
-        return ("v", tuple(values))
+        kinds = set(map(type, values))
+        if len(kinds) == 1 and kinds <= set(_DTYPES):
+            kind = kinds.pop()
+            try:
+                buf = np.fromiter(values, _DTYPES[kind], len(values)).tobytes()
+                return ("v", kind, buf)
+            except OverflowError:  # an int past int64
+                pass
+        return ("v",) + tuple(map(_exact, values))
     if patch is not None:
-        return ("p", tuple(sorted(patch.items())))
+        return ("p",) + tuple((i, *_exact(v)) for i, v in sorted(patch.items()))
     return ("base",)
 
 

@@ -143,9 +143,11 @@ class TestMutationRejection:
         )
         assert plan.strategy == "chains" and plan.chains.levels == 2
         expected = {
-            "chain_swap_order": {"CHN003"},
-            "chain_shift_offset": {"CHN002", "CHN003"},
-            "chain_relink_seed": {"CHN002", "CHN004"},
+            "chain_swap_order": {"CHN002", "CHN004"},
+            "chain_shift_offset": {"CHN001", "CHN002"},
+            "chain_relink_seed": {"CHN004"},
+            "chain_bend_stride": {"CHN001"},
+            "chain_shift_head": {"CHN001"},
         }[kind]
         for seed in range(6):
             mut = mutate_plan(plan, kind, seed=seed)
@@ -158,7 +160,7 @@ class TestMutationRejection:
     def test_chain_plan_campaign_includes_layout_kinds(self):
         _, plan = plan_for(chain_system(300))
         kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
-        assert "chain_swap_order" in kinds and "swap_rounds" in kinds
+        assert "chain_bend_stride" in kinds and "swap_rounds" in kinds
         assert not plan.has_steps  # mutating never builds the input's rounds
 
 

@@ -178,6 +178,16 @@ class TestCLI:
         assert report["ok"] is False
         assert any(f["code"].startswith("SCH") for f in report["findings"])
 
+    def test_check_refuses_a_plan_of_another_schema(self, tmp_path, capsys):
+        """A v1 chain plan stored a permutation; v2 stores runs and
+        refuses the old payload with a clean exit 2, not a traceback."""
+        payload = plan_to_dict(solve(chain_system(100), cache=PlanCache()).plan)
+        payload["schema_version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path)]) == 2
+        assert "schema_version" in capsys.readouterr().err
+
     def test_check_chain_plan_file(self, tmp_path, capsys):
         plan = solve(chain_system(100), cache=PlanCache()).plan
         assert plan.strategy == "chains"
@@ -186,11 +196,11 @@ class TestCLI:
         path = self.write_plan(tmp_path, plan, "chains.json")
         assert main(["check", path]) == 0
         assert "OK" in capsys.readouterr().out
-        bad = mutate_plan(plan, "chain_swap_order", seed=0).plan
+        bad = mutate_plan(plan, "chain_bend_stride", seed=0).plan
         path = self.write_plan(tmp_path, bad, "bad-chains.json")
         assert main(["check", path, "--json"]) == 8
         report = json.loads(capsys.readouterr().out)
-        assert [f["code"] for f in report["findings"]] == ["CHN003"]
+        assert [f["code"] for f in report["findings"]] == ["CHN001"]
 
     @pytest.mark.parametrize(
         "kind, code",

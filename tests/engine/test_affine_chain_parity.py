@@ -228,9 +228,18 @@ def random_maps(n):
 
 
 def strided(n):
-    """Two interleaved chains: deep, so they keep the round schedule."""
+    """Two interleaved chains: two stride-2 runs, one chain level."""
     f = np.arange(n) - 1
     f[0] = n
+    return affine(f, n)
+
+
+def zigzag(n):
+    """Two interleaved chains whose strides alternate 1 and 3: their runs
+    are pairs and they are deep, so they keep the round schedule."""
+    idx = np.arange(n)
+    f = np.where(idx % 2 == 1, idx - 1, idx - 3) + 1  # pred's cell
+    f[[0, 2]] = 0  # the roots read a never-written cell
     return affine(f, n)
 
 
@@ -240,7 +249,8 @@ def strided(n):
         (chain, "chains"),
         (caterpillar, "chains"),
         (random_maps, "levels"),
-        (strided, "rounds"),
+        (strided, "chains"),
+        (zigzag, "rounds"),
     ],
 )
 def test_strategy_follows_the_layout(build, strategy):
@@ -377,3 +387,31 @@ def test_underflow_finite_variant(kernel, n):
     rec = underflow_probe(1e300, n)
     result = solve(rec, cache=PlanCache(), options=KERNELS[kernel])
     assert_close(result.values, run_moebius_sequential(rec))
+
+
+# ---------------------------------------------------------------------------
+# signed zeros and structural zeros on every Moebius path
+# ---------------------------------------------------------------------------
+
+#: ``(initial, a, b, c, d)`` of one-step rational recurrences whose
+#: result the loop's exact-zero products decide: a signed zero
+#: (``-1 * 0.0 + -0.0``) and ``0 * inf`` absorbed by a structural zero.
+ZERO_CASES = {
+    "signed_zero": ([0.0, 1.0], [-1.0], [-0.0], [0.5], [2.0]),
+    "zero_times_inf": ([math.inf, 1.0], [0.0], [-1.0], [1.0], [2.0]),
+}
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("path", ["auto", "rational", "object"])
+@pytest.mark.parametrize("case", sorted(ZERO_CASES))
+def test_zero_products_match_the_loop_on_every_path(case, path, backend):
+    from repro.core.moebius import RationalRecurrence
+
+    initial, a, b, c, d = ZERO_CASES[case]
+    rec = RationalRecurrence.build(initial, [1], [0], a, b, c, d)
+    want = run_moebius_sequential(rec)
+    assert str(want[1]) == "-0.0"
+    options = EngineOptions(backend=backend, backend_options={"path": path})
+    got = solve(rec, cache=PlanCache(), options=options).values
+    assert [str(float(v)) for v in got] == [str(v) for v in want]

@@ -26,7 +26,17 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.check import verify_plan
-from repro.core import ADD, FLOAT_ADD, FLOAT_MUL, MAX, MIN, MUL, OrdinaryIRSystem
+from repro.check.mutate import CHAIN_MUTATION_KINDS, mutation_campaign
+from repro.core import (
+    ADD,
+    CONCAT,
+    FLOAT_ADD,
+    FLOAT_MUL,
+    MAX,
+    MIN,
+    MUL,
+    OrdinaryIRSystem,
+)
 from repro.core.sequential import run_ordinary
 from repro.engine import EngineOptions, Session, execute, solve, solve_batch
 from repro.engine.plan import plan_from_dict, plan_to_dict
@@ -34,16 +44,44 @@ from repro.engine.planner import PlanCache
 from repro.serve.coalescer import CoalesceLane
 
 OPERATORS = (ADD, MUL, FLOAT_ADD, FLOAT_MUL, MIN, MAX)
-SHAPES = ("forest", "comb", "caterpillar", "chain", "disjoint")
+#: The last five cut into arithmetic runs of other strides than 1.
+SHAPES = ("forest", "comb", "caterpillar", "chain", "disjoint",
+          "strided", "spine", "stride_changes", "rooted", "spread")
 
 
 def shape_maps(kind, n, draw):
-    """``(g, f, m)`` of one index shape; ``g`` is the identity, so the
-    ``f`` map alone draws the predecessor forest."""
+    """``(g, f, m)`` of one index shape; ``g`` is the identity (but for
+    ``spread``), so the ``f`` map alone draws the predecessor forest.
+
+    ``strided``: ``k <= 8`` interleaved stride-``k`` chains (the paper's
+    Fig 1 for ``k = 4``); ``spine``: ``X[2j+2]`` and ``X[2j+1]`` both
+    read ``X[2j]``; ``stride_changes``: strides that change every few
+    iterations; ``rooted``: stride-``k`` chains with roots at
+    arbitrary indices; ``spread``: any of those over ``m > 2n`` cells.
+    """
     idx = np.arange(n)
     f = idx - 1
     f[0] = n  # the first head reads a never-written cell
-    if kind == "forest":
+    if kind == "spread":
+        kind = draw(st.sampled_from(SHAPES[-5:-1]))
+        g, f, m = shape_maps(kind, n, draw)
+        cells = np.array(draw(st.permutations(range(2 * m))))  # m > 2n cells
+        return cells[g], cells[f], 2 * m
+    if kind in ("strided", "rooted"):
+        k = draw(st.integers(1, 8))
+        f = idx - k
+        if kind == "rooted":
+            f[draw(st.lists(st.integers(0, n - 1), max_size=4))] = -1
+        f[f < 0] = n
+    elif kind == "spine":
+        f = np.where(idx % 2 == 0, idx - 2, idx - 1)
+        f[0] = n
+    elif kind == "stride_changes":
+        strides = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        runs = draw(st.integers(1, 6))
+        f = idx - np.repeat(strides[: -(-n // runs)], runs)[:n]
+        f[f < 0] = n + draw(st.integers(0, 2))
+    elif kind == "forest":
         f = np.array([draw(st.integers(0, n)) for _ in range(n)])
     elif kind == "comb":
         # a spine, then teeth of a fixed length hung off spine nodes
@@ -166,7 +204,7 @@ def test_serve_coalescing_matches_loop(problem):
     )
     results = asyncio.run(_fan_out(lane, rows))
     for row, result in zip(rows, results):
-        if session.plan.strategy == "chains" or system.op.dtype == "int64":
+        if session.plan.strategy in LOOP_ORDER or system.op.dtype == "int64":
             assert_bit_identical(result.values, oracle(system, row))
 
 
@@ -177,9 +215,12 @@ def _system(kind, n, op=FLOAT_MUL, seed=0):
     f[0] = n
     if kind == "forest":
         f = rng.integers(0, n + 1, n)
-    elif kind == "strided":  # two interleaved chains: deep, no runs
+    elif kind == "strided":  # two interleaved chains: two stride-2 runs
         f = idx - 2
         f[:2] = n
+    elif kind == "zigzag":  # strides alternate 1, 3: deep, runs are pairs
+        f = np.where(idx % 2 == 1, idx - 1, idx - 3)
+        f[[0, 2]] = n
     elif kind == "caterpillar":
         f[n // 2 :] = rng.integers(0, n // 2, n - n // 2)
     return OrdinaryIRSystem.build(
@@ -193,7 +234,8 @@ def _system(kind, n, op=FLOAT_MUL, seed=0):
         ("chain", "chains"),
         ("caterpillar", "chains"),
         ("forest", "levels"),
-        ("strided", "rounds"),
+        ("strided", "chains"),
+        ("zigzag", "rounds"),
     ],
 )
 def test_planner_picks_both_strategies(kind, strategy):
@@ -241,7 +283,7 @@ def test_nested_segments_get_their_parents_level(at_head):
     depth = [0] * n
     for i, p in enumerate(plan.pred.tolist()):
         depth[i] = depth[p] + 1 if p >= 0 else 0
-    assert plan.chains.max_depth == max(depth)
+    assert plan.trace_bound == max(depth) + 2  # from the runs' head depths
     assert verify_plan(plan, system=system).ok
     assert solve(system, plan=plan, cache=PlanCache()).values == run_ordinary(system)
 
@@ -257,7 +299,7 @@ def test_copying_a_chain_plan_builds_no_steps():
     assert [a.tolist() for a, _ in copy.steps] == [a.tolist() for a, _ in plan.steps]
     # a built schedule travels with the copy; a rounds plan keeps its own
     assert dataclasses.replace(plan).steps is plan.steps
-    rounds = solve(_system("strided", 1 << 10), cache=PlanCache()).plan
+    rounds = solve(_system("zigzag", 1 << 10), cache=PlanCache()).plan
     assert rounds.strategy == "rounds"
     assert dataclasses.replace(rounds).steps is rounds.steps
 
@@ -316,3 +358,112 @@ def test_min_max_follow_the_ufunc_on_nan_and_signed_zeros(op):
     loop = run_ordinary(system)
     assert math.isnan(result.values[1]) and math.isnan(result.values[5])
     assert not math.isnan(loop[5])
+
+
+@st.composite
+def run_shapes(draw, max_n=48):
+    """``(g, f, m)`` of one of the shapes that cut into runs of other
+    strides than 1."""
+    kind = draw(st.sampled_from(SHAPES[-5:]))
+    return shape_maps(kind, draw(st.integers(1, max_n)), draw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_shapes())
+def test_non_ufunc_operator_runs_the_rebuilt_rounds(maps):
+    """``CONCAT`` is no ufunc: a chain plan's solve rebuilds ``pred`` and
+    the round schedule from ``(g, f)`` and still folds the loop's
+    traces."""
+    g, f, m = maps
+    system = OrdinaryIRSystem.build([(c,) for c in range(m)], g, f, CONCAT)
+    result = solve(system, cache=PlanCache())
+    assert result.values == run_ordinary(system)
+    assert result.strategy == "rounds"
+    if result.plan.strategy == "chains":
+        assert result.plan.has_pred and result.plan.has_steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_shapes())
+def test_run_mutants_are_rejected_by_a_chain_rule(maps):
+    g, f, m = maps
+    system = OrdinaryIRSystem.build([0] * m, g, f, ADD)
+    plan = solve(system, cache=PlanCache()).plan
+    if plan.strategy != "chains":
+        return
+    assert verify_plan(plan, system=system).ok
+    for mutant in mutation_campaign(plan, kinds=CHAIN_MUTATION_KINDS, seeds=range(3)):
+        report = verify_plan(mutant.plan, system=system)
+        assert not report.ok, mutant.description
+        assert report.errors[0].code.startswith("CHN"), mutant.description
+    assert not plan.has_pred and not plan.has_steps  # mutants are copies
+
+
+@pytest.mark.parametrize(
+    "shape, runs, stride",
+    [("strided2", 2, 2), ("strided4", 4, 4), ("spine", None, None)],
+)
+def test_strided_shapes_plan_runs(shape, runs, stride):
+    n = 4096
+    idx = np.arange(n)
+    if shape == "spine":
+        f = np.where(idx % 2 == 0, idx - 2, idx - 1)
+    else:
+        f = idx - int(shape[-1])
+    f[f < 0] = n
+    system = OrdinaryIRSystem.build(list(range(n + 1)), idx, f, ADD)
+    result = solve(system, cache=PlanCache())
+    plan = result.plan
+    assert result.strategy == plan.strategy == "chains"
+    assert result.values == run_ordinary(system)
+    assert not plan.has_pred and not plan.has_steps
+    if runs is not None:  # k interleaved runs of stride k, one level
+        assert plan.chains.segments == runs and plan.chains.levels == 1
+        assert plan.chains.strides.tolist() == [stride] * runs
+    else:  # {0, 1}, the stride-2 spine, then one run per leaf
+        assert plan.chains.levels == 3
+        assert plan.chains.segments == n // 2 + 1
+    assert verify_plan(plan, system=system).ok
+
+
+def _reachable_nbytes(obj, seen=None) -> int:
+    """Bytes of every array reachable from ``obj`` through dataclass
+    fields, dicts, lists and tuples (each array counted once)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif dataclasses.is_dataclass(obj):
+        items = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        return 0
+    return sum(_reachable_nbytes(item, seen) for item in items)
+
+
+def test_a_stride_one_chain_plan_holds_only_g_and_f():
+    """The 1M chain plan keeps ``g``, ``f`` and its runs -- no ``pred``,
+    no permutation -- before and after a solve, and ``plan_nbytes``
+    counts exactly what is reachable."""
+    from repro.engine.planner import plan_nbytes
+
+    n = 1_000_000
+    system = OrdinaryIRSystem.build(
+        np.zeros(n + 1, dtype=np.int64), np.arange(1, n + 1), np.arange(n), ADD
+    )
+    session = Session(system)
+    plan = session.plan
+    budget = 16 * n + 4096  # g and f, plus O(segments)
+    before = _reachable_nbytes(plan)
+    assert before == plan_nbytes(plan) <= budget
+    values = list(range(n + 1))
+    assert session.solve(values).values == run_ordinary(
+        dataclasses.replace(system, initial=values)
+    )
+    after = _reachable_nbytes(plan)
+    assert after == plan_nbytes(plan) <= budget

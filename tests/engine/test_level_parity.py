@@ -48,13 +48,17 @@ def forest_maps(n, seed=0, extra=3):
     return rng.permutation(m)[:n], rng.integers(0, m, n), m
 
 
-def strided_maps(depth):
-    """Two interleaved chains ``depth`` deep: every iteration heads its
-    own segment, so no chain layout forms and the depth decides between
-    levels (<= 62) and rounds."""
-    n = 2 * (depth + 1)
-    f = np.arange(n) - 2
-    f[:2] = n  # the roots read a never-written cell
+def zigzag_maps(depth):
+    """Two chains whose runs stay short: ``A`` steps +1, +2, +1, ...
+    from iteration 0, ``depth`` deep, and ``B`` (one stride-3 run, no
+    deeper) takes the iterations between.  ``A``'s runs are pairs, so
+    past one level no chain layout forms and the depth decides between
+    levels (<= 62) and rounds; a one-level forest plans chains."""
+    a = np.cumsum([0] + [1 + k % 2 for k in range(depth)])
+    n = int(a[-1]) + 2
+    b = np.setdiff1d(np.arange(n), a)
+    f = np.full(n, n)  # the roots read a never-written cell
+    f[a[1:]], f[b[1:]] = a[:-1], b[:-1]
     return np.arange(n), f, n + 1
 
 
@@ -131,10 +135,10 @@ def test_int_add_that_could_wrap_escalates_exactly():
 
 
 @pytest.mark.parametrize(
-    "depth, strategy", [(0, "levels"), (1, "levels"), (62, "levels"), (63, "rounds")]
+    "depth, strategy", [(0, "levels"), (1, "chains"), (62, "levels"), (63, "rounds")]
 )
 def test_depth_limit(depth, strategy):
-    sys_ = system(FLOAT_ADD, strided_maps(depth))
+    sys_ = system(FLOAT_ADD, zigzag_maps(depth))
     result = solve(sys_, cache=PlanCache(), collect_stats=True)
     assert result.plan.strategy == result.strategy == strategy
     assert_close(result.values, run_ordinary(sys_))
@@ -147,7 +151,7 @@ def test_depth_limit(depth, strategy):
 
 
 def test_a_deep_forest_is_found_without_sweeping_to_the_limit():
-    sys_ = system(FLOAT_ADD, strided_maps(5000))
+    sys_ = system(FLOAT_ADD, zigzag_maps(5000))
     plan = solve(sys_, cache=PlanCache()).plan
     assert plan.strategy == "rounds" and plan.has_pred and plan.has_steps
 

@@ -24,7 +24,7 @@ from repro import obs
 from repro.core import ADD, FLOAT_ADD, MIN, MUL, OrdinaryIRSystem
 from repro.core.sequential import run_ordinary
 from repro.engine import EngineOptions, Session, solve, solve_batch
-from repro.engine.exec_ordinary import _admit_cast, admit, chain_cell_range
+from repro.engine.exec_ordinary import _admit_cast, admit, chain_cells
 from repro.engine.planner import PlanCache
 from repro.errors import IRValidationError
 from repro.resilience import SolvePolicy
@@ -208,7 +208,7 @@ OPS = (ADD, MUL, FLOAT_ADD, MIN)
 def test_shapes_plan_one_contiguous_cell_range(shape):
     *_, m = SHAPES[shape]()
     plan = solve(build(shape, [0] * m, ADD), cache=PlanCache()).plan
-    assert chain_cell_range(plan) is not None
+    assert isinstance(chain_cells(plan), slice)  # one contiguous cell range
     levels = {"chain": 1, "multilevel": 2, "clobber": 1}[shape]
     assert plan.chains.levels == levels
 

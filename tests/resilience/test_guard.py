@@ -192,16 +192,20 @@ def test_guard_report_to_dict():
 
 
 def _nan_engineered_recurrence():
-    """Two interleaved affine chains (``X[i+2] = 1e300 * X[i]``) whose
-    float fast path manufactures NaN: the maps plan pointer-jumping
-    rounds (every iteration heads its own segment, and the chains are
-    64 deep, past the level layout), and composing two overflowed
-    (inf, 0) segments multiplies 0 * inf."""
+    """Two interleaved affine chains (``X[j] = 1e300 * X[pred]``) whose
+    float fast path manufactures NaN: their strides alternate 1 and 3,
+    so no run outgrows a pair and the maps plan pointer-jumping rounds
+    (the chains are 64 deep, past the level layout), and composing two
+    overflowed (inf, 0) segments multiplies 0 * inf."""
     n = 128
+    idx = np.arange(n)
+    pred = np.where(idx % 2 == 1, idx - 1, idx - 3)  # strides 1, 3, 1, ...
+    f = pred + 2  # iteration i writes cell i + 2
+    f[[0, 2]] = [0, 1]  # the two roots read the initial cells
     return AffineRecurrence.build(
         initial=[1.0, 1.0] + [0.0] * n,
         g=list(range(2, n + 2)),
-        f=list(range(n)),
+        f=f.tolist(),
         a=[1e300] * n,
         b=[0.0] * n,
     )

@@ -221,3 +221,29 @@ class TestPerRowPolicy:
             deadline_s=deadline,
         )
         assert lane.batchable
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([0.0, 1.0], [-0.0, 1.0]),  # the sign of a zero
+        ([0.0, 1], [-0.0, 1.0]),  # mixed types
+        ([1, 2], [1.0, 2.0]),  # int vs float
+        ([True, 1], [1, 1]),  # bool vs int
+        ([2**70, 1], [2**70, 1.0]),  # past int64
+    ],
+)
+def test_payload_key_keeps_types_and_signed_zeros(a, b):
+    from repro.serve.coalescer import payload_key
+
+    assert payload_key(a, None) != payload_key(b, None)
+    assert payload_key(a, None) == payload_key(list(a), None)
+    assert payload_key(None, {0: 0.0}) != payload_key(None, {0: -0.0})
+    assert payload_key(None, {0: 1}) != payload_key(None, {0: True})
+
+
+def test_rows_that_differ_only_in_a_signed_zero_get_their_own_replies():
+    system = OrdinaryIRSystem.build([0.0] * 4, [1, 2], [0, 1], FLOAT_ADD)
+    rows = [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.0]]
+    results = coalesce(Session(system), rows)
+    assert [str(r.values[3]) for r in results] == ["0.0", "-0.0"]
