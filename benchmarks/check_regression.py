@@ -13,7 +13,9 @@ Compares per-bench wall clocks and exits nonzero when
   sequential loop) slowed down by more than the threshold (default
   25%), or
 * a bench that passed in the baseline fails in the current run, or
-* a gated bench disappeared from the current file.
+* a gated bench disappeared from the current file, or
+* a gated record in the current file carries the baseline record's
+  provenance -- it was carried over by a ``--only`` merge, not rerun.
 
 Other benches are reported informationally but never fail the check:
 their wall clocks include artifact printing and scale sweeps whose
@@ -84,6 +86,11 @@ def compare(baseline, current, *, threshold, min_seconds):
             lines.append(f"  {tag}  {name:<34} MISSING from current")
             if gated:
                 failures.append(f"{name}: missing from current results")
+            continue
+        carried = old.get("provenance") and new.get("provenance") == old["provenance"]
+        if gated and carried:
+            lines.append(f"  {tag}  {name:<34} NOT RERUN (the baseline's record)")
+            failures.append(f"{name}: not rerun (same provenance as the baseline)")
             continue
         if old.get("ok") and not new.get("ok"):
             lines.append(

@@ -13,9 +13,11 @@ fresh :mod:`repro.obs` registry/tracer and writes ``BENCH_results.json``
 wall-clock, round counts and op counts straight from the instrumented
 solvers, plus the ``ratios`` a ratio-gated bench publishes in its
 module-level ``RATIOS`` -- the machine-readable perf baseline future
-PRs diff against.  Every record carries its own provenance; with
+PRs diff against.  Every record carries its own provenance.  With
 ``--only`` the selected records replace theirs in an existing results
-file and the others are kept.
+file; the others, the file's own provenance and its python / numpy
+stamps are kept, and ``total_wall_clock_s`` sums every record.  Write
+to a fresh ``--json-out`` file to get the selected records alone.
 
 Exit code is nonzero when any benchmark raises *or* returns a nonzero
 status.
@@ -194,25 +196,30 @@ def main() -> int:
             os.path.dirname(here), "BENCH_results.json"
         )
         provenance = _provenance()
-        kept = []
+        benches = [
+            {k: v for k, v in r.items() if k != "output"} | {"provenance": provenance}
+            for r in results
+        ]
         if args.only and os.path.exists(json_path):
+            # merge: the other records keep their own provenance (or the
+            # file's, which measured them) and the file keeps its own
             with open(json_path, encoding="utf-8") as handle:
-                kept = [
-                    b for b in json.load(handle)["benches"] if b["name"] not in selected
-                ]
+                previous = json.load(handle)
+            measured = previous.get("provenance")
+            benches = [
+                {"provenance": measured} | b
+                for b in previous["benches"]
+                if b["name"] not in selected
+            ] + benches
+            provenance = measured or provenance
         payload = {
             "schema_version": RESULTS_SCHEMA_VERSION,
             "generated_by": "benchmarks/regenerate_all.py",
             "provenance": provenance,
             "python": provenance["python"],
             "numpy": provenance["numpy"],
-            "total_wall_clock_s": round(total, 4),
-            "benches": kept
-            + [
-                {k: v for k, v in r.items() if k != "output"}
-                | {"provenance": provenance}
-                for r in results
-            ],
+            "total_wall_clock_s": round(sum(b["wall_clock_s"] for b in benches), 4),
+            "benches": benches,
         }
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

@@ -412,9 +412,9 @@ class AffineChains:
         #: the float64 initial values the driver scatters into, if exact
         self.base = scatter_base(V, job.scalars)
         self.blocks = exec_ordinary.chain_blocks(sched)
+        order = exec_ordinary.chain_order(sched)
         #: the cells ``solved()`` lines up with (chain order)
         self.cells = exec_ordinary.chain_cells(sched)
-        order = exec_ordinary.chain_order(sched)
         self.a, self.const = a[order], const[order]
         self.b = np.ascontiguousarray(b[..., order])
         self.seed_pos = sched.chains.seeds

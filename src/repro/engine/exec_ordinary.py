@@ -413,29 +413,33 @@ def chain_blocks(sched: OrdinaryPlan):
     return blocks
 
 
+def _range_or(a: np.ndarray):
+    """``slice(lo, hi)`` when ``a`` is ``lo, lo + 1, ..., hi - 1``, else ``a``."""
+    lo = int(a[0]) if a.size else 0
+    hi = lo + int(a.size)
+    return slice(lo, hi) if np.array_equal(a, np.arange(lo, hi)) else a
+
+
+def chain_order(sched: OrdinaryPlan):
+    """The iterations in chain order: a ``slice`` when they are one
+    index range, else the gather order; cached on the layout."""
+    cache = sched.chains._cache
+    if "order" not in cache:
+        cache["order"] = _range_or(sched.chains.order)
+    return cache["order"]
+
+
 def chain_cells(sched: OrdinaryPlan):
     """The cells a chain plan writes, in chain order: a ``slice`` when
     they are one contiguous range (a kernel then scans the values where
     they lie), else ``g`` gathered; cached on the layout."""
     cache = sched.chains._cache
     if "cells" not in cache:
-        cells = sched.g.take(sched.chains.order)
-        lo = int(cells[0])
-        hi = lo + int(cells.shape[0])
-        if np.array_equal(cells, np.arange(lo, hi, dtype=np.int64)):
-            cells = slice(lo, hi)
-        cache["cells"] = cells
+        order = cache.get("order")  # a gather order already built
+        if not isinstance(order, np.ndarray):
+            order = sched.chains.order
+        cache["cells"] = _range_or(sched.g.take(order))
     return cache["cells"]
-
-
-def chain_order(sched: OrdinaryPlan):
-    """The iterations in chain order: a ``slice`` when they are one
-    unit-stride range, else the gather order; cached on the layout."""
-    cache = sched.chains._cache
-    if "order" not in cache:
-        span = sched.chains.iteration_range()
-        cache["order"] = sched.chains.order if span is None else slice(*span)
-    return cache["order"]
 
 
 def chain_steps(sched: OrdinaryPlan):

@@ -399,17 +399,6 @@ class ChainLayout:
         order += np.repeat(self.heads - strides * self.offsets[:-1], lengths)
         return order
 
-    def iteration_range(self) -> Optional[Tuple[int, int]]:
-        """``(lo, hi)`` when the chain order is the iterations
-        ``lo .. hi - 1`` in index order (unit-stride runs, each starting
-        where the one before it ends), else ``None``."""
-        lengths = np.diff(self.offsets)
-        ends = self.heads + lengths
-        unit = not (self.strides[lengths > 1] != 1).any()
-        if not unit or (self.heads[1:] != ends[:-1]).any():
-            return None
-        return int(self.heads[0]), int(ends[-1])
-
     def head_depths(self) -> np.ndarray:
         """Each segment head's depth in the predecessor forest (its
         number of ancestors), one level after another."""

@@ -36,11 +36,10 @@ with an ``asyncio.Lock`` (a pinned ``Session`` is not thread-safe).
 from __future__ import annotations
 
 import asyncio
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..engine import EngineOptions, Session
 from ..engine.api import EngineResult
@@ -55,8 +54,8 @@ __all__ = [
 ]
 
 
-#: The scalar types a full value vector keys by its buffer.
-_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+#: The scalar types a full value vector keys by its packed bytes.
+_FORMATS = {int: "q", float: "d", bool: "?"}
 
 
 def _exact(value: Any) -> tuple:
@@ -71,20 +70,19 @@ def payload_key(values: Optional[Sequence[Any]], patch: Optional[Dict[int, Any]]
     Two payloads share a key only when every value has the same type
     and the same bits -- equal values that differ in type or in the
     sign of a zero get different replies.  A full value vector of one
-    scalar type keys by that type and the buffer of its array; any
+    scalar type keys by that type and its packed bytes; any
     other by each value's type and ``repr``.  Sparse
     patches key by their sorted ``(index, type, repr)`` triples.
     ``(None, None)`` -- "solve the registered initial values" -- is its
     own singleton key.
     """
     if values is not None:
-        kinds = set(map(type, values))
-        if len(kinds) == 1 and kinds <= set(_DTYPES):
-            kind = kinds.pop()
+        kind = type(values[0]) if len(values) else None
+        if kind in _FORMATS and list(map(type, values)).count(kind) == len(values):
+            packing = f"{len(values)}{_FORMATS[kind]}"
             try:
-                buf = np.fromiter(values, _DTYPES[kind], len(values)).tobytes()
-                return ("v", kind, buf)
-            except OverflowError:  # an int past int64
+                return ("v", kind, struct.pack(packing, *values))
+            except struct.error:  # an int past int64
                 pass
         return ("v",) + tuple(map(_exact, values))
     if patch is not None:
