@@ -13,14 +13,13 @@ file path):
    corrupts each ordinary schedule by its layout (round swaps, gather
    perturbations, dropped rounds, duplicated active ids, predecessor
    corruption, truncation; plus chain-layout corruption on a chain
-   plan and level-layout corruption -- swapped level order, shifted
-   level pointers, re-pointed read cells, duplicated write cells -- on
-   a level plan: the random forest row), each GIR level layout (level
-   order swaps, shifted level pointers, re-pointed operands, swapped
-   output cells -- the shallow GIR rows plan levels) and each GIR CAP
-   power table (exponent perturbation, row-pointer truncation, cell
-   swaps, pointer-repaired leaf drift -- the DP-path Fibonacci table
-   reduced by its period), and the verifier must
+   plan), each level layout of either family with one mutator set
+   (swapped level order, shifted level pointers, re-pointed reads,
+   duplicated writes -- the random forest row plans cell levels, the
+   shallow GIR rows node levels, which also get swapped output cells)
+   and each GIR CAP power table (exponent perturbation, row-pointer
+   truncation, cell swaps, pointer-repaired leaf drift -- the DP-path
+   Fibonacci table reduced by its period), and the verifier must
    reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
    exists because a mutation can, rarely, land on a semantically
    equivalent schedule; in practice rejection is 100%.

@@ -34,7 +34,6 @@ from .findings import (
 )
 from .lint import lint_loop, lint_program, lint_source
 from .mutate import (
-    GIR_LEVEL_MUTATION_KINDS,
     GIR_MUTATION_KINDS,
     LEVEL_MUTATION_KINDS,
     MUTATION_KINDS,
@@ -58,7 +57,7 @@ from .schedule import (
     verify_or_raise,
     verify_ordinary_schedule,
     verify_chain_layout,
-    verify_forest_levels,
+    verify_level_layout,
     verify_plan,
 )
 
@@ -75,7 +74,7 @@ __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
     "verify_chain_layout",
-    "verify_forest_levels",
+    "verify_level_layout",
     "verify_or_raise",
     "GIR_ORACLE_MAX_N",
     # precondition prover
@@ -96,7 +95,6 @@ __all__ = [
     "MUTATION_KINDS",
     "CHAIN_MUTATION_KINDS",
     "LEVEL_MUTATION_KINDS",
-    "GIR_LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "mutate_plan",
     "mutation_campaign",

@@ -39,7 +39,9 @@ ERROR: Severity = "error"
 _SEVERITIES = (INFO, WARNING, ERROR)
 
 #: Registry of every stable finding code with a one-line title.
-#: Append-only: codes are public API consumed by CI jobs and tooling.
+#: Append-only: codes are public API consumed by CI jobs and tooling; a
+#: retired code (GIR010-GIR012, folded into LVL001-LVL003) is never
+#: reused.
 FINDING_CODES: Dict[str, str] = {
     # -- schedule verifier (SCH0xx) ------------------------------------
     "SCH001": "round write set has a conflict (duplicate active iteration)",
@@ -56,11 +58,11 @@ FINDING_CODES: Dict[str, str] = {
     "CHN002": "chain run arrays or run / level offsets are malformed or do not close",
     "CHN003": "consecutive members of a chain run are not pred-linked",
     "CHN004": "a chain run's seed is not its head's pred in an earlier level",
-    # -- ordinary level layout (LVL0xx) ---------------------------------
+    # -- level layout, ordinary and GIR (LVL0xx) -----------------------
     "LVL001": "level order is not a permutation of the iterations",
     "LVL002": "level pointers are not monotone or do not close",
     "LVL003": "an iteration's operand is not final when its level runs",
-    "LVL004": "level read cells disagree with f in level order",
+    "LVL004": "level reads disagree with the system's operands in level order",
     # -- GIR plan artifacts (GIR0xx) -----------------------------------
     "GIR001": "nested dispatch plan failed verification",
     "GIR002": "GIR plan cell index out of range",
@@ -71,10 +73,7 @@ FINDING_CODES: Dict[str, str] = {
     "GIR007": "power-table leaf counts drift from the dependence-graph totals",
     "GIR008": "sampled trace row disagrees with the exact leaf-count oracle",
     "GIR009": "power table reduced modulo a period other than the operator's",
-    "GIR010": "GIR level order is not a permutation of the iterations",
-    "GIR011": "GIR level pointers are not monotone or do not close",
-    "GIR012": "a GIR operand does not lie in an earlier level",
-    "GIR013": "GIR level graph or output cells disagree with the system",
+    "GIR013": "GIR output cells disagree with the system",
     # -- precondition prover (PRE0xx) ----------------------------------
     "PRE001": "g index map is not injective (distinctness violated)",
     "PRE002": "index map leaves the array domain",

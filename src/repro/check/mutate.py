@@ -32,7 +32,10 @@ kind                    models                              caught by
 ``chain_shift_head``    a run's head moved by one           CHN001
 ======================  ==================================  ===============
 
-Level plans (``plan.levels`` set) get the level-layout classes:
+Level plans of either family (``plan.levels`` set: a
+:class:`~repro.engine.plan.LevelLayout`, over cells for an ordinary
+plan, over dependence-graph nodes for a GIR plan) get the level-layout
+classes:
 
 =========================  ===================================  =========
 kind                       models                               caught by
@@ -40,18 +43,17 @@ kind                       models                               caught by
 ``level_swap_order``       two iterations of different levels   LVL003
                            swapped in the level order
 ``level_shift_ptr``        a level boundary moved by one: an    LVL003
-                           iteration joins its predecessor's
-                           level
-``level_retarget_read``    one read cell re-pointed at another  LVL004
-                           cell
-``level_duplicate_write``  one write cell copied over another:  LVL001
+                           iteration joins its operand's level
+``level_retarget_read``    one read slot re-pointed at another  LVL003/
+                           slot                                 LVL004
+``level_duplicate_write``  one write slot copied over another:  LVL001
                            an iteration swept twice, one never
 =========================  ===================================  =========
 
 A level plan stores no ``pred`` and a chain or level plan no round
 schedule; the schedule classes mutate a copy that builds both.
 
-GIR plans (the v2 CSR power table) have their own mutation classes,
+GIR plans (the CSR power table) have their own mutation classes,
 applied by :func:`mutate_plan` when the plan's family is ``gir`` --
 feed the result to ``verify_plan(plan, system=system)``:
 
@@ -68,23 +70,10 @@ kind                       models                              caught by
 repairs every downstream row pointer, so the table stays structurally
 perfect and only the dependence-graph oracle can reject it.
 
-GIR level plans (``plan.levels`` set) get the level-layout classes;
-``gir_level_retarget`` and ``gir_level_swap_out_cells`` leave the
-layout structurally perfect, so only the system-backed GIR013 rule
-can reject them:
-
-============================  ===================================  ======
-kind                          models                               caught
-============================  ===================================  ======
-``gir_level_swap_order``      two iterations of different levels   GIR012
-                              swapped in the level order
-``gir_level_shift_ptr``       a level boundary moved by one: an    GIR012
-                              iteration joins its operand's level
-``gir_level_retarget``        an operand re-pointed at another     GIR013
-                              cell's initial value
-``gir_level_swap_out_cells``  two iterations' output cells         GIR013
-                              swapped
-============================  ===================================  ======
+A GIR level plan also gets ``gir_swap_out_cells`` (two iterations'
+output cells swapped), which leaves the layout perfect: only the
+system-backed GIR013 rule can reject it, as only the system-backed
+LVL004 can a GIR ``level_retarget_read`` onto another leaf.
 
 All mutations are seeded and pure: the input plan is never modified.
 """
@@ -103,7 +92,6 @@ __all__ = [
     "CHAIN_MUTATION_KINDS",
     "LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
-    "GIR_LEVEL_MUTATION_KINDS",
     "Mutation",
     "mutate_plan",
     "mutation_campaign",
@@ -140,14 +128,6 @@ GIR_MUTATION_KINDS: Tuple[str, ...] = (
     "gir_leaf_drift",
 )
 
-GIR_LEVEL_MUTATION_KINDS: Tuple[str, ...] = (
-    "gir_level_swap_order",
-    "gir_level_shift_ptr",
-    "gir_level_retarget",
-    "gir_level_swap_out_cells",
-)
-
-
 @dataclass
 class Mutation:
     """One applied mutation: ``plan`` is the mutated copy."""
@@ -158,23 +138,33 @@ class Mutation:
     data: dict = field(default_factory=dict)
 
 
+def _copy(arr):
+    return None if arr is None else np.array(arr, dtype=np.int64, copy=True)
+
+
+def _copy_levels(layout: Any) -> Any:
+    from ..engine.plan import LevelLayout
+
+    if layout is None:
+        return None
+    return LevelLayout(
+        **{name: _copy(getattr(layout, name)) for name in LevelLayout._ARRAYS}
+    )
+
+
 def _clone(plan: Any, chains: Any = None) -> Any:
     """A deep copy of ``plan`` -- its layout and whatever lazy state it
     has materialized (``chains`` replaces a chain layout)."""
-    from ..engine.plan import ChainLayout, ForestLevels, OrdinaryPlan
-
-    def copy(arr):
-        return np.array(arr, dtype=np.int64, copy=True)
+    from ..engine.plan import ChainLayout, OrdinaryPlan
 
     layout = plan.chains if chains is None else chains
-    levels = plan.levels
     return OrdinaryPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
         m=int(plan.m),
-        g=copy(plan.g),
-        f=copy(plan.f),
-        pred=copy(plan.pred) if plan.has_pred else None,
+        g=_copy(plan.g),
+        f=_copy(plan.f),
+        pred=_copy(plan.pred) if plan.has_pred else None,
         steps=[
             (np.array(a, copy=True), np.array(s, copy=True))
             for a, s in plan.steps
@@ -184,42 +174,39 @@ def _clone(plan: Any, chains: Any = None) -> Any:
         chains=None
         if layout is None
         else ChainLayout(
-            **{name: copy(getattr(layout, name)) for name in ChainLayout._ARRAYS}
+            **{name: _copy(getattr(layout, name)) for name in ChainLayout._ARRAYS}
         ),
-        levels=None
-        if levels is None
-        else ForestLevels(
-            write_cells=copy(levels.write_cells),
-            read_cells=copy(levels.read_cells),
-            level_ptr=copy(levels.level_ptr),
-        ),
+        levels=_copy_levels(plan.levels),
     )
 
 
-def _mutate_forest_levels(
-    plan: Any, kind: str, rng: random.Random
-) -> Optional[Mutation]:
-    """The level-layout mutation classes; each provably breaks the
-    layout (none yields an equivalent one)."""
+def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
+    """The level-layout mutation classes, on either family's layout;
+    each provably breaks the layout (none yields an equivalent one)."""
     layout = plan.levels
     if layout is None:
         return None
-    n, m = int(plan.n), int(plan.m)
+    gir = plan.family == "gir"
+    clone = _clone_gir if gir else _clone
+    n = int(plan.n)
+    slots = n + int(plan.m) if gir else int(plan.m)  # GIR slots: graph nodes
     ptr = layout.level_ptr.tolist()
     levels = len(ptr) - 1
 
     if kind == "level_swap_order":
-        # the iteration from the later level lands no later than its
-        # predecessor's level (or, a root taken out of level 0)
+        # the iteration from the later level lands no later than the
+        # level of an operand it reads (or, a root taken out of level 0)
         if levels < 2:
             return None
         lo_level = rng.randrange(levels - 1)
         hi_level = rng.randrange(lo_level + 1, levels)
         a = rng.randrange(ptr[lo_level], ptr[lo_level + 1])
         b = rng.randrange(ptr[hi_level], ptr[hi_level + 1])
-        mutated = _clone(plan)
-        for cells in (mutated.levels.write_cells, mutated.levels.read_cells):
-            cells[a], cells[b] = int(cells[b]), int(cells[a])
+        mutated = clone(plan)
+        for name in ("write", "read", "read_h"):
+            slot = getattr(mutated.levels, name)
+            if slot is not None:
+                slot[a], slot[b] = int(slot[b]), int(slot[a])
         return Mutation(
             kind=kind,
             description=f"level positions {a} (level {lo_level}) and {b} "
@@ -230,32 +217,32 @@ def _mutate_forest_levels(
 
     if kind == "level_shift_ptr":
         # the first iteration of a level joins the level below it, where
-        # its predecessor runs
+        # an operand it reads is written
         if levels < 2:
             return None
         k = rng.randrange(1, levels)
-        mutated = _clone(plan)
+        mutated = clone(plan)
         mutated.levels.level_ptr[k] += 1
         return Mutation(
             kind=kind,
-            description=f"level pointer {k} moved up by one: the cell "
-            f"{int(layout.write_cells[ptr[k]])} writer joins level {k - 1}",
+            description=f"level pointer {k} moved up by one: the slot "
+            f"{int(layout.write[ptr[k]])} writer joins level {k - 1}",
             plan=mutated,
             data={"pointer": k},
         )
 
     if kind == "level_retarget_read":
-        if n == 0 or m < 2:
+        if n == 0 or slots < 2:
             return None
         j = rng.randrange(n)
-        old = int(layout.read_cells[j])
-        cell = rng.randrange(m - 1)
-        cell += cell >= old  # any cell but the current one
-        mutated = _clone(plan)
-        mutated.levels.read_cells[j] = cell
+        old = int(layout.read[j])
+        slot = rng.randrange(slots - 1)
+        slot += slot >= old  # any slot but the current one
+        mutated = clone(plan)
+        mutated.levels.read[j] = slot
         return Mutation(
             kind=kind,
-            description=f"level position {j} reads cell {cell}, not {old}",
+            description=f"level position {j} reads slot {slot}, not {old}",
             plan=mutated,
             data={"position": j},
         )
@@ -264,12 +251,12 @@ def _mutate_forest_levels(
         if n < 2:
             return None
         j, k = rng.sample(range(n), 2)
-        mutated = _clone(plan)
-        mutated.levels.write_cells[j] = int(layout.write_cells[k])
+        mutated = clone(plan)
+        mutated.levels.write[j] = int(layout.write[k])
         return Mutation(
             kind=kind,
-            description=f"level position {j} writes cell "
-            f"{int(layout.write_cells[k])}, as position {k} does",
+            description=f"level position {j} writes slot "
+            f"{int(layout.write[k])}, as position {k} does",
             plan=mutated,
             data={"positions": (j, k)},
         )
@@ -337,108 +324,41 @@ def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
 def _clone_gir(plan: Any) -> Any:
     """A deep copy of a GIR trace plan: its level layout and its
     materialized power table (a lazy one stays unbuilt)."""
-    from ..engine.plan import GIRPlan, LevelLayout, PowerTable
-
-    def copy(arr):
-        return None if arr is None else np.array(arr, dtype=np.int64, copy=True)
+    from ..engine.plan import GIRPlan, PowerTable
 
     table = plan.table if plan.has_table else None
-    layout = plan.levels
     return GIRPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
         m=int(plan.m),
         renamed=bool(plan.renamed),
         dispatch=plan.dispatch,
-        out_cells=copy(plan.out_cells),
+        out_cells=_copy(plan.out_cells),
         table=None
         if table is None
         else PowerTable(
-            row_ptr=copy(table.row_ptr),
-            cells=copy(table.cells),
+            row_ptr=_copy(table.row_ptr),
+            cells=_copy(table.cells),
             exponents=table.exponents.copy(),
             period=table.period,
         ),
-        final_cell_of=copy(plan.final_cell_of),
+        final_cell_of=_copy(plan.final_cell_of),
         cap_iterations=int(plan.cap_iterations),
         cap_edge_work=int(plan.cap_edge_work),
-        levels=None
-        if layout is None
-        else LevelLayout(
-            target_f=copy(layout.target_f),
-            target_h=copy(layout.target_h),
-            order=copy(layout.order),
-            level_ptr=copy(layout.level_ptr),
-        ),
+        levels=_copy_levels(plan.levels),
     )
 
 
-def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
-    """The GIR level-layout mutation classes."""
-    layout = getattr(plan, "levels", None)
-    if layout is None:
-        return None
-    n, m = int(plan.n), int(plan.m)
-    ptr = layout.level_ptr.tolist()
-    levels = len(ptr) - 1
+def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
+    """The GIR mutation classes: the output-cell swap, and the power
+    table's (CSR artifacts; a level plan's table only once it is
+    built)."""
+    from ..engine.plan import exponent_array
 
-    if kind == "gir_level_swap_order":
-        # a node of a later level now runs first: it has an operand
-        # in the level just below its own, hence not earlier than it
-        if levels < 2:
+    if kind == "gir_swap_out_cells":
+        if plan.out_cells is None or int(plan.n) < 2:
             return None
-        lo_level = rng.randrange(levels - 1)
-        hi_level = rng.randrange(lo_level + 1, levels)
-        a = rng.randrange(ptr[lo_level], ptr[lo_level + 1])
-        b = rng.randrange(ptr[hi_level], ptr[hi_level + 1])
-        mutated = _clone_gir(plan)
-        order = mutated.levels.order
-        order[a], order[b] = int(order[b]), int(order[a])
-        return Mutation(
-            kind=kind,
-            description=f"level order entries {a} (level {lo_level + 1}) and "
-            f"{b} (level {hi_level + 1}) swapped",
-            plan=mutated,
-            data={"entries": (a, b)},
-        )
-
-    if kind == "gir_level_shift_ptr":
-        # the first node of a level joins the level below it, where
-        # one of its operands is computed
-        if levels < 2:
-            return None
-        k = rng.randrange(1, levels)
-        mutated = _clone_gir(plan)
-        mutated.levels.level_ptr[k] += 1
-        return Mutation(
-            kind=kind,
-            description=f"level pointer {k} moved up by one: iteration "
-            f"{int(layout.order[ptr[k]])} joins level {k}",
-            plan=mutated,
-            data={"pointer": k},
-        )
-
-    if kind == "gir_level_retarget":
-        if n == 0 or m < 2:
-            return None
-        i = rng.randrange(n)
-        old = int(layout.target_f[i])
-        cell = rng.randrange(m - 1)
-        cell += cell >= old - n  # any cell but the current leaf's
-        mutated = _clone_gir(plan)
-        mutated.levels.target_f[i] = n + cell
-        return Mutation(
-            kind=kind,
-            description=f"iteration {i}'s f operand re-pointed from node "
-            f"{old} to cell {cell}'s initial value",
-            plan=mutated,
-            data={"iteration": i},
-        )
-
-    if kind == "gir_level_swap_out_cells":
-        if n < 2:
-            return None
-        i, j = rng.sample(range(n), 2)
+        i, j = rng.sample(range(int(plan.n)), 2)
         mutated = _clone_gir(plan)
         cells = mutated.out_cells
         cells[i], cells[j] = int(cells[j]), int(cells[i])
@@ -448,15 +368,6 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
             plan=mutated,
             data={"iterations": (i, j)},
         )
-
-    raise ValueError(f"unknown mutation kind {kind!r}")
-
-
-def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
-    """The GIR power-table mutation classes (v2 CSR artifacts); a
-    level plan's table only once it is built."""
-    from ..engine.plan import exponent_array
-
     if not getattr(plan, "has_table", False):
         return None
     table = plan.table
@@ -546,14 +457,12 @@ def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
     # zlib.crc32 rather than hash(): stable across processes
     # (str hashing is randomized by PYTHONHASHSEED).
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(kind.encode()))
-    if kind.startswith("gir_level_"):
-        return _mutate_levels(plan, kind, rng)
     if kind.startswith("gir_"):
         return _mutate_gir(plan, kind, rng)
     if kind.startswith("chain_"):
         return _mutate_chains(plan, kind, rng)
     if kind.startswith("level_"):
-        return _mutate_forest_levels(plan, kind, rng)
+        return _mutate_levels(plan, kind, rng)
     if not plan.has_steps:
         # a chain or level plan: mutate a copy whose round schedule
         # (and pred) is built -- the input plan stays as it was
@@ -666,24 +575,21 @@ def mutation_campaign(
 ) -> List[Mutation]:
     """All applicable (kind, seed) mutations of ``plan``.
 
-    ``kinds`` defaults by plan family: GIR trace plans get
-    :data:`GIR_LEVEL_MUTATION_KINDS` when they carry a level layout
-    and :data:`GIR_MUTATION_KINDS` when they carry a built power table;
-    everything else gets the schedule classes, plus
-    :data:`CHAIN_MUTATION_KINDS` on a chain plan and
-    :data:`LEVEL_MUTATION_KINDS` on a level plan.
+    ``kinds`` defaults by plan family and layout: a level plan of
+    either family gets :data:`LEVEL_MUTATION_KINDS` (a GIR one also
+    ``gir_swap_out_cells``), a GIR plan with a built power table
+    :data:`GIR_MUTATION_KINDS`, and an ordinary plan the schedule
+    classes, plus :data:`CHAIN_MUTATION_KINDS` on a chain plan.
     """
     if kinds is None:
-        if getattr(plan, "family", None) == "gir":
-            kinds = (
-                GIR_LEVEL_MUTATION_KINDS if plan.levels is not None else ()
-            ) + (GIR_MUTATION_KINDS if plan.has_table else ())
-        else:
-            kinds = MUTATION_KINDS
-            if getattr(plan, "chains", None) is not None:
-                kinds = kinds + CHAIN_MUTATION_KINDS
-            if getattr(plan, "levels", None) is not None:
-                kinds = kinds + LEVEL_MUTATION_KINDS
+        gir = getattr(plan, "family", None) == "gir"
+        kinds = () if gir else MUTATION_KINDS
+        if getattr(plan, "chains", None) is not None:
+            kinds += CHAIN_MUTATION_KINDS
+        if getattr(plan, "levels", None) is not None:
+            kinds += LEVEL_MUTATION_KINDS + (("gir_swap_out_cells",) if gir else ())
+        if gir and plan.has_table:
+            kinds += GIR_MUTATION_KINDS
     out: List[Mutation] = []
     for kind in kinds:
         for seed in seeds:

@@ -44,34 +44,32 @@ rules above check a chain plan's round schedule only when the plan
 carries one: the consumers that run rounds build it lazily from the
 verified ``pred`` with the planner's own builder.
 
-A level plan (``plan.levels``: the cells each iteration writes and
-reads, grouped by its depth in the predecessor forest; the NumPy level
-kernels sweep it in cell space) is proved by
-:func:`verify_forest_levels`: the write cells name every iteration
-once, so the level order is a permutation (LVL001); the level
-pointers rise monotonically from 0 and close at ``n`` (LVL002); every
-root runs in level 0 -- reading its ``f`` operand before any write,
-so the later writer of that cell is never in an earlier level -- and
-every other iteration's predecessor in an earlier level (LVL003,
-happens-before); and the read cells are ``f`` in level order (LVL004).
-Each level then folds exactly the loop's operands.  A level plan keeps
-no ``pred`` (the verifier re-derives it from ``(g, f)``); a stored
-one, like its round schedule, is checked only when present.
-
-A GIR level plan (``plan.levels``: the dependence graph with its
-iterations grouped by level) is proved the same way: the level order
-is a permutation of the iterations (GIR010), the level pointers are
-monotone and close at ``n`` (GIR011), every operand is an iteration
-in an earlier level or an original cell (GIR012, GIR002) and -- given
-the system -- the operand targets and output cells are the ones
-re-derived from it (GIR013).  Each level then folds exactly the
-loop's operands.  The power-table rules (GIR002-GIR009) check a level
-plan's table only once it is built.
+A level plan of either family (``plan.levels``: a
+:class:`~repro.engine.plan.LevelLayout`, the slots each iteration
+writes and reads, grouped by dependence level) is proved by one
+function, :func:`verify_level_layout`, over the plan's slot-to-iteration
+map -- an ordinary or Moebius plan's slots are cells (the writer map of
+``g``), a GIR plan's the dependence graph's nodes (iteration ``i`` at
+slot ``i``, the leaves never written).  The write slots name every
+iteration once, so the level order is a permutation (LVL001); the
+level pointers rise monotonically from 0 and close at ``n`` (LVL002);
+an operand another iteration writes comes from an earlier level, and
+an initial-value read happens before any write of its slot -- in cell
+space the roots sit in level 0, in node space the leaf slots are never
+written (LVL003, happens-before); and the reads equal the operands
+re-derived from the system in level order -- ``f`` (and ``h = g``) for
+an ordinary plan, the dependence graph for a GIR plan, which needs the
+system (LVL004).  Each level then folds exactly the loop's operands.
+A level plan keeps no ``pred`` (the verifier re-derives it from
+``(g, f)``); a stored one, like its round schedule, is checked only
+when present.  Given the system, a GIR plan's output cells are its
+(working) ``g`` (GIR013, on table plans too); the power-table rules
+(GIR002-GIR009) check a level plan's table only once it is built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +80,7 @@ __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
     "verify_chain_layout",
-    "verify_forest_levels",
+    "verify_level_layout",
     "verify_or_raise",
 ]
 
@@ -213,7 +211,9 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
         if chains is not None:
             report.extend(verify_chain_layout(chains, pred, where=where))
         else:
-            report.extend(verify_forest_levels(levels, f, pred, writer, where=where))
+            report.extend(
+                verify_level_layout(levels, writer, (f, None), cell_space=True, where=where)
+            )
         if not report.ok or not plan.has_steps:
             return report
 
@@ -469,29 +469,44 @@ def verify_chain_layout(
     return report
 
 
-def verify_forest_levels(
+def verify_level_layout(
     levels: Any,
-    f: np.ndarray,
-    pred: np.ndarray,
-    writer: np.ndarray,
+    owner: np.ndarray,
+    operands: Optional[Tuple[np.ndarray, Optional[np.ndarray]]],
     *,
+    cell_space: bool,
     where: str = "plan",
 ) -> CheckReport:
-    """Prove a :class:`~repro.engine.plan.ForestLevels` equivalent to
-    the sequential loop over the (already verified) ``pred`` array and
-    ``writer`` map (cell -> iteration): every iteration is swept once,
-    after its predecessor (LVL001-LVL004; see the module docstring)."""
+    """Prove a :class:`~repro.engine.plan.LevelLayout` equivalent to the
+    sequential loop: every iteration is swept once, after the
+    iterations whose results it reads (LVL001-LVL004; see the module
+    docstring).  One function for every plan family; what a slot means
+    comes in with the arguments.
+
+    ``owner`` maps each slot to the iteration that writes it (``-1``:
+    none) -- an ordinary plan's writer map of ``g`` over its cells, a
+    GIR plan's node ids (``i`` for iteration ``i``'s result, ``-1`` for
+    an initial-value leaf); its written slots count the iterations.  ``operands`` are the slots each
+    iteration's ``f`` and ``h`` operands read, re-derived from the
+    system in iteration order (``h`` ``None``: its own write slot);
+    LVL004 compares the reads with them when given.  ``cell_space``:
+    the slots are cells swept in place, whose kernels read every
+    initial value in level 0 (where ``f_initial`` enters); else (node
+    space) an initial-value read must be of a slot no iteration
+    writes."""
     report = CheckReport(subject=where)
-    n, m = int(pred.shape[0]), int(writer.shape[0])
-    write = np.asarray(levels.write_cells, dtype=np.int64)
-    read = np.asarray(levels.read_cells, dtype=np.int64)
+    n, slots = int(np.count_nonzero(owner >= 0)), int(owner.shape[0])
+    write = np.asarray(levels.write, dtype=np.int64)
     level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
+    reads = [("f", np.asarray(levels.read, dtype=np.int64))]
+    if levels.read_h is not None:
+        reads.append(("h", np.asarray(levels.read_h, dtype=np.int64)))
     loc = f"{where} levels"
 
     report.ran()
     order = None
-    if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < m)):
-        order = writer[write]  # each write cell's iteration, -1: none
+    if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < slots)):
+        order = owner[write]  # each write slot's iteration, -1: none
     seen = None
     if order is not None and (n == 0 or order.min() >= 0):
         seen = np.bincount(order, minlength=n)
@@ -502,7 +517,8 @@ def verify_forest_levels(
                 "LVL001",
                 "the level order is not a permutation of the iterations"
                 + (
-                    ": its write cells name a cell no iteration writes"
+                    f": its {write.shape[0]} write slots are not {n} slots "
+                    "that iterations write"
                     if it is None
                     else f": iteration {it} appears {int(seen[it])} times"
                 ),
@@ -531,47 +547,73 @@ def verify_forest_levels(
         return report
 
     report.ran()
-    level_of = np.empty(n, dtype=np.int64)
-    level_of[order] = np.repeat(
+    for name, read in reads:
+        if read.shape != (n,) or (n and (read.min() < 0 or read.max() >= slots)):
+            report.add(
+                error(
+                    "LVL004",
+                    f"the {name} reads are not {n} slots in [0, {slots}) "
+                    f"(got shape {read.shape})",
+                    where=loc,
+                )
+            )
+            return report
+    level = np.repeat(
         np.arange(level_ptr.shape[0] - 1, dtype=np.int64), np.diff(level_ptr)
     )
-    root = pred < 0
-    late = np.where(root, level_of != 0, level_of[np.maximum(pred, 0)] >= level_of)
-    if bool(late.any()):
-        i = int(np.argmax(late))
-        report.add(
-            error(
-                "LVL003",
-                f"iteration {i} (level {int(level_of[i])}) "
-                + (
-                    "reads an initial value outside level 0: a writer of "
-                    "its f cell in an earlier level would overwrite it first"
-                    if root[i]
-                    else f"reads its predecessor {int(pred[i])} from level "
-                    f"{int(level_of[pred[i]])}, not an earlier level: the "
-                    "operand is not final when its level runs"
-                ),
-                where=loc,
-                data={"iteration": i},
+    level_of = np.empty(n, dtype=np.int64)
+    level_of[order] = level
+    for name, read in reads:
+        dep = owner[read]  # the iteration that writes the operand's slot
+        earlier = (dep >= 0) & (dep < order)  # the loop reads its result
+        late = earlier & (level_of[np.maximum(dep, 0)] >= level)
+        # an initial-value read runs before any write of its slot
+        late |= ~earlier & ((level != 0) if cell_space else (dep >= 0))
+        if bool(late.any()):
+            k = int(np.argmax(late))
+            it, d = int(order[k]), int(dep[k])
+            report.add(
+                error(
+                    "LVL003",
+                    f"iteration {it} (level {int(level[k])}) "
+                    + (
+                        f"reads its {name} operand from iteration {d} in "
+                        f"level {int(level_of[d])}, not an earlier level: the "
+                        "operand is not final when its level runs"
+                        if earlier[k]
+                        else f"reads slot {int(read[k])} as an initial value "
+                        + (
+                            "outside level 0: a writer of it in an earlier "
+                            "level would overwrite it first"
+                            if cell_space
+                            else f"but iteration {d} writes that slot"
+                        )
+                    ),
+                    where=loc,
+                    data={"iteration": it},
+                )
             )
-        )
-        return report
+            return report
 
+    if operands is None:
+        return report
     report.ran()
-    if read.shape != (n,) or not np.array_equal(read, f[order]):
-        k = 0 if read.shape != (n,) else int(np.argmax(read != f[order]))
-        report.add(
-            error(
-                "LVL004",
-                f"level position {k} reads cell "
-                f"{int(read[k]) if k < read.size else 'none'}, but its "
-                f"iteration {int(order[k]) if n else 'none'} reads f = "
-                f"{int(f[order[k]]) if n else 'none'}: the sweep would fold "
-                "another operand than the sequential loop",
-                where=loc,
-                data={"position": k},
+    for name, read, want in zip("fh", (levels.read, levels.read_h), operands):
+        got = write if read is None else np.asarray(read, dtype=np.int64)
+        want = write if want is None else want[order]  # None: the write slot
+        if got is not want and not np.array_equal(got, want):
+            k = int(np.argmax(got != want))
+            report.add(
+                error(
+                    "LVL004",
+                    f"level position {k} reads {name} slot {int(got[k])}, but "
+                    f"its iteration {int(order[k])} reads {int(want[k])}: the "
+                    "sweep would fold another operand than the sequential loop",
+                    where=loc,
+                    data={"position": k},
+                )
             )
-        )
+            return report
     return report
 
 
@@ -644,8 +686,6 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
             )
         )
         return
-    if layout is not None and not _verify_gir_levels(layout, n, m, report):
-        return
     if table is not None and not _verify_gir_csr(table, n, m, report):
         return
     if plan.final_cell_of is not None:
@@ -664,39 +704,52 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
             )
             return
 
-    # Deep equivalence against the dependence-graph oracle, in three
-    # tiers: the exact full oracle (GIR004, bounded), the unbounded
-    # modular total-path-count sweep (GIR007, O(n + nnz)), and exact
-    # re-derivation of sampled rows (GIR008) when the full oracle is
-    # out of budget.
-    if system is None or n == 0:
-        return
-    from ..core.depgraph import build_dependence_graph
-    from ..core.equations import normalize_non_distinct
+    # Given the system: the output cells (GIR013) and the dependence
+    # graph the level layout and the power table are checked against.
+    graph = work = None
+    if system is not None and n:
+        from ..core.depgraph import build_dependence_graph
+        from ..core.equations import normalize_non_distinct
 
-    work = system
-    if plan.renamed:
-        work = normalize_non_distinct(system).system
-    graph = None
-    report.ran()
-    if not np.array_equal(out_cells, work.g):
-        wrong = out_cells != work.g if work.n == n else np.ones(n, dtype=bool)
-        i = int(np.argmax(wrong))
-        report.add(
-            error(
-                "GIR013",
-                f"iteration {i} writes cell {int(out_cells[i])}, but the "
-                f"system's (working) g has {work.n} iterations and assigns "
-                f"{int(work.g[i]) if i < work.n else 'none'}",
-                where="gir",
-                data={"iteration": i},
+        work = normalize_non_distinct(system).system if plan.renamed else system
+        report.ran()
+        if not np.array_equal(out_cells, work.g):
+            wrong = out_cells != work.g if work.n == n else np.ones(n, dtype=bool)
+            i = int(np.argmax(wrong))
+            report.add(
+                error(
+                    "GIR013",
+                    f"iteration {i} writes cell {int(out_cells[i])}, but the "
+                    f"system's (working) g has {work.n} iterations and assigns "
+                    f"{int(work.g[i]) if i < work.n else 'none'}",
+                    where="gir",
+                    data={"iteration": i},
+                )
             )
-        )
-        return
-    if layout is not None:
-        graph = build_dependence_graph(work)
-        if not _verify_gir_targets(layout, graph, report) or table is None:
             return
+        if layout is not None:
+            graph = build_dependence_graph(work)
+    if layout is not None:
+        owner = np.arange(n + m, dtype=np.int64)
+        owner[n:] = -1  # node slots: iteration i's result; leaves unwritten
+        operands = None if graph is None else (graph.target_f, graph.target_h)
+        sub = verify_level_layout(
+            layout, owner, operands, cell_space=False, where="gir"
+        )
+        report.extend(sub)
+        if not sub.ok:
+            return
+        if graph is not None:
+            report.add(
+                info(
+                    "IR000",
+                    f"level layout matches the dependence graph on all {n} "
+                    "iterations",
+                    where="gir",
+                )
+            )
+    if table is None or work is None:
+        return
     period = table.period
     report.ran()
     if not table.serves(system.op.power_period):
@@ -754,138 +807,6 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
     if not _verify_gir_totals(table, graph, report):
         return
     _verify_gir_sampled(table, graph, report)
-
-
-def _verify_gir_levels(layout: Any, n: int, m: int, report: CheckReport) -> bool:
-    """GIR010-GIR012: the level layout is a well-formed schedule.
-
-    The level order lists every iteration once (GIR010); the level
-    pointers rise monotonically from 0 and close at ``n`` (GIR011);
-    every operand target is an iteration or one of the ``m`` original
-    cells (GIR002), and an iteration operand lies in an earlier level
-    (GIR012), so each level reads only values final before it runs.
-    Returns False when a finding stops verification."""
-    order = np.asarray(layout.order, dtype=np.int64)
-    level_ptr = np.asarray(layout.level_ptr, dtype=np.int64)
-    targets = [
-        np.asarray(t, dtype=np.int64) for t in (layout.target_f, layout.target_h)
-    ]
-    loc = "gir levels"
-    report.ran(4)
-    if any(t.shape != (n,) for t in targets):
-        report.add(
-            error(
-                "SCH007",
-                f"level layout operand targets disagree with n={n}: "
-                f"{[t.shape for t in targets]}",
-                where=loc,
-            )
-        )
-        return False
-    seen = (
-        np.bincount(order, minlength=n)
-        if order.shape == (n,) and (n == 0 or (order.min() >= 0 and order.max() < n))
-        else None
-    )
-    if seen is None or (n and int(seen.max()) != 1):
-        it = None if seen is None else int(np.argmax(seen != 1))
-        report.add(
-            error(
-                "GIR010",
-                "the level order is not a permutation of the iterations"
-                + (
-                    ""
-                    if it is None
-                    else f": iteration {it} appears {int(seen[it])} times"
-                ),
-                where=loc,
-                data={} if it is None else {"iteration": it},
-            )
-        )
-        return False
-    if (
-        level_ptr.ndim != 1
-        or level_ptr.shape[0] < 1
-        or int(level_ptr[0]) != 0
-        or int(level_ptr[-1]) != n
-        or bool(np.any(np.diff(level_ptr) < 0))
-    ):
-        report.add(
-            error(
-                "GIR011",
-                "level pointers must rise monotonically from 0 to "
-                f"n={n} (got {level_ptr.tolist()[:8]})",
-                where=loc,
-            )
-        )
-        return False
-    for name, t in zip(("f", "h"), targets):
-        if n and (int(t.min()) < 0 or int(t.max()) >= n + m):
-            i = int(np.argmax((t < 0) | (t >= n + m)))
-            report.add(
-                error(
-                    "GIR002",
-                    f"iteration {i}'s {name} operand is node {int(t[i])}, "
-                    f"neither an iteration nor one of the {m} cells",
-                    where=loc,
-                    data={"iteration": i},
-                )
-            )
-            return False
-    level_of = np.zeros(n + m, dtype=np.int64)  # leaves: level 0
-    level_of[order] = np.repeat(
-        np.arange(1, level_ptr.shape[0], dtype=np.int64), np.diff(level_ptr)
-    )
-    own = level_of[:n]
-    for name, t in zip(("f", "h"), targets):
-        late = level_of[t] >= own
-        if bool(late.any()):
-            i = int(np.argmax(late))
-            report.add(
-                error(
-                    "GIR012",
-                    f"iteration {i} (level {int(own[i])}) reads its {name} "
-                    f"operand from iteration {int(t[i])} in level "
-                    f"{int(level_of[t[i]])}, not an earlier level: the "
-                    "operand is not final when its level runs",
-                    where=loc,
-                    data={"iteration": i},
-                )
-            )
-            return False
-    return True
-
-
-def _verify_gir_targets(layout: Any, graph: Any, report: CheckReport) -> bool:
-    """GIR013: the layout's operand targets are the dependence graph
-    re-derived from the system, so each level folds the loop's own
-    operands."""
-    report.ran()
-    for name, got, want in (
-        ("f", layout.target_f, graph.target_f),
-        ("h", layout.target_h, graph.target_h),
-    ):
-        if not np.array_equal(got, want):
-            i = int(np.argmax(np.asarray(got) != want))
-            report.add(
-                error(
-                    "GIR013",
-                    f"iteration {i}'s {name} operand is node {int(got[i])}, "
-                    f"but the system's dependence graph has {int(want[i])}",
-                    where="gir levels",
-                    data={"iteration": i},
-                )
-            )
-            return False
-    report.add(
-        info(
-            "IR000",
-            f"level layout matches the dependence graph on all {graph.n} "
-            "iterations",
-            where="gir",
-        )
-    )
-    return True
 
 
 def _as_stored(counts: Dict[int, int], period: Optional[int]) -> Dict[int, int]:

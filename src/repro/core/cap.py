@@ -48,8 +48,8 @@ on ``node * m + cell`` keys.  Rows come out cell-sorted, so the result
 is :attr:`CAPResult.leaf_csr` directly.  A count at level ``L`` is at
 most ``2^L``, so graphs of depth <= :data:`_LEVEL_MAX_DEPTH` (62) never
 leave int64.  (A default engine solve of such a graph runs no CAP at
-all: it sweeps the same levels over values, see
-:class:`~repro.engine.plan.LevelLayout`.)  Deeper graphs go to the
+all: it sweeps the same levels over values, the graph's nodes as the
+slots of a :class:`~repro.engine.plan.LevelLayout`.)  Deeper graphs go to the
 sequential DP (:func:`_dp_with_work`), which counts in index order --
 a hand-built graph whose operands do not precede their readers is
 first renumbered into dependence order -- and reduces by ``period`` as

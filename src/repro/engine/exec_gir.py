@@ -11,12 +11,15 @@ ordinary round kernel instead.
 
 The planner picks the layout from the graph's depth alone.  A graph at
 most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep gets a
-:class:`~repro.engine.plan.LevelLayout` and no CAP run: the ``levels``
-kernel computes every iteration with one gather + ``op.vector_fn`` +
-store per dependence level, ``O(n)`` work folding exactly the loop's
-operands, so results are bit-identical to ``run_gir``, floats
-included.  It runs for a default (``gir_eval="auto"``) NumPy solve
-without a policy whose operator and values it can prove exact
+:class:`~repro.engine.plan.LevelLayout` over the graph's nodes and no
+CAP run: the ``levels`` kernel sweeps it over an ``(n + m)`` node
+buffer with the ordinary level kernel's own statement
+(:func:`~repro.engine.exec_ordinary.sweep_level`), one per dependence
+level, ``O(n)`` work folding exactly the loop's operands, so results
+are bit-identical to ``run_gir``, floats included.  The buffer stays:
+unlike an ordinary plan's cells, GIR operands can be anti-dependent.
+It runs for a default (``gir_eval="auto"``) NumPy solve without a
+policy whose operator and values it can prove exact
 (:func:`level_exact`).  A deeper graph, a policy, an explicit
 ``gir_eval`` or the pure-Python backend gets the CAP power table --
 built at plan time, or on a level plan lazily on first use -- and
@@ -154,7 +157,7 @@ def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
             renamed=renamed,
             out_cells=work_system.g,
             final_cell_of=final_cell_of,
-            levels=LevelLayout.from_levels(graph, level),
+            levels=LevelLayout.from_graph(graph, level),
         )
     with maybe_span(tracer, "gir.cap") as csp:
         cap: CAPResult = count_all_paths(
@@ -268,23 +271,6 @@ def level_exact(op, typed: Optional[np.ndarray], levels: int) -> bool:
     if typed.dtype not in (np.float64, np.int64):
         return False
     return not exec_ordinary.may_wrap(op, 2**levels, typed)
-
-
-def _evaluate_levels(layout: LevelLayout, typed: np.ndarray, fn) -> np.ndarray:
-    """Every iteration's value, one dependence level at a time over an
-    ``(n + m)`` buffer: slot ``i`` is iteration ``i``'s result, slot
-    ``n + c`` cell ``c``'s initial value -- the graph's node ids."""
-    n = layout.order.shape[0]
-    vals = np.empty(n + typed.shape[0], dtype=typed.dtype)
-    vals[n:] = typed
-    tf, th, order = layout.target_f, layout.target_h, layout.order
-    ptr = layout.level_ptr.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        # overflow saturates to +/-inf, as Python floats do in the loop
-        for lo, hi in zip(ptr[:-1], ptr[1:]):
-            nodes = order[lo:hi]
-            vals[nodes] = fn(vals[tf[nodes]], vals[th[nodes]])
-    return vals[:n]
 
 
 def _typed_eval_setup(plan: GIRPlan, initial: Sequence[Any], op, typed=None):
@@ -409,8 +395,17 @@ class TraceEvaluator:
             and layout is not None
             and level_exact(op, job.typed, layout.levels)
         ):
-            values = _evaluate_levels(layout, job.typed, op.vector_fn)
-            return values, job.typed, "levels"
+            # node slots: iteration i's result at i, cell c's initial
+            # value at n + c
+            n, fn = plan.n, op.vector_fn
+            nodes = np.empty(n + job.typed.shape[0], dtype=job.typed.dtype)
+            nodes[n:] = job.typed
+            ptr = layout.level_ptr.tolist()
+            with np.errstate(over="ignore", invalid="ignore"):
+                # overflow saturates to +/-inf, as Python floats do
+                for lo, hi in zip(ptr[:-1], ptr[1:]):
+                    exec_ordinary.sweep_level(nodes, layout, slice(lo, hi), fn)
+            return nodes[:n], job.typed, "levels"
         mode = self.prefer if self.mode == "auto" else self.mode
         if mode == "batched":
             setup = _typed_eval_setup(plan, initial, op, job.typed)

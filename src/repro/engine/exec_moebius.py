@@ -540,7 +540,7 @@ class AffineLevels:
             x = x.copy()
         layout = sched.levels
         self.x, self.ix = x, exec_ordinary.cells(x.ndim)
-        self.write, self.read = layout.write_cells, layout.read_cells
+        self.write, self.read = layout.write, layout.read
 
         def on_cells(column):  # each iteration's coefficient at its g cell
             out = np.empty(sched.m)

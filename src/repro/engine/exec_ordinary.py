@@ -51,6 +51,7 @@ __all__ = [
     "NumpyRounds",
     "NumpyChains",
     "NumpyLevels",
+    "sweep_level",
 ]
 
 #: Magnitude from which float64 no longer holds every integer exactly
@@ -519,11 +520,29 @@ class NumpyChains:
         return self.c
 
 
+def sweep_level(x: np.ndarray, layout, level: slice, fn, source=None) -> None:
+    """One level of a :class:`~repro.engine.plan.LevelLayout`, in place:
+    ``x[w] = fn(source[r], x[r_h or w])`` over the level's slots, every
+    operand gathered before the level writes (``source`` defaults to
+    ``x``).  Slots index the last axis, so a stacked ``(k, m)`` batch
+    is a leading axis.  ``out=`` only for a ufunc: a modular
+    operator's vector function is a plain function."""
+    w = layout.write[level]
+    value = (x if source is None else source).take(layout.read[level], axis=-1)
+    h = w if layout.read_h is None else layout.read_h[level]
+    if isinstance(fn, np.ufunc):
+        fn(value, x.take(h, axis=-1), out=value)
+    else:
+        value = fn(value, x.take(h, axis=-1))
+    x[w if x.ndim == 1 else (slice(None), w)] = value
+
+
 class NumpyLevels:
     """Work-efficient kernel for level plans: one vector statement per
     dependence level, in cell space, on the admitted array --
     ``x[w] = op(x[r], x[w])`` over the level's write and read cells
-    (:class:`~repro.engine.plan.ForestLevels`).
+    (:func:`sweep_level` over the plan's
+    :class:`~repro.engine.plan.LevelLayout`).
 
     Each cell has one writer, so the only values a level reads are its
     predecessors' (final: an earlier level wrote them), an iteration's
@@ -547,25 +566,16 @@ class NumpyLevels:
         self.vec = job.op.vector_fn
         x, finit = _inputs(job, True)
         self.base = x
-        layout = job.sched.levels
-        self.write, self.read = layout.write_cells, layout.read_cells
-        self.ix = cells(x.ndim)
+        self.layout = layout = job.sched.levels
         ptr = layout.level_ptr.tolist()
         if len(ptr) > 1:  # level 0: the roots' first products
-            self._sweep(finit, slice(0, ptr[1]))
+            sweep_level(x, layout, slice(0, ptr[1]), self.vec, finit)
         self.steps = [
             (range(lo, hi), slice(lo, hi)) for lo, hi in zip(ptr[1:-1], ptr[2:])
         ]
 
-    def _sweep(self, source, level: slice) -> None:
-        """``x[w] = op(source[r], x[w])`` over one level's cells."""
-        x, w = self.base, self.write[level]
-        value = source.take(self.read[level], axis=-1)
-        self.vec(value, x.take(w, axis=-1), out=value)
-        x[self.ix(w)] = value
-
     def round(self, _positions, level: slice) -> None:
-        self._sweep(self.base, level)
+        sweep_level(self.base, self.layout, level, self.vec)
 
     def solved(self):
         return self.base

@@ -10,23 +10,24 @@ value-dependent work:
   stride, length -- grouped by level, ``O(segments)`` bytes; each
   level is one ``ufunc.accumulate`` sweep) when it needs one level or
   fewer levels than pointer jumping needs rounds; else a
-  :class:`ForestLevels` (the cells each iteration writes and reads,
-  grouped by its depth in the forest, ``O(n)`` bytes; each level is
-  one vector statement in cell space) when the forest is at most
-  :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep; else the
-  **round schedule**: for every pointer-jumping round, the iterations
-  that are active and the source each one concatenates from
-  (``O(n log n)`` bytes; one gather + ``op`` + scatter per round).
+  :class:`LevelLayout` in cell space (the cells each iteration writes
+  and reads, grouped by its depth in the forest, ``O(n)`` bytes; each
+  level is one vector statement on the values in place) when the
+  forest is at most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62)
+  deep; else the **round schedule**: for every pointer-jumping round,
+  the iterations that are active and the source each one concatenates
+  from (``O(n log n)`` bytes; one gather + ``op`` + scatter per round).
   Chain and level plans build the round schedule and the predecessor
   array lazily, only for a consumer that runs rounds.
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the
   projection map back onto the original cells and ONE evaluation
-  layout: a :class:`LevelLayout` (the dependence graph's operand
-  targets plus its final nodes grouped by dependence level, ``O(n)``
-  bytes; each level is one gather + ``op`` + store) when the graph is
-  at most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep, else the CAP
+  layout: a :class:`LevelLayout` in node space (the dependence graph's
+  final nodes grouped by dependence level with the nodes their
+  operands read, ``O(n)`` bytes; each level is one vector statement
+  over an ``(n + m)`` node buffer) when the graph is at most
+  :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep, else the CAP
   power table of every iteration's trace as a flat CSR-style
-  :class:`PowerTable` (row-ptr / cell-id / exponent arrays, v2).  A
+  :class:`PowerTable` (row-ptr / cell-id / exponent arrays).  A
   level plan builds its power table lazily, only for a consumer that
   evaluates traces.  Ordinary-shaped systems carry a nested
   :class:`OrdinaryPlan` for the cheap dispatch path instead.
@@ -57,7 +58,6 @@ from ..obs import get_tracer, maybe_span
 __all__ = [
     "OrdinaryPlan",
     "ChainLayout",
-    "ForestLevels",
     "GIRPlan",
     "LevelLayout",
     "MoebiusPlan",
@@ -71,12 +71,12 @@ __all__ = [
     "plan_from_dict",
 ]
 
-#: Ordinary and Moebius plans (chain layouts as arithmetic runs);
-#: ``from_dict`` refuses any other version.
-PLAN_SCHEMA_VERSION = 2
-#: GIR plans moved from per-row dicts (v1) to flat arrays (v2);
-#: ``GIRPlan.from_dict`` migrates v1 payloads transparently.
-GIR_PLAN_SCHEMA_VERSION = 2
+#: Ordinary and Moebius plans (v3: level layouts as write / read
+#: slots); ``from_dict`` refuses any other version.
+PLAN_SCHEMA_VERSION = 3
+#: GIR plans (v3: level layouts as write / read slots); ``from_dict``
+#: refuses any other version.
+GIR_PLAN_SCHEMA_VERSION = 3
 
 #: One pointer-jumping round: (active iteration ids, their sources).
 RoundStep = Tuple[np.ndarray, np.ndarray]
@@ -248,7 +248,7 @@ def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
 
 def build_forest_levels(
     g: np.ndarray, f: np.ndarray, pred: np.ndarray, writer: np.ndarray
-) -> Optional["ForestLevels"]:
+) -> Optional["LevelLayout"]:
     """Group the Lemma-1 predecessor forest's iterations by depth --
     roots at level 0 -- or return ``None`` when the forest is deeper
     than :data:`~repro.core.cap._LEVEL_MAX_DEPTH`.
@@ -263,7 +263,8 @@ def build_forest_levels(
     before its sweeps would.  A stable radix argsort of the cell
     depths then lists the written cells level by level, ascending
     within a level; ``writer`` (cell -> iteration) gives the cells
-    their ``f`` operands read.
+    their ``f`` operands read.  The layout's slots are cells, and each
+    ``h`` operand is its own write cell (``read_h=None``).
     """
     n, m = int(pred.shape[0]), int(writer.shape[0])
     depth = (writer >= 0).view(np.int8) - np.int8(1)  # 0 where written, else -1
@@ -285,37 +286,44 @@ def build_forest_levels(
         sizes.append(climbing.size - w.size)
     level_ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=level_ptr[1:])
-    write_cells = np.argsort(depth, kind="stable")[m - n :]
+    write = np.argsort(depth, kind="stable")[m - n :]
     if m > 2 * n:  # keep no slots of the unwritten cells alive
-        write_cells = write_cells.copy()
-    return ForestLevels(
-        write_cells=write_cells,
-        read_cells=f.take(writer.take(write_cells)),
-        level_ptr=level_ptr,
-    )
+        write = write.copy()
+    read = f.take(writer.take(write))
+    return LevelLayout(write=write, read=read, read_h=None, level_ptr=level_ptr)
 
 
 @dataclass
-class ForestLevels:
-    """The level strategy's ordinary plan: the iterations grouped by
-    their depth in the Lemma-1 predecessor forest, kept as the cells
-    they touch.
+class LevelLayout:
+    """The level strategy's layout, one type for every plan family: the
+    iterations grouped by dependence level, kept as the slots they
+    touch.
 
-    ``write_cells[level_ptr[l]:level_ptr[l + 1]]`` are the cells the
-    iterations at depth ``l`` write (their ``g``), ascending, and
-    ``read_cells`` the same slice of the cells their ``f`` operands
-    read.  A root (level 0) reads an initial value -- its cell is
-    written, if at all, by a later iteration in no earlier level --
-    and every other iteration reads its predecessor's cell, written by
-    the level before.  So one ``x[w] = op(x[r], x[w])`` per level, in
-    cell space, folds exactly the loop's operands in the loop's order.
-    ``O(n)`` bytes and no iteration ids (the writer map of ``g``
-    recovers them).
+    ``write[level_ptr[l]:level_ptr[l + 1]]`` are the slots the
+    iterations of level ``l`` write, ``read`` the same slice of the
+    slots their ``f`` operands read and ``read_h`` of the slots their
+    ``h`` operands read (``None``: each iteration's own write slot --
+    the ordinary ``h = g``).  An operand another iteration writes comes
+    from an earlier level, so one ``x[w] = op(x[r], x[r_h or w])`` per
+    level (:func:`~repro.engine.exec_ordinary.sweep_level`) folds
+    exactly the loop's operands in the loop's order.
+
+    What a slot means is the plan's business.  An ordinary or Moebius
+    plan's slots are cells and the sweep runs in place: its roots sit
+    in level 0 and read initial values, and the writer map of ``g``
+    gives each write cell's iteration.  A GIR plan's slots are its
+    dependence graph's nodes (:class:`~repro.core.depgraph.DependenceGraph`
+    encoding: iteration ``i``'s result at ``i``, cell ``c``'s initial
+    value at ``n + c``, a slot never written), so ``write`` lists the
+    iterations themselves.  ``O(n)`` bytes.
     """
 
-    write_cells: np.ndarray  # (n,) int64 g in level order
-    read_cells: np.ndarray  # (n,) int64 f in level order
+    write: np.ndarray  # (n,) int64 slots written, in level order
+    read: np.ndarray  # (n,) int64 slots the f operands read
+    read_h: Optional[np.ndarray]  # (n,) int64 slots the h operands read
     level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. n
+
+    _ARRAYS = ("write", "read", "read_h", "level_ptr")
 
     @property
     def levels(self) -> int:
@@ -323,23 +331,37 @@ class ForestLevels:
 
     @property
     def nbytes(self) -> int:
-        return sum(
-            int(a.nbytes) for a in (self.write_cells, self.read_cells, self.level_ptr)
+        arrays = (getattr(self, name) for name in self._ARRAYS)
+        return sum(int(a.nbytes) for a in arrays if a is not None)
+
+    @classmethod
+    def from_graph(cls, graph: DependenceGraph, level: np.ndarray) -> "LevelLayout":
+        """A GIR plan's layout: ``graph``'s final nodes grouped by
+        ``level`` (each node's level, ``1 .. depth``, as
+        :func:`~repro.core.cap.node_levels` gives it), with the nodes
+        their operands read in the same order."""
+        counts = np.bincount(level, minlength=1)[1:]
+        level_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=level_ptr[1:])
+        order = np.argsort(level, kind="stable").astype(np.int64, copy=False)
+        return cls(
+            write=order,
+            read=graph.target_f.take(order),
+            read_h=graph.target_h.take(order),
+            level_ptr=level_ptr,
         )
 
     def to_payload(self) -> Dict[str, Any]:
-        return {
-            "write_cells": self.write_cells.tolist(),
-            "read_cells": self.read_cells.tolist(),
-            "level_ptr": self.level_ptr.tolist(),
-        }
+        arrays = {name: getattr(self, name) for name in self._ARRAYS}
+        return {name: None if a is None else a.tolist() for name, a in arrays.items()}
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ForestLevels":
+    def from_payload(cls, payload: Dict[str, Any]) -> "LevelLayout":
+        arrays = {name: payload[name] for name in cls._ARRAYS}
         return cls(
             **{
-                key: np.asarray(payload[key], dtype=np.int64)
-                for key in ("write_cells", "read_cells", "level_ptr")
+                name: None if a is None else np.asarray(a, dtype=np.int64)
+                for name, a in arrays.items()
             }
         )
 
@@ -430,7 +452,7 @@ class OrdinaryPlan:
     The planner materializes one layout: ``chains`` (a
     :class:`ChainLayout`) when its runs need one level or fewer levels
     than pointer jumping needs rounds, else ``levels`` (a
-    :class:`ForestLevels`) when the predecessor forest is shallow,
+    :class:`LevelLayout` over cells) when the predecessor forest is shallow,
     else the round schedule ``steps``.  ``steps`` and ``pred`` are
     always readable -- built from ``(g, f)`` on first access and
     cached, for the consumers that run rounds (python kernels,
@@ -452,7 +474,7 @@ class OrdinaryPlan:
         default=None, repr=False, compare=False
     )
     chains: Optional[ChainLayout] = field(default=None, repr=False, compare=False)
-    levels: Optional[ForestLevels] = field(default=None, repr=False, compare=False)
+    levels: Optional[LevelLayout] = field(default=None, repr=False, compare=False)
     family: str = "ordinary"
     # lazily-built caches (not serialized)
     _terminal_idx: Optional[np.ndarray] = field(
@@ -601,7 +623,7 @@ class OrdinaryPlan:
                 for active, src in steps
             ],
             chains=None if chains is None else ChainLayout.from_payload(chains),
-            levels=None if levels is None else ForestLevels.from_payload(levels),
+            levels=None if levels is None else LevelLayout.from_payload(levels),
         )
 
 
@@ -837,79 +859,8 @@ def _reduce(exps: np.ndarray, period: Optional[int]) -> Optional[np.ndarray]:
 
 
 @dataclass
-class LevelLayout:
-    """The level strategy's GIR plan: the dependence graph and its final
-    nodes grouped by dependence level.
-
-    ``target_f[i]`` / ``target_h[i]`` are the nodes iteration ``i``'s
-    operands resolve to (:class:`~repro.core.depgraph.DependenceGraph`
-    encoding: an earlier iteration ``j < n``, or ``n + c`` for cell
-    ``c``'s initial value).  ``order[level_ptr[l]:level_ptr[l + 1]]``
-    are the iterations at level ``l + 1`` -- the longest path below
-    them -- so every operand of a level lies in an earlier level (or
-    is a leaf), and one gather + ``op`` + store per level computes each
-    iteration's value from exactly the loop's operands.
-    """
-
-    target_f: np.ndarray  # (n,) int64 operand node ids
-    target_h: np.ndarray  # (n,) int64
-    order: np.ndarray  # (n,) int64 permutation of the iterations
-    level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. n
-
-    @property
-    def levels(self) -> int:
-        return int(self.level_ptr.shape[0]) - 1
-
-    @property
-    def nbytes(self) -> int:
-        return sum(
-            int(a.nbytes)
-            for a in (self.target_f, self.target_h, self.order, self.level_ptr)
-        )
-
-    @classmethod
-    def from_levels(
-        cls, graph: DependenceGraph, level: np.ndarray
-    ) -> "LevelLayout":
-        """Group ``graph``'s final nodes by ``level`` (each node's level,
-        ``1 .. depth``, as :func:`~repro.core.cap.node_levels` gives it)."""
-        counts = np.bincount(level, minlength=1)[1:]
-        level_ptr = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=level_ptr[1:])
-        return cls(
-            target_f=graph.target_f,
-            target_h=graph.target_h,
-            order=np.argsort(level, kind="stable").astype(np.int64, copy=False),
-            level_ptr=level_ptr,
-        )
-
-    def graph(self, n: int, m: int) -> DependenceGraph:
-        """The dependence graph over ``n`` final nodes and ``m`` cells."""
-        return DependenceGraph(
-            n=n, m=m, target_f=self.target_f, target_h=self.target_h
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "target_f": self.target_f.tolist(),
-            "target_h": self.target_h.tolist(),
-            "order": self.order.tolist(),
-            "level_ptr": self.level_ptr.tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "LevelLayout":
-        return cls(
-            **{
-                key: np.asarray(payload[key], dtype=np.int64)
-                for key in ("target_f", "target_h", "order", "level_ptr")
-            }
-        )
-
-
-@dataclass
 class GIRPlan:
-    """Plan of a GIR solve (schema v2: array-backed power table).
+    """Plan of a GIR solve.
 
     Either ``dispatch`` is set (ordinary-shaped system: the nested
     :class:`OrdinaryPlan` runs instead of the CAP pipeline), or the
@@ -917,12 +868,12 @@ class GIRPlan:
     writes in the (possibly renamed) working system; ``final_cell_of``,
     projecting the renamed array back onto the original cells
     (``None`` when no renaming happened); and an evaluation layout.
-    That is ``levels`` (a :class:`LevelLayout`) on a graph the planner
-    found shallow, else ``table`` -- the flat :class:`PowerTable` whose
+    That is ``levels`` (a :class:`LevelLayout` over the dependence
+    graph's nodes) on a graph the planner found shallow, else ``table`` -- the flat :class:`PowerTable` whose
     row ``i`` maps leaf cells (< original ``m``) to the power of their
     initial value in iteration ``i``'s trace.  ``table`` is always
-    readable: on a level plan CAP builds it from the layout's graph on
-    first access and caches it (``has_table`` says whether it is
+    readable: on a level plan CAP builds it from the graph the layout
+    holds (one scatter of its reads) on first access and caches it (``has_table`` says whether it is
     built), for the consumers that evaluate traces.
     """
 
@@ -978,6 +929,9 @@ class GIRPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "GIRPlan":
+        if payload.get("schema_version") != GIR_PLAN_SCHEMA_VERSION:
+            version = GIR_PLAN_SCHEMA_VERSION
+            raise ValueError(f"plan schema_version is not {version}; re-plan it")
         levels = payload.get("levels")
         return cls(
             fingerprint=payload["fingerprint"],
@@ -1004,10 +958,14 @@ class GIRPlan:
 
 def _get_table(plan: GIRPlan) -> Optional[PowerTable]:
     if plan._table is None and plan.levels is not None:
-        # CAP over the layout's graph: a graph this shallow takes the
-        # level pass, whose int64 counts never need a period.
-        work_m = plan.m + plan.n if plan.renamed else plan.m
-        graph = plan.levels.graph(plan.n, work_m)
+        # CAP over the layout's graph (its reads scattered back to
+        # iteration order): a graph this shallow takes the level pass,
+        # whose int64 counts never need a period.
+        layout, n = plan.levels, plan.n
+        targets = np.empty((2, n), dtype=np.int64)
+        targets[:, layout.write] = layout.read, layout.read_h
+        work_m = plan.m + n if plan.renamed else plan.m
+        graph = DependenceGraph(n=n, m=work_m, target_f=targets[0], target_h=targets[1])
         with maybe_span(get_tracer(), "gir.cap") as csp:
             cap = count_all_paths(graph)
             if csp is not None:

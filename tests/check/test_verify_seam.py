@@ -178,12 +178,22 @@ class TestCLI:
         assert report["ok"] is False
         assert any(f["code"].startswith("SCH") for f in report["findings"])
 
-    def test_check_refuses_a_plan_of_another_schema(self, tmp_path, capsys):
-        """A v1 chain plan stored a permutation; v2 stores runs and
-        refuses the old payload with a clean exit 2, not a traceback."""
-        payload = plan_to_dict(solve(chain_system(100), cache=PlanCache()).plan)
-        payload["schema_version"] = 1
-        path = tmp_path / "v1.json"
+    @pytest.mark.parametrize(
+        "system, version",
+        [(chain_system(100), 1), (chain_system(100), 2), (random_gir_system(64), 99)],
+        ids=["chain-v1", "chain-v2", "gir-levels-v99"],
+    )
+    def test_check_refuses_a_plan_of_another_schema(
+        self, tmp_path, capsys, system, version
+    ):
+        """A plan payload of another schema version -- a v1 chain plan
+        stored a permutation, a v2 level plan other field names -- is
+        refused with a clean exit 2, not a traceback, in every family."""
+        plan = solve(system, cache=PlanCache()).plan
+        assert plan.strategy in ("chains", "levels")
+        payload = plan_to_dict(plan)
+        payload["schema_version"] = version
+        path = tmp_path / "old.json"
         path.write_text(json.dumps(payload))
         assert main(["check", str(path)]) == 2
         assert "schema_version" in capsys.readouterr().err

@@ -2,7 +2,8 @@
 table built only on demand.
 
 A default solve of a GIR system whose dependence graph is at most 62
-deep plans a :class:`~repro.engine.plan.LevelLayout` and no CAP table;
+deep plans a :class:`~repro.engine.plan.LevelLayout` over the graph's
+nodes and no CAP table;
 the ``levels`` kernel must equal ``run_gir`` bit for bit on every
 front door.  Whatever the kernel cannot prove exact -- values outside
 a modular domain, int64 sums that could wrap, an explicit
@@ -17,14 +18,15 @@ import numpy as np
 import pytest
 
 from repro.check import (
-    GIR_LEVEL_MUTATION_KINDS,
     GIR_MUTATION_KINDS,
+    LEVEL_MUTATION_KINDS,
     mutate_plan,
     mutation_campaign,
     verify_plan,
 )
-from repro.core import ADD, FLOAT_ADD, run_gir
+from repro.core import ADD, FLOAT_ADD, GIRSystem, OrdinaryIRSystem, run_gir
 from repro.core.operators import modular_add, modular_mul
+from repro.core.sequential import run_ordinary
 from repro.core.workloads import (
     double_chain_gir_system,
     fibonacci_gir_system,
@@ -54,6 +56,8 @@ SYSTEMS = {
     "double_chain_62": lambda: double_chain_gir_system(62),
     "double_chain_63": lambda: double_chain_gir_system(63),
 }
+#: The mutation classes of a GIR level plan.
+LEVEL_KINDS = set(LEVEL_MUTATION_KINDS) | {"gir_swap_out_cells"}
 #: What a default solve runs: depth 63 is past the level kernel's reach.
 STRATEGY = {name: "levels" for name in SYSTEMS}
 STRATEGY["double_chain_63"] = "traces"
@@ -207,22 +211,22 @@ class TestLevelChecks:
     def test_campaign_rejects_every_level_mutant(self, level):
         system, plan = level
         muts = mutation_campaign(plan, seeds=range(4))
-        assert {m.kind for m in muts} == set(GIR_LEVEL_MUTATION_KINDS)
+        assert {m.kind for m in muts} == LEVEL_KINDS
         for mut in muts:
             report = verify_plan(mut.plan, system=system)
             assert not report.ok, f"{mut.kind} survived: {mut.description}"
 
     def test_order_must_be_a_permutation(self, level):
         _system, plan = level
-        mut = mutate_plan(plan, "gir_level_swap_order", seed=0).plan
-        mut.levels.order[0] = mut.levels.order[1]
-        assert "GIR010" in verify_plan(mut).codes()
+        mut = mutate_plan(plan, "level_swap_order", seed=0).plan
+        mut.levels.write[0] = mut.levels.write[1]
+        assert "LVL001" in verify_plan(mut).codes()
 
     def test_level_pointers_must_close(self, level):
         _system, plan = level
-        mut = mutate_plan(plan, "gir_level_shift_ptr", seed=0).plan
+        mut = mutate_plan(plan, "level_shift_ptr", seed=0).plan
         mut.levels.level_ptr[-1] -= 1
-        assert "GIR011" in verify_plan(mut).codes()
+        assert "LVL002" in verify_plan(mut).codes()
 
     def test_materialized_table_still_checked(self, level):
         system, plan = level
@@ -232,8 +236,28 @@ class TestLevelChecks:
         built.table  # a consumer asks: CAP builds it
         assert built.has_table and verify_plan(built, system=system).ok
         kinds = {m.kind for m in mutation_campaign(built, seeds=range(2))}
-        assert kinds == set(GIR_LEVEL_MUTATION_KINDS) | set(GIR_MUTATION_KINDS)
+        assert kinds == LEVEL_KINDS | set(GIR_MUTATION_KINDS)
         for kind in GIR_MUTATION_KINDS:
             mut = mutate_plan(built, kind, seed=0)
             if mut is not None:
                 assert not verify_plan(mut.plan, system=system).ok, kind
+
+
+def test_ordinary_is_gir_with_h_equal_to_g():
+    """A random forest solved as an ordinary system and again as a GIR
+    system with ``h = g`` (no ordinary dispatch) plans the same
+    dependence levels -- one layout type, over cells and over graph
+    nodes -- and both solves equal the loop bit for bit."""
+    rng = np.random.default_rng(14)
+    n, m = 20_000, 20_003
+    g, f = rng.permutation(m)[:n], rng.integers(0, m, n)
+    initial = rng.uniform(-1, 1, m).tolist()
+    ordinary = OrdinaryIRSystem.build(initial, g, f, FLOAT_ADD)
+    gir = GIRSystem.build(initial, g, f, g, FLOAT_ADD)
+    want = _bits(run_ordinary(ordinary))
+    cell = solve(ordinary, cache=PlanCache())
+    node = solve(gir, cache=PlanCache(), allow_ordinary_dispatch=False)
+    assert cell.strategy == node.strategy == "levels"
+    assert node.plan.dispatch is None and cell.plan.levels.read_h is None
+    assert np.array_equal(cell.plan.levels.level_ptr, node.plan.levels.level_ptr)
+    assert _bits(cell.values) == _bits(node.values) == want
