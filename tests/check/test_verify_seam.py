@@ -178,17 +178,28 @@ class TestCLI:
         assert report["ok"] is False
         assert any(f["code"].startswith("SCH") for f in report["findings"])
 
+    def test_check_refuses_a_plan_of_another_schema(self, tmp_path, capsys):
+        """A v1 chain plan stored a permutation; the current schema stores
+        runs and refuses the old payload with a clean exit 2, not a
+        traceback."""
+        payload = plan_to_dict(solve(chain_system(100), cache=PlanCache()).plan)
+        payload["schema_version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path)]) == 2
+        assert "schema_version" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "system, version",
-        [(chain_system(100), 1), (chain_system(100), 2), (random_gir_system(64), 99)],
-        ids=["chain-v1", "chain-v2", "gir-levels-v99"],
+        [(chain_system(100), 2), (random_gir_system(64), 99)],
+        ids=["chain-v2", "gir-levels-v99"],
     )
-    def test_check_refuses_a_plan_of_another_schema(
+    def test_check_refuses_other_schema_versions(
         self, tmp_path, capsys, system, version
     ):
-        """A plan payload of another schema version -- a v1 chain plan
-        stored a permutation, a v2 level plan other field names -- is
-        refused with a clean exit 2, not a traceback, in every family."""
+        """A plan payload of any other schema version -- a v2 level plan
+        had other field names -- is refused with a clean exit 2, not a
+        traceback, in every family."""
         plan = solve(system, cache=PlanCache()).plan
         assert plan.strategy in ("chains", "levels")
         payload = plan_to_dict(plan)
