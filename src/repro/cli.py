@@ -646,7 +646,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .check import check_system, verify_plan
-    from .check.findings import CheckReport
+    from .check.findings import CheckReport, warning
 
     path = args.path
     data = _read(path)
@@ -659,6 +659,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError) as exc:  # another schema
             raise _Unreadable(f"error: cannot read {path}: {exc}") from exc
         report = verify_plan(plan)
+        if plan.family == "gir" and plan.dispatch is None:  # file holds no system
+            unrun = ["GIR013"] + (["LVL004"] if plan.levels is not None else [])
+            unrun += ["GIR004", "GIR007", "GIR008", "GIR009"] if plan.has_table else []
+            report.add(warning(
+                "GIR014", f"a plan file carries no system: {', '.join(unrun)} not run",
+                where="gir", hint="run `repro check SYSTEM.json` to run them too",
+            ))
     elif isinstance(data, dict) and "kind" in data:
         # A serialized system (dump_system): prove preconditions, then
         # build its plan and verify that too.

@@ -22,6 +22,7 @@ its ``cells`` attribute when it has one.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -134,26 +135,27 @@ def _object_lossy(
 
 
 def _strict_int64(values: list) -> Optional[np.ndarray]:
-    """``values`` -- a list of Python ints, or of equal-length lists of
-    them -- as a fresh int64 ``(m,)`` / ``(k, m)`` array, one C pass
-    per row after an exact type check; ``None`` for anything else (an
-    element whose type is not exactly ``int`` -- a bool, a NumPy
-    scalar, a float -- or an int outside int64), which then takes
-    :func:`_admit_cast`, its dtype discovery and its error message."""
+    """``values`` -- a list of integers, or of equal-length lists of them
+    -- as a fresh int64 ``(m,)`` / ``(k, m)`` buffer, one strict C pass
+    per row (``array('q')``: ``__index__`` values in int64 only), and
+    from 2**53 on (where :func:`_admit_cast`'s float64 promotion of NumPy
+    scalars beside Python ints stops being exact) exact ``int`` only;
+    ``None`` for anything else, which then takes that route."""
     stacked = bool(values) and type(values[0]) is list
     rows = values if stacked else [values]
     m = len(rows[0])
     if not all(type(row) is list and len(row) == m for row in rows):
         return None
-    out = []
-    for row in rows:
-        if list(map(type, row)).count(int) != m:
+    out = np.empty((len(rows), m) if stacked else m, dtype=np.int64)
+    try:
+        for dst, row in zip(out.reshape(len(rows), m), rows):
+            dst[:] = np.frombuffer(array("q", row), np.int64)
+    except (TypeError, OverflowError):
+        return None
+    if out.size and max(int(out.max()), -int(out.min())) >= _FLOAT_EXACT:
+        if any(list(map(type, row)).count(int) != m for row in rows):
             return None
-        try:
-            out.append(np.fromiter(row, np.int64, m))
-        except OverflowError:
-            return None
-    return np.stack(out) if stacked else out[0]
+    return out
 
 
 def admit(values: Any, op) -> Optional[np.ndarray]:
@@ -165,7 +167,7 @@ def admit(values: Any, op) -> Optional[np.ndarray]:
     representation.
 
     An int64 operator takes a list (or list of equal-length rows) of
-    Python ints in one strict pass per row (:func:`_strict_int64`);
+    integers in one strict C pass per row (:func:`_strict_int64`);
     anything else, or anything that pass refuses, takes
     :func:`_admit_cast`.
     """

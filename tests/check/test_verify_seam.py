@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.check import mutate_plan
+from repro.check import mutate_plan, verify_plan
 from repro.cli import main
 from repro.core import FLOAT_MUL
 from repro.core.serialize import dump_system
@@ -242,6 +242,28 @@ class TestCLI:
         assert main(["check", path, "--json"]) == 8
         report = json.loads(capsys.readouterr().out)
         assert code in [f["code"] for f in report["findings"]]
+
+    def test_check_warns_a_gir_plan_file_skips_its_system_rules(
+        self, tmp_path, capsys
+    ):
+        """A GIR level plan file carries no system, so LVL004 and GIR013
+        cannot run: a read re-pointed at another leaf passes the rules
+        that do run (exit 0), and the report says which rules it
+        skipped and where to run them."""
+        system = random_gir_system(300)
+        plan = solve(system, cache=PlanCache()).plan
+        assert plan.strategy == "levels" and not plan.has_table
+        bad = mutate_plan(plan, "level_retarget_read", seed=0).plan
+        assert verify_plan(bad, system=system).codes() == ["LVL004"]
+        for name, subject in (("gir.json", plan), ("bad-gir.json", bad)):
+            path = self.write_plan(tmp_path, subject, name)
+            assert main(["check", path, "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["ok"] is True
+            [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
+            assert skipped["severity"] == "warning"
+            assert "GIR013, LVL004 not run" in skipped["message"]
+            assert "repro check SYSTEM.json" in skipped["hint"]
 
     def test_check_proves_system_files_end_to_end(self, tmp_path, capsys):
         path = str(tmp_path / "system.json")

@@ -1,35 +1,55 @@
 """Typed I/O on the ordinary path: strict admission into a fresh
 buffer, in-place chain scans.
 
-An int64 operator admits a list (or equal-length rows) of Python ints
-in one strict pass per row; anything else, or anything that pass
-refuses, takes the ``np.array`` route, so admission gives the same
-array, dtype and errors either way.  Admission always returns a fresh
-array: the chain kernel scans it in place when chain order is one
-contiguous cell range, every other typed kernel scatters into it.  A
-caller's own list or array is never written to.
+An int64 operator admits a list (or equal-length rows) of integers in
+one strict C pass per row (``array('q')``, ``__index__`` values only)
+into one buffer; anything else, or anything that pass refuses --
+floats, strs, Fractions, ints outside int64, and from 2**53 on
+anything but exact Python ints, where ``np.array`` would promote NumPy
+scalars beside them to float64 -- takes the ``np.array`` route, so
+admission gives the same array, dtype and errors either way.
+Admission always returns a fresh array: the chain kernel scans it in
+place when chain order is one contiguous cell range, every other
+typed kernel scatters into it.  A caller's own list or array is never
+written to.
 """
 
 import copy
 import dataclasses
+import enum
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import ADD, FLOAT_ADD, MIN, MUL, OrdinaryIRSystem
 from repro.core.sequential import run_ordinary
 from repro.engine import EngineOptions, Session, solve, solve_batch
-from repro.engine.exec_ordinary import _admit_cast, admit, chain_cells
+from repro.engine.exec_ordinary import _admit_cast, _strict_int64, admit, chain_cells
 from repro.engine.planner import PlanCache
 from repro.errors import IRValidationError
 from repro.resilience import SolvePolicy
 
 # -- admission parity --------------------------------------------------------
+
+
+class Color(enum.IntEnum):
+    RED = 7
+
+
+class Index:
+    """An integer by ``__index__`` alone."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
 
 SCALARS = st.one_of(
     st.integers(-(2**63), 2**63 - 1),
@@ -55,8 +75,14 @@ SCALARS = st.one_of(
             "4",
             np.float64(3.0),
             np.bool_(True),
+            2**53 - 1,
+            -(2**53 - 1),
+            2**53,
+            -(2**53),
+            Color.RED,
         ]
     ),
+    st.sampled_from([-5, 3, 2**53 - 1, 2**53, -(2**60)]).map(Index),
 )
 
 
@@ -90,8 +116,25 @@ def outcome(route, values, op):
 @pytest.mark.parametrize("op", [ADD, MUL], ids=lambda op: op.name)
 @settings(max_examples=300, deadline=None)
 @given(values=VALUES)
+@example(values=[2**53 + 1, np.uint64(0)])
+@example(values=[[1, 2], [np.uint64(0), -(2**63)]])
+@example(values=[np.int64(2**53), 2**53])
 def test_admission_matches_the_general_route(op, values):
     assert outcome(admit, values, op) == outcome(_admit_cast, values, op)
+
+
+@pytest.mark.parametrize(
+    "last",
+    [4.5, np.float64(3.0), "4", 2**63, np.uint64(2**53 + 1), Fraction(4)],
+    ids=repr,
+)
+def test_a_refusal_in_the_last_row_takes_the_general_route(last):
+    """Every row but the last passes the strict pass; the last row's one
+    refused element sends the whole batch to the general route, and no
+    partly filled buffer comes back."""
+    values = [[1, 2, 3], [4, 5, 6], [7, 8, last]]
+    assert _strict_int64(values) is None
+    assert outcome(admit, values, ADD) == outcome(_admit_cast, values, ADD)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "python", "pram"])
