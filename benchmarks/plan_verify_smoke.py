@@ -19,7 +19,10 @@ file path):
    shallow GIR rows node levels, which also get swapped output cells)
    and each GIR CAP power table (exponent perturbation, row-pointer
    truncation, cell swaps, pointer-repaired leaf drift -- the DP-path
-   Fibonacci table reduced by its period), and the verifier must
+   Fibonacci table reduced by its period), every mutant verified
+   against its system (a level plan holds no maps, so its reads are
+   proved against the system's, and its round schedule -- which the
+   schedule classes mutate -- is built from them), and the verifier must
    reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
    exists because a mutation can, rarely, land on a semantically
    equivalent schedule; in practice rejection is 100%.
@@ -141,21 +144,13 @@ def gate_acceptance(rows):
     verify_s = {}
     for label, family, problem, system, plan, _plan_s in rows:
         t0 = time.perf_counter()
-        report = verify_plan(
-            plan,
-            problem,
-            system=system if family == "gir" else None,
-        )
+        report = verify_plan(plan, problem, system=system)
         verify_s[label] = time.perf_counter() - t0
         if not report.ok:
             failures.append((label, report.errors[0].describe()))
             continue
         rehydrated = plan_from_dict(plan_to_dict(plan))
-        round_trip = verify_plan(
-            rehydrated,
-            problem,
-            system=system if family == "gir" else None,
-        )
+        round_trip = verify_plan(rehydrated, problem, system=system)
         if not round_trip.ok:
             failures.append(
                 (f"{label} (round-trip)", round_trip.errors[0].describe())
@@ -177,9 +172,9 @@ def ordinary_schedule_of(family, plan):
 
 
 def gate_mutations(rows):
-    """Gate 2: campaign every ordinary schedule -- and every GIR level
-    layout or CAP power table against the system-backed oracle; count
-    rejections."""
+    """Gate 2: campaign every ordinary schedule and every GIR level
+    layout or CAP power table, verifying each mutant against its
+    system; count rejections."""
     from repro.check import mutation_campaign, verify_plan
 
     total = rejected = 0
@@ -188,18 +183,20 @@ def gate_mutations(rows):
     for label, family, _problem, system, plan, _plan_s in rows:
         sched = ordinary_schedule_of(family, plan)
         if sched is not None:
-            target, oracle, layout = sched, None, sched.strategy
+            target, layout = sched, sched.strategy
+            if sched.levels is not None:  # the schedule a rounds consumer builds
+                sched.round_steps(system.g, system.f)
         elif family == "gir":
             # GIR trace plans: the level-layout or v2 CSR mutation
-            # classes, verified against the system.
-            target, oracle, layout = plan, system, f"gir {plan.strategy}"
+            # classes.
+            target, layout = plan, f"gir {plan.strategy}"
         else:
             continue
         tally = by_layout.setdefault(layout, [0, 0])
         for mut in mutation_campaign(target, seeds=MUTATION_SEEDS):
             total += 1
             tally[0] += 1
-            report = verify_plan(mut.plan, system=oracle)
+            report = verify_plan(mut.plan, system=system)
             if report.ok:
                 survivors.append((label, mut.kind, mut.description))
             else:

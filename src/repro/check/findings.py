@@ -74,7 +74,9 @@ FINDING_CODES: Dict[str, str] = {
     "GIR008": "sampled trace row disagrees with the exact leaf-count oracle",
     "GIR009": "power table reduced modulo a period other than the operator's",
     "GIR013": "GIR output cells disagree with the system",
-    "GIR014": "GIR plan checked without its system: system-backed rules not run",
+    # (GIR014 keeps its name but covers every family: codes are never
+    # renamed, and a level plan of any family holds no system maps)
+    "GIR014": "plan checked without its system: system-backed rules not run",
     # -- precondition prover (PRE0xx) ----------------------------------
     "PRE001": "g index map is not injective (distinctness violated)",
     "PRE002": "index map leaves the array domain",

@@ -51,7 +51,9 @@ kind                       models                               caught by
 =========================  ===================================  =========
 
 A level plan stores no ``pred`` and a chain or level plan no round
-schedule; the schedule classes mutate a copy that builds both.
+schedule; the schedule classes mutate a copy of a chain plan that
+builds both, and a level plan's only once a rounds consumer built
+them (it holds no maps to build them from).
 
 GIR plans (the CSR power table) have their own mutation classes,
 applied by :func:`mutate_plan` when the plan's family is ``gir`` --
@@ -464,8 +466,10 @@ def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
     if kind.startswith("level_"):
         return _mutate_levels(plan, kind, rng)
     if not plan.has_steps:
-        # a chain or level plan: mutate a copy whose round schedule
-        # (and pred) is built -- the input plan stays as it was
+        if plan.g is None:  # a level plan: its schedule needs the system
+            return None
+        # a chain plan: mutate a copy whose round schedule (and pred)
+        # is built -- the input plan stays as it was
         plan = _clone(plan)
     rounds = len(plan.steps)
     n = int(plan.n)

@@ -58,11 +58,11 @@ an initial-value read happens before any write of its slot -- in cell
 space the roots sit in level 0, in node space the leaf slots are never
 written (LVL003, happens-before); and the reads equal the operands
 re-derived from the system in level order -- ``f`` (and ``h = g``) for
-an ordinary plan, the dependence graph for a GIR plan, which needs the
-system (LVL004).  Each level then folds exactly the loop's operands.
-A level plan keeps no ``pred`` (the verifier re-derives it from
-``(g, f)``); a stored one, like its round schedule, is checked only
-when present.  Given the system, a GIR plan's output cells are its
+an ordinary plan, the dependence graph for a GIR plan (LVL004).  Each
+level then folds exactly the loop's operands.  An ordinary level plan
+keeps neither ``pred`` nor ``g`` / ``f``: given the system's maps it is
+proved as above, else its layout alone (LVL001-LVL003, each write
+cell owned by its level position).  Given the system, a GIR plan's output cells are its
 (working) ``g`` (GIR013, on table plans too); the power-table rules
 (GIR002-GIR009) check a level plan's table only once it is built.
 """
@@ -105,18 +105,29 @@ _GIR_TOTAL_MOD = 2_147_483_629
 # ---------------------------------------------------------------------------
 
 
-def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
+def verify_ordinary_schedule(
+    plan: Any, *, system: Any = None, where: str = "plan"
+) -> CheckReport:
     """Prove an :class:`~repro.engine.plan.OrdinaryPlan` race-free and
     trace-equivalent to the sequential loop (see module docstring).
 
     A chain or level plan's layout is always proved; its round
     schedule and stored ``pred`` only when the plan carries them (a
     lazily built one comes from ``(g, f)`` through the planner's own
-    builders)."""
+    builders).  A level plan holds no maps: it is proved against
+    ``system``'s ``g`` / ``f`` (the system, or its
+    :class:`~repro.engine.problem.Problem`) when given, else by its
+    layout alone (:func:`_verify_bare_levels`)."""
     report = CheckReport(subject=where)
     n, m = int(plan.n), int(plan.m)
-    g = np.asarray(plan.g, dtype=np.int64)
-    f = np.asarray(plan.f, dtype=np.int64)
+    maps = plan if plan.g is not None else system
+    if maps is None and plan.levels is not None:
+        return _verify_bare_levels(plan, where)
+    if maps is None:
+        report.add(error("SCH007", "plan holds neither index maps nor a layout", where=where))
+        return report
+    g = np.asarray(maps.g, dtype=np.int64)
+    f = np.asarray(maps.f, dtype=np.int64)
     stored = plan.has_pred  # never build a lazy pred
     pred = np.asarray(plan.pred if stored else np.full(g.shape, -1), dtype=np.int64)
 
@@ -351,6 +362,20 @@ def verify_ordinary_schedule(plan: Any, *, where: str = "plan") -> CheckReport:
     return report
 
 
+def _verify_bare_levels(plan: Any, where: str) -> CheckReport:
+    """A level plan checked without the system's maps: LVL001-LVL003
+    over its cells, each write cell owned by its level position, so a
+    read past level 0 must be of a cell an earlier level writes.  LVL004
+    and a round schedule the plan carries need the maps."""
+    write, n, m = np.asarray(plan.levels.write, dtype=np.int64), int(plan.n), int(plan.m)
+    owner = np.full(max(m, 0), -1, dtype=np.int64)
+    if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < m)):
+        owner[write] = np.arange(n, dtype=np.int64)
+    return verify_level_layout(
+        plan.levels, owner, None, cell_space=True, loop_order=False, where=where
+    )
+
+
 def verify_chain_layout(
     chains: Any, pred: np.ndarray, *, where: str = "plan"
 ) -> CheckReport:
@@ -475,6 +500,7 @@ def verify_level_layout(
     operands: Optional[Tuple[np.ndarray, Optional[np.ndarray]]],
     *,
     cell_space: bool,
+    loop_order: bool = True,
     where: str = "plan",
 ) -> CheckReport:
     """Prove a :class:`~repro.engine.plan.LevelLayout` equivalent to the
@@ -493,7 +519,10 @@ def verify_level_layout(
     the slots are cells swept in place, whose kernels read every
     initial value in level 0 (where ``f_initial`` enters); else (node
     space) an initial-value read must be of a slot no iteration
-    writes."""
+    writes.  ``loop_order``: ``owner``'s ids are the loop's iterations,
+    so the loop reads a written operand's result iff its writer comes
+    first; else they are level positions, and a written operand counts
+    as a result iff an earlier level writes it."""
     report = CheckReport(subject=where)
     n, slots = int(np.count_nonzero(owner >= 0)), int(owner.shape[0])
     write = np.asarray(levels.write, dtype=np.int64)
@@ -565,8 +594,10 @@ def verify_level_layout(
     level_of[order] = level
     for name, read in reads:
         dep = owner[read]  # the iteration that writes the operand's slot
-        earlier = (dep >= 0) & (dep < order)  # the loop reads its result
-        late = earlier & (level_of[np.maximum(dep, 0)] >= level)
+        dep_level = level_of[np.maximum(dep, 0)]
+        # the loop reads its result
+        earlier = (dep >= 0) & ((dep < order) if loop_order else (dep_level < level))
+        late = earlier & (dep_level >= level)
         # an initial-value read runs before any write of its slot
         late |= ~earlier & ((level != 0) if cell_space else (dep >= 0))
         if bool(late.any()):
@@ -622,11 +653,11 @@ def verify_level_layout(
 # ---------------------------------------------------------------------------
 
 
-def _verify_gir(plan: Any, system: Any, report: CheckReport) -> None:
+def _verify_gir(plan: Any, system: Any, report: CheckReport, maps: Any) -> None:
     n, m = int(plan.n), int(plan.m)
     report.ran()
     if plan.dispatch is not None:
-        sub = verify_ordinary_schedule(plan.dispatch, where="dispatch plan")
+        sub = verify_ordinary_schedule(plan.dispatch, system=maps, where="dispatch plan")
         if not sub.ok:
             report.add(
                 error(
@@ -1087,8 +1118,11 @@ def verify_plan(
     ``verify_plan=`` engine kwarg both land here.
 
     ``problem`` (when given) pins the fingerprint (SCH008).  ``system``
-    enables the deep GIR oracle check.
+    enables the deep GIR oracle check, and gives an ordinary or Moebius
+    level plan -- which holds no maps -- the ``g`` / ``f`` its reads
+    are proved against (LVL004); without it, ``problem``'s maps do.
     """
+    maps = system if system is not None else problem
     family = getattr(plan, "family", None)
     label = where or f"{family or 'plan'} {str(plan.fingerprint)[:12]}"
     report = CheckReport(subject=label)
@@ -1110,10 +1144,12 @@ def verify_plan(
             return report
 
     if family == "ordinary":
-        report.extend(verify_ordinary_schedule(plan, where=label))
+        report.extend(verify_ordinary_schedule(plan, system=maps, where=label))
     elif family == "moebius":
         report.extend(
-            verify_ordinary_schedule(plan.ordinary, where=f"{label} ordinary")
+            verify_ordinary_schedule(
+                plan.ordinary, system=maps, where=f"{label} ordinary"
+            )
         )
         report.ran()
         if (int(plan.n), int(plan.m)) != (int(plan.ordinary.n), int(plan.ordinary.m)):
@@ -1125,7 +1161,7 @@ def verify_plan(
                 )
             )
     elif family == "gir":
-        _verify_gir(plan, system, report)
+        _verify_gir(plan, system, report, maps)
     else:
         report.add(
             error("SCH007", f"unknown plan family {family!r}", where=label)

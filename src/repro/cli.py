@@ -644,6 +644,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _system_rules(plan) -> List[str]:
+    """The system-backed rules a plan checked without its system cannot
+    run (a level layout's LVL004; a GIR plan's GIR013 and table oracle)."""
+    if plan.family == "gir" and plan.dispatch is None:
+        unrun = ["GIR013"] + (["LVL004"] if plan.levels is not None else [])
+        return unrun + (["GIR004", "GIR007", "GIR008", "GIR009"] if plan.has_table else [])
+    inner = plan.dispatch if plan.family == "gir" else getattr(plan, "ordinary", plan)
+    return ["LVL004"] if inner.levels is not None else []
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from .check import check_system, verify_plan
     from .check.findings import CheckReport, warning
@@ -659,12 +669,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError) as exc:  # another schema
             raise _Unreadable(f"error: cannot read {path}: {exc}") from exc
         report = verify_plan(plan)
-        if plan.family == "gir" and plan.dispatch is None:  # file holds no system
-            unrun = ["GIR013"] + (["LVL004"] if plan.levels is not None else [])
-            unrun += ["GIR004", "GIR007", "GIR008", "GIR009"] if plan.has_table else []
+        unrun = _system_rules(plan)  # the file holds no system
+        if unrun:
             report.add(warning(
                 "GIR014", f"a plan file carries no system: {', '.join(unrun)} not run",
-                where="gir", hint="run `repro check SYSTEM.json` to run them too",
+                where=plan.family, hint="run `repro check SYSTEM.json` to run them too",
             ))
     elif isinstance(data, dict) and "kind" in data:
         # A serialized system (dump_system): prove preconditions, then
@@ -677,24 +686,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report.extend(check_system(system))
         if report.ok:
             problem = Problem.from_system(system)
-            if problem.family == "ordinary":
-                from .engine import exec_ordinary
-
-                plan = exec_ordinary.build_plan(
-                    system, problem.fingerprint()
-                )
-                report.extend(verify_plan(plan, problem))
-            elif problem.family == "gir":
+            if problem.family == "gir":
                 from .engine import EngineOptions
                 from .engine import solve as engine_solve
 
-                captured = engine_solve(
-                    system, options=EngineOptions(backend="numpy")
-                ).plan
-                if captured is not None:
-                    report.extend(
-                        verify_plan(captured, problem, system=system)
-                    )
+                plan = engine_solve(system, options=EngineOptions(backend="numpy")).plan
+            else:
+                from .engine.driver import build_plan
+
+                plan = build_plan(system, problem)
+            if plan is not None:
+                report.extend(verify_plan(plan, problem, system=system))
     else:
         print(
             f"error: {path} is neither a plan JSON (plan_to_dict) nor "

@@ -124,7 +124,9 @@ def verify(source, problem, plan=None, *, stage: str, preconditions: bool = Fals
     """The ``verify_plan=True`` opt-in, one seam for every front door
     and :class:`~repro.engine.session.Session`: with ``preconditions``,
     prove the paper's side-conditions on ``source`` first; then, given
-    a ``plan``, run the :mod:`repro.check` schedule verifier over it.
+    a ``plan``, run the :mod:`repro.check` schedule verifier over it
+    against ``source`` (every family: a level plan's reads are proved
+    against the system's maps, LVL004).
     Error findings raise :class:`~repro.errors.PlanVerificationError`;
     ``check.preconditions`` / ``check.plan.verifications`` count each
     outcome.  Returns the plan's report (``None`` without a plan)."""
@@ -152,9 +154,7 @@ def verify(source, problem, plan=None, *, stage: str, preconditions: bool = Fals
     if plan is None:
         return None
     try:
-        report = verify_or_raise(
-            plan, problem, system=source if family == "gir" else None
-        )
+        report = verify_or_raise(plan, problem, system=source)
     except Exception:
         if registry is not None:
             registry.counter(
@@ -292,7 +292,7 @@ def _object(make, job: Job, enforcer, label: str, ran: str):
                 solved = kernel.solved()
                 if isinstance(solved, np.ndarray):
                     solved = solved.tolist()
-                values = exec_moebius.evaluate_object(rec, job.sched.g, solved)
+                values = exec_moebius.evaluate_object(rec, rec.g, solved)
         if registry is not None:
             registry.counter("solver.solves", engine="moebius").inc()
     return values, active
@@ -351,8 +351,9 @@ def _scatter(
 ) -> List[List[Any]]:
     """Place each row's solved values onto its initial array.
 
-    ``g`` is the cells ``solved`` lines up with (the plan's ``g`` by
-    default; a slice when they are one contiguous range).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
+    ``g`` is the cells ``solved`` lines up with (by default the
+    system's ``g``, iteration order; a slice when they are one
+    contiguous range).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
     batch a kernel ran on, a fresh array admission made -- takes them
     in place, then one ``tolist``, so untouched cells come back in the
     operator's dtype.  A kernel that scanned in ``base`` hands back the
@@ -362,7 +363,7 @@ def _scatter(
     if isinstance(plan, GIRPlan) and plan.dispatch is None:
         return [_scatter_traces(plan, source, solved, base)]
     if g is None:
-        g = _schedule(plan).g
+        g = source.g
     if base is not None:
         if solved is not base:  # a kernel that swept in place is done
             base[..., g] = solved
@@ -560,16 +561,17 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
     else:
         init, f_init = source.initial, request.f_initial
         initials, f_inits = [init], [f_init]
-    typed = ftyped = None
+    typed = ftyped = top = None
     if family != "moebius" and op is not None and op.dtype is not None:
-        typed = admit(init, op)
+        typed, top = exec_ordinary.admit_top(init, op)
         if f_init is not None:
-            ftyped = admit(f_init, op)
+            ftyped, ftop = exec_ordinary.admit_top(f_init, op)
+            top = None if top is None or ftop is None else max(top, ftop)
     if (
         kind in ("ordinary", "chains", "levels")
         and make is not exec_ordinary.PythonRounds
         and exec_ordinary.may_wrap(
-            op, _schedule(plan).trace_bound, typed, ftyped
+            op, _schedule(plan).trace_bound, typed, ftyped, top
         )
     ):
         # The integer result could wrap: run the object-dtype rounds

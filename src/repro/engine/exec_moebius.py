@@ -246,7 +246,7 @@ def affine_coefficients(
     ix = exec_ordinary.cells(V.ndim)
     t = sched.terminal_idx
     # terminals absorb Const(S[f(i)]): (a, b) o (0, S) = (0, a*S + b)
-    b[ix(t)] = _apply(a[t], b[ix(t)], const[t], V[ix(sched.f[t])])
+    b[ix(t)] = _apply(a[t], b[ix(t)], const[t], V[ix(rec.f[t])])
     const[t] = True
     return a, b, const, V
 
@@ -291,8 +291,10 @@ class AffineRounds:
     label = "affine"
 
     def __init__(self, job):
+        rec = job.source
+        self.steps = job.sched.round_steps(rec.g, rec.f)
         self.a, self.b, self.const, V = affine_coefficients(
-            job.source,
+            rec,
             job.sched,
             job.init if job.stacked else None,
             job.scalars,
@@ -300,7 +302,6 @@ class AffineRounds:
         #: the float64 initial values the driver scatters into, if exact
         self.base = scatter_base(V, job.scalars)
         self.ix = exec_ordinary.cells(self.b.ndim)
-        self.steps = job.sched.steps
 
     def round(self, active, src) -> None:
         a, b, const, ix = self.a, self.b, self.const, self.ix
@@ -544,7 +545,7 @@ class AffineLevels:
 
         def on_cells(column):  # each iteration's coefficient at its g cell
             out = np.empty(sched.m)
-            out[sched.g] = column
+            out[rec.g] = column
             return out
 
         self.a, self.b = on_cells(coeffs.a), on_cells(coeffs.b)
@@ -606,8 +607,9 @@ class RationalRounds:
     def __init__(self, job):
         rec, sched, guard = job.source, job.sched, job.guard
         rec.validate_coefficients()
+        self.steps = sched.round_steps(rec.g, rec.f)
         n = rec.n
-        self.rec, self.g = rec, sched.g
+        self.rec = rec
         self.singular = (
             guard.singular_mask
             if guard is not None
@@ -619,7 +621,7 @@ class RationalRounds:
             A, B = coeffs.a.copy(), coeffs.b.copy()
             C, D = coeffs.c.copy(), coeffs.d.copy()
             if rec.self_term:  # [[S*c + a, S*d + b], [c, d]]
-                S = scalars.initial[sched.g]
+                S = scalars.initial[rec.g]
                 A, B = S * C + A, S * D + B
             V = scalars.initial
         else:
@@ -630,7 +632,7 @@ class RationalRounds:
             V = np.asarray(rec.initial, dtype=np.float64)
         # terminals compose their map over Const(S[f(i)]) = [[0,S],[0,1]]
         t = sched.terminal_idx
-        s_f = V[sched.f[t]]
+        s_f = V[rec.f[t]]
         keep = self.singular(A[t], B[t], C[t], D[t])
         new_b = np.where(keep, B[t], _zmul(A[t], s_f) + B[t])
         new_d = np.where(keep, D[t], _zmul(C[t], s_f) + D[t])
@@ -641,7 +643,6 @@ class RationalRounds:
         self.V = V
         #: the float64 initial values the driver scatters into, if exact
         self.base = scatter_base(V, scalars)
-        self.steps = sched.steps
 
     def round(self, active, src) -> None:
         A, B, C, D = self.abcd
@@ -658,7 +659,7 @@ class RationalRounds:
         (constant) composition, else the rank-1 map at the paper's
         ``S[g(i)]`` argument."""
         A, B, C, D = self.abcd
-        s = self.V[self.g]
+        s = self.V[self.rec.g]
         const = (A == 0) & (C == 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(const, B / D, (A * s + B) / (C * s + D))

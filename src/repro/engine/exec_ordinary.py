@@ -17,14 +17,17 @@ A kernel is built from a :class:`~repro.engine.driver.Job` (applying
 the terminals' first products), exposes ``steps`` (the rounds or
 levels in the representation its :meth:`round` indexes with) and
 returns its per-iteration values from ``solved()`` -- in the order of
-its ``cells`` attribute when it has one.
+its ``cells`` attribute when it has one.  The round kernels read the
+iteration-order maps from the job's system, which a level plan does
+not hold, and take the schedule from
+:meth:`~repro.engine.plan.OrdinaryPlan.round_steps`.
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .plan import (
 
 __all__ = [
     "admit",
+    "admit_top",
     "build_plan",
     "build_plan_from_maps",
     "cells",
@@ -77,22 +81,19 @@ def build_plan_from_maps(
     predecessor array, then chains when their runs need one level or
     fewer levels than pointer jumping needs rounds, else dependence
     levels when the forest is shallow (neither keeps ``pred``: a
-    rounds consumer rebuilds it), else the full round schedule."""
+    rounds consumer rebuilds it; a level plan keeps no maps either),
+    else the full round schedule."""
     writer = writer_map(g, m)
     pred = predecessors(f, writer)
     chains = build_chain_layout(pred)
     levels = None if chains is not None else build_forest_levels(g, f, pred, writer)
+    n = int(g.shape[0])
+    if levels is not None:
+        return OrdinaryPlan(fingerprint, n, m, levels=levels)
+    rounds = chains is None
     return OrdinaryPlan(
-        fingerprint=fingerprint,
-        n=int(g.shape[0]),
-        m=m,
-        g=g,
-        f=f,
-        pred=None if chains is not None or levels is not None else pred,
-        steps=None if chains is not None or levels is not None
-        else build_round_schedule(pred),
-        chains=chains,
-        levels=levels,
+        fingerprint, n, m, g, f, chains=chains, pred=pred if rounds else None,
+        steps=build_round_schedule(pred) if rounds else None,
     )
 
 
@@ -134,13 +135,20 @@ def _object_lossy(
     return bad.reshape(arr.shape)
 
 
-def _strict_int64(values: list) -> Optional[np.ndarray]:
+def magnitude(arr: np.ndarray) -> int:
+    """The largest ``|value|`` of an integer array (0 when empty): one
+    ``max`` and one ``min`` reduction."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _strict_int64(values: list) -> Optional[Tuple[np.ndarray, int]]:
     """``values`` -- a list of integers, or of equal-length lists of them
-    -- as a fresh int64 ``(m,)`` / ``(k, m)`` buffer, one strict C pass
-    per row (``array('q')``: ``__index__`` values in int64 only), and
-    from 2**53 on (where :func:`_admit_cast`'s float64 promotion of NumPy
-    scalars beside Python ints stops being exact) exact ``int`` only;
-    ``None`` for anything else, which then takes that route."""
+    -- as a fresh int64 ``(m,)`` / ``(k, m)`` buffer and its
+    :func:`magnitude`, one strict C pass per row (``array('q')``:
+    ``__index__`` values in int64 only), and from 2**53 on (where
+    :func:`_admit_cast`'s float64 promotion of NumPy scalars beside
+    Python ints stops being exact) exact ``int`` only; ``None`` for
+    anything else, which then takes that route."""
     stacked = bool(values) and type(values[0]) is list
     rows = values if stacked else [values]
     m = len(rows[0])
@@ -152,10 +160,22 @@ def _strict_int64(values: list) -> Optional[np.ndarray]:
             dst[:] = np.frombuffer(array("q", row), np.int64)
     except (TypeError, OverflowError):
         return None
-    if out.size and max(int(out.max()), -int(out.min())) >= _FLOAT_EXACT:
+    top = magnitude(out)
+    if top >= _FLOAT_EXACT:
         if any(list(map(type, row)).count(int) != m for row in rows):
             return None
-    return out
+    return out, top
+
+
+def admit_top(values: Any, op) -> Tuple[Optional[np.ndarray], Optional[int]]:
+    """:func:`admit`, and the admitted array's :func:`magnitude` when the
+    strict int64 pass measured it (``None`` otherwise) -- handed to
+    :func:`may_wrap`, so the array is reduced once."""
+    if type(values) is list and np.dtype(op.dtype) == np.int64:
+        admitted = _strict_int64(values)
+        if admitted is not None:
+            return admitted
+    return _admit_cast(values, op), None
 
 
 def admit(values: Any, op) -> Optional[np.ndarray]:
@@ -171,11 +191,7 @@ def admit(values: Any, op) -> Optional[np.ndarray]:
     anything else, or anything that pass refuses, takes
     :func:`_admit_cast`.
     """
-    if type(values) is list and np.dtype(op.dtype) == np.int64:
-        arr = _strict_int64(values)
-        if arr is not None:
-            return arr
-    return _admit_cast(values, op)
+    return admit_top(values, op)[0]
 
 
 def _admit_cast(values: Any, op) -> Optional[np.ndarray]:
@@ -230,7 +246,7 @@ def _admit_cast(values: Any, op) -> Optional[np.ndarray]:
         return None
 
 
-def may_wrap(op, bound: int, typed, ftyped=None) -> bool:
+def may_wrap(op, bound: int, typed, ftyped=None, top: Optional[int] = None) -> bool:
     """Whether an integer ``add`` / ``multiply`` solve could leave its
     dtype: the typed kernels would wrap silently where the sequential
     loop computes exact Python ints.
@@ -239,7 +255,8 @@ def may_wrap(op, bound: int, typed, ftyped=None) -> bool:
     value-independent bound, such as an ordinary plan's
     :attr:`~repro.engine.plan.OrdinaryPlan.trace_bound` -- so with
     ``t`` the largest magnitude among the admitted values a sum stays
-    below ``t * bound`` and a product below ``t ** bound``.  One
+    below ``t * bound`` and a product below ``t ** bound``.  ``top`` is
+    ``t`` when admission measured it (:func:`admit_top`); else one
     ``max`` / ``min`` reduction per admitted array.
     """
     if typed is None or typed.dtype.kind != "i" or typed.size == 0:
@@ -247,10 +264,8 @@ def may_wrap(op, bound: int, typed, ftyped=None) -> bool:
     add = op.vector_fn is np.add
     if not add and op.vector_fn is not np.multiply:
         return False
-    top = 0
-    for arr in (typed, ftyped):
-        if arr is not None and arr.size:
-            top = max(top, int(arr.max()), -int(arr.min()))
+    if top is None:
+        top = max(magnitude(arr) for arr in (typed, ftyped) if arr is not None)
     limit = int(np.iinfo(typed.dtype).max) + 1
     if add:
         return top * bound >= limit
@@ -278,15 +293,16 @@ class PythonRounds:
     attrs = {"in_place": False}
 
     def __init__(self, job):
-        sched = job.sched
+        sched, system = job.sched, job.source
+        steps = sched.round_steps(system.g, system.f)
         self.fn = fn = job.op.fn
-        g, f = sched.g.tolist(), sched.f.tolist()
+        g, f = system.g.tolist(), system.f.tolist()
         init, finit = job.init, job.finit
         val = [init[g[i]] for i in range(sched.n)]
         for i in sched.terminal_idx.tolist():
             val[i] = fn(finit[f[i]], val[i])  # first product at the terminal
         self.val = val
-        self.steps = sched.steps_py()
+        self.steps = [(active.tolist(), src.tolist()) for active, src in steps]
 
     def round(self, active, src) -> None:
         fn, val = self.fn, self.val
@@ -345,7 +361,8 @@ class NumpyRounds:
     attrs = {"in_place": False}
 
     def __init__(self, job):
-        op, sched = job.op, job.sched
+        op, sched, system = job.op, job.sched, job.source
+        self.steps = sched.round_steps(system.g, system.f)
         typed = op.vector_fn is not None and op.dtype is not None
         self.vec = vec = op.vector_fn if typed else np.frompyfunc(op.fn, 2, 1)
         init, finit = _inputs(job, typed)
@@ -355,12 +372,11 @@ class NumpyRounds:
         self.ix = ix = cells(init.ndim)
         # ``[:, g]`` gathers come back column-major: copy a stack to
         # C order once so every round indexes contiguous rows
-        val = np.ascontiguousarray(init[ix(sched.g)])
+        val = np.ascontiguousarray(init[ix(system.g)])
         t = sched.terminal_idx
         if t.size:
-            val[ix(t)] = vec(finit[ix(sched.f[t])], val[ix(t)])
+            val[ix(t)] = vec(finit[ix(system.f[t])], val[ix(t)])
         self.val = val
-        self.steps = sched.steps
 
     def round(self, active, src) -> None:
         val, ix = self.val, self.ix

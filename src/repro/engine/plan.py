@@ -17,8 +17,12 @@ value-dependent work:
   deep; else the **round schedule**: for every pointer-jumping round,
   the iterations that are active and the source each one concatenates
   from (``O(n log n)`` bytes; one gather + ``op`` + scatter per round).
-  Chain and level plans build the round schedule and the predecessor
-  array lazily, only for a consumer that runs rounds.
+  Chain and rounds plans keep the maps ``g`` / ``f`` (their kernels
+  work in iteration space); a level plan holds its layout alone, whose
+  ``write`` / ``read`` are the same two maps in level order.  Chain and
+  level plans build the round schedule and the predecessor array
+  lazily, only for a consumer that runs rounds -- a level plan from
+  the system's own maps (:meth:`OrdinaryPlan.round_steps`).
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the
   projection map back onto the original cells and ONE evaluation
   layout: a :class:`LevelLayout` in node space (the dependence graph's
@@ -71,11 +75,12 @@ __all__ = [
     "plan_from_dict",
 ]
 
-#: Ordinary and Moebius plans (v3: level layouts as write / read
-#: slots); ``from_dict`` refuses any other version.
-PLAN_SCHEMA_VERSION = 3
-#: GIR plans (v3: level layouts as write / read slots); ``from_dict``
-#: refuses any other version.
+#: Ordinary and Moebius plans (v4: a level plan stores its layout and
+#: no ``g`` / ``f``); ``from_dict`` refuses any other version.
+PLAN_SCHEMA_VERSION = 4
+#: GIR plans (v3: level layouts as write / read slots; a dispatch
+#: plan nests a v4 ordinary plan); ``from_dict`` refuses any other
+#: version.
 GIR_PLAN_SCHEMA_VERSION = 3
 
 #: One pointer-jumping round: (active iteration ids, their sources).
@@ -453,18 +458,24 @@ class OrdinaryPlan:
     :class:`ChainLayout`) when its runs need one level or fewer levels
     than pointer jumping needs rounds, else ``levels`` (a
     :class:`LevelLayout` over cells) when the predecessor forest is shallow,
-    else the round schedule ``steps``.  ``steps`` and ``pred`` are
-    always readable -- built from ``(g, f)`` on first access and
-    cached, for the consumers that run rounds (python kernels,
-    non-ufunc operators, round budgets, the checker's round rules);
-    ``has_steps`` / ``has_pred`` say whether they are built.
+    else the round schedule ``steps``.  Chain and rounds plans keep the
+    maps ``g`` / ``f``; a level plan holds ``None`` for both -- its
+    layout's ``write`` / ``read`` are the same maps in level order, and
+    the fingerprint binds it to the system whose maps they are.
+    ``steps`` and ``pred`` are built on first access and cached, for
+    the consumers that run rounds (python kernels, non-ufunc operators,
+    round budgets, the checker's round rules): a chain plan builds them
+    from its own maps, a level plan only through :meth:`round_steps`,
+    given the system's; ``has_steps`` / ``has_pred`` say whether they
+    are built.
     """
 
     fingerprint: str
     n: int
     m: int
-    g: np.ndarray
-    f: np.ndarray
+    #: the index maps (``None`` on a level plan)
+    g: Optional[np.ndarray] = None
+    f: Optional[np.ndarray] = None
     #: the Lemma-1 predecessor array as materialized (``None``: not
     #: yet); the constructor takes it as ``pred``, which reads it lazily
     _pred: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -478,9 +489,6 @@ class OrdinaryPlan:
     family: str = "ordinary"
     # lazily-built caches (not serialized)
     _terminal_idx: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _steps_py: Optional[List[Tuple[List[int], List[int]]]] = field(
         default=None, repr=False, compare=False
     )
     _trace_bound: Optional[int] = field(default=None, repr=False, compare=False)
@@ -566,13 +574,13 @@ class OrdinaryPlan:
         deeper = np.cumsum(per_depth[::-1])[::-1]  # iterations at depth >= d
         return [int(deeper[1 << r]) for r in range((deeper.size - 1).bit_length())]
 
-    def steps_py(self) -> List[Tuple[List[int], List[int]]]:
-        """The schedule as Python lists (pure-Python backend)."""
-        if self._steps_py is None:
-            self._steps_py = [
-                (active.tolist(), src.tolist()) for active, src in self.steps
-            ]
-        return self._steps_py
+    def round_steps(self, g: np.ndarray, f: np.ndarray) -> List[RoundStep]:
+        """The round schedule, for a consumer that runs rounds: on first
+        call built -- with ``pred`` -- from the system's maps ``g`` /
+        ``f``, which a level plan does not hold, then cached."""
+        if self._pred is None and self._steps is None:
+            self._pred = predecessors(f, writer_map(g, self.m))
+        return self.steps
 
     def to_dict(self) -> Dict[str, Any]:
         payload = {
@@ -581,16 +589,16 @@ class OrdinaryPlan:
             "fingerprint": self.fingerprint,
             "n": self.n,
             "m": self.m,
-            "g": self.g.tolist(),
-            "f": self.f.tolist(),
         }
+        if self.levels is not None:  # the layout alone: no maps, no lazy state
+            payload["levels"] = self.levels.to_payload()
+            return payload
+        payload["g"], payload["f"] = self.g.tolist(), self.f.tolist()
         # lazy state only when materialized
         if self._pred is not None:
             payload["pred"] = self._pred.tolist()
         if self.chains is not None:
             payload["chains"] = self.chains.to_payload()
-        if self.levels is not None:
-            payload["levels"] = self.levels.to_payload()
         if self._steps is not None:
             payload["steps"] = [
                 [active.tolist(), src.tolist()] for active, src in self._steps
@@ -602,39 +610,37 @@ class OrdinaryPlan:
         if payload.get("schema_version") != PLAN_SCHEMA_VERSION:
             version = PLAN_SCHEMA_VERSION
             raise ValueError(f"plan schema_version is not {version}; re-plan it")
-        pred = payload.get("pred")
-        steps = payload.get("steps")
-        chains = payload.get("chains")
-        levels = payload.get("levels")
-        return cls(
+        plan = cls(
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
             m=int(payload["m"]),
-            g=np.asarray(payload["g"], dtype=np.int64),
-            f=np.asarray(payload["f"], dtype=np.int64),
-            pred=None if pred is None else np.asarray(pred, dtype=np.int64),
-            steps=None
-            if steps is None
-            else [
-                (
-                    np.asarray(active, dtype=np.int64),
-                    np.asarray(src, dtype=np.int64),
-                )
-                for active, src in steps
-            ],
-            chains=None if chains is None else ChainLayout.from_payload(chains),
-            levels=None if levels is None else LevelLayout.from_payload(levels),
         )
+        levels = payload.get("levels")
+        if levels is not None:  # a level plan reads its layout alone
+            plan.levels = LevelLayout.from_payload(levels)
+            return plan
+        pred, steps, chains = (payload.get(k) for k in ("pred", "steps", "chains"))
+        plan.g = np.asarray(payload["g"], dtype=np.int64)
+        plan.f = np.asarray(payload["f"], dtype=np.int64)
+        plan.pred = None if pred is None else np.asarray(pred, dtype=np.int64)
+        if steps is not None:
+            plan.steps = [
+                (np.asarray(active, dtype=np.int64), np.asarray(src, dtype=np.int64))
+                for active, src in steps
+            ]
+        plan.chains = None if chains is None else ChainLayout.from_payload(chains)
+        return plan
 
 
 def _get_pred(plan: OrdinaryPlan) -> np.ndarray:
     if plan._pred is None:
+        if plan.g is None:
+            raise ValueError(
+                "a level plan holds no index maps: build its round schedule "
+                "with plan.round_steps(g, f) from the system's maps"
+            )
         plan._pred = predecessors(plan.f, writer_map(plan.g, plan.m))
     return plan._pred
-
-
-def _set_pred(plan: OrdinaryPlan, pred: Optional[np.ndarray]) -> None:
-    plan._pred = pred
 
 
 def _get_steps(plan: OrdinaryPlan) -> List[RoundStep]:
@@ -643,20 +649,16 @@ def _get_steps(plan: OrdinaryPlan) -> List[RoundStep]:
     return plan._steps
 
 
-def _set_steps(plan: OrdinaryPlan, steps: Optional[List[RoundStep]]) -> None:
-    plan._steps = steps
-    plan._steps_py = None
-
-
-def _lazy_layout(cls, name: str, get, put) -> None:
+def _lazy_layout(cls, name: str, get) -> None:
     """Make ``name`` a lazy property of dataclass ``cls`` over its field
-    ``_name``, and let the constructor take ``name=`` for that field.
+    ``_name`` (``get`` builds it; assigning sets the field), and let the
+    constructor take ``name=`` for that field.
 
     The lazy property is deliberately not a dataclass field:
     ``dataclasses.replace`` and ``asdict`` read every field, so a copy
     reads ``_name`` as it stands and never builds the layout."""
-    setattr(cls, name, property(get, put))
     init, private = cls.__init__, "_" + name
+    setattr(cls, name, property(get, lambda self, value: setattr(self, private, value)))
 
     @functools.wraps(init)
     def __init__(self, *args, **kwargs):
@@ -670,8 +672,8 @@ def _lazy_layout(cls, name: str, get, put) -> None:
 # Chain and level plans build the round schedule only when a rounds
 # consumer reads ``steps``, and a level plan its predecessor array
 # only when a consumer reads ``pred``.
-_lazy_layout(OrdinaryPlan, "pred", _get_pred, _set_pred)
-_lazy_layout(OrdinaryPlan, "steps", _get_steps, _set_steps)
+_lazy_layout(OrdinaryPlan, "pred", _get_pred)
+_lazy_layout(OrdinaryPlan, "steps", _get_steps)
 
 
 def exponent_array(values: Any) -> np.ndarray:
@@ -976,13 +978,9 @@ def _get_table(plan: GIRPlan) -> Optional[PowerTable]:
     return plan._table
 
 
-def _set_table(plan: GIRPlan, table: Optional[PowerTable]) -> None:
-    plan._table = table
-
-
 # A level plan builds its power table only when a trace consumer reads
 # ``table``.
-_lazy_layout(GIRPlan, "table", _get_table, _set_table)
+_lazy_layout(GIRPlan, "table", _get_table)
 
 
 @dataclass

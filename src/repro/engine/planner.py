@@ -39,14 +39,17 @@ DEFAULT_CACHE_SIZE = 128
 def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
-    Counts the flat index arrays (a materialized predecessor array,
-    schedule steps and terminal list, the chain layout's runs and its
-    cached helpers, the ordinary or GIR level layout, a materialized
-    CSR power-table triple, projection maps); per-object overhead and
-    the GIR table's exact big-int exponents are estimated at one word
-    each.  Never builds a lazy predecessor array, schedule or table.
-    Used by :meth:`PlanCache.info` so the cache's memory footprint is
-    visible next to its hit rate.
+    Counts the flat index arrays (a chain or rounds plan's ``g`` /
+    ``f``, a materialized predecessor array, schedule steps and
+    terminal list, the chain layout's runs and its cached helpers, the
+    ordinary or GIR level layout, a materialized CSR power-table
+    triple, projection maps); per-object overhead and the GIR table's
+    exact big-int exponents are estimated at one word each.  An
+    ordinary or Moebius level plan holds no maps: its bytes are its
+    layout's until a rounds consumer builds its schedule.  Never builds
+    a lazy predecessor array, schedule or table.  Used by
+    :meth:`PlanCache.info` so the cache's memory footprint is visible
+    next to its hit rate.
     """
     total = 0
     ordinary = getattr(plan, "ordinary", None) or getattr(plan, "dispatch", None)
@@ -124,6 +127,9 @@ class PlanCache:
         return len(self._entries)
 
     def info(self) -> Dict[str, int]:
+        """Size, capacity, hit / miss counts and ``bytes``: the cached
+        plans' :func:`plan_nbytes`, what the cache holds resident (a
+        level plan pins no system maps, so its layout alone)."""
         with self._lock:
             resident = sum(plan_nbytes(p) for p in self._entries.values())
         return {

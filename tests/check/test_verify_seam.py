@@ -2,6 +2,7 @@
 ``repro check`` / ``repro lint`` CLI verbs, and the package surface.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.serialize import dump_system
 from repro.core.workloads import (
     chain_system,
     fibonacci_gir_system,
+    random_ordinary_system,
     random_gir_system,
 )
 from repro.engine import EngineOptions, Session, execute, solve
@@ -22,6 +24,8 @@ from repro.engine.plan import plan_to_dict
 from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
 from repro.errors import PlanVerificationError
+
+from ..engine.test_level_parity import affine_forest
 
 
 def counter_value(registry, name, **labels):
@@ -191,8 +195,12 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "system, version",
-        [(chain_system(100), 2), (random_gir_system(64), 99)],
-        ids=["chain-v2", "gir-levels-v99"],
+        [
+            (chain_system(100), 2),
+            (random_gir_system(64), 99),
+            (random_ordinary_system(300), 3),
+        ],
+        ids=["chain-v2", "gir-levels-v99", "levels-v3"],
     )
     def test_check_refuses_other_schema_versions(
         self, tmp_path, capsys, system, version
@@ -264,6 +272,47 @@ class TestCLI:
             assert skipped["severity"] == "warning"
             assert "GIR013, LVL004 not run" in skipped["message"]
             assert "repro check SYSTEM.json" in skipped["hint"]
+
+    @pytest.mark.parametrize(
+        "system",
+        [random_ordinary_system(400), affine_forest(400)],
+        ids=["ordinary", "moebius"],
+    )
+    def test_check_warns_a_level_plan_file_skips_lvl004(
+        self, tmp_path, capsys, system
+    ):
+        """An ordinary or Moebius level plan file holds its layout and no
+        maps: the layout rules run (a duplicated write exits 8), and the
+        report names LVL004 as not run."""
+        plan = solve(system, cache=PlanCache()).plan
+        inner = getattr(plan, "ordinary", plan)
+        assert inner.strategy == "levels" and inner.g is None
+        path = self.write_plan(tmp_path, plan, "levels.json")
+        assert main(["check", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
+        assert skipped["severity"] == "warning" and skipped["where"] == plan.family
+        assert "LVL004 not run" in skipped["message"]
+        bad = mutate_plan(inner, "level_duplicate_write", seed=0).plan
+        if plan.family == "moebius":
+            bad = dataclasses.replace(plan, ordinary=bad)
+        path = self.write_plan(tmp_path, bad, "bad-levels.json")
+        assert main(["check", path, "--json"]) == 8
+        report = json.loads(capsys.readouterr().out)
+        assert "LVL001" in [f["code"] for f in report["findings"]]
+
+    def test_check_proves_a_moebius_system_file_with_its_plan(self, tmp_path, capsys):
+        from repro.check import check_system
+
+        rec = affine_forest(300)
+        path = str(tmp_path / "affine.json")
+        dump_system(rec, path)
+        assert main(["check", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        # the preconditions, then the plan, verified against the system
+        assert report["checks_run"] > check_system(rec).checks_run
 
     def test_check_proves_system_files_end_to_end(self, tmp_path, capsys):
         path = str(tmp_path / "system.json")

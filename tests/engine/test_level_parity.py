@@ -229,7 +229,8 @@ def test_a_non_ufunc_operator_takes_rounds():
 
 
 def test_copying_a_level_plan_builds_nothing():
-    plan = solve(system(FLOAT_ADD, forest_maps(1000)), cache=PlanCache()).plan
+    sys_ = system(FLOAT_ADD, forest_maps(1000))
+    plan = solve(sys_, cache=PlanCache()).plan
     before = plan_nbytes(plan)
     copy = dataclasses.replace(plan)
     as_dict = dataclasses.asdict(plan)
@@ -238,9 +239,10 @@ def test_copying_a_level_plan_builds_nothing():
         assert not p.has_pred and not p.has_steps
     assert plan_nbytes(plan) == plan_nbytes(copy) == before
     layout = plan.levels
-    assert before == 2 * plan.g.nbytes + layout.nbytes  # g, f and the layout
-    # a rounds consumer builds both lazily, and the bytes show it
-    steps = copy.steps
+    assert before == layout.nbytes  # the layout alone: no g, no f
+    # a rounds consumer builds both lazily from the system's maps, and
+    # the bytes show it
+    steps = copy.round_steps(sys_.g, sys_.f)
     assert copy.has_pred and copy.has_steps and not plan.has_pred
     assert plan_nbytes(copy) == before + copy.pred.nbytes + sum(
         a.nbytes + s.nbytes for a, s in steps
@@ -258,7 +260,7 @@ def test_level_plans_verify_and_mutants_are_rejected():
     ]
     assert {mut.kind for mut in mutants} == set(LEVEL_MUTATION_KINDS)
     for mut in mutants:
-        assert not verify_plan(mut.plan).ok, mut.description
+        assert not verify_plan(mut.plan, system=sys_).ok, mut.description
     assert not plan.has_pred and not plan.has_steps  # mutants are copies
 
 
