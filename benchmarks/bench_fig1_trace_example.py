@@ -68,11 +68,24 @@ def test_fig1_chained_loop_plans_four_stride4_runs():
     equals the loop."""
     system = chained_loop()
     result = solve(system)
-    layout = result.plan.chains
+    runs = layout_runs(result.plan, system)
     assert result.plan.strategy == "chains" and result.strategy == "rounds"
-    assert layout.segments == 4 and layout.strides.tolist() == [4] * 4
-    assert sorted(layout.heads.tolist()) == [0, 1, 2, 3]
+    assert len(runs) == 4 and all(b - a == 4 for a, b in runs)
+    assert sorted(a for a, _ in runs) == [0, 1, 2, 3]
     assert result.values == run_ordinary(system)
+
+
+def layout_runs(plan, system):
+    """The plan's runs as 0-based iterations: its layout lists the cells
+    each run writes (``offsets`` bound the runs), and the system's
+    ``g`` names the iteration that writes each cell."""
+    iteration = {cell: i for i, cell in enumerate(system.g.tolist())}
+    layout = plan.levels
+    write, offsets = layout.write.tolist(), layout.offsets.tolist()
+    return [
+        [iteration[cell] for cell in write[lo:hi]]
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
 
 
 def main():
@@ -89,13 +102,12 @@ def main():
                 rows.append((f"A'[{cell + 1}]", f"A[{cell + 1}]  (initial value preserved)"))
         print(ascii_table(("cell", "trace"), rows))
         print(f"parallel solve: {stats.rounds} concatenation round(s)\n")
-    plan = solve(chained_loop()).plan
-    runs = ", ".join(
-        f"{{{h}, {h + s}}}" for h, s in zip(plan.chains.heads.tolist(),
-                                          plan.chains.strides.tolist())
-    )
+    system = chained_loop()
+    plan = solve(system).plan
+    runs = layout_runs(plan, system)
+    shown = ", ".join("{" + ", ".join(map(str, run)) + "}" for run in runs)
     print(f"chained loop, default backend: {plan.strategy} layout, "
-          f"{plan.chains.segments} stride-4 runs: {runs} (0-based iterations)")
+          f"{len(runs)} stride-4 runs: {shown} (0-based iterations)")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def measure(name, n=N):
     floor_s = _best(lambda: np.add.accumulate(floor))
     return {
         "strategy": got.strategy,
-        "segments": session.plan.chains.segments if got.strategy == "chains" else None,
+        "segments": session.plan.levels.segments if got.strategy == "chains" else None,
         "engine_s": engine_s,
         "loop_s": loop_s,
         "speedup_vs_loop": loop_s / engine_s,

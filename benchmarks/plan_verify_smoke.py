@@ -12,17 +12,19 @@ file path):
 2. **Mutation rejection** -- :func:`repro.check.mutate.mutation_campaign`
    corrupts each ordinary schedule by its layout (round swaps, gather
    perturbations, dropped rounds, duplicated active ids, predecessor
-   corruption, truncation; plus chain-layout corruption on a chain
-   plan), each level layout of either family with one mutator set
-   (swapped level order, shifted level pointers, re-pointed reads,
-   duplicated writes -- the random forest row plans cell levels, the
-   shallow GIR rows node levels, which also get swapped output cells)
+   corruption, truncation), each chain or level layout of either
+   family with one mutator set (swapped level order, shifted level
+   pointers, re-pointed seeds, duplicated writes, moved segment
+   offsets -- the chain rows plan runs, the random forest row cell
+   levels, the shallow GIR rows node levels, which also get swapped
+   output cells)
    and each GIR CAP power table (exponent perturbation, row-pointer
    truncation, cell swaps, pointer-repaired leaf drift -- the DP-path
    Fibonacci table reduced by its period), every mutant verified
-   against its system (a level plan holds no maps, so its reads are
-   proved against the system's, and its round schedule -- which the
-   schedule classes mutate -- is built from them), and the verifier must
+   against its system (no plan holds maps, so a layout's reads are
+   proved against the system's, and a chain or level plan's round
+   schedule -- which the schedule classes mutate -- is built from
+   them), and the verifier must
    reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
    exists because a mutation can, rarely, land on a semantically
    equivalent schedule; in practice rejection is 100%.
@@ -163,12 +165,10 @@ def gate_acceptance(rows):
 
 
 def ordinary_schedule_of(family, plan):
-    """The mutable ordinary schedule nested in any plan family."""
-    if family == "ordinary":
-        return plan
-    if family == "moebius":
-        return plan.ordinary
-    return plan.dispatch  # gir; None for CAP-only dispatch-free plans
+    """The mutable ordinary schedule of any plan family: an ordinary or
+    Moebius plan itself, a GIR plan's dispatch plan (``None`` for
+    CAP-only dispatch-free plans)."""
+    return plan.dispatch if family == "gir" else plan
 
 
 def gate_mutations(rows):

@@ -38,7 +38,6 @@ from .mutate import (
     LEVEL_MUTATION_KINDS,
     MUTATION_KINDS,
     Mutation,
-    CHAIN_MUTATION_KINDS,
     mutate_plan,
     mutation_campaign,
 )
@@ -56,7 +55,6 @@ from .schedule import (
     GIR_ORACLE_MAX_N,
     verify_or_raise,
     verify_ordinary_schedule,
-    verify_chain_layout,
     verify_level_layout,
     verify_plan,
 )
@@ -73,7 +71,6 @@ __all__ = [
     # schedule verifier
     "verify_plan",
     "verify_ordinary_schedule",
-    "verify_chain_layout",
     "verify_level_layout",
     "verify_or_raise",
     "GIR_ORACLE_MAX_N",
@@ -93,7 +90,6 @@ __all__ = [
     # adversarial mutations
     "Mutation",
     "MUTATION_KINDS",
-    "CHAIN_MUTATION_KINDS",
     "LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "mutate_plan",

@@ -40,7 +40,8 @@ _SEVERITIES = (INFO, WARNING, ERROR)
 
 #: Registry of every stable finding code with a one-line title.
 #: Append-only: codes are public API consumed by CI jobs and tooling; a
-#: retired code (GIR010-GIR012, folded into LVL001-LVL003) is never
+#: retired code (GIR010-GIR012, folded into LVL001-LVL003; CHN001-CHN004,
+#: the separate chain layout's, folded into LVL001-LVL005) is never
 #: reused.
 FINDING_CODES: Dict[str, str] = {
     # -- schedule verifier (SCH0xx) ------------------------------------
@@ -53,16 +54,12 @@ FINDING_CODES: Dict[str, str] = {
     "SCH007": "plan shape/metadata inconsistent",
     "SCH008": "plan fingerprint does not match the problem",
     "SCH009": "plan g map is not injective",
-    # -- chain layout (CHN0xx) -----------------------------------------
-    "CHN001": "chain runs do not cover each iteration exactly once",
-    "CHN002": "chain run arrays or run / level offsets are malformed or do not close",
-    "CHN003": "consecutive members of a chain run are not pred-linked",
-    "CHN004": "a chain run's seed is not its head's pred in an earlier level",
-    # -- level layout, ordinary and GIR (LVL0xx) -----------------------
+    # -- level layout: chain and level plans, every family (LVL0xx) ----
     "LVL001": "level order is not a permutation of the iterations",
-    "LVL002": "level pointers are not monotone or do not close",
+    "LVL002": "segment offsets or level pointers are not monotone or do not close",
     "LVL003": "an iteration's operand is not final when its level runs",
-    "LVL004": "level reads disagree with the system's operands in level order",
+    "LVL004": "segment seeds disagree with the system's operands",
+    "LVL005": "a segment member's f operand is not the member before it",
     # -- GIR plan artifacts (GIR0xx) -----------------------------------
     "GIR001": "nested dispatch plan failed verification",
     "GIR002": "GIR plan cell index out of range",

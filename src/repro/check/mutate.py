@@ -17,22 +17,7 @@ kind                 models                                  caught by
 ``truncate``         a schedule cut short                    SCH004
 ===================  =====================================================
 
-Chain plans (``plan.chains`` set) also get the chain-layout classes,
-one per field of a run:
-
-======================  ==================================  ===============
-kind                    models                              caught by
-======================  ==================================  ===============
-``chain_swap_order``    a level boundary moved by one: a    CHN002/CHN004
-                        run joins its parent run's level
-``chain_shift_offset``  one run boundary moved by one       CHN001/CHN002
-``chain_relink_seed``   a run's seed re-pointed at another  CHN004
-                        chain position
-``chain_bend_stride``   a run's stride off by one           CHN001
-``chain_shift_head``    a run's head moved by one           CHN001
-======================  ==================================  ===============
-
-Level plans of either family (``plan.levels`` set: a
+Chain and level plans of either family (``plan.levels`` set: a
 :class:`~repro.engine.plan.LevelLayout`, over cells for an ordinary
 plan, over dependence-graph nodes for a GIR plan) get the level-layout
 classes:
@@ -40,20 +25,25 @@ classes:
 =========================  ===================================  =========
 kind                       models                               caught by
 =========================  ===================================  =========
-``level_swap_order``       two iterations of different levels   LVL003
-                           swapped in the level order
-``level_shift_ptr``        a level boundary moved by one: an    LVL003
-                           iteration joins its operand's level
-``level_retarget_read``    one read slot re-pointed at another  LVL003/
+``level_swap_order``       two iterations of different levels   LVL003/
+                           swapped in the level order           LVL004
+``level_shift_ptr``        a level boundary moved by one: a     LVL003
+                           segment joins its seed's level
+``level_retarget_read``    one seed slot re-pointed at another  LVL003/
                            slot                                 LVL004
 ``level_duplicate_write``  one write slot copied over another:  LVL001
-                           an iteration swept twice, one never
+                           an iteration folded twice, one never
+``level_shift_offset``     one segment boundary of a chain      LVL002/
+                           plan moved by one                    LVL004/
+                                                                LVL005
 =========================  ===================================  =========
 
-A level plan stores no ``pred`` and a chain or level plan no round
-schedule; the schedule classes mutate a copy of a chain plan that
-builds both, and a level plan's only once a rounds consumer built
-them (it holds no maps to build them from).
+``level_swap_order`` swaps one-iteration segments (a layout of runs
+has ``level_shift_offset`` instead); the system-backed rules (LVL004,
+LVL005) need ``verify_plan(..., system=system)``.  A chain or level
+plan stores no ``pred`` nor round schedule, so the schedule classes
+mutate a plan's only once a rounds consumer built them (it holds no
+maps to build them from).
 
 GIR plans (the CSR power table) have their own mutation classes,
 applied by :func:`mutate_plan` when the plan's family is ``gir`` --
@@ -91,7 +81,6 @@ import numpy as np
 
 __all__ = [
     "MUTATION_KINDS",
-    "CHAIN_MUTATION_KINDS",
     "LEVEL_MUTATION_KINDS",
     "GIR_MUTATION_KINDS",
     "Mutation",
@@ -108,19 +97,12 @@ MUTATION_KINDS: Tuple[str, ...] = (
     "truncate",
 )
 
-CHAIN_MUTATION_KINDS: Tuple[str, ...] = (
-    "chain_swap_order",
-    "chain_shift_offset",
-    "chain_relink_seed",
-    "chain_bend_stride",
-    "chain_shift_head",
-)
-
 LEVEL_MUTATION_KINDS: Tuple[str, ...] = (
     "level_swap_order",
     "level_shift_ptr",
     "level_retarget_read",
     "level_duplicate_write",
+    "level_shift_offset",
 )
 
 GIR_MUTATION_KINDS: Tuple[str, ...] = (
@@ -154,18 +136,16 @@ def _copy_levels(layout: Any) -> Any:
     )
 
 
-def _clone(plan: Any, chains: Any = None) -> Any:
+def _clone(plan: Any) -> Any:
     """A deep copy of ``plan`` -- its layout and whatever lazy state it
-    has materialized (``chains`` replaces a chain layout)."""
-    from ..engine.plan import ChainLayout, OrdinaryPlan
+    has materialized."""
+    from ..engine.plan import OrdinaryPlan
 
-    layout = plan.chains if chains is None else chains
     return OrdinaryPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
         m=int(plan.m),
-        g=_copy(plan.g),
-        f=_copy(plan.f),
+        family=plan.family,
         pred=_copy(plan.pred) if plan.has_pred else None,
         steps=[
             (np.array(a, copy=True), np.array(s, copy=True))
@@ -173,11 +153,6 @@ def _clone(plan: Any, chains: Any = None) -> Any:
         ]
         if plan.has_steps
         else None,
-        chains=None
-        if layout is None
-        else ChainLayout(
-            **{name: _copy(getattr(layout, name)) for name in ChainLayout._ARRAYS}
-        ),
         levels=_copy_levels(plan.levels),
     )
 
@@ -194,11 +169,30 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
     slots = n + int(plan.m) if gir else int(plan.m)  # GIR slots: graph nodes
     ptr = layout.level_ptr.tolist()
     levels = len(ptr) - 1
+    offsets = layout.offsets
+
+    if kind == "level_shift_offset":
+        # one segment gains its neighbour's head or loses its last
+        # member to it (or a segment empties): a head then reads
+        # another seed, or a member another operand than the one before
+        if offsets is None or layout.segments < 2:
+            return None
+        k = rng.randrange(1, layout.segments)
+        delta = rng.choice((+1, -1))
+        mutated = clone(plan)
+        mutated.levels.offsets[k] += delta
+        return Mutation(
+            kind=kind,
+            description=f"segment offset {k}: {int(offsets[k])} -> "
+            f"{int(offsets[k]) + delta}",
+            plan=mutated,
+            data={"offset": k},
+        )
 
     if kind == "level_swap_order":
         # the iteration from the later level lands no later than the
         # level of an operand it reads (or, a root taken out of level 0)
-        if levels < 2:
+        if levels < 2 or offsets is not None:
             return None
         lo_level = rng.randrange(levels - 1)
         hi_level = rng.randrange(lo_level + 1, levels)
@@ -227,8 +221,8 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
         mutated.levels.level_ptr[k] += 1
         return Mutation(
             kind=kind,
-            description=f"level pointer {k} moved up by one: the slot "
-            f"{int(layout.write[ptr[k]])} writer joins level {k - 1}",
+            description=f"level pointer {k} moved up by one: segment "
+            f"{ptr[k]} joins level {k - 1}",
             plan=mutated,
             data={"pointer": k},
         )
@@ -236,7 +230,7 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
     if kind == "level_retarget_read":
         if n == 0 or slots < 2:
             return None
-        j = rng.randrange(n)
+        j = rng.randrange(layout.segments)
         old = int(layout.read[j])
         slot = rng.randrange(slots - 1)
         slot += slot >= old  # any slot but the current one
@@ -244,7 +238,7 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
         mutated.levels.read[j] = slot
         return Mutation(
             kind=kind,
-            description=f"level position {j} reads slot {slot}, not {old}",
+            description=f"segment {j} reads slot {slot}, not {old}",
             plan=mutated,
             data={"position": j},
         )
@@ -262,63 +256,6 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
             plan=mutated,
             data={"positions": (j, k)},
         )
-
-    raise ValueError(f"unknown mutation kind {kind!r}")
-
-
-def _mutate_chains(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
-    """The chain-layout mutation classes; each provably breaks the
-    layout (none yields an equivalent one)."""
-    chains = plan.chains
-    if chains is None:
-        return None
-    lengths = np.diff(chains.offsets)
-    segments, n = int(lengths.shape[0]), int(plan.n)
-
-    def one(field: str, s: int, value: int, what: str) -> Mutation:
-        mutated = _clone(plan)
-        old = int(getattr(mutated.chains, field)[s])
-        getattr(mutated.chains, field)[s] = value
-        description = f"{what} {s}: {old} -> {value}"
-        return Mutation(kind=kind, description=description, plan=mutated)
-
-    if kind == "chain_bend_stride":
-        # the run's second member is then covered by no run
-        long = np.flatnonzero(lengths > 1)
-        if long.size == 0:
-            return None
-        s = int(long[rng.randrange(long.size)])
-        return one("strides", s, int(chains.strides[s]) + 1, "run stride")
-
-    if kind == "chain_shift_head":
-        # the run's old head is then covered by no run
-        s = rng.randrange(segments)
-        head = int(chains.heads[s])
-        return one("heads", s, head + rng.choice((-1, 1)) if head else 1, "run head")
-
-    if kind == "chain_relink_seed":
-        # positions name distinct iterations: any other one is wrong
-        s = rng.randrange(segments)
-        value = rng.randrange(-1, n - 1)
-        return one("seeds", s, value + (value >= chains.seeds[s]), "run seed")
-
-    if kind == "chain_shift_offset":
-        # one run gains the next member of its progression, its
-        # neighbour loses its tail (or empties): some iteration is then
-        # covered twice or never
-        if segments < 2:
-            return None
-        k = rng.randrange(1, segments)
-        delta = rng.choice((+1, -1))
-        return one("offsets", k, int(chains.offsets[k]) + delta, "run offset")
-
-    if kind == "chain_swap_order":
-        # a level boundary moved by one: the first run of a level joins
-        # the level of its parent run, which holds its seed
-        if chains.levels < 2:
-            return None
-        k = rng.randrange(1, chains.levels)
-        return one("level_ptr", k, int(chains.level_ptr[k]) + 1, "level pointer")
 
     raise ValueError(f"unknown mutation kind {kind!r}")
 
@@ -461,16 +398,10 @@ def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(kind.encode()))
     if kind.startswith("gir_"):
         return _mutate_gir(plan, kind, rng)
-    if kind.startswith("chain_"):
-        return _mutate_chains(plan, kind, rng)
     if kind.startswith("level_"):
         return _mutate_levels(plan, kind, rng)
-    if not plan.has_steps:
-        if plan.g is None:  # a level plan: its schedule needs the system
-            return None
-        # a chain plan: mutate a copy whose round schedule (and pred)
-        # is built -- the input plan stays as it was
-        plan = _clone(plan)
+    if not plan.has_steps:  # a chain or level plan: its schedule needs the system
+        return None
     rounds = len(plan.steps)
     n = int(plan.n)
 
@@ -579,17 +510,15 @@ def mutation_campaign(
 ) -> List[Mutation]:
     """All applicable (kind, seed) mutations of ``plan``.
 
-    ``kinds`` defaults by plan family and layout: a level plan of
-    either family gets :data:`LEVEL_MUTATION_KINDS` (a GIR one also
-    ``gir_swap_out_cells``), a GIR plan with a built power table
+    ``kinds`` defaults by plan family and layout: a chain or level
+    plan of either family gets :data:`LEVEL_MUTATION_KINDS` (a GIR one
+    also ``gir_swap_out_cells``), a GIR plan with a built power table
     :data:`GIR_MUTATION_KINDS`, and an ordinary plan the schedule
-    classes, plus :data:`CHAIN_MUTATION_KINDS` on a chain plan.
+    classes (which need a built schedule).
     """
     if kinds is None:
         gir = getattr(plan, "family", None) == "gir"
         kinds = () if gir else MUTATION_KINDS
-        if getattr(plan, "chains", None) is not None:
-            kinds += CHAIN_MUTATION_KINDS
         if getattr(plan, "levels", None) is not None:
             kinds += LEVEL_MUTATION_KINDS + (("gir_swap_out_cells",) if gir else ())
         if gir and plan.has_table:

@@ -31,38 +31,31 @@ that delay jumps), not just the canonical one the planner emits; the
 adversarial mutation suite (:mod:`repro.check.mutate`) relies on this
 being a semantic -- not byte-comparison -- check.
 
-A chain plan (``plan.chains``: arithmetic runs, the work-efficient
-layout the NumPy chain kernels scan) is proved by
-:func:`verify_chain_layout` instead: the run arrays are one per run
-and the run and level offsets are monotone and close at ``n`` and at
-the run count (CHN002), the runs cover every iteration once (CHN001),
-consecutive members of a run are ``pred``-linked (CHN003), and every
-run head is seeded by a terminal in level 0 or by the chain position
-of its ``pred`` in an earlier level (CHN004).  Each level then folds
-exactly the sequential loop's operands, in its order.  The round
-rules above check a chain plan's round schedule only when the plan
-carries one: the consumers that run rounds build it lazily from the
-verified ``pred`` with the planner's own builder.
-
-A level plan of either family (``plan.levels``: a
+A chain or level plan of either family (``plan.levels``: a
 :class:`~repro.engine.plan.LevelLayout`, the slots each iteration
-writes and reads, grouped by dependence level) is proved by one
-function, :func:`verify_level_layout`, over the plan's slot-to-iteration
-map -- an ordinary or Moebius plan's slots are cells (the writer map of
+writes cut into pred-linked segments grouped by dependence level, with
+each segment's seed read) is proved by one function,
+:func:`verify_level_layout`, over the plan's slot-to-iteration map --
+an ordinary or Moebius plan's slots are cells (the writer map of
 ``g``), a GIR plan's the dependence graph's nodes (iteration ``i`` at
 slot ``i``, the leaves never written).  The write slots name every
-iteration once, so the level order is a permutation (LVL001); the
-level pointers rise monotonically from 0 and close at ``n`` (LVL002);
-an operand another iteration writes comes from an earlier level, and
-an initial-value read happens before any write of its slot -- in cell
-space the roots sit in level 0, in node space the leaf slots are never
-written (LVL003, happens-before); and the reads equal the operands
-re-derived from the system in level order -- ``f`` (and ``h = g``) for
-an ordinary plan, the dependence graph for a GIR plan (LVL004).  Each
-level then folds exactly the loop's operands.  An ordinary level plan
-keeps neither ``pred`` nor ``g`` / ``f``: given the system's maps it is
-proved as above, else its layout alone (LVL001-LVL003, each write
-cell owned by its level position).  Given the system, a GIR plan's output cells are its
+iteration once, so the segment order is a permutation (LVL001); the
+segment offsets rise strictly from 0 to ``n`` and the level pointers
+monotonically from 0 to the segment count (LVL002); a seed another
+iteration writes comes from an earlier level, and an initial-value
+read happens before any write of its slot -- in cell space the roots
+sit in level 0, in node space the leaf slots are never written (LVL003,
+happens-before); the reads equal the operands re-derived from the
+system -- each head's ``f`` (and ``h = g``) for an ordinary plan, the
+dependence graph for a GIR plan (LVL004); and every later member of a
+segment reads, as its ``f`` operand, the result of the member before
+it (LVL005).  Each level then folds exactly the loop's operands.  No
+ordinary plan keeps ``g`` / ``f``: given the system's maps a chain or
+level plan is proved as above, else by its layout alone
+(LVL001-LVL003, each write cell owned by its position), and a rounds
+plan is replayed over its stored ``pred`` (SCH006 needs the maps).
+CHN001-CHN004, the rules of the retired separate chain layout, are
+never reused.  Given the system, a GIR plan's output cells are its
 (working) ``g`` (GIR013, on table plans too); the power-table rules
 (GIR002-GIR009) check a level plan's table only once it is built.
 """
@@ -79,7 +72,6 @@ from .findings import CheckReport, error, info, warning
 __all__ = [
     "verify_plan",
     "verify_ordinary_schedule",
-    "verify_chain_layout",
     "verify_level_layout",
     "verify_or_raise",
 ]
@@ -112,24 +104,26 @@ def verify_ordinary_schedule(
     trace-equivalent to the sequential loop (see module docstring).
 
     A chain or level plan's layout is always proved; its round
-    schedule and stored ``pred`` only when the plan carries them (a
-    lazily built one comes from ``(g, f)`` through the planner's own
-    builders).  A level plan holds no maps: it is proved against
-    ``system``'s ``g`` / ``f`` (the system, or its
-    :class:`~repro.engine.problem.Problem`) when given, else by its
-    layout alone (:func:`_verify_bare_levels`)."""
+    schedule only when the plan carries one (a lazily built one comes
+    from ``(g, f)`` through the planner's own builders).  No plan holds
+    maps: they come from ``system`` (the system, or its
+    :class:`~repro.engine.problem.Problem`) when given; without it a
+    chain or level plan is proved by its layout alone
+    (:func:`_verify_bare_levels`), a rounds plan by replaying its
+    schedule over its stored ``pred``."""
     report = CheckReport(subject=where)
     n, m = int(plan.n), int(plan.m)
-    maps = plan if plan.g is not None else system
-    if maps is None and plan.levels is not None:
+    if system is None and plan.levels is not None:
         return _verify_bare_levels(plan, where)
-    if maps is None:
-        report.add(error("SCH007", "plan holds neither index maps nor a layout", where=where))
+    if system is None and not plan.has_pred:
+        report.add(error("SCH007", "plan holds neither a layout nor a schedule", where=where))
         return report
-    g = np.asarray(maps.g, dtype=np.int64)
-    f = np.asarray(maps.f, dtype=np.int64)
     stored = plan.has_pred  # never build a lazy pred
-    pred = np.asarray(plan.pred if stored else np.full(g.shape, -1), dtype=np.int64)
+    pred = np.asarray(plan.pred if stored else np.full(n, -1), dtype=np.int64)
+    g = f = pred
+    if system is not None:
+        g = np.asarray(system.g, dtype=np.int64)
+        f = np.asarray(system.f, dtype=np.int64)
 
     # -- shapes and bounds --------------------------------------------
     report.ran()
@@ -146,7 +140,7 @@ def verify_ordinary_schedule(
         return report
 
     report.ran()
-    for name, arr, hi in (("g", g, m), ("f", f, m)):
+    for name, arr, hi in (("g", g, m), ("f", f, m)) if system is not None else ():
         if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= hi):
             bad = int(np.argmax((arr < 0) | (arr >= hi)))
             report.add(
@@ -171,62 +165,57 @@ def verify_ordinary_schedule(
     if not report.ok:
         return report
 
-    # -- g injectivity + predecessor consistency (Lemma 1) -----------
-    # writer[g] == arange(n) simultaneously proves g injective (a
-    # duplicate cell keeps only its last writer) and gives the writer
-    # map for the pred cross-check -- O(n + m), no sort.
-    report.ran(2)
-    idx = np.arange(n, dtype=np.int64)
-    writer = np.full(m, -1, dtype=np.int64)
-    writer[g] = idx
-    if not np.array_equal(writer[g], idx):
-        dup = int(g[np.argmax(writer[g] != idx)])
-        its = np.nonzero(g == dup)[0][:2].tolist()
-        report.add(
-            error(
-                "SCH009",
-                f"plan g is not injective: cell {dup} is written by "
-                f"iterations {its[0]} and {its[1]}; the round replay "
-                "would race on it",
-                where=where,
-                data={"cell": dup, "iterations": its},
-                hint="OrdinaryIR requires distinct g; normalize first",
+    if system is not None:
+        # -- g injectivity + predecessor consistency (Lemma 1) -------
+        # writer[g] == arange(n) simultaneously proves g injective (a
+        # duplicate cell keeps only its last writer) and gives the
+        # writer map for the pred cross-check -- O(n + m), no sort.
+        report.ran(2)
+        idx = np.arange(n, dtype=np.int64)
+        writer = np.full(m, -1, dtype=np.int64)
+        writer[g] = idx
+        if not np.array_equal(writer[g], idx):
+            dup = int(g[np.argmax(writer[g] != idx)])
+            its = np.nonzero(g == dup)[0][:2].tolist()
+            report.add(
+                error(
+                    "SCH009",
+                    f"plan g is not injective: cell {dup} is written by "
+                    f"iterations {its[0]} and {its[1]}; the round replay "
+                    "would race on it",
+                    where=where,
+                    data={"cell": dup, "iterations": its},
+                    hint="OrdinaryIR requires distinct g; normalize first",
+                )
             )
-        )
-        return report
-    expected_pred = writer[f]
-    expected_pred[expected_pred >= idx] = -1
-    if stored and not np.array_equal(expected_pred, pred):
-        bad = int(np.argmax(expected_pred != pred))
-        report.add(
-            error(
-                "SCH006",
-                f"pred[{bad}] = {int(pred[bad])} but Lemma 1 gives "
-                f"{int(expected_pred[bad])} from (g, f); the schedule "
-                "would concatenate a different trace than the "
-                "sequential loop",
-                where=where,
-                data={
-                    "iteration": bad,
-                    "got": int(pred[bad]),
-                    "expected": int(expected_pred[bad]),
-                },
-            )
-        )
-        return report
-
-    pred = expected_pred
-    chains = getattr(plan, "chains", None)
-    levels = getattr(plan, "levels", None)
-    if chains is not None or levels is not None:
-        if chains is not None:
-            report.extend(verify_chain_layout(chains, pred, where=where))
-        else:
-            report.extend(
-                verify_level_layout(levels, writer, (f, None), cell_space=True, where=where)
-            )
-        if not report.ok or not plan.has_steps:
             return report
+        expected_pred = writer[f]
+        expected_pred[expected_pred >= idx] = -1
+        if stored and not np.array_equal(expected_pred, pred):
+            bad = int(np.argmax(expected_pred != pred))
+            report.add(
+                error(
+                    "SCH006",
+                    f"pred[{bad}] = {int(pred[bad])} but Lemma 1 gives "
+                    f"{int(expected_pred[bad])} from (g, f); the schedule "
+                    "would concatenate a different trace than the "
+                    "sequential loop",
+                    where=where,
+                    data={
+                        "iteration": bad,
+                        "got": int(pred[bad]),
+                        "expected": int(expected_pred[bad]),
+                    },
+                )
+            )
+            return report
+        pred = expected_pred
+        if plan.levels is not None:
+            report.extend(
+                verify_level_layout(plan.levels, writer, (f, None), cell_space=True, where=where)
+            )
+            if not report.ok or not plan.has_steps:
+                return report
 
     # -- symbolic pointer replay --------------------------------------
     ptr = pred.copy()
@@ -376,124 +365,6 @@ def _verify_bare_levels(plan: Any, where: str) -> CheckReport:
     )
 
 
-def verify_chain_layout(
-    chains: Any, pred: np.ndarray, *, where: str = "plan"
-) -> CheckReport:
-    """Prove a :class:`~repro.engine.plan.ChainLayout` equivalent to the
-    sequential loop over the (already verified) ``pred`` array: every
-    iteration is scanned once, after its predecessor (CHN001-CHN004;
-    see the module docstring)."""
-    from ..engine.plan import ChainLayout  # the order as the kernels derive it
-
-    report = CheckReport(subject=where)
-    n = int(pred.shape[0])
-    names = ChainLayout._ARRAYS
-    arrays = [np.asarray(getattr(chains, k), dtype=np.int64) for k in names]
-    heads, strides, seeds, offsets, level_ptr = arrays
-    loc = f"{where} chains"
-
-    report.ran()
-    segments = int(offsets.shape[0]) - 1
-    if (
-        offsets.ndim != 1
-        or segments < (1 if n else 0)
-        or any(arr.shape != (segments,) for arr in (heads, strides, seeds))
-        or bool(np.any((strides < 1) | (strides > max(n, 1))))
-        or int(offsets[0]) != 0
-        or int(offsets[-1]) != n
-        or bool(np.any(np.diff(offsets) <= 0))
-        or level_ptr.ndim != 1
-        or level_ptr.shape[0] < 1
-        or int(level_ptr[0]) != 0
-        or int(level_ptr[-1]) != segments
-        or bool(np.any(np.diff(level_ptr) <= 0))
-    ):
-        report.add(
-            error(
-                "CHN002",
-                "chain offsets must rise strictly from 0 to n "
-                f"(got {offsets[:3].tolist()}..{offsets[-1:].tolist()} for "
-                f"n={n}) with one head, stride (1 .. n) and seed per run, "
-                f"and level offsets from 0 to the run count {segments} (got "
-                f"{level_ptr.tolist()[:8]})",
-                where=loc,
-            )
-        )
-        return report
-
-    report.ran()
-    order = ChainLayout(*arrays).order
-    inside = n == 0 or (int(order.min()) >= 0 and int(order.max()) < n)
-    hit = np.zeros(n, dtype=bool)
-    if inside:  # n entries in range cover every iteration iff none repeats
-        hit[order] = True
-    if not (inside and bool(hit.all())):
-        seen = np.bincount(order[(order >= 0) & (order < n)], minlength=n)
-        it = int(np.argmax(seen != 1))  # some iteration is missed or repeated
-        report.add(
-            error(
-                "CHN001",
-                f"the chain runs scan iteration {it} {int(seen[it])} times; "
-                "each must be scanned exactly once",
-                where=loc,
-                data={"iteration": it},
-            )
-        )
-        return report
-
-    report.ran()
-    # position k > 0 continues its run unless a run starts there
-    linked = pred[order[1:]] == order[:-1]
-    linked[offsets[1:-1] - 1] = True
-    if not bool(linked.all()):
-        k = int(np.argmax(~linked)) + 1
-        it, prev = int(order[k]), int(order[k - 1])
-        report.add(
-            error(
-                "CHN003",
-                f"chain position {k}: iteration {it} follows {prev} in its "
-                f"run but reads pred {int(pred[it])}; the scan would fold a "
-                "different trace than the sequential loop",
-                where=loc,
-                data={"position": k, "iteration": it, "expected": int(pred[it])},
-            )
-        )
-        return report
-
-    report.ran()
-    level_of_seg = np.repeat(
-        np.arange(level_ptr.shape[0] - 1, dtype=np.int64), np.diff(level_ptr)
-    )
-    start = offsets[level_ptr[level_of_seg]]  # each run's level starts here
-    want = pred[heads]
-    root = want < 0
-    named = order[np.clip(seeds, 0, max(n - 1, 0))]
-    ok = np.where(
-        root,
-        (seeds == -1) & (level_of_seg == 0),
-        (seeds >= 0) & (seeds < start) & (named == want),
-    )
-    if not bool(ok.all()):
-        s = int(np.argmin(ok))
-        head = int(heads[s])
-        report.add(
-            error(
-                "CHN004",
-                f"run {s} (head {head}, level {int(level_of_seg[s])}) "
-                + (
-                    "starts at a terminal outside level 0 or names a seed"
-                    if root[s]
-                    else f"reads pred {int(want[s])}, but its seed position "
-                    f"{int(seeds[s])} is not that iteration in an earlier level"
-                )
-                + ": its seed is not final when the level runs",
-                where=loc,
-                data={"segment": s, "head": head},
-            )
-        )
-    return report
-
-
 def verify_level_layout(
     levels: Any,
     owner: np.ndarray,
@@ -504,32 +375,31 @@ def verify_level_layout(
     where: str = "plan",
 ) -> CheckReport:
     """Prove a :class:`~repro.engine.plan.LevelLayout` equivalent to the
-    sequential loop: every iteration is swept once, after the
-    iterations whose results it reads (LVL001-LVL004; see the module
-    docstring).  One function for every plan family; what a slot means
-    comes in with the arguments.
+    sequential loop: every iteration is folded once, after the
+    iterations whose results it reads (LVL001-LVL005; see the module
+    docstring).  One function for every plan family and segment
+    length; what a slot means comes in with the arguments.
 
     ``owner`` maps each slot to the iteration that writes it (``-1``:
     none) -- an ordinary plan's writer map of ``g`` over its cells, a
     GIR plan's node ids (``i`` for iteration ``i``'s result, ``-1`` for
-    an initial-value leaf); its written slots count the iterations.  ``operands`` are the slots each
-    iteration's ``f`` and ``h`` operands read, re-derived from the
-    system in iteration order (``h`` ``None``: its own write slot);
-    LVL004 compares the reads with them when given.  ``cell_space``:
-    the slots are cells swept in place, whose kernels read every
-    initial value in level 0 (where ``f_initial`` enters); else (node
-    space) an initial-value read must be of a slot no iteration
-    writes.  ``loop_order``: ``owner``'s ids are the loop's iterations,
-    so the loop reads a written operand's result iff its writer comes
-    first; else they are level positions, and a written operand counts
-    as a result iff an earlier level writes it."""
+    an initial-value leaf); its written slots count the iterations.
+    ``operands`` are the slots each iteration's ``f`` and ``h`` operands
+    read, re-derived from the system in iteration order (``h`` ``None``:
+    its own write slot); LVL004 and LVL005 compare the reads with them
+    when given.  ``cell_space``: the slots are cells swept in place,
+    whose kernels read every initial value in level 0 (where
+    ``f_initial`` enters); else (node space) an initial-value read must
+    be of a slot no iteration writes.  ``loop_order``: ``owner``'s ids
+    are the loop's iterations, so the loop reads a written operand's
+    result iff its writer comes first; else they are positions, and a
+    written operand counts as a result iff an earlier level writes
+    it."""
     report = CheckReport(subject=where)
     n, slots = int(np.count_nonzero(owner >= 0)), int(owner.shape[0])
     write = np.asarray(levels.write, dtype=np.int64)
     level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
-    reads = [("f", np.asarray(levels.read, dtype=np.int64))]
-    if levels.read_h is not None:
-        reads.append(("h", np.asarray(levels.read_h, dtype=np.int64)))
+    offsets = levels.offsets
     loc = f"{where} levels"
 
     report.ran()
@@ -558,55 +428,77 @@ def verify_level_layout(
         return report
 
     report.ran()
+    if offsets is not None:
+        offsets = np.asarray(offsets, dtype=np.int64)
+    segments = n if offsets is None else int(offsets.shape[0]) - 1
     if (
         level_ptr.ndim != 1
         or level_ptr.shape[0] < 1
         or int(level_ptr[0]) != 0
-        or int(level_ptr[-1]) != n
+        or int(level_ptr[-1]) != segments
         or bool(np.any(np.diff(level_ptr) < 0))
+        or (
+            offsets is not None
+            and (
+                offsets.ndim != 1
+                or segments < 0
+                or int(offsets[0]) != 0
+                or int(offsets[-1]) != n
+                or bool(np.any(np.diff(offsets) <= 0))
+                or levels.read_h is not None
+            )
+        )
     ):
         report.add(
             error(
                 "LVL002",
-                "level pointers must rise monotonically from 0 to "
-                f"n={n} (got {level_ptr.tolist()[:8]})",
+                "segment offsets must rise strictly from 0 to "
+                f"n={n} and level pointers monotonically from 0 to the "
+                f"segment count {segments} (got {level_ptr.tolist()[:8]})",
                 where=loc,
             )
         )
         return report
 
     report.ran()
-    for name, read in reads:
-        if read.shape != (n,) or (n and (read.min() < 0 or read.max() >= slots)):
+    reads = [("f", np.asarray(levels.read, dtype=np.int64), segments)]
+    if levels.read_h is not None:
+        reads.append(("h", np.asarray(levels.read_h, dtype=np.int64), n))
+    for name, read, size in reads:
+        if read.shape != (size,) or (size and (read.min() < 0 or read.max() >= slots)):
             report.add(
                 error(
                     "LVL004",
-                    f"the {name} reads are not {n} slots in [0, {slots}) "
+                    f"the {name} reads are not {size} slots in [0, {slots}) "
                     f"(got shape {read.shape})",
                     where=loc,
                 )
             )
             return report
-    level = np.repeat(
+    seg_level = np.repeat(
         np.arange(level_ptr.shape[0] - 1, dtype=np.int64), np.diff(level_ptr)
     )
+    head = np.arange(n, dtype=np.int64) if offsets is None else offsets[:-1]
+    level = seg_level if offsets is None else np.repeat(seg_level, np.diff(offsets))
     level_of = np.empty(n, dtype=np.int64)
     level_of[order] = level
-    for name, read in reads:
+    for name, read, size in reads:
+        reader = order[head] if size == segments else order
+        at = seg_level if size == segments else level
         dep = owner[read]  # the iteration that writes the operand's slot
         dep_level = level_of[np.maximum(dep, 0)]
         # the loop reads its result
-        earlier = (dep >= 0) & ((dep < order) if loop_order else (dep_level < level))
-        late = earlier & (dep_level >= level)
+        earlier = (dep >= 0) & ((dep < reader) if loop_order else (dep_level < at))
+        late = earlier & (dep_level >= at)
         # an initial-value read runs before any write of its slot
-        late |= ~earlier & ((level != 0) if cell_space else (dep >= 0))
+        late |= ~earlier & ((at != 0) if cell_space else (dep >= 0))
         if bool(late.any()):
             k = int(np.argmax(late))
-            it, d = int(order[k]), int(dep[k])
+            it, d = int(reader[k]), int(dep[k])
             report.add(
                 error(
                     "LVL003",
-                    f"iteration {it} (level {int(level[k])}) "
+                    f"iteration {it} (level {int(at[k])}) "
                     + (
                         f"reads its {name} operand from iteration {d} in "
                         f"level {int(level_of[d])}, not an earlier level: the "
@@ -631,20 +523,45 @@ def verify_level_layout(
     report.ran()
     for name, read, want in zip("fh", (levels.read, levels.read_h), operands):
         got = write if read is None else np.asarray(read, dtype=np.int64)
-        want = write if want is None else want[order]  # None: the write slot
+        # None: the write slot; the f operands: of each segment's head
+        want = write if want is None else want[order if name == "h" else order[head]]
         if got is not want and not np.array_equal(got, want):
             k = int(np.argmax(got != want))
             report.add(
                 error(
                     "LVL004",
-                    f"level position {k} reads {name} slot {int(got[k])}, but "
-                    f"its iteration {int(order[k])} reads {int(want[k])}: the "
-                    "sweep would fold another operand than the sequential loop",
+                    f"segment {k} reads {name} slot {int(got[k])}, but its "
+                    f"iteration {int(order[head][k] if name == 'f' else order[k])} "
+                    f"reads {int(want[k])}: the fold would take another operand "
+                    "than the sequential loop",
                     where=loc,
                     data={"position": k},
                 )
             )
             return report
+    if offsets is None:
+        return report
+    report.ran()
+    member = np.ones(n, dtype=bool)
+    member[head] = False
+    member[0] = False
+    after = np.flatnonzero(member)  # positions that continue a segment
+    before = write[after - 1]
+    bad = (operands[0][order[after]] != before) | (owner[before] >= order[after])
+    if bool(bad.any()):
+        k = int(after[np.argmax(bad)])
+        report.add(
+            error(
+                "LVL005",
+                f"position {k}: iteration {int(order[k])} continues a segment "
+                f"after iteration {int(order[k - 1])}, but the loop's f operand "
+                f"of it is slot {int(operands[0][order[k]])}, not that "
+                "iteration's result: the scan would fold another trace than "
+                "the sequential loop",
+                where=loc,
+                data={"position": k},
+            )
+        )
     return report
 
 
@@ -1119,8 +1036,9 @@ def verify_plan(
 
     ``problem`` (when given) pins the fingerprint (SCH008).  ``system``
     enables the deep GIR oracle check, and gives an ordinary or Moebius
-    level plan -- which holds no maps -- the ``g`` / ``f`` its reads
-    are proved against (LVL004); without it, ``problem``'s maps do.
+    plan -- which holds no maps -- the ``g`` / ``f`` its layout's reads
+    (LVL004 / LVL005) and a rounds plan's ``pred`` (SCH006) are proved
+    against; without it, ``problem``'s maps do.
     """
     maps = system if system is not None else problem
     family = getattr(plan, "family", None)
@@ -1143,23 +1061,8 @@ def verify_plan(
             )
             return report
 
-    if family == "ordinary":
+    if family in ("ordinary", "moebius"):
         report.extend(verify_ordinary_schedule(plan, system=maps, where=label))
-    elif family == "moebius":
-        report.extend(
-            verify_ordinary_schedule(
-                plan.ordinary, system=maps, where=f"{label} ordinary"
-            )
-        )
-        report.ran()
-        if (int(plan.n), int(plan.m)) != (int(plan.ordinary.n), int(plan.ordinary.m)):
-            report.add(
-                error(
-                    "SCH007",
-                    "Moebius plan dims disagree with its nested ordinary plan",
-                    where=label,
-                )
-            )
     elif family == "gir":
         _verify_gir(plan, system, report, maps)
     else:

@@ -646,12 +646,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _system_rules(plan) -> List[str]:
     """The system-backed rules a plan checked without its system cannot
-    run (a level layout's LVL004; a GIR plan's GIR013 and table oracle)."""
+    run (a level layout's LVL004, a chain layout's LVL005 too; a rounds
+    plan's SCH006; a GIR plan's GIR013 and table oracle)."""
     if plan.family == "gir" and plan.dispatch is None:
         unrun = ["GIR013"] + (["LVL004"] if plan.levels is not None else [])
         return unrun + (["GIR004", "GIR007", "GIR008", "GIR009"] if plan.has_table else [])
-    inner = plan.dispatch if plan.family == "gir" else getattr(plan, "ordinary", plan)
-    return ["LVL004"] if inner.levels is not None else []
+    inner = plan.dispatch if plan.family == "gir" else plan
+    if inner.levels is None:
+        return ["SCH006"]
+    return ["LVL004"] + (["LVL005"] if inner.levels.offsets is not None else [])
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

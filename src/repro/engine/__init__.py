@@ -7,9 +7,8 @@ value-dependent phase (applying ``op`` over the data).  This package
 is that split made explicit:
 
 * :class:`Problem` describes what is plannable (family + index maps);
-* :class:`~repro.engine.plan.OrdinaryPlan` /
-  :class:`~repro.engine.plan.GIRPlan` /
-  :class:`~repro.engine.plan.MoebiusPlan` capture the planned
+* :class:`~repro.engine.plan.OrdinaryPlan` (ordinary and Moebius
+  systems) / :class:`~repro.engine.plan.GIRPlan` capture the planned
   artifacts, serialize to dicts, and live in a process-wide LRU
   keyed by :meth:`Problem.fingerprint`;
 * backends (``python``, ``numpy``, ``pram``;
@@ -55,7 +54,6 @@ from .backends import (
 )
 from .plan import (
     GIRPlan,
-    MoebiusPlan,
     OrdinaryPlan,
     Plan,
     build_round_schedule,
@@ -88,7 +86,6 @@ __all__ = [
     "Plan",
     "OrdinaryPlan",
     "GIRPlan",
-    "MoebiusPlan",
     "build_round_schedule",
     "plan_to_dict",
     "plan_from_dict",

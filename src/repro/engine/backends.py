@@ -26,13 +26,12 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tupl
 from . import driver
 from .exec_gir import RowTraceEvaluator, TraceEvaluator
 from .exec_moebius import (
-    AffineChains,
     AffineLevels,
     AffineRounds,
     RationalLevels,
     RationalRounds,
 )
-from .exec_ordinary import NumpyChains, NumpyLevels, NumpyRounds, PythonRounds
+from .exec_ordinary import NumpyLevels, NumpyRounds, PythonRounds
 from .plan import Plan
 from .problem import Problem
 
@@ -115,11 +114,10 @@ class KernelBackend(Backend):
     """A backend that is only a kernel table: the engine driver
     (:mod:`repro.engine.driver`) owns planning, policy, verification,
     stats, spans and the scatter, and calls ``kernels[kind]`` for the
-    values -- ``kind`` is ``ordinary`` (or ``chains`` / ``levels`` on a
-    chain / level plan when the backend has that kernel), a Moebius
-    path (``object`` / ``affine`` / ``rational``; ``affine_chains``,
-    ``affine_levels`` and ``rational_levels`` replace them likewise) or
-    ``gir``.  ``defaults`` are backend
+    values -- ``kind`` is ``ordinary`` (or ``levels`` on a chain or
+    level plan when the backend has that kernel), a Moebius path
+    (``object`` / ``affine`` / ``rational``; ``affine_levels`` and
+    ``rational_levels`` replace them likewise) or ``gir``.  ``defaults`` are backend
     options applied under the request's own."""
 
     def __init__(
@@ -257,9 +255,7 @@ register_backend(
         BackendCapabilities(families=_FAMILIES, exact=True, batch=True),
         {
             "ordinary": NumpyRounds,
-            "chains": NumpyChains,
             "levels": NumpyLevels,
-            "affine_chains": AffineChains,
             "affine_levels": AffineLevels,
             "rational_levels": RationalLevels,
             "object": NumpyRounds,

@@ -10,15 +10,13 @@ therefore supply only *kernels* (a name-keyed table, see
   pure Python, NumPy) and the Moebius paths ``object`` (the ordinary
   kernel under the ``odot`` operator), ``affine`` and ``rational``
   (:mod:`~repro.engine.exec_moebius`);
-* chain scans -- ``chains`` and ``affine_chains`` (NumPy's
-  work-efficient kernels), run instead of ``ordinary`` / ``affine`` on
-  a chain plan whenever no round budget asks for rounds (and, for
-  ``chains``, the operator is a typed ufunc);
-* level sweeps -- ``levels`` and ``affine_levels`` /
-  ``rational_levels`` (NumPy, loop-exact), run instead of
-  ``ordinary``, ``affine`` and an ``auto`` solve's ``rational`` on a
-  level plan under the same conditions (a Moebius sweep also needs
-  every scalar as float64);
+* layout kernels -- ``levels`` and ``affine_levels`` /
+  ``rational_levels`` (NumPy), run instead of ``ordinary``,
+  ``affine`` and an ``auto`` solve's ``rational`` on a chain or level
+  plan whenever no round budget asks for rounds and the operator is a
+  typed ufunc (a Moebius kernel also needs every scalar as float64,
+  and only the affine one scans runs); they report the plan's
+  strategy, ``chains`` or ``levels``;
 * trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`): the
   level sweeps on a level plan, else power-table evaluation.
 
@@ -222,8 +220,8 @@ def _replay(family: str, make, job: Job, enforcer, label: str, ran: str):
     strategy ``ran``.  Returns ``(kernel, active cells per executed
     round)``.
 
-    A round is one pointer-jumping round, or one chain level of a
-    chain kernel.  Single solves get a ``solver.round`` span and round
+    A round is one pointer-jumping round, or one level of a layout
+    kernel.  Single solves get a ``solver.round`` span and round
     counters per round; a stacked batch reports only its root span, so
     the per-round series keep counting one solve's rounds.
     """
@@ -340,37 +338,30 @@ def _traces(make, job: Job, problem, label: str):
 
 
 def _schedule(plan):
-    """The round schedule (an OrdinaryPlan) a plan's kernels replay."""
-    if isinstance(plan, GIRPlan):
-        return plan.dispatch
-    return getattr(plan, "ordinary", plan)
+    """The OrdinaryPlan a plan's kernels replay."""
+    return plan.dispatch if isinstance(plan, GIRPlan) else plan
 
 
-def _scatter(
-    plan, source, initials, solved, base, batch: bool, g=None
-) -> List[List[Any]]:
-    """Place each row's solved values onto its initial array.
+def _scatter(plan, source, initials, solved, base, batch: bool) -> List[List[Any]]:
+    """Place each row's solved values -- in iteration order -- onto its
+    initial array, at the system's ``g``.
 
-    ``g`` is the cells ``solved`` lines up with (by default the
-    system's ``g``, iteration order; a slice when they are one
-    contiguous range).  ``base`` -- the typed ``(m,)`` vector or ``(k, m)``
-    batch a kernel ran on, a fresh array admission made -- takes them
-    in place, then one ``tolist``, so untouched cells come back in the
-    operator's dtype.  A kernel that scanned in ``base`` hands back the
-    view it scanned, and NumPy skips assigning a view onto itself.
+    ``base`` -- the typed ``(m,)`` vector or ``(k, m)`` batch a kernel
+    ran on, a fresh array admission made -- takes them in place, then
+    one ``tolist``, so untouched cells come back in the operator's
+    dtype; a kernel that solved in ``base`` hands back ``base`` itself.
     Object values (``base`` is ``None``) take the per-cell loop.  GIR:
     see :func:`_scatter_traces`."""
     if isinstance(plan, GIRPlan) and plan.dispatch is None:
         return [_scatter_traces(plan, source, solved, base)]
-    if g is None:
-        g = source.g
+    g = source.g
     if base is not None:
         if solved is not base:  # a kernel that swept in place is done
             base[..., g] = solved
         return base.tolist() if batch else [base.tolist()]
     if isinstance(solved, np.ndarray):
         solved = solved.tolist()  # a stacked (k, n) batch: k rows
-    cells = range(g.start, g.stop) if isinstance(g, slice) else g.tolist()
+    cells = g.tolist()
     outs = []
     for initial, vals in zip(initials, solved if batch else [solved]):
         out = list(initial)
@@ -467,11 +458,8 @@ def build_plan(source, problem, policy=None):
     return exec_ordinary.build_plan(source, problem.fingerprint())
 
 
-#: The chain-scan kernel kind that replaces a round kernel kind on a
-#: chain plan.
-_CHAIN_SCANS = {"ordinary": "chains", "affine": "affine_chains"}
-#: The level-sweep kernel kind that replaces a round kernel kind on a
-#: level plan.
+#: The layout kernel kind that replaces a round kernel kind on a chain
+#: or level plan.
 _LEVEL_SWEEPS = {
     "ordinary": "levels",
     "affine": "affine_levels",
@@ -479,36 +467,32 @@ _LEVEL_SWEEPS = {
 }
 
 
-def strategy(kind: str) -> str:
-    """The strategy a kernel kind runs: ``chains`` (chain scans),
-    ``levels`` (level sweeps), ``traces`` (GIR evaluation; the solve
-    reports ``levels`` instead when the GIR level sweeps ran) or
-    ``rounds`` (pointer jumping, every other kernel)."""
-    if kind in _CHAIN_SCANS.values():
-        return "chains"
+def strategy(kind: str, sched) -> str:
+    """The strategy a kernel kind runs on ``sched``: its layout's
+    (``chains`` or ``levels``) for a layout kernel, ``traces`` for GIR
+    evaluation (the solve reports ``levels`` instead when the GIR level
+    sweeps ran), else ``rounds`` (pointer jumping)."""
     if kind in _LEVEL_SWEEPS.values():
-        return "levels"
+        return sched.strategy
     return "traces" if kind == "gir" else "rounds"
 
 
 def _layout_kind(kind: str, sched, op, policy, path: str, scalars) -> Optional[str]:
-    """The chain scan or level sweep that replaces round kernel
-    ``kind`` on ``sched``'s layout, or ``None``.  Neither runs under a
-    round budget or a non-ufunc operator.  A Moebius sweep evaluates
+    """The layout kernel that replaces round kernel ``kind`` on
+    ``sched``'s chain or level layout, or ``None``.  None runs under a
+    round budget or a non-ufunc operator.  A Moebius kernel evaluates
     the loop's formula over float64 columns, so it needs all of them;
-    like the chain scan it serves the affine path however chosen, and
-    an ``auto`` solve's rational one (an explicit ``rational`` path
-    keeps its rounds)."""
-    if kind not in _LEVEL_SWEEPS or not exec_ordinary.chains_apply(op, policy):
+    it serves the affine path however chosen, and an ``auto`` solve's
+    rational one on one-iteration segments alone (an explicit
+    ``rational`` path, or runs, keep their rounds)."""
+    if kind not in _LEVEL_SWEEPS or not exec_ordinary.layout_applies(op, policy):
         return None
-    if sched.chains is not None:
-        return _CHAIN_SCANS.get(kind)
     if sched.levels is None:
         return None
     if kind != "ordinary" and (
         scalars is None
         or not scalars.complete
-        or (kind == "rational" and path != "auto")
+        or (kind == "rational" and (path != "auto" or sched.strategy == "chains"))
     ):
         return None
     return _LEVEL_SWEEPS[kind]
@@ -568,7 +552,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
             ftyped, ftop = exec_ordinary.admit_top(f_init, op)
             top = None if top is None or ftop is None else max(top, ftop)
     if (
-        kind in ("ordinary", "chains", "levels")
+        kind in ("ordinary", "levels")
         and make is not exec_ordinary.PythonRounds
         and exec_ordinary.may_wrap(
             op, _schedule(plan).trace_bound, typed, ftyped, top
@@ -584,7 +568,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
         if f_init is not None:
             f_inits = f_init if batch else [f_init]
         typed = ftyped = None
-    ran = strategy(kind)
+    ran = strategy(kind, _schedule(plan))
     label = make.label + (".batch" if batch else "")
     enforcer = policy.enforcer(f"{family}.{label}") if policy is not None else None
     job = Job(
@@ -601,7 +585,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
         ftyped=ftyped,
         scalars=scalars,
     )
-    base = cells = None
+    base = None
     active: List[int] = []
     if kind == "gir":
         solved, base, plan, ran = _traces(make, job, problem, label)
@@ -611,7 +595,6 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
         span = "moebius" if family == "moebius" else "ordinary"
         kernel, active = _replay(span, make, job, enforcer, label, ran)
         solved, base = kernel.solved(), getattr(kernel, "base", None)
-        cells = getattr(kernel, "cells", None)
     stats = _stats(plan, active, ran) if request.collect_stats else None
 
     def instance(r):
@@ -628,7 +611,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
     else:
         if guard is not None:
             report = _guard_report(guard, solved, label)
-        outs = _scatter(plan, source, initials, solved, base, batch, cells)
+        outs = _scatter(plan, source, initials, solved, base, batch)
     if guard is not None:
         if report is None:  # the policy's sequential fallback ran
             X = outs[0]

@@ -1,7 +1,7 @@
 """Moebius plans and value kernels: one layout, several kernels.
 
-Every numeric path replays the same :class:`~repro.engine.plan.
-MoebiusPlan` -- an :class:`~repro.engine.plan.OrdinaryPlan` over
+Every numeric path replays the same plan -- an
+:class:`~repro.engine.plan.OrdinaryPlan` of family ``moebius`` over
 ``(g, f)``, laid out by the ordinary planner's rule (chains -> levels
 -> rounds).  The structure is independent of how the maps are
 represented:
@@ -10,15 +10,16 @@ represented:
   ordinary round kernel under the ``odot`` operator
   (:func:`object_inputs` / :func:`evaluate_object` bracket it);
 * ``affine`` -- the ``(a, b)`` maps of ``c = 0`` recurrences:
-  :class:`AffineChains` scans a chain plan in ``O(n)`` (numpy),
-  :class:`AffineRounds` runs the pointer-jumping rounds otherwise
-  (single vectors and stacked ``(k, n)`` batches share both);
+  :class:`AffineRounds` runs the pointer-jumping rounds (single
+  vectors and stacked ``(k, n)`` batches alike);
 * ``rational`` -- :class:`RationalRounds`, float ``(A, B, C, D)``;
-* on a level plan, :class:`AffineLevels` / :class:`RationalLevels`
-  evaluate the loop's own formula one dependence level at a time, bit
-  for bit the sequential loop's.
+* on a chain or level plan, :class:`AffineLevels` /
+  :class:`RationalLevels` run its layout in cell space: the loop's own
+  formula over each level's one-iteration segments, bit for bit the
+  sequential loop's, and (affine only) an ``O(n)`` tiled scan along
+  its runs.
 
-The two affine round and chain kernels compose maps with one helper,
+The affine rounds and the run scan compose maps with one helper,
 :func:`_compose`, which carries structural constness as its own mask.
 Path selection (``auto``) and the guard mode are resolved by
 :func:`resolve_mode`; the degradation ladder, policy, spans and
@@ -46,7 +47,7 @@ from ..core.moebius import (
 )
 from ..resilience.guard import NumericGuard, default_guard
 from . import exec_ordinary
-from .plan import MoebiusPlan, OrdinaryPlan
+from .plan import OrdinaryPlan
 
 __all__ = [
     "PATHS",
@@ -57,7 +58,6 @@ __all__ = [
     "scatter_base",
     "stack_affine",
     "AffineRounds",
-    "AffineChains",
     "AffineLevels",
     "RationalRounds",
     "RationalLevels",
@@ -117,18 +117,14 @@ def resolve_mode(
     return resolved, guard, scalars
 
 
-def build_plan(rec: RationalRecurrence, fingerprint: str) -> MoebiusPlan:
+def build_plan(rec: RationalRecurrence, fingerprint: str) -> OrdinaryPlan:
     """Validate the index maps and plan their layout over ``(g, f)``
-    by the ordinary planner's rule: the affine chain kernel scans a
-    chain layout, the level kernels sweep a level layout, and every
-    kernel that runs rounds builds the round schedule from either on
-    first use."""
+    by the ordinary planner's rule (a plan of family ``moebius``): the
+    level kernels run a chain or level layout, and every kernel that
+    runs rounds builds the round schedule from it on first use."""
     rec.validate_maps()
-    ordinary = exec_ordinary.build_plan_from_maps(
-        rec.g, rec.f, rec.m, fingerprint
-    )
-    return MoebiusPlan(
-        fingerprint=fingerprint, n=rec.n, m=rec.m, ordinary=ordinary
+    return exec_ordinary.build_plan_from_maps(
+        rec.g, rec.f, rec.m, fingerprint, family="moebius"
     )
 
 
@@ -385,63 +381,6 @@ def _affine_scan(a, b, const) -> np.ndarray:
     return b.reshape(b.shape[:-2] + (-1,))[..., :width]
 
 
-class AffineChains:
-    """Work-efficient affine kernel for chain plans: ``O(n)`` work
-    where :class:`AffineRounds` does ``O(n log n)``.
-
-    The maps are taken in chain order -- views when the runs are one
-    unit-stride range, else gathered once.  Per level, every
-    segment head composes over its predecessor's solved value (level-0
-    heads are terminals, already constant after the fold), then each
-    ``(segments, width)`` block of
-    :func:`~repro.engine.exec_ordinary.chain_blocks` is scanned by
-    :func:`_affine_scan`.  A stacked ``(k, n)`` batch keeps ``a`` and
-    the constness mask ``(n,)`` and ``b`` ``(k, n)``.  Results differ
-    from the sequential loop only by reassociation across tiles.
-    """
-
-    label = "affine"
-
-    def __init__(self, job):
-        sched = job.sched
-        a, b, const, V = affine_coefficients(
-            job.source,
-            sched,
-            job.init if job.stacked else None,
-            job.scalars,
-        )
-        #: the float64 initial values the driver scatters into, if exact
-        self.base = scatter_base(V, job.scalars)
-        self.blocks = exec_ordinary.chain_blocks(sched)
-        order = exec_ordinary.chain_order(sched)
-        #: the cells ``solved()`` lines up with (chain order)
-        self.cells = exec_ordinary.chain_cells(sched)
-        self.a, self.const = a[order], const[order]
-        self.b = np.ascontiguousarray(b[..., order])
-        self.seed_pos = sched.chains.seeds
-        self.steps = exec_ordinary.chain_steps(sched)
-
-    def round(self, _cells, level: int) -> None:
-        a, b, const = self.a, self.b, self.const
-        lead = b.shape[:-1]
-        for lo, hi, nseg, width, gather, keep, seeds in self.blocks[level]:
-            if gather is None:
-                ba = a[lo:hi].reshape(nseg, width)  # views
-                bb = b[..., lo:hi].reshape(lead + (nseg, width))
-                bc = const[lo:hi].reshape(nseg, width)
-            else:
-                ba, bb, bc = a[gather], b[..., gather], const[gather]
-            if level:  # heads compose over their predecessors' values
-                seed = b[..., self.seed_pos[seeds]]
-                bb[..., 0] = _apply(ba[:, 0], bb[..., 0], bc[:, 0], seed)
-                bc[:, 0] = True
-            values = _affine_scan(ba, bb, bc).reshape(lead + (-1,))
-            b[..., lo:hi] = values if keep is None else values[..., keep]
-
-    def solved(self):
-        return self.b  # chain order: every map ends constant, value = b
-
-
 def stack_affine(
     rec: RationalRecurrence,
     rows,
@@ -510,12 +449,17 @@ def _zmul(c, x):
 
 
 class AffineLevels:
-    """Level kernel for Moebius level plans: per dependence level, the
-    sequential loop's own statement over the level's cells --
-    ``x[w] = (zmul(a, x[r]) + b) / (zmul(c, x[r]) + d)``, plus
-    ``x[w]`` under a self term -- so every value is the loop's, bit for
-    bit (:func:`~repro.core.moebius.run_moebius_sequential`, whose
-    ``_zmul`` structural zeros :func:`_zmul` mirrors).
+    """Layout kernel for Moebius chain and level plans, in cell space.
+    Per level of the :class:`~repro.engine.plan.LevelLayout`, its
+    one-iteration segments run the sequential loop's own statement --
+    ``x[w] = (zmul(a, x[r]) + b) / (zmul(c, x[r]) + d)``, plus ``x[w]``
+    under a self term -- so every value is the loop's, bit for bit
+    (:func:`~repro.core.moebius.run_moebius_sequential`, whose
+    ``_zmul`` structural zeros :func:`_zmul` mirrors).  Its runs
+    (affine only) compose their normalized ``(a, b)`` maps along each
+    block of :func:`~repro.engine.exec_ordinary.level_blocks`, every
+    head over its seed, by :func:`_affine_scan`: ``O(n)`` work, results
+    differing from the loop only by reassociation across tiles.
 
     It runs on the float64 initial values, which it may write (a copy
     when they are the caller's array), and reads each coefficient from
@@ -539,48 +483,68 @@ class AffineLevels:
             x, rec.initial
         ):
             x = x.copy()
-        layout = sched.levels
-        self.x, self.ix = x, exec_ordinary.cells(x.ndim)
-        self.write, self.read = layout.write, layout.read
+        self.layout = layout = sched.levels
+        self.x, self.g = x, rec.g
 
         def on_cells(column):  # each iteration's coefficient at its g cell
-            out = np.empty(sched.m)
+            out = np.empty(sched.m, dtype=column.dtype)
             out[rec.g] = column
             return out
 
-        self.a, self.b = on_cells(coeffs.a), on_cells(coeffs.b)
+        self.blocks = exec_ordinary.level_blocks(layout)
+        widths = {block[2] for level in self.blocks for block in level}
         self.c = self.d = None
-        if not coeffs.affine:
-            self.c, self.d = on_cells(coeffs.c), on_cells(coeffs.d)
-        elif not (coeffs.d == 1).all():
-            self.d = on_cells(coeffs.d)
+        if 1 in widths:  # the loop's formula: the raw columns
+            self.a, self.b = on_cells(coeffs.a), on_cells(coeffs.b)
+            if not coeffs.affine:
+                self.c, self.d = on_cells(coeffs.c), on_cells(coeffs.d)
+            elif not (coeffs.d == 1).all():
+                self.d = on_cells(coeffs.d)
+        if max(widths, default=1) > 1:  # the runs: their normalized maps
+            self.scan = tuple(map(on_cells, _affine_base(rec, scalars)))
         self.self_term = rec.self_term
         #: the float64 initial values the driver scatters into, if exact
         self.base = scatter_base(x, scalars)
-        #: the cells ``solved()`` lines up with (level order)
-        self.cells = self.write
-        ptr = layout.level_ptr.tolist()
-        if len(ptr) > 1:  # level 0 reads initial values
-            self.round(None, slice(0, ptr[1]))
-        self.steps = [
-            (range(lo, hi), slice(lo, hi)) for lo, hi in zip(ptr[1:-1], ptr[2:])
-        ]
+        roots = int(layout.level_ptr[min(1, layout.levels)])
+        self.seed0 = x.take(layout.read[:roots], axis=-1)  # before any write
+        self.steps = exec_ordinary.layout_steps(layout, self)
 
-    def round(self, _positions, level: slice) -> None:
-        x, w = self.x, self.write[level]
-        xf = x.take(self.read[level], axis=-1)
-        value = _zmul(self.a.take(w), xf) + self.b.take(w)
-        if self.c is not None:
-            with np.errstate(divide="ignore"):  # a pole: inf, as the rounds give
-                value /= _zmul(self.c.take(w), xf) + self.d.take(w)
-        elif self.d is not None:
-            value /= self.d.take(w)
-        if self.self_term:
-            value = x.take(w, axis=-1) + value
-        x[self.ix(w)] = value
+    def round(self, _positions, level: int) -> None:
+        x, read = self.x, self.layout.read
+        for block in self.blocks[level]:
+            a, b, width, cells = block[:4]
+            xf = self.seed0[..., a:b] if level == 0 else x.take(read[a:b], axis=-1)
+            if width > 1:
+                self._scan(block, xf)
+                continue
+            value = _zmul(self.a.take(cells), xf) + self.b.take(cells)
+            if self.c is not None:
+                with np.errstate(divide="ignore"):  # a pole: inf, as the rounds give
+                    value /= _zmul(self.c.take(cells), xf) + self.d.take(cells)
+            elif self.d is not None:
+                value /= self.d.take(cells)
+            if self.self_term:
+                value = x.take(cells, axis=-1) + value
+            x[..., cells] = value
+
+    def _scan(self, block, seed) -> None:
+        """One block of runs: each head's map applied to its seed, then
+        the tiled scan of the maps along every run."""
+        _a, _b, width, cells, keep, dest = block
+        x, (a, b, const) = self.x, self.scan
+        lead, shape = x.shape[:-1], (seed.shape[-1], width)
+        ba, bc = a[cells].reshape(shape), const[cells].reshape(shape)
+        bb = np.empty(lead + shape)
+        bb[...] = b[cells].reshape(shape)
+        bb[..., 0] = _apply(ba[:, 0], bb[..., 0], bc[:, 0], seed)
+        bc[:, 0] = True
+        values = _affine_scan(ba, bb, bc).reshape(lead + (-1,))
+        x[..., cells if dest is None else dest] = (
+            values if keep is None else values[..., keep]
+        )
 
     def solved(self) -> np.ndarray:
-        return self.x[..., self.write]
+        return self.x[..., self.g]
 
 
 class RationalLevels(AffineLevels):

@@ -2,13 +2,14 @@
 
 :func:`build_plan` reads the index structure alone and materializes
 one layout (see :mod:`repro.engine.plan`) by the rule chains ->
-levels -> rounds: a chain layout when chain scans need fewer levels
-than pointer jumping needs rounds, else a level layout when the
-predecessor forest is at most 62 deep, else the round schedule.  The
-kernels replay it over values -- :class:`NumpyChains` runs one
-``ufunc.accumulate`` sweep per chain level, :class:`NumpyLevels` one
-vector statement per dependence level in the admitted array, the round
-kernels one gather + ``op`` + scatter per round.  Everything around
+levels -> rounds: pred-linked runs when chain scans need fewer levels
+than pointer jumping needs rounds, else one-iteration segments when
+the predecessor forest is at most 62 deep -- both one
+:class:`~repro.engine.plan.LevelLayout` over cells -- else the round
+schedule.  The kernels replay it over values -- :class:`NumpyLevels`
+runs each level in the admitted array, a vector statement over its
+one-iteration segments and ``ufunc.accumulate`` along its runs; the
+round kernels one gather + ``op`` + scatter per round.  Everything around
 them (policy, spans, stats, verification, the scatter back to cells)
 belongs to :mod:`repro.engine.driver`, which also admits the values
 once through :func:`admit`.
@@ -16,10 +17,10 @@ once through :func:`admit`.
 A kernel is built from a :class:`~repro.engine.driver.Job` (applying
 the terminals' first products), exposes ``steps`` (the rounds or
 levels in the representation its :meth:`round` indexes with) and
-returns its per-iteration values from ``solved()`` -- in the order of
-its ``cells`` attribute when it has one.  The round kernels read the
-iteration-order maps from the job's system, which a level plan does
-not hold, and take the schedule from
+returns its per-iteration values from ``solved()`` -- in iteration
+order, or the admitted array itself once solved in place.  The round
+kernels read the iteration-order maps from the job's system, which no
+plan holds, and take the schedule from
 :meth:`~repro.engine.plan.OrdinaryPlan.round_steps`.
 """
 
@@ -46,15 +47,11 @@ __all__ = [
     "build_plan",
     "build_plan_from_maps",
     "cells",
-    "chains_apply",
-    "chain_blocks",
-    "chain_cells",
-    "chain_order",
-    "chain_steps",
+    "layout_applies",
+    "level_blocks",
     "may_wrap",
     "PythonRounds",
     "NumpyRounds",
-    "NumpyChains",
     "NumpyLevels",
     "sweep_level",
 ]
@@ -74,26 +71,26 @@ def build_plan(system, fingerprint: str) -> OrdinaryPlan:
 
 
 def build_plan_from_maps(
-    g: np.ndarray, f: np.ndarray, m: int, fingerprint: str
+    g: np.ndarray, f: np.ndarray, m: int, fingerprint: str, family: str = "ordinary"
 ) -> OrdinaryPlan:
     """Plan validated index maps (distinct ``g`` in range) by the one
     layout rule of the ordinary and Moebius planners: the Lemma-1
     predecessor array, then chains when their runs need one level or
     fewer levels than pointer jumping needs rounds, else dependence
-    levels when the forest is shallow (neither keeps ``pred``: a
-    rounds consumer rebuilds it; a level plan keeps no maps either),
-    else the full round schedule."""
+    levels when the forest is shallow (either way a layout alone: a
+    rounds consumer rebuilds ``pred`` from the system's maps), else
+    the full round schedule with its ``pred``.  No plan keeps the
+    maps."""
     writer = writer_map(g, m)
     pred = predecessors(f, writer)
-    chains = build_chain_layout(pred)
-    levels = None if chains is not None else build_forest_levels(g, f, pred, writer)
+    levels = build_chain_layout(g, f, pred)
+    if levels is None:
+        levels = build_forest_levels(g, f, pred, writer)
     n = int(g.shape[0])
     if levels is not None:
-        return OrdinaryPlan(fingerprint, n, m, levels=levels)
-    rounds = chains is None
+        return OrdinaryPlan(fingerprint, n, m, levels=levels, family=family)
     return OrdinaryPlan(
-        fingerprint, n, m, g, f, chains=chains, pred=pred if rounds else None,
-        steps=build_round_schedule(pred) if rounds else None,
+        fingerprint, n, m, pred=pred, steps=build_round_schedule(pred), family=family
     )
 
 
@@ -272,12 +269,12 @@ def may_wrap(op, bound: int, typed, ftyped=None, top: Optional[int] = None) -> b
     return top >= 2 and (bound >= limit.bit_length() or top**bound >= limit)
 
 
-def chains_apply(op, policy) -> bool:
-    """Whether a chain kernel can run a solve on a chain plan: no round
-    budget asks for pointer-jumping rounds, and the operator ``op`` is
-    a typed ufunc (:class:`NumpyChains`: ``accumulate`` folds in loop
-    order).  ``op`` is ``None`` for a kernel with its own arithmetic
-    (the Moebius affine scan)."""
+def layout_applies(op, policy) -> bool:
+    """Whether a layout kernel can run a solve on a chain or level
+    plan: no round budget asks for pointer-jumping rounds, and the
+    operator ``op`` is a typed ufunc (:class:`NumpyLevels`: its sweeps
+    and ``accumulate`` fold in loop order).  ``op`` is ``None`` for a
+    kernel with its own arithmetic (the Moebius level kernels)."""
     return (
         op is None or (isinstance(op.vector_fn, np.ufunc) and op.dtype is not None)
     ) and (policy is None or policy.max_rounds is None)
@@ -386,89 +383,11 @@ class NumpyRounds:
         return self.val
 
 
-def chain_blocks(sched: OrdinaryPlan):
-    """Per level, the scan blocks of a chain plan -- one
-    ``ufunc.accumulate`` each in :class:`NumpyChains`, one affine scan
-    in the Moebius chain kernel (derived once per plan and cached on
-    its layout).
-
-    A level's segments are sorted by length; each power-of-two length
-    class is one ``(segments, width)`` block over the contiguous slice
-    ``[lo, hi)`` of chain order -- a reshaped view when its segments
-    share one length, else an index gather padded with each segment's
-    last position plus the mask of real entries.  A block's heads are
-    seeded from the terminals' initial cells (level 0: the block ends
-    with them) or from chain positions solved in earlier levels (the
-    block ends with its slice of the layout's ``seeds``).
-    """
-    layout = sched.chains
-    cache = layout._cache
-    if "blocks" in cache:
-        return cache["blocks"]
-    offsets = layout.offsets
-    lengths = np.diff(offsets)
-    roots = int(layout.level_ptr[min(1, layout.levels)])
-    seed_cells = sched.f[layout.heads[:roots]]
-    blocks = []
-    for level in range(layout.levels):
-        s0, s1 = int(layout.level_ptr[level]), int(layout.level_ptr[level + 1])
-        klass = lengths[s0:s1] - 1
-        bounds = np.flatnonzero(np.diff(_bit_length(klass))) + 1
-        level_blocks = []
-        for a, b in zip(np.r_[0, bounds] + s0, np.r_[bounds, s1 - s0] + s0):
-            lo, hi = int(offsets[a]), int(offsets[b])
-            width = int(lengths[a:b].max())
-            nseg = int(b - a)
-            gather = keep = None
-            if width * nseg != hi - lo:  # unequal lengths: pad
-                lens = lengths[a:b]
-                cols = np.arange(width, dtype=np.int64)
-                gather = offsets[a:b, None] + np.minimum(cols, lens[:, None] - 1)
-                keep = (cols < lens[:, None]).reshape(-1)
-            seeds = seed_cells[a:b] if level == 0 else slice(a, b)
-            level_blocks.append((lo, hi, nseg, width, gather, keep, seeds))
-        blocks.append(level_blocks)
-    cache["blocks"] = blocks
-    return blocks
-
-
 def _range_or(a: np.ndarray):
     """``slice(lo, hi)`` when ``a`` is ``lo, lo + 1, ..., hi - 1``, else ``a``."""
     lo = int(a[0]) if a.size else 0
     hi = lo + int(a.size)
     return slice(lo, hi) if np.array_equal(a, np.arange(lo, hi)) else a
-
-
-def chain_order(sched: OrdinaryPlan):
-    """The iterations in chain order: a ``slice`` when they are one
-    index range, else the gather order; cached on the layout."""
-    cache = sched.chains._cache
-    if "order" not in cache:
-        cache["order"] = _range_or(sched.chains.order)
-    return cache["order"]
-
-
-def chain_cells(sched: OrdinaryPlan):
-    """The cells a chain plan writes, in chain order: a ``slice`` when
-    they are one contiguous range (a kernel then scans the values where
-    they lie), else ``g`` gathered; cached on the layout."""
-    cache = sched.chains._cache
-    if "cells" not in cache:
-        order = cache.get("order")  # a gather order already built
-        if not isinstance(order, np.ndarray):
-            order = sched.chains.order
-        cache["cells"] = _range_or(sched.g.take(order))
-    return cache["cells"]
-
-
-def chain_steps(sched: OrdinaryPlan):
-    """A chain kernel's ``steps``: per level, the chain positions it
-    solves and the level number its :meth:`round` takes."""
-    offsets, level_ptr = sched.chains.offsets, sched.chains.level_ptr
-    return [
-        (range(int(offsets[level_ptr[lv]]), int(offsets[level_ptr[lv + 1]])), lv)
-        for lv in range(sched.chains.levels)
-    ]
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -477,74 +396,85 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
-class NumpyChains:
-    """Work-efficient kernel for chain plans: per level, seeds every
-    segment head with ``op(seed, head)`` and runs
-    ``op.vector_fn.accumulate`` along the last axis of each block.
-    ``accumulate`` folds left to right, the sequential loop's own
-    order, so results are the loop's bit for bit wherever
-    ``vector_fn`` is the loop's ``fn`` (the add and multiply operators,
-    floats included; MIN / MAX keep ``np.minimum`` / ``np.maximum``'s
-    NaN and signed-zero rules).  A stacked ``(k, n)`` batch is a
-    leading axis on every block.
+def level_blocks(layout):
+    """Per level, the blocks a layout kernel folds -- derived once per
+    layout and cached on it (``layout.cache``).
 
-    When chain order is one contiguous cell range
-    (:func:`chain_cells`) the values are scanned where they lie,
-    in the admitted array, and ``solved()`` is that view: the driver's
-    scatter has nothing to move.  Otherwise they are gathered into
-    chain order once.  Every level-0 seed is gathered before the first
-    write, so a seed cell that a later segment writes still reads its
-    initial value.
+    A block is ``(a, b, width, cells, keep, dest)``: segments ``a:b``,
+    whose heads seed from ``layout.read[a:b]``.  A level of one-iteration segments
+    is one block of ``width`` 1 (one vector statement).  Longer
+    segments, sorted by length within their level, form one
+    ``(segments, width)`` block per power-of-two length class:
+    ``cells`` is a ``slice`` when they share one length and their cells
+    are one ascending range (the block is a reshaped view of the
+    values), else the cells to gather -- padded with each segment's
+    last cell when lengths differ, ``keep`` then masking the real
+    entries -- and ``dest`` the cells the scanned block scatters to.
     """
+    cache = layout.cache
+    if "blocks" in cache:
+        return cache["blocks"]
+    write, offsets, ptr = layout.write, layout.offsets, layout.level_ptr.tolist()
+    blocks = []
+    for s0, s1 in zip(ptr[:-1], ptr[1:]):
+        if offsets is None or s0 == s1:
+            blocks.append([(s0, s1, 1, write[s0:s1], None, None)])
+            continue
+        lengths = np.diff(offsets[s0 : s1 + 1])
+        bounds = np.flatnonzero(np.diff(_bit_length(lengths - 1))) + 1
+        level = []
+        for a, b in zip(np.r_[0, bounds] + s0, np.r_[bounds, s1 - s0] + s0):
+            a, b = int(a), int(b)
+            lo, hi = int(offsets[a]), int(offsets[b])
+            lens = lengths[a - s0 : b - s0]
+            width = int(lens.max())
+            dest = _range_or(write[lo:hi])
+            cells, keep = dest, None
+            if width == 1:
+                cells = dest = write[lo:hi]
+            elif width * (b - a) != hi - lo:  # unequal lengths: pad
+                cols = np.arange(width, dtype=np.int64)
+                gather = offsets[a:b, None] + np.minimum(cols, lens[:, None] - 1)
+                cells = write.take(gather).reshape(-1)
+                keep = (cols < lens[:, None]).reshape(-1)
+            elif isinstance(cells, slice):
+                dest = None  # a view: scanned in place
+            level.append((a, b, width, cells, keep, dest))
+        blocks.append(level)
+    cache["blocks"] = blocks
+    cache["in_place"] = offsets is None or isinstance(_range_or(write), slice)
+    return blocks
 
-    label = "numpy"
 
-    def __init__(self, job):
-        op, sched = job.op, job.sched
-        self.vec = op.vector_fn
-        init, finit = _inputs(job, True)
-        self.base = init
-        self.blocks = chain_blocks(sched)
-        self.seeds0 = [finit[..., blk[-1]] for blk in self.blocks[0]]
-        self.seed_pos = sched.chains.seeds
-        #: the cells ``solved()`` lines up with (chain order)
-        self.cells = chain_cells(sched)
-        in_place = isinstance(self.cells, slice)
-        #: root-span attributes: which I/O path ran
-        self.attrs = {"in_place": in_place}
-        if in_place:
-            self.c = init[..., self.cells]  # a view: the scan writes init
-        else:
-            self.c = np.ascontiguousarray(init[..., self.cells])
-        self.steps = chain_steps(sched)
-
-    def round(self, _cells, level: int) -> None:
-        c, vec = self.c, self.vec
-        lead = c.shape[:-1]
-        for b, (lo, hi, nseg, width, gather, keep, seeds) in enumerate(
-            self.blocks[level]
-        ):
-            seed = self.seeds0[b] if level == 0 else c[..., self.seed_pos[seeds]]
-            if gather is None:
-                block = c[..., lo:hi].reshape(lead + (nseg, width))  # a view
-            else:
-                block = c[..., gather]
-            block[..., 0] = vec(seed, block[..., 0])
-            vec.accumulate(block, axis=-1, out=block)
-            if gather is not None:
-                c[..., lo:hi] = block.reshape(lead + (-1,))[..., keep]
-
-    def solved(self):
-        return self.c
+def fold_block(x: np.ndarray, block, seed: np.ndarray, fn) -> None:
+    """One block of :func:`level_blocks`, in place on the cell axis of
+    ``x`` (a stacked ``(k, m)`` batch is a leading axis): every head
+    folds its ``seed`` -- a fresh array, gathered before the level
+    writes -- over its own cell, then each later member its
+    predecessor's value over its own (``fn.accumulate``, a left fold:
+    the loop's operand order)."""
+    _a, _b, width, cells, keep, dest = block
+    if width == 1:
+        fn(seed, x[..., cells], out=seed)
+        x[..., cells] = seed
+        return
+    lead = x.shape[:-1]
+    block = x[..., cells].reshape(lead + (seed.shape[-1], width))
+    block[..., 0] = fn(seed, block[..., 0])
+    fn.accumulate(block, axis=-1, out=block)
+    if dest is not None:
+        block = block.reshape(lead + (-1,))
+        x[..., dest] = block if keep is None else block[..., keep]
 
 
 def sweep_level(x: np.ndarray, layout, level: slice, fn, source=None) -> None:
-    """One level of a :class:`~repro.engine.plan.LevelLayout`, in place:
-    ``x[w] = fn(source[r], x[r_h or w])`` over the level's slots, every
-    operand gathered before the level writes (``source`` defaults to
-    ``x``).  Slots index the last axis, so a stacked ``(k, m)`` batch
-    is a leading axis.  ``out=`` only for a ufunc: a modular
-    operator's vector function is a plain function."""
+    """One level of a :class:`~repro.engine.plan.LevelLayout` of
+    one-iteration segments, in place: ``x[w] = fn(source[r], x[r_h or
+    w])`` over the level's slots, every operand gathered before the
+    level writes (``source`` defaults to ``x``).  Slots index the last
+    axis, so a stacked ``(k, m)`` batch is a leading axis.  ``out=``
+    only for a ufunc: a modular operator's vector function is a plain
+    function."""
     w = layout.write[level]
     value = (x if source is None else source).take(layout.read[level], axis=-1)
     h = w if layout.read_h is None else layout.read_h[level]
@@ -555,45 +485,61 @@ def sweep_level(x: np.ndarray, layout, level: slice, fn, source=None) -> None:
     x[w if x.ndim == 1 else (slice(None), w)] = value
 
 
-class NumpyLevels:
-    """Work-efficient kernel for level plans: one vector statement per
-    dependence level, in cell space, on the admitted array --
-    ``x[w] = op(x[r], x[w])`` over the level's write and read cells
-    (:func:`sweep_level` over the plan's
-    :class:`~repro.engine.plan.LevelLayout`).
+def layout_steps(layout, kernel):
+    """A layout kernel's ``steps`` -- per level its positions and the
+    level number its ``round`` takes -- after running the levels that
+    are no pointer-jumping round: level 0 of one-iteration segments,
+    the roots' first products (the solve's ``init_ops``).  Every level
+    of runs is a round."""
+    ptr = layout.level_ptr.tolist()
+    if layout.offsets is not None:  # segment -> position
+        ptr = layout.offsets[ptr].tolist()
+    first = int(layout.offsets is None and len(ptr) > 1)
+    for level in range(first):
+        kernel.round(None, level)
+    return [(range(lo, hi), lv) for lv, (lo, hi) in enumerate(zip(ptr, ptr[1:])) if lv >= first]
 
-    Each cell has one writer, so the only values a level reads are its
-    predecessors' (final: an earlier level wrote them), an iteration's
-    own initial ``g`` cell, and at level 0 the roots' ``f`` operands --
-    from ``f_initial`` when given, else gathered before the statement
-    writes, so a root still reads the initial value of a cell that
-    another root writes.  Every result is the loop's own fold, bit for
-    bit wherever ``vector_fn`` is the loop's ``fn`` (MIN / MAX keep
-    ``np.minimum`` / ``np.maximum``'s NaN and signed-zero rules).  No
-    gather into iteration order, no scatter back: ``solved()`` is the
-    array itself.  A stacked ``(k, m)`` batch is a leading axis.
+
+class NumpyLevels:
+    """Work-efficient kernel for chain and level plans: per level of
+    the plan's :class:`~repro.engine.plan.LevelLayout`, in cell space,
+    in the admitted array -- one vector statement ``x[w] = op(x[r],
+    x[w])`` over its one-iteration segments and one
+    ``op.vector_fn.accumulate`` along each block of its runs
+    (:func:`fold_block` over :func:`level_blocks`).
+
+    Each cell has one writer, so the only values a level reads are
+    those earlier levels finished, an iteration's own initial ``g``
+    cell, and at level 0 the roots' ``f`` operands -- from
+    ``f_initial`` when given, else gathered before the level writes,
+    so a root still reads the initial value of a cell that another
+    root writes.  Every result is the loop's own fold, bit for bit
+    wherever ``vector_fn`` is the loop's ``fn`` (the add and multiply
+    operators, floats included; MIN / MAX keep ``np.minimum`` /
+    ``np.maximum``'s NaN and signed-zero rules).  No gather into
+    iteration order, no scatter back: ``solved()`` is the array itself.
     """
 
     label = "numpy"
-    #: root-span attributes: the values are swept where they lie
-    attrs = {"in_place": True}
-    #: ``solved()`` is the whole array, every cell in place
-    cells = slice(None)
 
     def __init__(self, job):
         self.vec = job.op.vector_fn
         x, finit = _inputs(job, True)
         self.base = x
         self.layout = layout = job.sched.levels
-        ptr = layout.level_ptr.tolist()
-        if len(ptr) > 1:  # level 0: the roots' first products
-            sweep_level(x, layout, slice(0, ptr[1]), self.vec, finit)
-        self.steps = [
-            (range(lo, hi), slice(lo, hi)) for lo, hi in zip(ptr[1:-1], ptr[2:])
-        ]
+        self.blocks = level_blocks(layout)
+        #: root-span attributes: whether the runs' cells are one range
+        self.attrs = {"in_place": layout.cache["in_place"]}
+        roots = int(layout.level_ptr[min(1, layout.levels)])
+        self.seed0 = finit.take(layout.read[:roots], axis=-1)
+        self.steps = layout_steps(layout, self)
 
-    def round(self, _positions, level: slice) -> None:
-        sweep_level(self.base, self.layout, level, self.vec)
+    def round(self, _positions, level: int) -> None:
+        x, read = self.base, self.layout.read
+        for block in self.blocks[level]:
+            a, b = block[0], block[1]
+            seed = self.seed0[..., a:b] if level == 0 else x.take(read[a:b], axis=-1)
+            fold_block(x, block, seed, self.vec)
 
     def solved(self):
         return self.base

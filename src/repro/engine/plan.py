@@ -4,25 +4,26 @@ A plan records everything the engine can derive from the index maps
 alone, so repeated solves sharing ``f, g, h`` skip straight to the
 value-dependent work:
 
-* :class:`OrdinaryPlan` -- ONE execution layout chosen from the
-  Lemma-1 predecessor forest by the rule chains -> levels -> rounds:
-  a :class:`ChainLayout` (pred-linked arithmetic runs -- head,
-  stride, length -- grouped by level, ``O(segments)`` bytes; each
-  level is one ``ufunc.accumulate`` sweep) when it needs one level or
-  fewer levels than pointer jumping needs rounds; else a
-  :class:`LevelLayout` in cell space (the cells each iteration writes
-  and reads, grouped by its depth in the forest, ``O(n)`` bytes; each
-  level is one vector statement on the values in place) when the
-  forest is at most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62)
-  deep; else the **round schedule**: for every pointer-jumping round,
-  the iterations that are active and the source each one concatenates
-  from (``O(n log n)`` bytes; one gather + ``op`` + scatter per round).
-  Chain and rounds plans keep the maps ``g`` / ``f`` (their kernels
-  work in iteration space); a level plan holds its layout alone, whose
-  ``write`` / ``read`` are the same two maps in level order.  Chain and
-  level plans build the round schedule and the predecessor array
-  lazily, only for a consumer that runs rounds -- a level plan from
-  the system's own maps (:meth:`OrdinaryPlan.round_steps`).
+* :class:`OrdinaryPlan` -- of an ordinary or a Moebius system (the
+  dependence structure is the same however the Moebius maps are
+  represented): ONE execution layout chosen from the Lemma-1
+  predecessor forest by the rule chains -> levels -> rounds.  Chain
+  and level plans hold one :class:`LevelLayout` in cell space -- the
+  cells the iterations write, cut into pred-linked segments grouped
+  by level, and each segment's seed cell.  Its segments are
+  arithmetic runs (head, stride, length; ``offsets`` set) when they
+  need one level or fewer levels than pointer jumping needs rounds,
+  else single iterations grouped by depth when the forest is at most
+  :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep; each level is a
+  vector statement over its single iterations and a
+  ``ufunc.accumulate`` along its runs, on the values in place.  Else
+  the **round schedule**: for every pointer-jumping round, the
+  iterations that are active and the source each one concatenates
+  from (``O(n log n)`` bytes; one gather + ``op`` + scatter per
+  round), with its ``pred``.  No plan keeps the maps ``g`` / ``f``:
+  chain and level plans build ``pred`` and the round schedule lazily,
+  from the system's own maps, for a consumer that runs rounds
+  (:meth:`OrdinaryPlan.round_steps`).
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the
   projection map back onto the original cells and ONE evaluation
   layout: a :class:`LevelLayout` in node space (the dependence graph's
@@ -35,15 +36,11 @@ value-dependent work:
   level plan builds its power table lazily, only for a consumer that
   evaluates traces.  Ordinary-shaped systems carry a nested
   :class:`OrdinaryPlan` for the cheap dispatch path instead.
-* :class:`MoebiusPlan` -- an :class:`OrdinaryPlan` over ``(g, f)``
-  shared by every Moebius execution path (object, affine, rational):
-  the dependence structure is the same regardless of how the
-  matrices are represented.
 
 Plans serialize to plain dicts (``to_dict``/``from_dict``) so they can
 be persisted and shipped; the layout is stored as index lists (a
-chain plan's ``chains`` payload, a level plan's ``levels``, a rounds
-plan's ``steps``).
+chain or level plan's ``levels``, a rounds plan's ``pred`` and
+``steps``).
 """
 
 from __future__ import annotations
@@ -61,10 +58,8 @@ from ..obs import get_tracer, maybe_span
 
 __all__ = [
     "OrdinaryPlan",
-    "ChainLayout",
     "GIRPlan",
     "LevelLayout",
-    "MoebiusPlan",
     "PowerTable",
     "Plan",
     "exponent_array",
@@ -75,11 +70,12 @@ __all__ = [
     "plan_from_dict",
 ]
 
-#: Ordinary and Moebius plans (v4: a level plan stores its layout and
-#: no ``g`` / ``f``); ``from_dict`` refuses any other version.
-PLAN_SCHEMA_VERSION = 4
+#: Ordinary and Moebius plans (v5: one layout for chain and level
+#: plans, segments over cells; no plan stores ``g`` / ``f``);
+#: ``from_dict`` refuses any other version.
+PLAN_SCHEMA_VERSION = 5
 #: GIR plans (v3: level layouts as write / read slots; a dispatch
-#: plan nests a v4 ordinary plan); ``from_dict`` refuses any other
+#: plan nests a v5 ordinary plan); ``from_dict`` refuses any other
 #: version.
 GIR_PLAN_SCHEMA_VERSION = 3
 
@@ -108,7 +104,9 @@ def build_round_schedule(pred: np.ndarray) -> List[RoundStep]:
     return steps
 
 
-def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
+def build_chain_layout(
+    g: np.ndarray, f: np.ndarray, pred: np.ndarray
+) -> Optional["LevelLayout"]:
     """Cut the Lemma-1 predecessor forest into pred-linked arithmetic
     runs, or return ``None`` when pointer jumping needs no more rounds
     than the runs need levels.
@@ -129,7 +127,9 @@ def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
     root.  Levels and head depths are pointer-jumped over the ``S``
     runs, and the round count of pointer jumping follows from the
     deepest iteration: one at depth ``d`` is active in round ``r`` iff
-    ``d >= 2**(r-1)``.  The layout is ``O(S)`` bytes.
+    ``d >= 2**(r-1)``.  The layout, in cell space, lists every
+    member's write cell in run order and each run's seed cell (its
+    head's ``f`` operand).
     """
     n = int(pred.shape[0])
     if n == 0:
@@ -233,21 +233,23 @@ def build_chain_layout(pred: np.ndarray) -> Optional["ChainLayout"]:
     seg_order = np.argsort(level * (n + 1) + lengths, kind="stable")
     offsets = np.zeros(S + 1, dtype=np.int64)
     np.cumsum(lengths[seg_order], out=offsets[1:])
-    rank = np.empty(S, dtype=np.int64)
-    rank[seg_order] = np.arange(S, dtype=np.int64)
-    parent = parent[seg_order]
-    seed_pos = np.where(
-        parent >= 0, offsets[rank[np.maximum(parent, 0)]] + place[seg_order], -1
-    )
     level_ptr = np.searchsorted(
         level[seg_order], np.arange(levels + 1, dtype=np.int64)
     ).astype(np.int64)
-    return ChainLayout(
-        heads=runs[seg_order],
-        strides=strides[seg_order],
-        seeds=seed_pos,
-        offsets=offsets,
+    heads, strides = runs[seg_order], strides[seg_order]
+    # the chain order: iteration ids position by position
+    order = np.arange(n, dtype=np.int64)
+    if (strides == strides[0]).all():
+        order *= strides[0]  # one stride serves every run
+    else:
+        order *= np.repeat(strides, lengths[seg_order])
+    order += np.repeat(heads - strides * offsets[:-1], lengths[seg_order])
+    return LevelLayout(
+        write=g.take(order),
+        read=f.take(heads),
+        read_h=None,
         level_ptr=level_ptr,
+        offsets=offsets,
     )
 
 
@@ -300,44 +302,68 @@ def build_forest_levels(
 
 @dataclass
 class LevelLayout:
-    """The level strategy's layout, one type for every plan family: the
-    iterations grouped by dependence level, kept as the slots they
-    touch.
+    """The one layout of chain and level plans, for every plan family:
+    the iterations cut into pred-linked *segments*, grouped by
+    dependence level, kept as the slots they touch.
 
-    ``write[level_ptr[l]:level_ptr[l + 1]]`` are the slots the
-    iterations of level ``l`` write, ``read`` the same slice of the
-    slots their ``f`` operands read and ``read_h`` of the slots their
-    ``h`` operands read (``None``: each iteration's own write slot --
-    the ordinary ``h = g``).  An operand another iteration writes comes
-    from an earlier level, so one ``x[w] = op(x[r], x[r_h or w])`` per
-    level (:func:`~repro.engine.exec_ordinary.sweep_level`) folds
-    exactly the loop's operands in the loop's order.
+    ``write`` lists the slot each iteration writes, segment by segment
+    and member by member; segment ``s`` is the positions
+    ``offsets[s]:offsets[s + 1]`` (``offsets=None``: every segment is
+    one iteration, ``s`` itself), and segments
+    ``level_ptr[l]:level_ptr[l + 1]`` form level ``l``.  ``read[s]`` is
+    the slot segment ``s``'s head reads as its ``f`` operand (its
+    seed); every later member reads the slot the member before it
+    writes.  ``read_h`` lists each iteration's ``h`` operand slot
+    (``None``: its own write slot -- the ordinary ``h = g``; only
+    one-iteration segments carry it).  A seed another iteration writes
+    comes from an earlier level, so one statement per level -- a
+    ``x[w] = op(x[r], x[r_h or w])`` sweep over one-iteration segments
+    (:func:`~repro.engine.exec_ordinary.sweep_level`), a left-to-right
+    scan along longer ones -- folds exactly the loop's operands in the
+    loop's order.
 
     What a slot means is the plan's business.  An ordinary or Moebius
-    plan's slots are cells and the sweep runs in place: its roots sit
-    in level 0 and read initial values, and the writer map of ``g``
-    gives each write cell's iteration.  A GIR plan's slots are its
+    plan's slots are cells and the sweeps run in place: its roots sit
+    in level 0 and read initial values.  A GIR plan's slots are its
     dependence graph's nodes (:class:`~repro.core.depgraph.DependenceGraph`
     encoding: iteration ``i``'s result at ``i``, cell ``c``'s initial
     value at ``n + c``, a slot never written), so ``write`` lists the
-    iterations themselves.  ``O(n)`` bytes.
+    iterations themselves.  ``O(n)`` bytes; the scan blocks a kernel
+    derives from ``offsets`` are cached (:attr:`cache`), never
+    serialized.
     """
 
-    write: np.ndarray  # (n,) int64 slots written, in level order
-    read: np.ndarray  # (n,) int64 slots the f operands read
+    write: np.ndarray  # (n,) int64 slots written, in segment order
+    read: np.ndarray  # (segments,) int64 slots the heads' f operands read
     read_h: Optional[np.ndarray]  # (n,) int64 slots the h operands read
-    level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. n
+    level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. segments
+    offsets: Optional[np.ndarray] = None  # (segments + 1,) int64, 0 .. n
+    cache: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
-    _ARRAYS = ("write", "read", "read_h", "level_ptr")
+    _ARRAYS = ("write", "read", "read_h", "level_ptr", "offsets")
 
     @property
     def levels(self) -> int:
         return int(self.level_ptr.shape[0]) - 1
 
     @property
+    def segments(self) -> int:
+        return int(self.read.shape[0])
+
+    @property
     def nbytes(self) -> int:
+        """Bytes of the layout and of its cached scan blocks (a block's
+        view of the layout's arrays adds none)."""
+
+        def size(value) -> int:
+            if isinstance(value, (list, tuple)):
+                return sum(size(item) for item in value)
+            own = isinstance(value, np.ndarray) and value.base is None
+            return int(value.nbytes) if own else 0
+
         arrays = (getattr(self, name) for name in self._ARRAYS)
-        return sum(int(a.nbytes) for a in arrays if a is not None)
+        layout = sum(int(a.nbytes) for a in arrays if a is not None)
+        return layout + size(list(self.cache.values()))
 
     @classmethod
     def from_graph(cls, graph: DependenceGraph, level: np.ndarray) -> "LevelLayout":
@@ -362,7 +388,7 @@ class LevelLayout:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "LevelLayout":
-        arrays = {name: payload[name] for name in cls._ARRAYS}
+        arrays = {name: payload.get(name) for name in cls._ARRAYS}
         return cls(
             **{
                 name: None if a is None else np.asarray(a, dtype=np.int64)
@@ -372,110 +398,30 @@ class LevelLayout:
 
 
 @dataclass
-class ChainLayout:
-    """The chain strategy's plan: pred-linked arithmetic runs, grouped
-    by level.  Segment ``s`` is the run ``heads[s] + k * strides[s]``
-    at chain positions ``offsets[s] + k < offsets[s + 1]``: each member
-    reads the one before it, the head the chain position ``seeds[s]``
-    in an earlier level, or (``-1``) its terminal's initial value.  The
-    chain order is implicit (:attr:`order`).  Segments
-    ``level_ptr[l]:level_ptr[l + 1]`` form level ``l``, sorted by
-    length.  ``O(segments)`` bytes; the per-solve helpers (scan blocks,
-    a gather order) are derived lazily and cached, never serialized.
-    """
-
-    heads: np.ndarray  # (segments,) int64 first iteration of each run
-    strides: np.ndarray  # (segments,) int64 >= 1 (1 for a one-member run)
-    seeds: np.ndarray  # (segments,) int64 chain position of pred[head], or -1
-    offsets: np.ndarray  # (segments + 1,) int64, 0 .. n
-    level_ptr: np.ndarray  # (levels + 1,) int64 segment index per level
-    _cache: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
-
-    _ARRAYS = ("heads", "strides", "seeds", "offsets", "level_ptr")
-
-    @property
-    def levels(self) -> int:
-        return int(self.level_ptr.shape[0]) - 1
-
-    @property
-    def segments(self) -> int:
-        return int(self.offsets.shape[0]) - 1
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the layout and of its cached helpers."""
-
-        def size(value) -> int:
-            if isinstance(value, (list, tuple)):
-                return sum(size(item) for item in value)
-            return int(value.nbytes) if isinstance(value, np.ndarray) else 0
-
-        arrays = [getattr(self, name) for name in self._ARRAYS]
-        return size(arrays + list(self._cache.values()))
-
-    @property
-    def order(self) -> np.ndarray:
-        """The chain order: iteration ids position by position (built on
-        each access; the kernels cache what they need)."""
-        lengths, strides = np.diff(self.offsets), self.strides
-        order = np.arange(int(self.offsets[-1]), dtype=np.int64)
-        if strides.size and (strides == strides[0]).all():
-            order *= strides[0]  # one stride serves every run
-        else:
-            order *= np.repeat(strides, lengths)
-        order += np.repeat(self.heads - strides * self.offsets[:-1], lengths)
-        return order
-
-    def head_depths(self) -> np.ndarray:
-        """Each segment head's depth in the predecessor forest (its
-        number of ancestors), one level after another."""
-        offsets, seeds = self.offsets, self.seeds
-        depth = np.zeros(self.segments, dtype=np.int64)
-        for level in range(1, self.levels):
-            s0, s1 = int(self.level_ptr[level]), int(self.level_ptr[level + 1])
-            seg = np.searchsorted(offsets, seeds[s0:s1], side="right") - 1
-            depth[s0:s1] = depth[seg] + seeds[s0:s1] - offsets[seg] + 1
-        return depth
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {name: getattr(self, name).tolist() for name in self._ARRAYS}
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ChainLayout":
-        return cls(
-            **{
-                name: np.asarray(payload[name], dtype=np.int64)
-                for name in cls._ARRAYS
-            }
-        )
-
-
-@dataclass
 class OrdinaryPlan:
-    """Plan of an OrdinaryIR solve over ``(g, f, m)``.
+    """Plan of an OrdinaryIR solve over ``(g, f, m)`` -- or of a Moebius
+    solve (``family="moebius"``), whose every numeric path (object,
+    affine, rational) replays the same dependence structure.
 
-    The planner materializes one layout: ``chains`` (a
-    :class:`ChainLayout`) when its runs need one level or fewer levels
-    than pointer jumping needs rounds, else ``levels`` (a
-    :class:`LevelLayout` over cells) when the predecessor forest is shallow,
-    else the round schedule ``steps``.  Chain and rounds plans keep the
-    maps ``g`` / ``f``; a level plan holds ``None`` for both -- its
-    layout's ``write`` / ``read`` are the same maps in level order, and
-    the fingerprint binds it to the system whose maps they are.
-    ``steps`` and ``pred`` are built on first access and cached, for
-    the consumers that run rounds (python kernels, non-ufunc operators,
-    round budgets, the checker's round rules): a chain plan builds them
-    from its own maps, a level plan only through :meth:`round_steps`,
-    given the system's; ``has_steps`` / ``has_pred`` say whether they
-    are built.
+    The planner materializes one layout: ``levels`` (a
+    :class:`LevelLayout` over cells) -- pred-linked runs (``offsets``
+    set, the ``chains`` strategy) when they need one level or fewer
+    levels than pointer jumping needs rounds, else one-iteration
+    segments when the predecessor forest is shallow (the ``levels``
+    strategy) -- else the round schedule ``steps`` with its ``pred``.
+    No plan holds the maps ``g`` / ``f``: the layout's ``write`` /
+    ``read`` are the same maps in segment order, and the fingerprint
+    binds the plan to the system whose maps they are.  A chain or level
+    plan builds ``steps`` and ``pred`` only for a consumer that runs
+    rounds (python kernels, non-ufunc operators, round budgets, the
+    checker's round rules), through :meth:`round_steps` given the
+    system's maps, and caches them; ``has_steps`` / ``has_pred`` say
+    whether they are built.
     """
 
     fingerprint: str
     n: int
     m: int
-    #: the index maps (``None`` on a level plan)
-    g: Optional[np.ndarray] = None
-    f: Optional[np.ndarray] = None
     #: the Lemma-1 predecessor array as materialized (``None``: not
     #: yet); the constructor takes it as ``pred``, which reads it lazily
     _pred: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -484,7 +430,6 @@ class OrdinaryPlan:
     _steps: Optional[List[RoundStep]] = field(
         default=None, repr=False, compare=False
     )
-    chains: Optional[ChainLayout] = field(default=None, repr=False, compare=False)
     levels: Optional[LevelLayout] = field(default=None, repr=False, compare=False)
     family: str = "ordinary"
     # lazily-built caches (not serialized)
@@ -495,11 +440,11 @@ class OrdinaryPlan:
 
     @property
     def strategy(self) -> str:
-        """The layout the planner chose: ``"chains"``, ``"levels"`` or
-        ``"rounds"``."""
-        if self.chains is not None:
-            return "chains"
-        return "rounds" if self.levels is None else "levels"
+        """The layout the planner chose: ``"chains"`` (runs),
+        ``"levels"`` (one-iteration segments) or ``"rounds"``."""
+        if self.levels is None:
+            return "rounds"
+        return "levels" if self.levels.offsets is None else "chains"
 
     @property
     def has_steps(self) -> bool:
@@ -516,6 +461,28 @@ class OrdinaryPlan:
         """Pointer-jumping rounds (never builds a lazy schedule)."""
         return len(self.active_per_round)
 
+    def _per_depth(self) -> np.ndarray:
+        """Iterations per depth in the predecessor forest, from the
+        layout: a level of one-iteration segments is one depth; a run
+        covers its head's depth and one more per member, and a head
+        lies one deeper than the member that writes its seed cell."""
+        layout = self.levels
+        if layout.offsets is None:
+            return np.diff(layout.level_ptr)
+        offsets, ptr = layout.offsets, layout.level_ptr
+        position = np.empty(self.m, dtype=np.int64)
+        position[layout.write] = np.arange(self.n, dtype=np.int64)
+        start = np.zeros(layout.segments, dtype=np.int64)
+        for level in range(1, layout.levels):
+            s0, s1 = int(ptr[level]), int(ptr[level + 1])
+            pos = position.take(layout.read[s0:s1])
+            seg = np.searchsorted(offsets, pos, side="right") - 1
+            start[s0:s1] = start[seg] + pos - offsets[seg] + 1
+        stop = start + np.diff(offsets)
+        size = int(stop.max()) + 1
+        per_depth = np.bincount(start, minlength=size) - np.bincount(stop)
+        return np.cumsum(per_depth)[:-1]
+
     @property
     def trace_bound(self) -> int:
         """Value-independent bound ``L`` on the operands folded into
@@ -524,33 +491,27 @@ class OrdinaryPlan:
         depth; a rounds plan bounds it by ``2**rounds - 1``.  The
         overflow guard of the int64 add / multiply kernels reads it."""
         if self._trace_bound is None:
-            if self.levels is not None:
-                depth = max(self.levels.levels - 1, 0)
-            elif self.chains is None:
+            if self.levels is None:
                 depth = 2**self.rounds - 1
-            else:  # a run's deepest member is its last
-                chains = self.chains
-                depth = int((chains.head_depths() + np.diff(chains.offsets)).max()) - 1
+            else:
+                depth = max(int(self._per_depth().shape[0]) - 1, 0)
             self._trace_bound = depth + 2
         return self._trace_bound
 
     @property
     def terminal_idx(self) -> np.ndarray:
-        """Iterations whose ``f``-operand is an initial value (a chain
-        plan's level-0 heads)."""
+        """Iterations whose ``f``-operand is an initial value (reads
+        ``pred``: a chain or level plan's rounds consumer builds it
+        first through :meth:`round_steps`)."""
         if self._terminal_idx is None:
-            if self.chains is not None:
-                roots = self.chains.heads[: self.chains.level_ptr[1]]
-                self._terminal_idx = np.sort(roots)
-            else:
-                self._terminal_idx = np.nonzero(self.pred < 0)[0]
+            self._terminal_idx = np.nonzero(self.pred < 0)[0]
         return self._terminal_idx
 
     @property
     def init_ops(self) -> int:
-        """Terminals (level 0 of a chain or level plan: never builds
-        ``pred``)."""
-        layout = self.chains if self.chains is not None else self.levels
+        """Terminals (level 0's segments on a chain or level plan:
+        never builds ``pred``)."""
+        layout = self.levels
         if layout is not None and self._terminal_idx is None:
             return int(layout.level_ptr[min(1, layout.levels)])
         return int(self.terminal_idx.size)
@@ -561,23 +522,16 @@ class OrdinaryPlan:
         plans whose schedule is not materialized derive them from
         depths: an iteration at depth ``d`` is active in round ``r``
         iff ``d >= 2**(r-1)``."""
-        if self._steps is not None or (self.chains is None and self.levels is None):
+        if self._steps is not None or self.levels is None:
             return [int(active.size) for active, _src in self.steps]
-        if self.levels is not None:
-            per_depth = np.diff(self.levels.level_ptr)
-        else:  # each run covers depths head .. head + length - 1
-            start = self.chains.head_depths()
-            stop = start + np.diff(self.chains.offsets)
-            size = int(stop.max()) + 1
-            per_depth = np.bincount(start, minlength=size) - np.bincount(stop)
-            per_depth = np.cumsum(per_depth)[:-1]
-        deeper = np.cumsum(per_depth[::-1])[::-1]  # iterations at depth >= d
+        deeper = np.cumsum(self._per_depth()[::-1])[::-1]  # at depth >= d
         return [int(deeper[1 << r]) for r in range((deeper.size - 1).bit_length())]
 
     def round_steps(self, g: np.ndarray, f: np.ndarray) -> List[RoundStep]:
         """The round schedule, for a consumer that runs rounds: on first
         call built -- with ``pred`` -- from the system's maps ``g`` /
-        ``f``, which a level plan does not hold, then cached."""
+        ``f``, which a chain or level plan does not hold, then cached
+        (a rounds plan holds its own)."""
         if self._pred is None and self._steps is None:
             self._pred = predecessors(f, writer_map(g, self.m))
         return self.steps
@@ -590,19 +544,11 @@ class OrdinaryPlan:
             "n": self.n,
             "m": self.m,
         }
-        if self.levels is not None:  # the layout alone: no maps, no lazy state
+        if self.levels is not None:  # the layout alone: no lazy state
             payload["levels"] = self.levels.to_payload()
             return payload
-        payload["g"], payload["f"] = self.g.tolist(), self.f.tolist()
-        # lazy state only when materialized
-        if self._pred is not None:
-            payload["pred"] = self._pred.tolist()
-        if self.chains is not None:
-            payload["chains"] = self.chains.to_payload()
-        if self._steps is not None:
-            payload["steps"] = [
-                [active.tolist(), src.tolist()] for active, src in self._steps
-            ]
+        payload["pred"] = self.pred.tolist()
+        payload["steps"] = [[active.tolist(), src.tolist()] for active, src in self.steps]
         return payload
 
     @classmethod
@@ -614,32 +560,26 @@ class OrdinaryPlan:
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
             m=int(payload["m"]),
+            family=payload["family"],
         )
         levels = payload.get("levels")
-        if levels is not None:  # a level plan reads its layout alone
+        if levels is not None:  # a chain or level plan reads its layout alone
             plan.levels = LevelLayout.from_payload(levels)
             return plan
-        pred, steps, chains = (payload.get(k) for k in ("pred", "steps", "chains"))
-        plan.g = np.asarray(payload["g"], dtype=np.int64)
-        plan.f = np.asarray(payload["f"], dtype=np.int64)
-        plan.pred = None if pred is None else np.asarray(pred, dtype=np.int64)
-        if steps is not None:
-            plan.steps = [
-                (np.asarray(active, dtype=np.int64), np.asarray(src, dtype=np.int64))
-                for active, src in steps
-            ]
-        plan.chains = None if chains is None else ChainLayout.from_payload(chains)
+        plan.pred = np.asarray(payload["pred"], dtype=np.int64)
+        plan.steps = [
+            (np.asarray(active, dtype=np.int64), np.asarray(src, dtype=np.int64))
+            for active, src in payload["steps"]
+        ]
         return plan
 
 
 def _get_pred(plan: OrdinaryPlan) -> np.ndarray:
     if plan._pred is None:
-        if plan.g is None:
-            raise ValueError(
-                "a level plan holds no index maps: build its round schedule "
-                "with plan.round_steps(g, f) from the system's maps"
-            )
-        plan._pred = predecessors(plan.f, writer_map(plan.g, plan.m))
+        raise ValueError(
+            "a chain or level plan holds no index maps: build its round "
+            "schedule with plan.round_steps(g, f) from the system's maps"
+        )
     return plan._pred
 
 
@@ -983,44 +923,12 @@ def _get_table(plan: GIRPlan) -> Optional[PowerTable]:
 _lazy_layout(GIRPlan, "table", _get_table)
 
 
-@dataclass
-class MoebiusPlan:
-    """Plan of a Moebius solve: the shared ordinary layout over
-    ``(g, f)``; every numeric path (object / affine / rational)
-    replays it over its own representation."""
-
-    fingerprint: str
-    n: int
-    m: int
-    ordinary: OrdinaryPlan = None  # type: ignore[assignment]
-    family: str = "moebius"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": PLAN_SCHEMA_VERSION,
-            "family": self.family,
-            "fingerprint": self.fingerprint,
-            "n": self.n,
-            "m": self.m,
-            "ordinary": self.ordinary.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "MoebiusPlan":
-        return cls(  # the nested ordinary plan checks the schema
-            fingerprint=payload["fingerprint"],
-            n=int(payload["n"]),
-            m=int(payload["m"]),
-            ordinary=OrdinaryPlan.from_dict(payload["ordinary"]),
-        )
-
-
-Plan = Union[OrdinaryPlan, GIRPlan, MoebiusPlan]
+Plan = Union[OrdinaryPlan, GIRPlan]
 
 _PLAN_CLASSES = {
     "ordinary": OrdinaryPlan,
     "gir": GIRPlan,
-    "moebius": MoebiusPlan,
+    "moebius": OrdinaryPlan,
 }
 
 

@@ -39,23 +39,21 @@ DEFAULT_CACHE_SIZE = 128
 def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
-    Counts the flat index arrays (a chain or rounds plan's ``g`` /
-    ``f``, a materialized predecessor array, schedule steps and
-    terminal list, the chain layout's runs and its cached helpers, the
-    ordinary or GIR level layout, a materialized CSR power-table
-    triple, projection maps); per-object overhead and the GIR table's
-    exact big-int exponents are estimated at one word each.  An
-    ordinary or Moebius level plan holds no maps: its bytes are its
+    Counts the flat index arrays (a materialized predecessor array,
+    schedule steps and terminal list, the level layout of any family
+    with its cached scan blocks, a materialized CSR power-table triple,
+    projection maps); per-object overhead and the GIR table's exact
+    big-int exponents are estimated at one word each.  No ordinary or
+    Moebius plan holds maps: a chain or level plan's bytes are its
     layout's until a rounds consumer builds its schedule.  Never builds
     a lazy predecessor array, schedule or table.  Used by
     :meth:`PlanCache.info` so the cache's memory footprint is visible
     next to its hit rate.
     """
     total = 0
-    ordinary = getattr(plan, "ordinary", None) or getattr(plan, "dispatch", None)
-    if ordinary is not None:
-        return plan_nbytes(ordinary)
-    for name in ("g", "f", "out_cells", "final_cell_of"):
+    if getattr(plan, "dispatch", None) is not None:
+        return plan_nbytes(plan.dispatch)
+    for name in ("out_cells", "final_cell_of"):
         arr = getattr(plan, name, None)
         if arr is not None:
             total += int(arr.nbytes)
@@ -67,9 +65,6 @@ def plan_nbytes(plan) -> int:
     terminals = getattr(plan, "_terminal_idx", None)
     if terminals is not None:
         total += int(terminals.nbytes)
-    chains = getattr(plan, "chains", None)
-    if chains is not None:
-        total += chains.nbytes
     levels = getattr(plan, "levels", None)
     if levels is not None:
         total += levels.nbytes

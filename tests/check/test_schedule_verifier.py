@@ -11,7 +11,6 @@ a silent data race.
 import pytest
 
 from repro.check import (
-    CHAIN_MUTATION_KINDS,
     MUTATION_KINDS,
     mutate_plan,
     mutation_campaign,
@@ -43,6 +42,27 @@ def plan_for(system):
     )
     assert result.plan is not None
     return Problem.from_system(system), result.plan
+
+
+def scheduled_plan_for(system):
+    """A plan whose round schedule a rounds consumer has built (from
+    the system's maps: no plan holds them)."""
+    problem, plan = plan_for(system)
+    plan.round_steps(system.g, system.f)
+    return problem, plan
+
+
+#: The corruption modes of the retired chain-layout mutators, as the one
+#: layout's mutators make them: a level boundary moved, a run boundary
+#: moved, a seed re-pointed, and a run covering some iteration twice and
+#: another never (a bent stride, a shifted head).
+CHAIN_MODES = {
+    "chain_swap_order": "level_shift_ptr",
+    "chain_shift_offset": "level_shift_offset",
+    "chain_relink_seed": "level_retarget_read",
+    "chain_bend_stride": "level_duplicate_write",
+    "chain_shift_head": "level_duplicate_write",
+}
 
 
 SYSTEMS = {
@@ -116,7 +136,7 @@ class TestFingerprint:
 class TestMutationRejection:
     @pytest.mark.parametrize("kind", MUTATION_KINDS)
     def test_every_kind_rejected_on_chain(self, kind):
-        problem, plan = plan_for(chain_system(120))
+        problem, plan = scheduled_plan_for(chain_system(120))
         mut = mutate_plan(plan, kind, seed=0)
         assert mut is not None, f"{kind} inapplicable to a 120-chain plan"
         report = verify_plan(mut.plan, problem)
@@ -133,21 +153,20 @@ class TestMutationRejection:
         assert total > 0
         assert rejected == total, f"{total - rejected}/{total} mutants survived"
 
-    @pytest.mark.parametrize("kind", CHAIN_MUTATION_KINDS)
-    def test_chain_layout_mutations_rejected(self, kind):
+    @pytest.mark.parametrize("mode", sorted(CHAIN_MODES))
+    def test_chain_layout_mutations_rejected(self, mode):
         # a caterpillar: a 200-spine plus legs, so two chain levels
         f = list(range(-1, 199)) + [2 * k for k in range(100)]
         f[0] = 300
-        problem, plan = plan_for(
-            OrdinaryIRSystem.build([1] * 301, list(range(300)), f, ADD)
-        )
-        assert plan.strategy == "chains" and plan.chains.levels == 2
+        system = OrdinaryIRSystem.build([1] * 301, list(range(300)), f, ADD)
+        problem, plan = plan_for(system)
+        assert plan.strategy == "chains" and plan.levels.levels == 2
+        kind = CHAIN_MODES[mode]
         expected = {
-            "chain_swap_order": {"CHN002", "CHN004"},
-            "chain_shift_offset": {"CHN001", "CHN002"},
-            "chain_relink_seed": {"CHN004"},
-            "chain_bend_stride": {"CHN001"},
-            "chain_shift_head": {"CHN001"},
+            "level_shift_ptr": {"LVL003"},
+            "level_retarget_read": {"LVL003", "LVL004"},
+            "level_duplicate_write": {"LVL001"},
+            "level_shift_offset": {"LVL002", "LVL004", "LVL005"},
         }[kind]
         for seed in range(6):
             mut = mutate_plan(plan, kind, seed=seed)
@@ -158,15 +177,19 @@ class TestMutationRejection:
             assert not mut.plan.has_steps  # proved on the layout alone
 
     def test_chain_plan_campaign_includes_layout_kinds(self):
-        _, plan = plan_for(chain_system(300))
+        system = chain_system(300)
+        _, plan = plan_for(system)
         kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
-        assert "chain_bend_stride" in kinds and "swap_rounds" in kinds
-        assert not plan.has_steps  # mutating never builds the input's rounds
+        assert "level_shift_offset" not in kinds  # one run: no offset inside
+        assert "level_duplicate_write" in kinds and "swap_rounds" not in kinds
+        plan.round_steps(system.g, system.f)  # a rounds consumer built them
+        kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
+        assert "swap_rounds" in kinds
 
 
 class TestRaiseContract:
     def test_error_carries_report_findings_and_exit_code(self):
-        problem, plan = plan_for(chain_system(80))
+        problem, plan = scheduled_plan_for(chain_system(80))
         mut = mutate_plan(plan, "perturb_gather", seed=2)
         with pytest.raises(PlanVerificationError) as exc_info:
             verify_or_raise(mut.plan, problem)

@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.check import mutate_plan, verify_plan
 from repro.cli import main
-from repro.core import FLOAT_MUL
+from repro.core import ADD, FLOAT_MUL, OrdinaryIRSystem
 from repro.core.serialize import dump_system
 from repro.core.workloads import (
     chain_system,
@@ -87,6 +87,7 @@ class TestSolveSeam:
             cache=PlanCache(),
             options=EngineOptions(backend="numpy"),
         ).plan
+        good.round_steps(system.g, system.f)  # a rounds consumer built them
         bad = mutate_plan(good, "perturb_gather", seed=0).plan
         with pytest.raises(PlanVerificationError):
             execute(
@@ -106,6 +107,7 @@ class TestSolveSeam:
             cache=PlanCache(),
             options=EngineOptions(backend="numpy"),
         ).plan
+        good.round_steps(system.g, system.f)  # a rounds consumer built them
         cache = PlanCache()
         cache.put(
             problem.fingerprint(), mutate_plan(good, "corrupt_pred", seed=1).plan
@@ -170,11 +172,15 @@ class TestCLI:
         assert "OK" in capsys.readouterr().out
 
     def test_check_rejects_mutated_plan_with_exit_8(self, tmp_path, capsys):
-        plan = solve(
-            chain_system(100),
-            cache=PlanCache(),
-            options=EngineOptions(backend="numpy"),
-        ).plan
+        # two chains whose strides alternate 1 and 3: deeper than 62 and
+        # cut into short runs, so a rounds plan (its own pred and steps)
+        n = 400
+        idx = np.arange(n)
+        f = np.where(idx % 2 == 1, idx - 1, idx - 3)
+        f[[0, 2]] = n
+        zigzag = OrdinaryIRSystem.build([1] * (n + 1), idx, f, ADD)
+        plan = solve(zigzag, cache=PlanCache()).plan
+        assert plan.strategy == "rounds"
         bad = mutate_plan(plan, "swap_rounds", seed=0).plan
         path = self.write_plan(tmp_path, bad, "bad.json")
         assert main(["check", path, "--json"]) == 8
@@ -199,8 +205,9 @@ class TestCLI:
             (chain_system(100), 2),
             (random_gir_system(64), 99),
             (random_ordinary_system(300), 3),
+            (random_ordinary_system(300), 4),
         ],
-        ids=["chain-v2", "gir-levels-v99", "levels-v3"],
+        ids=["chain-v2", "gir-levels-v99", "levels-v3", "levels-v4"],
     )
     def test_check_refuses_other_schema_versions(
         self, tmp_path, capsys, system, version
@@ -221,15 +228,20 @@ class TestCLI:
         plan = solve(chain_system(100), cache=PlanCache()).plan
         assert plan.strategy == "chains"
         payload = plan_to_dict(plan)
-        assert "chains" in payload and "steps" not in payload
+        assert "steps" not in payload and "g" not in payload and "f" not in payload
+        assert payload["levels"]["offsets"] == [0, 100]  # one run
         path = self.write_plan(tmp_path, plan, "chains.json")
-        assert main(["check", path]) == 0
-        assert "OK" in capsys.readouterr().out
-        bad = mutate_plan(plan, "chain_bend_stride", seed=0).plan
+        assert main(["check", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
+        assert "LVL004, LVL005 not run" in skipped["message"]
+        bad = mutate_plan(plan, "level_duplicate_write", seed=0).plan
         path = self.write_plan(tmp_path, bad, "bad-chains.json")
         assert main(["check", path, "--json"]) == 8
         report = json.loads(capsys.readouterr().out)
-        assert [f["code"] for f in report["findings"]] == ["CHN001"]
+        assert [f["code"] for f in report["findings"] if f["severity"] == "error"] == [
+            "LVL001"
+        ]
 
     @pytest.mark.parametrize(
         "kind, code",
@@ -285,8 +297,7 @@ class TestCLI:
         maps: the layout rules run (a duplicated write exits 8), and the
         report names LVL004 as not run."""
         plan = solve(system, cache=PlanCache()).plan
-        inner = getattr(plan, "ordinary", plan)
-        assert inner.strategy == "levels" and inner.g is None
+        assert plan.strategy == "levels" and "g" not in plan_to_dict(plan)
         path = self.write_plan(tmp_path, plan, "levels.json")
         assert main(["check", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -294,9 +305,7 @@ class TestCLI:
         [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
         assert skipped["severity"] == "warning" and skipped["where"] == plan.family
         assert "LVL004 not run" in skipped["message"]
-        bad = mutate_plan(inner, "level_duplicate_write", seed=0).plan
-        if plan.family == "moebius":
-            bad = dataclasses.replace(plan, ordinary=bad)
+        bad = mutate_plan(plan, "level_duplicate_write", seed=0).plan
         path = self.write_plan(tmp_path, bad, "bad-levels.json")
         assert main(["check", path, "--json"]) == 8
         report = json.loads(capsys.readouterr().out)

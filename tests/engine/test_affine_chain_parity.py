@@ -34,15 +34,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import verify_plan
-from repro.check.mutate import CHAIN_MUTATION_KINDS, mutate_plan
+from repro.check.mutate import mutate_plan
 from repro.core.moebius import AffineRecurrence, run_moebius_sequential
-from repro.engine import EngineOptions, Session, execute, solve
-from repro.engine.plan import plan_from_dict, plan_to_dict
+from repro.core.traces import predecessors, writer_map
+from repro.engine import EngineOptions, Session, execute, solve, solve_batch
+from repro.engine.plan import build_round_schedule, plan_from_dict, plan_to_dict
 from repro.engine.planner import PlanCache, plan_nbytes
 from repro.resilience import SolvePolicy
 from repro.serve.coalescer import CoalesceLane
 
-from .test_chain_parity import SHAPES, shape_maps
+from ..check.test_schedule_verifier import CHAIN_MODES
+from .test_chain_parity import SHAPES, _system, shape_maps
 
 RTOL = ATOL = 1e-9
 AFFINE = {"path": "affine"}
@@ -117,7 +119,7 @@ def test_solve_matches_loop(problem):
     lenient = may_underflow(rec)
     want = loop(rec, rows[0])
     scan = solve(rec, cache=PlanCache(), options=AFFINE)
-    assert scan.strategy == scan.plan.ordinary.strategy
+    assert scan.strategy == scan.plan.strategy
     assert_close(scan.values, want, lenient)
     rounds = solve(rec, cache=PlanCache(), options=ROUNDS)
     assert rounds.strategy == "rounds"
@@ -136,7 +138,7 @@ def test_session_and_batch_match_loop(problem):
     for row in rows:
         want = loop(rec, row)
         got = session.solve(row)
-        assert got.strategy == session.plan.ordinary.strategy
+        assert got.strategy == session.plan.strategy
         assert_close(got.values, want, lenient)
         assert_close(guarded.solve(row).values, want, lenient)
         singles.append(got.values)
@@ -234,6 +236,29 @@ def strided(n):
     return affine(f, n)
 
 
+def from_identity(kind, n):
+    """An ordinary test shape's maps (``g`` the identity) moved onto
+    ``g = i + 1``: a read of iteration ``j``'s cell reads ``j + 1``, an
+    initial read the never-written cell 0."""
+    f = np.asarray(_system(kind, n).f)
+    return affine(np.where(f >= n, 0, f + 1), n)
+
+
+def strided4(n):
+    """The paper's Fig 1: four interleaved stride-4 runs."""
+    return from_identity("strided4", n)
+
+
+def spine(n):
+    """``X[2j+2]``, ``X[2j+1]`` read ``X[2j]``: a run, then its leaves."""
+    return from_identity("spine", n)
+
+
+def padded(n):
+    """Runs of 5 .. 8 iterations: one padded scan block."""
+    return from_identity("padded", n)
+
+
 def zigzag(n):
     """Two interleaved chains whose strides alternate 1 and 3: their runs
     are pairs and they are deep, so they keep the round schedule."""
@@ -250,17 +275,38 @@ def zigzag(n):
         (caterpillar, "chains"),
         (random_maps, "levels"),
         (strided, "chains"),
+        (strided4, "chains"),
+        (spine, "chains"),
+        (padded, "chains"),
         (zigzag, "rounds"),
     ],
 )
 def test_strategy_follows_the_layout(build, strategy):
     rec = build(4096)
     result = solve(rec, cache=PlanCache())
-    assert result.plan.ordinary.strategy == result.strategy == strategy
+    assert result.plan.strategy == result.strategy == strategy
     assert Session(rec).solve().strategy == strategy
     assert_close(result.values, run_moebius_sequential(rec))
     if strategy == "levels":  # the loop's own formula, bit for bit
         assert result.values == run_moebius_sequential(rec)
+    # the layout's counts are the round schedule's of the same maps
+    plan = result.plan
+    pred = predecessors(rec.f, writer_map(rec.g, rec.m))
+    assert plan.rounds == len(build_round_schedule(pred))
+    assert plan.init_ops == int((pred < 0).sum())
+    if strategy != "rounds":
+        depth = np.zeros(rec.n, dtype=np.int64)
+        for i, p in enumerate(pred.tolist()):
+            depth[i] = depth[p] + 1 if p >= 0 else 0
+        assert plan.trace_bound == int(depth.max()) + 2
+    # a stacked batch: the one-iteration levels of every row exact
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(-1.0, 1.0, rec.m).tolist() for _ in range(2)]
+    for row, got in zip(rows, solve_batch(rec, rows, cache=PlanCache())):
+        want = run_moebius_sequential(dataclasses.replace(rec, initial=row))
+        assert_close(got, want)
+        if strategy == "levels":
+            assert got == want
 
 
 def test_chain_plan_is_linear():
@@ -268,7 +314,7 @@ def test_chain_plan_is_linear():
     session = Session(chain(n))
     session.solve()
     plan = session.plan
-    assert plan.ordinary.strategy == "chains" and not plan.ordinary.has_steps
+    assert plan.strategy == "chains" and not plan.has_steps
     assert plan_nbytes(plan) <= 8 << 20  # the rounds plan took ~58 MB
 
 
@@ -278,20 +324,20 @@ def test_chain_plan_round_trips_and_verifies():
     plan = result.plan
     assert verify_plan(plan).ok
     shipped = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
-    assert shipped.ordinary.strategy == "chains" and not shipped.ordinary.has_steps
+    assert shipped.strategy == "chains" and not shipped.has_steps
     assert verify_plan(shipped).ok
     assert execute(shipped, rec).values == result.values
 
 
-@pytest.mark.parametrize("kind", CHAIN_MUTATION_KINDS)
+@pytest.mark.parametrize("kind", sorted(CHAIN_MODES))
 def test_chain_mutations_are_rejected(kind):
-    plan = solve(caterpillar(2048), cache=PlanCache()).plan
-    assert plan.ordinary.chains.levels >= 2
+    rec = caterpillar(2048)
+    plan = solve(rec, cache=PlanCache()).plan
+    assert plan.levels.levels >= 2
     for seed in range(5):
-        mutation = mutate_plan(plan.ordinary, kind, seed=seed)
+        mutation = mutate_plan(plan, CHAIN_MODES[kind], seed=seed)
         assert mutation is not None
-        mutated = dataclasses.replace(plan, ordinary=mutation.plan)
-        assert not verify_plan(mutated).ok, mutation.description
+        assert not verify_plan(mutation.plan, system=rec).ok, mutation.description
 
 
 def test_round_budget_runs_rounds():
@@ -302,7 +348,7 @@ def test_round_budget_runs_rounds():
         collect_stats=True,
         options=EngineOptions(policy=SolvePolicy(max_rounds=64)),
     )
-    assert result.plan.ordinary.strategy == "chains"
+    assert result.plan.strategy == "chains"
     assert result.strategy == "rounds"
     assert result.stats.rounds == math.ceil(math.log2(1024))
     assert_close(result.values, run_moebius_sequential(rec))

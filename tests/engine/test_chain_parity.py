@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.check import verify_plan
-from repro.check.mutate import CHAIN_MUTATION_KINDS, mutation_campaign
+from repro.check.mutate import LEVEL_MUTATION_KINDS, mutation_campaign
 from repro.core import (
     ADD,
     CONCAT,
@@ -37,9 +37,11 @@ from repro.core import (
     MUL,
     OrdinaryIRSystem,
 )
+from repro.core.ordinary import _sequential_baseline
 from repro.core.sequential import run_ordinary
+from repro.core.traces import predecessors, writer_map
 from repro.engine import EngineOptions, Session, execute, solve, solve_batch
-from repro.engine.plan import plan_from_dict, plan_to_dict
+from repro.engine.plan import build_round_schedule, plan_from_dict, plan_to_dict
 from repro.engine.planner import PlanCache
 from repro.serve.coalescer import CoalesceLane
 
@@ -218,6 +220,16 @@ def _system(kind, n, op=FLOAT_MUL, seed=0):
     elif kind == "strided":  # two interleaved chains: two stride-2 runs
         f = idx - 2
         f[:2] = n
+    elif kind == "strided4":  # the paper's Fig 1: four stride-4 runs
+        f = idx - 4
+        f[:4] = n
+    elif kind == "spine":  # X[2j+2], X[2j+1] read X[2j]: a run, then leaves
+        f = np.where(idx % 2 == 0, idx - 2, idx - 1)
+        f[0] = n
+    elif kind == "padded":  # runs of 5 .. 8 iterations: one padded block
+        lengths = np.resize([5, 6, 7, 8], n // 4)
+        starts = np.cumsum(lengths) - lengths
+        f[starts[starts < n]] = n
     elif kind == "zigzag":  # strides alternate 1, 3: deep, runs are pairs
         f = np.where(idx % 2 == 1, idx - 1, idx - 3)
         f[[0, 2]] = n
@@ -235,6 +247,9 @@ def _system(kind, n, op=FLOAT_MUL, seed=0):
         ("caterpillar", "chains"),
         ("forest", "levels"),
         ("strided", "chains"),
+        ("strided4", "chains"),
+        ("spine", "chains"),
+        ("padded", "chains"),
         ("zigzag", "rounds"),
     ],
 )
@@ -242,12 +257,36 @@ def test_planner_picks_both_strategies(kind, strategy):
     system = _system(kind, 4096)
     result = solve(system, cache=PlanCache())
     assert result.plan.strategy == result.strategy == strategy
+    # the layout's counts are the round schedule's of the same maps
+    plan = result.plan
+    pred = predecessors(system.f, writer_map(system.g, system.m))
+    assert plan.rounds == len(build_round_schedule(pred))
+    assert plan.init_ops == int((pred < 0).sum())
+    if strategy != "rounds":  # the deepest trace, exactly
+        depth = np.zeros(system.n, dtype=np.int64)
+        for i, p in enumerate(pred.tolist()):
+            depth[i] = depth[p] + 1 if p >= 0 else 0
+        assert plan.trace_bound == int(depth.max()) + 2
+    # loop-exact layouts: int ADD, FLOAT_ADD, MIN and MAX, with
+    # f_initial and as a stacked batch
+    rng = np.random.default_rng(1)
+    for op in (ADD, FLOAT_ADD, MIN, MAX):
+        draw = (lambda: rng.integers(-99, 99, system.m).tolist()) if op is ADD else (
+            lambda: rng.uniform(-2.0, 2.0, system.m).tolist()
+        )
+        sys_op = dataclasses.replace(system, op=op, initial=draw())
+        f_row, rows = draw(), [draw(), draw()]
+        got = solve(sys_op, cache=PlanCache(), f_initial=f_row)
+        if got.strategy in LOOP_ORDER:
+            assert_bit_identical(got.values, _sequential_baseline(sys_op, f_row))
+            batch = solve_batch(sys_op, rows, cache=PlanCache())
+            for row, out in zip(rows, batch):
+                assert_bit_identical(out, run_ordinary(dataclasses.replace(sys_op, initial=row)))
     if strategy == "levels":  # loop-exact, and no pred or schedule kept
         assert_bit_identical(result.values, run_ordinary(system))
         assert not result.plan.has_pred and not result.plan.has_steps
     if strategy == "chains":
-        plan = result.plan
-        assert plan.chains.levels < plan.rounds  # fewer levels than rounds
+        assert plan.levels.levels < plan.rounds  # fewer levels than rounds
         assert not plan.has_steps  # counting rounds never builds them
         assert_bit_identical(result.values, run_ordinary(system))
         shipped = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
@@ -278,10 +317,10 @@ def test_nested_segments_get_their_parents_level(at_head):
         f[head] = parent if at_head else parent + 100
     system = OrdinaryIRSystem.build(list(range(n + 1)), idx, f, ADD)
     plan = solve(system, cache=PlanCache()).plan
-    assert plan.strategy == "chains" and plan.chains.levels == 4
-    assert plan.chains.level_ptr.tolist() == [0, 1, 2, 3, 4]
+    assert plan.strategy == "chains" and plan.levels.levels == 4
+    assert plan.levels.level_ptr.tolist() == [0, 1, 2, 3, 4]
     depth = [0] * n
-    for i, p in enumerate(plan.pred.tolist()):
+    for i, p in enumerate(predecessors(system.f, writer_map(system.g, system.m)).tolist()):
         depth[i] = depth[p] + 1 if p >= 0 else 0
     assert plan.trace_bound == max(depth) + 2  # from the runs' head depths
     assert verify_plan(plan, system=system).ok
@@ -296,7 +335,11 @@ def test_copying_a_chain_plan_builds_no_steps():
     assert not plan.has_steps and not copy.has_steps
     assert as_dict["_steps"] is None
     # the copy still builds the same schedule when a consumer asks
-    assert [a.tolist() for a, _ in copy.steps] == [a.tolist() for a, _ in plan.steps]
+    system = _system("chain", 1 << 12)
+    steps = copy.round_steps(system.g, system.f)
+    assert [a.tolist() for a, _ in steps] == [
+        a.tolist() for a, _ in plan.round_steps(system.g, system.f)
+    ]
     # a built schedule travels with the copy; a rounds plan keeps its own
     assert dataclasses.replace(plan).steps is plan.steps
     rounds = solve(_system("zigzag", 1 << 10), cache=PlanCache()).plan
@@ -320,7 +363,7 @@ def test_chain_spans_stats_and_counters_agree(policy):
     stats = result.stats
     assert result.strategy == "chains"
     levels = tracer.find("solver.round")
-    assert len(levels) == stats.rounds == result.plan.chains.levels == 2
+    assert len(levels) == stats.rounds == result.plan.levels.levels == 2
     assert [s.attributes["active"] for s in levels] == stats.active_per_round
     assert sum(stats.active_per_round) == system.n  # op work 1 per element
     assert registry.value("solver.rounds", engine="numpy") == stats.rounds
@@ -392,10 +435,10 @@ def test_run_mutants_are_rejected_by_a_chain_rule(maps):
     if plan.strategy != "chains":
         return
     assert verify_plan(plan, system=system).ok
-    for mutant in mutation_campaign(plan, kinds=CHAIN_MUTATION_KINDS, seeds=range(3)):
+    for mutant in mutation_campaign(plan, kinds=LEVEL_MUTATION_KINDS, seeds=range(3)):
         report = verify_plan(mutant.plan, system=system)
         assert not report.ok, mutant.description
-        assert report.errors[0].code.startswith("CHN"), mutant.description
+        assert report.errors[0].code.startswith("LVL"), mutant.description
     assert not plan.has_pred and not plan.has_steps  # mutants are copies
 
 
@@ -417,12 +460,14 @@ def test_strided_shapes_plan_runs(shape, runs, stride):
     assert result.strategy == plan.strategy == "chains"
     assert result.values == run_ordinary(system)
     assert not plan.has_pred and not plan.has_steps
+    layout = plan.levels
     if runs is not None:  # k interleaved runs of stride k, one level
-        assert plan.chains.segments == runs and plan.chains.levels == 1
-        assert plan.chains.strides.tolist() == [stride] * runs
+        assert layout.segments == runs and layout.levels == 1
+        for lo, hi in zip(layout.offsets[:-1], layout.offsets[1:]):
+            assert (np.diff(layout.write[lo:hi]) == stride).all()
     else:  # {0, 1}, the stride-2 spine, then one run per leaf
-        assert plan.chains.levels == 3
-        assert plan.chains.segments == n // 2 + 1
+        assert layout.levels == 3
+        assert layout.segments == n // 2 + 1
     assert verify_plan(plan, system=system).ok
 
 
@@ -446,10 +491,10 @@ def _reachable_nbytes(obj, seen=None) -> int:
     return sum(_reachable_nbytes(item, seen) for item in items)
 
 
-def test_a_stride_one_chain_plan_holds_only_g_and_f():
-    """The 1M chain plan keeps ``g``, ``f`` and its runs -- no ``pred``,
-    no permutation -- before and after a solve, and ``plan_nbytes``
-    counts exactly what is reachable."""
+def test_a_stride_one_chain_plan_holds_only_its_write_cells():
+    """The 1M chain plan keeps its cells in run order and its runs -- no
+    ``g`` / ``f``, no ``pred`` -- before and after a solve, and
+    ``plan_nbytes`` counts exactly what is reachable."""
     from repro.engine.planner import plan_nbytes
 
     n = 1_000_000
@@ -458,7 +503,7 @@ def test_a_stride_one_chain_plan_holds_only_g_and_f():
     )
     session = Session(system)
     plan = session.plan
-    budget = 16 * n + 4096  # g and f, plus O(segments)
+    budget = 8 * n + 4096  # the write cells, plus O(segments)
     before = _reachable_nbytes(plan)
     assert before == plan_nbytes(plan) <= budget
     values = list(range(n + 1))

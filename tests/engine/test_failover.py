@@ -22,7 +22,7 @@ from repro.engine import (
     get_backend,
     solve,
 )
-from repro.engine.exec_ordinary import NumpyChains
+from repro.engine.exec_ordinary import NumpyLevels
 from repro.engine.problem import Problem
 from repro.errors import VerificationError
 
@@ -37,16 +37,19 @@ def int_chain(n=400, seed=0):
     )
 
 
-class CorruptChains(NumpyChains):
-    """The numpy chain kernel with every solved value off by one."""
+class CorruptChains(NumpyLevels):
+    """The numpy layout kernel with every solved cell off by one (in
+    the array it solved in place)."""
 
     def solved(self):
-        return super().solved() + 1
+        out = super().solved()
+        out += 1
+        return out
 
 
 @pytest.fixture
 def corrupt_numpy(monkeypatch):
-    monkeypatch.setitem(get_backend("numpy").kernels, "chains", CorruptChains)
+    monkeypatch.setitem(get_backend("numpy").kernels, "levels", CorruptChains)
 
 
 CHECKED = EngineOptions(backend="numpy", checked=True)

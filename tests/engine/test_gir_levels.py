@@ -57,7 +57,8 @@ SYSTEMS = {
     "double_chain_63": lambda: double_chain_gir_system(63),
 }
 #: The mutation classes of a GIR level plan.
-LEVEL_KINDS = set(LEVEL_MUTATION_KINDS) | {"gir_swap_out_cells"}
+#: (a one-iteration layout has no segment offset to move)
+LEVEL_KINDS = set(LEVEL_MUTATION_KINDS) - {"level_shift_offset"} | {"gir_swap_out_cells"}
 #: What a default solve runs: depth 63 is past the level kernel's reach.
 STRATEGY = {name: "levels" for name in SYSTEMS}
 STRATEGY["double_chain_63"] = "traces"

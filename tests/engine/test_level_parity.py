@@ -258,7 +258,10 @@ def test_level_plans_verify_and_mutants_are_rejected():
         for mut in mutation_campaign(plan, seeds=range(6))
         if mut.kind in LEVEL_MUTATION_KINDS
     ]
-    assert {mut.kind for mut in mutants} == set(LEVEL_MUTATION_KINDS)
+    # (one-iteration segments: no segment offset to move)
+    assert {mut.kind for mut in mutants} == set(LEVEL_MUTATION_KINDS) - {
+        "level_shift_offset"
+    }
     for mut in mutants:
         assert not verify_plan(mut.plan, system=sys_).ok, mut.description
     assert not plan.has_pred and not plan.has_steps  # mutants are copies
@@ -310,7 +313,7 @@ def test_moebius_forests_match_the_loop(build, self_term):
     rec = build(2000, self_term=self_term)
     want = run_moebius_sequential(rec)
     result = solve(rec, cache=PlanCache())
-    assert result.plan.ordinary.strategy == result.strategy == "levels"
+    assert result.plan.strategy == result.strategy == "levels"
     assert result.values == want
     session = Session(rec)
     rng = np.random.default_rng(7)
@@ -324,7 +327,7 @@ def test_moebius_forests_match_the_loop(build, self_term):
     again = shipped(result.plan)
     assert verify_plan(again).ok
     assert execute(again, rec).values == want
-    assert not result.plan.ordinary.has_pred and not result.plan.ordinary.has_steps
+    assert not result.plan.has_pred and not result.plan.has_steps
 
 
 def test_moebius_level_sweep_keeps_structural_zeros():
@@ -370,7 +373,7 @@ def test_a_caller_float_array_is_not_written():
 def test_moebius_fallbacks_keep_rounds(options):
     rec = affine_forest(800)
     result = solve(rec, cache=PlanCache(), options=options)
-    assert result.plan.ordinary.strategy == "levels"
+    assert result.plan.strategy == "levels"
     assert result.strategy == "rounds"
     assert_close(result.values, run_moebius_sequential(rec))
 

@@ -1,9 +1,10 @@
-"""Level plans hold their layout alone: no ``g`` / ``f``.
+"""Plans hold no ``g`` / ``f``: a chain or level plan its layout alone.
 
-An ordinary or Moebius level plan (and a GIR dispatch plan nesting
-one) keeps only its :class:`~repro.engine.plan.LevelLayout` -- whose
-``write`` / ``read`` are the two maps again, in level order -- so a
-cached plan pins none of the arrays of the system it was built for.
+An ordinary or Moebius chain or level plan (and a GIR dispatch plan
+nesting one) keeps only its :class:`~repro.engine.plan.LevelLayout` --
+whose ``write`` / ``read`` are the two maps again, in segment order --
+and a rounds plan its ``pred`` and round schedule, so a cached plan
+pins none of the arrays of the system it was built for.
 Every consumer that needs iteration-order maps reads them from the
 request's own system: the Moebius level kernel, and the rounds
 consumers (python backend and failover rung, ``max_rounds`` policies,
@@ -52,8 +53,21 @@ def forest(op=ADD, n=1500, seed=0):
     return OrdinaryIRSystem.build(initial, g, f, op)
 
 
-def level_ordinary(plan):
-    return getattr(plan, "ordinary", plan)
+def chain(n=5000):
+    """A stride-2 chain system (it plans two runs in one level)."""
+    idx = np.arange(n)
+    return OrdinaryIRSystem.build(
+        np.linspace(1.0, 2.0, n + 2).tolist(), idx + 2, idx, FLOAT_ADD
+    )
+
+
+def zigzag(n=2000):
+    """Two chains whose strides alternate 1 and 3: deeper than 62 and
+    cut into short runs, so it plans rounds."""
+    idx = np.arange(n)
+    f = np.where(idx % 2 == 1, idx - 1, idx - 3)
+    f[[0, 2]] = n
+    return OrdinaryIRSystem.build(np.ones(n + 1).tolist(), idx, f, FLOAT_ADD)
 
 
 def cached(make, cache):
@@ -61,8 +75,7 @@ def cached(make, cache):
     map-less cached plan and a fresh, equal system (new arrays)."""
     first = make()
     plan = solve(first, cache=cache).plan
-    ordinary = level_ordinary(plan)
-    assert ordinary.strategy == "levels" and ordinary.g is None and ordinary.f is None
+    assert plan.strategy == "levels" and not {"g", "f"} & set(plan_to_dict(plan))
     second = make()
     assert second.g is not first.g and np.array_equal(second.g, first.g)
     return plan, second
@@ -83,8 +96,8 @@ def hit(source, cache, options=None, **kwargs):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: forest(FLOAT_ADD, 5000), lambda: affine_forest(5000)],
-    ids=["forest", "affine"],
+    [lambda: forest(FLOAT_ADD, 5000), lambda: affine_forest(5000), chain, zigzag],
+    ids=["forest", "affine", "chain", "zigzag"],
 )
 def test_a_cached_level_plan_pins_no_system_maps(make):
     cache = PlanCache()
@@ -97,7 +110,11 @@ def test_a_cached_level_plan_pins_no_system_maps(make):
     gc.collect()
     assert all(ref() is None for ref in refs)  # the maps are freed ...
     assert cache.get(fingerprint) is plan  # ... while the plan stays cached
-    assert plan_nbytes(plan) == level_ordinary(plan).levels.nbytes
+    assert not {"g", "f"} & set(plan_to_dict(plan))
+    if plan.strategy == "rounds":  # its own pred and schedule
+        assert plan.has_pred and plan.has_steps
+    else:  # the layout alone, before any rounds consumer runs
+        assert plan_nbytes(plan) == plan.levels.nbytes
     assert cache.info()["bytes"] == plan_nbytes(plan)
 
 
@@ -108,7 +125,7 @@ def test_a_map_less_plan_does_not_guess_its_schedule():
             getattr(plan, name)
     steps = plan.round_steps(sys_.g, sys_.f)
     assert plan.has_pred and plan.has_steps and plan.steps is steps
-    assert plan.g is None  # building the schedule keeps no maps either
+    assert not hasattr(plan, "g")  # building the schedule keeps no maps either
     assert plan.rounds == len(steps)
 
 
@@ -128,13 +145,15 @@ def test_round_consumers_on_a_cached_plan(options):
     result = hit(sys_, cache, options)
     assert result.plan is plan and result.strategy == "rounds"
     assert result.values == run_ordinary(sys_)  # int ADD: exact in any order
-    assert plan.has_steps and plan.g is None
+    assert plan.has_steps and not hasattr(plan, "g")
 
 
 def test_the_failover_rung_on_a_cached_plan(monkeypatch):
     class Corrupt(NumpyLevels):
-        def solved(self):
-            return super().solved() + 1
+        def solved(self):  # every cell off by one, in place
+            out = super().solved()
+            out += 1
+            return out
 
     cache = PlanCache()
     plan, sys_ = cached(forest, cache)
@@ -192,7 +211,7 @@ def test_moebius_consumers_on_a_cached_plan(options, exact):
         assert result.values == want
     else:
         assert_close(result.values, want)
-    assert plan.ordinary.g is None
+    assert plan.family == "moebius" and not hasattr(plan, "g")
 
 
 def test_a_moebius_batch_on_a_cached_plan():
@@ -202,7 +221,7 @@ def test_a_moebius_batch_on_a_cached_plan():
     rows = [rng.uniform(-1.0, 1.0, rec.m).tolist() for _ in range(3)]
     for row, got in zip(rows, solve_batch(rec, rows, cache=cache)):
         assert got == run_moebius_sequential(dataclasses.replace(rec, initial=row))
-    assert cache.hits == 1 and not plan.ordinary.has_steps
+    assert cache.hits == 1 and not plan.has_steps
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +229,23 @@ def test_a_moebius_batch_on_a_cached_plan():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [forest, lambda: affine_forest(800)], ids=["forest", "affine"])
-def test_a_v4_plan_file_holds_no_maps_and_solves(make):
-    plan, source = cached(make, PlanCache())
+@pytest.mark.parametrize(
+    "make", [forest, lambda: affine_forest(800), chain], ids=["forest", "affine", "chain"]
+)
+def test_a_plan_file_holds_no_maps_and_solves(make):
+    first = make()
+    plan, source = solve(first, cache=PlanCache()).plan, make()
     payload = plan_to_dict(plan)
-    inner = payload.get("ordinary", payload)
-    assert payload["schema_version"] == PLAN_SCHEMA_VERSION == 4
-    assert "levels" in inner and not {"g", "f", "pred", "steps"} & set(inner)
-    level_ordinary(plan).round_steps(source.g, source.f)
+    assert payload["schema_version"] == PLAN_SCHEMA_VERSION == 5
+    assert "levels" in payload and not {"g", "f", "pred", "steps"} & set(payload)
+    plan.round_steps(source.g, source.f)
     assert plan_to_dict(plan) == payload  # a built schedule is not written
     shipped = plan_from_dict(json.loads(json.dumps(payload)))
-    assert level_ordinary(shipped).g is None
-    sequential = run_ordinary if make is forest else run_moebius_sequential
+    assert shipped.family == plan.family and shipped.strategy == plan.strategy
+    for version in (4, 99):  # another schema is refused, not guessed
+        with pytest.raises(ValueError, match="schema_version"):
+            plan_from_dict({**payload, "schema_version": version})
+    sequential = run_moebius_sequential if plan.family == "moebius" else run_ordinary
     assert execute(shipped, source).values == sequential(source)
     python = execute(shipped, source, options=EngineOptions(backend="python"))
     assert_close(python.values, sequential(source))
@@ -235,8 +259,11 @@ def test_level_mutants_are_rejected_given_the_system(make):
         assert verify_plan(plan, problem, system=system).ok
     bare = verify_plan(plan)  # the layout alone
     assert bare.ok and "LVL004" not in bare.codes()
-    mutants = mutation_campaign(level_ordinary(plan), seeds=range(6))
-    assert {mut.kind for mut in mutants} == set(LEVEL_MUTATION_KINDS)
+    mutants = mutation_campaign(plan, seeds=range(6))
+    # (one-iteration segments: no segment offset to move)
+    assert {mut.kind for mut in mutants} == set(LEVEL_MUTATION_KINDS) - {
+        "level_shift_offset"
+    }
     for mut in mutants:
         assert not verify_plan(mut.plan, system=source).ok, mut.description
         # the layout alone catches a duplicated write, and an iteration

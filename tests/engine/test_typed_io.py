@@ -29,7 +29,7 @@ from repro import obs
 from repro.core import ADD, FLOAT_ADD, MIN, MUL, OrdinaryIRSystem
 from repro.core.sequential import run_ordinary
 from repro.engine import EngineOptions, Session, solve, solve_batch
-from repro.engine.exec_ordinary import _admit_cast, _strict_int64, admit, chain_cells
+from repro.engine.exec_ordinary import _admit_cast, _strict_int64, admit
 from repro.engine.planner import PlanCache
 from repro.errors import IRValidationError
 from repro.resilience import SolvePolicy
@@ -191,10 +191,10 @@ def contiguous_forest(n, f_identity):
     ``n .. n + 2`` never written) with every written cell relabelled
     to its iteration's position in chain order."""
     probe = OrdinaryIRSystem.build([0] * (n + 3), np.arange(n), f_identity, ADD)
-    layout = solve(probe, cache=PlanCache()).plan.chains
-    assert layout is not None and layout.segments > 1
+    layout = solve(probe, cache=PlanCache()).plan.levels
+    assert layout.offsets is not None and layout.segments > 1
     pos = np.empty(n, dtype=np.int64)
-    pos[layout.order] = np.arange(n)
+    pos[layout.write] = np.arange(n)  # g is the identity: cells are iterations
     relabel = np.concatenate([pos, np.arange(n, n + 3)])
     return pos, relabel[np.asarray(f_identity)], n + 3
 
@@ -251,16 +251,17 @@ OPS = (ADD, MUL, FLOAT_ADD, MIN)
 def test_shapes_plan_one_contiguous_cell_range(shape):
     *_, m = SHAPES[shape]()
     plan = solve(build(shape, [0] * m, ADD), cache=PlanCache()).plan
-    assert isinstance(chain_cells(plan), slice)  # one contiguous cell range
+    write = plan.levels.write  # one contiguous cell range
+    assert np.array_equal(write, np.arange(write[0], write[0] + len(write)))
     levels = {"chain": 1, "multilevel": 2, "clobber": 1}[shape]
-    assert plan.chains.levels == levels
+    assert plan.levels.levels == levels
 
 
 def test_clobber_probe_scans_the_writer_first():
     g, f, m = clobber_maps()
     plan = solve(build("clobber", [0] * m, ADD), cache=PlanCache()).plan
     # segment {5, 6} writes cell 2 before segment {0 .. 4} seeds from it
-    assert plan.chains.order.tolist() == [5, 6, 0, 1, 2, 3, 4]
+    assert plan.levels.write.tolist() == g[[5, 6, 0, 1, 2, 3, 4]].tolist()
     assert g[6] == f[0] == 2
 
 
