@@ -1,5 +1,5 @@
-"""Affine chain differential suite: the numpy chain scan
-(``AffineChains``), the pointer-jumping rounds (``AffineRounds``, the
+"""Affine chain differential suite: the numpy layout kernel's run scan
+(``AffineLevels``), the pointer-jumping rounds (``AffineRounds``, the
 python backend's ``path="affine"``) and the sequential loop
 ``run_moebius_sequential`` agree within ``rtol = atol = 1e-9`` -- NaN
 meets NaN, ``inf`` matches in sign -- on ``solve``, ``Session.solve``,
