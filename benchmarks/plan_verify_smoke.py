@@ -7,27 +7,22 @@ families; ordinary plans also re-verified after a
 ``plan_to_dict``/``plan_from_dict`` round trip, the ``repro check``
 file path):
 
-1. **Acceptance** -- every genuine planner schedule verifies clean.
+1. **Acceptance** -- every genuine planner output verifies clean.
    One rejection fails the job: the verifier would be crying wolf in production.
 2. **Mutation rejection** -- :func:`repro.check.mutate.mutation_campaign`
-   corrupts each ordinary schedule by its layout (round swaps, gather
-   perturbations, dropped rounds, duplicated active ids, predecessor
-   corruption, truncation), each chain or level layout of either
-   family with one mutator set (swapped level order, shifted level
-   pointers, re-pointed seeds, duplicated writes, moved segment
-   offsets -- the chain rows plan runs, the random forest row cell
-   levels, the shallow GIR rows node levels, which also get swapped
-   output cells)
-   and each GIR CAP power table (exponent perturbation, row-pointer
-   truncation, cell swaps, pointer-repaired leaf drift -- the DP-path
-   Fibonacci table reduced by its period), every mutant verified
-   against its system (no plan holds maps, so a layout's reads are
-   proved against the system's, and a chain or level plan's round
-   schedule -- which the schedule classes mutate -- is built from
-   them), and the verifier must
-   reject at least ``REJECT_FLOOR`` (95%) of the mutants.  The floor
-   exists because a mutation can, rarely, land on a semantically
-   equivalent schedule; in practice rejection is 100%.
+   corrupts each ordinary plan's predecessor array (built from the
+   system's maps, as a rounds consumer builds it: no plan holds maps),
+   each chain or level layout of either family with one mutator set
+   (swapped level order, shifted level pointers, re-pointed seeds,
+   duplicated writes, moved segment offsets -- the chain rows plan
+   runs, the random forest row cell levels, the shallow GIR rows node
+   levels, which also get swapped output cells) and each GIR CAP
+   power table (exponent perturbation, row-pointer truncation, cell
+   swaps, pointer-repaired leaf drift -- the DP-path Fibonacci table
+   reduced by its period), every mutant verified against its system,
+   and the verifier must reject at least ``REJECT_FLOOR`` (95%) of the
+   mutants.  The floor exists because a mutation can, rarely, land on
+   a semantically equivalent plan; in practice rejection is 100%.
 3. **Overhead** -- aggregate verify time across the matrix must stay
    under ``OVERHEAD_BUDGET`` (10%) of aggregate plan-build time.
    Per-family ratios are printed but not gated: a tiny ordinary plan
@@ -37,7 +32,8 @@ file path):
    budget is remeasured up to ``MAX_ATTEMPTS`` times (noise vs
    regression).
 
-Exit 0 on success, 1 on any violated gate.
+The mutation campaign runs whatever the overhead result, so both are
+printed on every host.  Exit 0 on success, 1 on any violated gate.
 """
 
 import os
@@ -165,14 +161,14 @@ def gate_acceptance(rows):
 
 
 def ordinary_schedule_of(family, plan):
-    """The mutable ordinary schedule of any plan family: an ordinary or
+    """The mutable ordinary plan of any plan family: an ordinary or
     Moebius plan itself, a GIR plan's dispatch plan (``None`` for
     CAP-only dispatch-free plans)."""
     return plan.dispatch if family == "gir" else plan
 
 
 def gate_mutations(rows):
-    """Gate 2: campaign every ordinary schedule and every GIR level
+    """Gate 2: campaign every ordinary plan and every GIR level
     layout or CAP power table, verifying each mutant against its
     system; count rejections."""
     from repro.check import mutation_campaign, verify_plan
@@ -184,7 +180,7 @@ def gate_mutations(rows):
         sched = ordinary_schedule_of(family, plan)
         if sched is not None:
             target, layout = sched, sched.strategy
-            if sched.levels is not None:  # the schedule a rounds consumer builds
+            if sched.levels is not None:  # the pred a rounds consumer builds
                 sched.round_steps(system.g, system.f)
         elif family == "gir":
             # GIR trace plans: the level-layout or v2 CSR mutation
@@ -215,6 +211,7 @@ def main():
     matrix = build_matrix()
     warm_up()
 
+    overhead_ok = True
     for attempt in range(1, MAX_ATTEMPTS + 1):
         rows = acquire_plans(matrix)
         failures, verify_s = gate_acceptance(rows)
@@ -244,8 +241,9 @@ def main():
                 f"FAIL: verify overhead {ratio:.1%} > {OVERHEAD_BUDGET:.0%} "
                 f"after {MAX_ATTEMPTS} attempts"
             )
-            return 1
-        print(f"  overhead breached on attempt {attempt}; remeasuring...")
+            overhead_ok = False
+        else:
+            print(f"  overhead breached on attempt {attempt}; remeasuring...")
 
     total, rejected, survivors = gate_mutations(rows)
     rate = rejected / total if total else 0.0
@@ -257,6 +255,8 @@ def main():
         print(f"  survivor: {label} [{kind}] {desc}")
     if rate < REJECT_FLOOR:
         print(f"FAIL: rejection rate {rate:.1%} < floor {REJECT_FLOOR:.0%}")
+        return 1
+    if not overhead_ok:
         return 1
 
     print("plan-verify smoke: OK")

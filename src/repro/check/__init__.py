@@ -4,9 +4,10 @@ prover, and loop lint.
 Three layers, one currency (:class:`Finding` / :class:`CheckReport`):
 
 * :mod:`repro.check.schedule` -- proves, without executing, that a
-  solve plan's round schedule is race-free, happens-before ordered
-  and trace-equivalent to the sequential semantics, and that a chain
-  plan's layout folds exactly the sequential loop's operands.
+  solve plan is equivalent to the sequential semantics: a rounds
+  plan's predecessor array (from which every pointer-jumping round
+  follows), a chain or level plan's layout (it folds exactly the
+  sequential loop's operands), a GIR plan's levels or power table.
 * :mod:`repro.check.preconditions` -- the paper's safety
   side-conditions (g injectivity, domain bounds, acyclicity,
   commutativity, Moebius determinant edge cases) as structured

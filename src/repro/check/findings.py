@@ -5,7 +5,7 @@ the precondition prover, and the loop lint -- reports through the same
 two types:
 
 * :class:`Finding` -- one diagnosed fact, carrying a **stable code**
-  (``SCH002``, ``PRE001``, ``IR003``, ...), a severity, a location
+  (``SCH006``, ``PRE001``, ``IR003``, ...), a severity, a location
   string, a human message and a fix hint.  Codes are append-only API:
   tools and CI jobs key on them, so a code is never renamed or reused
   (see ``docs/CHECKING.md`` for the full reference).
@@ -41,15 +41,11 @@ _SEVERITIES = (INFO, WARNING, ERROR)
 #: Registry of every stable finding code with a one-line title.
 #: Append-only: codes are public API consumed by CI jobs and tooling; a
 #: retired code (GIR010-GIR012, folded into LVL001-LVL003; CHN001-CHN004,
-#: the separate chain layout's, folded into LVL001-LVL005) is never
-#: reused.
+#: the separate chain layout's, folded into LVL001-LVL005; SCH001-SCH004,
+#: the stored round schedule's, gone with it) is never reused.
 FINDING_CODES: Dict[str, str] = {
-    # -- schedule verifier (SCH0xx) ------------------------------------
-    "SCH001": "round write set has a conflict (duplicate active iteration)",
-    "SCH002": "gather source is not the iteration's current predecessor",
-    "SCH003": "round activates an iteration whose chain is already final",
-    "SCH004": "schedule ends with unfinished chains (incomplete)",
-    "SCH005": "schedule index out of range",
+    # -- ordinary / Moebius plan verifier (SCH0xx) ---------------------
+    "SCH005": "index out of range: a map leaves the array, or pred[i] not in [-1, i)",
     "SCH006": "predecessor array inconsistent with the (g, f) index maps",
     "SCH007": "plan shape/metadata inconsistent",
     "SCH008": "plan fingerprint does not match the problem",

@@ -1,21 +1,21 @@
-"""Adversarial schedule mutations: the verifier's sparring partner.
+"""Adversarial plan mutations: the verifier's sparring partner.
 
 Property-based self-test for :mod:`repro.check.schedule`: take a
-*valid* planner-produced :class:`~repro.engine.plan.OrdinaryPlan`,
-apply a semantics-breaking mutation, and require the verifier to
-reject the result.  Every mutation models a real corruption mode of a
-serialized / hand-edited / miscomputed plan:
+*valid* planner-produced plan, apply a semantics-breaking mutation,
+and require the verifier to reject the result.  Every mutation models
+a real corruption mode of a serialized / hand-edited / miscomputed
+plan.  A rounds plan stores only its predecessor array, so it has one
+class:
 
-===================  =====================================================
-kind                 models                                  caught by
-===================  =====================================================
-``swap_rounds``      reordered barrier phases                SCH002/SCH003
-``perturb_gather``   one gather index off                    SCH002
-``drop_round``       a lost barrier phase                    SCH002/SCH004
-``duplicate_active`` a write slot emitted twice              SCH001
-``corrupt_pred``     pred drifting from (g, f)               SCH006
-``truncate``         a schedule cut short                    SCH004
-===================  =====================================================
+===================  ==========================  =====================
+kind                 models                      caught by
+===================  ==========================  =====================
+``corrupt_pred``     pred drifting from (g, f)   SCH006; SCH005 when
+                                                 it points forward
+===================  ==========================  =====================
+
+Without the system only a forward ``pred`` (``pred[i] >= i``) is
+caught: a backward one is a valid forest of another system.
 
 Chain and level plans of either family (``plan.levels`` set: a
 :class:`~repro.engine.plan.LevelLayout`, over cells for an ordinary
@@ -41,9 +41,8 @@ kind                       models                               caught by
 ``level_swap_order`` swaps one-iteration segments (a layout of runs
 has ``level_shift_offset`` instead); the system-backed rules (LVL004,
 LVL005) need ``verify_plan(..., system=system)``.  A chain or level
-plan stores no ``pred`` nor round schedule, so the schedule classes
-mutate a plan's only once a rounds consumer built them (it holds no
-maps to build them from).
+plan stores no ``pred``: ``corrupt_pred`` mutates one only once a
+rounds consumer built it (it holds no maps to build it from).
 
 GIR plans (the CSR power table) have their own mutation classes,
 applied by :func:`mutate_plan` when the plan's family is ``gir`` --
@@ -88,14 +87,7 @@ __all__ = [
     "mutation_campaign",
 ]
 
-MUTATION_KINDS: Tuple[str, ...] = (
-    "swap_rounds",
-    "perturb_gather",
-    "drop_round",
-    "duplicate_active",
-    "corrupt_pred",
-    "truncate",
-)
+MUTATION_KINDS: Tuple[str, ...] = ("corrupt_pred",)
 
 LEVEL_MUTATION_KINDS: Tuple[str, ...] = (
     "level_swap_order",
@@ -137,8 +129,9 @@ def _copy_levels(layout: Any) -> Any:
 
 
 def _clone(plan: Any) -> Any:
-    """A deep copy of ``plan`` -- its layout and whatever lazy state it
-    has materialized."""
+    """A deep copy of ``plan`` -- its layout and its ``pred`` when
+    materialized (a round schedule is never copied: it follows from
+    ``pred``)."""
     from ..engine.plan import OrdinaryPlan
 
     return OrdinaryPlan(
@@ -147,12 +140,6 @@ def _clone(plan: Any) -> Any:
         m=int(plan.m),
         family=plan.family,
         pred=_copy(plan.pred) if plan.has_pred else None,
-        steps=[
-            (np.array(a, copy=True), np.array(s, copy=True))
-            for a, s in plan.steps
-        ]
-        if plan.has_steps
-        else None,
         levels=_copy_levels(plan.levels),
     )
 
@@ -392,7 +379,8 @@ def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
 
 def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
     """Apply one seeded mutation of ``kind``; ``None`` when the plan is
-    too small for it (e.g. ``swap_rounds`` on a 1-round schedule)."""
+    too small for it or lacks what it mutates (e.g. ``corrupt_pred``
+    on a chain plan whose ``pred`` is not built)."""
     # zlib.crc32 rather than hash(): stable across processes
     # (str hashing is randomized by PYTHONHASHSEED).
     rng = random.Random((seed * 1_000_003) ^ zlib.crc32(kind.encode()))
@@ -400,106 +388,23 @@ def mutate_plan(plan: Any, kind: str, seed: int = 0) -> Optional[Mutation]:
         return _mutate_gir(plan, kind, rng)
     if kind.startswith("level_"):
         return _mutate_levels(plan, kind, rng)
-    if not plan.has_steps:  # a chain or level plan: its schedule needs the system
-        return None
-    rounds = len(plan.steps)
+    if kind != "corrupt_pred":
+        raise ValueError(f"unknown mutation kind {kind!r}")
     n = int(plan.n)
-
-    if kind == "swap_rounds":
-        if rounds < 2:
-            return None
-        i = rng.randrange(rounds - 1)
-        j = rng.randrange(i + 1, rounds)
-        mutated = _clone(plan)
-        mutated.steps[i], mutated.steps[j] = mutated.steps[j], mutated.steps[i]
-        return Mutation(
-            kind=kind,
-            description=f"swapped rounds {i} and {j}",
-            plan=mutated,
-            data={"i": i, "j": j},
-        )
-
-    if kind == "perturb_gather":
-        if rounds == 0 or n < 2:
-            return None
-        r = rng.randrange(rounds)
-        active, src = plan.steps[r]
-        if active.size == 0:
-            return None
-        k = rng.randrange(int(active.size))
-        delta = rng.randrange(1, n)
-        mutated = _clone(plan)
-        new_src = mutated.steps[r][1]
-        new_src[k] = (int(new_src[k]) + delta) % n
-        return Mutation(
-            kind=kind,
-            description=f"round {r} slot {k}: gather index +{delta} (mod {n})",
-            plan=mutated,
-            data={"round": r, "slot": k},
-        )
-
-    if kind == "drop_round":
-        if rounds == 0:
-            return None
-        r = rng.randrange(rounds)
-        mutated = _clone(plan)
-        del mutated.steps[r]
-        return Mutation(
-            kind=kind,
-            description=f"dropped round {r} of {rounds}",
-            plan=mutated,
-            data={"round": r},
-        )
-
-    if kind == "duplicate_active":
-        if rounds == 0:
-            return None
-        r = rng.randrange(rounds)
-        active, src = plan.steps[r]
-        if active.size == 0:
-            return None
-        k = rng.randrange(int(active.size))
-        mutated = _clone(plan)
-        a, s = mutated.steps[r]
-        mutated.steps[r] = (
-            np.append(a, a[k]),
-            np.append(s, s[k]),
-        )
-        return Mutation(
-            kind=kind,
-            description=f"round {r}: write slot for iteration "
-            f"{int(active[k])} emitted twice",
-            plan=mutated,
-            data={"round": r, "iteration": int(active[k])},
-        )
-
-    if kind == "corrupt_pred":
-        if n == 0:
-            return None
-        i = rng.randrange(n)
-        orig = int(plan.pred[i])
-        choices = [v for v in range(-1, n) if v != orig]
-        mutated = _clone(plan)
-        mutated.pred[i] = rng.choice(choices)
-        return Mutation(
-            kind=kind,
-            description=f"pred[{i}]: {orig} -> {int(mutated.pred[i])}",
-            plan=mutated,
-            data={"iteration": i},
-        )
-
-    if kind == "truncate":
-        if rounds == 0:
-            return None
-        mutated = _clone(plan)
-        mutated.steps = mutated.steps[:-1]
-        return Mutation(
-            kind=kind,
-            description=f"dropped the final round ({rounds - 1})",
-            plan=mutated,
-        )
-
-    raise ValueError(f"unknown mutation kind {kind!r}")
+    if n == 0 or not plan.has_pred:  # a chain or level plan: pred needs the system
+        return None
+    i = rng.randrange(n)
+    orig = int(plan.pred[i])
+    new = rng.randrange(-1, n - 1)
+    new += new >= orig  # any value in [-1, n) but the current one
+    mutated = _clone(plan)
+    mutated.pred[i] = new
+    return Mutation(
+        kind=kind,
+        description=f"pred[{i}]: {orig} -> {new}",
+        plan=mutated,
+        data={"iteration": i},
+    )
 
 
 def mutation_campaign(
@@ -513,8 +418,8 @@ def mutation_campaign(
     ``kinds`` defaults by plan family and layout: a chain or level
     plan of either family gets :data:`LEVEL_MUTATION_KINDS` (a GIR one
     also ``gir_swap_out_cells``), a GIR plan with a built power table
-    :data:`GIR_MUTATION_KINDS`, and an ordinary plan the schedule
-    classes (which need a built schedule).
+    :data:`GIR_MUTATION_KINDS`, and an ordinary plan
+    :data:`MUTATION_KINDS` (which need a stored or built ``pred``).
     """
     if kinds is None:
         gir = getattr(plan, "family", None) == "gir"

@@ -1,35 +1,24 @@
-"""Static schedule verification: prove a plan race-free without running it.
+"""Static plan verification: prove a plan equivalent to the sequential
+loop without running it.
 
-The value engines (``numpy`` / ``python`` / batch) replay an
-:class:`~repro.engine.plan.OrdinaryPlan`'s round schedule verbatim:
-per round they gather ``val[src]`` from the pre-round state, then
-scatter ``op(val[src], val[active])`` into ``val[active]``.  This
-module proves -- from the index structure alone, for *any* plan
-including one rehydrated via
-:func:`~repro.engine.plan.plan_from_dict` -- that such a replay is
-race-free and trace-equivalent to the sequential loop:
+An ordinary or Moebius rounds plan (:class:`~repro.engine.plan.OrdinaryPlan`,
+``strategy == "rounds"``) stores only the Lemma-1 predecessor array
+``pred``; every pointer-jumping round follows from it
+(:func:`~repro.engine.plan.build_round_schedule`, a deterministic
+replay that the kernels run verbatim and that no plan stores).  So a
+rounds plan is proved by its ``pred``:
 
-1. **Write-conflict freedom** (SCH001): within a round, no iteration
-   id appears twice in the active set, so the scatter has no
-   write-write race under any worker interleaving.
-2. **Happens-before** (SCH002/SCH003): the symbolic pointer state
-   ``ptr`` (initialized to the Lemma-1 predecessor array) is replayed
-   round by round.  Every gather must read exactly the cell holding
-   the iteration's *current* predecessor segment -- a source that is
-   not ``ptr[active]`` would read a cell whose chain segment does not
-   abut the writer's, i.e. a value not finalized for that concatenation.
-3. **Trace equivalence** (SCH004/SCH006): ``pred`` is independently
-   recomputed from ``(g, f)`` (Lemma 1), and the replay must finish
-   with every chain closed (``ptr == -1``).  By induction each round
-   preserves the invariant "``val[g(i)]`` holds the product of the
-   trace segment ``(ptr[i], i]``", so a complete replay computes
-   exactly the sequential traces -- in the symbolic index domain, for
-   every value assignment.
+* **with the system** (SCH006): ``pred`` equals the array Lemma 1
+  re-derives from ``(g, f)`` -- after ``g`` is proved in range (SCH005)
+  and injective (SCH009) -- so the rounds concatenate exactly the
+  sequential traces;
+* **without it** (SCH005): every ``pred[i]`` lies in ``[-1, i)``.
+  That is Lemma 1's loop order (an iteration reads only an earlier
+  writer), and it makes ``pred`` acyclic, so pointer jumping closes
+  every chain.
 
-The verifier accepts *any* correct schedule (including lazy variants
-that delay jumps), not just the canonical one the planner emits; the
-adversarial mutation suite (:mod:`repro.check.mutate`) relies on this
-being a semantic -- not byte-comparison -- check.
+SCH001-SCH004, the rules of the retired stored round schedule, are
+never reused.
 
 A chain or level plan of either family (``plan.levels``: a
 :class:`~repro.engine.plan.LevelLayout`, the slots each iteration
@@ -52,8 +41,7 @@ segment reads, as its ``f`` operand, the result of the member before
 it (LVL005).  Each level then folds exactly the loop's operands.  No
 ordinary plan keeps ``g`` / ``f``: given the system's maps a chain or
 level plan is proved as above, else by its layout alone
-(LVL001-LVL003, each write cell owned by its position), and a rounds
-plan is replayed over its stored ``pred`` (SCH006 needs the maps).
+(LVL001-LVL003, each write cell owned by its position).
 CHN001-CHN004, the rules of the retired separate chain layout, are
 never reused.  Given the system, a GIR plan's output cells are its
 (working) ``g`` (GIR013, on table plans too); the power-table rules
@@ -67,7 +55,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..core.cap import residue
-from .findings import CheckReport, error, info, warning
+from .findings import CheckReport, error, info
 
 __all__ = [
     "verify_plan",
@@ -93,30 +81,28 @@ _GIR_TOTAL_MOD = 2_147_483_629
 
 
 # ---------------------------------------------------------------------------
-# Ordinary round schedules
+# Ordinary and Moebius plans
 # ---------------------------------------------------------------------------
 
 
 def verify_ordinary_schedule(
     plan: Any, *, system: Any = None, where: str = "plan"
 ) -> CheckReport:
-    """Prove an :class:`~repro.engine.plan.OrdinaryPlan` race-free and
-    trace-equivalent to the sequential loop (see module docstring).
+    """Prove an :class:`~repro.engine.plan.OrdinaryPlan` equivalent to
+    the sequential loop (see module docstring).
 
-    A chain or level plan's layout is always proved; its round
-    schedule only when the plan carries one (a lazily built one comes
-    from ``(g, f)`` through the planner's own builders).  No plan holds
-    maps: they come from ``system`` (the system, or its
-    :class:`~repro.engine.problem.Problem`) when given; without it a
-    chain or level plan is proved by its layout alone
-    (:func:`_verify_bare_levels`), a rounds plan by replaying its
-    schedule over its stored ``pred``."""
+    No plan holds maps: they come from ``system`` (the system, or its
+    :class:`~repro.engine.problem.Problem`) when given, and prove a
+    chain or level plan's layout and a stored ``pred`` (SCH006).
+    Without them a chain or level plan is proved by its layout alone
+    (:func:`_verify_bare_levels`), a rounds plan by its ``pred``'s
+    loop order (SCH005)."""
     report = CheckReport(subject=where)
     n, m = int(plan.n), int(plan.m)
     if system is None and plan.levels is not None:
         return _verify_bare_levels(plan, where)
     if system is None and not plan.has_pred:
-        report.add(error("SCH007", "plan holds neither a layout nor a schedule", where=where))
+        report.add(error("SCH007", "plan holds neither a layout nor pred", where=where))
         return report
     stored = plan.has_pred  # never build a lazy pred
     pred = np.asarray(plan.pred if stored else np.full(n, -1), dtype=np.int64)
@@ -140,213 +126,83 @@ def verify_ordinary_schedule(
         return report
 
     report.ran()
-    for name, arr, hi in (("g", g, m), ("f", f, m)) if system is not None else ():
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= hi):
-            bad = int(np.argmax((arr < 0) | (arr >= hi)))
+    if system is None:
+        # Lemma 1's loop order: pred[i] in [-1, i), hence acyclic
+        bad = (pred < -1) | (pred >= np.arange(n, dtype=np.int64))
+        if bool(bad.any()):
+            k = int(np.argmax(bad))
+            report.add(
+                error(
+                    "SCH005",
+                    f"pred[{k}] = {int(pred[k])} outside [-1, {k}): an "
+                    "iteration's predecessor is an earlier iteration or "
+                    "none, else pointer jumping follows no loop trace",
+                    where=where,
+                    data={"map": "pred", "iteration": k},
+                )
+            )
+        return report
+    for name, arr in (("g", g), ("f", f)):
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= m):
+            bad = int(np.argmax((arr < 0) | (arr >= m)))
             report.add(
                 error(
                     "SCH005",
                     f"{name} maps iteration {bad} to cell {int(arr[bad])}, "
-                    f"outside the array domain [0, {hi})",
+                    f"outside the array domain [0, {m})",
                     where=where,
                     data={"map": name, "iteration": bad},
                 )
             )
-    if pred.size and (int(pred.min()) < -1 or int(pred.max()) >= n):
-        bad = int(np.argmax((pred < -1) | (pred >= n)))
-        report.add(
-            error(
-                "SCH005",
-                f"pred[{bad}] = {int(pred[bad])} outside [-1, {n})",
-                where=where,
-                data={"map": "pred", "iteration": bad},
-            )
-        )
     if not report.ok:
         return report
 
-    if system is not None:
-        # -- g injectivity + predecessor consistency (Lemma 1) -------
-        # writer[g] == arange(n) simultaneously proves g injective (a
-        # duplicate cell keeps only its last writer) and gives the
-        # writer map for the pred cross-check -- O(n + m), no sort.
-        report.ran(2)
-        idx = np.arange(n, dtype=np.int64)
-        writer = np.full(m, -1, dtype=np.int64)
-        writer[g] = idx
-        if not np.array_equal(writer[g], idx):
-            dup = int(g[np.argmax(writer[g] != idx)])
-            its = np.nonzero(g == dup)[0][:2].tolist()
-            report.add(
-                error(
-                    "SCH009",
-                    f"plan g is not injective: cell {dup} is written by "
-                    f"iterations {its[0]} and {its[1]}; the round replay "
-                    "would race on it",
-                    where=where,
-                    data={"cell": dup, "iterations": its},
-                    hint="OrdinaryIR requires distinct g; normalize first",
-                )
-            )
-            return report
-        expected_pred = writer[f]
-        expected_pred[expected_pred >= idx] = -1
-        if stored and not np.array_equal(expected_pred, pred):
-            bad = int(np.argmax(expected_pred != pred))
-            report.add(
-                error(
-                    "SCH006",
-                    f"pred[{bad}] = {int(pred[bad])} but Lemma 1 gives "
-                    f"{int(expected_pred[bad])} from (g, f); the schedule "
-                    "would concatenate a different trace than the "
-                    "sequential loop",
-                    where=where,
-                    data={
-                        "iteration": bad,
-                        "got": int(pred[bad]),
-                        "expected": int(expected_pred[bad]),
-                    },
-                )
-            )
-            return report
-        pred = expected_pred
-        if plan.levels is not None:
-            report.extend(
-                verify_level_layout(plan.levels, writer, (f, None), cell_space=True, where=where)
-            )
-            if not report.ok or not plan.has_steps:
-                return report
-
-    # -- symbolic pointer replay --------------------------------------
-    ptr = pred.copy()
-    for r, (active_raw, src_raw) in enumerate(plan.steps):
-        active = np.asarray(active_raw, dtype=np.int64)
-        src = np.asarray(src_raw, dtype=np.int64)
-        report.ran(4)
-
-        # A planner round passes in one sweep: strictly increasing
-        # active ids inside [0, n) are race-free, and since every ptr
-        # value lies in [-1, n), ``src == ptr[active] >= 0`` bounds
-        # src as well.  Anything else takes the checks below, which
-        # name the first rule it breaks.
-        if (
-            active.ndim == 1
-            and active.shape == src.shape
-            and active.size
-            and active[0] >= 0
-            and active[-1] < n
-            and (active.size == 1 or bool((active[1:] > active[:-1]).all()))
-        ):
-            cur = ptr[active]
-            if np.array_equal(src, cur) and cur.min() >= 0:
-                ptr[active] = ptr[cur]
-                continue
-
-        loc = f"{where} round {r}"
-        if active.shape != src.shape or active.ndim != 1:
-            report.add(
-                error(
-                    "SCH007",
-                    f"round arrays disagree: active{active.shape} vs "
-                    f"src{src.shape}",
-                    where=loc,
-                )
-            )
-            return report
-        if active.size == 0:
-            report.add(
-                warning(
-                    "SCH007",
-                    "empty round (no active iterations); the executors "
-                    "tolerate it but the planner never emits one",
-                    where=loc,
-                )
-            )
-            continue
-        lo = int(min(active.min(), src.min()))
-        hi = int(max(active.max(), src.max()))
-        if lo < 0 or hi >= n:
-            report.add(
-                error(
-                    "SCH005",
-                    f"schedule references iteration {lo if lo < 0 else hi} "
-                    f"outside [0, {n})",
-                    where=loc,
-                )
-            )
-            return report
-
-        # Write-conflict freedom.  Planner rounds come from np.nonzero
-        # and are strictly increasing; fall back to counting only when
-        # that cheap proof fails.
-        if active.size > 1 and not bool(np.all(np.diff(active) > 0)):
-            uniq, counts = np.unique(active, return_counts=True)
-            if bool(np.any(counts > 1)):
-                dup = int(uniq[np.argmax(counts > 1)])
-                report.add(
-                    error(
-                        "SCH001",
-                        f"iteration {dup} (cell {int(g[dup])}) appears "
-                        f"{int(counts.max())} times in one round's write "
-                        "set: a write-write race under parallel replay",
-                        where=loc,
-                        data={"iteration": dup, "cell": int(g[dup])},
-                    )
-                )
-                return report
-
-        cur = ptr[active]
-        if int(cur.min()) < 0:
-            bad = int(active[np.argmax(cur < 0)])
-            report.add(
-                error(
-                    "SCH003",
-                    f"iteration {bad} is active but its chain is already "
-                    "complete; the gather would re-concatenate a "
-                    "finalized value",
-                    where=loc,
-                    data={"iteration": bad},
-                )
-            )
-            return report
-        if not np.array_equal(src, cur):
-            k = int(np.argmax(src != cur))
-            report.add(
-                error(
-                    "SCH002",
-                    f"iteration {int(active[k])} gathers from iteration "
-                    f"{int(src[k])} but its current predecessor is "
-                    f"{int(cur[k])}: the read cell's trace segment is "
-                    "not adjacent (happens-before violation)",
-                    where=loc,
-                    data={
-                        "iteration": int(active[k]),
-                        "got": int(src[k]),
-                        "expected": int(cur[k]),
-                    },
-                )
-            )
-            return report
-
-        # Synchronous pointer jump: gather pre-round ptr[src], then
-        # scatter -- exactly the two-phase gather/combine the engines
-        # implement.
-        ptr[active] = ptr[src]
-
-    # -- completeness --------------------------------------------------
-    report.ran()
-    open_mask = ptr >= 0
-    if bool(open_mask.any()):
-        first = int(np.argmax(open_mask))
+    # -- g injectivity + predecessor consistency (Lemma 1) -----------
+    # writer[g] == arange(n) simultaneously proves g injective (a
+    # duplicate cell keeps only its last writer) and gives the writer
+    # map for the pred cross-check -- O(n + m), no sort.
+    report.ran(2)
+    idx = np.arange(n, dtype=np.int64)
+    writer = np.full(m, -1, dtype=np.int64)
+    writer[g] = idx
+    if not np.array_equal(writer[g], idx):
+        dup = int(g[np.argmax(writer[g] != idx)])
+        its = np.nonzero(g == dup)[0][:2].tolist()
         report.add(
             error(
-                "SCH004",
-                f"{int(open_mask.sum())} chain(s) still open after the "
-                f"last round (first: iteration {first}); the replay "
-                "would return partial traces",
+                "SCH009",
+                f"plan g is not injective: cell {dup} is written by "
+                f"iterations {its[0]} and {its[1]}; the round replay "
+                "would race on it",
                 where=where,
-                data={"open": int(open_mask.sum()), "first": first},
+                data={"cell": dup, "iterations": its},
+                hint="OrdinaryIR requires distinct g; normalize first",
             )
+        )
+        return report
+    expected_pred = writer[f]
+    expected_pred[expected_pred >= idx] = -1
+    if stored and not np.array_equal(expected_pred, pred):
+        bad = int(np.argmax(expected_pred != pred))
+        report.add(
+            error(
+                "SCH006",
+                f"pred[{bad}] = {int(pred[bad])} but Lemma 1 gives "
+                f"{int(expected_pred[bad])} from (g, f); the rounds "
+                "would concatenate a different trace than the "
+                "sequential loop",
+                where=where,
+                data={
+                    "iteration": bad,
+                    "got": int(pred[bad]),
+                    "expected": int(expected_pred[bad]),
+                },
+            )
+        )
+        return report
+    if plan.levels is not None:
+        report.extend(
+            verify_level_layout(plan.levels, writer, (f, None), cell_space=True, where=where)
         )
     return report
 
@@ -354,8 +210,8 @@ def verify_ordinary_schedule(
 def _verify_bare_levels(plan: Any, where: str) -> CheckReport:
     """A level plan checked without the system's maps: LVL001-LVL003
     over its cells, each write cell owned by its level position, so a
-    read past level 0 must be of a cell an earlier level writes.  LVL004
-    and a round schedule the plan carries need the maps."""
+    read past level 0 must be of a cell an earlier level writes.  LVL004,
+    LVL005 and a built ``pred`` (SCH006) need the maps."""
     write, n, m = np.asarray(plan.levels.write, dtype=np.int64), int(plan.n), int(plan.m)
     owner = np.full(max(m, 0), -1, dtype=np.int64)
     if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < m)):

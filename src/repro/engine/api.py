@@ -186,7 +186,7 @@ def _front_door(
         allow_rename=allow_rename,
         allow_ordinary_dispatch=allow_ordinary_dispatch,
     )
-    chosen = resolve_backend(opts.backend, problem)
+    chosen = resolve_backend(opts.backend, problem, opts.backend_options)
     batch = rows is not None
     if batch and not chosen.capabilities.batch:
         raise ValueError(
@@ -267,7 +267,8 @@ def solve(
     is the unified configuration record -- an
     :class:`~repro.engine.options.EngineOptions` (or a plain dict of
     backend extras: Moebius ``path`` / ``guard``, PRAM ``processors`` /
-    ``fault_plan``, ...).  ``plan`` runs a caller-held plan directly;
+    ``fault_plan``, ...; a key the backend does not read raises
+    :class:`ValueError`).  ``plan`` runs a caller-held plan directly;
     otherwise ``reuse_plan=True`` (default) consults the plan cache.
     A round budget is a policy:
     ``EngineOptions(policy=SolvePolicy(max_rounds=r,

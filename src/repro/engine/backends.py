@@ -6,7 +6,8 @@ under a name (``python``, ``numpy``, ``pram`` ship built in;
 register your own with :func:`register_backend`) and declare
 capabilities -- which solver families they run, whether their
 arithmetic is exact for object operands, whether they support the
-batch axis -- which :func:`resolve_backend` checks before dispatch.
+batch axis, and which ``backend_options`` keys they read -- which
+:func:`resolve_backend` checks before dispatch.
 
 The built-in ``python`` / ``numpy`` backends are one type,
 :class:`KernelBackend`: a name, capabilities and a table of value
@@ -32,6 +33,7 @@ from .exec_moebius import (
     RationalRounds,
 )
 from .exec_ordinary import NumpyLevels, NumpyRounds, PythonRounds
+from .options import OPTION_KEYS
 from .plan import Plan
 from .problem import Problem
 
@@ -80,6 +82,8 @@ class Backend(ABC):
 
     name: str
     capabilities: BackendCapabilities
+    #: the ``backend_options`` keys this backend reads
+    option_keys: FrozenSet[str] = frozenset()
 
     @abstractmethod
     def execute(
@@ -118,7 +122,10 @@ class KernelBackend(Backend):
     level plan when the backend has that kernel), a Moebius path
     (``object`` / ``affine`` / ``rational``; ``affine_levels`` and
     ``rational_levels`` replace them likewise) or ``gir``.  ``defaults`` are backend
-    options applied under the request's own."""
+    options applied under the request's own: Moebius ``path`` /
+    ``guard`` and GIR ``gir_eval``, the keys the driver reads."""
+
+    option_keys = frozenset({"path", "guard", "gir_eval"})
 
     def __init__(
         self,
@@ -154,6 +161,9 @@ class PRAMBackend(Backend):
     """
 
     name = "pram"
+    option_keys = frozenset(
+        {"processors", "cost_model", "access_policy", "fault_plan", "max_retries"}
+    )
     capabilities = BackendCapabilities(
         families=frozenset({"ordinary"}),
         exact=True,
@@ -215,8 +225,12 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def resolve_backend(name: str, problem: Problem) -> Backend:
-    """Resolve ``name`` (or ``"auto"``) and check family capability."""
+def resolve_backend(
+    name: str, problem: Problem, options: Mapping[str, Any] = ()
+) -> Backend:
+    """Resolve ``name`` (or ``"auto"``), check family capability, and
+    refuse a ``backend_options`` key the backend does not read with the
+    :class:`ValueError` ``EngineOptions.from_dict`` raises."""
     if name == "auto":
         name = "numpy"
     backend = get_backend(name)
@@ -225,6 +239,15 @@ def resolve_backend(name: str, problem: Problem) -> Backend:
             f"backend {backend.name!r} does not support the "
             f"{problem.family!r} family (supported: "
             f"{sorted(backend.capabilities.families)})"
+        )
+    unknown = sorted(set(options) - backend.option_keys)
+    if unknown:
+        fields = [key for key in unknown if key in OPTION_KEYS]  # set in the wrong place
+        valid = ", ".join(sorted(backend.option_keys))
+        raise ValueError(
+            f"backend {backend.name!r} got unknown backend option key(s): "
+            f"{', '.join(unknown)}; valid keys: {valid}"
+            + (f"; pass EngineOptions({fields[0]}=...) instead" if fields else "")
         )
     return backend
 

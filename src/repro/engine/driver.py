@@ -1,8 +1,8 @@
 """The engine driver: one owner for everything around the value kernels.
 
-The paper's algorithms are one schedule -- the Lemma-1 pointer-jumping
-rounds of an :class:`~repro.engine.plan.OrdinaryPlan`, or a GIR power
-table -- replayed over different value representations.  Backends
+The paper's algorithms are one plan -- an ordinary plan's layout or
+the pointer-jumping rounds its ``pred`` gives, or a GIR plan's levels
+or power table -- replayed over different value representations.  Backends
 therefore supply only *kernels* (a name-keyed table, see
 :class:`~repro.engine.backends.KernelBackend`):
 

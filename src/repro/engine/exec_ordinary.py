@@ -5,8 +5,8 @@ one layout (see :mod:`repro.engine.plan`) by the rule chains ->
 levels -> rounds: pred-linked runs when chain scans need fewer levels
 than pointer jumping needs rounds, else one-iteration segments when
 the predecessor forest is at most 62 deep -- both one
-:class:`~repro.engine.plan.LevelLayout` over cells -- else the round
-schedule.  The kernels replay it over values -- :class:`NumpyLevels`
+:class:`~repro.engine.plan.LevelLayout` over cells -- else the
+predecessor array alone.  The kernels replay it over values -- :class:`NumpyLevels`
 runs each level in the admitted array, a vector statement over its
 one-iteration segments and ``ufunc.accumulate`` along its runs; the
 round kernels one gather + ``op`` + scatter per round.  Everything around
@@ -20,7 +20,7 @@ levels in the representation its :meth:`round` indexes with) and
 returns its per-iteration values from ``solved()`` -- in iteration
 order, or the admitted array itself once solved in place.  The round
 kernels read the iteration-order maps from the job's system, which no
-plan holds, and take the schedule from
+plan holds, and take the round schedule -- no plan artifact -- from
 :meth:`~repro.engine.plan.OrdinaryPlan.round_steps`.
 """
 
@@ -34,12 +34,7 @@ import numpy as np
 
 from ..core.traces import predecessors, writer_map
 from ..errors import IRValidationError
-from .plan import (
-    OrdinaryPlan,
-    build_chain_layout,
-    build_forest_levels,
-    build_round_schedule,
-)
+from .plan import OrdinaryPlan, build_chain_layout, build_forest_levels
 
 __all__ = [
     "admit",
@@ -79,8 +74,9 @@ def build_plan_from_maps(
     fewer levels than pointer jumping needs rounds, else dependence
     levels when the forest is shallow (either way a layout alone: a
     rounds consumer rebuilds ``pred`` from the system's maps), else
-    the full round schedule with its ``pred``.  No plan keeps the
-    maps."""
+    ``pred`` alone, the rounds following from it
+    (:meth:`~repro.engine.plan.OrdinaryPlan.round_steps`).  No plan
+    keeps the maps."""
     writer = writer_map(g, m)
     pred = predecessors(f, writer)
     levels = build_chain_layout(g, f, pred)
@@ -89,9 +85,7 @@ def build_plan_from_maps(
     n = int(g.shape[0])
     if levels is not None:
         return OrdinaryPlan(fingerprint, n, m, levels=levels, family=family)
-    return OrdinaryPlan(
-        fingerprint, n, m, pred=pred, steps=build_round_schedule(pred), family=family
-    )
+    return OrdinaryPlan(fingerprint, n, m, pred=pred, family=family)
 
 
 def _lossy(values, bad: np.ndarray, op) -> IRValidationError:

@@ -17,13 +17,9 @@ value-dependent work:
   :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep; each level is a
   vector statement over its single iterations and a
   ``ufunc.accumulate`` along its runs, on the values in place.  Else
-  the **round schedule**: for every pointer-jumping round, the
-  iterations that are active and the source each one concatenates
-  from (``O(n log n)`` bytes; one gather + ``op`` + scatter per
-  round), with its ``pred``.  No plan keeps the maps ``g`` / ``f``:
-  chain and level plans build ``pred`` and the round schedule lazily,
-  from the system's own maps, for a consumer that runs rounds
-  (:meth:`OrdinaryPlan.round_steps`).
+  ``pred`` alone (``O(n)`` words): every pointer-jumping round
+  follows from it, and :meth:`OrdinaryPlan.round_steps` builds the
+  round schedule in memory only.  No plan keeps the maps ``g`` / ``f``.
 * :class:`GIRPlan` -- the (possibly renamed) output cells, the
   projection map back onto the original cells and ONE evaluation
   layout: a :class:`LevelLayout` in node space (the dependence graph's
@@ -39,8 +35,7 @@ value-dependent work:
 
 Plans serialize to plain dicts (``to_dict``/``from_dict``) so they can
 be persisted and shipped; the layout is stored as index lists (a
-chain or level plan's ``levels``, a rounds plan's ``pred`` and
-``steps``).
+chain or level plan's ``levels``, a rounds plan's ``pred``).
 """
 
 from __future__ import annotations
@@ -70,12 +65,12 @@ __all__ = [
     "plan_from_dict",
 ]
 
-#: Ordinary and Moebius plans (v5: one layout for chain and level
-#: plans, segments over cells; no plan stores ``g`` / ``f``);
+#: Ordinary and Moebius plans (v6: one cell layout for chain and level
+#: plans, ``pred`` alone for rounds plans; no ``g`` / ``f``);
 #: ``from_dict`` refuses any other version.
-PLAN_SCHEMA_VERSION = 5
+PLAN_SCHEMA_VERSION = 6
 #: GIR plans (v3: level layouts as write / read slots; a dispatch
-#: plan nests a v5 ordinary plan); ``from_dict`` refuses any other
+#: plan nests a v6 ordinary plan); ``from_dict`` refuses any other
 #: version.
 GIR_PLAN_SCHEMA_VERSION = 3
 
@@ -88,7 +83,7 @@ def build_round_schedule(pred: np.ndarray) -> List[RoundStep]:
 
     Replays the exact active-set progression of the value solvers --
     ``p = nxt[active]; nxt[active] = nxt[p]; active = active[nxt >= 0]``
-    -- recording ``(active, p)`` per round.  The value engines then
+    -- recording ``(active, p)`` per round.  The round kernels then
     replay the schedule verbatim, so planned execution is
     step-for-step identical to the unplanned solvers (same rounds,
     same active sets, same operand order).
@@ -97,6 +92,8 @@ def build_round_schedule(pred: np.ndarray) -> List[RoundStep]:
     steps: List[RoundStep] = []
     active = np.nonzero(nxt >= 0)[0]
     while active.size:
+        if len(steps) > int(pred.shape[0]).bit_length():  # a forest is done
+            raise ValueError("pred is cyclic: pointer jumping never ends")
         p = nxt[active]
         steps.append((active, p))
         nxt[active] = nxt[p]
@@ -408,15 +405,12 @@ class OrdinaryPlan:
     set, the ``chains`` strategy) when they need one level or fewer
     levels than pointer jumping needs rounds, else one-iteration
     segments when the predecessor forest is shallow (the ``levels``
-    strategy) -- else the round schedule ``steps`` with its ``pred``.
-    No plan holds the maps ``g`` / ``f``: the layout's ``write`` /
+    strategy) -- else ``pred`` alone (the ``rounds`` strategy).  No
+    plan holds the maps ``g`` / ``f``: the layout's ``write`` /
     ``read`` are the same maps in segment order, and the fingerprint
-    binds the plan to the system whose maps they are.  A chain or level
-    plan builds ``steps`` and ``pred`` only for a consumer that runs
-    rounds (python kernels, non-ufunc operators, round budgets, the
-    checker's round rules), through :meth:`round_steps` given the
-    system's maps, and caches them; ``has_steps`` / ``has_pred`` say
-    whether they are built.
+    binds the plan to the system whose maps they are.  A consumer that
+    runs rounds gets the round schedule from :meth:`round_steps` alone,
+    where a chain or level plan builds ``pred`` too (``has_pred``).
     """
 
     fingerprint: str
@@ -425,14 +419,13 @@ class OrdinaryPlan:
     #: the Lemma-1 predecessor array as materialized (``None``: not
     #: yet); the constructor takes it as ``pred``, which reads it lazily
     _pred: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: the round schedule as materialized (``None``: not yet); the
-    #: constructor takes it as ``steps``, which reads it lazily
-    _steps: Optional[List[RoundStep]] = field(
-        default=None, repr=False, compare=False
-    )
     levels: Optional[LevelLayout] = field(default=None, repr=False, compare=False)
     family: str = "ordinary"
     # lazily-built caches (not serialized)
+    #: the round schedule, once :meth:`round_steps` built it
+    _steps: Optional[List[RoundStep]] = field(
+        default=None, repr=False, compare=False
+    )
     _terminal_idx: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
@@ -447,18 +440,13 @@ class OrdinaryPlan:
         return "levels" if self.levels.offsets is None else "chains"
 
     @property
-    def has_steps(self) -> bool:
-        """Whether the round schedule is materialized."""
-        return self._steps is not None
-
-    @property
     def has_pred(self) -> bool:
         """Whether the predecessor array is materialized."""
         return self._pred is not None
 
     @property
     def rounds(self) -> int:
-        """Pointer-jumping rounds (never builds a lazy schedule)."""
+        """Pointer-jumping rounds (a chain or level plan's from depths)."""
         return len(self.active_per_round)
 
     def _per_depth(self) -> np.ndarray:
@@ -519,22 +507,26 @@ class OrdinaryPlan:
     @property
     def active_per_round(self) -> List[int]:
         """Active iterations per pointer-jumping round.  Chain and level
-        plans whose schedule is not materialized derive them from
-        depths: an iteration at depth ``d`` is active in round ``r``
-        iff ``d >= 2**(r-1)``."""
+        plans whose schedule is not built derive them from depths: an
+        iteration at depth ``d`` is active in round ``r`` iff
+        ``d >= 2**(r-1)``; a rounds plan builds its schedule."""
         if self._steps is not None or self.levels is None:
-            return [int(active.size) for active, _src in self.steps]
+            return [int(active.size) for active, _src in self.round_steps()]
         deeper = np.cumsum(self._per_depth()[::-1])[::-1]  # at depth >= d
         return [int(deeper[1 << r]) for r in range((deeper.size - 1).bit_length())]
 
-    def round_steps(self, g: np.ndarray, f: np.ndarray) -> List[RoundStep]:
-        """The round schedule, for a consumer that runs rounds: on first
-        call built -- with ``pred`` -- from the system's maps ``g`` /
-        ``f``, which a chain or level plan does not hold, then cached
-        (a rounds plan holds its own)."""
-        if self._pred is None and self._steps is None:
-            self._pred = predecessors(f, writer_map(g, self.m))
-        return self.steps
+    def round_steps(self, g=None, f=None) -> List[RoundStep]:
+        """The round schedule, for a consumer that runs rounds -- the
+        only way to get one.  Built on first call from ``pred``: a
+        rounds plan's own, else derived (and kept) from the system's
+        maps ``g`` / ``f``, which a chain or level plan does not hold.
+        Then cached in memory (:func:`~repro.engine.planner.plan_nbytes`
+        counts it); never serialized."""
+        if self._steps is None:
+            if self._pred is None and g is not None:
+                self._pred = predecessors(f, writer_map(g, self.m))
+            self._steps = build_round_schedule(self.pred)
+        return self._steps
 
     def to_dict(self) -> Dict[str, Any]:
         payload = {
@@ -547,8 +539,7 @@ class OrdinaryPlan:
         if self.levels is not None:  # the layout alone: no lazy state
             payload["levels"] = self.levels.to_payload()
             return payload
-        payload["pred"] = self.pred.tolist()
-        payload["steps"] = [[active.tolist(), src.tolist()] for active, src in self.steps]
+        payload["pred"] = self.pred.tolist()  # every round follows from it
         return payload
 
     @classmethod
@@ -567,10 +558,6 @@ class OrdinaryPlan:
             plan.levels = LevelLayout.from_payload(levels)
             return plan
         plan.pred = np.asarray(payload["pred"], dtype=np.int64)
-        plan.steps = [
-            (np.asarray(active, dtype=np.int64), np.asarray(src, dtype=np.int64))
-            for active, src in payload["steps"]
-        ]
         return plan
 
 
@@ -581,12 +568,6 @@ def _get_pred(plan: OrdinaryPlan) -> np.ndarray:
             "schedule with plan.round_steps(g, f) from the system's maps"
         )
     return plan._pred
-
-
-def _get_steps(plan: OrdinaryPlan) -> List[RoundStep]:
-    if plan._steps is None:
-        plan._steps = build_round_schedule(plan.pred)
-    return plan._steps
 
 
 def _lazy_layout(cls, name: str, get) -> None:
@@ -609,11 +590,9 @@ def _lazy_layout(cls, name: str, get) -> None:
     cls.__init__ = __init__
 
 
-# Chain and level plans build the round schedule only when a rounds
-# consumer reads ``steps``, and a level plan its predecessor array
-# only when a consumer reads ``pred``.
+# A chain or level plan builds its predecessor array only when a
+# rounds consumer asks :meth:`OrdinaryPlan.round_steps` for it.
 _lazy_layout(OrdinaryPlan, "pred", _get_pred)
-_lazy_layout(OrdinaryPlan, "steps", _get_steps)
 
 
 def exponent_array(values: Any) -> np.ndarray:

@@ -39,14 +39,14 @@ DEFAULT_CACHE_SIZE = 128
 def plan_nbytes(plan) -> int:
     """Approximate resident size of a plan's array payload.
 
-    Counts the flat index arrays (a materialized predecessor array,
-    schedule steps and terminal list, the level layout of any family
-    with its cached scan blocks, a materialized CSR power-table triple,
-    projection maps); per-object overhead and the GIR table's exact
-    big-int exponents are estimated at one word each.  No ordinary or
-    Moebius plan holds maps: a chain or level plan's bytes are its
-    layout's until a rounds consumer builds its schedule.  Never builds
-    a lazy predecessor array, schedule or table.  Used by
+    Counts the flat index arrays (a materialized predecessor array, the
+    round schedule ``round_steps`` cached and the terminal list, the
+    level layout of any family with its cached scan blocks, a
+    materialized CSR power-table triple, projection maps); per-object
+    overhead and the GIR table's exact big-int exponents are estimated
+    at one word each.  A chain or level plan's bytes are its layout's,
+    a rounds plan's its ``pred``'s, until a rounds consumer builds the
+    schedule.  Never builds a lazy predecessor array, schedule or table.  Used by
     :meth:`PlanCache.info` so the cache's memory footprint is visible
     next to its hit rate.
     """
@@ -59,9 +59,8 @@ def plan_nbytes(plan) -> int:
             total += int(arr.nbytes)
     if getattr(plan, "has_pred", False):  # never builds a lazy pred
         total += int(plan.pred.nbytes)
-    if getattr(plan, "has_steps", False):  # never builds a lazy schedule
-        for active, src in plan.steps:
-            total += int(active.nbytes) + int(src.nbytes)
+    for active, src in getattr(plan, "_steps", None) or ():
+        total += int(active.nbytes) + int(src.nbytes)
     terminals = getattr(plan, "_terminal_idx", None)
     if terminals is not None:
         total += int(terminals.nbytes)

@@ -67,7 +67,8 @@ class Session:
     options:
         The unified :class:`~repro.engine.options.EngineOptions`
         record (or a plain dict of backend extras: Moebius ``path`` /
-        ``guard``, PRAM ``processors``, ...), frozen for the session's
+        ``guard``, PRAM ``processors``, ...; a key the backend does
+        not read raises :class:`ValueError`), frozen for the session's
         lifetime.  ``verify_plan`` opts into :mod:`repro.check`: preconditions are proved and the
         pinned plan verified at construction (GIR plans, captured from
         the first solve, are verified at capture); ``failover=True``
@@ -80,7 +81,8 @@ class Session:
         self._opts = opts = EngineOptions.from_value(options, where="Session")
         self._source = source
         self._problem = Problem.from_system(source)
-        self._backend: Backend = resolve_backend(opts.backend, self._problem)
+        extras = opts.backend_options
+        self._backend = resolve_backend(opts.backend, self._problem, extras)
         if (
             opts.policy is not None
             and not self._backend.capabilities.supports_policy

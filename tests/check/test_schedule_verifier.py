@@ -4,8 +4,8 @@ rejection of every adversarial mutation.
 Acceptance runs the whole family matrix (ordinary, Moebius, GIR with
 both dispatch and CAP artifacts), including serialized round trips --
 the ``repro check`` file path.  The mutation half is the verifier's own soundness
-test: a verifier that accepts a corrupted schedule would sign off on
-a silent data race.
+test: a verifier that accepts a corrupted plan would sign off on a
+silent data race.
 """
 
 import pytest
@@ -45,8 +45,8 @@ def plan_for(system):
 
 
 def scheduled_plan_for(system):
-    """A plan whose round schedule a rounds consumer has built (from
-    the system's maps: no plan holds them)."""
+    """A plan whose round schedule -- and ``pred`` -- a rounds consumer
+    has built (from the system's maps: no plan holds them)."""
     problem, plan = plan_for(system)
     plan.round_steps(system.g, system.f)
     return problem, plan
@@ -174,23 +174,23 @@ class TestMutationRejection:
             report = verify_plan(mut.plan, problem)
             assert not report.ok, f"{kind} survived: {mut.description}"
             assert report.errors[0].code in expected
-            assert not mut.plan.has_steps  # proved on the layout alone
+            assert not mut.plan.has_pred  # proved on the layout alone
 
     def test_chain_plan_campaign_includes_layout_kinds(self):
         system = chain_system(300)
         _, plan = plan_for(system)
         kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
         assert "level_shift_offset" not in kinds  # one run: no offset inside
-        assert "level_duplicate_write" in kinds and "swap_rounds" not in kinds
-        plan.round_steps(system.g, system.f)  # a rounds consumer built them
+        assert "level_duplicate_write" in kinds and "corrupt_pred" not in kinds
+        plan.round_steps(system.g, system.f)  # a rounds consumer built pred
         kinds = {mut.kind for mut in mutation_campaign(plan, seeds=range(2))}
-        assert "swap_rounds" in kinds
+        assert "corrupt_pred" in kinds
 
 
 class TestRaiseContract:
     def test_error_carries_report_findings_and_exit_code(self):
         problem, plan = scheduled_plan_for(chain_system(80))
-        mut = mutate_plan(plan, "perturb_gather", seed=2)
+        mut = mutate_plan(plan, "corrupt_pred", seed=2)
         with pytest.raises(PlanVerificationError) as exc_info:
             verify_or_raise(mut.plan, problem)
         err = exc_info.value

@@ -2,7 +2,6 @@
 ``repro check`` / ``repro lint`` CLI verbs, and the package surface.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -87,8 +86,8 @@ class TestSolveSeam:
             cache=PlanCache(),
             options=EngineOptions(backend="numpy"),
         ).plan
-        good.round_steps(system.g, system.f)  # a rounds consumer built them
-        bad = mutate_plan(good, "perturb_gather", seed=0).plan
+        good.round_steps(system.g, system.f)  # a rounds consumer built pred
+        bad = mutate_plan(good, "corrupt_pred", seed=0).plan
         with pytest.raises(PlanVerificationError):
             execute(
                 bad,
@@ -107,7 +106,7 @@ class TestSolveSeam:
             cache=PlanCache(),
             options=EngineOptions(backend="numpy"),
         ).plan
-        good.round_steps(system.g, system.f)  # a rounds consumer built them
+        good.round_steps(system.g, system.f)  # a rounds consumer built pred
         cache = PlanCache()
         cache.put(
             problem.fingerprint(), mutate_plan(good, "corrupt_pred", seed=1).plan
@@ -173,7 +172,7 @@ class TestCLI:
 
     def test_check_rejects_mutated_plan_with_exit_8(self, tmp_path, capsys):
         # two chains whose strides alternate 1 and 3: deeper than 62 and
-        # cut into short runs, so a rounds plan (its own pred and steps)
+        # cut into short runs, so a rounds plan (its pred alone)
         n = 400
         idx = np.arange(n)
         f = np.where(idx % 2 == 1, idx - 1, idx - 3)
@@ -181,12 +180,21 @@ class TestCLI:
         zigzag = OrdinaryIRSystem.build([1] * (n + 1), idx, f, ADD)
         plan = solve(zigzag, cache=PlanCache()).plan
         assert plan.strategy == "rounds"
-        bad = mutate_plan(plan, "swap_rounds", seed=0).plan
-        path = self.write_plan(tmp_path, bad, "bad.json")
-        assert main(["check", path, "--json"]) == 8
+        payload = plan_to_dict(plan)
+        assert "pred" in payload and "steps" not in payload
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        payload["pred"][7] = 7  # points forward: a cycle, no loop trace
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path), "--json"]) == 8
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False
-        assert any(f["code"].startswith("SCH") for f in report["findings"])
+        errors = [f["code"] for f in report["findings"] if f["severity"] == "error"]
+        assert errors == ["SCH005"]
+        [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
+        assert "SCH006 not run" in skipped["message"]
 
     def test_check_refuses_a_plan_of_another_schema(self, tmp_path, capsys):
         """A v1 chain plan stored a permutation; the current schema stores
@@ -206,8 +214,9 @@ class TestCLI:
             (random_gir_system(64), 99),
             (random_ordinary_system(300), 3),
             (random_ordinary_system(300), 4),
+            (random_ordinary_system(300), 5),
         ],
-        ids=["chain-v2", "gir-levels-v99", "levels-v3", "levels-v4"],
+        ids=["chain-v2", "gir-levels-v99", "levels-v3", "levels-v4", "levels-v5"],
     )
     def test_check_refuses_other_schema_versions(
         self, tmp_path, capsys, system, version

@@ -284,13 +284,13 @@ def test_planner_picks_both_strategies(kind, strategy):
                 assert_bit_identical(out, run_ordinary(dataclasses.replace(sys_op, initial=row)))
     if strategy == "levels":  # loop-exact, and no pred or schedule kept
         assert_bit_identical(result.values, run_ordinary(system))
-        assert not result.plan.has_pred and not result.plan.has_steps
+        assert not result.plan.has_pred
     if strategy == "chains":
         assert plan.levels.levels < plan.rounds  # fewer levels than rounds
-        assert not plan.has_steps  # counting rounds never builds them
+        assert not plan.has_pred  # counting rounds never builds them
         assert_bit_identical(result.values, run_ordinary(system))
         shipped = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
-        assert shipped.strategy == "chains" and not shipped.has_steps
+        assert shipped.strategy == "chains"
         assert execute(shipped, system).values == result.values
 
 
@@ -299,7 +299,7 @@ def test_chain_plan_memory_is_linear():
 
     small = solve(_system("chain", 1 << 12), cache=PlanCache()).plan
     large = solve(_system("chain", 1 << 15), cache=PlanCache()).plan
-    assert not large.has_steps  # the round schedule stays lazy
+    assert not large.has_pred  # the round schedule stays lazy
     assert plan_nbytes(large) / plan_nbytes(small) == pytest.approx(8, rel=0.01)
 
 
@@ -329,10 +329,10 @@ def test_nested_segments_get_their_parents_level(at_head):
 
 def test_copying_a_chain_plan_builds_no_steps():
     plan = solve(_system("chain", 1 << 12), cache=PlanCache()).plan
-    assert plan.strategy == "chains" and not plan.has_steps
+    assert plan.strategy == "chains"
     copy = dataclasses.replace(plan)
     as_dict = dataclasses.asdict(plan)
-    assert not plan.has_steps and not copy.has_steps
+    assert not plan.has_pred
     assert as_dict["_steps"] is None
     # the copy still builds the same schedule when a consumer asks
     system = _system("chain", 1 << 12)
@@ -340,11 +340,12 @@ def test_copying_a_chain_plan_builds_no_steps():
     assert [a.tolist() for a, _ in steps] == [
         a.tolist() for a, _ in plan.round_steps(system.g, system.f)
     ]
-    # a built schedule travels with the copy; a rounds plan keeps its own
-    assert dataclasses.replace(plan).steps is plan.steps
+    # a built schedule travels with the copy, as does a rounds plan's
+    # (the solve built it from the plan's pred)
+    assert dataclasses.replace(plan).round_steps() is plan.round_steps()
     rounds = solve(_system("zigzag", 1 << 10), cache=PlanCache()).plan
     assert rounds.strategy == "rounds"
-    assert dataclasses.replace(rounds).steps is rounds.steps
+    assert dataclasses.replace(rounds).round_steps() is rounds.round_steps()
 
 
 @pytest.mark.parametrize("policy", [None, {"timeout_s": 60.0}])
@@ -423,7 +424,7 @@ def test_non_ufunc_operator_runs_the_rebuilt_rounds(maps):
     assert result.values == run_ordinary(system)
     assert result.strategy == "rounds"
     if result.plan.strategy == "chains":
-        assert result.plan.has_pred and result.plan.has_steps
+        assert result.plan.has_pred  # built with the schedule
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +440,7 @@ def test_run_mutants_are_rejected_by_a_chain_rule(maps):
         report = verify_plan(mutant.plan, system=system)
         assert not report.ok, mutant.description
         assert report.errors[0].code.startswith("LVL"), mutant.description
-    assert not plan.has_pred and not plan.has_steps  # mutants are copies
+    assert not plan.has_pred  # mutants are copies
 
 
 @pytest.mark.parametrize(
@@ -459,7 +460,7 @@ def test_strided_shapes_plan_runs(shape, runs, stride):
     plan = result.plan
     assert result.strategy == plan.strategy == "chains"
     assert result.values == run_ordinary(system)
-    assert not plan.has_pred and not plan.has_steps
+    assert not plan.has_pred
     layout = plan.levels
     if runs is not None:  # k interleaved runs of stride k, one level
         assert layout.segments == runs and layout.levels == 1

@@ -3,8 +3,9 @@
 An ordinary or Moebius chain or level plan (and a GIR dispatch plan
 nesting one) keeps only its :class:`~repro.engine.plan.LevelLayout` --
 whose ``write`` / ``read`` are the two maps again, in segment order --
-and a rounds plan its ``pred`` and round schedule, so a cached plan
-pins none of the arrays of the system it was built for.
+and a rounds plan its ``pred`` (plus the round schedule a rounds solve
+built from it, in memory), so a cached plan pins none of the arrays of
+the system it was built for.
 Every consumer that needs iteration-order maps reads them from the
 request's own system: the Moebius level kernel, and the rounds
 consumers (python backend and failover rung, ``max_rounds`` policies,
@@ -111,8 +112,8 @@ def test_a_cached_level_plan_pins_no_system_maps(make):
     assert all(ref() is None for ref in refs)  # the maps are freed ...
     assert cache.get(fingerprint) is plan  # ... while the plan stays cached
     assert not {"g", "f"} & set(plan_to_dict(plan))
-    if plan.strategy == "rounds":  # its own pred and schedule
-        assert plan.has_pred and plan.has_steps
+    if plan.strategy == "rounds":  # its own pred, and the schedule the solve built
+        assert plan.has_pred and plan_nbytes(plan) > plan.pred.nbytes
     else:  # the layout alone, before any rounds consumer runs
         assert plan_nbytes(plan) == plan.levels.nbytes
     assert cache.info()["bytes"] == plan_nbytes(plan)
@@ -120,11 +121,13 @@ def test_a_cached_level_plan_pins_no_system_maps(make):
 
 def test_a_map_less_plan_does_not_guess_its_schedule():
     plan, sys_ = cached(forest, PlanCache())
-    for name in ("pred", "steps", "terminal_idx"):
+    for name in ("pred", "terminal_idx"):
         with pytest.raises(ValueError, match="round_steps"):
             getattr(plan, name)
+    with pytest.raises(ValueError, match="round_steps"):
+        plan.round_steps()  # no maps given
     steps = plan.round_steps(sys_.g, sys_.f)
-    assert plan.has_pred and plan.has_steps and plan.steps is steps
+    assert plan.has_pred and plan.round_steps() is steps
     assert not hasattr(plan, "g")  # building the schedule keeps no maps either
     assert plan.rounds == len(steps)
 
@@ -145,7 +148,9 @@ def test_round_consumers_on_a_cached_plan(options):
     result = hit(sys_, cache, options)
     assert result.plan is plan and result.strategy == "rounds"
     assert result.values == run_ordinary(sys_)  # int ADD: exact in any order
-    assert plan.has_steps and not hasattr(plan, "g")
+    # the schedule stays cached, beside the pred it was built from
+    assert plan_nbytes(plan) > plan.levels.nbytes + plan.pred.nbytes
+    assert not hasattr(plan, "g")
 
 
 def test_the_failover_rung_on_a_cached_plan(monkeypatch):
@@ -187,7 +192,7 @@ def test_stats_and_batches_on_a_cached_plan():
     stacked = solve_batch(sys_, rows, cache=cache)
     for row, got in zip(rows, stacked):
         assert_bit_identical(got, run_ordinary(dataclasses.replace(sys_, initial=row)))
-    assert not plan.has_steps  # the level sweeps never build rounds
+    assert not plan.has_pred  # the level sweeps never build rounds
 
 
 @pytest.mark.parametrize(
@@ -221,7 +226,7 @@ def test_a_moebius_batch_on_a_cached_plan():
     rows = [rng.uniform(-1.0, 1.0, rec.m).tolist() for _ in range(3)]
     for row, got in zip(rows, solve_batch(rec, rows, cache=cache)):
         assert got == run_moebius_sequential(dataclasses.replace(rec, initial=row))
-    assert cache.hits == 1 and not plan.has_steps
+    assert cache.hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +241,13 @@ def test_a_plan_file_holds_no_maps_and_solves(make):
     first = make()
     plan, source = solve(first, cache=PlanCache()).plan, make()
     payload = plan_to_dict(plan)
-    assert payload["schema_version"] == PLAN_SCHEMA_VERSION == 5
+    assert payload["schema_version"] == PLAN_SCHEMA_VERSION == 6
     assert "levels" in payload and not {"g", "f", "pred", "steps"} & set(payload)
     plan.round_steps(source.g, source.f)
     assert plan_to_dict(plan) == payload  # a built schedule is not written
     shipped = plan_from_dict(json.loads(json.dumps(payload)))
     assert shipped.family == plan.family and shipped.strategy == plan.strategy
-    for version in (4, 99):  # another schema is refused, not guessed
+    for version in (5, 99):  # another schema is refused, not guessed
         with pytest.raises(ValueError, match="schema_version"):
             plan_from_dict({**payload, "schema_version": version})
     sequential = run_moebius_sequential if plan.family == "moebius" else run_ordinary

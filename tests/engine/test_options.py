@@ -118,6 +118,43 @@ class TestFrontDoorIntegration:
         assert "unknown keyword" in str(exc.value)
         assert "options" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "extras, field",
+        [
+            ({"backend": "python"}, "backend"),
+            ({"max_rounds": 1}, None),
+            ({"checked": True}, "checked"),
+            ({"bogus": 1}, None),
+        ],
+        ids=["backend", "max_rounds", "checked", "bogus"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda options: solve(chain(), options=options),
+            lambda options: solve_batch(chain(), [list(range(17))], options=options),
+            lambda options: Session(chain(), options=options),
+            lambda options: Session(chain(), options=EngineOptions(backend_options=options)),
+        ],
+        ids=["solve", "solve_batch", "Session", "Session-typed"],
+    )
+    def test_a_backend_option_the_backend_does_not_read_is_refused(
+        self, call, extras, field
+    ):
+        with pytest.raises(ValueError) as exc:
+            call(extras)
+        message = str(exc.value)
+        assert f"unknown backend option key(s): {next(iter(extras))}" in message
+        assert "valid keys: gir_eval, guard, path" in message
+        assert (f"EngineOptions({field}=...)" in message) == (field is not None)
+
+    def test_each_backend_declares_the_extras_it_reads(self):
+        assert solve(chain(), options={"path": "auto"}).backend == "numpy"
+        pram = EngineOptions(backend="pram", backend_options={"processors": 2})
+        assert solve(chain(), options=pram).values[-1] == sum(range(17))
+        with pytest.raises(ValueError, match="valid keys: access_policy, cost_model"):
+            solve(chain(), options=pram.replace(backend_options={"path": "auto"}))
+
     def test_unknown_kwarg_still_names_valid_set(self):
         with pytest.raises(ValueError) as exc:
             solve(chain(), nonsense=True)

@@ -78,6 +78,15 @@ class TestLifecycle:
         assert "bogus" in str(exc.value)
         assert "backend" in str(exc.value)  # names the valid set
 
+    def test_register_unknown_backend_option_is_400(self, server, client):
+        with pytest.raises(ServeError) as exc:
+            client.register(
+                system_to_dict(affine(4)), options={"backend_options": {"bogus": 1}}
+            )
+        assert exc.value.status == 400
+        assert "bogus" in str(exc.value)
+        assert "valid keys: gir_eval, guard, path" in str(exc.value)
+
     def test_unknown_route_is_404(self, server, client):
         with pytest.raises(ServeError) as exc:
             client._request("GET", "/v1/nope")
