@@ -181,7 +181,7 @@ class PRAMBackend(Backend):
             )
         opts = request.options
         kwargs = {"processors": opts.get("processors", 4)}
-        for key in ("cost_model", "access_policy", "fault_plan", "max_retries"):
+        for key in self.option_keys - {"processors"}:
             if key in opts:
                 kwargs["policy" if key == "access_policy" else key] = opts[key]
         op = request.source.op

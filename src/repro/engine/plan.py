@@ -86,14 +86,16 @@ def build_round_schedule(pred: np.ndarray) -> List[RoundStep]:
     -- recording ``(active, p)`` per round.  The round kernels then
     replay the schedule verbatim, so planned execution is
     step-for-step identical to the unplanned solvers (same rounds,
-    same active sets, same operand order).
+    same active sets, same operand order).  ``pred[i]`` must lie in
+    ``[-1, i)`` (Lemma 1's loop order, which also makes it acyclic);
+    any other entry raises ``ValueError``.
     """
+    if ((pred < -1) | (pred >= np.arange(pred.shape[0]))).any():
+        raise ValueError("pred[i] must lie in [-1, i) (Lemma 1's loop order)")
     nxt = pred.copy()
     steps: List[RoundStep] = []
     active = np.nonzero(nxt >= 0)[0]
     while active.size:
-        if len(steps) > int(pred.shape[0]).bit_length():  # a forest is done
-            raise ValueError("pred is cyclic: pointer jumping never ends")
         p = nxt[active]
         steps.append((active, p))
         nxt[active] = nxt[p]

@@ -314,7 +314,7 @@ def test_chain_plan_is_linear():
     session = Session(chain(n))
     session.solve()
     plan = session.plan
-    assert plan.strategy == "chains"
+    assert plan.strategy == "chains" and not plan.has_pred
     assert plan_nbytes(plan) <= 8 << 20  # the rounds plan took ~58 MB
 
 
@@ -324,7 +324,7 @@ def test_chain_plan_round_trips_and_verifies():
     plan = result.plan
     assert verify_plan(plan).ok
     shipped = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
-    assert shipped.strategy == "chains"
+    assert shipped.strategy == "chains" and not shipped.has_pred
     assert verify_plan(shipped).ok
     assert execute(shipped, rec).values == result.values
 

@@ -290,7 +290,7 @@ def test_planner_picks_both_strategies(kind, strategy):
         assert not plan.has_pred  # counting rounds never builds them
         assert_bit_identical(result.values, run_ordinary(system))
         shipped = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
-        assert shipped.strategy == "chains"
+        assert shipped.strategy == "chains" and not shipped.has_pred
         assert execute(shipped, system).values == result.values
 
 
@@ -329,10 +329,10 @@ def test_nested_segments_get_their_parents_level(at_head):
 
 def test_copying_a_chain_plan_builds_no_steps():
     plan = solve(_system("chain", 1 << 12), cache=PlanCache()).plan
-    assert plan.strategy == "chains"
+    assert plan.strategy == "chains" and not plan.has_pred
     copy = dataclasses.replace(plan)
     as_dict = dataclasses.asdict(plan)
-    assert not plan.has_pred
+    assert not plan.has_pred and not copy.has_pred
     assert as_dict["_steps"] is None
     # the copy still builds the same schedule when a consumer asks
     system = _system("chain", 1 << 12)

@@ -226,7 +226,7 @@ def test_a_moebius_batch_on_a_cached_plan():
     rows = [rng.uniform(-1.0, 1.0, rec.m).tolist() for _ in range(3)]
     for row, got in zip(rows, solve_batch(rec, rows, cache=cache)):
         assert got == run_moebius_sequential(dataclasses.replace(rec, initial=row))
-    assert cache.hits == 1
+    assert cache.hits == 1 and not plan.has_pred  # no rounds state built
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,18 @@ def test_the_builder_keeps_the_invariants_on_deep_and_strided_forests(maps):
     assert_schedule_invariants(predecessors(f, writer_map(g, m)))
 
 
-def test_a_cyclic_pred_is_refused_not_jumped_forever():
-    with pytest.raises(ValueError, match="cyclic"):
-        build_round_schedule(np.array([1, 0, -1], dtype=np.int64))
+@pytest.mark.parametrize(
+    "pred",
+    [
+        [1, 0, -1],  # cyclic: pointer jumping would never end
+        [-1, 5, 0],  # past n
+        [-1, 1, 0],  # reads itself
+        [-1, -2, 0],  # below -1: not a chain head
+    ],
+)
+def test_a_pred_out_of_loop_order_is_refused(pred):
+    with pytest.raises(ValueError, match=r"\[-1, i\)"):
+        build_round_schedule(np.array(pred, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
