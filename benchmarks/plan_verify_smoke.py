@@ -16,7 +16,7 @@ file path):
    (swapped level order, shifted level pointers, re-pointed seeds,
    duplicated writes, moved segment offsets -- the chain rows plan
    runs, the random forest row cell levels, the shallow GIR rows node
-   levels, which also get swapped output cells) and each GIR CAP
+   levels) and each GIR CAP
    power table (exponent perturbation, row-pointer truncation, cell
    swaps, pointer-repaired leaf drift -- the DP-path Fibonacci table
    reduced by its period), every mutant verified against its system,

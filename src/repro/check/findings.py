@@ -42,7 +42,8 @@ _SEVERITIES = (INFO, WARNING, ERROR)
 #: Append-only: codes are public API consumed by CI jobs and tooling; a
 #: retired code (GIR010-GIR012, folded into LVL001-LVL003; CHN001-CHN004,
 #: the separate chain layout's, folded into LVL001-LVL005; SCH001-SCH004,
-#: the stored round schedule's, gone with it) is never reused.
+#: the stored round schedule's, gone with it; GIR003, distinct output
+#: cells, gone with the stored output cells) is never reused.
 FINDING_CODES: Dict[str, str] = {
     # -- ordinary / Moebius plan verifier (SCH0xx) ---------------------
     "SCH005": "index out of range: a map leaves the array, or pred[i] not in [-1, i)",
@@ -59,14 +60,13 @@ FINDING_CODES: Dict[str, str] = {
     # -- GIR plan artifacts (GIR0xx) -----------------------------------
     "GIR001": "nested dispatch plan failed verification",
     "GIR002": "GIR plan cell index out of range",
-    "GIR003": "GIR plan output cells are not distinct",
     "GIR004": "CAP power table disagrees with the dependence-graph oracle",
     "GIR005": "GIR plan carries neither dispatch nor CAP artifacts",
     "GIR006": "GIR power-table CSR structure is inconsistent",
     "GIR007": "power-table leaf counts drift from the dependence-graph totals",
     "GIR008": "sampled trace row disagrees with the exact leaf-count oracle",
     "GIR009": "power table reduced modulo a period other than the operator's",
-    "GIR013": "GIR output cells disagree with the system",
+    "GIR013": "GIR plan's renaming disagrees with the system's g",
     # (GIR014 keeps its name but covers every family: codes are never
     # renamed, and a level plan of any family holds no system maps)
     "GIR014": "plan checked without its system: system-backed rules not run",

@@ -61,10 +61,8 @@ kind                       models                              caught by
 repairs every downstream row pointer, so the table stays structurally
 perfect and only the dependence-graph oracle can reject it.
 
-A GIR level plan also gets ``gir_swap_out_cells`` (two iterations'
-output cells swapped), which leaves the layout perfect: only the
-system-backed GIR013 rule can reject it, as only the system-backed
-LVL004 can a GIR ``level_retarget_read`` onto another leaf.
+Only the system-backed LVL004 rejects a GIR ``level_retarget_read``
+onto another leaf.
 
 All mutations are seeded and pure: the input plan is never modified.
 """
@@ -123,9 +121,10 @@ def _copy_levels(layout: Any) -> Any:
 
     if layout is None:
         return None
-    return LevelLayout(
-        **{name: _copy(getattr(layout, name)) for name in LevelLayout._ARRAYS}
-    )
+    arrays = {name: _copy(getattr(layout, name)) for name in LevelLayout._ARRAYS}
+    copy = LevelLayout(**arrays)
+    copy.write = arrays["write"]  # stored even when one range: edits land
+    return copy
 
 
 def _clone(plan: Any) -> Any:
@@ -259,7 +258,6 @@ def _clone_gir(plan: Any) -> Any:
         m=int(plan.m),
         renamed=bool(plan.renamed),
         dispatch=plan.dispatch,
-        out_cells=_copy(plan.out_cells),
         table=None
         if table is None
         else PowerTable(
@@ -276,24 +274,10 @@ def _clone_gir(plan: Any) -> Any:
 
 
 def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
-    """The GIR mutation classes: the output-cell swap, and the power
-    table's (CSR artifacts; a level plan's table only once it is
-    built)."""
+    """The power table's mutation classes (CSR artifacts; a level
+    plan's table only once it is built)."""
     from ..engine.plan import exponent_array
 
-    if kind == "gir_swap_out_cells":
-        if plan.out_cells is None or int(plan.n) < 2:
-            return None
-        i, j = rng.sample(range(int(plan.n)), 2)
-        mutated = _clone_gir(plan)
-        cells = mutated.out_cells
-        cells[i], cells[j] = int(cells[j]), int(cells[i])
-        return Mutation(
-            kind=kind,
-            description=f"iterations {i} and {j} swap output cells",
-            plan=mutated,
-            data={"iterations": (i, j)},
-        )
     if not getattr(plan, "has_table", False):
         return None
     table = plan.table
@@ -416,8 +400,8 @@ def mutation_campaign(
     """All applicable (kind, seed) mutations of ``plan``.
 
     ``kinds`` defaults by plan family and layout: a chain or level
-    plan of either family gets :data:`LEVEL_MUTATION_KINDS` (a GIR one
-    also ``gir_swap_out_cells``), a GIR plan with a built power table
+    plan of either family gets :data:`LEVEL_MUTATION_KINDS`, a GIR plan
+    with a built power table
     :data:`GIR_MUTATION_KINDS`, and an ordinary plan
     :data:`MUTATION_KINDS` (which need a stored or built ``pred``).
     """
@@ -425,7 +409,7 @@ def mutation_campaign(
         gir = getattr(plan, "family", None) == "gir"
         kinds = () if gir else MUTATION_KINDS
         if getattr(plan, "levels", None) is not None:
-            kinds += LEVEL_MUTATION_KINDS + (("gir_swap_out_cells",) if gir else ())
+            kinds += LEVEL_MUTATION_KINDS
         if gir and plan.has_table:
             kinds += GIR_MUTATION_KINDS
     out: List[Mutation] = []

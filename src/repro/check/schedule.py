@@ -28,7 +28,9 @@ each segment's seed read) is proved by one function,
 an ordinary or Moebius plan's slots are cells (the writer map of
 ``g``), a GIR plan's the dependence graph's nodes (iteration ``i`` at
 slot ``i``, the leaves never written).  The write slots name every
-iteration once, so the segment order is a permutation (LVL001); the
+iteration once, so the segment order is a permutation (LVL001; a
+one-range layout's slots, ``start`` onwards, must lie in the slot
+space); the
 segment offsets rise strictly from 0 to ``n`` and the level pointers
 monotonically from 0 to the segment count (LVL002); a seed another
 iteration writes comes from an earlier level, and an initial-value
@@ -43,9 +45,16 @@ ordinary plan keeps ``g`` / ``f``: given the system's maps a chain or
 level plan is proved as above, else by its layout alone
 (LVL001-LVL003, each write cell owned by its position).
 CHN001-CHN004, the rules of the retired separate chain layout, are
-never reused.  Given the system, a GIR plan's output cells are its
-(working) ``g`` (GIR013, on table plans too); the power-table rules
-(GIR002-GIR009) check a level plan's table only once it is built.
+never reused.
+
+A GIR plan stores no output cells: its iterations write the system's
+``g``, or the version cells ``m + i`` of its renaming.  So it is
+``renamed`` iff it holds the ``final_cell_of`` projection (SCH007,
+without the system too), and given the system iff the system's ``g``
+repeats a cell, with the projection the renaming gives (GIR013, on
+table plans too).  GIR003, the retired rule of distinct stored output
+cells, is never reused.  The power-table rules (GIR002, GIR004-GIR009)
+check a level plan's table only once it is built.
 """
 
 from __future__ import annotations
@@ -212,13 +221,27 @@ def _verify_bare_levels(plan: Any, where: str) -> CheckReport:
     over its cells, each write cell owned by its level position, so a
     read past level 0 must be of a cell an earlier level writes.  LVL004,
     LVL005 and a built ``pred`` (SCH006) need the maps."""
-    write, n, m = np.asarray(plan.levels.write, dtype=np.int64), int(plan.n), int(plan.m)
+    n, m = int(plan.n), int(plan.m)
     owner = np.full(max(m, 0), -1, dtype=np.int64)
-    if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < m)):
+    write = _write_slots(plan.levels, m)
+    if write is not None and write.shape == (n,):
         owner[write] = np.arange(n, dtype=np.int64)
     return verify_level_layout(
         plan.levels, owner, None, cell_space=True, loop_order=False, where=where
     )
+
+
+def _write_slots(levels: Any, slots: int) -> Optional[np.ndarray]:
+    """A layout's write slots as int64, or ``None`` when they leave
+    ``[0, slots)`` -- a one-range layout's checked by its bounds before
+    its range is built."""
+    start = levels.start
+    if start is not None and not 0 <= start <= slots - levels.size:
+        return None
+    write = np.asarray(levels.write, dtype=np.int64)
+    if write.size and (write.min() < 0 or write.max() >= slots):
+        return None
+    return write
 
 
 def verify_level_layout(
@@ -253,14 +276,14 @@ def verify_level_layout(
     it."""
     report = CheckReport(subject=where)
     n, slots = int(np.count_nonzero(owner >= 0)), int(owner.shape[0])
-    write = np.asarray(levels.write, dtype=np.int64)
     level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
     offsets = levels.offsets
     loc = f"{where} levels"
 
     report.ran()
-    order = None
-    if write.shape == (n,) and (n == 0 or (write.min() >= 0 and write.max() < slots)):
+    order, start = None, levels.start
+    write = _write_slots(levels, slots)
+    if write is not None and write.shape == (n,):
         order = owner[write]  # each write slot's iteration, -1: none
     seen = None
     if order is not None and (n == 0 or order.min() >= 0):
@@ -272,8 +295,9 @@ def verify_level_layout(
                 "LVL001",
                 "the level order is not a permutation of the iterations"
                 + (
-                    f": its {write.shape[0]} write slots are not {n} slots "
-                    "that iterations write"
+                    f": its {levels.size} write slots"
+                    + ("" if start is None else f" from {start}")
+                    + f" are not {n} slots that iterations write"
                     if it is None
                     else f": iteration {it} appears {int(seen[it])} times"
                 ),
@@ -444,57 +468,38 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport, maps: Any) -> None:
         return
     layout = plan.levels
     has_table = plan.has_table  # a level plan's lazy table: once built
-    if plan.out_cells is None or (layout is None and not has_table):
+    if layout is None and not has_table:
         report.add(
             error(
                 "GIR005",
                 "plan has neither a dispatch plan nor trace artifacts "
-                "(out_cells and a level layout or power table)",
+                "(a level layout or power table)",
                 where="gir",
                 hint="rebuild the plan from the system",
             )
         )
         return
 
-    out_cells = np.asarray(plan.out_cells, dtype=np.int64)
     table = plan.table if has_table else None
+    proj = plan.final_cell_of
     work_m = m + n if plan.renamed else m
-    report.ran(3)
-    if out_cells.shape != (n,):
+    report.ran(2)
+    if bool(plan.renamed) != (proj is not None):
         report.add(
             error(
                 "SCH007",
-                f"CAP artifacts disagree with n={n}: out_cells"
-                f"{out_cells.shape}",
+                f"the plan says renamed={bool(plan.renamed)} but "
+                + ("holds no" if proj is None else "holds a")
+                + " final_cell_of: a renamed plan, and only one, projects "
+                "its version cells back onto the original cells",
                 where="gir",
-            )
-        )
-        return
-    if n and (int(out_cells.min()) < 0 or int(out_cells.max()) >= work_m):
-        report.add(
-            error(
-                "GIR002",
-                f"out_cells leave the working array [0, {work_m})",
-                where="gir",
-            )
-        )
-        return
-    if np.unique(out_cells).size != n:
-        report.add(
-            error(
-                "GIR003",
-                "output cells are not distinct; two iterations would "
-                "race on one result cell",
-                where="gir",
-                hint="the planner renames non-distinct g before CAP",
             )
         )
         return
     if table is not None and not _verify_gir_csr(table, n, m, report):
         return
-    if plan.final_cell_of is not None:
-        report.ran()
-        proj = np.asarray(plan.final_cell_of, dtype=np.int64)
+    if proj is not None:
+        proj = np.asarray(proj, dtype=np.int64)
         if proj.shape != (m,) or (
             m and (int(proj.min()) < 0 or int(proj.max()) >= work_m)
         ):
@@ -508,29 +513,32 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport, maps: Any) -> None:
             )
             return
 
-    # Given the system: the output cells (GIR013) and the dependence
-    # graph the level layout and the power table are checked against.
+    # Given the system: where the iterations write (GIR013: its g, or
+    # the renaming's version cells) and the dependence graph the level
+    # layout and the power table are checked against.
     graph = work = None
     if system is not None and n:
         from ..core.depgraph import build_dependence_graph
         from ..core.equations import normalize_non_distinct
 
-        work = normalize_non_distinct(system).system if plan.renamed else system
         report.ran()
-        if not np.array_equal(out_cells, work.g):
-            wrong = out_cells != work.g if work.n == n else np.ones(n, dtype=bool)
-            i = int(np.argmax(wrong))
+        norm = None if system.g_is_distinct() else normalize_non_distinct(system)
+        want = None if norm is None else norm.final_cell_of
+        if (system.n, system.m) != (n, m) or not (
+            proj is want is None or (want is not None and np.array_equal(proj, want))
+        ):
             report.add(
                 error(
                     "GIR013",
-                    f"iteration {i} writes cell {int(out_cells[i])}, but the "
-                    f"system's (working) g has {work.n} iterations and assigns "
-                    f"{int(work.g[i]) if i < work.n else 'none'}",
+                    f"the plan (n={n}, m={m}, renamed={bool(plan.renamed)}) does "
+                    f"not project what the system (n={system.n}, m={system.m}, "
+                    f"{'repeated' if norm else 'distinct'} g) writes: its "
+                    "iterations would write other cells than the loop's",
                     where="gir",
-                    data={"iteration": i},
                 )
             )
             return
+        work = system if norm is None else norm.system
         if layout is not None:
             graph = build_dependence_graph(work)
     if layout is not None:

@@ -647,10 +647,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _system_rules(plan) -> List[str]:
     """The system-backed rules a plan checked without its system cannot
     run (a level layout's LVL004, a chain layout's LVL005 too; a rounds
-    plan's SCH006; a GIR plan's GIR013 and table oracle)."""
+    plan's SCH006; a GIR plan's GIR013, and its table's period and the
+    oracle its size picks: GIR004 up to ``GIR_ORACLE_MAX_N`` rows, else
+    GIR007 and GIR008)."""
     if plan.family == "gir" and plan.dispatch is None:
+        from .check.schedule import GIR_ORACLE_MAX_N
+
         unrun = ["GIR013"] + (["LVL004"] if plan.levels is not None else [])
-        return unrun + (["GIR004", "GIR007", "GIR008", "GIR009"] if plan.has_table else [])
+        if plan.has_table:
+            small = plan.n <= GIR_ORACLE_MAX_N
+            unrun += (["GIR004"] if small else ["GIR007", "GIR008"]) + ["GIR009"]
+        return unrun if plan.n else []
     inner = plan.dispatch if plan.family == "gir" else plan
     if inner.levels is None:
         return ["SCH006"]

@@ -372,27 +372,24 @@ def _scatter(plan, source, initials, solved, base, batch: bool) -> List[List[Any
 
 
 def _scatter_traces(plan: GIRPlan, system, values, typed) -> List[Any]:
-    """Trace rows land in the (possibly renamed) working array, which
-    is projected back onto the original cells."""
-    out_cells = plan.out_cells
+    """Trace rows land where their iterations write: at the system's
+    ``g``, or -- on a renamed plan -- at the version cells ``m + i``
+    that :func:`~repro.core.equations.normalize_non_distinct` numbers,
+    appended to the initial array and projected back onto the original
+    cells."""
     if typed is not None:
         if plan.renamed:
-            work = np.concatenate(
-                [typed, typed[np.asarray(system.g, dtype=np.int64)]]
-            )
-        else:
-            work = typed.copy()
-        work[out_cells] = values
-        if plan.renamed:
-            work = work[plan.final_cell_of]
+            work = np.concatenate([typed, np.asarray(values, dtype=typed.dtype)])
+            return work[plan.final_cell_of].tolist()
+        work = typed.copy()
+        work[system.g] = values
         return work.tolist()
+    if plan.renamed:
+        out = list(system.initial) + list(values)
+        return [out[c] for c in plan.final_cell_of.tolist()]
     out = list(system.initial)
-    if plan.renamed:
-        out += [system.initial[cell] for cell in system.g.tolist()]
-    for cell, value in zip(out_cells.tolist(), values):
+    for cell, value in zip(system.g.tolist(), values):
         out[cell] = value
-    if plan.renamed:
-        out = [out[int(c)] for c in plan.final_cell_of]
     return out
 
 

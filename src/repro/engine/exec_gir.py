@@ -155,7 +155,6 @@ def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
             n=system.n,
             m=system.m,
             renamed=renamed,
-            out_cells=work_system.g,
             final_cell_of=final_cell_of,
             levels=LevelLayout.from_graph(graph, level),
         )
@@ -184,7 +183,6 @@ def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
         n=system.n,
         m=system.m,
         renamed=renamed,
-        out_cells=work_system.g,
         table=table,
         final_cell_of=final_cell_of,
         cap_iterations=cap.iterations,

@@ -47,6 +47,7 @@ from ..core.moebius import (
 )
 from ..resilience.guard import NumericGuard, default_guard
 from . import exec_ordinary
+from .exec_ordinary import gather
 from .plan import OrdinaryPlan
 
 __all__ = [
@@ -517,14 +518,14 @@ class AffineLevels:
             if width > 1:
                 self._scan(block, xf)
                 continue
-            value = _zmul(self.a.take(cells), xf) + self.b.take(cells)
+            value = _zmul(gather(self.a, cells), xf) + gather(self.b, cells)
             if self.c is not None:
                 with np.errstate(divide="ignore"):  # a pole: inf, as the rounds give
-                    value /= _zmul(self.c.take(cells), xf) + self.d.take(cells)
+                    value /= _zmul(gather(self.c, cells), xf) + gather(self.d, cells)
             elif self.d is not None:
-                value /= self.d.take(cells)
+                value /= gather(self.d, cells)
             if self.self_term:
-                value = x.take(cells, axis=-1) + value
+                value = gather(x, cells) + value
             x[..., cells] = value
 
     def _scan(self, block, seed) -> None:

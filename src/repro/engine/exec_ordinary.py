@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.traces import predecessors, writer_map
 from ..errors import IRValidationError
-from .plan import OrdinaryPlan, build_chain_layout, build_forest_levels
+from .plan import OrdinaryPlan, _is_range, build_chain_layout, build_forest_levels
 
 __all__ = [
     "admit",
@@ -42,6 +42,7 @@ __all__ = [
     "build_plan",
     "build_plan_from_maps",
     "cells",
+    "gather",
     "layout_applies",
     "level_blocks",
     "may_wrap",
@@ -377,11 +378,21 @@ class NumpyRounds:
         return self.val
 
 
-def _range_or(a: np.ndarray):
-    """``slice(lo, hi)`` when ``a`` is ``lo, lo + 1, ..., hi - 1``, else ``a``."""
+def _range_or(a):
+    """``slice(lo, hi)`` when ``a`` is ``lo, lo + 1, ..., hi - 1`` (or
+    already that slice), else ``a``."""
+    if isinstance(a, slice) or not _is_range(a):
+        return a
     lo = int(a[0]) if a.size else 0
-    hi = lo + int(a.size)
-    return slice(lo, hi) if np.array_equal(a, np.arange(lo, hi)) else a
+    return slice(lo, lo + int(a.size))
+
+
+def gather(x: np.ndarray, slots) -> np.ndarray:
+    """``x``'s values at ``slots`` on its last axis: a view for a
+    ``slice`` (a one-range layout's), else ``take``."""
+    if isinstance(slots, slice):
+        return x[..., slots]
+    return x.take(slots, axis=-1)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -404,15 +415,18 @@ def level_blocks(layout):
     values), else the cells to gather -- padded with each segment's
     last cell when lengths differ, ``keep`` then masking the real
     entries -- and ``dest`` the cells the scanned block scatters to.
+    A one-range layout's cells are slices throughout (``width`` 1
+    included: :func:`gather` reads them), so no block holds ``O(n)``
+    cells it could name by their bounds.
     """
     cache = layout.cache
     if "blocks" in cache:
         return cache["blocks"]
-    write, offsets, ptr = layout.write, layout.offsets, layout.level_ptr.tolist()
+    written, offsets, ptr = layout.written, layout.offsets, layout.level_ptr.tolist()
     blocks = []
     for s0, s1 in zip(ptr[:-1], ptr[1:]):
         if offsets is None or s0 == s1:
-            blocks.append([(s0, s1, 1, write[s0:s1], None, None)])
+            blocks.append([(s0, s1, 1, written(s0, s1), None, None)])
             continue
         lengths = np.diff(offsets[s0 : s1 + 1])
         bounds = np.flatnonzero(np.diff(_bit_length(lengths - 1))) + 1
@@ -422,21 +436,24 @@ def level_blocks(layout):
             lo, hi = int(offsets[a]), int(offsets[b])
             lens = lengths[a - s0 : b - s0]
             width = int(lens.max())
-            dest = _range_or(write[lo:hi])
+            dest = _range_or(written(lo, hi))
             cells, keep = dest, None
-            if width == 1:
-                cells = dest = write[lo:hi]
-            elif width * (b - a) != hi - lo:  # unequal lengths: pad
+            if width * (b - a) != hi - lo:  # unequal lengths: pad
                 cols = np.arange(width, dtype=np.int64)
-                gather = offsets[a:b, None] + np.minimum(cols, lens[:, None] - 1)
-                cells = write.take(gather).reshape(-1)
+                pos = offsets[a:b, None] + np.minimum(cols, lens[:, None] - 1)
+                if layout.start is None:
+                    cells = layout.write.take(pos).reshape(-1)
+                else:
+                    cells = (pos + layout.start).reshape(-1)
                 keep = (cols < lens[:, None]).reshape(-1)
             elif isinstance(cells, slice):
                 dest = None  # a view: scanned in place
             level.append((a, b, width, cells, keep, dest))
         blocks.append(level)
     cache["blocks"] = blocks
-    cache["in_place"] = offsets is None or isinstance(_range_or(write), slice)
+    cache["in_place"] = offsets is None or isinstance(
+        _range_or(written(0, layout.size)), slice
+    )
     return blocks
 
 
@@ -469,13 +486,13 @@ def sweep_level(x: np.ndarray, layout, level: slice, fn, source=None) -> None:
     axis, so a stacked ``(k, m)`` batch is a leading axis.  ``out=``
     only for a ufunc: a modular operator's vector function is a plain
     function."""
-    w = layout.write[level]
+    w = layout.written(level.start, level.stop)
     value = (x if source is None else source).take(layout.read[level], axis=-1)
     h = w if layout.read_h is None else layout.read_h[level]
     if isinstance(fn, np.ufunc):
-        fn(value, x.take(h, axis=-1), out=value)
+        fn(value, gather(x, h), out=value)
     else:
-        value = fn(value, x.take(h, axis=-1))
+        value = fn(value, gather(x, h))
     x[w if x.ndim == 1 else (slice(None), w)] = value
 
 

@@ -19,10 +19,12 @@ value-dependent work:
   ``ufunc.accumulate`` along its runs, on the values in place.  Else
   ``pred`` alone (``O(n)`` words): every pointer-jumping round
   follows from it, and :meth:`OrdinaryPlan.round_steps` builds the
-  round schedule in memory only.  No plan keeps the maps ``g`` / ``f``.
-* :class:`GIRPlan` -- the (possibly renamed) output cells, the
-  projection map back onto the original cells and ONE evaluation
-  layout: a :class:`LevelLayout` in node space (the dependence graph's
+  round schedule in memory only.  No plan keeps the maps ``g`` / ``f``,
+  and a layout whose written cells are one range keeps its first.
+* :class:`GIRPlan` -- whether the system was renamed, the projection
+  map back onto the original cells and ONE evaluation layout (no
+  output cells: they are the system's ``g``, or the version cells
+  ``m .. m + n - 1`` of a renamed one): a :class:`LevelLayout` in node space (the dependence graph's
   final nodes grouped by dependence level with the nodes their
   operands read, ``O(n)`` bytes; each level is one vector statement
   over an ``(n + m)`` node buffer) when the graph is at most
@@ -35,12 +37,14 @@ value-dependent work:
 
 Plans serialize to plain dicts (``to_dict``/``from_dict``) so they can
 be persisted and shipped; the layout is stored as index lists (a
-chain or level plan's ``levels``, a rounds plan's ``pred``).
+chain or level plan's ``levels``, a one-range ``write`` as its
+``start``; a rounds plan's ``pred``).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -65,14 +69,15 @@ __all__ = [
     "plan_from_dict",
 ]
 
-#: Ordinary and Moebius plans (v6: one cell layout for chain and level
-#: plans, ``pred`` alone for rounds plans; no ``g`` / ``f``);
-#: ``from_dict`` refuses any other version.
-PLAN_SCHEMA_VERSION = 6
-#: GIR plans (v3: level layouts as write / read slots; a dispatch
-#: plan nests a v6 ordinary plan); ``from_dict`` refuses any other
+#: Ordinary and Moebius plans (v7: one cell layout for chain and level
+#: plans, its one-range ``write`` as ``start``; ``pred`` alone for
+#: rounds plans; no ``g`` / ``f``); ``from_dict`` refuses any other
 #: version.
-GIR_PLAN_SCHEMA_VERSION = 3
+PLAN_SCHEMA_VERSION = 7
+#: GIR plans (v4: level layouts as write / read slots, a one-range
+#: ``write`` as ``start``; no output cells; a dispatch plan nests a v7
+#: ordinary plan); ``from_dict`` refuses any other version.
+GIR_PLAN_SCHEMA_VERSION = 4
 
 #: One pointer-jumping round: (active iteration ids, their sources).
 RoundStep = Tuple[np.ndarray, np.ndarray]
@@ -211,17 +216,23 @@ def build_chain_layout(
     # depth(head) = depth(parent head) + (seed's place in its run) + 1
     place = np.zeros(S, dtype=np.int64)
     place[nonroot] = (x - runs[found]) // strides[found]
-    level = nonroot.astype(np.int64)
-    depth = np.where(nonroot, place + 1, 0)
-    # a root run adds nothing: jump only over non-root parents
-    anc = np.where(nonroot[np.maximum(parent, 0)], parent, -1)
-    live = np.flatnonzero(anc >= 0)
-    while live.size:  # synchronous pointer jumping over runs
-        hop = anc[live]
-        level[live] += level[hop]
-        depth[live] += depth[hop]
-        anc[live] = anc[hop]
-        live = live[anc[live] >= 0]
+    # synchronous pointer jumping over runs; a root run adds nothing, so
+    # a run whose parent is a root, and a run done, points at the zero
+    # run ``S``
+    level = np.zeros(S + 1, dtype=np.int64)
+    level[:S] = nonroot
+    depth = np.zeros(S + 1, dtype=np.int64)
+    depth[:S] = np.where(nonroot, place + 1, 0)
+    anc = np.full(S + 1, S, dtype=np.int64)
+    anc[:S] = np.where(nonroot[np.maximum(parent, 0)], parent, S)
+    # levels only grow and every depth is below n: once they reach
+    # what n's deepest forest allows, the test below refuses the runs
+    cap = max((n - 1).bit_length(), 2)
+    while int(level.max()) + 1 < cap and bool((anc < S).any()):
+        level += level.take(anc)
+        depth += depth.take(anc)
+        anc = anc.take(anc)
+    level, depth = level[:S], depth[:S]
     max_depth = int((depth + lengths - 1).max())
     levels = int(level.max()) + 1
     # one level always wins; past it, runs must beat pointer jumping
@@ -299,6 +310,18 @@ def build_forest_levels(
     return LevelLayout(write=write, read=read, read_h=None, level_ptr=level_ptr)
 
 
+def _is_range(a: np.ndarray) -> bool:
+    """Whether ``a`` is ``a[0], a[0] + 1, ...``: compared a block at a
+    time, so no temporary is as long as ``a`` and most other arrays fail
+    on their first block."""
+    block = np.arange(1 << 16, dtype=np.int64)
+    for lo in range(0, a.size, block.size):
+        part = a[lo : lo + block.size]
+        if not np.array_equal(part, block[: part.size] + (int(a[0]) + lo)):
+            return False
+    return True
+
+
 @dataclass
 class LevelLayout:
     """The one layout of chain and level plans, for every plan family:
@@ -309,7 +332,13 @@ class LevelLayout:
     and member by member; segment ``s`` is the positions
     ``offsets[s]:offsets[s + 1]`` (``offsets=None``: every segment is
     one iteration, ``s`` itself), and segments
-    ``level_ptr[l]:level_ptr[l + 1]`` form level ``l``.  ``read[s]`` is
+    ``level_ptr[l]:level_ptr[l + 1]`` form level ``l``.  When the
+    written slots are one ascending range -- Lemma 1's canonical loop
+    ``A[i+1] := A[i] op A[i+1]`` writes ``1 .. n`` -- the layout keeps
+    only the first, ``start``, and ``write`` reads as the range (built
+    per read; the kernels take it as a ``slice``, :meth:`written`).
+    Assigning ``write`` stores the array again, so in-place edits of it
+    land.  ``read[s]`` is
     the slot segment ``s``'s head reads as its ``f`` operand (its
     seed); every later member reads the slot the member before it
     writes.  ``read_h`` lists each iteration's ``h`` operand slot
@@ -327,19 +356,28 @@ class LevelLayout:
     dependence graph's nodes (:class:`~repro.core.depgraph.DependenceGraph`
     encoding: iteration ``i``'s result at ``i``, cell ``c``'s initial
     value at ``n + c``, a slot never written), so ``write`` lists the
-    iterations themselves.  ``O(n)`` bytes; the scan blocks a kernel
-    derives from ``offsets`` are cached (:attr:`cache`), never
-    serialized.
+    iterations themselves.  ``O(segments)`` bytes plus ``O(n)`` for a
+    stored ``write`` or ``read_h``; the scan blocks a kernel derives
+    from ``offsets`` are cached (:attr:`cache`), never serialized.
     """
 
-    write: np.ndarray  # (n,) int64 slots written, in segment order
     read: np.ndarray  # (segments,) int64 slots the heads' f operands read
     read_h: Optional[np.ndarray]  # (n,) int64 slots the h operands read
     level_ptr: np.ndarray  # (levels + 1,) int64, 0 .. segments
     offsets: Optional[np.ndarray] = None  # (segments + 1,) int64, 0 .. n
+    #: the first written slot of a one-range layout (``None``: ``write``
+    #: is stored); the constructor takes the slots as ``write``
+    start: Optional[int] = None
+    #: the slots written, in segment order, when not one range
+    _write: Optional[np.ndarray] = field(default=None, repr=False)
     cache: Dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     _ARRAYS = ("write", "read", "read_h", "level_ptr", "offsets")
+
+    def __post_init__(self) -> None:
+        write = self._write
+        if write is not None and write.size and _is_range(write):
+            self.start, self._write = int(write[0]), None
 
     @property
     def levels(self) -> int:
@@ -350,9 +388,26 @@ class LevelLayout:
         return int(self.read.shape[0])
 
     @property
+    def size(self) -> int:
+        """Iterations the layout writes."""
+        if self._write is not None:
+            return int(self._write.shape[0])
+        if self.offsets is None:
+            return self.segments
+        return int(self.offsets[-1]) if self.offsets.size else 0
+
+    def written(self, lo: int, hi: int):
+        """The slots positions ``lo:hi`` write: a ``slice`` on a
+        one-range layout (nothing materialized), else a view of the
+        stored ``write``."""
+        if self._write is None:
+            return slice(self.start + lo, self.start + hi)
+        return self._write[lo:hi]
+
+    @property
     def nbytes(self) -> int:
-        """Bytes of the layout and of its cached scan blocks (a block's
-        view of the layout's arrays adds none)."""
+        """Bytes of the stored arrays and of the cached scan blocks (a
+        block's view of the layout's arrays, or a ``slice``, adds none)."""
 
         def size(value) -> int:
             if isinstance(value, (list, tuple)):
@@ -360,7 +415,7 @@ class LevelLayout:
             own = isinstance(value, np.ndarray) and value.base is None
             return int(value.nbytes) if own else 0
 
-        arrays = (getattr(self, name) for name in self._ARRAYS)
+        arrays = (self._write, self.read, self.read_h, self.level_ptr, self.offsets)
         layout = sum(int(a.nbytes) for a in arrays if a is not None)
         return layout + size(list(self.cache.values()))
 
@@ -382,17 +437,35 @@ class LevelLayout:
         )
 
     def to_payload(self) -> Dict[str, Any]:
-        arrays = {name: getattr(self, name) for name in self._ARRAYS}
-        return {name: None if a is None else a.tolist() for name, a in arrays.items()}
+        """The stored arrays as lists, and ``start`` in place of a
+        one-range ``write``."""
+        payload = {
+            name: None if a is None else a.tolist()
+            for name, a in (
+                ("read", self.read),
+                ("read_h", self.read_h),
+                ("level_ptr", self.level_ptr),
+                ("offsets", self.offsets),
+            )
+        }
+        if self._write is None:
+            payload["start"] = self.start
+        else:
+            payload["write"] = self._write.tolist()
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "LevelLayout":
         arrays = {name: payload.get(name) for name in cls._ARRAYS}
+        start = payload.get("start")
+        if (start is None) == (arrays["write"] is None):
+            raise ValueError("a level layout stores either write or start")
         return cls(
+            start=None if start is None else operator.index(start),
             **{
                 name: None if a is None else np.asarray(a, dtype=np.int64)
                 for name, a in arrays.items()
-            }
+            },
         )
 
 
@@ -459,13 +532,15 @@ class OrdinaryPlan:
         layout = self.levels
         if layout.offsets is None:
             return np.diff(layout.level_ptr)
-        offsets, ptr = layout.offsets, layout.level_ptr
-        position = np.empty(self.m, dtype=np.int64)
-        position[layout.write] = np.arange(self.n, dtype=np.int64)
+        offsets, ptr, first = layout.offsets, layout.level_ptr, layout.start
+        if first is None and layout.levels > 1:  # cell -> position
+            position = np.empty(self.m, dtype=np.int64)
+            position[layout.write] = np.arange(self.n, dtype=np.int64)
         start = np.zeros(layout.segments, dtype=np.int64)
         for level in range(1, layout.levels):
             s0, s1 = int(ptr[level]), int(ptr[level + 1])
-            pos = position.take(layout.read[s0:s1])
+            seeds = layout.read[s0:s1]
+            pos = seeds - first if first is not None else position.take(seeds)
             seg = np.searchsorted(offsets, pos, side="right") - 1
             start[s0:s1] = start[seg] + pos - offsets[seg] + 1
         stop = start + np.diff(offsets)
@@ -572,16 +647,21 @@ def _get_pred(plan: OrdinaryPlan) -> np.ndarray:
     return plan._pred
 
 
-def _lazy_layout(cls, name: str, get) -> None:
+def _lazy_layout(cls, name: str, get, put=None) -> None:
     """Make ``name`` a lazy property of dataclass ``cls`` over its field
-    ``_name`` (``get`` builds it; assigning sets the field), and let the
-    constructor take ``name=`` for that field.
+    ``_name`` (``get`` builds it; assigning sets the field, or calls
+    ``put``), and let the constructor take ``name=`` for that field.
 
     The lazy property is deliberately not a dataclass field:
     ``dataclasses.replace`` and ``asdict`` read every field, so a copy
     reads ``_name`` as it stands and never builds the layout."""
     init, private = cls.__init__, "_" + name
-    setattr(cls, name, property(get, lambda self, value: setattr(self, private, value)))
+    if put is None:
+
+        def put(self, value):
+            setattr(self, private, value)
+
+    setattr(cls, name, property(get, put))
 
     @functools.wraps(init)
     def __init__(self, *args, **kwargs):
@@ -595,6 +675,21 @@ def _lazy_layout(cls, name: str, get) -> None:
 # A chain or level plan builds its predecessor array only when a
 # rounds consumer asks :meth:`OrdinaryPlan.round_steps` for it.
 _lazy_layout(OrdinaryPlan, "pred", _get_pred)
+
+
+def _get_write(layout: LevelLayout) -> np.ndarray:
+    if layout._write is not None:
+        return layout._write
+    return np.arange(layout.start, layout.start + layout.size, dtype=np.int64)
+
+
+def _put_write(layout: LevelLayout, write: np.ndarray) -> None:
+    layout._write, layout.start = write, None
+
+
+# A one-range layout's ``write`` is its range, built per read; an
+# assigned one is stored.
+_lazy_layout(LevelLayout, "write", _get_write, _put_write)
 
 
 def exponent_array(values: Any) -> np.ndarray:
@@ -787,10 +882,13 @@ class GIRPlan:
 
     Either ``dispatch`` is set (ordinary-shaped system: the nested
     :class:`OrdinaryPlan` runs instead of the CAP pipeline), or the
-    trace artifacts are: ``out_cells[i]``, the cell iteration ``i``
-    writes in the (possibly renamed) working system; ``final_cell_of``,
-    projecting the renamed array back onto the original cells
-    (``None`` when no renaming happened); and an evaluation layout.
+    trace artifacts are: ``renamed``, whether the working system is
+    the system's single-assignment renaming
+    (:func:`~repro.core.equations.normalize_non_distinct`: iteration
+    ``i`` writes version cell ``m + i``; else it writes the system's
+    ``g[i]``, which the plan does not copy); ``final_cell_of``,
+    projecting the renamed array back onto the original cells (set
+    iff ``renamed``); and an evaluation layout.
     That is ``levels`` (a :class:`LevelLayout` over the dependence
     graph's nodes) on a graph the planner found shallow, else ``table`` -- the flat :class:`PowerTable` whose
     row ``i`` maps leaf cells (< original ``m``) to the power of their
@@ -805,7 +903,6 @@ class GIRPlan:
     m: int
     renamed: bool = False
     dispatch: Optional[OrdinaryPlan] = None
-    out_cells: Optional[np.ndarray] = None
     #: the power table as built (``None``: not yet); the constructor
     #: takes it as ``table``, which reads it lazily
     _table: Optional[PowerTable] = field(default=None, repr=False, compare=False)
@@ -835,9 +932,6 @@ class GIRPlan:
             "m": self.m,
             "renamed": self.renamed,
             "dispatch": None if self.dispatch is None else self.dispatch.to_dict(),
-            "out_cells": None
-            if self.out_cells is None
-            else self.out_cells.tolist(),
             # a level plan's table only when materialized
             "table": None if self._table is None else self._table.to_payload(),
             "final_cell_of": None
@@ -864,9 +958,6 @@ class GIRPlan:
             dispatch=None
             if payload["dispatch"] is None
             else OrdinaryPlan.from_dict(payload["dispatch"]),
-            out_cells=None
-            if payload["out_cells"] is None
-            else np.asarray(payload["out_cells"], dtype=np.int64),
             table=None
             if payload.get("table") is None
             else PowerTable.from_payload(payload["table"]),
@@ -886,7 +977,7 @@ def _get_table(plan: GIRPlan) -> Optional[PowerTable]:
         # whose int64 counts never need a period.
         layout, n = plan.levels, plan.n
         targets = np.empty((2, n), dtype=np.int64)
-        targets[:, layout.write] = layout.read, layout.read_h
+        targets[:, layout.written(0, n)] = layout.read, layout.read_h
         work_m = plan.m + n if plan.renamed else plan.m
         graph = DependenceGraph(n=n, m=work_m, target_f=targets[0], target_h=targets[1])
         with maybe_span(get_tracer(), "gir.cap") as csp:

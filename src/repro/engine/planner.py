@@ -41,8 +41,9 @@ def plan_nbytes(plan) -> int:
 
     Counts the flat index arrays (a materialized predecessor array, the
     round schedule ``round_steps`` cached and the terminal list, the
-    level layout of any family with its cached scan blocks, a
-    materialized CSR power-table triple, projection maps); per-object
+    level layout of any family -- its stored arrays, not a one-range
+    ``write`` it keeps as ``start`` -- with its cached scan blocks, a
+    materialized CSR power-table triple, a projection map); per-object
     overhead and the GIR table's exact big-int exponents are estimated
     at one word each.  A chain or level plan's bytes are its layout's,
     a rounds plan's its ``pred``'s, until a rounds consumer builds the
@@ -53,10 +54,9 @@ def plan_nbytes(plan) -> int:
     total = 0
     if getattr(plan, "dispatch", None) is not None:
         return plan_nbytes(plan.dispatch)
-    for name in ("out_cells", "final_cell_of"):
-        arr = getattr(plan, name, None)
-        if arr is not None:
-            total += int(arr.nbytes)
+    projection = getattr(plan, "final_cell_of", None)
+    if projection is not None:
+        total += int(projection.nbytes)
     if getattr(plan, "has_pred", False):  # never builds a lazy pred
         total += int(plan.pred.nbytes)
     for active, src in getattr(plan, "_steps", None) or ():

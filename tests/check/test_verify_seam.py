@@ -19,7 +19,7 @@ from repro.core.workloads import (
     random_gir_system,
 )
 from repro.engine import EngineOptions, Session, execute, solve
-from repro.engine.plan import plan_to_dict
+from repro.engine.plan import plan_from_dict, plan_to_dict
 from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
 from repro.errors import PlanVerificationError
@@ -215,8 +215,18 @@ class TestCLI:
             (random_ordinary_system(300), 3),
             (random_ordinary_system(300), 4),
             (random_ordinary_system(300), 5),
+            (random_ordinary_system(300), 6),
+            (random_gir_system(64), 3),
         ],
-        ids=["chain-v2", "gir-levels-v99", "levels-v3", "levels-v4", "levels-v5"],
+        ids=[
+            "chain-v2",
+            "gir-levels-v99",
+            "levels-v3",
+            "levels-v4",
+            "levels-v5",
+            "levels-v6",
+            "gir-levels-v3",
+        ],
     )
     def test_check_refuses_other_schema_versions(
         self, tmp_path, capsys, system, version
@@ -252,6 +262,29 @@ class TestCLI:
             "LVL001"
         ]
 
+    def test_check_a_one_range_chain_plan_file(self, tmp_path, capsys):
+        """A contiguous chain's file stores its first cell, not ``n``
+        write cells; a start whose range leaves the ``m`` cells exits 8
+        with LVL001, with or without the system."""
+        system = chain_system(100)
+        plan = solve(system, cache=PlanCache()).plan
+        payload = plan_to_dict(plan)
+        assert payload["levels"]["start"] == plan.levels.start
+        assert "write" not in payload["levels"]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        for start in (plan.m - 99, plan.m, -1, 2**70):
+            payload["levels"]["start"] = start
+            path.write_text(json.dumps(payload))
+            assert main(["check", str(path), "--json"]) == 8, start
+            report = json.loads(capsys.readouterr().out)
+            errors = [f["code"] for f in report["findings"] if f["severity"] == "error"]
+            assert errors == ["LVL001"], (start, errors)
+            edited = plan_from_dict(payload)
+            assert verify_plan(edited, system=system).codes() == ["LVL001"]
+
     @pytest.mark.parametrize(
         "kind, code",
         [("gir_swap_cells", "GIR006"), ("gir_truncate_rowptr", "GIR006")],
@@ -264,8 +297,12 @@ class TestCLI:
         ).plan
         assert plan.table.exponents.dtype == np.int64
         path = self.write_plan(tmp_path, plan, "gir.json")
-        assert main(["check", path]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert main(["check", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        # past 2048 rows the table's oracle is GIR007 / GIR008, not GIR004
+        [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
+        assert "GIR013, LVL004, GIR007, GIR008, GIR009 not run" in skipped["message"]
         bad = mutate_plan(plan, kind, seed=1).plan
         path = self.write_plan(tmp_path, bad, "bad-gir.json")
         assert main(["check", path, "--json"]) == 8

@@ -309,13 +309,25 @@ def test_strategy_follows_the_layout(build, strategy):
             assert got == want
 
 
-def test_chain_plan_is_linear():
+def test_chain_plan_keeps_its_first_cell():
+    """The 200k affine chain writes one cell range: after a solve and a
+    stacked batch its plan is O(segments) bytes (the rounds plan took
+    ~58 MB, a stored ``write`` 1.6 MB), and it ships as ``start``."""
     n = 200_000
-    session = Session(chain(n))
-    session.solve()
+    rec = chain(n)
+    session = Session(rec)
+    result = session.solve()
+    assert_close(result.values, run_moebius_sequential(rec))
+    rng = np.random.default_rng(6)
+    rows = [rng.uniform(-1.0, 1.0, rec.m).tolist() for _ in range(2)]
+    for row, got in zip(rows, session.solve_batch(rows)):
+        assert_close(got, run_moebius_sequential(dataclasses.replace(rec, initial=row)))
     plan = session.plan
     assert plan.strategy == "chains" and not plan.has_pred
-    assert plan_nbytes(plan) <= 8 << 20  # the rounds plan took ~58 MB
+    assert plan.levels.start is not None and plan_nbytes(plan) <= 4096
+    payload = json.loads(json.dumps(plan_to_dict(plan)))
+    assert "write" not in payload["levels"]
+    assert execute(plan_from_dict(payload), rec).values == result.values
 
 
 def test_chain_plan_round_trips_and_verifies():

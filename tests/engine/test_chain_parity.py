@@ -295,12 +295,22 @@ def test_planner_picks_both_strategies(kind, strategy):
 
 
 def test_chain_plan_memory_is_linear():
+    """A contiguous chain's cells are one range, kept as its first cell:
+    O(segments) bytes at any n.  Two interleaved stride-2 chains write
+    no one range, so their plan stays linear in n."""
     from repro.engine.planner import plan_nbytes
 
-    small = solve(_system("chain", 1 << 12), cache=PlanCache()).plan
-    large = solve(_system("chain", 1 << 15), cache=PlanCache()).plan
-    assert not large.has_pred  # the round schedule stays lazy
-    assert plan_nbytes(large) / plan_nbytes(small) == pytest.approx(8, rel=0.01)
+    for kind in ("chain", "strided"):
+        small = solve(_system(kind, 1 << 12), cache=PlanCache()).plan
+        large = solve(_system(kind, 1 << 15), cache=PlanCache()).plan
+        assert not large.has_pred  # the round schedule stays lazy
+        if kind == "chain":
+            assert large.levels.start == small.levels.start == 0
+            assert plan_nbytes(large) == plan_nbytes(small) <= 64
+        else:
+            assert large.levels.start is None
+            ratio = plan_nbytes(large) / plan_nbytes(small)
+            assert ratio == pytest.approx(8, rel=0.01)
 
 
 @pytest.mark.parametrize("at_head", [False, True])
@@ -492,9 +502,10 @@ def _reachable_nbytes(obj, seen=None) -> int:
     return sum(_reachable_nbytes(item, seen) for item in items)
 
 
-def test_a_stride_one_chain_plan_holds_only_its_write_cells():
-    """The 1M chain plan keeps its cells in run order and its runs -- no
-    ``g`` / ``f``, no ``pred`` -- before and after a solve, and
+def test_a_stride_one_chain_plan_holds_only_its_first_cell():
+    """The 1M chain writes cells ``1 .. n``, one range: its plan keeps
+    its run and its first cell -- no write cells, no ``g`` / ``f``, no
+    ``pred`` -- before and after a solve and a stacked batch, and
     ``plan_nbytes`` counts exactly what is reachable."""
     from repro.engine.planner import plan_nbytes
 
@@ -504,12 +515,75 @@ def test_a_stride_one_chain_plan_holds_only_its_write_cells():
     )
     session = Session(system)
     plan = session.plan
-    budget = 8 * n + 4096  # the write cells, plus O(segments)
+    assert plan.levels.start == 1 and plan.levels.offsets.tolist() == [0, n]
+    budget = 4096  # O(segments): one run
     before = _reachable_nbytes(plan)
     assert before == plan_nbytes(plan) <= budget
-    values = list(range(n + 1))
-    assert session.solve(values).values == run_ordinary(
-        dataclasses.replace(system, initial=values)
-    )
+    rows = [list(range(n + 1)), list(range(n, -1, -1))]
+    want = [run_ordinary(dataclasses.replace(system, initial=row)) for row in rows]
+    assert session.solve(rows[0]).values == want[0]
+    assert session.solve_batch(rows) == want
     after = _reachable_nbytes(plan)
     assert after == plan_nbytes(plan) <= budget
+
+
+def test_a_one_range_plan_on_every_path():
+    """A contiguous chain's plan ships as its first cell and solves bit
+    for bit as the loop on numpy, the python backend (rounds rebuilt from
+    the system's maps), ``solve_batch`` and after a JSON round trip."""
+    n = 100_000
+    system = OrdinaryIRSystem.build(
+        list(range(n + 1)), np.arange(1, n + 1), np.arange(n), ADD
+    )
+    want = run_ordinary(system)
+    plan = solve(system, cache=PlanCache()).plan
+    payload = json.loads(json.dumps(plan_to_dict(plan)))
+    assert payload["levels"]["start"] == 1 and "write" not in payload["levels"]
+    shipped = plan_from_dict(payload)
+    assert shipped.levels.start == 1
+    assert np.array_equal(shipped.levels.write, plan.levels.write)
+    python = EngineOptions(backend="python")
+    for held in (plan, shipped):
+        assert execute(held, system).values == want
+        assert execute(held, system, options=python).values == want
+        other = list(range(n, -1, -1))
+        got = solve_batch(system, [system.initial, other], plan=held)
+        assert got == [want, run_ordinary(dataclasses.replace(system, initial=other))]
+    for version in (6, 8):  # another schema is refused, not guessed
+        with pytest.raises(ValueError, match="schema_version"):
+            plan_from_dict({**payload, "schema_version": version})
+    both = {**payload, "levels": {**payload["levels"], "write": list(range(1, n + 1))}}
+    with pytest.raises(ValueError, match="either write or start"):
+        plan_from_dict(both)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="np.minimum keeps the second operand on a +-0.0 tie where the "
+    "loop's `x if x <= y else y` keeps the first: the MIN/MAX contract "
+    "(NaN and signed zeros) is undecided",
+)
+@pytest.mark.parametrize(
+    "initial",
+    [[1.0, -0.0, 0.0, 2.0, 0.5, 3.0], [1.0, 0.0, -0.0, 2.0, -0.0, 0.0]],
+    ids=["neg-first", "pos-first"],
+)
+def test_min_signed_zero_ties_match_the_loop(initial):
+    system = OrdinaryIRSystem.build(initial, np.arange(1, 6), np.arange(5), MIN)
+    want = [v.hex() for v in run_ordinary(system)]
+    python = solve(system, cache=PlanCache(), options=EngineOptions(backend="python"))
+    assert [v.hex() for v in python.values] == want
+    assert [v.hex() for v in solve(system, cache=PlanCache()).values] == want
+
+
+def test_the_zigzag_stops_jumping_early_and_gets_no_runs():
+    """The ~1M zigzag's runs are pairs, about 330k of them: their levels
+    reach what any forest of its size allows long before the pointer
+    jumping over runs would finish, and the verdict is the same."""
+    from repro.engine.plan import build_chain_layout
+
+    from .test_level_parity import zigzag_maps
+
+    g, f, m = zigzag_maps(660_000)
+    pred = predecessors(f, writer_map(g, m))
+    assert build_chain_layout(g, f, pred) is None

@@ -58,7 +58,7 @@ SYSTEMS = {
 }
 #: The mutation classes of a GIR level plan.
 #: (a one-iteration layout has no segment offset to move)
-LEVEL_KINDS = set(LEVEL_MUTATION_KINDS) - {"level_shift_offset"} | {"gir_swap_out_cells"}
+LEVEL_KINDS = set(LEVEL_MUTATION_KINDS) - {"level_shift_offset"}
 #: What a default solve runs: depth 63 is past the level kernel's reach.
 STRATEGY = {name: "levels" for name in SYSTEMS}
 STRATEGY["double_chain_63"] = "traces"
@@ -194,6 +194,40 @@ def test_level_stats_report_what_ran():
     assert stats.reduction_depth == result.plan.levels.levels
 
 
+@pytest.mark.parametrize("layout", ["levels", "table"])
+@pytest.mark.parametrize("renamed", [False, True], ids=["distinct", "renamed"])
+def test_iterations_write_the_systems_g_or_its_version_cells(renamed, layout):
+    """A GIR plan stores no output cells: the scatter writes at the
+    system's ``g``, or at the version cells ``m + i`` of a renamed plan.
+    Both layouts and both scatter paths (typed values, Python rows)
+    equal the loop bit for bit, and so does the plan shipped as JSON
+    (an exact operator: a power table reassociates float products)."""
+    if renamed:
+        system = scatter_system(2000, 3000, seed=14, op=modular_mul(10**9 + 7))
+        system = dataclasses.replace(system, initial=list(range(2, system.m + 2)))
+    else:
+        system = random_gir_system(2000, extra_cells=2000, seed=14)
+    table = {"backend_options": {"gir_eval": "batched"}}
+    options = EngineOptions(**({} if layout == "levels" else table))
+    want = _bits(run_gir(system))
+    result = solve(system, cache=PlanCache(), options=options)
+    plan = result.plan
+    assert result.strategy == plan.strategy == {"levels": "levels", "table": "traces"}[layout]
+    assert plan.renamed == renamed == (plan.final_cell_of is not None)
+    assert _bits(result.values) == want
+    payload = json.loads(json.dumps(plan.to_dict()))
+    assert payload["schema_version"] == 4 and "out_cells" not in payload
+    shipped = plan_from_dict(payload)
+    assert shipped.renamed == plan.renamed
+    assert verify_plan(shipped, system=system).ok
+    for held in (plan, shipped):
+        for backend in ("numpy", "python"):
+            got = solve(system, plan=held, options=dataclasses.replace(options, backend=backend))
+            assert _bits(got.values) == want, (held is plan, backend)
+    with pytest.raises(ValueError, match="schema_version"):
+        plan_from_dict({**payload, "schema_version": 3})
+
+
 class TestLevelChecks:
     @pytest.fixture(scope="class")
     def level(self):
@@ -222,6 +256,27 @@ class TestLevelChecks:
         mut = mutate_plan(plan, "level_swap_order", seed=0).plan
         mut.levels.write[0] = mut.levels.write[1]
         assert "LVL001" in verify_plan(mut).codes()
+
+    def test_renaming_is_checked_against_the_system(self, level):
+        """A plan is renamed iff it holds a projection (SCH007, bare),
+        and given the system iff its ``g`` repeats a cell, with the
+        projection the renaming gives (GIR013)."""
+        system, plan = level
+        flipped = dataclasses.replace(plan, renamed=False)
+        assert verify_plan(flipped).codes() == ["SCH007"]
+        unrenamed = dataclasses.replace(plan, renamed=False, final_cell_of=None)
+        assert verify_plan(unrenamed).ok  # a plan of some distinct g
+        assert "GIR013" in verify_plan(unrenamed, system=system).codes()
+        moved = dataclasses.replace(plan, final_cell_of=np.roll(plan.final_cell_of, 1))
+        assert verify_plan(moved).ok  # still a projection into the array
+        assert "GIR013" in verify_plan(moved, system=system).codes()
+        distinct = random_gir_system(300, extra_cells=100, seed=15)
+        plain = solve(distinct, cache=PlanCache()).plan
+        assert not plain.renamed and verify_plan(plain, system=distinct).ok
+        claimed = dataclasses.replace(
+            plain, renamed=True, final_cell_of=np.arange(plain.m, dtype=np.int64)
+        )
+        assert "GIR013" in verify_plan(claimed, system=distinct).codes()
 
     def test_level_pointers_must_close(self, level):
         _system, plan = level

@@ -241,13 +241,13 @@ def test_a_plan_file_holds_no_maps_and_solves(make):
     first = make()
     plan, source = solve(first, cache=PlanCache()).plan, make()
     payload = plan_to_dict(plan)
-    assert payload["schema_version"] == PLAN_SCHEMA_VERSION == 6
+    assert payload["schema_version"] == PLAN_SCHEMA_VERSION == 7
     assert "levels" in payload and not {"g", "f", "pred", "steps"} & set(payload)
     plan.round_steps(source.g, source.f)
     assert plan_to_dict(plan) == payload  # a built schedule is not written
     shipped = plan_from_dict(json.loads(json.dumps(payload)))
     assert shipped.family == plan.family and shipped.strategy == plan.strategy
-    for version in (5, 99):  # another schema is refused, not guessed
+    for version in (5, 6, 99):  # another schema is refused, not guessed
         with pytest.raises(ValueError, match="schema_version"):
             plan_from_dict({**payload, "schema_version": version})
     sequential = run_moebius_sequential if plan.family == "moebius" else run_ordinary

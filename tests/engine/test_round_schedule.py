@@ -157,7 +157,7 @@ def test_a_shipped_rounds_plan_solves_as_the_original(make, options):
     plan = solve(source, cache=PlanCache()).plan
     assert plan.strategy == "rounds"
     payload = json.loads(json.dumps(plan_to_dict(plan)))
-    assert payload["schema_version"] == 6 and "steps" not in payload
+    assert payload["schema_version"] == 7 and "steps" not in payload
     shipped = plan_from_dict(payload)
     assert shipped.strategy == "rounds" and np.array_equal(shipped.pred, plan.pred)
     want = execute(plan, source, options=options, collect_stats=True)
