@@ -12,7 +12,7 @@ from repro.core import GIRSystem, modular_mul, run_gir
 from repro.core.cap import count_all_paths
 from repro.core.depgraph import build_dependence_graph
 from repro.core.traces import gir_trace_tree, render_tree
-from repro.engine import EngineOptions, solve
+from repro.engine import solve
 
 N = 40
 MOD = 10**9 + 7
@@ -34,17 +34,15 @@ def run_fig5(n=N):
     graph = build_dependence_graph(system)
     cap = count_all_paths(graph)
     powers = [cap.powers_by_cell(graph, i) for i in range(n)]
-    # the CAP pipeline: a default solve of a graph this shallow (depth
-    # 40) sweeps its dependence levels instead and runs no CAP
-    table = EngineOptions(backend_options={"gir_eval": "batched"})
-    result = solve(system, collect_stats=True, options=table)
-    parallel, stats = result.values, result.stats
+    # a graph this shallow (depth 40) plans dependence levels: the
+    # solve sweeps them and runs no CAP, so CAP's numbers are its own
+    parallel = solve(system).values
     sequential = run_gir(system)
-    return system, powers, parallel, sequential, stats
+    return system, powers, parallel, sequential, cap
 
 
 def test_fig5_fibonacci_powers(benchmark):
-    system, powers, parallel, sequential, stats = benchmark(run_fig5)
+    system, powers, parallel, sequential, cap = benchmark(run_fig5)
     fib = [1, 1]
     for _ in range(N + 2):
         fib.append(fib[-1] + fib[-2])
@@ -53,12 +51,12 @@ def test_fig5_fibonacci_powers(benchmark):
         assert powers[i] == {0: fib[i], 1: fib[i + 1]}
     assert parallel == sequential
     # CAP converges logarithmically even though powers are exponential
-    assert stats.cap_iterations <= 6
+    assert cap.iterations <= 6
     benchmark.extra_info["largest_power"] = powers[-1][1]
 
 
 def main():
-    system, powers, parallel, _seq, stats = run_fig5()
+    system, powers, parallel, _seq, cap = run_fig5()
     print(banner("Figure 5: expansion of X_i = X_{i-1} * X_{i-2}"))
     small = build(3)
     print("expanded tree for n = 3 (paper's drawing):")
@@ -71,7 +69,7 @@ def main():
     }))
     print()
     print(f"GIR pipeline == sequential loop; CAP took "
-          f"{stats.cap_iterations} iterations for n = {N}")
+          f"{cap.iterations} iterations for n = {N}")
     print(f"final value (mod {MOD}): {parallel[-1]}")
 
 

@@ -32,7 +32,8 @@ regression; ``RATIOS`` publishes both ratios for
 Arms
 ----
 * ``rows``      -- cached plan, per-row trace evaluation (the v1
-  executor's cost profile);
+  executor's cost profile): the python backend, whose GIR kernel
+  evaluates a table plan by rows;
 * ``batched``   -- cached plan, exponent-1 factors gathered and the
   rest powered in one vectorized pass, one vectorized combine per row
   width;
@@ -88,35 +89,15 @@ def run(n=N):
     plan = solve(system, options=EngineOptions(backend="numpy")).plan
     assert plan.dispatch is None, "Fibonacci powers must take the CAP path"
     rows_s, rows_result = _time(
-        lambda: solve(
-            system,
-            plan=plan,
-            options=EngineOptions(
-                backend="numpy",
-                backend_options={"gir_eval": "rows"},
-            ),
-        )
+        lambda: solve(system, plan=plan, options=EngineOptions(backend="python"))
     )
     batched_s, batched_result = _time(
-        lambda: solve(
-            system,
-            plan=plan,
-            options=EngineOptions(
-                backend="numpy",
-                backend_options={"gir_eval": "batched"},
-            ),
-        )
+        lambda: solve(system, plan=plan, options=EngineOptions(backend="numpy"))
     )
 
     mul_system = fibonacci_powers(MUL_N, modular_mul(MUL_M))
     mul_expect = run_gir(mul_system)
-    mul_result = solve(
-        mul_system,
-        options=EngineOptions(
-            backend="numpy",
-            backend_options={"gir_eval": "batched"},
-        ),
-    )
+    mul_result = solve(mul_system, options=EngineOptions(backend="numpy"))
 
     return {
         "n": n,

@@ -61,7 +61,7 @@ FINDING_CODES: Dict[str, str] = {
     "GIR001": "nested dispatch plan failed verification",
     "GIR002": "GIR plan cell index out of range",
     "GIR004": "CAP power table disagrees with the dependence-graph oracle",
-    "GIR005": "GIR plan carries neither dispatch nor CAP artifacts",
+    "GIR005": "GIR plan carries no dispatch plan and not exactly one trace layout (level layout or power table)",
     "GIR006": "GIR power-table CSR structure is inconsistent",
     "GIR007": "power-table leaf counts drift from the dependence-graph totals",
     "GIR008": "sampled trace row disagrees with the exact leaf-count oracle",

@@ -247,11 +247,11 @@ def _mutate_levels(plan: Any, kind: str, rng: random.Random) -> Optional[Mutatio
 
 
 def _clone_gir(plan: Any) -> Any:
-    """A deep copy of a GIR trace plan: its level layout and its
-    materialized power table (a lazy one stays unbuilt)."""
+    """A deep copy of a GIR trace plan: its level layout or its power
+    table."""
     from ..engine.plan import GIRPlan, PowerTable
 
-    table = plan.table if plan.has_table else None
+    table = plan.table
     return GIRPlan(
         fingerprint=plan.fingerprint,
         n=int(plan.n),
@@ -274,13 +274,13 @@ def _clone_gir(plan: Any) -> Any:
 
 
 def _mutate_gir(plan: Any, kind: str, rng: random.Random) -> Optional[Mutation]:
-    """The power table's mutation classes (CSR artifacts; a level
-    plan's table only once it is built)."""
+    """The power table's mutation classes (CSR artifacts of a table
+    plan)."""
     from ..engine.plan import exponent_array
 
-    if not getattr(plan, "has_table", False):
+    table = getattr(plan, "table", None)
+    if table is None:
         return None
-    table = plan.table
     nnz = table.nnz
 
     if kind == "gir_perturb_exponent":
@@ -401,8 +401,7 @@ def mutation_campaign(
 
     ``kinds`` defaults by plan family and layout: a chain or level
     plan of either family gets :data:`LEVEL_MUTATION_KINDS`, a GIR plan
-    with a built power table
-    :data:`GIR_MUTATION_KINDS`, and an ordinary plan
+    with a power table :data:`GIR_MUTATION_KINDS`, and an ordinary plan
     :data:`MUTATION_KINDS` (which need a stored or built ``pred``).
     """
     if kinds is None:
@@ -410,7 +409,7 @@ def mutation_campaign(
         kinds = () if gir else MUTATION_KINDS
         if getattr(plan, "levels", None) is not None:
             kinds += LEVEL_MUTATION_KINDS
-        if gir and plan.has_table:
+        if gir and plan.table is not None:
             kinds += GIR_MUTATION_KINDS
     out: List[Mutation] = []
     for kind in kinds:

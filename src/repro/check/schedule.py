@@ -466,21 +466,21 @@ def _verify_gir(plan: Any, system: Any, report: CheckReport, maps: Any) -> None:
             )
         report.extend(sub)
         return
-    layout = plan.levels
-    has_table = plan.has_table  # a level plan's lazy table: once built
-    if layout is None and not has_table:
+    layout, table = plan.levels, plan.table
+    if (layout is None) == (table is None):
         report.add(
             error(
                 "GIR005",
-                "plan has neither a dispatch plan nor trace artifacts "
-                "(a level layout or power table)",
+                "plan holds "
+                + ("neither" if layout is None else "both")
+                + " of the trace artifacts (a level layout or a power "
+                "table): it needs exactly one",
                 where="gir",
                 hint="rebuild the plan from the system",
             )
         )
         return
 
-    table = plan.table if has_table else None
     proj = plan.final_cell_of
     work_m = m + n if plan.renamed else m
     report.ran(2)

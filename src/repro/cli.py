@@ -654,7 +654,7 @@ def _system_rules(plan) -> List[str]:
         from .check.schedule import GIR_ORACLE_MAX_N
 
         unrun = ["GIR013"] + (["LVL004"] if plan.levels is not None else [])
-        if plan.has_table:
+        if plan.table is not None:
             small = plan.n <= GIR_ORACLE_MAX_N
             unrun += (["GIR004"] if small else ["GIR007", "GIR008"]) + ["GIR009"]
         return unrun if plan.n else []

@@ -64,20 +64,19 @@ int64 with no period.  Neither route imports SciPy.
 
 Doubling rounds are still what a caller gets from a bounded run
 (``max_iterations`` / ``policy``: partial states and enforcer budgets
-are doubling-round notions), from an explicit ``method="matrix"`` or
-``"edges"``, and from :func:`repro.pram.vectorized.profile_gir`, which
-prices CAP's rounds.  The ``"matrix"`` recurrence runs on
+are doubling-round notions), from an explicit ``method="matrix"``,
+and from :func:`repro.pram.vectorized.profile_gir`, which prices
+CAP's rounds.  Doubling keeps one representation per platform:
 
 * ``scipy.sparse`` int64 CSR matrices when SciPy is importable (the
   only place this package imports it, lazily; dependence DAGs have
   out-degree <= 2, so the state stays sparse),
-* dense ``numpy`` int64 matrices for small graphs without SciPy,
-* the pure-Python sparse rows (the historical dict ``EdgeSet`` --
-  literally a CSR matrix with dict rows) as the last resort, and as
-  the **object-dtype promotion** target: path counts grow
-  Fibonacci-fast, and the moment an upcoming product could exceed
-  int64 the whole state is converted to dict rows over exact Python
-  ints and the loop continues there bit-for-bit.
+* else the pure-Python sparse rows (the historical dict ``EdgeSet``
+  -- literally a CSR matrix with dict rows).  They are also the
+  **object-dtype promotion** target: path counts grow Fibonacci-fast,
+  and the moment an upcoming product could exceed int64 the whole
+  CSR state is converted to dict rows over exact Python ints and the
+  loop continues there bit-for-bit.
 
 Every unbounded run, and a matrix run converged in int64, hands its
 leaf block out as CSR arrays (:attr:`CAPResult.leaf_csr`) -- the
@@ -149,17 +148,13 @@ DP_DEPTH_CUTOFF = 4096
 #: ``L`` is at most ``2^L``, so every count of such a graph fits int64.
 _LEVEL_MAX_DEPTH = 62
 
-#: Without SciPy, dense matrices are used only up to this many nodes
-#: (n + m); past it the pure-Python sparse rows take over.
-_DENSE_MAX_NODES = 2048
-
 #: Promote to exact Python ints before any product could reach this.
 _INT64_GUARD = 2**62
 
 #: A count past this has no int64 form: with a period, reduce it.
 _INT64_MAX = 2**63 - 1
 
-_METHODS = ("auto", "matrix", "edges", "dp")
+_METHODS = ("auto", "matrix", "dp")
 
 
 def residue(count, period: int):
@@ -175,7 +170,7 @@ def _scipy_sparse():
     """``scipy.sparse`` when importable, else ``None``.
 
     Centralized so tests can monkeypatch SciPy absence and CI can force
-    the dense/pure-Python fallbacks via ``REPRO_NO_SCIPY=1``.
+    the pure-Python dict rows via ``REPRO_NO_SCIPY=1``.
     """
     if os.environ.get("REPRO_NO_SCIPY"):
         return None
@@ -295,7 +290,7 @@ def _doubling_step(edges: EdgeSet, graph: DependenceGraph) -> "tuple[EdgeSet, in
 
 
 class _MatrixState:
-    """The L/F block-matrix doubling state (scipy CSR or dense int64).
+    """The L/F block-matrix doubling state, as SciPy int64 CSR matrices.
 
     Mirrors the dict ``EdgeSet`` exactly: row ``u`` of ``L`` holds
     ``u``'s complete-path labels (column = leaf cell), row ``u`` of
@@ -307,58 +302,32 @@ class _MatrixState:
 
     def __init__(self, graph: DependenceGraph, sparse_mod) -> None:
         self.n = int(graph.n)
-        self.m = int(graph.m)
-        self.sparse = sparse_mod
-        n, m = self.n, self.m
+        n, m = self.n, int(graph.m)
         tf = np.asarray(graph.target_f, dtype=np.int64)
         th = np.asarray(graph.target_h, dtype=np.int64)
-        rows = np.concatenate([np.arange(n, dtype=np.int64)] * 2) if n else (
-            np.zeros(0, dtype=np.int64)
-        )
-        cols = np.concatenate([tf, th]) if n else np.zeros(0, dtype=np.int64)
+        rows = np.concatenate([np.arange(n, dtype=np.int64)] * 2)
+        cols = np.concatenate([tf, th])
         ones = np.ones(rows.shape[0], dtype=np.int64)
         leaf = cols >= n
-        if sparse_mod is not None:
-            self.L = sparse_mod.coo_matrix(
-                (ones[leaf], (rows[leaf], cols[leaf] - n)), shape=(n, m)
-            ).tocsr()
-            self.F = sparse_mod.coo_matrix(
-                (ones[~leaf], (rows[~leaf], cols[~leaf])), shape=(n, n)
-            ).tocsr()
-            self.L.sum_duplicates()
-            self.F.sum_duplicates()
-        else:
-            self.L = np.zeros((n, m), dtype=np.int64)
-            self.F = np.zeros((n, n), dtype=np.int64)
-            np.add.at(self.L, (rows[leaf], cols[leaf] - n), 1)
-            np.add.at(self.F, (rows[~leaf], cols[~leaf]), 1)
+        self.L = sparse_mod.coo_matrix(
+            (ones[leaf], (rows[leaf], cols[leaf] - n)), shape=(n, m)
+        ).tocsr()
+        self.F = sparse_mod.coo_matrix(
+            (ones[~leaf], (rows[~leaf], cols[~leaf])), shape=(n, n)
+        ).tocsr()
+        self.L.sum_duplicates()
+        self.F.sum_duplicates()
 
     # -- introspection ----------------------------------------------------
 
-    def _nnz(self, mat) -> int:
-        if self.sparse is not None:
-            return int(mat.nnz)
-        return int(np.count_nonzero(mat))
-
     def converged(self) -> bool:
-        return self._nnz(self.F) == 0
+        return self.F.nnz == 0
 
     def live_edges(self) -> int:
-        return self._nnz(self.L) + self._nnz(self.F)
+        return int(self.L.nnz) + int(self.F.nnz)
 
     def _row_degrees(self) -> np.ndarray:
-        if self.sparse is not None:
-            return np.diff(self.L.indptr) + np.diff(self.F.indptr)
-        return (self.L != 0).sum(axis=1) + (self.F != 0).sum(axis=1)
-
-    def _max_label(self) -> int:
-        if self.sparse is not None:
-            lmax = int(self.L.data.max()) if self.L.nnz else 0
-            fmax = int(self.F.data.max()) if self.F.nnz else 0
-        else:
-            lmax = int(self.L.max()) if self.L.size else 0
-            fmax = int(self.F.max()) if self.F.size else 0
-        return max(lmax, fmax)
+        return np.diff(self.L.indptr) + np.diff(self.F.indptr)
 
     def overflow_risk(self) -> bool:
         """Conservative pre-step bound: could any composed label of the
@@ -368,7 +337,8 @@ class _MatrixState:
             return False
         deg = self._row_degrees()
         rmax = int(deg.max()) if deg.size else 0
-        top = self._max_label()
+        lmax = int(self.L.data.max()) if self.L.nnz else 0
+        top = max(lmax, int(self.F.data.max()))
         return rmax > 0 and top > 0 and top * top * rmax >= _INT64_GUARD
 
     # -- the doubling step ------------------------------------------------
@@ -377,17 +347,11 @@ class _MatrixState:
         """``L += F @ L; F = F @ F``; returns the composition count
         (identical to the dict algorithm's work measure)."""
         deg = self._row_degrees()
-        if self.sparse is not None:
-            work = int(deg[self.F.indices].sum()) if self.F.nnz else 0
-            self.L = self.L + self.F @ self.L
-            self.F = self.F @ self.F
-            self.L.sum_duplicates()
-            self.F.sum_duplicates()
-        else:
-            open_per_col = (self.F != 0).sum(axis=0)
-            work = int((open_per_col * deg).sum())
-            self.L = self.L + self.F @ self.L
-            self.F = self.F @ self.F
+        work = int(deg[self.F.indices].sum()) if self.F.nnz else 0
+        self.L = self.L + self.F @ self.L
+        self.F = self.F @ self.F
+        self.L.sum_duplicates()
+        self.F.sum_duplicates()
         return work
 
     # -- views ------------------------------------------------------------
@@ -395,18 +359,13 @@ class _MatrixState:
     def leaf_csr(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """The converged ``L`` as int64 CSR arrays ``(row_ptr, cells,
         counts)``, cells strictly increasing within each row."""
-        if self.sparse is not None:
-            L = self.L
-            L.sum_duplicates()  # canonical: sorted, duplicate-free
-            return (
-                L.indptr.astype(np.int64),
-                L.indices.astype(np.int64),
-                L.data.astype(np.int64),
-            )
-        rows, cells = np.nonzero(self.L)  # row-major: sorted per row
-        row_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=row_ptr[1:])
-        return row_ptr, cells.astype(np.int64), self.L[rows, cells]
+        L = self.L
+        L.sum_duplicates()  # canonical: sorted, duplicate-free
+        return (
+            L.indptr.astype(np.int64),
+            L.indices.astype(np.int64),
+            L.data.astype(np.int64),
+        )
 
     def to_edge_set(self) -> EdgeSet:
         """The dict-row view of the current state (leaf targets keyed
@@ -414,20 +373,12 @@ class _MatrixState:
         bit-identical to the dict algorithm at the same iteration."""
         n = self.n
         edges: EdgeSet = [dict() for _ in range(n)]
-        if self.sparse is not None:
-            for name, mat, off in (("L", self.L, n), ("F", self.F, 0)):
-                indptr, indices, data = mat.indptr, mat.indices, mat.data
-                for u in range(n):
-                    row = edges[u]
-                    for j in range(indptr[u], indptr[u + 1]):
-                        row[int(indices[j]) + off] = int(data[j])
-        else:
+        for mat, off in ((self.L, n), (self.F, 0)):
+            indptr, indices, data = mat.indptr, mat.indices, mat.data
             for u in range(n):
                 row = edges[u]
-                for c in np.nonzero(self.L[u])[0]:
-                    row[int(c) + n] = int(self.L[u, c])
-                for v in np.nonzero(self.F[u])[0]:
-                    row[int(v)] = int(self.F[u, v])
+                for j in range(indptr[u], indptr[u + 1]):
+                    row[int(indices[j]) + off] = int(data[j])
         return edges
 
 
@@ -802,15 +753,14 @@ def count_all_paths(
     or returns the current partially doubled edge sets, per its
     ``on_exhaustion`` behaviour.
 
-    ``method`` selects the backend: ``"matrix"`` (the L/F counting-
-    matrix recurrence -- scipy CSR, dense numpy, or pure-Python rows,
-    in that order of preference), ``"edges"`` (the historical dict
-    doubling), ``"dp"`` (sequential forward DP, no doubling rounds) or
-    ``"auto"``.  All produce identical ``powers``; matrix and edges
-    also share iteration counts, work accounting, partial states and
-    policy behaviour exactly.  An unbounded ``"auto"`` run takes the
-    level pass on graphs of depth <= 62 and the DP on deeper ones; a
-    bounded one doubles on the matrix recurrence.
+    ``method`` selects the algorithm: ``"matrix"`` (path doubling: the
+    L/F counting-matrix recurrence on SciPy CSR when SciPy imports,
+    else the dict rows), ``"dp"`` (sequential forward DP, no doubling
+    rounds) or ``"auto"``.  All produce identical ``powers``; both
+    doubling representations also share iteration counts, work
+    accounting, partial states and policy behaviour exactly.  An
+    unbounded ``"auto"`` run takes the level pass on graphs of depth
+    <= 62 and the DP on deeper ones; a bounded one doubles.
 
     ``period`` (an operator's ``power_period``) makes an unbounded run
     whose exact counts would leave int64 return every count as its
@@ -839,16 +789,13 @@ def count_all_paths(
         if unbounded and method == "dp":
             return _dp_result(graph, root, period)
 
+        # (a bounded "dp" request still has to double: partial states
+        # and enforcer budgets are doubling-round notions)
         state: Optional[_MatrixState] = None
         edges: Optional[EdgeSet] = None
-        if method != "edges":
-            # (a bounded "dp" request still has to double: partial
-            # states and enforcer budgets are doubling-round notions)
-            sparse_mod = _scipy_sparse()
-            if sparse_mod is not None or graph.n + graph.m <= _DENSE_MAX_NODES:
-                state = _MatrixState(graph, sparse_mod)
-            else:
-                edges = _initial_edges(graph)
+        sparse_mod = _scipy_sparse()
+        if sparse_mod is not None:
+            state = _MatrixState(graph, sparse_mod)
         else:
             edges = _initial_edges(graph)
         iterations = 0

@@ -442,7 +442,9 @@ FLOAT_MUL = Operator(
 
 MIN = Operator(
     name="min",
-    fn=lambda x, y: x if x <= y else y,
+    # exactly np.minimum: NaN on either side propagates, a tie (0.0
+    # vs -0.0) yields the second operand
+    fn=lambda x, y: x if x < y or x != x else y,
     associative=True,
     commutative=True,
     identity=math.inf,
@@ -456,7 +458,7 @@ MIN = Operator(
 
 MAX = Operator(
     name="max",
-    fn=lambda x, y: x if x >= y else y,
+    fn=lambda x, y: x if x > y or x != x else y,  # exactly np.maximum
     associative=True,
     commutative=True,
     identity=-math.inf,

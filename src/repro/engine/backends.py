@@ -123,9 +123,9 @@ class KernelBackend(Backend):
     (``object`` / ``affine`` / ``rational``; ``affine_levels`` and
     ``rational_levels`` replace them likewise) or ``gir``.  ``defaults`` are backend
     options applied under the request's own: Moebius ``path`` /
-    ``guard`` and GIR ``gir_eval``, the keys the driver reads."""
+    ``guard``, the keys the driver reads."""
 
-    option_keys = frozenset({"path", "guard", "gir_eval"})
+    option_keys = frozenset({"path", "guard"})
 
     def __init__(
         self,

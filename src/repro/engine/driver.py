@@ -18,7 +18,8 @@ therefore supply only *kernels* (a name-keyed table, see
   and only the affine one scans runs); they report the plan's
   strategy, ``chains`` or ``levels``;
 * trace evaluators -- ``gir`` (:mod:`~repro.engine.exec_gir`): the
-  level sweeps on a level plan, else power-table evaluation.
+  level sweeps on a level plan (every backend), else power-table
+  evaluation.
 
 This module owns, once, what every backend used to repeat: building a
 missing plan; value admission (:func:`~repro.engine.exec_ordinary.
@@ -170,11 +171,11 @@ def verify(source, problem, plan=None, *, stage: str, preconditions: bool = Fals
     return report
 
 
-def _stats(plan, active: List[int], ran: str = ""):
+def _stats(plan, active: List[int]):
     """The family's stats record for a solve that ran ``active`` (GIR:
-    that ran strategy ``ran``)."""
+    what its plan's layout runs)."""
     if isinstance(plan, GIRPlan):
-        if ran == "levels":  # one op per iteration, one sweep per level
+        if plan.levels is not None:  # one op per iteration, one sweep per level
             return GIRSolveStats(
                 n=plan.n,
                 cap_iterations=0,
@@ -298,24 +299,23 @@ def _object(make, job: Job, enforcer, label: str, ran: str):
 
 def _traces(make, job: Job, problem, label: str):
     """GIR evaluation, planning first when no plan is held.  Returns
-    ``(row values, typed initial array or None, plan, strategy)``: the
-    strategy is ``levels`` when the level sweeps ran, else ``traces``."""
+    ``(row values, the initial array they scatter onto or None, plan,
+    strategy)``: the strategy is ``levels`` on a level plan, else
+    ``traces``."""
     tracer, registry = get_tracer(), get_registry()
     system = job.source
     system.op.require_commutative()
     kernel = make(job)
     with maybe_span(tracer, "solver.gir", engine=label, n=system.n) as root:
         if job.sched is None:
-            job.sched = exec_gir.build_plan(
-                system, problem, policy=job.policy, table=kernel.wants_table
-            )
+            job.sched = exec_gir.build_plan(system, problem, policy=job.policy)
         exec_gir.check_period(job.sched, system.op)
         plan = job.sched
+        ran = plan.strategy
         with maybe_span(tracer, "gir.evaluate") as esp:
             values, base, mode = kernel.evaluate()
-            ran = "levels" if mode == "levels" else "traces"
             if ran == "levels":
-                power_ops = combine_ops = 0  # the table's work, not run
+                power_ops = combine_ops = 0  # no power table
                 attrs = {"levels": plan.levels.levels}
             else:
                 table = plan.table
@@ -371,17 +371,18 @@ def _scatter(plan, source, initials, solved, base, batch: bool) -> List[List[Any
     return outs
 
 
-def _scatter_traces(plan: GIRPlan, system, values, typed) -> List[Any]:
+def _scatter_traces(plan: GIRPlan, system, values, base) -> List[Any]:
     """Trace rows land where their iterations write: at the system's
     ``g``, or -- on a renamed plan -- at the version cells ``m + i``
     that :func:`~repro.core.equations.normalize_non_distinct` numbers,
     appended to the initial array and projected back onto the original
-    cells."""
-    if typed is not None:
+    cells.  ``base`` is the initial array the kernel read (typed or
+    object), else ``None``."""
+    if base is not None:
         if plan.renamed:
-            work = np.concatenate([typed, np.asarray(values, dtype=typed.dtype)])
+            work = np.concatenate([base, np.asarray(values, dtype=base.dtype)])
             return work[plan.final_cell_of].tolist()
-        work = typed.copy()
+        work = base.copy()
         work[system.g] = values
         return work.tolist()
     if plan.renamed:
@@ -592,7 +593,7 @@ def solve(backend, request, rows=None, f_rows=None, scalars=None):
         span = "moebius" if family == "moebius" else "ordinary"
         kernel, active = _replay(span, make, job, enforcer, label, ran)
         solved, base = kernel.solved(), getattr(kernel, "base", None)
-    stats = _stats(plan, active, ran) if request.collect_stats else None
+    stats = _stats(plan, active) if request.collect_stats else None
 
     def instance(r):
         if not batch:

@@ -2,28 +2,30 @@
 evaluate each initial-value vector per solve.
 
 The value-independent artifacts -- renaming, the dependence graph and
-one evaluation layout -- live in the
+ONE evaluation layout -- live in the
 :class:`~repro.engine.plan.GIRPlan`; re-solving a system with the same
 maps (different initial values, different commutative operator) skips
 straight to evaluation.  Ordinary-shaped systems carry a nested
 :class:`OrdinaryPlan` that the driver replays through the backend's
 ordinary round kernel instead.
 
-The planner picks the layout from the graph's depth alone.  A graph at
-most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep gets a
+The planner picks the layout from the graph's depth and the policy.
+A graph at most :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep,
+planned without a policy, gets a
 :class:`~repro.engine.plan.LevelLayout` over the graph's nodes and no
-CAP run: the ``levels`` kernel sweeps it over an ``(n + m)`` node
-buffer with the ordinary level kernel's own statement
+CAP run.  Every backend sweeps it over an ``(n + m)`` node buffer
+with the ordinary level kernel's own statement
 (:func:`~repro.engine.exec_ordinary.sweep_level`), one per dependence
-level, ``O(n)`` work folding exactly the loop's operands, so results
-are bit-identical to ``run_gir``, floats included.  The buffer stays:
-unlike an ordinary plan's cells, GIR operands can be anti-dependent.
-It runs for a default (``gir_eval="auto"``) NumPy solve without a
-policy whose operator and values it can prove exact
-(:func:`level_exact`).  A deeper graph, a policy, an explicit
-``gir_eval`` or the pure-Python backend gets the CAP power table --
-built at plan time, or on a level plan lazily on first use -- and
-trace evaluation has two modes:
+level, ``O(n)`` work folding exactly the loop's operands in the
+loop's order, so results equal ``run_gir`` in value and type, floats
+included.  The buffer stays: unlike an ordinary plan's cells, GIR
+operands can be anti-dependent.  The NumPy backend sweeps
+``op.vector_fn`` over the admitted array when :func:`level_exact`
+proves that exact; otherwise, and always on the pure-Python backend,
+the sweep runs ``op.fn`` over an object buffer of the caller's values.
+
+A deeper graph (the DP) or a policy (bounded CAP doubling) gets the
+CAP power table instead, and trace evaluation has two modes:
 
 * ``"batched"`` -- for operators with a picklable ``vector_power``
   (and exponents that fit or reduce into int64): entries
@@ -31,12 +33,13 @@ trace evaluation has two modes:
   entries with exponent > 1 go through ``vector_power``, and the
   combine phase runs vectorized over all rows sharing a factor count,
   replicating the legacy balanced pairing column-for-column so results
-  are bit-identical to the per-row loop.
+  are bit-identical to the per-row loop.  The NumPy backend runs it
+  wherever that typed setup applies.
 * ``"rows"`` -- the historical per-row evaluation over pre-sorted
   cells (no per-call re-sort), with a power memo so each distinct
   atomic power is still computed once; this is the exact-semantics
-  path for ``Fraction``/object operators and the comparator the
-  Fig-5 bench gates against.
+  path for ``Fraction``/object operators, the pure-Python backend's,
+  and the comparator the Fig-5 bench gates against.
 
 Once path counts would leave int64, CAP counts them modulo the
 operator's ``power_period`` when it has one (``Problem.period``), so
@@ -72,9 +75,6 @@ __all__ = [
     "RowTraceEvaluator",
 ]
 
-_EVAL_MODES = ("auto", "batched", "rows")
-
-
 def dispatches(system, problem, plan: Optional[GIRPlan]) -> bool:
     """Whether the solve takes the ordinary pointer-jumping path (an
     ordinary-shaped system with distinct ``g``) instead of CAP."""
@@ -88,14 +88,13 @@ def dispatches(system, problem, plan: Optional[GIRPlan]) -> bool:
     )
 
 
-def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
+def build_plan(system, problem, *, policy=None) -> GIRPlan:
     """Build the value-independent GIR plan: a dispatch plan, a level
     layout, or the CAP power table.
 
     An unbounded plan (no ``policy``) whose dependence graph is at most
-    :data:`~repro.core.cap._LEVEL_MAX_DEPTH` deep is a level plan
-    unless ``table`` asks for the power table up front (a consumer
-    that evaluates it).  Shared by every backend and the CLI;
+    :data:`~repro.core.cap._LEVEL_MAX_DEPTH` deep is a level plan.
+    Shared by every backend and the CLI;
     emits the ``gir.normalize`` / ``gir.build_graph`` / ``gir.levels``
     / ``gir.cap`` phase spans (nested under whatever span the caller
     holds open).
@@ -142,7 +141,7 @@ def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
         if gsp is not None:
             gsp.set_attribute("edges", graph.edge_count())
     level = None
-    levels = not table and policy is None
+    levels = policy is None
     if levels:
         with maybe_span(tracer, "gir.levels") as lsp:
             level = node_levels(graph)
@@ -193,9 +192,8 @@ def build_plan(system, problem, *, policy=None, table: bool = False) -> GIRPlan:
 def check_period(plan: GIRPlan, op) -> None:
     """Refuse a power table reduced modulo a period other than ``op``'s:
     its exponents would power to wrong values.  A table of exact counts
-    serves any operator, and so does a level plan, whose lazily built
-    table is always exact."""
-    table = plan.table if plan.has_table else None
+    serves any operator, and so does a level plan."""
+    table = plan.table
     if table is not None and not table.serves(op.power_period):
         raise PlanVerificationError(
             f"GIR009: the plan's power table counts paths modulo "
@@ -257,8 +255,8 @@ def level_exact(op, typed: Optional[np.ndarray], levels: int) -> bool:
     int64 while no result can wrap: an iteration at level ``L`` folds
     at most ``2**L`` initial values
     (:func:`~repro.engine.exec_ordinary.may_wrap`).  Anything else --
-    object values, other dtypes, other vector functions -- is left to
-    the power table."""
+    object values, other dtypes, other vector functions -- sweeps
+    ``op.fn`` over objects."""
     if typed is None or typed.ndim != 1 or op.vector_fn is None:
         return False
     domain_check = getattr(op.vector_power, "domain_check", None)
@@ -354,67 +352,59 @@ def _evaluate_rows(
     return values
 
 
+def _sweep(plan: GIRPlan, values: np.ndarray, fn) -> np.ndarray:
+    """A level plan's iteration results: ``fn`` swept level by level
+    over a node buffer whose slot ``i`` is iteration ``i``'s result and
+    slot ``n + c`` cell ``c``'s initial value (``values``)."""
+    n, layout = plan.n, plan.levels
+    nodes = np.empty(n + values.shape[0], dtype=values.dtype)
+    nodes[n:] = values
+    ptr = layout.level_ptr.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow saturates to +/-inf, as Python floats do
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            exec_ordinary.sweep_level(nodes, layout, slice(lo, hi), fn)
+    return nodes[:n]
+
+
 class TraceEvaluator:
-    """In-process GIR kernel: evaluates one initial-value vector,
-    ``gir_eval="auto"`` resolving to the ``levels`` kernel on a level
-    plan when it is exact (and no policy bounds the solve), else to
-    ``prefer``."""
+    """The NumPy backend's GIR kernel: evaluates one initial-value
+    vector.  A level plan sweeps ``op.vector_fn`` over the admitted
+    array when :func:`level_exact` proves that exact, else ``op.fn``
+    over objects; a table plan evaluates batched when the typed setup
+    applies, else by rows."""
 
     label = "numpy"
-    prefer = "batched"
-    #: whether ``auto`` may sweep a level plan's levels
-    sweeps_levels = True
+    #: whether this kernel may run typed NumPy statements
+    typed = True
 
     def __init__(self, job):
         self.job = job
-        self.mode = job.options.get("gir_eval", "auto")
-        if self.mode not in _EVAL_MODES:
-            raise ValueError(
-                f"unknown gir_eval mode {self.mode!r}; expected one of "
-                f"{_EVAL_MODES}"
-            )
-
-    @property
-    def wants_table(self) -> bool:
-        """Whether this solve evaluates the power table whatever the
-        plan's layout: an explicit ``gir_eval``, a backend that does
-        not sweep levels, or a policy."""
-        return not (
-            self.mode == "auto" and self.sweeps_levels and self.job.policy is None
-        )
 
     def evaluate(self) -> Tuple[Any, Optional[np.ndarray], str]:
-        """``(row values, typed initial array or None, mode used)``."""
+        """``(row values, the initial array they scatter onto -- typed,
+        or an object array -- or None, mode used)``."""
         job = self.job
         plan, initial, op = job.sched, job.source.initial, job.source.op
-        layout = plan.levels
-        if (
-            not self.wants_table
-            and layout is not None
-            and level_exact(op, job.typed, layout.levels)
-        ):
-            # node slots: iteration i's result at i, cell c's initial
-            # value at n + c
-            n, fn = plan.n, op.vector_fn
-            nodes = np.empty(n + job.typed.shape[0], dtype=job.typed.dtype)
-            nodes[n:] = job.typed
-            ptr = layout.level_ptr.tolist()
-            with np.errstate(over="ignore", invalid="ignore"):
-                # overflow saturates to +/-inf, as Python floats do
-                for lo, hi in zip(ptr[:-1], ptr[1:]):
-                    exec_ordinary.sweep_level(nodes, layout, slice(lo, hi), fn)
-            return nodes[:n], job.typed, "levels"
-        mode = self.prefer if self.mode == "auto" else self.mode
-        if mode == "batched":
+        if plan.levels is not None:
+            if self.typed and level_exact(op, job.typed, plan.levels.levels):
+                base, fn, mode = job.typed, op.vector_fn, "levels"
+            else:
+                # element-wise, as the loop reads them: a value may be a
+                # sequence
+                base = np.fromiter(initial, dtype=object, count=len(initial))
+                fn, mode = np.frompyfunc(op.fn, 2, 1), "objects"
+            return _sweep(plan, base, fn), base, mode
+        if self.typed:
             setup = _typed_eval_setup(plan, initial, op, job.typed)
             if setup is not None:
-                return _evaluate_batched(plan, setup, op), setup[0], mode
+                return _evaluate_batched(plan, setup, op), setup[0], "batched"
         return _evaluate_rows(plan, initial, op), None, "rows"
 
 
 class RowTraceEvaluator(TraceEvaluator):
-    """The pure-Python backend's evaluator: ``auto`` means rows."""
+    """The pure-Python backend's GIR kernel: object sweeps on a level
+    plan, rows on a table plan."""
 
     label = "python"
-    prefer = "rows"
-    sweeps_levels = False
+    typed = False

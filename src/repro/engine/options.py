@@ -96,8 +96,8 @@ class EngineOptions:
         (:mod:`repro.engine.failover`).
     backend_options:
         Remaining backend/family extras (Moebius ``path`` / ``guard``,
-        PRAM ``processors`` / ``fault_plan`` / ``max_retries``, GIR
-        ``gir_eval``, ...), exactly the keys the historical free-form
+        PRAM ``processors`` / ``fault_plan`` / ``max_retries``, ...),
+        exactly the keys the historical free-form
         ``options`` dict carried.
     """
 

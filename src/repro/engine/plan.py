@@ -28,11 +28,10 @@ value-dependent work:
   final nodes grouped by dependence level with the nodes their
   operands read, ``O(n)`` bytes; each level is one vector statement
   over an ``(n + m)`` node buffer) when the graph is at most
-  :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep, else the CAP
-  power table of every iteration's trace as a flat CSR-style
-  :class:`PowerTable` (row-ptr / cell-id / exponent arrays).  A
-  level plan builds its power table lazily, only for a consumer that
-  evaluates traces.  Ordinary-shaped systems carry a nested
+  :data:`~repro.core.cap._LEVEL_MAX_DEPTH` (62) deep and no policy
+  bounds the planning, else the CAP power table of every iteration's
+  trace as a flat CSR-style :class:`PowerTable` (row-ptr / cell-id /
+  exponent arrays); never both.  Ordinary-shaped systems carry a nested
   :class:`OrdinaryPlan` for the cheap dispatch path instead.
 
 Plans serialize to plain dicts (``to_dict``/``from_dict``) so they can
@@ -50,10 +49,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.cap import _LEVEL_MAX_DEPTH, count_all_paths, deep_chain, residue
+from ..core.cap import _LEVEL_MAX_DEPTH, deep_chain, residue
 from ..core.depgraph import DependenceGraph
 from ..core.traces import predecessors, writer_map
-from ..obs import get_tracer, maybe_span
 
 __all__ = [
     "OrdinaryPlan",
@@ -888,14 +886,14 @@ class GIRPlan:
     ``i`` writes version cell ``m + i``; else it writes the system's
     ``g[i]``, which the plan does not copy); ``final_cell_of``,
     projecting the renamed array back onto the original cells (set
-    iff ``renamed``); and an evaluation layout.
-    That is ``levels`` (a :class:`LevelLayout` over the dependence
-    graph's nodes) on a graph the planner found shallow, else ``table`` -- the flat :class:`PowerTable` whose
-    row ``i`` maps leaf cells (< original ``m``) to the power of their
-    initial value in iteration ``i``'s trace.  ``table`` is always
-    readable: on a level plan CAP builds it from the graph the layout
-    holds (one scatter of its reads) on first access and caches it (``has_table`` says whether it is
-    built), for the consumers that evaluate traces.
+    iff ``renamed``); and ONE evaluation layout: ``levels`` (a
+    :class:`LevelLayout` over the dependence graph's nodes) on a graph
+    the planner found at most
+    :data:`~repro.core.cap._LEVEL_MAX_DEPTH` deep and no policy bounded,
+    else ``table`` -- the flat :class:`PowerTable` whose row ``i`` maps
+    leaf cells (< original ``m``) to the power of their initial value
+    in iteration ``i``'s trace.  Never both: every backend sweeps a
+    level plan.
     """
 
     fingerprint: str
@@ -903,9 +901,7 @@ class GIRPlan:
     m: int
     renamed: bool = False
     dispatch: Optional[OrdinaryPlan] = None
-    #: the power table as built (``None``: not yet); the constructor
-    #: takes it as ``table``, which reads it lazily
-    _table: Optional[PowerTable] = field(default=None, repr=False, compare=False)
+    table: Optional[PowerTable] = field(default=None, repr=False, compare=False)
     final_cell_of: Optional[np.ndarray] = None
     cap_iterations: int = 0
     cap_edge_work: int = 0
@@ -918,11 +914,6 @@ class GIRPlan:
         (the power table; a dispatch plan has neither)."""
         return "traces" if self.levels is None else "levels"
 
-    @property
-    def has_table(self) -> bool:
-        """Whether the power table is materialized."""
-        return self._table is not None
-
     def to_dict(self) -> Dict[str, Any]:
         payload = {
             "schema_version": GIR_PLAN_SCHEMA_VERSION,
@@ -932,8 +923,7 @@ class GIRPlan:
             "m": self.m,
             "renamed": self.renamed,
             "dispatch": None if self.dispatch is None else self.dispatch.to_dict(),
-            # a level plan's table only when materialized
-            "table": None if self._table is None else self._table.to_payload(),
+            "table": None if self.table is None else self.table.to_payload(),
             "final_cell_of": None
             if self.final_cell_of is None
             else self.final_cell_of.tolist(),
@@ -950,6 +940,10 @@ class GIRPlan:
             version = GIR_PLAN_SCHEMA_VERSION
             raise ValueError(f"plan schema_version is not {version}; re-plan it")
         levels = payload.get("levels")
+        if levels is not None and payload.get("table") is not None:
+            raise ValueError(
+                "a GIR plan holds a level layout or a power table, not both"
+            )
         return cls(
             fingerprint=payload["fingerprint"],
             n=int(payload["n"]),
@@ -968,31 +962,6 @@ class GIRPlan:
             cap_edge_work=int(payload["cap_edge_work"]),
             levels=None if levels is None else LevelLayout.from_payload(levels),
         )
-
-
-def _get_table(plan: GIRPlan) -> Optional[PowerTable]:
-    if plan._table is None and plan.levels is not None:
-        # CAP over the layout's graph (its reads scattered back to
-        # iteration order): a graph this shallow takes the level pass,
-        # whose int64 counts never need a period.
-        layout, n = plan.levels, plan.n
-        targets = np.empty((2, n), dtype=np.int64)
-        targets[:, layout.written(0, n)] = layout.read, layout.read_h
-        work_m = plan.m + n if plan.renamed else plan.m
-        graph = DependenceGraph(n=n, m=work_m, target_f=targets[0], target_h=targets[1])
-        with maybe_span(get_tracer(), "gir.cap") as csp:
-            cap = count_all_paths(graph)
-            if csp is not None:
-                csp.set_attribute("depth", graph.depth())
-                csp.set_attribute("period", cap.period)
-        plan._table = PowerTable.from_cap(cap, plan.n)
-        plan.cap_iterations, plan.cap_edge_work = cap.iterations, cap.edge_work
-    return plan._table
-
-
-# A level plan builds its power table only when a trace consumer reads
-# ``table``.
-_lazy_layout(GIRPlan, "table", _get_table)
 
 
 Plan = Union[OrdinaryPlan, GIRPlan]

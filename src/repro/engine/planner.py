@@ -43,11 +43,11 @@ def plan_nbytes(plan) -> int:
     round schedule ``round_steps`` cached and the terminal list, the
     level layout of any family -- its stored arrays, not a one-range
     ``write`` it keeps as ``start`` -- with its cached scan blocks, a
-    materialized CSR power-table triple, a projection map); per-object
+    GIR plan's CSR power-table triple, a projection map); per-object
     overhead and the GIR table's exact big-int exponents are estimated
     at one word each.  A chain or level plan's bytes are its layout's,
     a rounds plan's its ``pred``'s, until a rounds consumer builds the
-    schedule.  Never builds a lazy predecessor array, schedule or table.  Used by
+    schedule.  Never builds a lazy predecessor array or schedule.  Used by
     :meth:`PlanCache.info` so the cache's memory footprint is visible
     next to its hit rate.
     """
@@ -67,8 +67,8 @@ def plan_nbytes(plan) -> int:
     levels = getattr(plan, "levels", None)
     if levels is not None:
         total += levels.nbytes
-    if getattr(plan, "has_table", False):
-        table = plan.table
+    table = getattr(plan, "table", None)
+    if table is not None:
         total += int(table.row_ptr.nbytes) + int(table.cells.nbytes)
         total += 8 * table.nnz  # exact-int exponents, >= one word each
     return total

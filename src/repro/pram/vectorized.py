@@ -249,25 +249,26 @@ def profile_gir(
     from ..core.cap import DP_DEPTH_CUTOFF, count_all_paths
     from ..core.depgraph import build_dependence_graph
     from ..core.equations import normalize_non_distinct
+    from ..engine.plan import PowerTable
 
-    # force the CAP pipeline: the profile describes GIR's own stages,
-    # not the ordinary-dispatch fast path nor the level sweeps
-    solved = engine_solve(
-        system,
-        collect_stats=True,
-        allow_ordinary_dispatch=False,
-        options=EngineOptions(backend="numpy", backend_options={"gir_eval": "batched"}),
-    )
-    result, stats = solved.values, solved.stats
-    assert stats is not None
+    # the profile describes GIR's own stages, not the ordinary-dispatch
+    # fast path
+    result = engine_solve(
+        system, allow_ordinary_dispatch=False, options=EngineOptions(backend="numpy")
+    ).values
     solved_system = (
         system if system.g_is_distinct() else normalize_non_distinct(system).system
     )
     graph = build_dependence_graph(solved_system)
     # The profile prices CAP's doubling rounds: ask for them even where
-    # the planner would finish an overflowing run on the DP.
+    # the planner would finish an overflowing run on the DP.  Its table
+    # counts as the planner's would: modulo the operator's period once
+    # counts leave int64.
     deep = graph.depth() > DP_DEPTH_CUTOFF
-    cap = count_all_paths(graph, method="dp" if deep else "matrix")
+    cap = count_all_paths(
+        graph, method="dp" if deep else "matrix", period=system.op.power_period
+    )
+    table = PowerTable.from_cap(cap, graph.n)
 
     # per-level combine actives: every trace's factor count halves per
     # level (floor-pairing, mirroring evaluate_trace_powers and the
@@ -279,12 +280,12 @@ def profile_gir(
         sizes = [(k + 1) // 2 for k in sizes]
 
     profile = GIRCostProfile(
-        n=stats.n,
+        n=table.rows,
         op_cost=system.op.cost,
         cap_work_per_iteration=list(cap.work_per_iteration),
-        power_ops=stats.power_ops,
-        combine_ops=stats.combine_ops,
-        reduction_depth=stats.reduction_depth,
+        power_ops=table.power_entry_count,
+        combine_ops=table.nnz - table.rows,
+        reduction_depth=table.reduction_depth,
         combine_work_per_level=combine_levels,
         power_stage_ops=sum(len(cap.powers[i]) for i in range(graph.n)),
         cost_model=cost_model or DEFAULT_COST_MODEL,

@@ -12,9 +12,10 @@ shims had:
 * ``solve_ordinary`` / ``solve_ordinary_numpy`` pin the python/numpy
   backend respectively;
 * ``solve_gir`` runs the numpy backend with the historical
-  rename/dispatch knobs (``gir_eval`` names the trace evaluator, so a
-  test of CAP and its power table can ask for one instead of the
-  default's level sweeps);
+  rename/dispatch knobs; ``table="batched"`` / ``"rows"`` solves on
+  the CAP power-table plan (:func:`table_plan`) with the numpy /
+  python backend, so a test of CAP and its table evaluators need not
+  find a graph deeper than 62;
 * ``solve_moebius`` maps the historical ``engine=`` names onto the
   engine's backend + ``options={"path": ...}``;
 * ``solve_affine_numpy`` / ``solve_rational_numpy`` pin the numpy
@@ -27,15 +28,23 @@ All return ``(values, stats)`` tuples like the originals.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, List, Optional, Tuple
 
+from repro.core.cap import count_all_paths
+from repro.core.depgraph import dependence_graph
+from repro.core.equations import normalize_non_distinct
 from repro.engine import EngineOptions
 from repro.engine import solve as engine_solve
+from repro.engine.exec_gir import build_plan
+from repro.engine.plan import PowerTable
+from repro.engine.problem import Problem
 
 __all__ = [
     "solve_ordinary",
     "solve_ordinary_numpy",
     "solve_gir",
+    "table_plan",
     "solve_moebius",
     "solve_affine_numpy",
     "solve_rational_numpy",
@@ -97,22 +106,44 @@ def solve_gir(
     policy=None,
     checked: bool = False,
     check_sample: Optional[int] = 64,
-    gir_eval: Optional[str] = None,
+    table: Optional[str] = None,
 ) -> Tuple[List[Any], Any]:
+    flags = dict(allow_rename=allow_rename, allow_ordinary_dispatch=allow_ordinary_dispatch)
     result = engine_solve(
         system,
+        plan=None if table is None else table_plan(system, **flags),
         collect_stats=collect_stats,
-        allow_rename=allow_rename,
-        allow_ordinary_dispatch=allow_ordinary_dispatch,
         options=EngineOptions(
-            backend="numpy",
+            backend="python" if table == "rows" else "numpy",
             policy=policy,
             checked=checked,
             check_sample=check_sample,
-            backend_options={} if gir_eval is None else {"gir_eval": gir_eval},
         ),
+        **flags,
     )
     return result.values, result.stats
+
+
+def table_plan(system, *, allow_rename: bool = True, allow_ordinary_dispatch: bool = True):
+    """The CAP power-table plan of a GIR ``system``: the planner's plan
+    when it is one (a graph deeper than 62, a dispatch plan), else the
+    level plan with its layout traded for the table CAP counts over
+    the same graph -- ``GIRPlan(table=PowerTable.from_cap(...))``."""
+    problem = Problem.from_system(
+        system, allow_rename=allow_rename, allow_ordinary_dispatch=allow_ordinary_dispatch
+    )
+    plan = build_plan(system, problem)
+    if plan.levels is None:
+        return plan
+    work = normalize_non_distinct(system).system if plan.renamed else system
+    cap = count_all_paths(dependence_graph(work), period=problem.period)
+    return dataclasses.replace(
+        plan,
+        levels=None,
+        table=PowerTable.from_cap(cap, plan.n),
+        cap_iterations=cap.iterations,
+        cap_edge_work=cap.edge_work,
+    )
 
 
 def solve_moebius(

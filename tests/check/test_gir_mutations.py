@@ -22,8 +22,8 @@ from repro.check import (
 )
 from repro.core import GIRSystem
 from repro.core.operators import modular_add, modular_mul
-from repro.engine import EngineOptions, solve
-from repro.engine.planner import PlanCache
+
+from .._legacy_solvers import table_plan
 
 
 MOD = 10**9 + 7
@@ -41,9 +41,7 @@ def leafy_gir(n, k=4):
 
 def cap_plan_for(system):
     # the power table (a default solve of a shallow graph plans levels)
-    options = EngineOptions(backend_options={"gir_eval": "batched"})
-    result = solve(system, cache=PlanCache(), options=options)
-    plan = result.plan
+    plan = table_plan(system)
     assert plan.dispatch is None, "these tests need a true CAP plan"
     return plan
 

@@ -2,6 +2,7 @@
 ``repro check`` / ``repro lint`` CLI verbs, and the package surface.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
 from repro.errors import PlanVerificationError
 
+from .._legacy_solvers import table_plan
 from ..engine.test_level_parity import affine_forest
 
 
@@ -292,9 +294,8 @@ class TestCLI:
     def test_check_random_gir_plan_file(self, tmp_path, capsys, kind, code):
         # int64 exponents (matrix CAP, no dict rows) through JSON and
         # the checker; a mutated table exits 8
-        plan = solve(
-            random_gir_system(3000, extra_cells=3000, seed=5), cache=PlanCache()
-        ).plan
+        system = random_gir_system(3000, extra_cells=3000, seed=5)
+        plan = table_plan(system)
         assert plan.table.exponents.dtype == np.int64
         path = self.write_plan(tmp_path, plan, "gir.json")
         assert main(["check", path, "--json"]) == 0
@@ -302,12 +303,29 @@ class TestCLI:
         assert report["ok"] is True
         # past 2048 rows the table's oracle is GIR007 / GIR008, not GIR004
         [skipped] = [f for f in report["findings"] if f["code"] == "GIR014"]
-        assert "GIR013, LVL004, GIR007, GIR008, GIR009 not run" in skipped["message"]
+        assert "GIR013, GIR007, GIR008, GIR009 not run" in skipped["message"]
         bad = mutate_plan(plan, kind, seed=1).plan
         path = self.write_plan(tmp_path, bad, "bad-gir.json")
         assert main(["check", path, "--json"]) == 8
         report = json.loads(capsys.readouterr().out)
         assert code in [f["code"] for f in report["findings"]]
+
+    def test_a_gir_plan_file_with_levels_and_a_table_is_refused(self, tmp_path, capsys):
+        """A GIR plan holds a level layout or a power table, never both:
+        such a file does not load (exit 2), and a plan built by hand with
+        both is GIR005."""
+        system = random_gir_system(300, seed=6)
+        level = solve(system, cache=PlanCache()).plan
+        table = table_plan(system)
+        payload = {**plan_to_dict(level), "table": plan_to_dict(table)["table"]}
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(payload))
+        assert main(["check", str(path)]) == 2
+        assert "not both" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="not both"):
+            plan_from_dict(payload)
+        both = dataclasses.replace(level, table=table.table)
+        assert verify_plan(both, system=system).codes() == ["GIR005"]
 
     def test_check_warns_a_gir_plan_file_skips_its_system_rules(
         self, tmp_path, capsys
@@ -318,7 +336,7 @@ class TestCLI:
         skipped and where to run them."""
         system = random_gir_system(300)
         plan = solve(system, cache=PlanCache()).plan
-        assert plan.strategy == "levels" and not plan.has_table
+        assert plan.strategy == "levels" and plan.table is None
         bad = mutate_plan(plan, "level_retarget_read", seed=0).plan
         assert verify_plan(bad, system=system).codes() == ["LVL004"]
         for name, subject in (("gir.json", plan), ("bad-gir.json", bad)):

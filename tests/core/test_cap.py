@@ -81,25 +81,47 @@ class TestCAPCorrectness:
             assert cap.powers_by_cell(g, i) == lc[i]
 
 
-class TestMethodParity:
-    """The three CAP backends are one algorithm in three clothes."""
+def _dict_rows(monkeypatch):
+    """Make doubling run on the dict rows, as without SciPy."""
+    monkeypatch.setattr(cap_module, "_scipy_sparse", lambda: None)
 
-    @pytest.mark.parametrize("method", ("matrix", "edges", "dp"))
-    def test_explicit_methods_agree(self, method):
+
+def _csr(monkeypatch):
+    """Make doubling run on SciPy CSR, whatever ``REPRO_NO_SCIPY`` says."""
+    sparse = pytest.importorskip("scipy.sparse")
+    monkeypatch.setattr(cap_module, "_scipy_sparse", lambda: sparse)
+
+
+class TestMethodParity:
+    """Doubling on SciPy CSR, doubling on dict rows and the DP are one
+    algorithm in three clothes."""
+
+    @pytest.mark.parametrize("method", ("csr", "rows", "dp"))
+    def test_explicit_methods_agree(self, method, monkeypatch):
         _, g = fib_graph(24)
+        if method != "dp":
+            (_dict_rows if method == "rows" else _csr)(monkeypatch)
+        method = "dp" if method == "dp" else "matrix"
         assert count_all_paths(g, method=method).powers == count_paths_dp(g)
 
-    def test_matrix_and_edges_share_iteration_accounting(self):
+    def test_csr_and_dict_rows_share_iteration_accounting(self, monkeypatch):
         _, g = fib_graph(20)
-        mat = count_all_paths(g, method="matrix")
-        edg = count_all_paths(g, method="edges")
-        assert mat.iterations == edg.iterations
-        assert mat.powers == edg.powers
+        _csr(monkeypatch)
+        csr = count_all_paths(g, method="matrix")
+        csr_partial = [
+            count_all_paths(g, method="matrix", max_iterations=k).powers
+            for k in range(1, csr.iterations)
+        ]
+        _dict_rows(monkeypatch)
+        rows = count_all_paths(g, method="matrix")
+        assert csr.leaf_csr is not None and rows.leaf_csr is None
+        assert csr.iterations == rows.iterations
+        assert csr.powers == rows.powers
         # partial states agree round by round, too
-        for k in range(1, mat.iterations):
+        for k in range(1, csr.iterations):
             assert (
-                count_all_paths(g, method="matrix", max_iterations=k).powers
-                == count_all_paths(g, method="edges", max_iterations=k).powers
+                csr_partial[k - 1]
+                == count_all_paths(g, method="matrix", max_iterations=k).powers
             )
 
     @given(gir_systems(distinct_g=True))
@@ -107,8 +129,11 @@ class TestMethodParity:
     def test_property_methods_agree(self, sys_):
         g = build_dependence_graph(sys_)
         want = count_paths_dp(g)
-        for method in ("matrix", "edges", "dp"):
+        for method in ("matrix", "dp"):
             assert count_all_paths(g, method=method).powers == want
+        with pytest.MonkeyPatch.context() as mp:
+            _dict_rows(mp)
+            assert count_all_paths(g, method="matrix").powers == want
 
     def test_object_promotion_stays_exact(self):
         # fib(121) >> 2**63: the counting matrix must promote to exact
@@ -142,13 +167,14 @@ class TestScipyGating:
         for method in ("auto", "matrix"):
             assert count_all_paths(g, method=method).powers == count_paths_dp(g)
 
-    def test_pure_python_rows_past_dense_cutoff(self, monkeypatch):
-        # no scipy AND too many nodes for the dense path: the sparse
-        # pure-Python row representation carries the doubling.
-        monkeypatch.setattr(cap_module, "_scipy_sparse", lambda: None)
-        monkeypatch.setattr(cap_module, "_DENSE_MAX_NODES", 8)
+    def test_pure_python_rows_carry_the_doubling(self, monkeypatch):
+        # no scipy: the sparse pure-Python row representation carries
+        # the doubling, whatever the graph's size.
+        _dict_rows(monkeypatch)
         _, g = fib_graph(30)
-        assert count_all_paths(g, method="matrix").powers == count_paths_dp(g)
+        cap = count_all_paths(g, method="matrix")
+        assert cap.method == "doubling" and cap.leaf_csr is None
+        assert cap.powers == count_paths_dp(g)
 
 
 class TestConvergence:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import cap as cap_module
 from repro.core.cap import count_all_paths, count_paths_dp, residue
 from repro.core.depgraph import DependenceGraph, build_dependence_graph
 from repro.core.equations import normalize_non_distinct
@@ -298,8 +299,10 @@ def test_empty_graph():
 
 
 def _reference(graph):
-    """Dict doubling: no assumption about node order."""
-    return count_all_paths(graph, method="edges").powers
+    """Dict-row doubling: no assumption about node order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cap_module, "_scipy_sparse", lambda: None)
+        return count_all_paths(graph, method="matrix").powers
 
 
 def test_dp_renumbers_a_graph_that_is_not_index_ordered():

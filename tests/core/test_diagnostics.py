@@ -142,6 +142,6 @@ class TestPredictionsMatchObservation:
             system,
             collect_stats=True,
             allow_ordinary_dispatch=False,
-            gir_eval="batched",  # CAP and its table, not the level sweeps
+            table="batched",  # CAP and its table, not the level sweeps
         )
         assert 0 < stats.cap_iterations <= bound

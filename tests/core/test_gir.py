@@ -136,7 +136,8 @@ class TestAlgebraicRequirements:
             [i for i in range(n)],
             op,
         )
-        out, stats = solve_gir(sys_, collect_stats=True)
+        # the power table's rows (a level plan sweeps op.fn instead)
+        out, stats = solve_gir(sys_, collect_stats=True, table="rows")
         assert out == run_gir(sys_)
         # Fibonacci counts appear as exponents: exponential in n, far
         # beyond the number of power calls (which is O(n)).
@@ -176,7 +177,7 @@ class TestStats:
     def test_stats_fields(self):
         sys_ = fib_system(16)
         # the power-table path (a default solve sweeps levels instead)
-        _, stats = solve_gir(sys_, collect_stats=True, gir_eval="batched")
+        _, stats = solve_gir(sys_, collect_stats=True, table="batched")
         assert stats.n == 16
         assert stats.cap_iterations >= 1
         assert stats.cap_edge_work > 0

@@ -6,10 +6,10 @@ sequential loop's order, bit for bit, for every typed ufunc operator.
 For ``ADD``, ``MUL``, ``FLOAT_ADD`` and ``FLOAT_MUL`` the ufunc is the
 loop's own arithmetic, so chain results -- and the level sweeps' on
 the shapes that plan dependence levels -- are bit-identical to
-``run_ordinary``, floats included.  ``MIN`` / ``MAX`` differ from the
-loop's ``x if x <= y else y`` on NaN (``np.minimum`` propagates it) and
-on ties between ``0.0`` and ``-0.0``; the suite draws both and checks
-them against a loop that folds with the ufunc instead.  The rounds path
+``run_ordinary``, floats included.  ``MIN`` / ``MAX`` fold exactly as
+``np.minimum`` / ``np.maximum`` do in the loop too (NaN propagates, a
+``0.0`` / ``-0.0`` tie yields the second operand); the suite draws both
+and checks them against the loop itself.  The rounds path
 is compared only where its operator is exactly associative (the int
 operators).
 """
@@ -124,13 +124,8 @@ def problems(draw, max_n=48):
 
 
 def oracle(system, row):
-    """The sequential loop; for MIN / MAX, folding with the ufunc (the
-    documented chain contract) instead of the loop's comparison."""
-    op = system.op
-    if op in (MIN, MAX):
-        fold = op.vector_fn
-        op = dataclasses.replace(op, fn=lambda x, y: float(fold(x, y)))
-    return run_ordinary(dataclasses.replace(system, initial=list(row), op=op))
+    """The sequential loop over ``row``."""
+    return run_ordinary(dataclasses.replace(system, initial=list(row)))
 
 
 def assert_bit_identical(got, want):
@@ -401,17 +396,15 @@ def test_round_budget_runs_rounds():
 
 @pytest.mark.parametrize("op", [MIN, MAX], ids=lambda op: op.name)
 def test_min_max_follow_the_ufunc_on_nan_and_signed_zeros(op):
-    """The documented MIN / MAX difference: the chain path folds with
-    ``np.minimum`` / ``np.maximum``, which propagate NaN, where the
-    loop's comparison lets the next value replace a NaN."""
+    """The MIN / MAX contract: the chain path folds with ``np.minimum``
+    / ``np.maximum``, which propagate NaN and keep the second operand
+    of a signed-zero tie, and so does the loop's ``op.fn``."""
     row = [1.0, math.nan, 2.0, 0.0, -0.0, 3.0, 0.0]
     system = OrdinaryIRSystem.build(row, np.arange(6), np.r_[6, np.arange(5)], op)
     result = solve(system, cache=PlanCache())
     assert result.strategy == "chains"
     assert_bit_identical(result.values, oracle(system, row))
-    loop = run_ordinary(system)
     assert math.isnan(result.values[1]) and math.isnan(result.values[5])
-    assert not math.isnan(loop[5])
 
 
 @st.composite
@@ -557,12 +550,6 @@ def test_a_one_range_plan_on_every_path():
         plan_from_dict(both)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="np.minimum keeps the second operand on a +-0.0 tie where the "
-    "loop's `x if x <= y else y` keeps the first: the MIN/MAX contract "
-    "(NaN and signed zeros) is undecided",
-)
 @pytest.mark.parametrize(
     "initial",
     [[1.0, -0.0, 0.0, 2.0, 0.5, 3.0], [1.0, 0.0, -0.0, 2.0, -0.0, 0.0]],

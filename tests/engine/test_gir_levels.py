@@ -1,18 +1,20 @@
-"""GIR level plans: loop-exact sweeps by dependence level, the power
-table built only on demand.
+"""GIR level plans: loop-exact sweeps by dependence level on every
+backend, and a plan holds a level layout or a power table, never both.
 
 A default solve of a GIR system whose dependence graph is at most 62
 deep plans a :class:`~repro.engine.plan.LevelLayout` over the graph's
-nodes and no CAP table;
-the ``levels`` kernel must equal ``run_gir`` bit for bit on every
-front door.  Whatever the kernel cannot prove exact -- values outside
-a modular domain, int64 sums that could wrap, an explicit
-``gir_eval``, the python backend, a policy -- takes the power table
-and must still equal the loop.
+nodes and no CAP table; every backend sweeps it and must equal
+``run_gir`` bit for bit, in value and type, on every front door.  The
+NumPy backend sweeps ``op.vector_fn`` over the admitted array when
+that is provably exact; whatever it cannot prove -- values outside a
+modular domain, int64 sums that could wrap, exact objects -- and the
+python backend sweep ``op.fn`` over objects.  The power table is
+planned only for deeper graphs and under a policy.
 """
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,11 +35,16 @@ from repro.core.workloads import (
     random_gir_system,
     scatter_system,
 )
-from repro.engine import EngineOptions, Session, solve, solve_batch
+from repro.engine import EngineOptions, Session, execute, solve, solve_batch
+from repro.engine.driver import Job
+from repro.engine.exec_gir import RowTraceEvaluator, TraceEvaluator, level_exact
+from repro.engine.exec_ordinary import admit
 from repro.engine.plan import plan_from_dict
 from repro.engine.planner import PlanCache, plan_nbytes
 from repro.engine.problem import Problem
 from repro.resilience import SolvePolicy
+
+from .._legacy_solvers import table_plan
 
 
 def _float_gir(n, seed):
@@ -105,84 +112,155 @@ class TestLoopExact:
     def test_level_solve_builds_no_table(self, case):
         name, system = case
         plan = solve(system, cache=PlanCache()).plan
-        assert plan.has_table == (STRATEGY[name] == "traces")
-        assert (plan.to_dict()["table"] is None) == (not plan.has_table)
+        assert (plan.table is None) == (STRATEGY[name] == "levels")
+        assert (plan.levels is None) == (STRATEGY[name] == "traces")
+        assert (plan.to_dict()["table"] is None) == (plan.table is None)
 
 
-def _table_solve(system, **options):
-    result = solve(system, cache=PlanCache(), options=EngineOptions(**options))
-    assert result.strategy == "traces"
-    assert result.values == run_gir(system)
-    return result
+def _exact(values):
+    """Values as ``(type, value)`` with floats as their exact bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
-class TestTableFallback:
-    def test_modular_values_outside_the_domain(self):
-        system = random_gir_system(2000, extra_cells=2000, seed=5)
-        rng = np.random.default_rng(5)
-        wild = rng.integers(-(2**40), 2**40, system.m).tolist()
-        result = _table_solve(dataclasses.replace(system, initial=wild))
-        # a level plan whose table was built on demand
-        assert result.plan.strategy == "levels" and result.plan.has_table
+def _fractions(distinct):
+    system = random_gir_system(400, extra_cells=400, seed=20, op=FLOAT_ADD, distinct_g=distinct)
+    return dataclasses.replace(system, initial=[Fraction(c, 7) for c in range(system.m)])
 
-    def test_int64_add_that_could_wrap(self):
-        system = random_gir_system(2000, extra_cells=2000, seed=6, op=ADD)
-        big = dataclasses.replace(system, initial=[2**60] * system.m)
-        result = _table_solve(big)
-        assert max(result.values) > 2**63  # exact Python ints, no wrap
-        small = dataclasses.replace(system, initial=list(range(system.m)))
-        assert solve(small, cache=PlanCache()).strategy == "levels"
 
-    @pytest.mark.parametrize("mode", ["rows", "batched"])
-    def test_explicit_gir_eval_plans_the_table(self, mode):
-        system = random_gir_system(2000, extra_cells=2000, seed=7)
-        result = _table_solve(system, backend_options={"gir_eval": mode})
-        assert result.plan.levels is None and result.plan.has_table
+def _wild_modular(distinct):
+    system = random_gir_system(400, extra_cells=400, seed=21, distinct_g=distinct)
+    rng = np.random.default_rng(21)
+    return dataclasses.replace(
+        system, initial=rng.integers(-(2**40), 2**40, system.m).tolist()
+    )
 
-    def test_python_backend(self):
-        system = random_gir_system(500, extra_cells=500, seed=8)
-        result = _table_solve(system, backend="python")
-        assert result.plan.levels is None
 
-    def test_policy_plans_as_before(self):
+def _could_wrap(distinct):
+    # int64 values the sweep cannot prove safe: 2**levels of them could
+    # wrap, though the loop's sums stay below 2**63
+    system = random_gir_system(400, extra_cells=400, seed=22, op=ADD, distinct_g=distinct)
+    return dataclasses.replace(system, initial=[2**59 + c for c in range(system.m)])
+
+
+def _past_int64(distinct):
+    system = random_gir_system(400, extra_cells=400, seed=23, op=ADD, distinct_g=distinct)
+    return dataclasses.replace(system, initial=[2**62] * system.m)
+
+
+OBJECT_CASES = {
+    "fractions": _fractions,
+    "wild_modular": _wild_modular,
+    "could_wrap": _could_wrap,
+    "past_int64": _past_int64,
+}
+
+
+class TestObjectSweep:
+    """What the typed sweep cannot prove exact, and everything on the
+    python backend, sweeps ``op.fn`` over objects: the loop's operands
+    in the loop's order, so the values equal ``run_gir`` in value and
+    type, and the plan stays a level plan with no table."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "renamed"])
+    @pytest.mark.parametrize("name", sorted(OBJECT_CASES))
+    def test_every_front_door_sweeps_levels(self, name, distinct, backend):
+        system = OBJECT_CASES[name](distinct)
+        want = _exact(run_gir(system))
+        if name != "fractions":
+            assert (max(v for _t, v in want) > 2**63) == (name == "past_int64")
+        options = EngineOptions(backend=backend)
+        first = solve(system, cache=PlanCache(), options=options)
+        plan = first.plan
+        typed = admit(system.initial, system.op)
+        assert not level_exact(system.op, typed, plan.levels.levels)
+        assert plan.renamed == (not distinct)
+        size = plan_nbytes(plan)
+        session = Session(system, options=options)
+        shipped = plan_from_dict(json.loads(json.dumps(plan.to_dict())))
+        for result in (
+            first,
+            solve(system, plan=plan, options=options),
+            session.solve(),
+            session.solve(),
+            execute(shipped, system, options=options),
+        ):
+            assert result.strategy == "levels"
+            assert _exact(result.values) == want
+        for held in (plan, session.plan, shipped):
+            assert held.table is None and plan_nbytes(held) == size
+
+    def test_in_domain_values_take_the_typed_sweep(self):
+        system = random_gir_system(400, extra_cells=400, seed=24)
+        job = Job(sched=solve(system, cache=PlanCache()).plan, source=system)
+        job.typed = np.asarray(system.initial, dtype=np.int64)
+        _values, typed, mode = TraceEvaluator(job).evaluate()
+        assert mode == "levels" and typed is job.typed
+        _values, base, mode = RowTraceEvaluator(job).evaluate()
+        assert mode == "objects" and base.dtype == object
+
+    def test_gir_eval_is_refused(self):
+        system = random_gir_system(50, seed=25)
+        options = EngineOptions(backend_options={"gir_eval": "batched"})
+        for front_door in (
+            lambda: solve(system, cache=PlanCache(), options=options),
+            lambda: Session(system, options=options),
+        ):
+            with pytest.raises(ValueError, match="unknown backend option key.*gir_eval"):
+                front_door()
+
+
+class TestTablePlans:
+    """The power table is planned for graphs deeper than 62 and under a
+    policy; its evaluators -- batched on numpy where the typed setup
+    applies, rows otherwise and on python -- must still equal the loop."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_a_policy_plans_the_table(self, backend):
         system = random_gir_system(500, extra_cells=500, seed=9)
-        result = _table_solve(system, policy=SolvePolicy(max_rounds=64))
-        assert result.plan.levels is None and result.plan.has_table
-        # a held level plan under a policy evaluates its table
+        options = EngineOptions(backend=backend, policy=SolvePolicy(max_rounds=64))
+        result = solve(system, cache=PlanCache(), options=options)
+        assert result.strategy == result.plan.strategy == "traces"
+        assert result.plan.levels is None and result.plan.table is not None
+        assert result.values == run_gir(system)
+
+    def test_a_held_level_plan_under_a_policy_sweeps_its_levels(self):
+        system = random_gir_system(500, extra_cells=500, seed=9)
         plan = solve(system, cache=PlanCache()).plan
         held = solve(
             system, plan=plan, options=EngineOptions(policy=SolvePolicy(max_rounds=64))
         )
-        assert held.strategy == "traces" and held.values == run_gir(system)
+        assert held.strategy == "levels" and plan.table is None
+        assert held.values == run_gir(system)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_evaluators_on_random_shallow_graphs(self, seed, backend):
+        system = random_gir_system(300, extra_cells=300, seed=seed, distinct_g=seed % 2 == 0)
+        if seed >= 4:  # out of the modular domain: numpy falls to rows
+            system = _wild_modular(seed % 2 == 0)
+        plan = table_plan(system)
+        result = solve(system, plan=plan, options=EngineOptions(backend=backend))
+        assert result.strategy == "traces"
+        assert _exact(result.values) == _exact(run_gir(system))
 
 
 def test_level_plan_is_smaller_than_the_table_plan():
     system = random_gir_system(5000, extra_cells=5000, seed=10)
     level = solve(system, cache=PlanCache()).plan
-    table = _table_solve(system, backend_options={"gir_eval": "batched"}).plan
-    assert plan_nbytes(level) < plan_nbytes(table)
+    assert plan_nbytes(level) < plan_nbytes(table_plan(system))
 
 
-def test_copying_a_level_plan_builds_no_table():
-    system = random_gir_system(200, extra_cells=100, seed=13)
-    plan = solve(system, cache=PlanCache()).plan
-    assert plan.strategy == "levels" and not plan.has_table
-    copy = dataclasses.replace(plan)
-    as_dict = dataclasses.asdict(plan)
-    assert not plan.has_table and not copy.has_table
-    assert as_dict["_table"] is None
-    # the copy still builds the same table when a consumer asks
-    assert np.array_equal(copy.table.exponents, plan.table.exponents)
-    # a built table travels with the copy
-    assert dataclasses.replace(plan).table is plan.table
-
-
-def test_copying_a_table_plan_keeps_its_table():
+def test_copying_a_plan_keeps_its_one_layout():
     system = fibonacci_gir_system(100)
     plan = solve(system, cache=PlanCache()).plan
-    assert plan.strategy == "traces" and plan.has_table
+    assert plan.strategy == "traces" and plan.levels is None
     assert dataclasses.replace(plan).table is plan.table
     assert dataclasses.replace(plan, table=None).table is None
+    level = solve(random_gir_system(200, extra_cells=100, seed=13), cache=PlanCache()).plan
+    assert level.strategy == "levels" and level.table is None
+    assert dataclasses.asdict(level)["table"] is None
+    assert dataclasses.replace(level).levels is level.levels
 
 
 def test_level_stats_report_what_ran():
@@ -207,10 +285,10 @@ def test_iterations_write_the_systems_g_or_its_version_cells(renamed, layout):
         system = dataclasses.replace(system, initial=list(range(2, system.m + 2)))
     else:
         system = random_gir_system(2000, extra_cells=2000, seed=14)
-    table = {"backend_options": {"gir_eval": "batched"}}
-    options = EngineOptions(**({} if layout == "levels" else table))
+    options = EngineOptions()
     want = _bits(run_gir(system))
-    result = solve(system, cache=PlanCache(), options=options)
+    held = None if layout == "levels" else table_plan(system)
+    result = solve(system, plan=held, cache=PlanCache(), options=options)
     plan = result.plan
     assert result.strategy == plan.strategy == {"levels": "levels", "table": "traces"}[layout]
     assert plan.renamed == renamed == (plan.final_cell_of is not None)
@@ -241,7 +319,7 @@ class TestLevelChecks:
         system, plan = level
         report = verify_plan(plan, Problem.from_system(system), system=system)
         assert report.ok, [f.describe() for f in report.errors]
-        assert not plan.has_table  # verifying builds no table
+        assert plan.table is None
 
     def test_campaign_rejects_every_level_mutant(self, level):
         system, plan = level
@@ -284,17 +362,18 @@ class TestLevelChecks:
         mut.levels.level_ptr[-1] -= 1
         assert "LVL002" in verify_plan(mut).codes()
 
-    def test_materialized_table_still_checked(self, level):
+    def test_a_table_plan_of_the_system_is_checked(self, level):
+        """The table rules run on table plans: a level plan has no table
+        to mutate, the same system's table plan verifies and takes the
+        table mutators alone, and every mutant is rejected."""
         system, plan = level
-        mut = mutate_plan(plan, "gir_perturb_exponent", seed=0)
-        assert mut is None  # no table built yet
-        built = solve(system, cache=PlanCache()).plan
-        built.table  # a consumer asks: CAP builds it
-        assert built.has_table and verify_plan(built, system=system).ok
-        kinds = {m.kind for m in mutation_campaign(built, seeds=range(2))}
-        assert kinds == LEVEL_KINDS | set(GIR_MUTATION_KINDS)
+        assert mutate_plan(plan, "gir_perturb_exponent", seed=0) is None
+        table = table_plan(system)
+        assert table.levels is None and verify_plan(table, system=system).ok
+        kinds = {m.kind for m in mutation_campaign(table, seeds=range(2))}
+        assert kinds == set(GIR_MUTATION_KINDS)
         for kind in GIR_MUTATION_KINDS:
-            mut = mutate_plan(built, kind, seed=0)
+            mut = mutate_plan(table, kind, seed=0)
             if mut is not None:
                 assert not verify_plan(mut.plan, system=system).ok, kind
 
@@ -317,3 +396,17 @@ def test_ordinary_is_gir_with_h_equal_to_g():
     assert node.plan.dispatch is None and cell.plan.levels.read_h is None
     assert np.array_equal(cell.plan.levels.level_ptr, node.plan.levels.level_ptr)
     assert _bits(cell.values) == _bits(node.values) == want
+
+
+def test_a_dispatched_level_solve_reports_its_stats():
+    """An ordinary-shaped GIR system dispatches to an ordinary plan; on
+    a level layout its stats are the ordinary plan's, not the GIR level
+    sweeps' (which read a GIR plan's own ``levels``)."""
+    rng = np.random.default_rng(15)
+    n, m = 2000, 2003
+    g, f = rng.permutation(m)[:n], rng.integers(0, m, n)
+    gir = GIRSystem.build(rng.uniform(-1, 1, m).tolist(), g, f, g, FLOAT_ADD)
+    result = solve(gir, cache=PlanCache(), collect_stats=True)
+    assert result.plan.dispatch is not None and result.strategy == "levels"
+    assert result.stats.ordinary_dispatch and result.stats.power_ops == 0
+    assert _bits(result.values) == _bits(run_gir(gir))

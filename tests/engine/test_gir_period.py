@@ -36,6 +36,8 @@ from repro.engine.planner import PlanCache
 from repro.engine.problem import Problem
 from repro.errors import PlanVerificationError
 
+from .._legacy_solvers import table_plan
+
 P = 10**9 + 7
 OPS = {
     "add": modular_add(P),  # period P
@@ -44,12 +46,14 @@ OPS = {
 }
 
 
-def _solve(system, mode="auto", plan=None, cache=None):
+def _solve(system, mode="batched", plan=None, cache=None):
+    """A default solve: on the Fibonacci shapes' table plan, the numpy
+    backend evaluates ``batched``; ``rows`` is the python backend's."""
     return solve(
         system,
         plan=plan,
         cache=PlanCache() if cache is None else cache,
-        options=EngineOptions(backend_options={"gir_eval": mode}),
+        options=EngineOptions(backend="python" if mode == "rows" else "numpy"),
     )
 
 
@@ -89,7 +93,7 @@ def test_operators_without_a_period_keep_exact_counts():
 
 def test_counts_that_fit_int64_stay_exact():
     system = random_gir_system(2000, extra_cells=2000, seed=3, op=OPS["add"])
-    table = _solve(system).plan.table
+    table = table_plan(system).table
     assert table.period is None and table.exponents.dtype == np.int64
 
 
@@ -127,16 +131,9 @@ def test_one_factor_rows_reduced_to_one_still_power():
     system = GIRSystem.build([5] + [0] * 80, system.g, system.f, system.h, op)
     oracle = run_gir(system)
     for backend in ("numpy", "python"):
-        for mode in ("rows", "batched"):
-            res = solve(
-                system,
-                cache=PlanCache(),
-                options=EngineOptions(
-                    backend=backend, backend_options={"gir_eval": mode}
-                ),
-            )
-            assert res.plan.table.period == 3
-            assert res.values == oracle, (backend, mode)
+        res = solve(system, cache=PlanCache(), options=EngineOptions(backend=backend))
+        assert res.plan.table.period == 3
+        assert res.values == oracle, backend
 
 
 def test_fingerprints_and_cache_entries_follow_the_period():

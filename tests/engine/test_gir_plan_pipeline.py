@@ -1,8 +1,8 @@
 """Differential suite: the array-native GIR plan pipeline.
 
 CAP hands the planner its converged int64 CSR ``L`` straight (no dict
-rows); the dict doubling, the sequential DP and the overflow promotion
-still produce exact Python-int rows.  Whatever the route, the
+rows); doubling on dict rows (without SciPy), the sequential DP and
+the overflow promotion still produce exact Python-int rows.  Whatever the route, the
 :class:`~repro.engine.plan.PowerTable` -- row pointers, cells and the
 exponents read as ints -- must be the same table, and batched
 evaluation (exponent-1 entries gathered, only exponents > 1 powered)
@@ -27,6 +27,8 @@ from repro.engine.exec_gir import TraceEvaluator
 from repro.engine.plan import PowerTable
 from repro.engine.planner import PlanCache
 from repro.errors import CyclicDependenceError
+
+from .._legacy_solvers import table_plan
 
 OPS = {"add": modular_add(97), "mul": modular_mul(101)}
 
@@ -65,11 +67,11 @@ def _same(a, b):
 
 
 def _eval(system, plan, mode):
+    """Evaluate a table plan: ``batched`` where the numpy backend's
+    typed setup applies, ``rows`` on the python backend."""
+    backend = "python" if mode == "rows" else "numpy"
     return solve(
-        system,
-        plan=plan,
-        cache=PlanCache(),
-        options=EngineOptions(backend="numpy", backend_options={"gir_eval": mode}),
+        system, plan=plan, cache=PlanCache(), options=EngineOptions(backend=backend)
     ).values
 
 
@@ -79,34 +81,37 @@ class TestTables:
     def test_every_cap_method_builds_one_table(self, system):
         graph = _graph(system)
         want = _table(graph, "dp")
-        for method in ("matrix", "edges", "auto"):
+        for method in ("matrix", "auto"):
             _same(_table(graph, method), want)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cap_module, "_scipy_sparse", lambda: None)
-            _same(_table(graph, "matrix"), want)  # dense int64 matrices
+            _same(_table(graph, "matrix"), want)  # dict-row doubling
 
     @given(gir_maps())
     @settings(max_examples=30, deadline=None)
     def test_planner_routes_to_dp_below_the_cutoff(self, system):
-        matrix = solve(system, cache=PlanCache()).plan
+        level = table_plan(system)  # the level pass's table
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cap_module, "_LEVEL_MAX_DEPTH", 0)
             dp = solve(system, cache=PlanCache()).plan
-        if matrix.dispatch is not None:
+        if level.dispatch is not None:
             return
-        _same(dp.table, matrix.table)
-        assert dp.cap_iterations == matrix.cap_iterations
-        assert dp.table.power_entry_count == matrix.table.power_entry_count
+        _same(dp.table, level.table)
+        assert dp.cap_iterations == level.cap_iterations
+        assert dp.table.power_entry_count == level.table.power_entry_count
         for period in (None, 97, 100):
-            a, b = dp.table.powered(period), matrix.table.powered(period)
+            a, b = dp.table.powered(period), level.table.powered(period)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("method", ["matrix", "edges", "dp"])
-    def test_overflow_promotion_keeps_exact_ints(self, method):
-        # Fibonacci path counts leave int64 near n = 90: the matrix
-        # state promotes to exact dict rows, and the table keeps ints.
+    @pytest.mark.parametrize("method", ["matrix", "rows", "dp"])
+    def test_overflow_promotion_keeps_exact_ints(self, method, monkeypatch):
+        # Fibonacci path counts leave int64 near n = 90: the CSR state
+        # promotes to exact dict rows, and the table keeps ints.
         system = fibonacci(120, OPS["add"])
         graph = build_dependence_graph(system)
+        if method == "rows":  # doubling on dict rows from the start
+            monkeypatch.setattr(cap_module, "_scipy_sparse", lambda: None)
+            method = "matrix"
         table = _table(graph, method)
         _same(table, _table(graph, "dp"))
         assert max(table.exponent_list()).bit_length() > 63
@@ -129,7 +134,7 @@ class TestEvaluation:
     @settings(max_examples=60, deadline=None)
     def test_batched_rows_and_loop_agree_bit_for_bit(self, system):
         oracle = run_gir(system)
-        plan = solve(system, cache=PlanCache()).plan
+        plan = table_plan(system)
         for mode in ("batched", "rows"):
             got = _eval(system, plan, mode)
             assert got == oracle, mode
@@ -152,7 +157,7 @@ class TestEvaluation:
         initial = list(system.initial)
         initial[int(rng.integers(system.m))] = modulus + int(rng.integers(50))
         bad = GIRSystem.build(initial, system.g, system.f, system.h, system.op)
-        plan = solve(bad, cache=PlanCache()).plan
+        plan = table_plan(bad)
         if plan.dispatch is None:
             _values, _typed, mode = TraceEvaluator(
                 Job(sched=plan, source=bad)

@@ -16,7 +16,9 @@ from repro.core import run_gir
 from repro.core import cap as cap_module
 from repro.engine import EngineOptions, solve
 from repro.engine.planner import PlanCache
+from repro.resilience import SolvePolicy
 
+from .._legacy_solvers import table_plan
 from ..conftest import gir_systems
 
 
@@ -49,22 +51,22 @@ class TestBackendParity:
     @given(gir_systems(distinct_g=True, max_n=20))
     @settings(max_examples=25, deadline=None)
     def test_eval_modes_match_oracle(self, sys_):
+        # a table plan: rows on python, batched on numpy
         oracle = run_gir(sys_)
-        for mode in ("rows", "batched"):
+        plan = table_plan(sys_)
+        for backend in ("python", "numpy"):
             res = solve(
                 sys_,
+                plan=plan,
                 cache=PlanCache(),
-                options=EngineOptions(
-                    backend="numpy",
-                    backend_options={"gir_eval": mode},
-                ),
+                options=EngineOptions(backend=backend),
             )
-            assert res.values == oracle, mode
+            assert res.values == oracle, backend
 
 
 class TestScipyAbsenceParity:
     """The same properties with the sparse backend knocked out: CAP
-    falls to dense numpy / pure-Python rows and nothing may change."""
+    doubling falls to pure-Python rows and nothing may change."""
 
     @given(gir_systems(distinct_g=True, max_n=20))
     @settings(max_examples=30, deadline=None)
@@ -83,14 +85,16 @@ class TestScipyAbsenceParity:
     @given(gir_systems(distinct_g=True, max_n=16))
     @settings(max_examples=20, deadline=None)
     def test_no_scipy_pure_python_rows_match_oracle(self, sys_):
-        # also past the dense cutoff: the pure-Python sparse rows
+        # a policy plans the table by bounded doubling: on the
+        # pure-Python sparse rows
         oracle = run_gir(sys_)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cap_module, "_scipy_sparse", lambda: None)
-            mp.setattr(cap_module, "_DENSE_MAX_NODES", 2)
             res = solve(
                 sys_,
                 cache=PlanCache(),
-                options=EngineOptions(backend="numpy"),
+                options=EngineOptions(
+                    backend="numpy", policy=SolvePolicy(max_rounds=64)
+                ),
             )
             assert res.values == oracle

@@ -28,6 +28,8 @@ from repro.engine import (
 from repro.engine.plan import PowerTable
 from repro.engine.planner import PlanCache
 
+from .._legacy_solvers import table_plan
+
 MOD = 10**9 + 7
 #: A composite modulus: no power period, so CAP keeps exact counts.
 COMPOSITE_MUL = modular_mul(MOD + 1)
@@ -57,10 +59,9 @@ def leafy(n, k=4):
 
 def cap_plan(system):
     # the power table (a default solve of a shallow graph plans levels)
-    options = EngineOptions(backend_options={"gir_eval": "batched"})
-    result = solve(system, cache=PlanCache(), options=options)
-    assert result.plan.dispatch is None
-    return result.plan
+    plan = table_plan(system)
+    assert plan.dispatch is None
+    return plan
 
 
 class TestSerialization:
@@ -110,31 +111,26 @@ class TestEvaluationModes:
         system = system_fn(3000)
         oracle = run_gir(system)
         plan = cap_plan(system)
-        for mode in ("rows", "batched", "auto"):
+        for backend in ("python", "numpy"):  # rows, batched
             res = solve(
                 system,
                 plan=plan,
                 cache=PlanCache(),
-                options=EngineOptions(
-                    backend="numpy",
-                    backend_options={"gir_eval": mode},
-                ),
+                options=EngineOptions(backend=backend),
             )
-            assert res.values == oracle, mode
+            assert res.values == oracle, backend
 
     def test_modular_mul_exact(self):
         system = fibonacci_powers(400, modular_mul(1009))
         oracle = run_gir(system)
-        for mode in ("rows", "batched"):
+        for backend in ("python", "numpy"):  # rows, batched
             res = solve(
                 system,
                 cache=PlanCache(),
-                options=EngineOptions(
-                    backend="numpy",
-                    backend_options={"gir_eval": mode},
-                ),
+                options=EngineOptions(backend=backend),
             )
-            assert res.values == oracle, mode
+            assert res.strategy == "traces"
+            assert res.values == oracle, backend
 
     def test_python_backend_matches(self):
         system = leafy(500)
@@ -146,7 +142,8 @@ class TestEvaluationModes:
         assert res.values == run_gir(system)
 
     def test_unknown_eval_mode_rejected(self):
-        with pytest.raises(ValueError, match="gir_eval"):
+        # gir_eval is no option: every backend option key is refused
+        with pytest.raises(ValueError, match="unknown backend option key.*gir_eval"):
             solve(
                 leafy(10),
                 cache=PlanCache(),

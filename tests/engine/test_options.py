@@ -145,7 +145,7 @@ class TestFrontDoorIntegration:
             call(extras)
         message = str(exc.value)
         assert f"unknown backend option key(s): {next(iter(extras))}" in message
-        assert "valid keys: gir_eval, guard, path" in message
+        assert "valid keys: guard, path" in message
         assert (f"EngineOptions({field}=...)" in message) == (field is not None)
 
     def test_each_backend_declares_the_extras_it_reads(self):

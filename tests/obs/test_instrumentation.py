@@ -130,7 +130,7 @@ class TestCAP:
 
 class TestGIR:
     def test_phase_spans(self):
-        n = 10
+        n = 70  # deeper than the level sweeps reach: the DP's table
         system = GIRSystem.build(
             [2, 3] + [1] * n,
             [i + 2 for i in range(n)],
@@ -139,11 +139,12 @@ class TestGIR:
             modular_mul(97),
         )
         with obs.observed() as (tracer, registry):
-            # the power-table path (a default solve sweeps levels instead)
-            _out, stats = solve_gir(system, collect_stats=True, gir_eval="batched")
+            _out, stats = solve_gir(system, collect_stats=True)
         (root,) = tracer.find("solver.gir")
         child_names = [c.name for c in root.children]
-        assert child_names == ["gir.build_graph", "gir.cap", "gir.evaluate"]
+        assert child_names == [
+            "gir.build_graph", "gir.levels", "gir.cap", "gir.evaluate"
+        ]
         assert root.attributes["cap_iterations"] == stats.cap_iterations
         (evaluate,) = tracer.find("gir.evaluate")
         assert evaluate.attributes["power_ops"] == stats.power_ops
@@ -157,7 +158,7 @@ class TestGIR:
         # Counts that fit int64 stay exact (period None); Fibonacci
         # counts past int64 are reduced by the operator's period.
         op = modular_mul(97)
-        for n, want in ((10, None), (100, op.power_period)):
+        for n, want in ((70, None), (100, op.power_period)):
             system = GIRSystem.build(
                 [2, 3] + [1] * n,
                 [i + 2 for i in range(n)],
@@ -166,7 +167,7 @@ class TestGIR:
                 op,
             )
             with obs.observed() as (tracer, _):
-                solve_gir(system, gir_eval="batched")
+                solve_gir(system)
             (cap,) = tracer.find("gir.cap")
             assert cap.attributes["period"] == want, n
 

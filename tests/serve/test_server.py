@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.moebius import AffineRecurrence
 from repro.core.serialize import system_to_dict
+from repro.core.workloads import random_gir_system
 from repro.engine import EngineOptions
 from repro.serve import ServeClient, ServeConfig, ServeError, ServeRejected
 
@@ -85,7 +86,19 @@ class TestLifecycle:
             )
         assert exc.value.status == 400
         assert "bogus" in str(exc.value)
-        assert "valid keys: gir_eval, guard, path" in str(exc.value)
+        assert "valid keys: guard, path" in str(exc.value)
+
+    def test_register_gir_eval_is_400(self, server, client):
+        # GIR trace evaluation has no option: every backend sweeps a
+        # level plan, and a table plan picks its evaluator itself
+        gir = random_gir_system(20, seed=1)
+        with pytest.raises(ServeError) as exc:
+            client.register(
+                system_to_dict(gir),
+                options={"backend_options": {"gir_eval": "batched"}},
+            )
+        assert exc.value.status == 400
+        assert "gir_eval" in str(exc.value)
 
     def test_unknown_route_is_404(self, server, client):
         with pytest.raises(ServeError) as exc:
